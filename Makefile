@@ -67,6 +67,7 @@ fuzz-smoke:
 	fuzz ./internal/store     FuzzDecodeStoreEnvelope; \
 	fuzz ./internal/merkle    FuzzVerifyProof; \
 	fuzz ./internal/merkle    FuzzParseHash; \
+	fuzz ./internal/numeric   FuzzLUSolve; \
 	fuzz ./internal/aging     FuzzTableLookup; \
 	fuzz ./internal/aging     FuzzStateAdvance; \
 	fuzz ./internal/floorplan FuzzReadFLP; \

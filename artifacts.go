@@ -12,21 +12,31 @@ import (
 )
 
 // ArtifactCache shares the expensive per-platform and per-chip artifacts
-// across Systems and Chips: the thermal model's LU factorisation and the
-// variation field's Cholesky factor (keyed by grid size), the learned
-// thermal predictor (keyed by grid size and chip seed) and the offline 3D
-// aging table (keyed by aging model and chip seed). All cached artifacts
-// are immutable after construction and safe for concurrent use; identical
-// concurrent requests coalesce onto one build (singleflight). A nil
-// *ArtifactCache is valid and disables sharing.
+// across Systems and Chips: the thermal model's LU factorisations,
+// response matrix and the variation field's Cholesky factor (keyed by
+// grid size), the learned thermal predictor (keyed by grid size and chip
+// seed) and the offline 3D aging table (keyed by aging model and chip
+// seed). All cached artifacts are immutable after construction and safe
+// for concurrent use; identical concurrent requests coalesce onto one
+// build (singleflight). A nil *ArtifactCache is valid and disables
+// sharing.
+//
+// Per-chip entries are kept for the chipCapacity most recently used keys
+// of each kind; a long-running service that sees a new chip seed per
+// request would otherwise hold every chip it ever built.
 type ArtifactCache struct {
 	mu        sync.Mutex
-	platforms map[gridKey]*cacheEntry[*platform]
-	preds     map[predKey]*cacheEntry[*thermpredict.Predictor]
-	tabs      map[tabKey]*cacheEntry[*aging.Table3D]
+	platforms lruMap[gridKey, *platform]
+	preds     lruMap[predKey, *thermpredict.Predictor]
+	tabs      lruMap[tabKey, *aging.Table3D]
 
 	hits, misses atomic.Int64
 }
+
+// chipCapacity bounds the predictors and the aging tables the cache
+// keeps, each: 32 covers the paper's 25-chip populations. Platforms are
+// per grid size, not per chip, and are not bounded.
+const chipCapacity = 32
 
 // NewArtifactCache returns an empty cache. The zero value is also ready
 // to use.
@@ -51,9 +61,9 @@ func (c *ArtifactCache) Stats() ArtifactStats {
 	return ArtifactStats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
-		Platforms:   len(c.platforms),
-		Predictors:  len(c.preds),
-		AgingTables: len(c.tabs),
+		Platforms:   len(c.platforms.m),
+		Predictors:  len(c.preds.m),
+		AgingTables: len(c.tabs.m),
 	}
 }
 
@@ -89,22 +99,52 @@ func (e *cacheEntry[T]) get(build func() (T, error)) (T, error) {
 	return e.val, e.err
 }
 
-// lookup returns the entry for key in *m, creating map and entry when
-// absent, and bumps the hit/miss counters. Callers must not hold c.mu.
-func lookup[K comparable, T any](c *ArtifactCache, m *map[K]*cacheEntry[T], key K) *cacheEntry[T] {
+// lruMap maps keys to cache entries, optionally bounded to the most
+// recently used keys.
+type lruMap[K comparable, T any] struct {
+	m     map[K]*cacheEntry[T]
+	order []K // least recently used first; tracked only when bounded
+}
+
+// touch marks key as the most recently used and, with a positive limit,
+// evicts the least recently used key once the map outgrows it. A caller
+// still holding an evicted entry keeps using it; only the next lookup
+// rebuilds.
+func (l *lruMap[K, T]) touch(key K, limit int) {
+	if limit <= 0 {
+		return
+	}
+	for i, k := range l.order {
+		if k == key {
+			l.order = append(l.order[:i], l.order[i+1:]...)
+			break
+		}
+	}
+	l.order = append(l.order, key)
+	if len(l.order) > limit {
+		delete(l.m, l.order[0])
+		l.order = append(l.order[:0], l.order[1:]...)
+	}
+}
+
+// lookup returns the entry for key in l, creating map and entry when
+// absent, keeps l within limit keys (0: unbounded) and bumps the hit/miss
+// counters. Callers must not hold c.mu.
+func lookup[K comparable, T any](c *ArtifactCache, l *lruMap[K, T], key K, limit int) *cacheEntry[T] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if *m == nil {
-		*m = make(map[K]*cacheEntry[T])
+	if l.m == nil {
+		l.m = make(map[K]*cacheEntry[T])
 	}
-	e, ok := (*m)[key]
+	e, ok := l.m[key]
 	if !ok {
 		e = &cacheEntry[T]{}
-		(*m)[key] = e
+		l.m[key] = e
 		c.misses.Add(1)
 	} else {
 		c.hits.Add(1)
 	}
+	l.touch(key, limit)
 	return e
 }
 
@@ -130,7 +170,7 @@ func (c *ArtifactCache) platform(rows, cols int) (*platform, error) {
 	if c == nil {
 		return buildPlatform(rows, cols)
 	}
-	e := lookup(c, &c.platforms, gridKey{rows, cols})
+	e := lookup(c, &c.platforms, gridKey{rows, cols}, 0)
 	return e.get(func() (*platform, error) { return buildPlatform(rows, cols) })
 }
 
@@ -142,7 +182,7 @@ func (c *ArtifactCache) predictor(s *System, chip *variation.Chip) (*thermpredic
 	if c == nil {
 		return build()
 	}
-	e := lookup(c, &c.preds, predKey{s.fp.Rows, s.fp.Cols, chip.Seed})
+	e := lookup(c, &c.preds, predKey{s.fp.Rows, s.fp.Cols, chip.Seed}, chipCapacity)
 	return e.get(build)
 }
 
@@ -155,6 +195,6 @@ func (c *ArtifactCache) table(model string, seed int64, ca aging.FactorModel) (*
 	if model == "" {
 		model = "nbti"
 	}
-	e := lookup(c, &c.tabs, tabKey{model, seed})
+	e := lookup(c, &c.tabs, tabKey{model, seed}, chipCapacity)
 	return e.get(build)
 }

@@ -67,14 +67,27 @@ func (p Params) DeltaVth(T, years, duty float64) float64 {
 	if years <= 0 || duty <= 0 || T <= 0 {
 		return 0
 	}
-	if duty > 1 {
-		duty = 1
-	}
+	return p.stressPrefix(T, years) * p.dutyTerm(duty)
+}
+
+// stressPrefix is the (T, age) part of Eq. 7,
+// Prefactor·e^(−A/T)·Vdd^VddExp·years^TimeExp. Go evaluates a product
+// left to right, so stressPrefix·dutyTerm rounds exactly like the
+// five-factor product written out: the table build can hoist the prefix
+// out of its duty and gate loops without moving a bit.
+func (p Params) stressPrefix(T, years float64) float64 {
 	return p.Prefactor *
 		math.Exp(-p.ActivationTemp/T) *
 		math.Pow(p.Vdd, p.VddExp) *
-		math.Pow(years, p.TimeExp) *
-		math.Pow(duty, p.DutyExp)
+		math.Pow(years, p.TimeExp)
+}
+
+// dutyTerm is the duty part of Eq. 7, d^DutyExp with d clamped to 1.
+func (p Params) dutyTerm(duty float64) float64 {
+	if duty > 1 {
+		duty = 1
+	}
+	return math.Pow(duty, p.DutyExp)
 }
 
 // CoreAging estimates aging-induced delay/frequency degradation for a core
@@ -132,6 +145,82 @@ func (ca *CoreAging) AgedDelay(T, duty, years float64) float64 {
 // unagedDelay/agedDelay ∈ (0, 1].
 func (ca *CoreAging) FreqFactor(T, duty, years float64) float64 {
 	return ca.unaged / ca.AgedDelay(T, duty, years)
+}
+
+// fill writes FreqFactor at every point of t's grid.
+func (ca *CoreAging) fill(t *Table3D) { ca.fillWith(t, nil) }
+
+// fillWith is fill with an optional hot-carrier model: hci, when non-nil,
+// adds the composite model's HCI shift to every element.
+//
+// The loop-invariant parts of Eq. 7 are hoisted: each element's duty term
+// is computed once per duty point and the (T, age) prefix once per (T, age)
+// point, instead of once per element per table point. Every value that
+// reaches an entry is still formed by the same operations in the same
+// order as AgedDelay's (and CompositeCoreAging.AgedDelay's), including the
+// zero-stress guard and the duty clamp, so each entry is bit for bit the
+// pointwise FreqFactor.
+func (ca *CoreAging) fillWith(t *Table3D, hci *HCIParams) {
+	p := ca.params
+	paths := ca.paths.Paths
+	nElem := 0
+	for i := range paths {
+		nElem += len(paths[i].Elements)
+	}
+	// terms[di*nElem+k] is element k's duty term at duty di; stressed
+	// marks the elements DeltaVth does not zero by its duty guard.
+	terms := make([]float64, len(t.Duties)*nElem)
+	stressed := make([]bool, len(t.Duties)*nElem)
+	for di, d := range t.Duties {
+		k := di * nElem
+		for i := range paths {
+			for _, e := range paths[i].Elements {
+				effDuty := d * e.DutyFactor * e.Cell.PMOSDutyWeight
+				if !(effDuty <= 0) {
+					terms[k], stressed[k] = p.dutyTerm(effDuty), true
+				}
+				k++
+			}
+		}
+	}
+	for ti, T := range t.Temps {
+		for yi, y := range t.Years {
+			// DeltaVth's guard on the (T, age) inputs.
+			aged := !(y <= 0 || T <= 0)
+			pre := 0.0
+			if aged {
+				pre = p.stressPrefix(T, y)
+			}
+			for di, d := range t.Duties {
+				hciShift := 0.0
+				if hci != nil {
+					hciShift = hci.DeltaVth(T, y, d, hci.RefFreq)
+				}
+				rowTerms := terms[di*nElem : (di+1)*nElem]
+				rowStressed := stressed[di*nElem : (di+1)*nElem]
+				max, k := 0.0, 0
+				for i := range paths {
+					sum := 0.0
+					for _, e := range paths[i].Elements {
+						dvth := 0.0
+						if aged && rowStressed[k] {
+							dvth = pre * rowTerms[k]
+						}
+						k++
+						if hci != nil {
+							sum += e.Cell.Delay * (1 + e.Cell.VthSensitivity*(dvth+hciShift))
+						} else {
+							sum += e.Cell.Delay * (1 + e.Cell.VthSensitivity*dvth)
+						}
+					}
+					if sum > max {
+						max = sum
+					}
+				}
+				t.Factor[t.index(ti, di, yi)] = ca.unaged / max
+			}
+		}
+	}
 }
 
 // DelayIncreaseFactor returns agedDelay/unagedDelay ≥ 1 — the quantity

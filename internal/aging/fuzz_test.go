@@ -9,7 +9,8 @@ import (
 
 // FuzzTableLookup drives the trilinear interpolation with arbitrary
 // coordinates: results must stay finite, inside the table's value range,
-// and equal to 1 at age ≤ 0.
+// and equal to 1 at age ≤ 0; Lookup and EffectiveAge must equal the
+// pre-change reference reads (reference_test.go) bit for bit.
 func FuzzTableLookup(f *testing.F) {
 	ca := NewCoreAging(DefaultParams(), gates.Generate(gates.DefaultGenerateConfig(), 1))
 	tab := DefaultTable(ca)
@@ -31,6 +32,9 @@ func FuzzTableLookup(f *testing.F) {
 		if math.IsNaN(got) || math.IsInf(got, 0) {
 			t.Fatalf("Lookup(%v,%v,%v) = %v", T, d, y, got)
 		}
+		if want := refLookup(tab, T, d, y); !bitsEqual(got, want) {
+			t.Fatalf("Lookup(%v,%v,%v) = %v, reference %v", T, d, y, got, want)
+		}
 		if got < lo-1e-9 || got > hi+1e-9 {
 			t.Fatalf("Lookup(%v,%v,%v) = %v outside table range [%v,%v]", T, d, y, got, lo, hi)
 		}
@@ -39,6 +43,12 @@ func FuzzTableLookup(f *testing.F) {
 		age := tab.EffectiveAge(T, d, got)
 		if math.IsNaN(age) || age < 0 || age > tab.MaxYears() {
 			t.Fatalf("EffectiveAge = %v", age)
+		}
+		// The inputs read in another order give a factor from some other
+		// point of the table, so the bisection runs off its round trip.
+		factor := tab.Lookup(y, T, d)
+		if age, want := tab.EffectiveAge(T, d, factor), refEffectiveAge(tab, T, d, factor); !bitsEqual(age, want) {
+			t.Fatalf("EffectiveAge(%v,%v,%v) = %v, reference %v", T, d, factor, age, want)
 		}
 	})
 }

@@ -133,10 +133,17 @@ func (c *CompositeCoreAging) FreqFactor(T, duty, years float64) float64 {
 // NBTIOnly returns the underlying NBTI-only estimator (the paper's model).
 func (c *CompositeCoreAging) NBTIOnly() *CoreAging { return c.nbti }
 
+// fill writes FreqFactor at every point of t's grid (see CoreAging.fill).
+func (c *CompositeCoreAging) fill(t *Table3D) { c.nbti.fillWith(t, &c.hci) }
+
 // FactorModel is anything that can fill an aging table: the NBTI-only
-// CoreAging, the composite NBTI+HCI estimator, or a test double.
+// CoreAging or the composite NBTI+HCI estimator. FreqFactor is the
+// pointwise model; fill evaluates it over a whole table grid with the
+// loop-invariant work hoisted, bit for bit equal to FreqFactor at every
+// point.
 type FactorModel interface {
 	FreqFactor(T, duty, years float64) float64
+	fill(t *Table3D)
 }
 
 // Interface checks: both estimators can fill aging tables.

@@ -44,7 +44,8 @@ func DefaultYears() []float64 {
 // BuildTable evaluates an aging estimator (NBTI-only CoreAging or the
 // composite NBTI+HCI model) on the given grid. This is the "start-up time
 // effort for a given chip" the paper describes; it is the only place the
-// gate-level model is exercised at scale.
+// gate-level model is exercised at scale. Every entry equals the
+// estimator's FreqFactor at that grid point, bit for bit.
 func BuildTable(ca FactorModel, temps, duties, years []float64) (*Table3D, error) {
 	for name, axis := range map[string][]float64{"temps": temps, "duties": duties, "years": years} {
 		if len(axis) < 2 {
@@ -65,13 +66,7 @@ func BuildTable(ca FactorModel, temps, duties, years []float64) (*Table3D, error
 		Years:  append([]float64(nil), years...),
 		Factor: make([]float64, len(temps)*len(duties)*len(years)),
 	}
-	for ti, T := range temps {
-		for di, d := range duties {
-			for yi, y := range years {
-				t.Factor[t.index(ti, di, yi)] = ca.FreqFactor(T, d, y)
-			}
-		}
-	}
+	ca.fill(t)
 	return t, nil
 }
 
@@ -100,8 +95,17 @@ func bracket(axis []float64, v float64) (int, float64) {
 	if last := len(axis) - 1; v >= axis[last] {
 		return last - 1, 1
 	}
-	i := sort.SearchFloat64s(axis, v)
-	// axis[i-1] < v ≤ axis[i]
+	// sort.SearchFloat64s inlined, so the hot path builds no closure:
+	// the smallest i with axis[i] ≥ v, and axis[i-1] < v ≤ axis[i].
+	i, j := 0, len(axis)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if !(axis[h] >= v) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
 	lo := i - 1
 	w := (v - axis[lo]) / (axis[lo+1] - axis[lo])
 	return lo, w
@@ -112,10 +116,55 @@ func bracket(axis []float64, v float64) (int, float64) {
 // are clamped to the boundary — the physical regimes beyond the table are
 // not extrapolated.
 func (t *Table3D) Lookup(T, d, y float64) float64 {
+	var c AgeCurve
+	c.init(t, T, d)
+	return c.At(y)
+}
+
+// MaxYears returns the last point of the age axis.
+func (t *Table3D) MaxYears() float64 { return t.Years[len(t.Years)-1] }
+
+// EffectiveAge inverts the table along the age axis: it returns the age y
+// at which a core operating continuously at (T, d) would exhibit the given
+// frequency factor. This is the "current estimated position/index in the
+// 3D-aging tables" of Fig. 5 step (3).
+func (t *Table3D) EffectiveAge(T, d, factor float64) float64 {
+	var c AgeCurve
+	c.init(t, T, d)
+	return c.EffectiveAge(factor)
+}
+
+// AgeCurve is the table at one fixed (temperature, duty) point: the
+// frequency factor as a function of age alone. It brackets T and d once,
+// so a caller that reads one (T, d) point many times — an EffectiveAge
+// bisection, or an inversion followed by a forward read — pays the two
+// axis searches once instead of per read. At(y) forms the same eight
+// weighted terms in the same order as the trilinear formula, so it is
+// bit for bit Lookup(T, d, y).
+type AgeCurve struct {
+	t *Table3D
+	// base[k] is the flat index of (T corner, d corner, age 0) of the
+	// k-th (T, d) corner with non-zero weight, in Lookup's corner order;
+	// w[k] is that corner's weight product wt·wd.
+	base [4]int
+	w    [4]float64
+	n    int
+}
+
+// Curve returns the table restricted to temperature T (Kelvin) and duty
+// d, clamped into the grid like Lookup.
+func (t *Table3D) Curve(T, d float64) AgeCurve {
+	var c AgeCurve
+	c.init(t, T, d)
+	return c
+}
+
+// init sets c to t's curve at (T, d) in place; the table's own reads use
+// it to keep the curve off the copy path.
+func (c *AgeCurve) init(t *Table3D, T, d float64) {
 	ti, tw := bracket(t.Temps, T)
 	di, dw := bracket(t.Duties, d)
-	yi, yw := bracket(t.Years, y)
-	f := 0.0
+	c.t, c.n = t, 0
 	for dt := 0; dt < 2; dt++ {
 		wt := tw
 		if dt == 0 {
@@ -132,45 +181,51 @@ func (t *Table3D) Lookup(T, d, y float64) float64 {
 			if wd == 0 {
 				continue
 			}
-			for dy := 0; dy < 2; dy++ {
-				wy := yw
-				if dy == 0 {
-					wy = 1 - yw
-				}
-				if wy == 0 {
-					continue
-				}
-				f += wt * wd * wy * t.At(ti+dt, di+dd, yi+dy)
+			c.base[c.n] = t.index(ti+dt, di+dd, 0)
+			c.w[c.n] = wt * wd
+			c.n++
+		}
+	}
+}
+
+// At returns the interpolated frequency factor at age y years.
+func (c *AgeCurve) At(y float64) float64 {
+	yi, yw := bracket(c.t.Years, y)
+	f := 0.0
+	for k := 0; k < c.n; k++ {
+		for dy := 0; dy < 2; dy++ {
+			wy := yw
+			if dy == 0 {
+				wy = 1 - yw
 			}
+			if wy == 0 {
+				continue
+			}
+			f += c.w[k] * wy * c.t.Factor[c.base[k]+yi+dy]
 		}
 	}
 	return f
 }
 
-// MaxYears returns the last point of the age axis.
-func (t *Table3D) MaxYears() float64 { return t.Years[len(t.Years)-1] }
-
-// EffectiveAge inverts the table along the age axis: it returns the age y
-// at which a core operating continuously at (T, d) would exhibit the given
-// frequency factor. This is the "current estimated position/index in the
-// 3D-aging tables" of Fig. 5 step (3).
+// EffectiveAge returns the age at which the curve reaches the given
+// frequency factor (see Table3D.EffectiveAge).
 //
 // The factor is monotonically non-increasing in age, so a bisection
 // suffices. Degenerate cases: a factor ≥ the unaged value maps to age 0; a
 // factor below anything reachable at (T, d) maps to the table's maximum
 // age (conditions milder than the core's history cannot "un-age" it —
 // long-term NBTI aging is not reversed).
-func (t *Table3D) EffectiveAge(T, d, factor float64) float64 {
-	lo, hi := 0.0, t.MaxYears()
-	if factor >= t.Lookup(T, d, lo) {
+func (c *AgeCurve) EffectiveAge(factor float64) float64 {
+	lo, hi := 0.0, c.t.MaxYears()
+	if factor >= c.At(lo) {
 		return lo
 	}
-	if factor <= t.Lookup(T, d, hi) {
+	if factor <= c.At(hi) {
 		return hi
 	}
 	for iter := 0; iter < 60; iter++ {
 		mid := 0.5 * (lo + hi)
-		if t.Lookup(T, d, mid) > factor {
+		if c.At(mid) > factor {
 			lo = mid
 		} else {
 			hi = mid
@@ -196,8 +251,8 @@ func (s *State) Advance(tab *Table3D, T, d, dtYears float64) {
 	if dtYears <= 0 {
 		return
 	}
-	yEq := tab.EffectiveAge(T, d, s.Factor)
-	newFactor := tab.Lookup(T, d, yEq+dtYears)
+	c := tab.Curve(T, d)
+	newFactor := c.At(c.EffectiveAge(s.Factor) + dtYears)
 	// Aging never improves health; guard against interpolation wiggle.
 	if newFactor < s.Factor {
 		s.Factor = newFactor
@@ -211,8 +266,8 @@ func (s State) PredictFactor(tab *Table3D, T, d, dtYears float64) float64 {
 	if dtYears <= 0 {
 		return s.Factor
 	}
-	yEq := tab.EffectiveAge(T, d, s.Factor)
-	f := tab.Lookup(T, d, yEq+dtYears)
+	c := tab.Curve(T, d)
+	f := c.At(c.EffectiveAge(s.Factor) + dtYears)
 	if f > s.Factor {
 		return s.Factor
 	}

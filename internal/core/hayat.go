@@ -319,9 +319,10 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 	yEq, baselineHNext := s.yEq, s.hNext
 	refreshRange := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			d := duty[i]
-			yEq[i] = ctx.AgingTable.EffectiveAge(base[i], d, ctx.Health[i].Factor)
-			baselineHNext[i] = h.lookupNext(ctx, base[i], d, yEq[i])
+			// The inversion and the forward read share one (T, d) point.
+			c := ctx.AgingTable.Curve(base[i], duty[i])
+			yEq[i] = c.EffectiveAge(ctx.Health[i].Factor)
+			baselineHNext[i] = c.At(yEq[i] + ctx.HorizonYears)
 		}
 	}
 	refreshAgingCache := func() {
@@ -377,15 +378,19 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				continue
 			}
 
+			// The candidate changes both temperature and duty, so its
+			// next health needs a fresh inversion at the new (T, d).
+			cc := ctx.AgingTable.Curve(tNext[cand], tDuty)
+			hCandNow := ctx.Health[cand].Factor
+			hCandNext := cc.At(cc.EffectiveAge(hCandNow) + ctx.HorizonYears)
+
 			// estimateNextHealth: re-evaluate only thermally affected
 			// cores; the rest keep their baseline prediction.
 			hSum := 0.0
 			for i := 0; i < n; i++ {
 				dT := tNext[i] - base[i]
 				if i == cand {
-					// The candidate changes both temperature and duty.
-					yc := ctx.AgingTable.EffectiveAge(tNext[i], tDuty, ctx.Health[i].Factor)
-					hSum += h.lookupNext(ctx, tNext[i], tDuty, yc)
+					hSum += hCandNext
 					continue
 				}
 				if h.cfg.AffectedDeltaK > 0 && dT < h.cfg.AffectedDeltaK {
@@ -395,10 +400,6 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				hSum += h.lookupNext(ctx, tNext[i], duty[i], yEq[i])
 			}
 			hAvgNext := hSum / float64(n)
-
-			yc := ctx.AgingTable.EffectiveAge(tNext[cand], tDuty, ctx.Health[cand].Factor)
-			hCandNext := h.lookupNext(ctx, tNext[cand], tDuty, yc)
-			hCandNow := ctx.Health[cand].Factor
 
 			// Eq. 9 plus the DCM-optimisation spread term (see Config).
 			dfGHz := (ctx.FMax[cand] - reqF) / 1e9

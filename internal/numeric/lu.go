@@ -6,11 +6,27 @@ import "math"
 // P·A = L·U. It is computed once and reused for many right-hand sides —
 // the transient thermal stepper solves the identical system
 // (C/Δt + G)·T_{k+1} = rhs on every time step.
+//
+// The factors are stored on their row envelopes: row i of L from its
+// first nonzero column up to (excluding) the unit diagonal, and row i of
+// U from the diagonal up to its last nonzero column. Everything outside
+// the envelope is an exact zero that a dense substitution would multiply
+// and subtract, so the envelope solve returns the dense solve's bits (up
+// to the sign of an exactly-zero component; see Solve). A thermal RC
+// network couples each node to a few neighbours, so its factors keep
+// about half of the dense entries.
 type LU struct {
 	n    int
-	lu   *Matrix // packed L (unit diagonal, below) and U (on and above)
-	piv  []int   // row permutation
-	sign int     // permutation sign, for Det
+	piv  []int // row permutation
+	sign int   // permutation sign, for Det
+	// Row i of L is l[lOff[i]:lOff[i+1]]; it covers the columns just
+	// left of the diagonal, i−len(row) … i−1.
+	l    []float64
+	lOff []int
+	// Row i of U is u[uOff[i]:uOff[i+1]]; it covers the columns
+	// i … i+len(row)−1, so u[uOff[i]] is the pivot.
+	u    []float64
+	uOff []int
 }
 
 // FactorLU computes the pivoted LU factorisation of a. The input is not
@@ -25,11 +41,13 @@ func FactorLU(a *Matrix) (*LU, error) {
 		return nil, ErrNonFinite
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: a.Clone(), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, piv: make([]int, n), sign: 1}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
-	lu := f.lu
+	// Dense elimination on a scratch copy: L (unit diagonal, below) and
+	// U (on and above) packed together.
+	lu := a.Clone()
 	for k := 0; k < n; k++ {
 		// Find pivot.
 		p := k
@@ -74,7 +92,29 @@ func FactorLU(a *Matrix) (*LU, error) {
 	if !AllFinite(lu.Data) {
 		return nil, ErrNonFinite
 	}
+	f.storeEnvelopes(lu)
 	return f, nil
+}
+
+// storeEnvelopes copies the envelope of every row of the packed dense
+// factors into f. Zero tests use ==, so a −0 counts as zero too.
+func (f *LU) storeEnvelopes(lu *Matrix) {
+	n := f.n
+	f.lOff, f.uOff = make([]int, n+1), make([]int, n+1)
+	for i := 0; i < n; i++ {
+		row := lu.Row(i)
+		lo := 0
+		for lo < i && row[lo] == 0 {
+			lo++
+		}
+		hi := n - 1
+		for hi > i && row[hi] == 0 {
+			hi--
+		}
+		f.l = append(f.l, row[lo:i]...)
+		f.u = append(f.u, row[i:hi+1]...)
+		f.lOff[i+1], f.uOff[i+1] = len(f.l), len(f.u)
+	}
 }
 
 // SolveChecked is Solve with a non-finite guard: it solves A·x = b into
@@ -96,6 +136,13 @@ func (f *LU) SolveChecked(dst, b []float64) error {
 // alias b — same backing array; partial overlap is not supported). dst
 // and b must have length n. It returns dst.
 //
+// Both substitutions run over the stored row envelopes in the dense
+// loop's column order. The dense loop would also subtract v·y[j] for
+// every v == 0 outside an envelope; with y[j] finite that subtracts a
+// zero, which leaves every partial sum unchanged except that it can turn
+// an exact −0 into +0. So the result equals the dense substitution's bit
+// for bit, apart from the sign of a component that is exactly zero.
+//
 // When dst and b are distinct, Solve is allocation-free: the permutation
 // gathers straight into dst and both substitutions run in place. That is
 // the transient thermal stepper's call shape (one solve per time step),
@@ -115,23 +162,28 @@ func (f *LU) Solve(dst, b []float64) []float64 {
 	for i := 0; i < n; i++ {
 		y[i] = b[f.piv[i]]
 	}
-	// Forward substitution with unit-lower L.
+	// Forward substitution with unit-lower L. Each inner loop runs over
+	// a row and the slice of y it multiplies, re-sliced to the row's
+	// length so the compiler drops the bounds checks.
 	for i := 1; i < n; i++ {
-		row := f.lu.Row(i)
+		row := f.l[f.lOff[i]:f.lOff[i+1]]
+		ys := y[i-len(row):][:len(row)]
 		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= row[j] * y[j]
+		for j, v := range row {
+			s -= v * ys[j]
 		}
 		y[i] = s
 	}
-	// Back substitution with U.
+	// Back substitution with U; row[0] is the pivot.
 	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Row(i)
+		row := f.u[f.uOff[i]:f.uOff[i+1]]
+		right := row[1:]
+		ys := y[i+1:][:len(right)]
 		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * y[j]
+		for j, v := range right {
+			s -= v * ys[j]
 		}
-		y[i] = s / row[i]
+		y[i] = s / row[0]
 	}
 	if n > 0 && &y[0] != &dst[0] {
 		copy(dst, y)
@@ -143,7 +195,7 @@ func (f *LU) Solve(dst, b []float64) []float64 {
 func (f *LU) Det() float64 {
 	d := float64(f.sign)
 	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
+		d *= f.u[f.uOff[i]]
 	}
 	return d
 }

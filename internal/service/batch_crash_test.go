@@ -36,7 +36,10 @@ func TestBatchCrashHelper(t *testing.T) {
 		JournalPath:   filepath.Join(base, "jobs.journal"),
 		AuditPath:     filepath.Join(base, "audit.log"),
 		BatchMaxItems: 4,
-		BatchMaxWait:  time.Millisecond,
+		// Long enough that a request's items always meet in one flush,
+		// even under the race detector: the drill relies on batch A
+		// being journalled, and its jobs started, in a single flush.
+		BatchMaxWait: 200 * time.Millisecond,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
@@ -117,7 +120,13 @@ func TestBatchCrashRecovery(t *testing.T) {
 	base := t.TempDir()
 	// service.batch-flush sleeps 5s between taking the journal lock and
 	// writing, giving the parent a wide window to SIGKILL mid-flush.
-	cmd, addr := startBatchCrashHelper(t, base, "service.batch-flush=sleep(5s)")
+	// sim.thermal-solve slows every epoch so batch A's jobs are still
+	// running at the kill, however fast or loaded the host: journal
+	// replay drops jobs that finished, and those would be unknown by ID
+	// after restart. A 1-year job has 4 epochs, so each job outlasts the
+	// 1.5 s before the kill by itself; 50 ms per epoch was not enough
+	// under the race detector on a loaded machine.
+	cmd, addr := startBatchCrashHelper(t, base, "service.batch-flush=sleep(5s),sim.thermal-solve=sleep(1s)")
 	killed := false
 	defer func() {
 		if !killed {

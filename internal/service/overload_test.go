@@ -56,6 +56,13 @@ func lifetimeBody(seed int64, client string, extra string) string {
 // queue TTL expires are evicted without ever executing, and (d) the
 // server drains cleanly afterwards.
 func TestOverloadDrill(t *testing.T) {
+	// Slow every thermal solve for the whole submit phase, so the two
+	// workers cannot drain the queue between submits — wall-clock speed
+	// of the host must not matter.
+	defer faultinject.DisarmAll()
+	if err := faultinject.ArmSpecs("sim.thermal-solve=sleep(50ms)"); err != nil {
+		t.Fatal(err)
+	}
 	const queueDepth = 8
 	s := newTestServer(t, Options{Workers: 2, QueueDepth: queueDepth})
 	ts := httptest.NewServer(s.Handler())
@@ -122,6 +129,8 @@ func TestOverloadDrill(t *testing.T) {
 	if len(ttlIDs) == 0 {
 		t.Fatal("no TTL-bounded job was accepted; drill cannot exercise eviction")
 	}
+	// Submit phase over: the accepted work may finish at full speed.
+	faultinject.DisarmAll()
 
 	// Wait for every accepted job to reach a terminal state.
 	waitTerminal := func(id string) JobStatus {

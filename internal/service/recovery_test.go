@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,11 +193,17 @@ func TestRecoveredJobResumesFromCheckpoint(t *testing.T) {
 }
 
 // capturingStore collects per-chip blobs from a hayat population run so
-// the test can plant them as the dead process's chip files.
-type capturingStore struct{ blobs map[int64][]byte }
+// the test can plant them as the dead process's chip files. Chips finish
+// on concurrent workers, so Save locks.
+type capturingStore struct {
+	mu    sync.Mutex
+	blobs map[int64][]byte
+}
 
 func (c *capturingStore) Load(int64) ([]byte, bool) { return nil, false }
 func (c *capturingStore) Save(seed int64, data []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.blobs[seed] = append([]byte(nil), data...)
 	return nil
 }

@@ -1100,6 +1100,11 @@ func (s *Server) runJob(j *Job) {
 		// identical request arriving right after completion hits it.
 		if perr := s.store.put(j.key, data); perr != nil {
 			s.logf("service: %v", perr)
+		} else {
+			// The result is durable in the store, so the recovery
+			// artifacts have served their purpose. They go before the
+			// job turns done: a client that sees done never finds them.
+			s.cleanupArtifacts(j.key)
 		}
 		// Every terminal result is hashed into the provenance tree before
 		// the job flips to done, so a proof is retrievable the moment the
@@ -1135,10 +1140,8 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Unlock()
 	s.met.JobsRunning.Add(-1)
 	if err == nil {
-		// The result is durable (cache) — the intermediate recovery
-		// artifacts have served their purpose. Replicas get their copies
-		// now, after clients can already read the answer.
-		s.cleanupArtifacts(j.key)
+		// Replicas get their copies now, after clients can already read
+		// the answer.
 		s.replicateResult(j.key, data)
 	} else {
 		s.logf("service: %s %s: %v", j.req.Kind, j.id, err)

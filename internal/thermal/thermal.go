@@ -23,6 +23,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/kit-ces/hayat/internal/floorplan"
@@ -107,6 +108,25 @@ type Model struct {
 	// because SteadyState is documented safe for concurrent use — the
 	// artifact cache shares one model across goroutines.
 	scratch sync.Pool
+
+	// stepLUs holds the dense transient step factorisation per Δt,
+	// shared read-only by every Transient with that step; response is
+	// the die response matrix. Both are built on first use.
+	stepMu   sync.Mutex
+	stepLUs  map[float64]*once[*numeric.LU]
+	response once[*numeric.Matrix]
+}
+
+// once is a value computed on first use and shared afterwards.
+type once[T any] struct {
+	do  sync.Once
+	val T
+	err error
+}
+
+func (o *once[T]) get(build func() (T, error)) (T, error) {
+	o.do.Do(func() { o.val, o.err = build() })
+	return o.val, o.err
 }
 
 // steadyBuf is one pooled pair of steady-state solve buffers.
@@ -344,6 +364,32 @@ func (m *Model) SteadyStateChecked(corePower []float64, nodeTemps []float64) ([]
 	return m.publishSolution(buf.sol, nodeTemps), nil
 }
 
+// DieResponse returns the learned thermal profile of the network: entry
+// (i, j) is the steady-state temperature rise of core i's die, in K/W, per
+// Watt injected at core j's die. It probes SteadyStateChecked with unit
+// power at every core on first use; the matrix depends on nothing but the
+// network, so every caller shares the one result and must not modify it.
+func (m *Model) DieResponse() (*numeric.Matrix, error) {
+	return m.response.get(func() (*numeric.Matrix, error) {
+		n := m.nCores
+		resp := numeric.NewMatrix(n, n)
+		probe := make([]float64, n)
+		amb := m.Ambient()
+		for j := 0; j < n; j++ {
+			probe[j] = 1
+			temps, err := m.SteadyStateChecked(probe, nil)
+			if err != nil {
+				return nil, fmt.Errorf("thermal: probing core %d: %w", j, err)
+			}
+			for i := 0; i < n; i++ {
+				resp.Set(i, j, temps[i]-amb)
+			}
+			probe[j] = 0
+		}
+		return resp, nil
+	})
+}
+
 // HeatOutflow returns the total heat flowing to ambient (Watts) for a full
 // node-temperature state — equal to the injected power in steady state
 // (energy conservation).
@@ -358,7 +404,8 @@ func (m *Model) HeatOutflow(nodeTemps []float64) float64 {
 }
 
 // Transient is an implicit-Euler integrator over the network with a fixed
-// time step. The step matrix (C/Δt + G) is factored once at construction.
+// time step. The dense step matrix (C/Δt + G) is factored once per model
+// and Δt and shared by every Transient with that step.
 type Transient struct {
 	m     *Model
 	dt    float64
@@ -371,15 +418,8 @@ type Transient struct {
 // NewTransient creates an integrator with time step dt seconds, starting
 // from a uniform ambient-temperature state.
 func (m *Model) NewTransient(dt float64) (*Transient, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("thermal: time step must be positive, got %v", dt)
-	}
-	step := numeric.NewTriplets(m.nNodes)
-	for _, e := range m.tri.Entries() {
-		step.Add(e.I, e.J, e.V)
-	}
-	for i := 0; i < m.nNodes; i++ {
-		step.Add(i, i, m.capac[i]/dt)
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return nil, fmt.Errorf("thermal: time step must be positive and finite, got %v", dt)
 	}
 	tr := &Transient{
 		m: m, dt: dt,
@@ -387,13 +427,15 @@ func (m *Model) NewTransient(dt float64) (*Transient, error) {
 		rhs:   make([]float64, m.nNodes),
 	}
 	if m.nNodes <= DenseNodeThreshold {
-		lu, err := numeric.FactorLU(step.ToDense())
+		lu, err := m.stepLU(dt)
 		if err != nil {
-			return nil, fmt.Errorf("thermal: step matrix singular: %w", err)
+			return nil, err
 		}
 		tr.lu = lu
 	} else {
-		cg, err := numeric.NewCGSolver(step.ToCSR(), 1e-10, 20*m.nNodes)
+		// The CG solver carries warm-start state, so each Transient
+		// keeps its own.
+		cg, err := numeric.NewCGSolver(m.stepMatrix(dt).ToCSR(), 1e-10, 20*m.nNodes)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: sparse step solver: %w", err)
 		}
@@ -401,6 +443,42 @@ func (m *Model) NewTransient(dt float64) (*Transient, error) {
 	}
 	numeric.Fill(tr.state, m.cfg.Ambient)
 	return tr, nil
+}
+
+// stepMatrix assembles the implicit-Euler step matrix C/Δt + G.
+func (m *Model) stepMatrix(dt float64) *numeric.Triplets {
+	step := numeric.NewTriplets(m.nNodes)
+	for _, e := range m.tri.Entries() {
+		step.Add(e.I, e.J, e.V)
+	}
+	for i := 0; i < m.nNodes; i++ {
+		step.Add(i, i, m.capac[i]/dt)
+	}
+	return step
+}
+
+// stepLU returns the dense factorisation of the step matrix for dt,
+// factoring it on first use. LU solves only read the factors, so one
+// factorisation serves every Transient with this step, concurrently too.
+// An engine uses one Δt, so the map stays tiny.
+func (m *Model) stepLU(dt float64) (*numeric.LU, error) {
+	m.stepMu.Lock()
+	if m.stepLUs == nil {
+		m.stepLUs = make(map[float64]*once[*numeric.LU])
+	}
+	e, ok := m.stepLUs[dt]
+	if !ok {
+		e = &once[*numeric.LU]{}
+		m.stepLUs[dt] = e
+	}
+	m.stepMu.Unlock()
+	return e.get(func() (*numeric.LU, error) {
+		lu, err := numeric.FactorLU(m.stepMatrix(dt).ToDense())
+		if err != nil {
+			return nil, fmt.Errorf("thermal: step matrix singular: %w", err)
+		}
+		return lu, nil
+	})
 }
 
 // Dt returns the integrator's time step in seconds.

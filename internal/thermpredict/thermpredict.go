@@ -38,7 +38,9 @@ type Predictor struct {
 	chip *variation.Chip
 
 	// resp is the learned response matrix: resp[i][j] is the steady-state
-	// temperature rise of core i per Watt injected at core j.
+	// temperature rise of core i per Watt injected at core j. It belongs
+	// to the thermal model (DieResponse) and is shared read-only by every
+	// predictor on that model.
 	resp *numeric.Matrix
 
 	// totalPool recycles the per-call total-power scratch of Predict. A
@@ -52,8 +54,10 @@ type Predictor struct {
 	LeakageIterations int
 }
 
-// Learn performs the offline step: it probes the thermal model with unit
-// power at every core to build the response matrix.
+// Learn performs the offline step: it takes the thermal model's response
+// matrix, learned by probing the model with unit power at every core. The
+// response depends only on the model, not the chip, so the probing runs
+// once per model (thermal.Model.DieResponse).
 func Learn(tm *thermal.Model, pm power.Model, chip *variation.Chip) (*Predictor, error) {
 	if tm == nil || chip == nil {
 		return nil, fmt.Errorf("thermpredict: nil model or chip")
@@ -65,22 +69,12 @@ func Learn(tm *thermal.Model, pm power.Model, chip *variation.Chip) (*Predictor,
 	if len(chip.FMax0) != n {
 		return nil, fmt.Errorf("thermpredict: chip has %d cores, floorplan %d", len(chip.FMax0), n)
 	}
-	p := &Predictor{tm: tm, pm: pm, chip: chip, LeakageIterations: 3}
-	p.totalPool.New = func() any { b := make([]float64, n); return &b }
-	p.resp = numeric.NewMatrix(n, n)
-	probe := make([]float64, n)
-	amb := tm.Ambient()
-	for j := 0; j < n; j++ {
-		probe[j] = 1
-		temps, err := tm.SteadyStateChecked(probe, nil)
-		if err != nil {
-			return nil, fmt.Errorf("thermpredict: probing core %d: %w", j, err)
-		}
-		for i := 0; i < n; i++ {
-			p.resp.Set(i, j, temps[i]-amb)
-		}
-		probe[j] = 0
+	resp, err := tm.DieResponse()
+	if err != nil {
+		return nil, fmt.Errorf("thermpredict: %w", err)
 	}
+	p := &Predictor{tm: tm, pm: pm, chip: chip, resp: resp, LeakageIterations: 3}
+	p.totalPool.New = func() any { b := make([]float64, n); return &b }
 	return p, nil
 }
 

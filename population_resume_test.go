@@ -77,9 +77,18 @@ func TestRunPopulationResumable(t *testing.T) {
 	store.mu.Lock()
 	delete(store.blobs, 102)
 	store.mu.Unlock()
-	done := 0
+	// Progress may be called concurrently from worker goroutines, and
+	// the calls may land out of order: keep the highest count seen.
+	var (
+		doneMu sync.Mutex
+		done   int
+	)
 	pr2, err := sys.RunPopulationResumable(ctx, 100, chips, PolicyHayat,
-		func(d, total int) { done = d }, store)
+		func(d, total int) {
+			doneMu.Lock()
+			defer doneMu.Unlock()
+			done = max(done, d)
+		}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
