@@ -70,6 +70,7 @@ fuzz-smoke:
 	fuzz ./internal/numeric   FuzzLUSolve; \
 	fuzz ./internal/aging     FuzzTableLookup; \
 	fuzz ./internal/aging     FuzzStateAdvance; \
+	fuzz ./internal/core      FuzzPickCandidate; \
 	fuzz ./internal/floorplan FuzzReadFLP; \
 	fuzz ./internal/workload  FuzzReadProfileTSV
 

@@ -2,6 +2,7 @@ package aging
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -123,6 +124,30 @@ func (t *Table3D) Lookup(T, d, y float64) float64 {
 
 // MaxYears returns the last point of the age axis.
 func (t *Table3D) MaxYears() float64 { return t.Years[len(t.Years)-1] }
+
+// FactorBound returns a value no AgeCurve.At on t exceeds: the largest
+// table entry times (1 + 1e-12). At(y) sums table entries times
+// interpolation weights that are non-negative and add up to one within a
+// few ulps, and each product and sum rounds by at most half an ulp, so for
+// non-negative entries the computed value stays within a relative 1e-15
+// or so of a convex combination of them. A table holding a negative or NaN
+// entry, or one whose entries all lie below 2^-1000 (where the products
+// could underflow), gets +Inf, which bounds anything.
+func (t *Table3D) FactorBound() float64 {
+	m := 0.0
+	for _, f := range t.Factor {
+		if !(f >= 0) {
+			return math.Inf(1)
+		}
+		if f > m {
+			m = f
+		}
+	}
+	if m < 0x1p-1000 {
+		return math.Inf(1)
+	}
+	return m * (1 + 1e-12)
+}
 
 // EffectiveAge inverts the table along the age axis: it returns the age y
 // at which a core operating continuously at (T, d) would exhibit the given

@@ -2,6 +2,7 @@ package aging
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -213,5 +214,60 @@ func TestAdvanceOrderBoundedByExtremes(t *testing.T) {
 		if v < allHot-1e-9 || v > allCool+1e-9 {
 			t.Errorf("%s = %v outside [allHot=%v, allCool=%v]", name, v, allHot, allCool)
 		}
+	}
+}
+
+// TestFactorBoundCoversCurve checks the bound Hayat prunes candidates
+// with: no AgeCurve.At read on a random non-negative table exceeds
+// FactorBound, and a table with a negative entry is bounded by +Inf.
+func TestFactorBoundCoversCurve(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	axis := func(k int, lo, span float64) []float64 {
+		a := make([]float64, k)
+		x := lo
+		for i := range a {
+			a[i] = x
+			x += span * (0.05 + rng.Float64())
+		}
+		return a
+	}
+	for trial := 0; trial < 200; trial++ {
+		tab := &Table3D{
+			Temps:  axis(2+rng.Intn(5), 290, 20),
+			Duties: axis(2+rng.Intn(5), 0, 0.3),
+			Years:  axis(2+rng.Intn(8), 0, 2),
+		}
+		tab.Factor = make([]float64, len(tab.Temps)*len(tab.Duties)*len(tab.Years))
+		scale := math.Ldexp(1, rng.Intn(40)-20)
+		for i := range tab.Factor {
+			switch rng.Intn(4) {
+			case 0: // the maximum recurs, so curves run along it
+				tab.Factor[i] = scale
+			default:
+				tab.Factor[i] = scale * rng.Float64()
+			}
+		}
+		u := tab.FactorBound()
+		max := 0.0
+		for _, f := range tab.Factor {
+			max = math.Max(max, f)
+		}
+		if !(u >= max) || u > max*(1+2e-12) {
+			t.Fatalf("trial %d: bound %v for largest entry %v", trial, u, max)
+		}
+		span := func(a []float64) float64 { return a[len(a)-1] - a[0] }
+		for p := 0; p < 500; p++ {
+			T := tab.Temps[0] + (1.2*rng.Float64()-0.1)*span(tab.Temps)
+			d := tab.Duties[0] + (1.2*rng.Float64()-0.1)*span(tab.Duties)
+			c := tab.Curve(T, d)
+			y := tab.Years[0] + (1.2*rng.Float64()-0.1)*span(tab.Years)
+			if f := c.At(y); f > u {
+				t.Fatalf("trial %d: At(%v) at (%v, %v) = %v above bound %v", trial, y, T, d, f, u)
+			}
+		}
+	}
+	neg := &Table3D{Factor: []float64{0.5, -0.1}}
+	if u := neg.FactorBound(); !math.IsInf(u, 1) {
+		t.Fatalf("table with a negative entry bounded by %v, want +Inf", u)
 	}
 }

@@ -32,17 +32,11 @@ import (
 	"github.com/kit-ces/hayat/internal/workload"
 )
 
-// Chunk grains for the parallel loops inside place (see internal/parallel
-// for the determinism contract: boundaries depend only on (n, grain)).
-const (
-	// candGrain chunks the per-thread candidate evaluation; each
-	// candidate costs O(n) predictor and aging-table work, so small
-	// chunks still amortise dispatch.
-	candGrain = 4
-	// cacheGrain chunks the per-core aging-cache refresh; each entry is
-	// a table bisection (~60 trilinear lookups).
-	cacheGrain = 8
-)
+// candGrain chunks the per-thread candidate evaluation across the pool
+// (see internal/parallel for the determinism contract: boundaries depend
+// only on (n, grain)); each candidate costs O(n) predictor work, so small
+// chunks still amortise dispatch.
+const candGrain = 4
 
 // Config holds the Hayat tuning constants (Section V).
 type Config struct {
@@ -155,12 +149,101 @@ func (h *Hayat) weights(avgHealth float64) (alpha, beta float64) {
 	return h.cfg.AlphaEarly, h.cfg.BetaEarly
 }
 
-// candidate is one entry of the solution list S of Algorithm 1.
+// candidate is one entry of the solution list S of Algorithm 1. Pass 1 of
+// place fills the parts of Eq. 9 that need no aging-table inversion plus
+// an upper bound on the weight; pickCandidate adds the next health and the
+// exact weight only where that bound can still win, and the chip-average
+// next health only on an exact weight tie.
 type candidate struct {
-	core     int
-	weight   float64
-	hAvgNext float64
-	tMaxNext float64
+	core                 int
+	wFreq, spread, dfGHz float64
+	incumbent            bool
+	hNow                 float64 // current health, in (0, 1]
+	tCand                float64 // the candidate's own predicted temperature
+	tMaxNext             float64 // peak predicted temperature
+	ub                   float64 // weight with the next health replaced by the table bound
+	hNext                float64 // next health; set with weight
+	weight               float64 // exact weight; set only for candidates the bound cannot rule out
+	hAvgNext             float64 // chip-average next health; set only on ties
+}
+
+// weight is Eq. 9 plus the DCM-optimisation spread, the waste penalty and
+// the incumbency bonus (see Config) for a candidate whose next health is
+// hNext. With β ≥ 0 and c.hNow > 0 every operation is monotone
+// non-decreasing in hNext, and IEEE rounding preserves order for +, −, ×
+// and ÷ by a positive number, so the computed weight never decreases as
+// hNext grows: weight(c, β, U) bounds it for every hNext ≤ U.
+func (h *Hayat) weight(c *candidate, beta, hNext float64) float64 {
+	w := c.wFreq + beta*hNext/c.hNow + c.spread - h.cfg.WastePenaltyPerGHz*c.dfGHz
+	if c.incumbent {
+		w += h.cfg.IncumbentWeight
+	}
+	return w
+}
+
+// below reports whether c's bound proves its weight lower than thr. A
+// bound that is not finite proves nothing, so every non-finite weight is
+// computed and reported.
+func (c *candidate) below(thr float64) bool {
+	return c.ub < thr && !math.IsInf(c.ub, -1)
+}
+
+// pickCandidate returns the index in cs of the first element of
+// S.sort-by(weight): the highest weight, then the highest chip-average
+// next health, then the lowest peak temperature, then the earliest slot
+// (cs is in ascending core order, so that is the lowest core index).
+//
+// Every slot carries its bound ub. weigh must set a slot's exact weight,
+// which may not exceed ub; tieHealth must return a slot's chip-average
+// next health. The slot with the highest bound is weighed first and its
+// weight is the threshold; a slot whose bound lies below it is never
+// weighed, because its weight ≤ ub < threshold ≤ the best weight means it
+// can neither win nor tie. tieHealth runs only for slots tied at the top
+// weight. A non-finite weight is an error.
+func pickCandidate(cs []candidate, weigh func(*candidate), tieHealth func(*candidate) float64) (int, error) {
+	top := 0
+	for i := 1; i < len(cs); i++ {
+		if cs[i].ub > cs[top].ub {
+			top = i
+		}
+	}
+	weigh(&cs[top])
+	thr := cs[top].weight
+	best, tied := -1, false
+	for i := range cs {
+		c := &cs[i]
+		if i != top {
+			if c.below(thr) {
+				continue
+			}
+			weigh(c)
+		}
+		if math.IsNaN(c.weight) || math.IsInf(c.weight, 0) {
+			return 0, fmt.Errorf("hayat: non-finite weight %v for core %d", c.weight, c.core)
+		}
+		switch {
+		case best < 0 || c.weight > cs[best].weight:
+			best, tied = i, false
+		case c.weight == cs[best].weight:
+			tied = true
+		}
+	}
+	if !tied {
+		return best, nil
+	}
+	w := cs[best].weight
+	cs[best].hAvgNext = tieHealth(&cs[best])
+	for i := best + 1; i < len(cs); i++ {
+		c := &cs[i]
+		if (i != top && c.below(thr)) || c.weight != w {
+			continue
+		}
+		c.hAvgNext = tieHealth(c)
+		if b := &cs[best]; c.hAvgNext > b.hAvgNext || (c.hAvgNext == b.hAvgNext && c.tMaxNext < b.tMaxNext) {
+			best = i
+		}
+	}
+	return best, nil
 }
 
 // demandSorter orders threads most-demanding first. It is a pre-allocated
@@ -173,23 +256,6 @@ func (s *demandSorter) Len() int           { return len(s.ts) }
 func (s *demandSorter) Swap(i, j int)      { s.ts[i], s.ts[j] = s.ts[j], s.ts[i] }
 func (s *demandSorter) Less(i, j int) bool { return s.ts[i].MinFreq() > s.ts[j].MinFreq() }
 
-// candSorter orders candidates by weight, tie-broken by chip-average next
-// health, then by peak temperature — S.sort-by(weight) of Algorithm 1.
-type candSorter struct{ cs []candidate }
-
-func (s *candSorter) Len() int      { return len(s.cs) }
-func (s *candSorter) Swap(i, j int) { s.cs[i], s.cs[j] = s.cs[j], s.cs[i] }
-func (s *candSorter) Less(a, b int) bool {
-	ca, cb := s.cs[a], s.cs[b]
-	if ca.weight != cb.weight {
-		return ca.weight > cb.weight
-	}
-	if ca.hAvgNext != cb.hAvgNext {
-		return ca.hAvgNext > cb.hAvgNext
-	}
-	return ca.tMaxNext < cb.tMaxNext
-}
-
 // placeScratch is place's reusable working set, carried across epochs in
 // policy.Context.Scratch so the steady-state mapping decision allocates
 // nothing. It is keyed by (core count, worker count); any mismatch —
@@ -201,7 +267,7 @@ type placeScratch struct {
 	serial     bool
 
 	order demandSorter
-	cands candSorter
+	cands []candidate
 	pdyn  []float64
 	duty  []float64
 	yEq   []float64
@@ -228,6 +294,7 @@ func (h *Hayat) scratchFor(ctx *policy.Context, n int) *placeScratch {
 		n: n, workers: pw,
 		pool:   parallel.New(pw),
 		serial: pw == 1,
+		cands:  make([]candidate, 0, n),
 		pdyn:   make([]float64, n),
 		duty:   make([]float64, n),
 		yEq:    make([]float64, n),
@@ -236,7 +303,6 @@ func (h *Hayat) scratchFor(ctx *policy.Context, n int) *placeScratch {
 		taken:  make([]bool, n),
 		slots:  make([]candidate, n),
 	}
-	s.cands.cs = make([]candidate, 0, n)
 	s.tNext = make([][]float64, s.pool.Workers())
 	for i := range s.tNext {
 		s.tNext[i] = make([]float64, n)
@@ -295,6 +361,9 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 	}
 	avgHealth /= float64(n)
 	alpha, beta := h.weights(avgHealth)
+	// No next-health read exceeds hBound, so weight(c, beta, hBound)
+	// bounds a candidate's weight before its inversion runs.
+	hBound := ctx.AgingTable.FactorBound()
 
 	// Running state of the partial mapping, seeded from any pre-existing
 	// assignment.
@@ -310,43 +379,33 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 	base := ctx.Predictor.Predict(s.base, pdyn, on)
 	s.base = base
 
-	// Cache the per-core effective age at the base temperature once per
-	// Map call; candidate evaluation then needs only forward lookups.
-	// Entries are independent (disjoint index writes over an immutable
-	// table), so the refresh chunks across the pool; the serial path runs
-	// inline to keep the epoch kernel allocation-free.
-	pool := s.pool
+	// The per-core effective age and next health at the base temperature
+	// feed only the tie-break's chip-average next health, so they are
+	// refreshed on the first tie after the base field changed, not after
+	// every assignment.
 	yEq, baselineHNext := s.yEq, s.hNext
-	refreshRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	cacheFresh := false
+	refreshAgingCache := func() {
+		for i := 0; i < n; i++ {
 			// The inversion and the forward read share one (T, d) point.
 			c := ctx.AgingTable.Curve(base[i], duty[i])
 			yEq[i] = c.EffectiveAge(ctx.Health[i].Factor)
 			baselineHNext[i] = c.At(yEq[i] + ctx.HorizonYears)
 		}
 	}
-	refreshAgingCache := func() {
-		if s.serial {
-			refreshRange(0, n)
-			return
-		}
-		pool.For(n, cacheGrain, refreshRange)
-	}
-	refreshAgingCache()
 
 	var result policy.Result
 	s.unmap = s.unmap[:0]
-	// Candidate evaluation is pure given the partial-mapping state (base,
-	// on, duty, aging cache), so candidates chunk across the pool: each
-	// evaluation writes only its own slot, workers reuse per-slot tNext
-	// scratch, and the slots are compacted in ascending core order — the
-	// exact order the serial loop appends in, so the stable sort below
-	// sees an identical input sequence for any worker count.
+	// Pass 1 — admission and the weight's table-free parts — is pure given
+	// the partial-mapping state (base, on, duty), so candidates chunk
+	// across the pool: each evaluation writes only its own slot, workers
+	// reuse per-slot tNext scratch, and the slots are compacted in
+	// ascending core order. Pass 2 (pickCandidate) is serial, so the pick
+	// is identical for any worker count.
 	slots, taken := s.slots, s.taken
 
-	// The per-thread inputs of the evaluation closure live outside the
-	// loop so the closure is built (and heap-allocated) once per place
-	// call, not once per thread.
+	// The per-thread inputs of the closures live outside the loop so each
+	// closure is built once per place call, not once per thread.
 	var reqF, dynP, tDuty float64
 	var numAssigned int
 	evalRange := func(slot, lo, hi int) {
@@ -378,30 +437,8 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				continue
 			}
 
-			// The candidate changes both temperature and duty, so its
-			// next health needs a fresh inversion at the new (T, d).
-			cc := ctx.AgingTable.Curve(tNext[cand], tDuty)
-			hCandNow := ctx.Health[cand].Factor
-			hCandNext := cc.At(cc.EffectiveAge(hCandNow) + ctx.HorizonYears)
-
-			// estimateNextHealth: re-evaluate only thermally affected
-			// cores; the rest keep their baseline prediction.
-			hSum := 0.0
-			for i := 0; i < n; i++ {
-				dT := tNext[i] - base[i]
-				if i == cand {
-					hSum += hCandNext
-					continue
-				}
-				if h.cfg.AffectedDeltaK > 0 && dT < h.cfg.AffectedDeltaK {
-					hSum += baselineHNext[i]
-					continue
-				}
-				hSum += h.lookupNext(ctx, tNext[i], duty[i], yEq[i])
-			}
-			hAvgNext := hSum / float64(n)
-
-			// Eq. 9 plus the DCM-optimisation spread term (see Config).
+			// Eq. 9's table-free parts plus the DCM-optimisation spread
+			// term (see Config and weight).
 			dfGHz := (ctx.FMax[cand] - reqF) / 1e9
 			wFreq := h.cfg.WMax
 			if dfGHz > 0 {
@@ -428,14 +465,51 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				}
 				spread = h.cfg.SpreadWeight * float64(dist)
 			}
-			w := wFreq + beta*hCandNext/hCandNow + spread - h.cfg.WastePenaltyPerGHz*dfGHz
-			if ctx.PrevOn != nil && ctx.PrevOn[cand] {
-				w += h.cfg.IncumbentWeight
-			}
 
-			slots[cand] = candidate{core: cand, weight: w, hAvgNext: hAvgNext, tMaxNext: tMax}
+			c := &slots[cand]
+			*c = candidate{
+				core: cand, wFreq: wFreq, spread: spread, dfGHz: dfGHz,
+				incumbent: ctx.PrevOn != nil && ctx.PrevOn[cand],
+				hNow:      ctx.Health[cand].Factor,
+				tCand:     tNext[cand], tMaxNext: tMax,
+			}
+			c.ub = h.weight(c, beta, hBound)
 			taken[cand] = true
 		}
+	}
+	// weigh computes a candidate's exact weight. The candidate changes
+	// both temperature and duty, so its next health needs a fresh
+	// inversion at the new (T, d).
+	weigh := func(c *candidate) {
+		cc := ctx.AgingTable.Curve(c.tCand, tDuty)
+		c.hNext = cc.At(cc.EffectiveAge(c.hNow) + ctx.HorizonYears)
+		c.weight = h.weight(c, beta, c.hNext)
+	}
+	// tieHealth is estimateNextHealth's chip average for a tied candidate:
+	// it re-evaluates only thermally affected cores; the rest keep their
+	// baseline prediction.
+	tieHealth := func(c *candidate) float64 {
+		if !cacheFresh {
+			refreshAgingCache()
+			cacheFresh = true
+		}
+		cand, tNext := c.core, s.tNext[0]
+		addPower := ctx.Predictor.CandidatePower(cand, dynP, base[cand])
+		ctx.Predictor.DeltaPredict(tNext, base, cand, addPower)
+		hSum := 0.0
+		for i := 0; i < n; i++ {
+			dT := tNext[i] - base[i]
+			if i == cand {
+				hSum += c.hNext
+				continue
+			}
+			if h.cfg.AffectedDeltaK > 0 && dT < h.cfg.AffectedDeltaK {
+				hSum += baselineHNext[i]
+				continue
+			}
+			hSum += h.lookupNext(ctx, tNext[i], duty[i], yEq[i])
+		}
+		return hSum / float64(n)
 	}
 
 	for _, t := range order {
@@ -459,33 +533,34 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 		if s.serial {
 			evalRange(0, 0, n)
 		} else {
-			pool.ForWorker(n, candGrain, evalRange)
+			s.pool.ForWorker(n, candGrain, evalRange)
 		}
-		cands := s.cands.cs[:0]
+		cands := s.cands[:0]
 		for cand := 0; cand < n; cand++ {
 			if taken[cand] {
 				cands = append(cands, slots[cand])
 			}
 		}
-		s.cands.cs = cands
+		s.cands = cands
 		if len(cands) == 0 {
 			s.unmap = append(s.unmap, t)
 			continue
 		}
-		// S.sort-by(weight), tie-broken by chip-average next health, then
-		// by peak temperature (candSorter).
-		sort.Stable(&s.cands)
-		best := s.cands.cs[0].core
+		k, err := pickCandidate(cands, weigh, tieHealth)
+		if err != nil {
+			return policy.Result{}, err
+		}
+		best := cands[k].core
 		if err := asg.Assign(t, best); err != nil {
 			return policy.Result{}, fmt.Errorf("hayat: %w", err)
 		}
 		pdyn[best] = dynP
 		on[best] = true
 		duty[best] = tDuty
-		// Full re-prediction re-synchronises the leakage correction, then
-		// the aging cache follows the new base temperatures.
+		// Full re-prediction re-synchronises the leakage correction; the
+		// aging cache no longer matches the base temperatures.
 		base = ctx.Predictor.Predict(base, pdyn, on)
-		refreshAgingCache()
+		cacheFresh = false
 	}
 	if len(s.unmap) > 0 {
 		result.Unmapped = s.unmap
@@ -494,9 +569,10 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 	return result, nil
 }
 
-// lookupNext reads the predicted health after the context horizon for a
-// core whose effective age at (T, d) is yEq, clamping at the current
-// factor (aging cannot improve health).
+// lookupNext reads the table's health after the context horizon for a
+// core whose effective age at (T, d) is yEq. Unlike
+// aging.State.PredictFactor it does not clamp the read at the core's
+// current factor.
 func (h *Hayat) lookupNext(ctx *policy.Context, T, d, yEq float64) float64 {
 	return ctx.AgingTable.Lookup(T, d, yEq+ctx.HorizonYears)
 }

@@ -192,11 +192,11 @@ func (s *Server) flushBatch(items []batch.Item[batchSubmission, BatchItemResult]
 			results[i] = BatchItemResult{Accepted: true, Status: http.StatusAccepted, Job: &st}
 			continue
 		}
-		if data, ok := s.store.get(sub.key); ok {
+		if _, ok := s.store.get(sub.key); ok {
 			s.met.CacheHits.Add(1)
 			j := s.newJobLocked(sub.req, sub.key, sub.opts)
 			now := time.Now()
-			j.state, j.cached, j.result = JobDone, true, data
+			j.state, j.cached = JobDone, true
 			j.started, j.finish = now, now
 			close(j.done)
 			s.rememberFinishedLocked(j)

@@ -49,7 +49,7 @@ func newResultStore(dir string) (*resultStore, error) {
 		}
 	}
 	rs.disk = disk
-	rs.Replicated = store.NewReplicated(store.NewMemory(), disk)
+	rs.Replicated = store.NewReplicated(nil, disk)
 	return rs, nil
 }
 

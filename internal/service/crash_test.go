@@ -13,12 +13,18 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
+	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 )
 
 // crashCfg is the workload the crash drill runs: 4×4 cores over 20 years
-// (80 epochs at ~tens of ms each) with a checkpoint every 4th epoch —
-// slow enough to SIGKILL mid-run, fast enough for a test.
+// (80 epochs of a few milliseconds each) with a checkpoint every 4th
+// epoch. The simulator alone can finish it before the kill lands, so the
+// first helper arms crashStall: every epoch then takes at least 50 ms,
+// and the kill always lands mid-run however fast the host is.
+// crashStall is the first helper's HAYAT_FAILPOINTS spec (see crashCfg).
+const crashStall = "sim.thermal-solve=sleep(50ms)"
+
 func crashCfg() hayat.Config {
 	cfg := hayat.DefaultConfig()
 	cfg.Rows, cfg.Cols = 4, 4
@@ -30,11 +36,16 @@ func crashCfg() hayat.Config {
 
 // TestCrashHelper is not a test: it is the child process of
 // TestCrashRestartRecovery — a real hayatd-like server (journal,
-// checkpoints, persisted cache) that runs until its parent kills it.
+// checkpoints, persisted cache) whose failpoints are armed from
+// HAYAT_FAILPOINTS, and which runs until its parent kills it.
 func TestCrashHelper(t *testing.T) {
 	base := os.Getenv("HAYAT_CRASH_BASE")
 	if os.Getenv("HAYAT_CRASH_HELPER") != "1" || base == "" {
 		t.Skip("crash-drill helper; spawned by TestCrashRestartRecovery")
+	}
+	if err := faultinject.ArmFromEnv(); err != nil {
+		fmt.Fprintln(os.Stderr, "helper:", err)
+		os.Exit(1)
 	}
 	s, err := New(Options{
 		Workers:       2,
@@ -63,12 +74,16 @@ func TestCrashHelper(t *testing.T) {
 }
 
 // startCrashHelper spawns the helper server and waits for its address.
-func startCrashHelper(t *testing.T, base string) (*exec.Cmd, string) {
+// failpoints is the HAYAT_FAILPOINTS spec ("" = none).
+func startCrashHelper(t *testing.T, base, failpoints string) (*exec.Cmd, string) {
 	t.Helper()
 	addrFile := filepath.Join(base, "addr")
 	os.Remove(addrFile)
 	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashHelper$")
-	cmd.Env = append(os.Environ(), "HAYAT_CRASH_HELPER=1", "HAYAT_CRASH_BASE="+base)
+	cmd.Env = append(os.Environ(),
+		"HAYAT_CRASH_HELPER=1",
+		"HAYAT_CRASH_BASE="+base,
+		faultinject.EnvVar+"="+failpoints)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -105,7 +120,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 		t.Skip("multi-process crash drill")
 	}
 	base := t.TempDir()
-	cmd, addr := startCrashHelper(t, base)
+	cmd, addr := startCrashHelper(t, base, crashStall)
 	killed := false
 	defer func() {
 		if !killed {
@@ -153,7 +168,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	t.Logf("killed helper with checkpoint at epoch %d", preKillEpoch)
 
 	// Restart on the same state directory.
-	cmd2, addr2 := startCrashHelper(t, base)
+	cmd2, addr2 := startCrashHelper(t, base, "")
 	defer func() {
 		cmd2.Process.Kill()
 		cmd2.Wait()

@@ -130,8 +130,12 @@ type Job struct {
 	created time.Time
 	started time.Time
 	finish  time.Time
-	result  []byte
 	errMsg  string
+	// result holds a done job's bytes only when no durable tier has them:
+	// degraded estimates and results whose disk write failed. Every other
+	// done job reads its result through the local store (resultLocked),
+	// so finished records do not pin bytes the store already keeps.
+	result []byte
 
 	// Admission metadata: fairness identity, estimated cost (shedding),
 	// absolute deadlines (zero when unset) and whether the answer was a
@@ -547,7 +551,7 @@ func (s *Server) recover(pending []journalEntry) {
 			// The result was published before the crash; only the
 			// journal's terminal record was lost.
 			now := time.Now()
-			j.state, j.cached, j.result = JobDone, true, data
+			j.state, j.cached = JobDone, true
 			j.started, j.finish = now, now
 			close(j.done)
 			s.rememberFinishedLocked(j)
@@ -668,11 +672,13 @@ func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
 		s.met.CacheHits.Add(1)
 		j := s.newJobLocked(req, key, o)
 		now := time.Now()
-		j.state, j.cached, j.result = JobDone, true, data
+		j.state, j.cached = JobDone, true
 		j.started, j.finish = now, now
 		close(j.done)
 		s.rememberFinishedLocked(j)
-		st := s.statusLocked(j, true)
+		// Attach the bytes just read rather than looking them up again.
+		st := s.statusLocked(j, false)
+		st.Result = json.RawMessage(data)
 		s.mu.Unlock()
 		// Self-healing: if this result's audit leaf was lost to a crash,
 		// serving it from the cache re-records it (idempotent otherwise).
@@ -851,9 +857,21 @@ func (s *Server) statusLocked(j *Job, includeResult bool) JobStatus {
 		st.Progress = &Progress{Done: int(j.doneChips.load()), Total: int(j.totalChips.load())}
 	}
 	if includeResult && j.state == JobDone {
-		st.Result = json.RawMessage(j.result)
+		if data, ok := s.resultLocked(j); ok {
+			st.Result = json.RawMessage(data)
+		}
 	}
 	return st
+}
+
+// resultLocked returns a done job's result bytes: the record's own copy
+// when the bytes never reached a durable tier, else the local store's. A
+// stored copy quarantined since the job finished reads as a miss.
+func (s *Server) resultLocked(j *Job) ([]byte, bool) {
+	if j.result != nil {
+		return j.result, true
+	}
+	return s.store.get(j.key)
 }
 
 // Result returns a done job's canonical result bytes — the exact bytes
@@ -870,7 +888,11 @@ func (s *Server) Result(id string) ([]byte, error) {
 	if j.state != JobDone {
 		return nil, fmt.Errorf("service: job %s is %s, not done", id, j.state)
 	}
-	return j.result, nil
+	data, ok := s.resultLocked(j)
+	if !ok {
+		return nil, fmt.Errorf("service: job %s's stored result is gone (quarantined); resubmit the request to recompute it", id)
+	}
+	return data, nil
 }
 
 // Wait blocks until the job reaches a terminal state (returning its full
@@ -1095,11 +1117,13 @@ func (s *Server) runJob(j *Job) {
 	s.met.QueueWait.Observe(j.started.Sub(j.created))
 
 	data, err := s.execute(runCtx, j)
+	var unstored []byte // the result, if no durable tier took it
 	if err == nil {
 		// Publish to the cache before the job turns terminal so an
 		// identical request arriving right after completion hits it.
 		if perr := s.store.put(j.key, data); perr != nil {
 			s.logf("service: %v", perr)
+			unstored = data
 		} else {
 			// The result is durable in the store, so the recovery
 			// artifacts have served their purpose. They go before the
@@ -1119,7 +1143,7 @@ func (s *Server) runJob(j *Job) {
 	switch {
 	case err == nil:
 		j.state = JobDone
-		j.result = data
+		j.result = unstored
 		s.met.JobsDone.Add(1)
 		op = opDone
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -1264,7 +1288,9 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("service: unknown job kind %q", j.req.Kind)
 	}
-	return buf.Bytes(), nil
+	// An exact-size copy: the buffer's spare capacity would otherwise stay
+	// pinned for as long as the result is held.
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // withRetries runs fn under the server's retry policy, counting retries

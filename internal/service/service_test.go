@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
+	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
 // tinyCfg is a fast 4×4 one-year experiment (~200 ms per fresh chip).
@@ -322,6 +323,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
+	// Slow every thermal window so the population deterministically
+	// outlives the drain deadline, however fast the simulator runs.
+	defer faultinject.DisarmAll()
+	if err := faultinject.ArmSpecs("sim.thermal-solve=sleep(50ms)"); err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

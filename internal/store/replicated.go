@@ -104,10 +104,17 @@ var (
 )
 
 // NewReplicated composes the local tiers; Configure attaches the
-// cluster before Start.
+// cluster before Start. A nil mem gets a fresh memory tier, bounded to
+// MemoryCapacity entries when disk is non-nil: the disk tier then holds
+// every result, so memory keeps only the most recently used ones. Without
+// a disk tier, memory is the only local copy and stays unbounded.
 func NewReplicated(mem *Memory, disk *Disk) *Replicated {
 	if mem == nil {
-		mem = NewMemory()
+		limit := 0
+		if disk != nil {
+			limit = MemoryCapacity
+		}
+		mem = newMemory(limit)
 	}
 	return &Replicated{mem: mem, disk: disk, debt: make(map[string]map[string]bool)}
 }
@@ -150,9 +157,13 @@ func (r *Replicated) GetLocal(key string) ([]byte, bool) {
 	return data, ok
 }
 
+// MemoryLen reports how many results the memory tier holds.
+func (r *Replicated) MemoryLen() int { return r.mem.len() }
+
 // PutLocal writes the local tiers only: memory always succeeds; a disk
-// failure is returned so the caller can log it, but the bytes stay
-// servable from memory.
+// failure is returned so the caller can log it (and keep the bytes
+// itself), but they stay servable from memory until a bounded tier
+// evicts them.
 func (r *Replicated) PutLocal(key string, data []byte) error {
 	r.mem.put(key, data)
 	return r.disk.put(key, data)

@@ -274,6 +274,85 @@ func TestDiskValidateAll(t *testing.T) {
 	}
 }
 
+func TestBoundedMemoryEvictsLeastRecentlyUsed(t *testing.T) {
+	m := newMemory(2)
+	m.put(testKey(1), []byte("a"))
+	m.put(testKey(2), []byte("b"))
+	m.get(testKey(1)) // key 2 is now the least recently used
+	m.put(testKey(3), []byte("c"))
+	if _, ok := m.get(testKey(2)); ok {
+		t.Fatal("least recently used entry survived")
+	}
+	for _, k := range []int{1, 3} {
+		if _, ok := m.get(testKey(k)); !ok {
+			t.Fatalf("key %d evicted", k)
+		}
+	}
+	m.put(testKey(3), []byte("c")) // rewriting a key never evicts
+	if n := m.len(); n != 2 {
+		t.Fatalf("len = %d, want 2", n)
+	}
+	m.drop(testKey(1))
+	if keys := m.Keys(); len(keys) != 1 || keys[0] != testKey(3) {
+		t.Fatalf("Keys after drop = %v", keys)
+	}
+}
+
+func TestBoundedMemoryConcurrentUse(t *testing.T) {
+	m := newMemory(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := testKey((g*7 + i) % 10)
+				m.put(k, []byte(k))
+				if data, ok := m.get(k); ok && string(data) != k {
+					t.Errorf("get(%s) = %q", k, data)
+				}
+				if i%5 == 0 {
+					m.drop(k)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := m.len(); n > 4 {
+		t.Fatalf("bounded tier holds %d entries, limit 4", n)
+	}
+}
+
+func TestReplicatedMemoryBoundOnlyWithDisk(t *testing.T) {
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDisk, memOnly := NewReplicated(nil, d), NewReplicated(nil, nil)
+	n := MemoryCapacity + 5
+	for i := 0; i < n; i++ {
+		for _, r := range []*Replicated{withDisk, memOnly} {
+			if err := r.PutLocal(testKey(i), []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := withDisk.MemoryLen(); got != MemoryCapacity {
+		t.Fatalf("disk-backed memory tier holds %d, want %d", got, MemoryCapacity)
+	}
+	if got := memOnly.MemoryLen(); got != n {
+		t.Fatalf("memory-only tier holds %d, want all %d", got, n)
+	}
+	for i := 0; i < n; i++ {
+		want := fmt.Sprintf(`{"i":%d}`, i)
+		for _, r := range []*Replicated{withDisk, memOnly} {
+			if data, ok := r.GetLocal(testKey(i)); !ok || string(data) != want {
+				t.Fatalf("GetLocal(%d) = %q, %v", i, data, ok)
+			}
+		}
+	}
+}
+
 func TestReplicatedLocalTiers(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDisk(dir)
