@@ -9,8 +9,10 @@ build:
 	$(GO) build ./...
 
 # -vet=all mirrors CI: every vet analyzer runs over test builds too.
+# cmd/hayatbench is a nested module, so ./... does not reach its tests.
 test:
 	$(GO) test -vet=all ./...
+	cd cmd/hayatbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

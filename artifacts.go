@@ -12,8 +12,8 @@ import (
 )
 
 // ArtifactCache shares the expensive per-platform and per-chip artifacts
-// across Systems and Chips: the thermal model's LU factorisations,
-// response matrix and the variation field's Cholesky factor (keyed by
+// across Systems and Chips: the thermal model with its modal operators
+// and response matrix, and the variation field's Cholesky factor (keyed by
 // grid size), the learned thermal predictor (keyed by grid size and chip
 // seed) and the offline 3D aging table (keyed by aging model and chip
 // seed). All cached artifacts are immutable after construction and safe

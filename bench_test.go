@@ -156,10 +156,10 @@ func BenchmarkPredictTemperature(b *testing.B) {
 	for i := 0; i < n; i += 2 {
 		pdyn[i], on[i] = 4, true
 	}
-	dst := make([]float64, n)
+	dst, total := make([]float64, n), make([]float64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kit.Pred.Predict(dst, pdyn, on)
+		kit.Pred.Predict(dst, total, pdyn, on)
 	}
 }
 
@@ -364,7 +364,7 @@ func BenchmarkAblationHCI(b *testing.B) {
 // Substrate benchmarks: the cost of the building blocks.
 
 // BenchmarkThermalSteadyState measures one steady-state solve on the
-// paper's 8×8 network (dense LU backend).
+// paper's 8×8 network.
 func BenchmarkThermalSteadyState(b *testing.B) {
 	p, _ := benchPlatform(b)
 	power := make([]float64, 64)
@@ -377,9 +377,9 @@ func BenchmarkThermalSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkThermalSteadyStateSparse measures the CG backend on a
+// BenchmarkThermalSteadyStateLarge measures one steady-state solve on a
 // 20×20-core network (1200 nodes).
-func BenchmarkThermalSteadyStateSparse(b *testing.B) {
+func BenchmarkThermalSteadyStateLarge(b *testing.B) {
 	fp := floorplan.New(20, 20)
 	tm, err := thermal.New(fp, thermal.DefaultConfig())
 	if err != nil {

@@ -66,7 +66,7 @@ func (c *Chip) EstimateLifetime(p Policy) (*LifetimeEstimate, error) {
 		pdyn[i] = c.sys.pm.DynamicPower(c.chip.FMax0[i], duty)
 	}
 
-	temps := c.pred.Predict(nil, pdyn, on)
+	temps := c.pred.Predict(nil, nil, pdyn, on)
 
 	years := cfg.Years
 	if max := c.tab.MaxYears(); years > max {

@@ -69,15 +69,27 @@ func goldenFingerprint(cache *ArtifactCache, g goldenCase) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-func readGolden(t *testing.T) map[string]string {
+// goldenEngineHeader prefixes the header line naming the EngineVersion
+// the fingerprints were computed under.
+const goldenEngineHeader = "# Engine version: "
+
+// readGolden returns the fingerprints by case name and the engine version
+// the file's header names (0 when it names none).
+func readGolden(t *testing.T) (want map[string]string, engine int) {
 	t.Helper()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]string)
+	want = make(map[string]string)
 	for _, line := range strings.Split(string(raw), "\n") {
 		line = strings.TrimSpace(line)
+		if v, ok := strings.CutPrefix(line, goldenEngineHeader); ok {
+			if _, err := fmt.Sscanf(v, "%d", &engine); err != nil {
+				t.Fatalf("%s: malformed engine header %q", goldenPath, line)
+			}
+			continue
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -87,14 +99,19 @@ func readGolden(t *testing.T) map[string]string {
 		}
 		want[f[0]] = f[1]
 	}
-	return want
+	return want, engine
 }
 
 // TestGoldenResultFingerprints recomputes every fingerprint and compares
-// it with the checked-in value. On a mismatch it prints the full table in
-// the file's format.
+// it with the checked-in value, and checks that the file's header names
+// the running EngineVersion, so bumping the version forces the file to
+// be regenerated under it. On a mismatch it prints the full table in the
+// file's format.
 func TestGoldenResultFingerprints(t *testing.T) {
-	want := readGolden(t)
+	want, engine := readGolden(t)
+	if engine != EngineVersion {
+		t.Errorf("%s names engine version %d, the engine is version %d", goldenPath, engine, EngineVersion)
+	}
 	cases := goldenCases()
 	got := make([]string, len(cases))
 	errs := make([]error, len(cases))
@@ -128,6 +145,6 @@ func TestGoldenResultFingerprints(t *testing.T) {
 		t.Errorf("%s holds %d fingerprints, the matrix has %d", goldenPath, len(want), len(cases))
 	}
 	if mismatch {
-		t.Logf("recomputed fingerprints:\n%s", table.String())
+		t.Logf("recomputed fingerprints (engine version %d):\n%s", EngineVersion, table.String())
 	}
 }

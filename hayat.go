@@ -45,6 +45,12 @@ import (
 	"github.com/kit-ces/hayat/internal/variation"
 )
 
+// EngineVersion names the numerics behind every Result (sim.EngineVersion).
+// Results of different versions are not comparable; the service folds it
+// into every cache key, so a result stored by another version is
+// recomputed, never served.
+const EngineVersion = sim.EngineVersion
+
 // Policy selects the run-time mapping policy.
 type Policy int
 
@@ -245,7 +251,7 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // NewSystemWith is NewSystem with a shared artifact cache: the thermal
-// model (with its LU factorisation) and the variation generator (with its
+// model (with its modal operators) and the variation generator (with its
 // Cholesky factor) are reused across Systems on the same grid, and chips
 // stamped from this System share their learned predictors and 3D aging
 // tables through the cache as well. A nil cache disables sharing. All

@@ -273,6 +273,7 @@ type placeScratch struct {
 	yEq   []float64
 	hNext []float64 // baseline per-core next health at the current base field
 	base  []float64
+	total []float64 // the predictor's total-power scratch
 	on    []bool
 	taken []bool
 	slots []candidate
@@ -299,6 +300,7 @@ func (h *Hayat) scratchFor(ctx *policy.Context, n int) *placeScratch {
 		duty:   make([]float64, n),
 		yEq:    make([]float64, n),
 		hNext:  make([]float64, n),
+		total:  make([]float64, n),
 		on:     make([]bool, n),
 		taken:  make([]bool, n),
 		slots:  make([]candidate, n),
@@ -376,7 +378,7 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 			duty[i] = ctx.DutyMode.Duty(th)
 		}
 	}
-	base := ctx.Predictor.Predict(s.base, pdyn, on)
+	base := ctx.Predictor.Predict(s.base, s.total, pdyn, on)
 	s.base = base
 
 	// The per-core effective age and next health at the base temperature
@@ -559,7 +561,7 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 		duty[best] = tDuty
 		// Full re-prediction re-synchronises the leakage correction; the
 		// aging cache no longer matches the base temperatures.
-		base = ctx.Predictor.Predict(base, pdyn, on)
+		base = ctx.Predictor.Predict(base, s.total, pdyn, on)
 		cacheFresh = false
 	}
 	if len(s.unmap) > 0 {

@@ -97,7 +97,7 @@ func TestMapRespectsTSafe(t *testing.T) {
 			on[i] = true
 		}
 	}
-	temps := ctx.Predictor.Predict(nil, pdyn, on)
+	temps := ctx.Predictor.Predict(nil, nil, pdyn, on)
 	for i, T := range temps {
 		if T > ctx.TSafe {
 			t.Fatalf("core %d predicted at %v K above TSafe", i, T)

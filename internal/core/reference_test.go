@@ -149,7 +149,7 @@ func (h *Hayat) referencePlace(ctx *policy.Context, existing *mapping.Assignment
 			duty[i] = ctx.DutyMode.Duty(th)
 		}
 	}
-	base := ctx.Predictor.Predict(s.base, pdyn, on)
+	base := ctx.Predictor.Predict(s.base, nil, pdyn, on)
 	s.base = base
 
 	// Cache the per-core effective age at the base temperature once per
@@ -326,7 +326,7 @@ func (h *Hayat) referencePlace(ctx *policy.Context, existing *mapping.Assignment
 		duty[best] = tDuty
 		// Full re-prediction re-synchronises the leakage correction, then
 		// the aging cache follows the new base temperatures.
-		base = ctx.Predictor.Predict(base, pdyn, on)
+		base = ctx.Predictor.Predict(base, nil, pdyn, on)
 		refreshAgingCache()
 	}
 	if len(s.unmap) > 0 {

@@ -79,7 +79,7 @@ func Objective(ctx *policy.Context, asg *mapping.Assignment) (mapped int, health
 			mapped++
 		}
 	}
-	temps := ctx.Predictor.Predict(nil, pdyn, on)
+	temps := ctx.Predictor.Predict(nil, nil, pdyn, on)
 	for i := 0; i < n; i++ {
 		if temps[i] > ctx.TSafe {
 			return mapped, 0, false

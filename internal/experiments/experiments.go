@@ -371,11 +371,11 @@ func (p *Platform) Overhead(seed int64) (OverheadResult, error) {
 	for i := 0; i < n; i += 2 {
 		pdyn[i], on[i] = 4, true
 	}
-	dst := make([]float64, n)
+	dst, total := make([]float64, n), make([]float64, n)
 	const predIters = 2000
 	start = time.Now()
 	for i := 0; i < predIters; i++ {
-		kit.Pred.Predict(dst, pdyn, on)
+		kit.Pred.Predict(dst, total, pdyn, on)
 	}
 	r.PredictTemperature = time.Since(start) / predIters
 

@@ -4,8 +4,8 @@ import "math"
 
 // LU is an LU factorisation with partial pivoting of a square matrix,
 // P·A = L·U. It is computed once and reused for many right-hand sides —
-// the transient thermal stepper solves the identical system
-// (C/Δt + G)·T_{k+1} = rhs on every time step.
+// the thermal grid model (thermal.GridModel) solves the identical
+// conductance system for every window.
 //
 // The factors are stored on their row envelopes: row i of L from its
 // first nonzero column up to (excluding) the unit diagonal, and row i of
@@ -145,10 +145,9 @@ func (f *LU) SolveChecked(dst, b []float64) error {
 //
 // When dst and b are distinct, Solve is allocation-free: the permutation
 // gathers straight into dst and both substitutions run in place. That is
-// the transient thermal stepper's call shape (one solve per time step),
-// so the epoch kernel stays off the heap. Only the aliased call pays for
-// a scratch copy (the gather y = P·b must read all of b before any write
-// lands).
+// the grid model's call shape, so its solves stay off the heap. Only the
+// aliased call pays for a scratch copy (the gather y = P·b must read all
+// of b before any write lands).
 func (f *LU) Solve(dst, b []float64) []float64 {
 	n := f.n
 	if len(b) != n || len(dst) != n {

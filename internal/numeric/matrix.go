@@ -1,13 +1,13 @@
 // Package numeric provides the small dense linear-algebra kernels used by
-// the thermal solver (internal/thermal) and the correlated process-variation
-// field generator (internal/variation).
+// the thermal grid model (internal/thermal) and the correlated
+// process-variation field generator (internal/variation).
 //
 // The matrices involved are small (a few hundred to a few thousand rows:
-// thermal nodes of an 8×8-core RC network, grid points of a variation map),
+// tile nodes of a sub-core thermal grid, grid points of a variation map),
 // so simple dense algorithms with good cache behaviour beat anything fancy.
 // All code is allocation-conscious: factorisations are computed once and
-// reused across many solves (the transient thermal stepper solves the same
-// system every time step).
+// reused across many solves (the thermal grid model solves the same
+// system every window).
 package numeric
 
 import (

@@ -7,11 +7,11 @@ import (
 )
 
 // This file provides a compressed-sparse-row matrix and a preconditioned
-// conjugate-gradient solver. The thermal RC networks are symmetric
-// positive-definite and extremely sparse (≤ ~7 non-zeros per row), so CG
-// with a Jacobi preconditioner scales the thermal solver to manycore
-// floorplans (32×32 cores and beyond) where dense LU factorisation would
-// be prohibitive in time and memory.
+// conjugate-gradient solver. The sub-core thermal grid networks
+// (thermal.GridModel) are symmetric positive-definite and extremely
+// sparse (≤ ~7 non-zeros per row), so CG with a Jacobi preconditioner
+// scales the grid solver to manycore floorplans (32×32 cores and beyond)
+// where dense LU factorisation would be prohibitive in time and memory.
 
 // Triplets accumulates (i, j, value) entries before CSR assembly.
 // Duplicate coordinates are summed.
@@ -130,7 +130,7 @@ func (c *CSR) Diagonal(dst []float64) []float64 {
 // CGSolver solves SPD systems A·x = b by Jacobi-preconditioned conjugate
 // gradients. It keeps its scratch vectors and the last solution as the
 // warm start — repeated solves against slowly changing right-hand sides
-// (the transient thermal stepper) converge in a handful of iterations.
+// (the thermal grid model's windows) converge in a handful of iterations.
 type CGSolver struct {
 	a       *CSR
 	invDiag []float64

@@ -28,9 +28,15 @@ func shutdownFast(t testing.TB, s *Server) {
 }
 
 // submitBlocker occupies the (single) worker with a slow job and waits
-// until it is actually running, so batch items stay queued.
+// until it is actually running, so batch items stay queued. A stall on
+// every thermal window keeps the job running for seconds, however fast
+// the simulator runs; the test's end disarms it.
 func submitBlocker(t *testing.T, s *Server) JobStatus {
 	t.Helper()
+	if err := faultinject.ArmSpecs("sim.thermal-solve=sleep(50ms)"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.DisarmAll)
 	st, err := s.SubmitLifetime(slowCfg(), 999, "hayat")
 	if err != nil {
 		t.Fatal(err)

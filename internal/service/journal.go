@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 )
@@ -48,11 +49,14 @@ const journalCompactEvery = 256
 // journalRecord is one JSONL journal line (CRC-framed on disk). Client
 // and the absolute deadlines (unix milliseconds; zero when unset) let a
 // restart restore the job's fairness identity and expiry — a job whose
-// deadline passed during the outage is evicted, not run.
+// deadline passed during the outage is evicted, not run. Engine is the
+// engine version Key was computed under; records from before the field
+// existed read as 0, the unversioned engine.
 type journalRecord struct {
 	Op         string    `json:"op"`
 	ID         string    `json:"id"`
 	Key        string    `json:"key,omitempty"`
+	Engine     int       `json:"engine,omitempty"`
 	Req        *request  `json:"req,omitempty"`
 	Client     string    `json:"client,omitempty"`
 	DeadlineMS int64     `json:"deadline_ms,omitempty"`
@@ -64,6 +68,7 @@ type journalRecord struct {
 type journalEntry struct {
 	ID            string
 	Key           string
+	Engine        int // engine version of Key
 	Req           request
 	Client        string
 	Deadline      time.Time // zero when the job had none
@@ -163,6 +168,7 @@ func openJournal(path string) (*journal, []journalEntry, int, error) {
 		pending = append(pending, journalEntry{
 			ID:            rec.ID,
 			Key:           rec.Key,
+			Engine:        rec.Engine,
 			Req:           *rec.Req,
 			Client:        rec.Client,
 			Deadline:      msToTime(rec.DeadlineMS),
@@ -199,6 +205,7 @@ func submitRecord(id, key string, req request, client string, deadline, queueDea
 		Op:         opSubmit,
 		ID:         id,
 		Key:        key,
+		Engine:     hayat.EngineVersion,
 		Req:        &req,
 		Client:     client,
 		DeadlineMS: timeToMS(deadline),

@@ -2,6 +2,9 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -189,6 +192,97 @@ func TestRecoveredJobResumesFromCheckpoint(t *testing.T) {
 	// The finished job's checkpoint was cleaned up.
 	if _, err := os.Stat(filepath.Join(ckptDir, req.key()+".ckpt")); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint not cleaned up after completion: %v", err)
+	}
+}
+
+// A pending job journalled by the unversioned engine, in the journal
+// format of that engine (no engine field), must re-run under the running
+// engine's key and keep its job ID. The old engine's result and
+// checkpoint, stored under the old key, must neither answer nor resume it.
+func TestRecoverReKeysLegacyJournalEntry(t *testing.T) {
+	dir := t.TempDir()
+	journalPath := filepath.Join(dir, "jobs.journal")
+	dataDir := filepath.Join(dir, "data")
+	ckptDir := filepath.Join(dir, "ckpt")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ckptCfg()
+	req := request{Kind: KindLifetime, Config: NormalizeConfig(cfg), Policy: "Hayat", Seed: 5, Chips: 1}
+	blob, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	legacyKey := hex.EncodeToString(sum[:])
+	if legacyKey != req.keyAt(0) || legacyKey == req.key() {
+		t.Fatalf("legacy key %s, keyAt(0) %s, key %s", legacyKey, req.keyAt(0), req.key())
+	}
+
+	// The old engine's result and a checkpoint under the old key.
+	store, err := newResultStore(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.put(legacyKey, referenceResult(t, cfg, 6)); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := hayat.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip, err := sys.NewChip(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp bytes.Buffer
+	if err := chip.RunLifetimeCheckpointed(hayat.PolicyHayat, 2, &cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckptDir, legacyKey+".ckpt"), cp.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The dead process's journal line, exactly as the unversioned engine
+	// wrote it.
+	payload, err := json.Marshal(journalRecord{Op: opSubmit, ID: "job-000042", Key: legacyKey, Req: &req, At: time.Now().UTC()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(payload, []byte(`"engine"`)) {
+		t.Fatalf("legacy record carries an engine field: %s", payload)
+	}
+	line, err := persist.EncodeFrameLine(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Options{JournalPath: journalPath, DataDir: dataDir, CheckpointDir: ckptDir})
+	st := waitDone(t, s, "job-000042")
+	if st.State != JobDone || st.Cached {
+		t.Fatalf("legacy job: state %s, cached %v (%s)", st.State, st.Cached, st.Error)
+	}
+	if !bytes.Equal(st.Result, referenceResult(t, cfg, 5)) {
+		t.Fatal("legacy job's result differs from this engine's uninterrupted run")
+	}
+	met := s.Metrics()
+	if got := met.JournalCorrupt.Value(); got != 0 {
+		t.Fatalf("journal corrupt %d, want 0", got)
+	}
+	if got := met.JobsRecovered.Value(); got != 1 {
+		t.Fatalf("jobs recovered %d, want 1", got)
+	}
+	if got := met.SimRuns.Value(); got != 1 {
+		t.Fatalf("sim runs %d, want 1 (re-run under the new key)", got)
+	}
+	if got := met.CheckpointResumes.Value(); got != 0 {
+		t.Fatalf("old engine's checkpoint resumed %d times", got)
+	}
+	if data, ok := s.store.get(req.key()); !ok || !bytes.Equal(data, st.Result) {
+		t.Fatal("result not stored under the running engine's key")
 	}
 }
 

@@ -73,7 +73,8 @@ var (
 
 // request is the canonical description of one unit of work. Its JSON
 // encoding (deterministic struct field order, normalised config and
-// policy name) is hashed into the content-addressed cache key.
+// policy name) is hashed, with the engine version, into the
+// content-addressed cache key.
 type request struct {
 	Kind   string
 	Config hayat.Config
@@ -82,8 +83,24 @@ type request struct {
 	Chips  int
 }
 
-func (r request) key() string {
-	blob, err := json.Marshal(r)
+// key is the request's content-addressed key under the running engine.
+// Store entries, Merkle leaves, replicas, checkpoints and per-chip
+// population files are all keyed by it, so a result computed by another
+// engine version reads as a miss and is recomputed: it can neither
+// answer as a determinism fork nor be resumed.
+func (r request) key() string { return r.keyAt(hayat.EngineVersion) }
+
+// keyAt is the request's key under engine version engine. Keys of the
+// unversioned engine (version 1, or 0 for "not recorded") hash the
+// request alone; later versions hash the version with it.
+func (r request) keyAt(engine int) string {
+	if engine <= 1 {
+		engine = 0
+	}
+	blob, err := json.Marshal(struct {
+		request
+		Engine int `json:",omitempty"`
+	}{r, engine})
 	if err != nil {
 		// hayat.Config is plain data; this cannot fail.
 		panic(fmt.Sprintf("service: marshalling request: %v", err))
@@ -108,7 +125,9 @@ func NormalizeConfig(cfg hayat.Config) hayat.Config {
 	return cfg
 }
 
-// configKey hashes a canonical config alone (the System-cache key).
+// configKey hashes a canonical config alone (the System-cache key). It
+// carries no engine version: the System cache lives in one process, which
+// runs one engine.
 func configKey(cfg hayat.Config) string {
 	blob, err := json.Marshal(cfg)
 	if err != nil {
@@ -287,7 +306,7 @@ type Options struct {
 	// (default store.DefaultAntiEntropyInterval).
 	AntiEntropyInterval time.Duration
 	// Artifacts optionally shares platform artifacts (Cholesky factors,
-	// thermal LU, predictors, aging tables) with other components; by
+	// thermal models, predictors, aging tables) with other components; by
 	// default the server creates its own cache.
 	Artifacts *hayat.ArtifactCache
 	// Logf receives operational log lines (default: discarded).
@@ -511,13 +530,20 @@ func (s *Server) recover(pending []journalEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range pending {
-		if e.Req.key() != e.Key {
+		if e.Req.keyAt(e.Engine) != e.Key {
 			// The journal's stored key disagrees with the request it
 			// carries: treat the record as corrupt rather than run the
 			// wrong work under a cached identity.
 			s.met.JournalCorrupt.Add(1)
 			s.recordTerminal(opFailed, e.ID)
 			continue
+		}
+		if e.Engine != hayat.EngineVersion {
+			// Journalled by another engine: its key names that engine's
+			// result. Run the request under this engine's key, keeping
+			// the job's ID.
+			e.Key = e.Req.key()
+			s.logf("service: re-keyed %s from engine version %d to %d", e.ID, e.Engine, hayat.EngineVersion)
 		}
 		var n int64
 		if _, err := fmt.Sscanf(e.ID, "job-%d", &n); err == nil && n > s.nextID {

@@ -19,7 +19,11 @@ import (
 // migration cooldowns) are intentionally dropped — they are sub-second
 // artefacts against month-long epochs.
 type Checkpoint struct {
-	Version    int           `json:"version"`
+	Version int `json:"version"`
+	// Engine is the EngineVersion that computed the checkpointed epochs;
+	// resuming them under another engine would splice two numerics into
+	// one Result. Checkpoints from before the field existed read as 0.
+	Engine     int           `json:"engine"`
 	ChipSeed   int64         `json:"chip_seed"`
 	Policy     string        `json:"policy"`
 	NextEpoch  int           `json:"next_epoch"`
@@ -39,6 +43,9 @@ const checkpointVersion = 1
 func (cp *Checkpoint) Validate(e *Engine) error {
 	if cp.Version != checkpointVersion {
 		return fmt.Errorf("sim: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+	}
+	if cp.Engine != EngineVersion {
+		return fmt.Errorf("sim: checkpoint from engine version %d, this is engine version %d", cp.Engine, EngineVersion)
 	}
 	if cp.ChipSeed != e.chip.Seed {
 		return fmt.Errorf("sim: checkpoint for chip %d, engine has chip %d", cp.ChipSeed, e.chip.Seed)
@@ -80,6 +87,7 @@ func (cp *Checkpoint) Validate(e *Engine) error {
 func (e *Engine) snapshot(st *runState, nextEpoch int) (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Version:   checkpointVersion,
+		Engine:    EngineVersion,
 		ChipSeed:  e.chip.Seed,
 		Policy:    e.pol.Name(),
 		NextEpoch: nextEpoch,

@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -102,6 +104,45 @@ func TestCheckpointValidation(t *testing.T) {
 	// RunCheckpoint range check.
 	if _, err := e.RunCheckpoint(99); err == nil {
 		t.Error("out-of-range checkpoint epoch accepted")
+	}
+}
+
+// A checkpoint computed by another engine version must not resume into a
+// hybrid run: neither one written before checkpoints carried the version
+// nor one from an older engine.
+func TestCheckpointRejectsOtherEngine(t *testing.T) {
+	cfg := shortConfig()
+	cfg.RemixEpochs = 2
+	e := newEngine(t, cfg, hayatPolicy(t), 18)
+	cp, err := e.RunCheckpoint(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Engine != EngineVersion {
+		t.Fatalf("checkpoint records engine %d, want %d", cp.Engine, EngineVersion)
+	}
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, cp); err != nil {
+		t.Fatal(err)
+	}
+	field := fmt.Sprintf("\"engine\": %d,", EngineVersion)
+	if !strings.Contains(buf.String(), field) {
+		t.Fatalf("serialised checkpoint lacks %s", field)
+	}
+	for name, replace := range map[string]string{
+		"unversioned": "",
+		"older":       fmt.Sprintf("\"engine\": %d,", EngineVersion-1),
+	} {
+		old, err := ReadCheckpoint(strings.NewReader(strings.Replace(buf.String(), field, replace, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Resume(old); err == nil || !strings.Contains(err.Error(), "engine version") {
+			t.Errorf("%s checkpoint: Resume err = %v, want an engine-version rejection", name, err)
+		}
+	}
+	if _, err := e.Resume(cp); err != nil {
+		t.Fatalf("current checkpoint rejected: %v", err)
 	}
 }
 

@@ -33,6 +33,14 @@ import (
 	"github.com/kit-ces/hayat/internal/workload"
 )
 
+// EngineVersion names the numerics that turn a Config into a Result. It
+// moves whenever a change moves Result bits on purpose — a new solver, a
+// reordered sum — and never otherwise: results, checkpoints and cache
+// keys from another version are not comparable with this one. Version 1
+// is the unversioned engine the first golden fingerprints pinned;
+// version 2 solves the thermal network in its DCT modes.
+const EngineVersion = 2
+
 // Config controls one lifetime simulation.
 type Config struct {
 	// DarkFraction is the minimum dark-silicon fraction (0.25 or 0.50 in
@@ -302,7 +310,6 @@ type runState struct {
 	ws        windowStats                  // window statistics accumulators
 	pdyn      []float64                    // per-core dynamic power
 	total     []float64                    // per-core total power
-	nodes     []float64                    // full thermal node state
 	cur       []float64                    // per-core current temperatures
 	stall     map[*workload.Thread]float64 // migration-stall countdowns
 }
@@ -317,7 +324,6 @@ func (e *Engine) newRunState() (*runState, error) {
 		lastUsed: make([]int, n),
 		pdyn:     make([]float64, n),
 		total:    make([]float64, n),
-		nodes:    make([]float64, e.tm.NumNodes()),
 		cur:      make([]float64, n),
 		stall:    make(map[*workload.Thread]float64),
 	}
@@ -621,10 +627,9 @@ func (e *Engine) runWindow(epoch int, st *runState, asg *mapping.Assignment, mix
 	// power, so the multi-second sink warm-up does not eat the window.
 	pdyn, total := st.pdyn, st.total
 	e.corePowers(pdyn, total, asg, dtmMgr, temps, fmax, nil)
-	if _, err := e.tm.SteadyStateChecked(total, st.nodes); err != nil {
+	if err := tr.SetSteadyState(total); err != nil {
 		return nil, err
 	}
-	tr.SetState(st.nodes)
 	st.cur = tr.CoreTemps(st.cur)
 	cur := st.cur
 

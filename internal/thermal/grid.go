@@ -18,12 +18,19 @@ const (
 	gridCoreGrain = 16
 )
 
+// DenseNodeThreshold is GridBackendAuto's switch point: grid networks with
+// at most this many nodes use a dense LU factorisation (fastest at the
+// paper's 8×8 floorplan with SubDiv=2, 384 nodes); larger networks switch
+// to the sparse conjugate-gradient path, which scales to 32×32-core
+// floorplans and beyond.
+const DenseNodeThreshold = 800
+
 // GridBackend selects the linear-algebra backend of a GridModel.
 type GridBackend int
 
 const (
 	// GridBackendAuto picks dense LU up to DenseNodeThreshold nodes and
-	// the sparse CG path above it, mirroring the block model.
+	// the sparse CG path above it.
 	GridBackendAuto GridBackend = iota
 	// GridBackendDense forces the dense LU factorisation (O(n³) setup,
 	// O(n²) per solve) regardless of size.
@@ -56,10 +63,10 @@ func (b GridBackend) String() string {
 // hot spots that the block model averages away.
 //
 // The block model (Model) remains the engine's workhorse — a 64-core
-// grid at SubDiv=2 has 384 nodes and is ~4× more expensive per solve —
-// but GridModel validates the block model's accuracy (see the
-// block-vs-grid consistency tests) and serves floorplans that need
-// intra-core detail.
+// grid at SubDiv=2 has 384 nodes and, unlike the block model, does not
+// split into independent modes — but GridModel validates the block
+// model's accuracy (see the block-vs-grid consistency tests) and serves
+// floorplans that need intra-core detail.
 //
 // A GridModel is NOT safe for concurrent solves: the RHS, solution and
 // reduction buffers (and, on the sparse backend, the CG warm-start

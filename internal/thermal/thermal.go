@@ -8,14 +8,18 @@
 // whose silicon still conducts, so it acts as a heat escape path for its
 // neighbours ("improved heat dissipation due to dark cores").
 //
-// Two solvers are provided:
+// The block model (Model) has one solver for every floorplan, an exact
+// modal solve in the 2-D DCT-II basis of the core grid (DESIGN.md §18).
+// It serves two entry points:
 //
-//   - SteadyState: direct solve of G·T = P + G_amb·T_amb with a
-//     pre-factored LU (the matrix never changes), used for DCM evaluation
-//     and epoch-level profiles.
+//   - SteadyState: G·T = P + G_amb·T_amb, used to learn the die response
+//     of the online predictor (DieResponse).
 //   - Transient: unconditionally stable implicit-Euler stepping of
-//     C·dT/dt = P − G·T with the step matrix factored once per Δt, used
-//     for the fine-grained intra-epoch simulation of Fig. 4.
+//     C·dT/dt = P − G·T, used for the fine-grained intra-epoch simulation
+//     of Fig. 4; each window starts from its steady state.
+//
+// GridModel, HotSpot's sub-core grid mode, keeps dense-LU and sparse-CG
+// backends.
 //
 // The network is linear, so superposition holds exactly — the property the
 // online thermal predictor (internal/thermpredict, [27]) exploits.
@@ -73,14 +77,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// DenseNodeThreshold selects the linear-algebra backend: networks with at
-// most this many nodes use a dense LU factorisation (fastest for the
-// paper's 8×8 = 192-node network); larger networks switch to the sparse
-// conjugate-gradient path, which scales the solver to 32×32-core
-// floorplans and beyond.
-const DenseNodeThreshold = 800
-
 // Model is the assembled RC network for one floorplan.
+//
+// Every floorplan is a uniform Rows × Cols grid of identical cores, and
+// New gives every layer uniform per-core parameters, so the orthonormal
+// 2-D DCT-II diagonalises each layer's lateral conductances and splits
+// the network into Rows·Cols independent 3×3 systems, one per spatial
+// mode (DESIGN.md §18). Both solves run in that basis.
 type Model struct {
 	fp  *floorplan.Floorplan
 	cfg Config
@@ -91,29 +94,28 @@ type Model struct {
 	// tri holds the conductance matrix (including the ambient
 	// conductances on the diagonal) in assembly form:
 	// (G·T)_i = Σ_j g_ij (T_i − T_j) + gAmb_i (T_i − T_amb).
+	// The solves never read it or capac: they are the independent
+	// definition of the network that the tests check the modal solve
+	// against.
 	tri   *numeric.Triplets
 	gAmb  []float64
 	capac []float64
 
-	// Dense backend (small networks). LU solves are read-only on the
-	// factorisation and safe to share across goroutines.
-	luG *numeric.LU
-	// Sparse backend (large networks). The CG solver carries warm-start
-	// state, so concurrent solves serialise on cgMu.
-	cg   *numeric.CGSolver
-	cgMu sync.Mutex
+	// stack holds the shared per-core parameters tri is assembled from,
+	// and basis the DCT that diagonalises every layer's lateral coupling.
+	// steady[k] is mode k's steady-state response to unit die power,
+	// (M₃ + Λ_k)⁻¹·e_die, per layer.
+	stack  stack
+	basis  basis
+	steady [][numLayers]float64
 
-	// scratch pools per-solve rhs/sol buffers so steady-state solves are
-	// allocation-free on the hot path. A sync.Pool (not plain fields)
-	// because SteadyState is documented safe for concurrent use — the
-	// artifact cache shares one model across goroutines.
-	scratch sync.Pool
+	// mu guards scratch, the steady-state solve's working memory.
+	// SteadyState is safe for concurrent use, but its one non-test caller
+	// is DieResponse, which runs once per model, so callers never queue.
+	mu      sync.Mutex
+	scratch modalField
 
-	// stepLUs holds the dense transient step factorisation per Δt,
-	// shared read-only by every Transient with that step; response is
-	// the die response matrix. Both are built on first use.
-	stepMu   sync.Mutex
-	stepLUs  map[float64]*once[*numeric.LU]
+	// response is the die response matrix, built on first use.
 	response once[*numeric.Matrix]
 }
 
@@ -129,16 +131,11 @@ func (o *once[T]) get(build func() (T, error)) (T, error) {
 	return o.val, o.err
 }
 
-// steadyBuf is one pooled pair of steady-state solve buffers.
-type steadyBuf struct{ rhs, sol []float64 }
+// node returns the node index of core's node in layer l.
+func (m *Model) node(l, core int) int { return l*m.nCores + core }
 
-// Node index helpers.
-func (m *Model) dieNode(core int) int      { return core }
-func (m *Model) spreaderNode(core int) int { return m.nCores + core }
-func (m *Model) sinkNode(core int) int     { return 2*m.nCores + core }
-
-// New assembles and factors the network. It returns an error if the
-// configuration is unphysical.
+// New assembles the network and its modal operators. It returns an error
+// if the configuration is unphysical.
 func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	for name, l := range map[string]Layer{"die": cfg.Die, "spreader": cfg.Spreader, "sink": cfg.Sink} {
 		if l.Conductivity <= 0 || l.Thickness <= 0 || l.VolumetricHeat <= 0 || l.AreaScale <= 0 {
@@ -158,162 +155,87 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	m := &Model{
 		fp: fp, cfg: cfg,
 		nCores: n, nNodes: 3 * n,
-		gAmb:  make([]float64, 3*n),
-		capac: make([]float64, 3*n),
+		gAmb:    make([]float64, 3*n),
+		capac:   make([]float64, 3*n),
+		stack:   newStack(fp, cfg),
+		basis:   newBasis(fp.Rows, fp.Cols),
+		steady:  make([][numLayers]float64, n),
+		scratch: newModalField(n),
 	}
 	m.tri = numeric.NewTriplets(m.nNodes)
-
-	coreArea := fp.CoreArea()
 	addCoupling := func(a, b int, g float64) {
 		m.tri.Add(a, a, g)
 		m.tri.Add(b, b, g)
 		m.tri.Add(a, b, -g)
 		m.tri.Add(b, a, -g)
 	}
-
-	// Vertical path per core.
+	s := &m.stack
 	for c := 0; c < n; c++ {
-		// die → spreader: half die + TIM + half spreader in series.
-		rDie := 0.5 * cfg.Die.Thickness / (cfg.Die.Conductivity * coreArea * cfg.Die.AreaScale)
-		rTIM := cfg.TIMThickness / (cfg.TIMConductivity * coreArea * cfg.Die.AreaScale)
-		rSpr := 0.5 * cfg.Spreader.Thickness / (cfg.Spreader.Conductivity * coreArea * cfg.Spreader.AreaScale)
-		addCoupling(m.dieNode(c), m.spreaderNode(c), 1/(rDie+rTIM+rSpr))
-
-		// spreader → sink: half spreader + half sink.
-		rSpr2 := 0.5 * cfg.Spreader.Thickness / (cfg.Spreader.Conductivity * coreArea * cfg.Spreader.AreaScale)
-		rSink := 0.5 * cfg.Sink.Thickness / (cfg.Sink.Conductivity * coreArea * cfg.Sink.AreaScale)
-		addCoupling(m.spreaderNode(c), m.sinkNode(c), 1/(rSpr2+rSink))
-
-		// sink → ambient (convection, distributed).
-		m.gAmb[m.sinkNode(c)] = 1 / (cfg.ConvectionResistance * float64(n))
-	}
-
-	// Lateral couplings inside each layer between 4-neighbours.
-	lateral := func(layer Layer, nodeOf func(int) int) {
-		for c := 0; c < n; c++ {
-			for _, nb := range m.fp.Neighbors(nil, c) {
-				if nb <= c {
-					continue // add each pair once
+		// Vertical path per core, and the sink's convection to ambient.
+		addCoupling(m.node(layerDie, c), m.node(layerSpreader, c), s.gDieSpr)
+		addCoupling(m.node(layerSpreader, c), m.node(layerSink, c), s.gSprSink)
+		m.gAmb[m.node(layerSink, c)] = s.gSinkAmb
+		// Lateral couplings inside each layer between 4-neighbours, each
+		// pair once.
+		for _, nb := range fp.Neighbors(nil, c) {
+			if nb <= c {
+				continue
+			}
+			horizontal := c/fp.Cols == nb/fp.Cols
+			for l := 0; l < numLayers; l++ {
+				g := s.gV[l]
+				if horizontal {
+					g = s.gH[l]
 				}
-				rc := c / m.fp.Cols
-				rn := nb / m.fp.Cols
-				var crossLen, dist float64
-				if rc == rn { // horizontal neighbours share a vertical edge
-					crossLen = m.fp.CoreHeight
-					dist = m.fp.CoreWidth
-				} else {
-					crossLen = m.fp.CoreWidth
-					dist = m.fp.CoreHeight
-				}
-				area := crossLen * layer.Thickness * layer.AreaScale
-				g := layer.Conductivity * area / dist
-				addCoupling(nodeOf(c), nodeOf(nb), g)
+				addCoupling(m.node(l, c), m.node(l, nb), g)
 			}
 		}
+		for l := 0; l < numLayers; l++ {
+			m.capac[m.node(l, c)] = s.capac[l]
+		}
 	}
-	lateral(cfg.Die, m.dieNode)
-	lateral(cfg.Spreader, m.spreaderNode)
-	lateral(cfg.Sink, m.sinkNode)
-
-	// Fold ambient conductances into the diagonal and set capacitances.
+	// Fold ambient conductances into the diagonal.
 	for i := 0; i < m.nNodes; i++ {
 		m.tri.Add(i, i, m.gAmb[i])
 	}
-	for c := 0; c < n; c++ {
-		m.capac[m.dieNode(c)] = cfg.Die.VolumetricHeat * coreArea * cfg.Die.AreaScale * cfg.Die.Thickness
-		m.capac[m.spreaderNode(c)] = cfg.Spreader.VolumetricHeat * coreArea * cfg.Spreader.AreaScale * cfg.Spreader.Thickness
-		m.capac[m.sinkNode(c)] = cfg.Sink.VolumetricHeat * coreArea * cfg.Sink.AreaScale * cfg.Sink.Thickness
-	}
 
-	if m.nNodes <= DenseNodeThreshold {
-		lu, err := numeric.FactorLU(m.tri.ToDense())
-		if err != nil {
-			return nil, fmt.Errorf("thermal: conductance matrix singular: %w", err)
+	// The steady state needs no capacitance term; mode 0 (λ = 0) stays
+	// nonsingular through the sink's ambient conductance.
+	for k := range m.steady {
+		inv := s.modeInverse([numLayers]float64{}, m.basis.lambda(s, k))
+		for l := range m.steady[k] {
+			m.steady[k][l] = inv[l][layerDie]
 		}
-		m.luG = lu
-	} else {
-		cg, err := numeric.NewCGSolver(m.tri.ToCSR(), 1e-10, 20*m.nNodes)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: sparse solver: %w", err)
-		}
-		m.cg = cg
-	}
-	nn := m.nNodes
-	m.scratch.New = func() any {
-		return &steadyBuf{rhs: make([]float64, nn), sol: make([]float64, nn)}
 	}
 	return m, nil
 }
 
-// fillSteadyRHS writes the steady-state right-hand side — ambient inflow
-// plus the per-core die power injection — into rhs (length nNodes).
-func (m *Model) fillSteadyRHS(rhs, corePower []float64) {
-	for i := range rhs {
-		rhs[i] = m.gAmb[i] * m.cfg.Ambient
-	}
-	for c, p := range corePower {
-		rhs[m.dieNode(c)] += p
-	}
-}
-
-// publishSolution hands the pooled node solution to the caller: copied
-// into nodeTemps (the allocation-free path — the returned per-core slice
-// is a view of nodeTemps) when it is non-nil, otherwise as a fresh
-// per-core copy. The pooled buffer itself must never escape: a
-// concurrent solve may reuse it as soon as it is returned to the pool.
-func (m *Model) publishSolution(sol, nodeTemps []float64) []float64 {
-	if nodeTemps != nil {
-		copy(nodeTemps, sol)
-		return nodeTemps[:m.nCores]
-	}
-	out := make([]float64, m.nCores)
-	copy(out, sol)
-	return out
-}
-
-// solveSteady dispatches to the active backend. It is safe for
-// concurrent use: the dense path only reads the factorisation, and the
-// sparse path serialises on the solver's warm-start state.
-func (m *Model) solveSteady(dst, rhs []float64) {
-	if m.luG != nil {
-		//lint:ignore checked-solve deliberate unchecked fast path; guarded callers go through solveSteadyChecked
-		m.luG.Solve(dst, rhs)
-		return
-	}
-	m.cgMu.Lock()
-	defer m.cgMu.Unlock()
-	//lint:ignore checked-solve deliberate unchecked fast path; guarded callers go through solveSteadyChecked
-	if _, ok := m.cg.Solve(dst, rhs); !ok {
-		// The conductance matrix is SPD and well conditioned; failure
-		// here indicates a programming error, not a numerical edge.
-		panic("thermal: CG did not converge on the steady-state system")
+// steadyModes writes the modal steady state of corePower into f.
+func (m *Model) steadyModes(f *modalField, corePower []float64) {
+	m.basis.forward(f.pHat, corePower, f.tmp)
+	die, spr, sink := f.layer(layerDie), f.layer(layerSpreader), f.layer(layerSink)
+	for k, s := range m.steady {
+		p := f.pHat[k]
+		die[k], spr[k], sink[k] = s[layerDie]*p, s[layerSpreader]*p, s[layerSink]*p
 	}
 }
 
-// solveSteadyChecked is solveSteady with a non-finite guard: it returns an
-// error (instead of panicking or silently propagating NaN temperatures)
-// when the right-hand side is poisoned, the solve diverges, or the sparse
-// solver fails to converge.
-func (m *Model) solveSteadyChecked(dst, rhs []float64) error {
-	if m.luG != nil {
-		if err := m.luG.SolveChecked(dst, rhs); err != nil {
-			return fmt.Errorf("thermal: steady-state solve: %w", err)
-		}
-		return nil
+// publishSteady converts the steady state in the model's scratch to node
+// temperatures for the caller: into nodeTemps (the allocation-free path —
+// the returned per-core slice is a view of nodeTemps) when it is non-nil,
+// otherwise into a fresh per-core slice. Callers hold m.mu.
+func (m *Model) publishSteady(nodeTemps []float64) []float64 {
+	f := &m.scratch
+	if nodeTemps == nil {
+		out := make([]float64, m.nCores)
+		m.basis.inverse(out, f.layer(layerDie), f.tmp, m.cfg.Ambient)
+		return out
 	}
-	if !numeric.AllFinite(rhs) {
-		return fmt.Errorf("thermal: steady-state solve: %w", numeric.ErrNonFinite)
+	n := m.nCores
+	for l := 0; l < numLayers; l++ {
+		m.basis.inverse(nodeTemps[l*n:(l+1)*n], f.layer(l), f.tmp, m.cfg.Ambient)
 	}
-	m.cgMu.Lock()
-	defer m.cgMu.Unlock()
-	//lint:ignore checked-solve CG has no Checked variant; rhs and dst are AllFinite-guarded on both sides of this call
-	if _, ok := m.cg.Solve(dst, rhs); !ok {
-		return fmt.Errorf("thermal: CG did not converge on the steady-state system")
-	}
-	if !numeric.AllFinite(dst) {
-		return fmt.Errorf("thermal: steady-state solve: %w", numeric.ErrNonFinite)
-	}
-	return nil
+	return nodeTemps[:n]
 }
 
 // Floorplan returns the floorplan the model was built on.
@@ -338,11 +260,10 @@ func (m *Model) SteadyState(corePower []float64, nodeTemps []float64) []float64 
 	if len(corePower) != m.nCores {
 		panic("thermal: SteadyState power vector length mismatch")
 	}
-	buf := m.scratch.Get().(*steadyBuf)
-	defer m.scratch.Put(buf)
-	m.fillSteadyRHS(buf.rhs, corePower)
-	m.solveSteady(buf.sol, buf.rhs)
-	return m.publishSolution(buf.sol, nodeTemps)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.steadyModes(&m.scratch, corePower)
+	return m.publishSteady(nodeTemps)
 }
 
 // SteadyStateChecked is SteadyState returning an error instead of letting
@@ -355,13 +276,17 @@ func (m *Model) SteadyStateChecked(corePower []float64, nodeTemps []float64) ([]
 	if len(corePower) != m.nCores {
 		panic("thermal: SteadyState power vector length mismatch")
 	}
-	buf := m.scratch.Get().(*steadyBuf)
-	defer m.scratch.Put(buf)
-	m.fillSteadyRHS(buf.rhs, corePower)
-	if err := m.solveSteadyChecked(buf.sol, buf.rhs); err != nil {
-		return nil, err
+	if !numeric.AllFinite(corePower) {
+		return nil, fmt.Errorf("thermal: steady-state solve: %w", numeric.ErrNonFinite)
 	}
-	return m.publishSolution(buf.sol, nodeTemps), nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.steadyModes(&m.scratch, corePower)
+	temps := m.publishSteady(nodeTemps)
+	if !numeric.AllFinite(temps) || !numeric.AllFinite(nodeTemps) {
+		return nil, fmt.Errorf("thermal: steady-state solve: %w", numeric.ErrNonFinite)
+	}
+	return temps, nil
 }
 
 // DieResponse returns the learned thermal profile of the network: entry
@@ -404,97 +329,108 @@ func (m *Model) HeatOutflow(nodeTemps []float64) float64 {
 }
 
 // Transient is an implicit-Euler integrator over the network with a fixed
-// time step. The dense step matrix (C/Δt + G) is factored once per model
-// and Δt and shared by every Transient with that step.
+// time step, (C/Δt + G)·T⁺ = C/Δt·T + P + G_amb·T_amb. It keeps its state
+// in modal coordinates and steps every mode independently; only the die
+// layer returns to node temperatures each step, because DTM and the
+// leakage feedback read it. A Transient owns all of its buffers and is
+// not safe for concurrent use.
 type Transient struct {
-	m     *Model
-	dt    float64
-	lu    *numeric.LU       // dense backend
-	cg    *numeric.CGSolver // sparse backend
-	state []float64         // node temperatures
-	rhs   []float64
+	m  *Model
+	dt float64
+	// ops[k] advances mode k by one step.
+	ops   []modeStep
+	field modalField
+	die   []float64 // die-node temperatures in K, refreshed every step
+	nodes []float64 // State's buffer
+}
+
+// modeStep is one mode's implicit-Euler update θ̂⁺ = b·θ̂ + p·P̂, with
+// A = M₃ + C/Δt + Λ_k, b = A⁻¹·C/Δt and p = A⁻¹·e_die.
+type modeStep struct {
+	b [numLayers][numLayers]float64
+	p [numLayers]float64
 }
 
 // NewTransient creates an integrator with time step dt seconds, starting
-// from a uniform ambient-temperature state.
+// from a uniform ambient-temperature state. Its per-mode operators take
+// O(Rows·Cols) to build.
 func (m *Model) NewTransient(dt float64) (*Transient, error) {
 	if !(dt > 0) || math.IsInf(dt, 1) {
 		return nil, fmt.Errorf("thermal: time step must be positive and finite, got %v", dt)
 	}
-	tr := &Transient{
-		m: m, dt: dt,
-		state: make([]float64, m.nNodes),
-		rhs:   make([]float64, m.nNodes),
+	var x [numLayers]float64
+	for l := range x {
+		x[l] = m.stack.capac[l] / dt
 	}
-	if m.nNodes <= DenseNodeThreshold {
-		lu, err := m.stepLU(dt)
-		if err != nil {
-			return nil, err
+	ops := make([]modeStep, m.nCores)
+	for k := range ops {
+		inv := m.stack.modeInverse(x, m.basis.lambda(&m.stack, k))
+		for i := range inv {
+			for j := range inv[i] {
+				ops[k].b[i][j] = inv[i][j] * x[j]
+			}
+			ops[k].p[i] = inv[i][layerDie]
 		}
-		tr.lu = lu
-	} else {
-		// The CG solver carries warm-start state, so each Transient
-		// keeps its own.
-		cg, err := numeric.NewCGSolver(m.stepMatrix(dt).ToCSR(), 1e-10, 20*m.nNodes)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: sparse step solver: %w", err)
-		}
-		tr.cg = cg
 	}
-	numeric.Fill(tr.state, m.cfg.Ambient)
-	return tr, nil
-}
-
-// stepMatrix assembles the implicit-Euler step matrix C/Δt + G.
-func (m *Model) stepMatrix(dt float64) *numeric.Triplets {
-	step := numeric.NewTriplets(m.nNodes)
-	for _, e := range m.tri.Entries() {
-		step.Add(e.I, e.J, e.V)
-	}
-	for i := 0; i < m.nNodes; i++ {
-		step.Add(i, i, m.capac[i]/dt)
-	}
-	return step
-}
-
-// stepLU returns the dense factorisation of the step matrix for dt,
-// factoring it on first use. LU solves only read the factors, so one
-// factorisation serves every Transient with this step, concurrently too.
-// An engine uses one Δt, so the map stays tiny.
-func (m *Model) stepLU(dt float64) (*numeric.LU, error) {
-	m.stepMu.Lock()
-	if m.stepLUs == nil {
-		m.stepLUs = make(map[float64]*once[*numeric.LU])
-	}
-	e, ok := m.stepLUs[dt]
-	if !ok {
-		e = &once[*numeric.LU]{}
-		m.stepLUs[dt] = e
-	}
-	m.stepMu.Unlock()
-	return e.get(func() (*numeric.LU, error) {
-		lu, err := numeric.FactorLU(m.stepMatrix(dt).ToDense())
-		if err != nil {
-			return nil, fmt.Errorf("thermal: step matrix singular: %w", err)
-		}
-		return lu, nil
-	})
+	return &Transient{
+		m: m, dt: dt, ops: ops,
+		field: newModalField(m.nCores),
+		die:   numeric.Fill(make([]float64, m.nCores), m.cfg.Ambient),
+		nodes: make([]float64, m.nNodes),
+	}, nil
 }
 
 // Dt returns the integrator's time step in seconds.
 func (tr *Transient) Dt() float64 { return tr.dt }
 
-// SetState overwrites the full node state (length NumNodes), e.g. with a
-// steady-state solution to skip the warm-up transient.
+// SetState overwrites the full node state (length NumNodes).
 func (tr *Transient) SetState(nodeTemps []float64) {
-	if len(nodeTemps) != tr.m.nNodes {
+	m := tr.m
+	if len(nodeTemps) != m.nNodes {
 		panic("thermal: SetState length mismatch")
 	}
-	copy(tr.state, nodeTemps)
+	n, f := m.nCores, &tr.field
+	for l := 0; l < numLayers; l++ {
+		over := f.pHat // free between steps
+		for i := range over {
+			over[i] = nodeTemps[l*n+i] - m.cfg.Ambient
+		}
+		m.basis.forward(f.layer(l), over, f.tmp)
+	}
+	copy(tr.die, nodeTemps[:n])
 }
 
-// State returns the current full node state (a view; copy before mutating).
-func (tr *Transient) State() []float64 { return tr.state }
+// SetSteadyState sets the state to the steady state of corePower, solved
+// in the integrator's own buffers; a window starts here so the
+// multi-second sink warm-up does not eat it. A NaN/Inf power vector or
+// result yields numeric.ErrNonFinite (wrapped), as in StepChecked.
+func (tr *Transient) SetSteadyState(corePower []float64) error {
+	m := tr.m
+	if len(corePower) != m.nCores {
+		panic("thermal: SetSteadyState power vector length mismatch")
+	}
+	if !numeric.AllFinite(corePower) {
+		return fmt.Errorf("thermal: steady-state solve: %w", numeric.ErrNonFinite)
+	}
+	m.steadyModes(&tr.field, corePower)
+	m.basis.inverse(tr.die, tr.field.layer(layerDie), tr.field.tmp, m.cfg.Ambient)
+	if !numeric.AllFinite(tr.die) {
+		return fmt.Errorf("thermal: steady-state solve: %w", numeric.ErrNonFinite)
+	}
+	return nil
+}
+
+// State returns the current full node state. It is converted from modal
+// coordinates on every call into a buffer the integrator owns: a view,
+// valid until the next State call; copy before mutating.
+func (tr *Transient) State() []float64 {
+	m, n := tr.m, tr.m.nCores
+	copy(tr.nodes, tr.die)
+	for l := layerSpreader; l < numLayers; l++ {
+		m.basis.inverse(tr.nodes[l*n:(l+1)*n], tr.field.layer(l), tr.field.tmp, m.cfg.Ambient)
+	}
+	return tr.nodes
+}
 
 // CoreTemps copies the current die temperatures into dst (length nCores,
 // allocated when nil) and returns it.
@@ -502,64 +438,49 @@ func (tr *Transient) CoreTemps(dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, tr.m.nCores)
 	}
-	copy(dst, tr.state[:tr.m.nCores])
+	copy(dst, tr.die)
 	return dst
 }
 
 // Step advances one time step with the given per-core power vector
-// (constant across the step): (C/Δt + G)·T⁺ = C/Δt·T + P + G_amb·T_amb.
+// (constant across the step).
 func (tr *Transient) Step(corePower []float64) {
-	m := tr.m
-	if len(corePower) != m.nCores {
+	if len(corePower) != tr.m.nCores {
 		panic("thermal: Step power vector length mismatch")
 	}
-	for i := range tr.rhs {
-		tr.rhs[i] = m.capac[i]/tr.dt*tr.state[i] + m.gAmb[i]*m.cfg.Ambient
-	}
-	for c, p := range corePower {
-		tr.rhs[m.dieNode(c)] += p
-	}
-	if tr.lu != nil {
-		//lint:ignore checked-solve deliberate unchecked fast path; guarded callers use StepChecked
-		tr.lu.Solve(tr.state, tr.rhs)
-		return
-	}
-	//lint:ignore checked-solve deliberate unchecked fast path; guarded callers use StepChecked
-	if _, ok := tr.cg.Solve(tr.state, tr.rhs); !ok {
-		panic("thermal: CG did not converge on the transient step")
-	}
+	tr.step(corePower)
 }
 
-// StepChecked is Step returning an error when the step produces (or was
-// fed) non-finite temperatures, so a poisoned power vector aborts the
+// StepChecked is Step returning an error when the step was fed (or
+// produces) non-finite temperatures, so a poisoned power vector aborts the
 // window instead of aging the chip with NaN temperatures. On error the
 // integrator state is unreliable and the run should be abandoned.
 func (tr *Transient) StepChecked(corePower []float64) error {
-	m := tr.m
-	if len(corePower) != m.nCores {
+	if len(corePower) != tr.m.nCores {
 		panic("thermal: Step power vector length mismatch")
 	}
-	for i := range tr.rhs {
-		tr.rhs[i] = m.capac[i]/tr.dt*tr.state[i] + m.gAmb[i]*m.cfg.Ambient
-	}
-	for c, p := range corePower {
-		tr.rhs[m.dieNode(c)] += p
-	}
-	if tr.lu != nil {
-		if err := tr.lu.SolveChecked(tr.state, tr.rhs); err != nil {
-			return fmt.Errorf("thermal: transient step: %w", err)
-		}
-		return nil
-	}
-	if !numeric.AllFinite(tr.rhs) {
+	if !numeric.AllFinite(corePower) {
 		return fmt.Errorf("thermal: transient step: %w", numeric.ErrNonFinite)
 	}
-	//lint:ignore checked-solve CG has no Checked variant; rhs and state are AllFinite-guarded on both sides of this call
-	if _, ok := tr.cg.Solve(tr.state, tr.rhs); !ok {
-		return fmt.Errorf("thermal: CG did not converge on the transient step")
-	}
-	if !numeric.AllFinite(tr.state) {
+	tr.step(corePower)
+	if !numeric.AllFinite(tr.die) {
 		return fmt.Errorf("thermal: transient step: %w", numeric.ErrNonFinite)
 	}
 	return nil
+}
+
+// step transforms the power into modes, advances every mode and returns
+// the die layer to node temperatures.
+func (tr *Transient) step(corePower []float64) {
+	m, f := tr.m, &tr.field
+	m.basis.forward(f.pHat, corePower, f.tmp)
+	die, spr, sink := f.layer(layerDie), f.layer(layerSpreader), f.layer(layerSink)
+	for k := range tr.ops {
+		o := &tr.ops[k]
+		d, s, h, p := die[k], spr[k], sink[k], f.pHat[k]
+		die[k] = o.b[0][0]*d + o.b[0][1]*s + o.b[0][2]*h + o.p[0]*p
+		spr[k] = o.b[1][0]*d + o.b[1][1]*s + o.b[1][2]*h + o.p[1]*p
+		sink[k] = o.b[2][0]*d + o.b[2][1]*s + o.b[2][2]*h + o.p[2]*p
+	}
+	m.basis.inverse(tr.die, die, f.tmp, m.cfg.Ambient)
 }

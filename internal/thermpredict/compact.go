@@ -140,7 +140,7 @@ func (p *CompactPredictor) superpose(dst, total []float64) {
 // radial approximation.
 func (p *CompactPredictor) AccuracyVs(exact *Predictor, pdyn []float64, on []bool) float64 {
 	a := p.Predict(nil, pdyn, on)
-	b := exact.Predict(nil, pdyn, on)
+	b := exact.Predict(nil, nil, pdyn, on)
 	// Seed from the first difference, not a 0.0 sentinel (the PR10
 	// zero-sentinel bug class); correct regardless of the diffs' signs.
 	max := math.Abs(a[0] - b[0])

@@ -23,7 +23,6 @@ package thermpredict
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/kit-ces/hayat/internal/numeric"
 	"github.com/kit-ces/hayat/internal/power"
@@ -42,12 +41,6 @@ type Predictor struct {
 	// to the thermal model (DieResponse) and is shared read-only by every
 	// predictor on that model.
 	resp *numeric.Matrix
-
-	// totalPool recycles the per-call total-power scratch of Predict. A
-	// sync.Pool (not a plain field) because one predictor is shared by
-	// every engine of the same chip (policy comparison runs both policies
-	// concurrently) and Predict must stay safe for concurrent use.
-	totalPool sync.Pool
 
 	// LeakageIterations is the number of fixed-point sweeps applied for
 	// the temperature-dependent leakage correction (default 2).
@@ -73,9 +66,7 @@ func Learn(tm *thermal.Model, pm power.Model, chip *variation.Chip) (*Predictor,
 	if err != nil {
 		return nil, fmt.Errorf("thermpredict: %w", err)
 	}
-	p := &Predictor{tm: tm, pm: pm, chip: chip, resp: resp, LeakageIterations: 3}
-	p.totalPool.New = func() any { b := make([]float64, n); return &b }
-	return p, nil
+	return &Predictor{tm: tm, pm: pm, chip: chip, resp: resp, LeakageIterations: 3}, nil
 }
 
 // ResponseAt returns the learned rise (K/W) of core i per Watt at core j.
@@ -87,8 +78,10 @@ func (p *Predictor) Ambient() float64 { return p.tm.Ambient() }
 // Predict computes the chip thermal profile for a per-core dynamic-power
 // vector pdyn (Watts; zero for idle/dark cores) and the power-state map
 // `on`, including the leakage correction. The result is written into dst
-// (allocated when nil) and returned.
-func (p *Predictor) Predict(dst, pdyn []float64, on []bool) []float64 {
+// (allocated when nil) and returned. total is the caller's per-core
+// total-power scratch (allocated when nil): one predictor serves every
+// engine of a chip, concurrently, so the scratch belongs to the caller.
+func (p *Predictor) Predict(dst, total, pdyn []float64, on []bool) []float64 {
 	n := p.resp.Rows
 	if len(pdyn) != n || len(on) != n {
 		panic("thermpredict: Predict length mismatch")
@@ -96,11 +89,12 @@ func (p *Predictor) Predict(dst, pdyn []float64, on []bool) []float64 {
 	if dst == nil {
 		dst = make([]float64, n)
 	}
+	if total == nil {
+		total = make([]float64, n)
+	}
+	total = total[:n]
 	amb := p.tm.Ambient()
 	// Initial guess: ambient-temperature leakage.
-	tb := p.totalPool.Get().(*[]float64)
-	defer p.totalPool.Put(tb)
-	total := *tb
 	for i := range total {
 		total[i] = pdyn[i] + p.pm.CoreLeakage(p.chip.LeakFactor[i], amb, on[i])
 	}

@@ -99,7 +99,7 @@ func TestPredictMatchesThermalModelWithLeakageLoop(t *testing.T) {
 			pdyn[i] = 1 + 4*rng.Float64()
 		}
 	}
-	pred := fx.pred.Predict(nil, pdyn, on)
+	pred := fx.pred.Predict(nil, nil, pdyn, on)
 
 	// Reference: iterate the exact thermal model with the same leakage
 	// law to a fixed point.
@@ -128,12 +128,12 @@ func TestPredictHotterWithMorePower(t *testing.T) {
 	for i := range on {
 		on[i] = true
 	}
-	low := fx.pred.Predict(nil, make([]float64, n), on)
+	low := fx.pred.Predict(nil, nil, make([]float64, n), on)
 	hi := make([]float64, n)
 	for i := range hi {
 		hi[i] = 5
 	}
-	high := fx.pred.Predict(nil, hi, on)
+	high := fx.pred.Predict(nil, nil, hi, on)
 	for i := range low {
 		if high[i] <= low[i] {
 			t.Fatalf("core %d not hotter under load: %v vs %v", i, high[i], low[i])
@@ -150,7 +150,7 @@ func TestDeltaPredictConsistentWithFullPredict(t *testing.T) {
 		on[i] = true
 		pdyn[i] = 3
 	}
-	base := fx.pred.Predict(nil, pdyn, on)
+	base := fx.pred.Predict(nil, nil, pdyn, on)
 	// Wake dark core 27 with a 4 W thread via the delta path, accounting
 	// for the gated→on leakage change at the base temperature...
 	cand := 27
@@ -161,7 +161,7 @@ func TestDeltaPredictConsistentWithFullPredict(t *testing.T) {
 	pdyn2[cand] += 4
 	on2 := append([]bool(nil), on...)
 	on2[cand] = true
-	full := fx.pred.Predict(nil, pdyn2, on2)
+	full := fx.pred.Predict(nil, nil, pdyn2, on2)
 	for i := range delta {
 		// The delta path skips the leakage re-correction sweep, so it
 		// underestimates by the secondary leakage amplification — bounded
@@ -233,12 +233,12 @@ func TestPredictLeakageCorrectionMatters(t *testing.T) {
 		pdyn[i] = 5
 		on[i] = true
 	}
-	corrected := fx.pred.Predict(nil, pdyn, on)
+	corrected := fx.pred.Predict(nil, nil, pdyn, on)
 	// Toggle the iteration count in place: Predictor now embeds a
 	// sync.Pool, so the value must not be copied.
 	saved := fx.pred.LeakageIterations
 	fx.pred.LeakageIterations = 0
-	uncorrected := fx.pred.Predict(nil, pdyn, on)
+	uncorrected := fx.pred.Predict(nil, nil, pdyn, on)
 	fx.pred.LeakageIterations = saved
 	// The correction must raise temperatures (leakage grows with T).
 	hotter := 0
