@@ -56,6 +56,7 @@ fuzz-smoke:
 		$(GO) test "$$1" -run='^$$' -fuzz="^$$2\$$" -fuzztime=$(FUZZTIME); \
 	}; \
 	fuzz .                    FuzzParsePolicy; \
+	fuzz .                    FuzzRunLifetime; \
 	fuzz ./internal/persist   FuzzDecodeFrame; \
 	fuzz ./internal/persist   FuzzDecodeFrameLine; \
 	fuzz ./internal/persist   FuzzLoadChip; \
@@ -97,20 +98,16 @@ drill-replication:
 # a fast smoke run (CI); raise it (e.g. 2s) for a stable local baseline.
 # BENCH_OUT restarts the committed trajectory at the current PR;
 # BENCH_BASELINE feeds the previous PR's document to benchjson so the new
-# file carries speedups_vs_baseline. BENCH_GOMAXPROCS≥2 is forced so the
-# workers=N sub-benchmarks measure real parallel dispatch even on
-# single-core CI runners (determinism is worker-count independent; only
-# the wall clock moves).
+# file carries speedups_vs_baseline.
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_PR10.json
 BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_GOMAXPROCS ?= 2
 bench:
-	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test ./internal/sim -run '^$$' \
+	{ $(GO) test ./internal/sim -run '^$$' \
 		-bench 'BenchmarkSingleChipEpoch' -benchmem -benchtime $(BENCHTIME); \
-	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test ./internal/thermal -run '^$$' \
+	  $(GO) test ./internal/thermal -run '^$$' \
 		-bench 'BenchmarkGridSteadyState' -benchmem -benchtime $(BENCHTIME); } \
-		| GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) > $(BENCH_OUT)
+		| $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) > $(BENCH_OUT)
 	@cat $(BENCH_OUT)
 
 # Batch-vs-single submit throughput → committed JSON baseline. A fixed

@@ -8,12 +8,9 @@
 //	go test ./... -bench . | go run ./cmd/benchjson -baseline BENCH_PR9.json > BENCH_PR10.json
 //
 // The document records the environment (go version, GOMAXPROCS, the cpu
-// line go test prints), every benchmark result, and — for benchmark
-// families with workers=N sub-benchmarks — the speedup of each worker
-// count relative to that family's workers=1 run. On a single-core
-// machine the speedups hover around 1.0; that is the honest baseline,
-// not a failure. Families with backend= sub-benchmarks additionally get
-// their speedup over the backend=dense member, and -baseline FILE emits
+// line go test prints) and every benchmark result. Families with mode=
+// or backend= sub-benchmarks additionally get their speedup over the
+// mode=single or backend=dense member, and -baseline FILE emits
 // per-benchmark speedups against a previously committed document.
 package main
 
@@ -47,11 +44,6 @@ type Document struct {
 	CPU        string   `json:"cpu,omitempty"`
 	Package    string   `json:"package,omitempty"`
 	Results    []Result `json:"results"`
-	// Speedups maps "family/workers=N" → ns/op(workers=1) / ns/op(workers=N)
-	// within the same benchmark family. Values near 1.0 on single-core
-	// hosts are expected; the determinism suite guarantees the outputs
-	// are identical regardless.
-	Speedups map[string]float64 `json:"speedups_vs_workers1,omitempty"`
 	// ModeSpeedups maps "family/mode=X" → ns/op(mode=single) / ns/op(mode=X)
 	// for benchmark families with mode= sub-benchmarks (e.g. the batch-vs-
 	// single submit throughput comparison).
@@ -68,7 +60,7 @@ type Document struct {
 }
 
 // benchLine matches e.g.
-// "BenchmarkSingleChipEpoch/workers=2-8   97   12034567 ns/op   1234 B/op   56 allocs/op"
+// "BenchmarkSingleChipEpoch-8   97   12034567 ns/op   1234 B/op   56 allocs/op"
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
@@ -119,7 +111,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	doc.Speedups = speedups(doc.Results)
 	doc.ModeSpeedups = familySpeedups(doc.Results, "/mode=", "mode=single")
 	doc.BackendSpeedups = familySpeedups(doc.Results, "/backend=", "backend=dense")
 	if *baselinePath != "" {
@@ -140,34 +131,9 @@ func main() {
 	}
 }
 
-// speedups computes, for every "Family/workers=N" benchmark, the ratio of
-// its family's workers=1 time to its own.
-func speedups(results []Result) map[string]float64 {
-	base := make(map[string]float64) // family → workers=1 ns/op
-	for _, r := range results {
-		if fam, ok := splitWorkers(r.Name); ok && strings.HasSuffix(r.Name, "workers=1") {
-			base[fam] = r.NsPerOp
-		}
-	}
-	out := make(map[string]float64)
-	for _, r := range results {
-		fam, ok := splitWorkers(r.Name)
-		if !ok || strings.HasSuffix(r.Name, "workers=1") {
-			continue
-		}
-		if b, ok := base[fam]; ok && r.NsPerOp > 0 {
-			out[r.Name] = round3(b / r.NsPerOp)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// familySpeedups generalises speedups: for every benchmark whose name
-// contains sep (e.g. "/mode="), the ratio of its family's base
-// sub-benchmark (e.g. "mode=single") to its own ns/op.
+// familySpeedups computes, for every benchmark whose name contains sep
+// (e.g. "/mode="), the ratio of its family's base sub-benchmark (e.g.
+// "mode=single") to its own ns/op.
 func familySpeedups(results []Result, sep, base string) map[string]float64 {
 	bases := make(map[string]float64) // family → base ns/op
 	for _, r := range results {
@@ -194,15 +160,6 @@ func familySpeedups(results []Result, sep, base string) map[string]float64 {
 // splitOn returns the family name before the last occurrence of sep.
 func splitOn(name, sep string) (string, bool) {
 	i := strings.LastIndex(name, sep)
-	if i < 0 {
-		return "", false
-	}
-	return name[:i], true
-}
-
-// splitWorkers returns the family name of a "Family/workers=N" benchmark.
-func splitWorkers(name string) (string, bool) {
-	i := strings.LastIndex(name, "/workers=")
 	if i < 0 {
 		return "", false
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	hayatd [-addr :8080] [-workers N] [-sim-workers N] [-queue N]
+//	hayatd [-addr :8080] [-workers N] [-queue N]
 //	       [-data DIR] [-drain 30s] [-journal FILE] [-checkpoints DIR]
 //	       [-checkpoint-every N] [-failpoints SPECS] [-max-client-rps R]
 //	       [-default-deadline D] [-shed-start F] [-pprof-addr ADDR]
@@ -44,9 +44,8 @@
 // injection for crash drills, e.g.
 // "service.cache-read=prob(0.1),sim.thermal-solve=fail(3)".
 //
-// -sim-workers bounds the intra-epoch parallelism of each simulation
-// (0 = GOMAXPROCS, 1 = serial); results are bit-identical either way.
-// -pprof-addr serves net/http/pprof on a separate listener (keep it
+// Each simulation runs on one goroutine; -workers bounds how many run at
+// once. -pprof-addr serves net/http/pprof on a separate listener (keep it
 // private — bind to localhost).
 //
 // On SIGINT/SIGTERM the daemon stops accepting work, drains in-flight
@@ -76,7 +75,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
-		simWorkers = flag.Int("sim-workers", 1, "per-simulation intra-epoch parallelism (0: GOMAXPROCS, 1: serial)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty: disabled; keep it private)")
 		queue      = flag.Int("queue", 64, "bounded job-queue depth")
 		data       = flag.String("data", "", "directory for persisted results (empty: memory only)")
@@ -119,7 +117,6 @@ func main() {
 
 	srv, err := service.New(service.Options{
 		Workers:             *workers,
-		SimWorkers:          *simWorkers,
 		QueueDepth:          *queue,
 		DataDir:             *data,
 		JournalPath:         *journal,

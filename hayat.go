@@ -43,6 +43,7 @@ import (
 	"github.com/kit-ces/hayat/internal/thermal"
 	"github.com/kit-ces/hayat/internal/thermpredict"
 	"github.com/kit-ces/hayat/internal/variation"
+	"github.com/kit-ces/hayat/internal/workload"
 )
 
 // EngineVersion names the numerics behind every Result (sim.EngineVersion).
@@ -127,14 +128,6 @@ type Config struct {
 	// MigrationStallSeconds is the throughput cost of one DTM migration
 	// (0 disables the cost model; the default models a cache refill).
 	MigrationStallSeconds float64
-	// Workers bounds the intra-epoch parallelism of one simulation: 0
-	// uses GOMAXPROCS, 1 forces the serial path. It is an execution
-	// property, not a simulation parameter — results are bit-identical
-	// for every value — so it is excluded from serialisation and from
-	// result-cache keys (and cannot be set through the hayatd API; see
-	// the server's -sim-workers flag).
-	//lint:ignore key-completeness execution property: results are bit-identical for every worker count (determinism suite), so the key must not split on it
-	Workers int `json:"-"`
 }
 
 // DefaultConfig returns the paper's experimental setup: 8×8 cores, 50 %
@@ -198,7 +191,6 @@ func (c Config) simConfig() sim.Config {
 	sc.TurboMarginK = c.TurboMarginK
 	sc.SensorNoiseSigma = c.SensorNoiseSigma
 	sc.MigrationStallSeconds = c.MigrationStallSeconds
-	sc.Workers = c.Workers
 	if len(c.FreqLadderGHz) > 0 {
 		levels := make(dvfs.Levels, len(c.FreqLadderGHz))
 		for i, g := range c.FreqLadderGHz {
@@ -221,7 +213,16 @@ func (c Config) Validate() error {
 	if _, err := c.agingModel(0); err != nil {
 		return err
 	}
-	return c.simConfig().Validate()
+	if err := c.simConfig().Validate(); err != nil {
+		return err
+	}
+	// A mix draws whole applications, so a budget below the smallest
+	// application's thread count could never run an epoch.
+	if on, need := sim.MaxOnCores(c.Rows*c.Cols, c.DarkFraction), workload.FewestThreads(workload.PaperSet()); on < need {
+		return fmt.Errorf("hayat: %d×%d cores at dark fraction %v power %d, fewer than the smallest application's %d threads",
+			c.Rows, c.Cols, c.DarkFraction, on, need)
+	}
+	return nil
 }
 
 // System is the simulated platform: floorplan, thermal stack, power model

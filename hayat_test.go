@@ -31,6 +31,9 @@ func TestNewSystemValidation(t *testing.T) {
 		func(c *Config) { c.Years = 0 },
 		func(c *Config) { c.DutyMode = "sometimes" },
 		func(c *Config) { c.TSafe = -5 },
+		// Budgets below the smallest application's two threads.
+		func(c *Config) { c.Rows, c.Cols = 1, 1 },
+		func(c *Config) { c.Rows, c.Cols, c.DarkFraction = 2, 2, 0.75 },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()

@@ -113,7 +113,7 @@ func sameResult(got, want policy.Result) string {
 
 // TestPlaceMatchesReference checks that the pruned candidate loop picks
 // exactly what the eager reference (referencePlace) picks, for full
-// remaps and incremental placements at several worker counts.
+// remaps and incremental placements.
 func TestPlaceMatchesReference(t *testing.T) {
 	cases := 40
 	if testing.Short() {
@@ -139,23 +139,20 @@ func TestPlaceMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				ctx := *c.ctx
-				ctx.Workers = workers
-				got, err := h.Map(&ctx, c.threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := sameResult(got, want); d != "" {
-					t.Fatalf("chip %d case %d (%s) workers=%d Map: %s", seed, k, c.desc, workers, d)
-				}
-				gotInc, err := h.MapIncremental(&ctx, want.Assignment, c.arrivals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := sameResult(gotInc, wantInc); d != "" {
-					t.Fatalf("chip %d case %d (%s) workers=%d MapIncremental: %s", seed, k, c.desc, workers, d)
-				}
+			ctx := *c.ctx
+			got, err := h.Map(&ctx, c.threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sameResult(got, want); d != "" {
+				t.Fatalf("chip %d case %d (%s) Map: %s", seed, k, c.desc, d)
+			}
+			gotInc, err := h.MapIncremental(&ctx, want.Assignment, c.arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sameResult(gotInc, wantInc); d != "" {
+				t.Fatalf("chip %d case %d (%s) MapIncremental: %s", seed, k, c.desc, d)
 			}
 		}
 	}

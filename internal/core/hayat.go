@@ -27,16 +27,9 @@ import (
 	"sort"
 
 	"github.com/kit-ces/hayat/internal/mapping"
-	"github.com/kit-ces/hayat/internal/parallel"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/workload"
 )
-
-// candGrain chunks the per-thread candidate evaluation across the pool
-// (see internal/parallel for the determinism contract: boundaries depend
-// only on (n, grain)); each candidate costs O(n) predictor work, so small
-// chunks still amortise dispatch.
-const candGrain = 4
 
 // Config holds the Hayat tuning constants (Section V).
 type Config struct {
@@ -258,13 +251,11 @@ func (s *demandSorter) Less(i, j int) bool { return s.ts[i].MinFreq() > s.ts[j].
 
 // placeScratch is place's reusable working set, carried across epochs in
 // policy.Context.Scratch so the steady-state mapping decision allocates
-// nothing. It is keyed by (core count, worker count); any mismatch —
-// first call, resized chip, changed Workers — rebuilds it. Scratch never
-// influences a decision: every buffer is fully reinitialised per call.
+// nothing. It is keyed by core count; a mismatch — first call, resized
+// chip — rebuilds it. Scratch never influences a decision: every buffer
+// is fully reinitialised per call.
 type placeScratch struct {
-	n, workers int
-	pool       *parallel.Pool
-	serial     bool
+	n int
 
 	order demandSorter
 	cands []candidate
@@ -275,39 +266,26 @@ type placeScratch struct {
 	base  []float64
 	total []float64 // the predictor's total-power scratch
 	on    []bool
-	taken []bool
-	slots []candidate
-	tNext [][]float64 // per-worker predicted-temperature scratch
+	tNext []float64 // predicted-temperature scratch
 	unmap []*workload.Thread
 }
 
 // scratchFor returns the context's placeScratch, rebuilding it when the
-// shape (cores, workers) changed or the context carries none.
+// core count changed or the context carries none.
 func (h *Hayat) scratchFor(ctx *policy.Context, n int) *placeScratch {
-	pw := ctx.Workers
-	if pw < 1 {
-		pw = 1
-	}
-	if s, ok := ctx.Scratch.(*placeScratch); ok && s.n == n && s.workers == pw {
+	if s, ok := ctx.Scratch.(*placeScratch); ok && s.n == n {
 		return s
 	}
 	s := &placeScratch{
-		n: n, workers: pw,
-		pool:   parallel.New(pw),
-		serial: pw == 1,
-		cands:  make([]candidate, 0, n),
-		pdyn:   make([]float64, n),
-		duty:   make([]float64, n),
-		yEq:    make([]float64, n),
-		hNext:  make([]float64, n),
-		total:  make([]float64, n),
-		on:     make([]bool, n),
-		taken:  make([]bool, n),
-		slots:  make([]candidate, n),
-	}
-	s.tNext = make([][]float64, s.pool.Workers())
-	for i := range s.tNext {
-		s.tNext[i] = make([]float64, n)
+		n:     n,
+		cands: make([]candidate, 0, n),
+		pdyn:  make([]float64, n),
+		duty:  make([]float64, n),
+		yEq:   make([]float64, n),
+		hNext: make([]float64, n),
+		total: make([]float64, n),
+		on:    make([]bool, n),
+		tNext: make([]float64, n),
 	}
 	ctx.Scratch = s
 	return s
@@ -398,21 +376,64 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 
 	var result policy.Result
 	s.unmap = s.unmap[:0]
-	// Pass 1 — admission and the weight's table-free parts — is pure given
-	// the partial-mapping state (base, on, duty), so candidates chunk
-	// across the pool: each evaluation writes only its own slot, workers
-	// reuse per-slot tNext scratch, and the slots are compacted in
-	// ascending core order. Pass 2 (pickCandidate) is serial, so the pick
-	// is identical for any worker count.
-	slots, taken := s.slots, s.taken
-
+	tNext := s.tNext
 	// The per-thread inputs of the closures live outside the loop so each
 	// closure is built once per place call, not once per thread.
-	var reqF, dynP, tDuty float64
-	var numAssigned int
-	evalRange := func(slot, lo, hi int) {
-		tNext := s.tNext[slot]
-		for cand := lo; cand < hi; cand++ {
+	var dynP, tDuty float64
+	// weigh computes a candidate's exact weight. The candidate changes
+	// both temperature and duty, so its next health needs a fresh
+	// inversion at the new (T, d).
+	weigh := func(c *candidate) {
+		cc := ctx.AgingTable.Curve(c.tCand, tDuty)
+		c.hNext = cc.At(cc.EffectiveAge(c.hNow) + ctx.HorizonYears)
+		c.weight = h.weight(c, beta, c.hNext)
+	}
+	// tieHealth is estimateNextHealth's chip average for a tied candidate:
+	// it re-evaluates only thermally affected cores; the rest keep their
+	// baseline prediction.
+	tieHealth := func(c *candidate) float64 {
+		if !cacheFresh {
+			refreshAgingCache()
+			cacheFresh = true
+		}
+		cand := c.core
+		addPower := ctx.Predictor.CandidatePower(cand, dynP, base[cand])
+		ctx.Predictor.DeltaPredict(tNext, base, cand, addPower)
+		hSum := 0.0
+		for i := 0; i < n; i++ {
+			dT := tNext[i] - base[i]
+			if i == cand {
+				hSum += c.hNext
+				continue
+			}
+			if h.cfg.AffectedDeltaK > 0 && dT < h.cfg.AffectedDeltaK {
+				hSum += baselineHNext[i]
+				continue
+			}
+			hSum += h.lookupNext(ctx, tNext[i], duty[i], yEq[i])
+		}
+		return hSum / float64(n)
+	}
+
+	for _, t := range order {
+		if asg.NumAssigned() >= ctx.MaxOnCores {
+			s.unmap = append(s.unmap, t)
+			continue
+		}
+		reqF, feasible := ctx.RequiredFreq(t)
+		if !feasible {
+			s.unmap = append(s.unmap, t)
+			continue
+		}
+		dynP = ctx.ThreadDynPower(t)
+		tDuty = ctx.DutyMode.Duty(t)
+		numAssigned := asg.NumAssigned()
+
+		// Pass 1 — admission and the weight's table-free parts — appends
+		// the candidates in ascending core order; pass 2 (pickCandidate)
+		// adds the table inversions where they can still matter.
+		cands := s.cands[:0]
+		for cand := 0; cand < n; cand++ {
 			if on[cand] || ctx.FMax[cand] < reqF {
 				continue
 			}
@@ -468,80 +489,14 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				spread = h.cfg.SpreadWeight * float64(dist)
 			}
 
-			c := &slots[cand]
-			*c = candidate{
+			cands = append(cands, candidate{
 				core: cand, wFreq: wFreq, spread: spread, dfGHz: dfGHz,
 				incumbent: ctx.PrevOn != nil && ctx.PrevOn[cand],
 				hNow:      ctx.Health[cand].Factor,
 				tCand:     tNext[cand], tMaxNext: tMax,
-			}
+			})
+			c := &cands[len(cands)-1]
 			c.ub = h.weight(c, beta, hBound)
-			taken[cand] = true
-		}
-	}
-	// weigh computes a candidate's exact weight. The candidate changes
-	// both temperature and duty, so its next health needs a fresh
-	// inversion at the new (T, d).
-	weigh := func(c *candidate) {
-		cc := ctx.AgingTable.Curve(c.tCand, tDuty)
-		c.hNext = cc.At(cc.EffectiveAge(c.hNow) + ctx.HorizonYears)
-		c.weight = h.weight(c, beta, c.hNext)
-	}
-	// tieHealth is estimateNextHealth's chip average for a tied candidate:
-	// it re-evaluates only thermally affected cores; the rest keep their
-	// baseline prediction.
-	tieHealth := func(c *candidate) float64 {
-		if !cacheFresh {
-			refreshAgingCache()
-			cacheFresh = true
-		}
-		cand, tNext := c.core, s.tNext[0]
-		addPower := ctx.Predictor.CandidatePower(cand, dynP, base[cand])
-		ctx.Predictor.DeltaPredict(tNext, base, cand, addPower)
-		hSum := 0.0
-		for i := 0; i < n; i++ {
-			dT := tNext[i] - base[i]
-			if i == cand {
-				hSum += c.hNext
-				continue
-			}
-			if h.cfg.AffectedDeltaK > 0 && dT < h.cfg.AffectedDeltaK {
-				hSum += baselineHNext[i]
-				continue
-			}
-			hSum += h.lookupNext(ctx, tNext[i], duty[i], yEq[i])
-		}
-		return hSum / float64(n)
-	}
-
-	for _, t := range order {
-		if asg.NumAssigned() >= ctx.MaxOnCores {
-			s.unmap = append(s.unmap, t)
-			continue
-		}
-		var feasible bool
-		reqF, feasible = ctx.RequiredFreq(t)
-		if !feasible {
-			s.unmap = append(s.unmap, t)
-			continue
-		}
-		dynP = ctx.ThreadDynPower(t)
-		tDuty = ctx.DutyMode.Duty(t)
-		numAssigned = asg.NumAssigned()
-
-		for i := range taken {
-			taken[i] = false
-		}
-		if s.serial {
-			evalRange(0, 0, n)
-		} else {
-			s.pool.ForWorker(n, candGrain, evalRange)
-		}
-		cands := s.cands[:0]
-		for cand := 0; cand < n; cand++ {
-			if taken[cand] {
-				cands = append(cands, slots[cand])
-			}
 		}
 		s.cands = cands
 		if len(cands) == 0 {

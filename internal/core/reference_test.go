@@ -5,8 +5,10 @@ package core
 // inverted only candidates whose weight bound can still win. Only the
 // type and method names (and one comment) differ, so the copy can sit
 // next to the live code; the equivalence tests and FuzzPickCandidate
-// compare the live decisions against it. Do not edit it to follow later changes — it is
-// the reference the pruned loop must match bit for bit.
+// compare the live decisions against it. Since then it has lost only its
+// worker pool: the loops it chunked run serially, computing the same
+// values. Do not edit it to follow later changes — it is the reference
+// the pruned loop must match bit for bit.
 
 import (
 	"fmt"
@@ -14,13 +16,9 @@ import (
 	"sort"
 
 	"github.com/kit-ces/hayat/internal/mapping"
-	"github.com/kit-ces/hayat/internal/parallel"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/workload"
 )
-
-// Chunk grain of the reference's per-core aging-cache refresh.
-const cacheGrain = 8
 
 // refCandidate is one entry of the solution list S of Algorithm 1.
 type refCandidate struct {
@@ -49,13 +47,11 @@ func (s *refCandSorter) Less(a, b int) bool {
 
 // refScratch is place's reusable working set, carried across epochs in
 // policy.Context.Scratch so the steady-state mapping decision allocates
-// nothing. It is keyed by (core count, worker count); any mismatch —
-// first call, resized chip, changed Workers — rebuilds it. Scratch never
-// influences a decision: every buffer is fully reinitialised per call.
+// nothing. It is keyed by core count; a mismatch — first call, resized
+// chip — rebuilds it. Scratch never influences a decision: every buffer
+// is fully reinitialised per call.
 type refScratch struct {
-	n, workers int
-	pool       *parallel.Pool
-	serial     bool
+	n int
 
 	order demandSorter
 	cands refCandSorter
@@ -67,37 +63,28 @@ type refScratch struct {
 	on    []bool
 	taken []bool
 	slots []refCandidate
-	tNext [][]float64 // per-worker predicted-temperature scratch
+	tNext []float64 // predicted-temperature scratch
 	unmap []*workload.Thread
 }
 
 // refScratchFor returns the context's refScratch, rebuilding it when the
-// shape (cores, workers) changed or the context carries none.
+// core count changed or the context carries none.
 func (h *Hayat) refScratchFor(ctx *policy.Context, n int) *refScratch {
-	pw := ctx.Workers
-	if pw < 1 {
-		pw = 1
-	}
-	if s, ok := ctx.Scratch.(*refScratch); ok && s.n == n && s.workers == pw {
+	if s, ok := ctx.Scratch.(*refScratch); ok && s.n == n {
 		return s
 	}
 	s := &refScratch{
-		n: n, workers: pw,
-		pool:   parallel.New(pw),
-		serial: pw == 1,
-		pdyn:   make([]float64, n),
-		duty:   make([]float64, n),
-		yEq:    make([]float64, n),
-		hNext:  make([]float64, n),
-		on:     make([]bool, n),
-		taken:  make([]bool, n),
-		slots:  make([]refCandidate, n),
+		n:     n,
+		pdyn:  make([]float64, n),
+		duty:  make([]float64, n),
+		yEq:   make([]float64, n),
+		hNext: make([]float64, n),
+		on:    make([]bool, n),
+		taken: make([]bool, n),
+		slots: make([]refCandidate, n),
+		tNext: make([]float64, n),
 	}
 	s.cands.cs = make([]refCandidate, 0, n)
-	s.tNext = make([][]float64, s.pool.Workers())
-	for i := range s.tNext {
-		s.tNext[i] = make([]float64, n)
-	}
 	ctx.Scratch = s
 	return s
 }
@@ -154,36 +141,21 @@ func (h *Hayat) referencePlace(ctx *policy.Context, existing *mapping.Assignment
 
 	// Cache the per-core effective age at the base temperature once per
 	// Map call; candidate evaluation then needs only forward lookups.
-	// Entries are independent (disjoint index writes over an immutable
-	// table), so the refresh chunks across the pool; the serial path runs
-	// inline to keep the epoch kernel allocation-free.
-	pool := s.pool
 	yEq, baselineHNext := s.yEq, s.hNext
-	refreshRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	refreshAgingCache := func() {
+		for i := 0; i < n; i++ {
 			// The inversion and the forward read share one (T, d) point.
 			c := ctx.AgingTable.Curve(base[i], duty[i])
 			yEq[i] = c.EffectiveAge(ctx.Health[i].Factor)
 			baselineHNext[i] = c.At(yEq[i] + ctx.HorizonYears)
 		}
 	}
-	refreshAgingCache := func() {
-		if s.serial {
-			refreshRange(0, n)
-			return
-		}
-		pool.For(n, cacheGrain, refreshRange)
-	}
 	refreshAgingCache()
 
 	var result policy.Result
 	s.unmap = s.unmap[:0]
-	// Candidate evaluation is pure given the partial-mapping state (base,
-	// on, duty, aging cache), so candidates chunk across the pool: each
-	// evaluation writes only its own slot, workers reuse per-slot tNext
-	// scratch, and the slots are compacted in ascending core order — the
-	// exact order the serial loop appends in, so the stable sort below
-	// sees an identical input sequence for any worker count.
+	// Each candidate evaluation writes only its own slot, and the slots
+	// are compacted in ascending core order.
 	slots, taken := s.slots, s.taken
 
 	// The per-thread inputs of the evaluation closure live outside the
@@ -191,8 +163,8 @@ func (h *Hayat) referencePlace(ctx *policy.Context, existing *mapping.Assignment
 	// call, not once per thread.
 	var reqF, dynP, tDuty float64
 	var numAssigned int
-	evalRange := func(slot, lo, hi int) {
-		tNext := s.tNext[slot]
+	evalRange := func(lo, hi int) {
+		tNext := s.tNext
 		for cand := lo; cand < hi; cand++ {
 			if on[cand] || ctx.FMax[cand] < reqF {
 				continue
@@ -298,11 +270,7 @@ func (h *Hayat) referencePlace(ctx *policy.Context, existing *mapping.Assignment
 		for i := range taken {
 			taken[i] = false
 		}
-		if s.serial {
-			evalRange(0, 0, n)
-		} else {
-			pool.ForWorker(n, candGrain, evalRange)
-		}
+		evalRange(0, n)
 		cands := s.cands.cs[:0]
 		for cand := 0; cand < n; cand++ {
 			if taken[cand] {

@@ -5,11 +5,9 @@ import (
 )
 
 // checkGoroutineHygiene forbids fire-and-forget goroutines in
-// internal/service and internal/parallel: a crash-safe server must be
-// able to drain (a goroutine nobody waits on outlives Shutdown and races
-// the journal), and a worker-pool primitive that leaks a goroutine past
-// its own return breaks the bit-identical-join contract every parallel
-// caller relies on. A `go` statement is considered tracked when either
+// internal/service: a crash-safe server must be able to drain (a
+// goroutine nobody waits on outlives Shutdown and races the journal). A
+// `go` statement is considered tracked when either
 //
 //   - a sync.WaitGroup.Add call precedes it in the same enclosing
 //     function (the spawned body carries the matching Done), or
@@ -19,7 +17,7 @@ import (
 // joined another way (e.g. via a result channel) carry a
 // //lint:ignore goroutine-hygiene with the justification.
 func checkGoroutineHygiene(p *Package, r *Reporter) {
-	if !p.PathContains("internal/service") && !p.PathContains("internal/parallel") {
+	if !p.PathContains("internal/service") {
 		return
 	}
 	forEachFunc(p, func(_ *ast.FuncDecl, body *ast.BlockStmt) {

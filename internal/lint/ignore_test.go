@@ -159,7 +159,7 @@ func TestWriteJSONGolden(t *testing.T) {
 		{
 			Pos:  token.Position{Filename: "/abs/hayat.go", Line: 130, Column: 2},
 			Rule: "key-completeness",
-			Msg:  `exported Config field Workers is excluded from the canonical cache key (json:"-")`,
+			Msg:  `exported Config field Debug is excluded from the canonical cache key (json:"-")`,
 		},
 	}
 	rel := func(name string) string { return strings.TrimPrefix(name, "/abs/") }
@@ -180,7 +180,7 @@ func TestWriteJSONGolden(t *testing.T) {
     "line": 130,
     "column": 2,
     "rule": "key-completeness",
-    "message": "exported Config field Workers is excluded from the canonical cache key (json:\"-\")"
+    "message": "exported Config field Debug is excluded from the canonical cache key (json:\"-\")"
   }
 ]
 `

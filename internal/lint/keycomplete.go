@@ -15,18 +15,17 @@ import (
 // 409 each other's "divergent" results.
 //
 // The rule flags every exported `json:"-"` field of those Config
-// structs. A deliberate exclusion (today only Workers, an execution
-// property proven bit-identical across worker counts) is allow-listed
-// with the standard suppression on the line above the field — the
-// reason is mandatory, so the justification lives next to the tag:
+// structs. A deliberate exclusion — a field results provably never read
+// — is allow-listed with the standard suppression on the line above the
+// field; the reason is mandatory, so the justification lives next to the
+// tag:
 //
-//	//lint:ignore key-completeness execution property, results bit-identical for every value
-//	Workers int `json:"-"`
+//	//lint:ignore key-completeness logging cadence only, results never read it
+//	LogEvery int `json:"-"`
 //
 // Known approximation: the rule checks the marshalling contract, not
-// configKey's implementation — if configKey ever stops hashing the
-// whole marshalled config, the service determinism suite (cache-key
-// invariance test) is the backstop.
+// configKey's implementation, so it holds only while configKey hashes
+// the whole marshalled config.
 func checkKeyCompleteness(pkgs []*Package, r *Reporter) {
 	for _, p := range pkgs {
 		if !moduleRootPackage(p) && !p.PathContains("internal/sim") {

@@ -7,7 +7,6 @@
 //	                   first; context.Background/TODO stay in main,
 //	                   tests and examples
 //	goroutine-hygiene  no fire-and-forget goroutines in internal/service
-//	                   or internal/parallel
 //	failpoint-coverage durable I/O in internal/service and
 //	                   internal/persist — and peer HTTP I/O in
 //	                   internal/cluster — runs under a faultinject
@@ -70,7 +69,7 @@ type Rule struct {
 func Rules() []Rule {
 	return []Rule{
 		{Name: "ctxfirst", Doc: "exported blocking functions take context.Context first; Background/TODO confined to main, tests, examples", Check: checkCtxFirst},
-		{Name: "goroutine-hygiene", Doc: "goroutines in internal/service and internal/parallel must be WaitGroup-tracked", Check: checkGoroutineHygiene},
+		{Name: "goroutine-hygiene", Doc: "goroutines in internal/service must be WaitGroup-tracked", Check: checkGoroutineHygiene},
 		{Name: "failpoint-coverage", Doc: "durable I/O in internal/service and internal/persist, and peer HTTP I/O in internal/cluster, must run under a faultinject failpoint", Check: checkFailpointCoverage},
 		{Name: "errwrap", Doc: "wrap embedded errors with %w and compare sentinels with errors.Is", Check: checkErrWrap},
 		{Name: "checked-solve", Doc: "raw Solve/SteadyState are reserved for internal/numeric; callers use the *Checked variants", Check: checkCheckedSolve},

@@ -232,10 +232,10 @@ func (r *Result) use() map[string]int { return r.scratch }
 type Config struct {
 	// Years enters the key like every untagged exported field: clean.
 	Years float64
-	// Workers is the allow-listed exclusion: the suppression directly
+	// LogEvery is the allow-listed exclusion: the suppression directly
 	// above the field carries the mandatory justification.
-	//lint:ignore key-completeness execution property, results are bit-identical for every worker count
-	Workers int `json:"-"`
+	//lint:ignore key-completeness logging cadence only, results never read it
+	LogEvery int `json:"-"`
 	// Debug is the violation: excluded from the key, no justification.
 	Debug bool `json:"-"` // want `exported Config field Debug is excluded from the canonical cache key`
 	// hidden is unexported and never marshalled: clean.

@@ -81,21 +81,16 @@ type Context struct {
 	// spreads NBTI stress onto fresh cores whose y^(1/6) aging is at its
 	// steepest, accelerating chip-average degradation.
 	PrevOn []bool
-	// Workers bounds the parallelism a policy may use internally (see
-	// internal/parallel): 0 or 1 means serial. Like the engine's
-	// Config.Workers it is an execution hint only — a policy's decision
-	// must be bit-identical for every value.
-	Workers int
 
 	// Scratch is policy-owned working memory carried across decisions on
 	// the same context-reusing caller (the sim engine reuses one Context
 	// value for a whole run). A policy may stash any reusable state here
-	// — per-worker arenas, sorters, cached pools — keyed by its own type
-	// assertion; a type mismatch (different policy, resized chip) simply
-	// means "allocate fresh". Scratch is an execution property like
-	// Workers: it must never change a decision, only its allocation
-	// count. The two fields below are exempt from the read-only rule
-	// above — they exist for the policy to write.
+	// — arenas, sorters — keyed by its own type assertion; a type
+	// mismatch (different policy, resized chip) simply means "allocate
+	// fresh". Scratch is an execution property: it must never change a
+	// decision, only its allocation count. The two fields below are
+	// exempt from the read-only rule above — they exist for the policy
+	// to write.
 	Scratch any
 
 	// ReuseAssignment optionally hands the policy an assignment the

@@ -87,9 +87,6 @@ func batchSubmissionFromItem(it BatchItem) (batchSubmission, error) {
 			return batchSubmission{}, fmt.Errorf("chip items are single-chip (got chips=%d)", it.Chips)
 		}
 	case KindPopulation:
-		if it.Chips <= 0 {
-			return batchSubmission{}, fmt.Errorf("population items need chips ≥ 1, got %d", it.Chips)
-		}
 		chips = it.Chips
 	default:
 		return batchSubmission{}, fmt.Errorf("unknown kind %q", it.Kind)
@@ -103,7 +100,7 @@ func batchSubmissionFromItem(it BatchItem) (batchSubmission, error) {
 		return batchSubmission{}, err
 	}
 	req := request{Kind: kind, Config: NormalizeConfig(cfg), Policy: pol.String(), Seed: it.Seed, Chips: chips}
-	if err := req.Config.Validate(); err != nil {
+	if err := validateRequest(req); err != nil {
 		return batchSubmission{}, err
 	}
 	return batchSubmission{

@@ -71,6 +71,35 @@ var (
 	ErrQueueFull  = errors.New("service: job queue is full")
 )
 
+// Request-size bounds, enforced by validateRequest on every path that
+// admits work. Building a System factors a dense spatial covariance over
+// 4·Rows·Cols grid points — memory grows with (Rows·Cols)² and time with
+// (Rows·Cols)³ — so one oversized grid would exhaust the server's memory
+// in code no context reaches. MaxCores admits grids up to 32×32.
+// MaxChips bounds a population's per-chip bookkeeping.
+const (
+	MaxCores = 1024
+	MaxChips = 10000
+)
+
+// validateRequest is the admission check every work-creating path runs
+// on a normalised request — single and population submits, batch items
+// and journal recovery — before any System is built.
+func validateRequest(req request) error {
+	if err := req.Config.Validate(); err != nil {
+		return err
+	}
+	// Validate guarantees Rows, Cols > 0, so the division form cannot
+	// overflow: Rows·Cols > MaxCores ⟺ Cols > ⌊MaxCores/Rows⌋.
+	if r, c := req.Config.Rows, req.Config.Cols; c > MaxCores/r {
+		return fmt.Errorf("service: a %d×%d grid exceeds the %d-core request limit", r, c, MaxCores)
+	}
+	if req.Kind == KindPopulation && (req.Chips < 1 || req.Chips > MaxChips) {
+		return fmt.Errorf("service: population size %d outside [1, %d]", req.Chips, MaxChips)
+	}
+	return nil
+}
+
 // request is the canonical description of one unit of work. Its JSON
 // encoding (deterministic struct field order, normalised config and
 // policy name) is hashed, with the engine version, into the
@@ -271,12 +300,6 @@ type Options struct {
 	// ClientWeights biases the weighted-round-robin dequeue; clients not
 	// listed get weight 1.
 	ClientWeights map[string]int
-	// SimWorkers bounds the intra-epoch parallelism of each simulation
-	// (hayat.Config.Workers): 0 uses GOMAXPROCS, 1 forces serial. It is
-	// a server execution property, applied after request keys are
-	// computed — results and cache keys are bit-identical for every
-	// value — and clients cannot influence it.
-	SimWorkers int
 	// BatchMaxItems is the batched-submit flush size: POST /v1/batch items
 	// coalesce until a flush holds this many (default 256), each flush
 	// costing one admission pass and one journal fsync.
@@ -538,6 +561,13 @@ func (s *Server) recover(pending []journalEntry) {
 			s.recordTerminal(opFailed, e.ID)
 			continue
 		}
+		if err := validateRequest(e.Req); err != nil {
+			// Journalled under older validation rules: an oversized
+			// request would exhaust memory again on every restart.
+			s.logf("service: dropping recovered %s: %v", e.ID, err)
+			s.recordTerminal(opFailed, e.ID)
+			continue
+		}
 		if e.Engine != hayat.EngineVersion {
 			// Journalled by another engine: its key names that engine's
 			// result. Run the request under this engine's key, keeping
@@ -663,9 +693,6 @@ func (s *Server) SubmitPopulation(cfg hayat.Config, baseSeed int64, chips int, p
 // Population jobs never degrade — a sampled analytic estimate is not a
 // population statistic — so DegradedOK is ignored.
 func (s *Server) SubmitPopulationWith(cfg hayat.Config, baseSeed int64, chips int, policy string, o SubmitOpts) (JobStatus, error) {
-	if chips <= 0 {
-		return JobStatus{}, fmt.Errorf("service: population size must be positive, got %d", chips)
-	}
 	return s.submit(request{Kind: KindPopulation, Config: cfg, Policy: policy, Seed: baseSeed, Chips: chips}, o)
 }
 
@@ -679,7 +706,7 @@ func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
 	}
 	req.Policy = pol.String() // canonical spelling for the cache key
 	req.Config = NormalizeConfig(req.Config)
-	if err := req.Config.Validate(); err != nil {
+	if err := validateRequest(req); err != nil {
 		return JobStatus{}, err
 	}
 	// The cache key deliberately excludes the admission metadata (client,
@@ -1508,10 +1535,10 @@ func atomicWrite(path string, data []byte) error {
 	return err
 }
 
-// system returns the (cached) System for a canonical config. The server's
-// SimWorkers setting and the epoch-stage metrics observer are applied
-// here, after the key is computed: both are execution properties that do
-// not influence results, so they must never differentiate cache entries.
+// system returns the (cached) System for a canonical config. The
+// epoch-stage metrics observer is applied here, after the key is
+// computed: it is an execution property that does not influence results,
+// so it must never differentiate cache entries.
 func (s *Server) system(cfg hayat.Config) (*hayat.System, error) {
 	key := configKey(cfg)
 	s.mu.Lock()
@@ -1522,7 +1549,6 @@ func (s *Server) system(cfg hayat.Config) (*hayat.System, error) {
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		cfg.Workers = s.opts.SimWorkers
 		e.sys, e.err = hayat.NewSystemWith(cfg, s.arts)
 		if e.err == nil {
 			e.sys.SetStageObserver(s.met.ObserveStage)

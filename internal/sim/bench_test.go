@@ -2,20 +2,19 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"github.com/kit-ces/hayat/internal/aging"
+	"github.com/kit-ces/hayat/internal/policy"
 )
 
 // benchConfig is one epoch of the default chip: Years = EpochYears so a
 // run executes exactly one mapping + thermal + aging cycle — the unit
 // the epoch-kernel optimisations target. RemixEpochs is zero so the
 // steady state replays one workload mix instead of re-generating it.
-func benchConfig(workers int) Config {
+func benchConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Years = cfg.EpochYears
-	cfg.Workers = workers
 	cfg.RemixEpochs = 0
 	return cfg
 }
@@ -65,53 +64,38 @@ func runSteadyEpoch(tb testing.TB, e *Engine, st *runState) {
 }
 
 // BenchmarkSingleChipEpoch measures the steady-state epoch kernel (Hayat
-// policy, default 8×8 floorplan) at several intra-epoch worker counts:
-// the run state is warmed once, and each iteration replays one epoch on
-// reused scratch arenas. The results must be bit-identical across
-// sub-benchmarks (see determinism_test.go); only the wall clock and
-// allocation counts may differ.
+// policy, default 8×8 floorplan): the run state is warmed once, and each
+// iteration replays one epoch on reused scratch arenas.
 func BenchmarkSingleChipEpoch(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := newEngine(b, benchConfig(workers), hayatPolicy(b), 1)
-			st := warmState(b, e)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resetEpochState(e, st)
-				runSteadyEpoch(b, e, st)
-			}
-		})
-	}
+	benchSteadyEpoch(b, hayatPolicy(b))
 }
 
 // BenchmarkSingleChipEpochVAA is the baseline policy's epoch, for
-// comparing policy overhead (VAA has no candidate search, so it gains
-// less from parallelism).
+// comparing policy overhead (VAA has no candidate search).
 func BenchmarkSingleChipEpochVAA(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := newEngine(b, benchConfig(workers), vaaPolicy(b), 1)
-			st := warmState(b, e)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resetEpochState(e, st)
-				runSteadyEpoch(b, e, st)
-			}
-		})
+	benchSteadyEpoch(b, vaaPolicy(b))
+}
+
+func benchSteadyEpoch(b *testing.B, pol policy.Policy) {
+	e := newEngine(b, benchConfig(), pol, 1)
+	st := warmState(b, e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resetEpochState(e, st)
+		runSteadyEpoch(b, e, st)
 	}
 }
 
 // TestEpochKernelSteadyStateAllocs pins the PR10 allocation contract: a
-// steady-state epoch at Workers=1 performs (almost) no heap allocations —
+// steady-state epoch performs (almost) no heap allocations —
 // every per-epoch buffer lives in the runState/policy scratch arenas.
 // The budget of 10 leaves headroom for incidental small allocations
 // (e.g. a DTM action slice on a thermal event) without letting a
 // per-core or per-step regression slip through (the pre-PR10 kernel
 // allocated ~985 times per epoch).
 func TestEpochKernelSteadyStateAllocs(t *testing.T) {
-	e := newEngine(t, benchConfig(1), hayatPolicy(t), 1)
+	e := newEngine(t, benchConfig(), hayatPolicy(t), 1)
 	st := warmState(t, e)
 	avg := testing.AllocsPerRun(10, func() {
 		resetEpochState(e, st)

@@ -24,7 +24,6 @@ import (
 	"github.com/kit-ces/hayat/internal/dvfs"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/mapping"
-	"github.com/kit-ces/hayat/internal/parallel"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/power"
 	"github.com/kit-ces/hayat/internal/thermal"
@@ -113,13 +112,6 @@ type Config struct {
 	// the threads that were placed; it grows back (one thread per epoch,
 	// up to the profile's bounds) while everything fits.
 	Malleable bool
-	// Workers bounds the intra-epoch parallelism of one engine: 0 uses
-	// GOMAXPROCS, 1 runs fully serial. It is an execution property, not a
-	// simulation parameter — results are bit-identical for every value
-	// (see internal/parallel) — so it is excluded from serialisation and
-	// from every cache/identity key.
-	//lint:ignore key-completeness execution property: results are bit-identical for every worker count (determinism suite), so the key must not split on it
-	Workers int `json:"-"`
 }
 
 // DefaultConfig returns the paper's experimental settings: 10 years in
@@ -145,6 +137,22 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	// NaN fails every ordered comparison, so it would pass each range
+	// check below; infinities overflow the epoch and step counts.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DarkFraction", c.DarkFraction}, {"Years", c.Years}, {"EpochYears", c.EpochYears},
+		{"WindowSeconds", c.WindowSeconds}, {"StepSeconds", c.StepSeconds},
+		{"HorizonYears", c.HorizonYears}, {"TurboMarginK", c.TurboMarginK},
+		{"SensorNoiseSigma", c.SensorNoiseSigma}, {"MigrationStallSeconds", c.MigrationStallSeconds},
+		{"DTM.TSafe", c.DTM.TSafe},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s is %v, want a finite value", f.name, f.v)
+		}
+	}
 	if c.DarkFraction < 0 || c.DarkFraction >= 1 {
 		return fmt.Errorf("sim: DarkFraction %v outside [0,1)", c.DarkFraction)
 	}
@@ -166,8 +174,13 @@ func (c Config) Validate() error {
 	if c.IncumbencyEpochs < 0 {
 		return fmt.Errorf("sim: negative IncumbencyEpochs")
 	}
-	if c.SensorNoiseSigma < 0 {
-		return fmt.Errorf("sim: negative SensorNoiseSigma")
+	if c.HorizonYears < 0 {
+		return fmt.Errorf("sim: negative HorizonYears")
+	}
+	// A σ above 1 is noise larger than the reading itself; the bound also
+	// keeps every noisy reading finite.
+	if c.SensorNoiseSigma < 0 || c.SensorNoiseSigma > 1 {
+		return fmt.Errorf("sim: SensorNoiseSigma %v outside [0, 1]", c.SensorNoiseSigma)
 	}
 	if c.MigrationStallSeconds < 0 {
 		return fmt.Errorf("sim: negative MigrationStallSeconds")
@@ -177,9 +190,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.FreqLevels.Validate(); err != nil {
 		return err
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative Workers")
 	}
 	return nil
 }
@@ -253,12 +263,6 @@ type Engine struct {
 	pm   power.Model
 	pred *thermpredict.Predictor
 	tab  *aging.Table3D
-	pool *parallel.Pool
-	// serial short-circuits the pool dispatch on the hottest loops: at
-	// Workers()==1 the bodies run as plain inline loops, so the epoch
-	// kernel builds no closures (the pool would run them inline anyway,
-	// but passing a closure to it forces a heap allocation per call).
-	serial bool
 
 	trace      TraceSink
 	traceEvery int
@@ -280,10 +284,7 @@ func New(cfg Config, pol policy.Policy, chip *variation.Chip, tm *thermal.Model,
 	if chip.Floorplan.N() != tm.Floorplan().N() {
 		return nil, fmt.Errorf("sim: chip and thermal model disagree on core count")
 	}
-	e := &Engine{cfg: cfg, pol: pol, chip: chip, tm: tm, pm: pm, pred: pred, tab: tab}
-	e.pool = parallel.New(cfg.Workers)
-	e.serial = e.pool.Workers() == 1
-	return e, nil
+	return &Engine{cfg: cfg, pol: pol, chip: chip, tm: tm, pm: pm, pred: pred, tab: tab}, nil
 }
 
 // runState is the engine's resumable state between epochs.
@@ -391,7 +392,7 @@ func (e *Engine) runRange(ctx context.Context, st *runState, from, to int) error
 	if horizon == 0 {
 		horizon = cfg.EpochYears
 	}
-	maxOn := maxOnCores(n, cfg.DarkFraction)
+	maxOn := MaxOnCores(n, cfg.DarkFraction)
 	health, fmax, temps := st.health, st.fmax, st.temps
 	lastUsed, prevOn := st.lastUsed, st.prevOn
 	mix := st.mix
@@ -417,11 +418,8 @@ func (e *Engine) runRange(ctx context.Context, st *runState, from, to int) error
 
 		// Policy decision at the epoch boundary, fed by the health
 		// monitors (current fmax, optionally noisy) and last measured
-		// temperatures.
-		// The noise draws stay serial: they consume one sequential RNG
-		// stream whose order is part of the result contract. (A parallel
-		// variant would need parallel.ChunkSeed-derived per-chunk streams,
-		// which would change existing outputs — not worth it for n draws.)
+		// temperatures. The noise draws consume one sequential RNG stream
+		// whose order is part of the result contract.
 		sensedFMax := fmax
 		if cfg.SensorNoiseSigma > 0 {
 			noiseRng := rand.New(rand.NewSource(cfg.MixSeed ^ (int64(ep)+1)*0x9E3779B9))
@@ -446,7 +444,6 @@ func (e *Engine) runRange(ctx context.Context, st *runState, from, to int) error
 			Health:   health, FMax: sensedFMax, Temps: temps,
 			FreqLevels:      cfg.FreqLevels,
 			PrevOn:          prevOn,
-			Workers:         e.pool.Workers(),
 			Scratch:         st.pctx.Scratch,
 			ReuseAssignment: st.prevAsg,
 		}
@@ -501,23 +498,11 @@ func (e *Engine) runRange(ctx context.Context, st *runState, from, to int) error
 
 		// Up-scale the window statistics to the epoch and advance aging:
 		// worst-case temperature and occupancy-weighted duty per core
-		// (Section IV-B step 3). Each core's advance is independent (table
-		// lookups + bisection on immutable state), so the loop chunks
-		// across the pool with disjoint index writes — bit-identical to
-		// the serial order.
+		// (Section IV-B step 3).
 		t0 = e.stageStart()
-		if e.serial {
-			for i := 0; i < n; i++ {
-				health[i].Advance(e.tab, rec.worstTemp[i], rec.dutyAvg[i], cfg.EpochYears)
-				fmax[i] = e.chip.FMax0[i] * health[i].Factor
-			}
-		} else {
-			e.pool.For(n, agingGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					health[i].Advance(e.tab, rec.worstTemp[i], rec.dutyAvg[i], cfg.EpochYears)
-					fmax[i] = e.chip.FMax0[i] * health[i].Factor
-				}
-			})
+		for i := 0; i < n; i++ {
+			health[i].Advance(e.tab, rec.worstTemp[i], rec.dutyAvg[i], cfg.EpochYears)
+			fmax[i] = e.chip.FMax0[i] * health[i].Factor
 		}
 		e.stageEnd(StageAging, t0)
 
@@ -701,47 +686,20 @@ func (e *Engine) runWindow(epoch int, st *runState, asg *mapping.Assignment, mix
 			ws.maxSwing = swing
 		}
 	}
-	ws.avgTemp = tempSum * inv / float64(n)
+	// A near-uniform field can round its mean above its peak; the mean
+	// of values never exceeds their maximum.
+	ws.avgTemp = math.Min(tempSum*inv/float64(n), ws.peakTemp)
 	ws.avgIPS = ipsSum * inv
 	after := dtmMgr.Stats()
 	ws.dtmEvents = after.Events() - dtmBefore.Events()
 	return ws, nil
 }
 
-// Chunk grains for the parallel per-core loops. Boundaries derive only
-// from (n, grain) — see internal/parallel — so these constants are part
-// of the determinism contract only insofar as changing them re-chunks the
-// work; the numeric output is unaffected either way because every body
-// writes disjoint indices.
-const (
-	// agingGrain is small: one aging advance costs a table bisection
-	// (~60 trilinear lookups), so even few-core chunks amortise the
-	// dispatch.
-	agingGrain = 8
-	// powerGrain is coarse: one core's power evaluation is tens of
-	// nanoseconds, so only large chips benefit from splitting; the
-	// default 8×8 chip yields two chunks.
-	powerGrain = 32
-)
-
 // corePowers fills pdyn (dynamic only) and total (dynamic + leakage /
 // gated leakage) for the current assignment, thread phases and
-// temperatures. Every iteration writes only pdyn[i]/total[i] and reads
-// state that is immutable during the call (assignment, phases, DTM
-// throttle flags, stall map), so the loop chunks across the pool.
+// temperatures.
 func (e *Engine) corePowers(pdyn, total []float64, asg *mapping.Assignment, dtmMgr *dtm.Manager, temps, fmax []float64, stall map[*workload.Thread]float64) {
-	if e.serial {
-		// Inline fast path: no closure, no pool dispatch (see Engine.serial).
-		e.corePowersRange(0, len(pdyn), pdyn, total, asg, dtmMgr, temps, fmax, stall)
-		return
-	}
-	e.pool.For(len(pdyn), powerGrain, func(lo, hi int) {
-		e.corePowersRange(lo, hi, pdyn, total, asg, dtmMgr, temps, fmax, stall)
-	})
-}
-
-func (e *Engine) corePowersRange(lo, hi int, pdyn, total []float64, asg *mapping.Assignment, dtmMgr *dtm.Manager, temps, fmax []float64, stall map[*workload.Thread]float64) {
-	for i := lo; i < hi; i++ {
+	for i := range pdyn {
 		th := asg.ThreadOn(i)
 		if th == nil {
 			pdyn[i] = 0
@@ -816,7 +774,9 @@ func (e *Engine) operatingFreq(th *workload.Thread, i int, fmax, temps []float64
 	return base
 }
 
-func maxOnCores(n int, darkFraction float64) int {
+// MaxOnCores is the dark-silicon budget: how many of n cores may be
+// powered at once at the given dark fraction (at least one).
+func MaxOnCores(n int, darkFraction float64) int {
 	on := int(float64(n) * (1 - darkFraction))
 	if on < 1 {
 		on = 1

@@ -67,6 +67,16 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.DTMEverySteps = 0 },
 		func(c *Config) { c.DTM = dtm.Config{} },
 		func(c *Config) { c.MixApps = 0 },
+		// NaN passes every ordered range check; infinities overflow the
+		// epoch and step counts.
+		func(c *Config) { c.DarkFraction = math.NaN() },
+		func(c *Config) { c.Years = math.NaN() },
+		func(c *Config) { c.Years = math.Inf(1) },
+		func(c *Config) { c.WindowSeconds = math.NaN() },
+		func(c *Config) { c.SensorNoiseSigma = math.NaN() },
+		func(c *Config) { c.SensorNoiseSigma = 2 },
+		func(c *Config) { c.HorizonYears = -1 },
+		func(c *Config) { c.DTM.TSafe = math.NaN() },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()

@@ -5,17 +5,6 @@ import (
 
 	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/numeric"
-	"github.com/kit-ces/hayat/internal/parallel"
-)
-
-// Chunk grains for the parallel grid loops (see internal/parallel):
-// boundaries depend only on the loop length and the grain, so the output
-// is bit-identical for any worker count.
-const (
-	// gridNodeGrain chunks flat per-node fills (one multiply each).
-	gridNodeGrain = 1024
-	// gridCoreGrain chunks per-core loops (subdiv² tile touches each).
-	gridCoreGrain = 16
 )
 
 // DenseNodeThreshold is GridBackendAuto's switch point: grid networks with
@@ -89,7 +78,6 @@ type GridModel struct {
 	cg    *numeric.CGSolver
 	gAmb  []float64
 	capac []float64
-	pool  *parallel.Pool
 
 	// Scratch arenas reused across solves (see the concurrency note on
 	// the type): RHS, node solution, and the per-core reductions.
@@ -299,18 +287,6 @@ func (m *GridModel) InvalidateWarmStart() {
 	}
 }
 
-// SetWorkers bounds the parallelism of RHS assembly and tile reduction:
-// 0 uses GOMAXPROCS, 1 (the default) is serial. Results are bit-identical
-// for every value. Like the solves themselves (shared scratch), this is
-// not safe to call concurrently with solves on the same model.
-func (m *GridModel) SetWorkers(workers int) {
-	if workers == 1 {
-		m.pool = nil // nil pool == serial inline path
-		return
-	}
-	m.pool = parallel.New(workers)
-}
-
 // SubDiv returns the per-core tiling factor.
 func (m *GridModel) SubDiv() int { return m.subdiv }
 
@@ -390,43 +366,19 @@ func (m *GridModel) SteadyStateChecked(corePower []float64, tileTemps []float64)
 }
 
 // assembleRHS fills the shared RHS buffer with ambient inflow plus the
-// density-weighted per-tile power injection. Both passes chunk across the
-// pool: the ambient fill writes disjoint node ranges, and the injection
-// writes disjoint per-core tile blocks (tileNode(c, ·) ranges never
-// overlap between cores).
+// density-weighted per-tile power injection.
 func (m *GridModel) assembleRHS(corePower []float64) []float64 {
 	rhs := m.rhsBuf
-	if m.pool == nil {
-		// Serial inline path: passing a closure to the pool forces a heap
-		// allocation per call even when it would run inline, and the
-		// steady-state solve must stay allocation-free.
-		m.ambientRange(0, len(rhs), rhs)
-		m.injectRange(0, len(corePower), rhs, corePower)
-		return rhs
-	}
-	m.pool.For(len(rhs), gridNodeGrain, func(lo, hi int) {
-		m.ambientRange(lo, hi, rhs)
-	})
-	m.pool.For(len(corePower), gridCoreGrain, func(lo, hi int) {
-		m.injectRange(lo, hi, rhs, corePower)
-	})
-	return rhs
-}
-
-func (m *GridModel) ambientRange(lo, hi int, rhs []float64) {
-	for i := lo; i < hi; i++ {
+	for i := range rhs {
 		rhs[i] = m.gAmb[i] * m.cfg.Ambient
 	}
-}
-
-func (m *GridModel) injectRange(lo, hi int, rhs, corePower []float64) {
 	s2 := m.subdiv * m.subdiv
-	for c := lo; c < hi; c++ {
-		p := corePower[c]
+	for c, p := range corePower {
 		for t := 0; t < s2; t++ {
 			rhs[m.tileNode(c, t)] += p * m.density[t]
 		}
 	}
+	return rhs
 }
 
 // reduceTiles folds a full node solution into per-core average and
@@ -436,27 +388,9 @@ func (m *GridModel) reduceTiles(sol, tileTemps []float64) (coreAvg, coreMax []fl
 	if tileTemps != nil {
 		copy(tileTemps, sol[:m.nTiles])
 	}
-	// Locals, not the named returns: a closure over named return values
-	// captures them by reference, forcing a heap allocation on every call
-	// — including serial ones that never build the closure.
-	avg, max := m.avgBuf, m.maxBuf
-	// Per-core reduction: each core folds only its own tiles, in the same
-	// ascending tile order as the serial loop, and writes disjoint output
-	// indices — bit-identical for any worker count. The serial inline path
-	// skips the closure (see assembleRHS).
-	if m.pool == nil {
-		m.reduceRange(0, m.nCores, sol, avg, max)
-		return avg, max
-	}
-	m.pool.For(m.nCores, gridCoreGrain, func(lo, hi int) {
-		m.reduceRange(lo, hi, sol, avg, max)
-	})
-	return avg, max
-}
-
-func (m *GridModel) reduceRange(lo, hi int, sol, coreAvg, coreMax []float64) {
+	coreAvg, coreMax = m.avgBuf, m.maxBuf
 	s2 := m.subdiv * m.subdiv
-	for c := lo; c < hi; c++ {
+	for c := 0; c < m.nCores; c++ {
 		// Seed both folds from the core's first tile, not from a 0.0
 		// sentinel: an entirely negative tile field (sub-zero-Celsius
 		// ambient, delta-from-ambient solves) would otherwise report
@@ -473,6 +407,7 @@ func (m *GridModel) reduceRange(lo, hi int, sol, coreAvg, coreMax []float64) {
 		coreAvg[c] = sum / float64(s2)
 		coreMax[c] = max
 	}
+	return coreAvg, coreMax
 }
 
 // HeatOutflow returns the heat flowing to ambient for a full node state.

@@ -158,52 +158,3 @@ func TestGridZeroPowerIsAmbient(t *testing.T) {
 		}
 	}
 }
-
-func TestGridWorkersBitIdentical(t *testing.T) {
-	// SetWorkers must not change a single output bit: assembleRHS and
-	// reduceTiles only chunk disjoint-index loops (see internal/parallel).
-	rng := rand.New(rand.NewSource(11))
-	power := make([]float64, floorplan.Default().N())
-	for i := range power {
-		power[i] = 6 * rng.Float64()
-	}
-	serial := mustGrid(t, 3, []float64{1, 2, 1, 2, 8, 2, 1, 2, 1})
-	wantAvg, wantMax, err := serial.SteadyStateChecked(power, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTiles := make([]float64, serial.NumTiles())
-	serial.SteadyState(power, wantTiles)
-
-	for _, workers := range []int{0, 2, 4} {
-		par := mustGrid(t, 3, []float64{1, 2, 1, 2, 8, 2, 1, 2, 1})
-		par.SetWorkers(workers)
-		gotAvg, gotMax, err := par.SteadyStateChecked(power, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTiles := make([]float64, par.NumTiles())
-		par.SteadyState(power, gotTiles)
-		for c := range wantAvg {
-			if gotAvg[c] != wantAvg[c] || gotMax[c] != wantMax[c] {
-				t.Fatalf("workers=%d: core %d diverged: avg %v vs %v, max %v vs %v",
-					workers, c, gotAvg[c], wantAvg[c], gotMax[c], wantMax[c])
-			}
-		}
-		for i := range wantTiles {
-			if gotTiles[i] != wantTiles[i] {
-				t.Fatalf("workers=%d: tile %d diverged: %v vs %v", workers, i, gotTiles[i], wantTiles[i])
-			}
-		}
-		par.SetWorkers(1)
-		back, _, err := par.SteadyStateChecked(power, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range wantAvg {
-			if back[c] != wantAvg[c] {
-				t.Fatalf("SetWorkers(1) did not restore the serial path bit-exactly at core %d", c)
-			}
-		}
-	}
-}

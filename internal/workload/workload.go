@@ -224,6 +224,18 @@ func PaperSet() []Profile {
 	return out
 }
 
+// FewestThreads is the smallest MinThreads in ps: a mix drawn from ps
+// needs at least this many powered cores.
+func FewestThreads(ps []Profile) int {
+	fewest := 0
+	for i, p := range ps {
+		if i == 0 || p.MinThreads < fewest {
+			fewest = p.MinThreads
+		}
+	}
+	return fewest
+}
+
 // ProfileByName looks a profile up in the Parsec set.
 func ProfileByName(name string) (Profile, bool) {
 	for _, p := range Parsec() {
@@ -437,6 +449,20 @@ func GenerateMix(cfg MixConfig, seed int64) (*Mix, error) {
 		}
 		mix.Apps = append(mix.Apps, a)
 		budget -= len(a.Threads)
+	}
+	if len(mix.Apps) == 0 {
+		// The lead profile needs more threads than the budget holds:
+		// admit the first profile that fits instead.
+		for _, p := range profiles {
+			if p.MinThreads <= budget {
+				a, err := NewApp(p, 0, min(budget, p.MaxThreads), seed)
+				if err != nil {
+					return nil, err
+				}
+				mix.Apps = append(mix.Apps, a)
+				break
+			}
+		}
 	}
 	if len(mix.Apps) == 0 {
 		return nil, fmt.Errorf("workload: mix config %+v admits no application", cfg)

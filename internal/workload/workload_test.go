@@ -229,6 +229,22 @@ func TestGenerateMixErrors(t *testing.T) {
 	}
 }
 
+// A budget below the lead profile's MinThreads still admits the first
+// profile that fits.
+func TestGenerateMixTightBudget(t *testing.T) {
+	for _, budget := range []int{2, 3} {
+		for seed := int64(0); seed < 20; seed++ {
+			mix, err := GenerateMix(MixConfig{MaxThreads: budget, Apps: 4}, seed)
+			if err != nil {
+				t.Fatalf("budget %d seed %d: %v", budget, seed, err)
+			}
+			if n := mix.NumThreads(); n < 1 || n > budget {
+				t.Fatalf("budget %d seed %d: %d threads", budget, seed, n)
+			}
+		}
+	}
+}
+
 func TestMixAdvanceAndThreads(t *testing.T) {
 	mix, err := GenerateMix(MixConfig{MaxThreads: 24, Apps: 3}, 9)
 	if err != nil {
