@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench bench-submit drill-cluster drill-replication
+.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit drill-cluster drill-replication
 
 build:
 	$(GO) build ./...
@@ -70,7 +70,6 @@ fuzz-smoke:
 	fuzz ./internal/store     FuzzDecodeStoreEnvelope; \
 	fuzz ./internal/merkle    FuzzVerifyProof; \
 	fuzz ./internal/merkle    FuzzParseHash; \
-	fuzz ./internal/numeric   FuzzLUSolve; \
 	fuzz ./internal/aging     FuzzTableLookup; \
 	fuzz ./internal/aging     FuzzStateAdvance; \
 	fuzz ./internal/core      FuzzPickCandidate; \
@@ -93,22 +92,6 @@ drill-cluster:
 # and replication debt returns to zero.
 drill-replication:
 	$(GO) test -race -run '^TestReplicationKillOwnerDrill$$' -v ./internal/service
-
-# Epoch hot-path benchmarks → committed JSON baseline. BENCHTIME=1x gives
-# a fast smoke run (CI); raise it (e.g. 2s) for a stable local baseline.
-# BENCH_OUT restarts the committed trajectory at the current PR;
-# BENCH_BASELINE feeds the previous PR's document to benchjson so the new
-# file carries speedups_vs_baseline.
-BENCHTIME ?= 2s
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASELINE ?= BENCH_PR9.json
-bench:
-	{ $(GO) test ./internal/sim -run '^$$' \
-		-bench 'BenchmarkSingleChipEpoch' -benchmem -benchtime $(BENCHTIME); \
-	  $(GO) test ./internal/thermal -run '^$$' \
-		-bench 'BenchmarkGridSteadyState' -benchmem -benchtime $(BENCHTIME); } \
-		| $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) > $(BENCH_OUT)
-	@cat $(BENCH_OUT)
 
 # Batch-vs-single submit throughput → committed JSON baseline. A fixed
 # iteration count (not wall time) bounds how many jobs pile into the

@@ -4,20 +4,17 @@
 //
 // Usage:
 //
-//	go test ./internal/sim -bench . -benchmem | go run ./cmd/benchjson > BENCH_PR5.json
-//	go test ./... -bench . | go run ./cmd/benchjson -baseline BENCH_PR9.json > BENCH_PR10.json
+//	go test ./internal/service -run '^$' -bench BenchmarkSubmitThroughput | go run ./cmd/benchjson > submit.json
 //
 // The document records the environment (go version, GOMAXPROCS, the cpu
 // line go test prints) and every benchmark result. Families with mode=
-// or backend= sub-benchmarks additionally get their speedup over the
-// mode=single or backend=dense member, and -baseline FILE emits
-// per-benchmark speedups against a previously committed document.
+// sub-benchmarks additionally get their speedup over the mode=single
+// member.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"regexp"
@@ -48,15 +45,6 @@ type Document struct {
 	// for benchmark families with mode= sub-benchmarks (e.g. the batch-vs-
 	// single submit throughput comparison).
 	ModeSpeedups map[string]float64 `json:"speedups_vs_single,omitempty"`
-	// BackendSpeedups maps "family/backend=X" → ns/op(backend=dense) /
-	// ns/op(backend=X) for families comparing linear-algebra backends
-	// (the grid thermal model's dense-LU vs sparse-CG solve).
-	BackendSpeedups map[string]float64 `json:"speedups_vs_dense,omitempty"`
-	// BaselineFile and BaselineSpeedups are present when -baseline FILE
-	// was given: for every benchmark name present in both documents,
-	// old ns/op ÷ new ns/op (>1 means this run is faster).
-	BaselineFile     string             `json:"baseline_file,omitempty"`
-	BaselineSpeedups map[string]float64 `json:"speedups_vs_baseline,omitempty"`
 }
 
 // benchLine matches e.g.
@@ -64,9 +52,6 @@ type Document struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
-	baselinePath := flag.String("baseline", "", "previously committed benchjson document to compute speedups against")
-	flag.Parse()
-
 	doc := Document{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -112,16 +97,6 @@ func main() {
 	}
 
 	doc.ModeSpeedups = familySpeedups(doc.Results, "/mode=", "mode=single")
-	doc.BackendSpeedups = familySpeedups(doc.Results, "/backend=", "backend=dense")
-	if *baselinePath != "" {
-		vs, err := baselineSpeedups(*baselinePath, doc.Results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		doc.BaselineFile = *baselinePath
-		doc.BaselineSpeedups = vs
-	}
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -164,35 +139,6 @@ func splitOn(name, sep string) (string, bool) {
 		return "", false
 	}
 	return name[:i], true
-}
-
-// baselineSpeedups loads an earlier committed document and returns, for
-// every benchmark present in both runs, old ns/op ÷ new ns/op. Bench
-// names that appear only on one side are skipped — renamed or new
-// benchmarks simply have no baseline ratio.
-func baselineSpeedups(path string, results []Result) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var old Document
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	oldNs := make(map[string]float64, len(old.Results))
-	for _, r := range old.Results {
-		oldNs[r.Name] = r.NsPerOp
-	}
-	out := make(map[string]float64)
-	for _, r := range results {
-		if b, ok := oldNs[r.Name]; ok && r.NsPerOp > 0 {
-			out[r.Name] = round3(b / r.NsPerOp)
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
 }
 
 func round3(x float64) float64 {

@@ -1,9 +1,9 @@
-// Package circuit provides the consecutive-failure circuit breaker shared
-// by hayatd's single-node dependency guards (disk cache, checkpoint
-// persistence — internal/service) and the per-peer forwarding guards in
-// internal/cluster. It was extracted from internal/service so the cluster
-// layer can reuse the exact same state machine without importing the
-// service package it is itself imported by.
+// Package circuit provides the consecutive-failure circuit breaker and
+// the retry backoff schedule shared by hayatd's single-node dependency
+// guards (disk cache, checkpoint persistence — internal/service) and the
+// per-peer forwarding guards in internal/cluster. Both live here so the
+// cluster layer can reuse the exact same state machine and schedule
+// without importing the service package it is itself imported by.
 package circuit
 
 import (

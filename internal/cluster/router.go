@@ -30,10 +30,10 @@ type Config struct {
 	RecoverThreshold int
 
 	// AttemptTimeout bounds every single peer request (default 10s).
-	// Retry is the cross-attempt backoff schedule (defaults mirror
-	// internal/service's RetryPolicy).
+	// Retry is the cross-attempt backoff schedule, the one hayatd uses
+	// for its own retries.
 	AttemptTimeout time.Duration
-	Retry          Backoff
+	Retry          circuit.Backoff
 
 	// Per-peer circuit breakers (same defaults as the service's disk
 	// breakers: 5 consecutive failures, 5s cooldown).
@@ -74,7 +74,7 @@ type Router struct {
 	cfg    Config
 	ring   *Ring
 	client *Client
-	jitter *lockedRand
+	jitter *circuit.Jitter
 	logf   func(string, ...any)
 
 	mu    sync.Mutex
@@ -119,7 +119,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.RecoverThreshold <= 0 {
 		cfg.RecoverThreshold = 2
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
+	cfg.Retry = cfg.Retry.WithDefaults()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -128,7 +128,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:        cfg,
 		ring:       NewRing(append([]string{cfg.Self}, remote...), cfg.Vnodes),
 		client:     NewClient(cfg.AttemptTimeout),
-		jitter:     newLockedRand(cfg.JitterSeed),
+		jitter:     circuit.NewJitter(cfg.JitterSeed),
 		logf:       logf,
 		peers:      make(map[string]*peerState, len(remote)),
 		firstSweep: make(chan struct{}),
@@ -280,7 +280,7 @@ func (r *Router) withRetry(ctx context.Context, peer string, fn func(context.Con
 			return err
 		}
 		select {
-		case <-time.After(pol.delay(attempt, r.jitter)):
+		case <-time.After(pol.Delay(attempt, r.jitter)):
 		case <-ctx.Done():
 			return ctx.Err()
 		}

@@ -13,8 +13,8 @@ import (
 	"github.com/kit-ces/hayat/internal/circuit"
 )
 
-func fastRetry() Backoff {
-	return Backoff{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+func fastRetry() circuit.Backoff {
+	return circuit.Backoff{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 }
 
 func newTestRouter(t *testing.T, peers []string, cfg Config) *Router {

@@ -2,68 +2,6 @@ package numeric
 
 import "math"
 
-// GaussSeidelResult reports the outcome of an iterative solve.
-type GaussSeidelResult struct {
-	Iterations int
-	Residual   float64 // max-norm of A·x − b at exit
-	Converged  bool
-}
-
-// GaussSeidel solves A·x = b in place on x using Gauss–Seidel iteration.
-// It requires non-zero diagonal entries and converges for the (strictly
-// diagonally dominant) conductance matrices produced by the thermal model.
-// x is used as the starting guess. Iteration stops when the max-norm
-// update falls below tol or after maxIter sweeps. A NaN or infinite
-// update (zero diagonal, poisoned input, divergent iteration) aborts the
-// sweep with ErrNonFinite instead of letting the non-finite values spread
-// through x.
-func GaussSeidel(a *Matrix, x, b []float64, tol float64, maxIter int) (GaussSeidelResult, error) {
-	if a.Rows != a.Cols || len(x) != a.Rows || len(b) != a.Rows {
-		panic("numeric: GaussSeidel dimension mismatch")
-	}
-	n := a.Rows
-	var res GaussSeidelResult
-	for it := 0; it < maxIter; it++ {
-		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			row := a.Row(i)
-			s := b[i]
-			for j, v := range row {
-				if j != i {
-					s -= v * x[j]
-				}
-			}
-			nx := s / row[i]
-			if math.IsNaN(nx) || math.IsInf(nx, 0) {
-				res.Iterations = it + 1
-				res.Residual = math.NaN()
-				return res, ErrNonFinite
-			}
-			if d := math.Abs(nx - x[i]); d > maxDelta {
-				maxDelta = d
-			}
-			x[i] = nx
-		}
-		res.Iterations = it + 1
-		if maxDelta < tol {
-			res.Converged = true
-			break
-		}
-	}
-	// Final residual in max norm.
-	for i := 0; i < n; i++ {
-		row := a.Row(i)
-		s := -b[i]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		if r := math.Abs(s); r > res.Residual {
-			res.Residual = r
-		}
-	}
-	return res, nil
-}
-
 // Dot returns the dot product of a and b.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

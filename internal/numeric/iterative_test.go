@@ -2,69 +2,8 @@ package numeric
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestGaussSeidelMatchesLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	n := 25
-	a := randomDiagDominant(rng, n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	want, err := SolveLinear(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, n)
-	res, gerr := GaussSeidel(a, x, b, 1e-12, 10000)
-	if gerr != nil {
-		t.Fatal(gerr)
-	}
-	if !res.Converged {
-		t.Fatalf("Gauss–Seidel did not converge: %+v", res)
-	}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-8 {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestGaussSeidelReportsResidual(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{4, 1}, {1, 3}})
-	x := make([]float64, 2)
-	res, err := GaussSeidel(a, x, []float64{1, 2}, 1e-14, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("should converge on a 2×2 SPD system")
-	}
-	if res.Residual > 1e-10 {
-		t.Fatalf("residual too large: %v", res.Residual)
-	}
-}
-
-func TestGaussSeidelIterationLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomDiagDominant(rng, 10)
-	x := make([]float64, 10)
-	b := Fill(make([]float64, 10), 1)
-	res, err := GaussSeidel(a, x, b, 0 /* unattainable */, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Fatal("tol=0 must not report convergence")
-	}
-	if res.Iterations != 3 {
-		t.Fatalf("Iterations = %d, want 3", res.Iterations)
-	}
-}
 
 func TestVectorHelpers(t *testing.T) {
 	v := []float64{1, -2, 3}
@@ -107,39 +46,5 @@ func TestMeanEmptyAndStdDev(t *testing.T) {
 	// Known value: population stddev of {2, 4} is 1.
 	if got := StdDev([]float64{2, 4}); !almostEqual(got, 1, 1e-14) {
 		t.Errorf("StdDev({2,4}) = %v, want 1", got)
-	}
-}
-
-// Property: Gauss–Seidel and LU agree on random diagonally dominant systems.
-func TestGaussSeidelAgreesWithLUProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(15)
-		a := randomDiagDominant(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want, err := SolveLinear(a, b)
-		if err != nil {
-			return false
-		}
-		x := make([]float64, n)
-		res, gerr := GaussSeidel(a, x, b, 1e-13, 20000)
-		if gerr != nil {
-			return false
-		}
-		if !res.Converged {
-			return false
-		}
-		for i := range x {
-			if math.Abs(x[i]-want[i]) > 1e-7 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,13 +1,15 @@
-// Package numeric provides the small dense linear-algebra kernels used by
-// the thermal grid model (internal/thermal) and the correlated
-// process-variation field generator (internal/variation).
+// Package numeric provides the small linear-algebra kernels of the
+// simulator: dense matrices with a Cholesky factorisation, which colours
+// the correlated process-variation field (internal/variation) and serves
+// the thermal tests as their direct reference solve, and a CSR matrix
+// with a Jacobi-preconditioned conjugate-gradient solver, the one solver
+// of the sub-core thermal grid (thermal.GridModel).
 //
-// The matrices involved are small (a few hundred to a few thousand rows:
-// tile nodes of a sub-core thermal grid, grid points of a variation map),
-// so simple dense algorithms with good cache behaviour beat anything fancy.
-// All code is allocation-conscious: factorisations are computed once and
-// reused across many solves (the thermal grid model solves the same
-// system every window).
+// The dense matrices are small (a few hundred to a few thousand rows:
+// grid points of a variation map, nodes of a test's reference network),
+// so simple dense algorithms with good cache behaviour beat anything
+// fancy. A factorisation is computed once and reused, and the CG solver
+// keeps its scratch vectors and warm start across solves.
 package numeric
 
 import (
@@ -132,8 +134,8 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 	}
 	// Seed from the first element, not a 0.0 sentinel: the zero seed is
 	// only correct because the diffs are absolute values, and the pattern
-	// invites copy-paste bugs into signed reductions (PR10's
-	// GridModel.reduceTiles). Seeding from the data is correct either way.
+	// invites copy-paste bugs into signed reductions (GridModel.reduceTiles
+	// had one, DESIGN.md §15). Seeding from the data is correct either way.
 	max := math.Abs(a.Data[0] - b.Data[0])
 	for i := 1; i < len(a.Data); i++ {
 		if d := math.Abs(a.Data[i] - b.Data[i]); d > max {
@@ -143,18 +145,14 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 	return max
 }
 
-// ErrSingular is returned when a factorisation encounters a (numerically)
-// singular matrix.
-var ErrSingular = errors.New("numeric: matrix is singular to working precision")
-
 // ErrNotSPD is returned by Cholesky when the input is not symmetric
 // positive definite.
 var ErrNotSPD = errors.New("numeric: matrix is not symmetric positive definite")
 
-// ErrNonFinite is returned when a factorisation or solve encounters (or
-// would produce) a NaN or infinite value. Catching it at the solver
-// boundary keeps non-finite temperatures out of the aging tables, where
-// they would silently poison every downstream lifetime statistic.
+// ErrNonFinite is wrapped by every error that reports a NaN or infinite
+// value: thermal's *Checked solves and internal/stats. Catching it at the
+// solver boundary keeps non-finite temperatures out of the aging tables,
+// where they would silently poison every downstream lifetime statistic.
 var ErrNonFinite = errors.New("numeric: non-finite value encountered")
 
 // AllFinite reports whether every element of v is finite (no NaN, no ±Inf).

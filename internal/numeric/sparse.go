@@ -11,7 +11,7 @@ import (
 // (thermal.GridModel) are symmetric positive-definite and extremely
 // sparse (≤ ~7 non-zeros per row), so CG with a Jacobi preconditioner
 // scales the grid solver to manycore floorplans (32×32 cores and beyond)
-// where dense LU factorisation would be prohibitive in time and memory.
+// where a dense factorisation would be prohibitive in time and memory.
 
 // Triplets accumulates (i, j, value) entries before CSR assembly.
 // Duplicate coordinates are summed.

@@ -28,8 +28,8 @@ const fpQuarantine = "persist.quarantine"
 //
 // Both use the Castagnoli polynomial over the payload bytes.
 
-// FrameMagic tags framed artefacts; readers use it to tell framed from
-// legacy content.
+// FrameMagic opens every frame, so a decoder rejects unframed content as
+// corrupt.
 const FrameMagic = "hayatf1"
 
 // ErrCorruptFrame is wrapped by every framing decode failure (bad magic,
@@ -64,11 +64,6 @@ func DecodeFrame(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: crc %08x, want %08x", ErrCorruptFrame, got, crc)
 	}
 	return payload, nil
-}
-
-// IsFramed reports whether b starts with the frame magic.
-func IsFramed(b []byte) bool {
-	return bytes.HasPrefix(b, []byte(FrameMagic+" "))
 }
 
 // EncodeFrameLine frames a single-line payload (no trailing newline is

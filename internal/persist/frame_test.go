@@ -16,8 +16,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		bytes.Repeat([]byte{0xFF, 0x00}, 1024),
 	} {
 		framed := EncodeFrame(payload)
-		if !IsFramed(framed) {
-			t.Fatalf("IsFramed = false for %q", framed[:16])
+		if !bytes.HasPrefix(framed, []byte(FrameMagic+" ")) {
+			t.Fatalf("frame %q does not start with the magic", framed[:16])
 		}
 		got, err := DecodeFrame(framed)
 		if err != nil {

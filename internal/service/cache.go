@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/store"
 )
 
@@ -25,8 +26,8 @@ type resultStore struct {
 	*store.Replicated
 	disk *store.Disk // nil without a data dir
 
-	brk          *breaker // nil → disk unguarded (tests construct bare stores)
-	onQuarantine func()   // observes each quarantined file (may be nil)
+	brk          *circuit.Breaker // nil → disk unguarded (tests construct bare stores)
+	onQuarantine func()           // observes each quarantined file (may be nil)
 }
 
 func newResultStore(dir string) (*resultStore, error) {
@@ -64,7 +65,7 @@ func (s *resultStore) get(key string) ([]byte, bool) { return s.GetLocal(key) }
 // separately (Server.replicateResult), after the job flips terminal.
 func (s *resultStore) put(key string, data []byte) error {
 	err := s.PutLocal(key, data)
-	if errors.Is(err, ErrBreakerOpen) {
+	if errors.Is(err, circuit.ErrOpen) {
 		return fmt.Errorf("service: skipping disk persist for %s: %w", key, err)
 	}
 	if err != nil {

@@ -79,12 +79,7 @@ func newRouter(opts Options, logf func(string, ...any)) (*cluster.Router, error)
 		FailThreshold:    opts.Cluster.FailThreshold,
 		RecoverThreshold: opts.Cluster.RecoverThreshold,
 		AttemptTimeout:   opts.Cluster.AttemptTimeout,
-		Retry: cluster.Backoff{
-			MaxAttempts: opts.Retry.MaxAttempts,
-			BaseDelay:   opts.Retry.BaseDelay,
-			MaxDelay:    opts.Retry.MaxDelay,
-			Multiplier:  opts.Retry.Multiplier,
-		},
+		Retry:            opts.Retry,
 		BreakerThreshold: opts.BreakerThreshold,
 		BreakerCooldown:  opts.BreakerCooldown,
 		JitterSeed:       opts.JitterSeed,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/cluster"
 )
 
@@ -38,7 +39,7 @@ func TestClusterNodeHelper(t *testing.T) {
 	}
 	s, err := New(Options{
 		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+		Retry:   circuit.Backoff{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 		Cluster: ClusterOptions{
 			Self:             self,
 			Peers:            strings.Split(os.Getenv("HAYAT_CLUSTER_PEERS"), ","),

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
+	"github.com/kit-ces/hayat/internal/circuit"
 )
 
 // fastCluster returns ClusterOptions tuned for tests: tight probe and
@@ -33,7 +34,7 @@ func startClusterNode(t *testing.T, ln net.Listener, peers []string, tweak func(
 	t.Helper()
 	opts := Options{
 		Workers: 2,
-		Retry:   RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		Retry:   circuit.Backoff{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 		Cluster: fastCluster("http://"+ln.Addr().String(), peers),
 	}
 	if tweak != nil {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/cluster"
 	"github.com/kit-ces/hayat/internal/sim"
 )
@@ -359,8 +360,8 @@ type MetricsSnapshot struct {
 	} `json:"store"`
 	// Breakers and Failpoints are filled in by the server (they live
 	// outside Metrics); empty maps are elided.
-	Breakers   map[string]BreakerSnapshot `json:"breakers,omitempty"`
-	Failpoints map[string]FailpointStats  `json:"failpoints,omitempty"`
+	Breakers   map[string]circuit.Snapshot `json:"breakers,omitempty"`
+	Failpoints map[string]FailpointStats   `json:"failpoints,omitempty"`
 
 	SimRuns      int64                        `json:"sim_runs"`
 	StageSeconds map[string]HistogramSnapshot `json:"stage_seconds"`

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 )
@@ -389,7 +390,7 @@ func TestCacheFailpointTripsBreakerServiceStaysUp(t *testing.T) {
 		t.Fatalf("job under cache faults: %s (%s)", st.State, st.Error)
 	}
 	want := st.Result
-	if brk := s.Breakers()["disk-cache"]; brk.State != breakerOpen || brk.Trips != 1 {
+	if brk := s.Breakers()["disk-cache"]; brk.State != circuit.Open || brk.Trips != 1 {
 		t.Fatalf("breaker after disk faults: %+v", brk)
 	}
 
@@ -415,7 +416,7 @@ func TestCacheFailpointTripsBreakerServiceStaysUp(t *testing.T) {
 		t.Fatalf("fresh job under open breaker: %s (%s)", st3.State, st3.Error)
 	}
 	brk := s.Breakers()["disk-cache"]
-	if brk.State != breakerOpen {
+	if brk.State != circuit.Open {
 		t.Fatalf("disk-cache breaker state %q, want open", brk.State)
 	}
 	if brk.Rejected < 2 {
@@ -437,7 +438,7 @@ func TestTransientSimFailureRetriedToSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Options{
-		Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		Retry: circuit.Backoff{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 	})
 	st, err := s.SubmitLifetime(tinyCfg(), 12, "hayat")
 	if err != nil {
@@ -466,7 +467,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Options{
-		Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		Retry: circuit.Backoff{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
 	st, err := s.SubmitLifetime(tinyCfg(), 13, "hayat")
 	if err != nil {
@@ -554,16 +555,25 @@ func TestCacheCorruptEntryQuarantined(t *testing.T) {
 		t.Fatal("truncated cache entry was served")
 	}
 
-	// Legacy unframed entries (pre-framing format) are still readable.
-	legacyKey := strings.Repeat("cd", 32)
-	if err := os.WriteFile(filepath.Join(dir, legacyKey+".json"), payload, 0o644); err != nil {
+	// An unframed entry (valid JSON, no CRC frame) is a miss and is
+	// quarantined like any corrupt entry.
+	unframedKey := strings.Repeat("cd", 32)
+	unframedPath := filepath.Join(dir, unframedKey+".json")
+	if err := os.WriteFile(unframedPath, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := store3.get(legacyKey); !ok || !bytes.Equal(got, payload) {
-		t.Fatal("legacy unframed entry rejected")
+	store3.onQuarantine = func() { quarantined++ }
+	if _, ok := store3.get(unframedKey); ok {
+		t.Fatal("unframed cache entry was served")
 	}
-	if !persist.IsFramed(raw) {
-		t.Fatal("sanity: framed entries should carry the frame header")
+	if quarantined != 2 {
+		t.Fatalf("quarantine callback fired %d times, want 2", quarantined)
+	}
+	if _, err := os.Stat(unframedPath + ".corrupt"); err != nil {
+		t.Fatalf("unframed file not quarantined: %v", err)
+	}
+	if _, err := persist.DecodeFrame(raw); err != nil {
+		t.Fatalf("sanity: a written entry should decode as a frame: %v", err)
 	}
 }
 

@@ -3,75 +3,11 @@ package service
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"sync"
 	"time"
 
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
-
-// RetryPolicy bounds how transient failures are retried: exponential
-// backoff from BaseDelay, multiplied by Multiplier per attempt, capped at
-// MaxDelay, with up to half a step of deterministic jitter so coordinated
-// retries spread out. Zero values select defaults.
-type RetryPolicy struct {
-	MaxAttempts int           // total tries including the first (default 4)
-	BaseDelay   time.Duration // first backoff (default 50ms)
-	MaxDelay    time.Duration // backoff ceiling (default 2s)
-	Multiplier  float64       // backoff growth factor (default 2)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	return p
-}
-
-// delay computes the backoff before attempt n (n ≥ 1 is the first retry).
-func (p RetryPolicy) delay(n int, jitter *lockedRand) time.Duration {
-	d := float64(p.BaseDelay)
-	for i := 1; i < n; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
-	}
-	if jitter != nil {
-		d += jitter.Float64() * d / 2
-	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	return time.Duration(d)
-}
-
-// lockedRand is a mutex-guarded rand.Rand: the jitter source is shared by
-// every worker, and rand.Rand itself is not safe for concurrent use.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (r *lockedRand) Float64() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rng.Float64()
-}
 
 // isTransient classifies an error as retryable. Injected faults model
 // transient infrastructure failures (flaky disk, hiccuping solver);
@@ -90,8 +26,8 @@ func isTransient(err error) bool {
 // schedule between attempts, but only while the error stays transient.
 // onRetry (optional) observes each retry before its backoff sleep. The
 // last error is returned when attempts are exhausted.
-func retryTransient(ctx context.Context, pol RetryPolicy, jitter *lockedRand, onRetry func(attempt int, err error), fn func() error) error {
-	pol = pol.withDefaults()
+func retryTransient(ctx context.Context, pol circuit.Backoff, jitter *circuit.Jitter, onRetry func(attempt int, err error), fn func() error) error {
+	pol = pol.WithDefaults()
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = fn()
@@ -102,7 +38,7 @@ func retryTransient(ctx context.Context, pol RetryPolicy, jitter *lockedRand, on
 			onRetry(attempt, err)
 		}
 		select {
-		case <-time.After(pol.delay(attempt, jitter)):
+		case <-time.After(pol.Delay(attempt, jitter)):
 		case <-ctx.Done():
 			return ctx.Err()
 		}

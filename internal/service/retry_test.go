@@ -7,37 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
-func TestRetryPolicyBackoff(t *testing.T) {
-	pol := RetryPolicy{}.withDefaults()
-	if pol.MaxAttempts != 4 || pol.BaseDelay != 50*time.Millisecond {
-		t.Fatalf("defaults: %+v", pol)
-	}
-	// Without jitter the schedule is exactly base·mult^(n-1), capped.
-	if d := pol.delay(1, nil); d != 50*time.Millisecond {
-		t.Fatalf("first delay %v", d)
-	}
-	if d := pol.delay(2, nil); d != 100*time.Millisecond {
-		t.Fatalf("second delay %v", d)
-	}
-	if d := pol.delay(10, nil); d != pol.MaxDelay {
-		t.Fatalf("capped delay %v", d)
-	}
-	// Jitter adds at most half a step and respects the cap.
-	jr := newLockedRand(7)
-	for n := 1; n < 12; n++ {
-		d := pol.delay(n, jr)
-		base := pol.delay(n, nil)
-		if d < base || d > pol.MaxDelay+pol.MaxDelay/2 {
-			t.Fatalf("jittered delay %v out of range (base %v)", d, base)
-		}
-	}
-}
-
 func TestRetryTransientOnlyRetriesInjectedErrors(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	pol := circuit.Backoff{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 
 	// Transient failures are retried until they stop.
 	calls := 0
@@ -66,7 +41,7 @@ func TestRetryTransientOnlyRetriesInjectedErrors(t *testing.T) {
 	// The budget is bounded: MaxAttempts total tries, then the last error.
 	calls = 0
 	retries := 0
-	err = retryTransient(context.Background(), pol, newLockedRand(1), func(int, error) { retries++ }, func() error {
+	err = retryTransient(context.Background(), pol, circuit.NewJitter(1), func(int, error) { retries++ }, func() error {
 		calls++
 		return fmt.Errorf("always down: %w", faultinject.ErrInjected)
 	})

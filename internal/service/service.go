@@ -24,6 +24,7 @@ import (
 
 	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/batch"
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/cluster"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/merkle"
@@ -278,8 +279,8 @@ type Options struct {
 	// boundary. Ignored without CheckpointDir.
 	CheckpointEvery int
 	// Retry bounds transient-failure retries around chip spawn and
-	// simulation (zero values select the RetryPolicy defaults).
-	Retry RetryPolicy
+	// simulation (zero values select the circuit.Backoff defaults).
+	Retry circuit.Backoff
 	// BreakerThreshold consecutive failures trip the disk-cache and
 	// checkpoint circuit breakers open (default 5); BreakerCooldown is
 	// how long they stay open before a half-open probe (default 5s).
@@ -350,9 +351,9 @@ type Server struct {
 	router   *cluster.Router // nil in single-node mode
 	ready    atomic.Bool     // journal replayed + worker pool up
 	bat      *batch.Batcher[batchSubmission, BatchItemResult]
-	cacheBrk *breaker
-	ckptBrk  *breaker
-	jitter   *lockedRand
+	cacheBrk *circuit.Breaker
+	ckptBrk  *circuit.Breaker
+	jitter   *circuit.Jitter
 
 	baseCtx context.Context
 	stopAll context.CancelFunc
@@ -436,9 +437,9 @@ func New(opts Options) (*Server, error) {
 		logf:     logf,
 		jnl:      jnl,
 		audit:    audit,
-		cacheBrk: newBreaker("disk-cache", opts.BreakerThreshold, opts.BreakerCooldown),
-		ckptBrk:  newBreaker("checkpoint", opts.BreakerThreshold, opts.BreakerCooldown),
-		jitter:   newLockedRand(opts.JitterSeed),
+		cacheBrk: circuit.New("disk-cache", opts.BreakerThreshold, opts.BreakerCooldown),
+		ckptBrk:  circuit.New("checkpoint", opts.BreakerThreshold, opts.BreakerCooldown),
+		jitter:   circuit.NewJitter(opts.JitterSeed),
 		baseCtx:  ctx,
 		stopAll:  cancel,
 		jobs:     make(map[string]*Job),
@@ -635,8 +636,8 @@ func (s *Server) recordTerminal(op, id string) {
 }
 
 // Breakers snapshots the server's circuit breakers for /metrics.
-func (s *Server) Breakers() map[string]BreakerSnapshot {
-	return map[string]BreakerSnapshot{
+func (s *Server) Breakers() map[string]circuit.Snapshot {
+	return map[string]circuit.Snapshot{
 		s.cacheBrk.Name(): s.cacheBrk.Stats(),
 		s.ckptBrk.Name():  s.ckptBrk.Stats(),
 	}

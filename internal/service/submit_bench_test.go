@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
@@ -38,7 +39,7 @@ func newSubmitBenchServer(b *testing.B, batchSize int) *httptest.Server {
 		JournalPath:   filepath.Join(b.TempDir(), "jobs.journal"),
 		BatchMaxItems: batchSize,
 		BatchMaxWait:  time.Minute, // only the size trigger may flush
-		Retry:         RetryPolicy{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour},
+		Retry:         circuit.Backoff{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,9 +15,9 @@ import (
 // Disk is the durable tier: one CRC32C-framed file per key
 // (<dir>/<key>.json, temp-and-rename, fsynced) — the exact layout the
 // service's bespoke disk cache used before this package existed, so
-// existing data directories keep working. A frame that fails its CRC is
-// quarantined to <key>.json.corrupt and reported as a miss; unframed
-// but valid JSON is accepted for entries written before framing existed.
+// existing data directories keep working. An entry that is not a valid
+// frame (bad CRC, torn write, no frame at all) is quarantined to
+// <key>.json.corrupt and reported as a miss.
 type Disk struct {
 	dir string
 
@@ -111,22 +110,12 @@ func (s *Disk) put(key string, data []byte) error {
 	})
 }
 
-// decodeEntry unwraps one on-disk entry. Corruption (bad CRC, invalid
-// legacy JSON, Verify rejection) quarantines the file and reads as a
-// miss, never as an error — bit rot must not trip the breaker or be
-// served.
+// decodeEntry unwraps one on-disk entry. Corruption (a bad or missing
+// frame, Verify rejection) quarantines the file and reads as a miss,
+// never as an error — bit rot must not trip the breaker or be served.
 func (s *Disk) decodeEntry(key string, raw []byte) []byte {
-	var payload []byte
-	if persist.IsFramed(raw) {
-		p, err := persist.DecodeFrame(raw)
-		if err != nil {
-			s.quarantine(key)
-			return nil
-		}
-		payload = p
-	} else if json.Valid(raw) {
-		payload = raw // pre-framing legacy entry
-	} else {
+	payload, err := persist.DecodeFrame(raw)
+	if err != nil {
 		s.quarantine(key)
 		return nil
 	}

@@ -179,7 +179,7 @@ func TestMemoryTier(t *testing.T) {
 	}
 }
 
-func TestDiskTierFramedLegacyAndCorrupt(t *testing.T) {
+func TestDiskTierFramedAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDisk(dir)
 	if err != nil {
@@ -197,12 +197,19 @@ func TestDiskTierFramedLegacyAndCorrupt(t *testing.T) {
 		t.Fatalf("framed get = %q, %v", got, ok)
 	}
 
-	// Legacy (unframed but valid JSON) entries written before framing.
+	// Unframed content, even valid JSON, is not an entry: miss +
+	// quarantine.
 	if err := os.WriteFile(filepath.Join(dir, testKey(2)+".json"), []byte(`{"old":true}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := d.get(testKey(2)); !ok || string(got) != `{"old":true}` {
-		t.Fatalf("legacy get = %q, %v", got, ok)
+	if got, ok := d.get(testKey(2)); ok {
+		t.Fatalf("unframed entry served: %q", got)
+	}
+	if quarantines != 1 {
+		t.Fatalf("quarantines = %d, want 1", quarantines)
+	}
+	if _, err := os.Stat(filepath.Join(dir, testKey(2)+".json.corrupt")); err != nil {
+		t.Fatalf("no .corrupt file: %v", err)
 	}
 
 	// Corrupt frame: miss + quarantine, never an error.
@@ -214,8 +221,8 @@ func TestDiskTierFramedLegacyAndCorrupt(t *testing.T) {
 	if _, ok := d.get(testKey(3)); ok {
 		t.Fatal("corrupt entry served")
 	}
-	if quarantines != 1 {
-		t.Fatalf("quarantines = %d, want 1", quarantines)
+	if quarantines != 2 {
+		t.Fatalf("quarantines = %d, want 2", quarantines)
 	}
 	if _, err := os.Stat(filepath.Join(dir, testKey(3)+".json.corrupt")); err != nil {
 		t.Fatalf("no .corrupt file: %v", err)
@@ -226,8 +233,8 @@ func TestDiskTierFramedLegacyAndCorrupt(t *testing.T) {
 	if _, ok := d.get(testKey(1)); ok {
 		t.Fatal("verify-rejected entry served")
 	}
-	if quarantines != 2 {
-		t.Fatalf("quarantines = %d, want 2", quarantines)
+	if quarantines != 3 {
+		t.Fatalf("quarantines = %d, want 3", quarantines)
 	}
 	d.Verify = nil
 

@@ -7,42 +7,6 @@ import (
 	"github.com/kit-ces/hayat/internal/numeric"
 )
 
-// DenseNodeThreshold is GridBackendAuto's switch point: grid networks with
-// at most this many nodes use a dense LU factorisation (fastest at the
-// paper's 8×8 floorplan with SubDiv=2, 384 nodes); larger networks switch
-// to the sparse conjugate-gradient path, which scales to 32×32-core
-// floorplans and beyond.
-const DenseNodeThreshold = 800
-
-// GridBackend selects the linear-algebra backend of a GridModel.
-type GridBackend int
-
-const (
-	// GridBackendAuto picks dense LU up to DenseNodeThreshold nodes and
-	// the sparse CG path above it.
-	GridBackendAuto GridBackend = iota
-	// GridBackendDense forces the dense LU factorisation (O(n³) setup,
-	// O(n²) per solve) regardless of size.
-	GridBackendDense
-	// GridBackendSparse forces the Jacobi-preconditioned CG path over the
-	// CSR form (O(nnz) setup, O(nnz·iters) per solve). The grid matrix is
-	// ≥95 % zeros at 8×8/SubDiv=2 and grows sparser with the core count,
-	// and the solver warm-starts from the previous solution, so repeated
-	// solves against slowly varying powers converge in a few iterations.
-	GridBackendSparse
-)
-
-func (b GridBackend) String() string {
-	switch b {
-	case GridBackendDense:
-		return "dense"
-	case GridBackendSparse:
-		return "sparse"
-	default:
-		return "auto"
-	}
-}
-
 // GridModel is the sub-core-resolution variant of the compact model —
 // HotSpot's "grid mode". Each core's silicon is split into SubDiv×SubDiv
 // tiles with lateral conductances between adjacent tiles (within and
@@ -57,11 +21,15 @@ func (b GridBackend) String() string {
 // model's accuracy (see the block-vs-grid consistency tests) and serves
 // floorplans that need intra-core detail.
 //
+// The network is symmetric positive definite and ≥ 95 % zeros already at
+// 8×8/SubDiv=2, so it has one solver: Jacobi-preconditioned conjugate
+// gradients over its CSR form, warm-started from the previous solution.
+//
 // A GridModel is NOT safe for concurrent solves: the RHS, solution and
-// reduction buffers (and, on the sparse backend, the CG warm-start
-// state) are shared scratch, reused across calls. Slices returned by the
-// SteadyState family are views of that scratch — valid until the next
-// solve on the same model; copy them to retain.
+// reduction buffers and the CG warm-start state are shared scratch,
+// reused across calls. Slices returned by the SteadyState family are
+// views of that scratch — valid until the next solve on the same model;
+// copy them to retain.
 type GridModel struct {
 	fp     *floorplan.Floorplan
 	cfg    Config
@@ -72,9 +40,8 @@ type GridModel struct {
 	nNodes int // nTiles + 2·nCores
 
 	// tri keeps the assembled conductance pattern (for diagnostics and
-	// re-assembly); exactly one of luG/cg is the active backend.
+	// re-assembly); cg solves it.
 	tri   *numeric.Triplets
-	luG   *numeric.LU
 	cg    *numeric.CGSolver
 	gAmb  []float64
 	capac []float64
@@ -96,30 +63,20 @@ func (m *GridModel) tileNode(core, tile int) int   { return core*m.subdiv*m.subd
 func (m *GridModel) gridSpreaderNode(core int) int { return m.nTiles + core }
 func (m *GridModel) gridSinkNode(core int) int     { return m.nTiles + m.nCores + core }
 
-// NewGrid assembles a sub-core-resolution network with the Auto backend.
-// subdiv must be ≥ 1; subdiv == 1 reproduces the block model exactly.
-// density may be nil (uniform) or hold subdiv² non-negative weights
-// (normalised internally).
+// NewGrid assembles a sub-core-resolution network. subdiv must be ≥ 1;
+// subdiv == 1 reproduces the block model exactly. density may be nil
+// (uniform) or hold subdiv² non-negative weights (normalised internally).
+//
+// The conductance pattern is fixed at construction: power gating changes
+// the power injection (the right-hand side), never the conductances — a
+// dark core's silicon still conducts, which is exactly why dark cores act
+// as heat-escape paths — so no DCM change ever invalidates the operator.
+// The CG warm start likewise stays valid across DCM changes (the previous
+// field is an excellent initial guess); call InvalidateWarmStart to make
+// a solve independent of call history.
 func NewGrid(fp *floorplan.Floorplan, cfg Config, subdiv int, density []float64) (*GridModel, error) {
-	return NewGridBackend(fp, cfg, subdiv, density, GridBackendAuto)
-}
-
-// NewGridBackend is NewGrid with an explicit linear-algebra backend. The
-// conductance pattern is fixed at construction: power gating changes the
-// power injection (the right-hand side), never the conductances — a dark
-// core's silicon still conducts, which is exactly why dark cores act as
-// heat-escape paths — so no DCM change ever triggers a refactorisation.
-// The sparse backend's warm start likewise stays valid across DCM
-// changes (the previous field is an excellent initial guess); call
-// InvalidateWarmStart to make a solve independent of call history.
-func NewGridBackend(fp *floorplan.Floorplan, cfg Config, subdiv int, density []float64, backend GridBackend) (*GridModel, error) {
 	if subdiv < 1 {
 		return nil, fmt.Errorf("thermal: subdiv must be ≥1, got %d", subdiv)
-	}
-	switch backend {
-	case GridBackendAuto, GridBackendDense, GridBackendSparse:
-	default:
-		return nil, fmt.Errorf("thermal: unknown grid backend %d", backend)
 	}
 	// Reuse the block model's validation.
 	if _, err := New(fp, cfg); err != nil {
@@ -250,42 +207,22 @@ func NewGridBackend(fp *floorplan.Floorplan, cfg Config, subdiv int, density []f
 		m.capac[m.gridSinkNode(c)] = cfg.Sink.VolumetricHeat * coreArea * cfg.Sink.AreaScale * cfg.Sink.Thickness
 	}
 
-	dense := backend == GridBackendDense || (backend == GridBackendAuto && m.nNodes <= DenseNodeThreshold)
-	if dense {
-		lu, err := numeric.FactorLU(m.tri.ToDense())
-		if err != nil {
-			return nil, fmt.Errorf("thermal: grid conductance matrix singular: %w", err)
-		}
-		m.luG = lu
-	} else {
-		cg, err := numeric.NewCGSolver(m.tri.ToCSR(), 1e-10, 20*m.nNodes)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: grid sparse solver: %w", err)
-		}
-		m.cg = cg
+	// A relative residual of 1e-12 holds every grid solve within 1e-9 K of
+	// a direct solve (TestGridMatchesDirectSolve,
+	// TestGridSubdiv1MatchesBlockModel); 1e-10 does not.
+	cg, err := numeric.NewCGSolver(m.tri.ToCSR(), 1e-12, 20*m.nNodes)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: grid solver: %w", err)
 	}
+	m.cg = cg
 	return m, nil
 }
 
-// Backend reports the active linear-algebra backend (never Auto).
-func (m *GridModel) Backend() GridBackend {
-	if m.luG != nil {
-		return GridBackendDense
-	}
-	return GridBackendSparse
-}
-
-// InvalidateWarmStart resets the sparse backend's warm start so the next
-// solve is independent of the model's call history (a no-op on the dense
-// backend, whose solves are history-free by construction). The
-// conductance pattern never changes after construction — DCM changes
-// move power, not conductance — so there is no corresponding
-// refactorisation trigger.
-func (m *GridModel) InvalidateWarmStart() {
-	if m.cg != nil {
-		m.cg.Reset()
-	}
-}
+// InvalidateWarmStart resets the CG warm start so the next solve is
+// independent of the model's call history. The conductance pattern never
+// changes after construction — DCM changes move power, not conductance —
+// so there is no corresponding reassembly trigger.
+func (m *GridModel) InvalidateWarmStart() { m.cg.Reset() }
 
 // SubDiv returns the per-core tiling factor.
 func (m *GridModel) SubDiv() int { return m.subdiv }
@@ -296,13 +233,8 @@ func (m *GridModel) NumNodes() int { return m.nNodes }
 // NumTiles returns the total die-tile count.
 func (m *GridModel) NumTiles() int { return m.nTiles }
 
-// solve runs the active backend into sol (a scratch arena, len nNodes).
+// solve runs CG into sol (a scratch arena, len nNodes).
 func (m *GridModel) solve(sol, rhs []float64) {
-	if m.luG != nil {
-		//lint:ignore checked-solve deliberate unchecked fast path; guarded callers use SteadyStateChecked
-		m.luG.Solve(sol, rhs)
-		return
-	}
 	//lint:ignore checked-solve deliberate unchecked fast path; guarded callers use SteadyStateChecked
 	if _, ok := m.cg.Solve(sol, rhs); !ok {
 		// The conductance matrix is SPD and well conditioned; failure
@@ -312,14 +244,8 @@ func (m *GridModel) solve(sol, rhs []float64) {
 }
 
 // solveChecked is solve with a non-finite guard, mirroring
-// (*Model).solveSteadyChecked.
+// (*Model).SteadyStateChecked.
 func (m *GridModel) solveChecked(sol, rhs []float64) error {
-	if m.luG != nil {
-		if err := m.luG.SolveChecked(sol, rhs); err != nil {
-			return fmt.Errorf("thermal: grid steady-state solve: %w", err)
-		}
-		return nil
-	}
 	if !numeric.AllFinite(rhs) {
 		return fmt.Errorf("thermal: grid steady-state solve: %w", numeric.ErrNonFinite)
 	}

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"github.com/kit-ces/hayat/internal/numeric"
 )
 
-func mustGrid(t *testing.T, subdiv int, density []float64) *GridModel {
+func mustGrid(t testing.TB, fp *floorplan.Floorplan, subdiv int, density []float64) *GridModel {
 	t.Helper()
-	g, err := NewGrid(floorplan.Default(), DefaultConfig(), subdiv, density)
+	g, err := NewGrid(fp, DefaultConfig(), subdiv, density)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,25 +41,33 @@ func TestNewGridValidation(t *testing.T) {
 }
 
 // SubDiv == 1 must reproduce the block model exactly: same network, same
-// temperatures.
+// temperatures. Every power vector is solved cold, so each solve runs CG
+// from zero to its tolerance.
 func TestGridSubdiv1MatchesBlockModel(t *testing.T) {
-	fp := floorplan.Default()
-	block, err := New(fp, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := mustGrid(t, 1, nil)
-	rng := rand.New(rand.NewSource(3))
-	power := make([]float64, 64)
-	for i := range power {
-		power[i] = 8 * rng.Float64()
-	}
-	want := block.SteadyState(power, nil)
-	avg, max := grid.SteadyState(power, nil)
-	for i := range want {
-		if math.Abs(avg[i]-want[i]) > 1e-9 || math.Abs(max[i]-want[i]) > 1e-9 {
-			t.Fatalf("core %d: grid %v/%v vs block %v", i, avg[i], max[i], want[i])
-		}
+	for _, shape := range [][2]int{{1, 1}, {4, 4}, {8, 8}, {16, 16}} {
+		t.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(t *testing.T) {
+			fp := floorplan.New(shape[0], shape[1])
+			block, err := New(fp, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			grid := mustGrid(t, fp, 1, nil)
+			rng := rand.New(rand.NewSource(int64(3 + fp.N())))
+			power := make([]float64, fp.N())
+			for round := 0; round < 4; round++ {
+				for i := range power {
+					power[i] = 8 * rng.Float64()
+				}
+				want := block.SteadyState(power, nil)
+				grid.InvalidateWarmStart()
+				avg, max := grid.SteadyState(power, nil)
+				for i := range want {
+					if math.Abs(avg[i]-want[i]) > 1e-9 || math.Abs(max[i]-want[i]) > 1e-9 {
+						t.Fatalf("round %d core %d: grid %v/%v vs block %v", round, i, avg[i], max[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -71,7 +80,7 @@ func TestGridSubdiv2CloseToBlockModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := mustGrid(t, 2, nil)
+	grid := mustGrid(t, floorplan.Default(), 2, nil)
 	power := make([]float64, 64)
 	for i := 0; i < 32; i++ {
 		power[i] = 6
@@ -89,7 +98,7 @@ func TestGridSubdiv2CloseToBlockModel(t *testing.T) {
 }
 
 func TestGridEnergyConservation(t *testing.T) {
-	grid := mustGrid(t, 2, nil)
+	grid := mustGrid(t, floorplan.Default(), 2, nil)
 	rng := rand.New(rand.NewSource(5))
 	power := make([]float64, 64)
 	total := 0.0
@@ -108,8 +117,8 @@ func TestGridEnergyConservation(t *testing.T) {
 // tile runs hotter than the core average.
 func TestGridDensityProfileCreatesHotspot(t *testing.T) {
 	// All power in tile 0 (top-left quadrant of each core).
-	grid := mustGrid(t, 2, []float64{1, 0, 0, 0})
-	uniform := mustGrid(t, 2, nil)
+	grid := mustGrid(t, floorplan.Default(), 2, []float64{1, 0, 0, 0})
+	uniform := mustGrid(t, floorplan.Default(), 2, nil)
 	power := numeric.Fill(make([]float64, 64), 6)
 	_, skewMax := grid.SteadyState(power, nil)
 	_, uniMax := uniform.SteadyState(power, nil)
@@ -125,7 +134,7 @@ func TestGridDensityProfileCreatesHotspot(t *testing.T) {
 }
 
 func TestGridTileCountAndAccessors(t *testing.T) {
-	grid := mustGrid(t, 3, nil)
+	grid := mustGrid(t, floorplan.Default(), 3, nil)
 	if grid.SubDiv() != 3 {
 		t.Fatalf("SubDiv = %d", grid.SubDiv())
 	}
@@ -150,7 +159,7 @@ func TestGridTileCountAndAccessors(t *testing.T) {
 }
 
 func TestGridZeroPowerIsAmbient(t *testing.T) {
-	grid := mustGrid(t, 2, nil)
+	grid := mustGrid(t, floorplan.Default(), 2, nil)
 	avg, max := grid.SteadyState(make([]float64, 64), nil)
 	for i := range avg {
 		if math.Abs(avg[i]-DefaultConfig().Ambient) > 1e-9 || math.Abs(max[i]-DefaultConfig().Ambient) > 1e-9 {

@@ -25,56 +25,56 @@ func (m *Model) stepMatrix(dt float64) *numeric.Triplets {
 	return step
 }
 
-// luReference is the dense-LU solve of the assembled network in
-// temperatures over ambient, θ = T − T_amb, where the ambient source term
-// drops out: the steady state G·θ = P and the step (C/Δt + G)·θ⁺ =
-// C/Δt·θ + P. (In absolute temperatures the LU's own rounding grows with
-// T_amb·cond: 5.5e-10 K at 16×16, against 8e-11 K between the modal
-// solve and this reference.)
-type luReference struct {
+// cholReference is the dense Cholesky solve of the assembled network
+// (symmetric positive definite) in temperatures over ambient,
+// θ = T − T_amb, where the ambient source term drops out: the steady
+// state G·θ = P and the step (C/Δt + G)·θ⁺ = C/Δt·θ + P. (In absolute
+// temperatures a direct solve's own rounding grows with T_amb·cond;
+// DESIGN.md §18 gives the numbers.)
+type cholReference struct {
 	m          *Model
 	dt         float64
-	g, step    *numeric.LU
+	g, step    *numeric.Cholesky
 	over, rhs  []float64
 	nodes, die []float64 // over in absolute temperatures
 }
 
-func newLUReference(t *testing.T, m *Model, dt float64) *luReference {
+func newCholReference(t *testing.T, m *Model, dt float64) *cholReference {
 	t.Helper()
-	g, err := numeric.FactorLU(m.tri.ToDense())
+	g, err := numeric.FactorCholesky(m.tri.ToDense())
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := numeric.FactorLU(m.stepMatrix(dt).ToDense())
+	step, err := numeric.FactorCholesky(m.stepMatrix(dt).ToDense())
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodes := make([]float64, m.nNodes)
-	return &luReference{m: m, dt: dt, g: g, step: step,
+	return &cholReference{m: m, dt: dt, g: g, step: step,
 		over: make([]float64, m.nNodes), rhs: make([]float64, m.nNodes),
 		nodes: nodes, die: nodes[:m.nCores]}
 }
 
 // steady sets the reference state to the steady state of power.
-func (r *luReference) steady(t *testing.T, power []float64) {
+func (r *cholReference) steady(t *testing.T, power []float64) {
 	clear(r.rhs)
 	r.solve(t, r.g, power)
 }
 
-func (r *luReference) stepOnce(t *testing.T, power []float64) {
+func (r *cholReference) stepOnce(t *testing.T, power []float64) {
 	for i := range r.rhs {
 		r.rhs[i] = r.m.capac[i] / r.dt * r.over[i]
 	}
 	r.solve(t, r.step, power)
 }
 
-func (r *luReference) solve(t *testing.T, lu *numeric.LU, power []float64) {
+func (r *cholReference) solve(t *testing.T, chol *numeric.Cholesky, power []float64) {
 	t.Helper()
 	for c, p := range power {
 		r.rhs[r.m.node(layerDie, c)] += p
 	}
-	if err := lu.SolveChecked(r.over, r.rhs); err != nil {
-		t.Fatal(err)
+	if !numeric.AllFinite(chol.Solve(r.over, r.rhs)) {
+		t.Fatal("reference solve is not finite")
 	}
 	for i, v := range r.over {
 		r.nodes[i] = v + r.m.cfg.Ambient
@@ -89,12 +89,12 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
-// The modal solve must agree with the dense-LU solve of the assembled
+// The modal solve must agree with the Cholesky solve of the assembled
 // network: the steady state, then 2000 implicit-Euler steps under random
 // power started from it, die temperatures after every step and the full
 // node state (State) along the way. Half-way the state makes a round trip
 // through State and SetState.
-func TestModalSolveMatchesLU(t *testing.T) {
+func TestModalSolveMatchesCholesky(t *testing.T) {
 	const (
 		steps = 2000
 		tol   = 1e-9 // K
@@ -116,14 +116,14 @@ func TestModalSolveMatchesLU(t *testing.T) {
 				}
 			}
 			draw()
-			ref := newLUReference(t, m, dt)
+			ref := newCholReference(t, m, dt)
 			ref.steady(t, power)
 			nodes := make([]float64, m.NumNodes())
 			if _, err := m.SteadyStateChecked(power, nodes); err != nil {
 				t.Fatal(err)
 			}
 			if d := maxAbsDiff(nodes, ref.nodes); d > tol {
-				t.Fatalf("steady state differs from LU by %.3g K", d)
+				t.Fatalf("steady state differs from Cholesky by %.3g K", d)
 			}
 
 			tr, err := m.NewTransient(dt)
@@ -142,7 +142,7 @@ func TestModalSolveMatchesLU(t *testing.T) {
 				worst = math.Max(worst, maxAbsDiff(tr.CoreTemps(die), ref.die))
 				if s%500 == 499 {
 					if d := maxAbsDiff(tr.State(), ref.nodes); d > tol {
-						t.Fatalf("step %d: node state differs from LU by %.3g K", s, d)
+						t.Fatalf("step %d: node state differs from Cholesky by %.3g K", s, d)
 					}
 				}
 				if s == steps/2 {
@@ -150,9 +150,9 @@ func TestModalSolveMatchesLU(t *testing.T) {
 				}
 			}
 			if worst > tol {
-				t.Fatalf("die temperatures differ from LU by up to %.3g K over %d steps", worst, steps)
+				t.Fatalf("die temperatures differ from Cholesky by up to %.3g K over %d steps", worst, steps)
 			}
-			t.Logf("max |modal − LU| over %d steps: %.2g K", steps, worst)
+			t.Logf("max |modal − Cholesky| over %d steps: %.2g K", steps, worst)
 		})
 	}
 }

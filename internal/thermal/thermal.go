@@ -18,8 +18,8 @@
 //     C·dT/dt = P − G·T, used for the fine-grained intra-epoch simulation
 //     of Fig. 4; each window starts from its steady state.
 //
-// GridModel, HotSpot's sub-core grid mode, keeps dense-LU and sparse-CG
-// backends.
+// GridModel, HotSpot's sub-core grid mode, has one solver too:
+// Jacobi-preconditioned conjugate gradients over its sparse network.
 //
 // The network is linear, so superposition holds exactly — the property the
 // online thermal predictor (internal/thermpredict, [27]) exploits.

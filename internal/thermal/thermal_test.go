@@ -347,7 +347,7 @@ func TestLargeFloorplan(t *testing.T) {
 // matrix tri, built node by node independently of the modal solve, times
 // the solution equals the injected right-hand side, on every grid shape
 // and for uniform (mode 0 only) as well as random power.
-func TestSparseBackendResidual(t *testing.T) {
+func TestSteadyStateResidual(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 7}, {4, 6}, {8, 8}, {16, 16}, {20, 20}}
 	rng := rand.New(rand.NewSource(5))
 	for _, shape := range shapes {
