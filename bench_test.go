@@ -290,8 +290,7 @@ func BenchmarkAblationDCMPolicies(b *testing.B) {
 		for c := 0; c < 32; c++ {
 			power[c] = 6
 		}
-		temps := p.TM.SteadyState(power, nil)
-		contiguous = maxOf(temps)
+		contiguous = maxOf(mustSteady(b, p.TM, power))
 
 		power = make([]float64, n)
 		for c := 0; c < n; c++ {
@@ -299,11 +298,19 @@ func BenchmarkAblationDCMPolicies(b *testing.B) {
 				power[c] = 6
 			}
 		}
-		temps = p.TM.SteadyState(power, nil)
-		checker = maxOf(temps)
+		checker = maxOf(mustSteady(b, p.TM, power))
 	}
 	b.ReportMetric(contiguous, "contiguous-peakK")
 	b.ReportMetric(checker, "checker-peakK")
+}
+
+// mustSteady is SteadyStateChecked for a benchmark's finite power vector.
+func mustSteady(b *testing.B, tm *thermal.Model, power []float64) []float64 {
+	temps, err := tm.SteadyStateChecked(power, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return temps
 }
 
 func maxOf(v []float64) float64 {
@@ -373,7 +380,7 @@ func BenchmarkThermalSteadyState(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.TM.SteadyState(power, nil)
+		mustSteady(b, p.TM, power)
 	}
 }
 
@@ -391,7 +398,7 @@ func BenchmarkThermalSteadyStateLarge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tm.SteadyState(power, nil)
+		mustSteady(b, tm, power)
 	}
 }
 
@@ -409,25 +416,9 @@ func BenchmarkThermalTransientStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Step(power)
-	}
-}
-
-// BenchmarkGridModelSteadyState measures the sub-core grid model at
-// SubDiv = 2 (384 nodes).
-func BenchmarkGridModelSteadyState(b *testing.B) {
-	p, _ := benchPlatform(b)
-	grid, err := thermal.NewGrid(p.FP, thermal.DefaultConfig(), 2, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	power := make([]float64, 64)
-	for i := range power {
-		power[i] = 5
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		grid.SteadyState(power, nil)
+		if err := tr.StepChecked(power); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -461,32 +452,6 @@ func BenchmarkPredictorLearn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationCompactPredictor compares the exact response-matrix
-// predictor against the radial-kernel variant: per-call time plus the
-// worst-case temperature error of the approximation.
-func BenchmarkAblationCompactPredictor(b *testing.B) {
-	p, kits := benchPlatform(b)
-	kit := kits[0]
-	cp, err := thermpredict.LearnCompact(p.TM, p.PM, kit.Chip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 64
-	pdyn := make([]float64, n)
-	on := make([]bool, n)
-	for i := 0; i < n; i += 2 {
-		pdyn[i], on[i] = 4, true
-	}
-	dst := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cp.Predict(dst, pdyn, on)
-	}
-	b.StopTimer()
-	b.ReportMetric(cp.AccuracyVs(kit.Pred, pdyn, on), "worst-err-K")
-	b.ReportMetric(float64(cp.KernelSize()), "kernel-floats")
 }
 
 // BenchmarkArrivalDecision measures the paper's actual overhead scenario:

@@ -10,9 +10,9 @@
 //	go run ./cmd/hayatlint -rules errwrap,determinism ./...
 //	go run ./cmd/hayatlint -json ./...                # machine-readable
 //
-// The module-wide rules (determinism, key-completeness) always analyze
-// the full module — a directory argument narrows which diagnostics are
-// printed, not what the call graph sees.
+// The module-wide rules (determinism, key-completeness, reachability)
+// always analyze the full module — a directory argument narrows which
+// diagnostics are printed, not what the call graph sees.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load failure.
 // Suppress a single finding with `//lint:ignore <rule> <reason>` on the

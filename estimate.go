@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"github.com/kit-ces/hayat/internal/floorplan"
 )
 
 // LifetimeEstimate is the fast analytic stand-in for a full lifetime
@@ -38,13 +40,7 @@ type LifetimeEstimate struct {
 func (c *Chip) EstimateLifetime(p Policy) (*LifetimeEstimate, error) {
 	cfg := c.sys.cfg
 	n := c.sys.fp.N()
-	maxOn := int(float64(n) * (1 - cfg.DarkFraction))
-	if maxOn < 1 {
-		maxOn = 1
-	}
-	if maxOn > n {
-		maxOn = n
-	}
+	maxOn := floorplan.MaxOnCores(n, cfg.DarkFraction)
 
 	// Duty follows the config's duty mode; without per-app knowledge the
 	// "known" mode degrades to the generic 50 % assumption.

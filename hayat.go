@@ -218,7 +218,7 @@ func (c Config) Validate() error {
 	}
 	// A mix draws whole applications, so a budget below the smallest
 	// application's thread count could never run an epoch.
-	if on, need := sim.MaxOnCores(c.Rows*c.Cols, c.DarkFraction), workload.FewestThreads(workload.PaperSet()); on < need {
+	if on, need := floorplan.MaxOnCores(c.Rows*c.Cols, c.DarkFraction), workload.FewestThreads(workload.PaperSet()); on < need {
 		return fmt.Errorf("hayat: %d×%d cores at dark fraction %v power %d, fewer than the smallest application's %d threads",
 			c.Rows, c.Cols, c.DarkFraction, on, need)
 	}

@@ -111,9 +111,6 @@ func NewCoreAging(params Params, paths *gates.PathSet) *CoreAging {
 	return ca
 }
 
-// Params returns the model constants in use.
-func (ca *CoreAging) Params() Params { return ca.params }
-
 // UnagedDelay returns the slowest path's year-0 delay in seconds.
 func (ca *CoreAging) UnagedDelay() float64 { return ca.unaged }
 
@@ -139,12 +136,6 @@ func (ca *CoreAging) AgedDelay(T, duty, years float64) float64 {
 		}
 	}
 	return max
-}
-
-// FreqFactor returns health after aging: f_max(y)/f_max(0) =
-// unagedDelay/agedDelay ∈ (0, 1].
-func (ca *CoreAging) FreqFactor(T, duty, years float64) float64 {
-	return ca.unaged / ca.AgedDelay(T, duty, years)
 }
 
 // fill writes FreqFactor at every point of t's grid.

@@ -101,48 +101,14 @@ func NewCompositeCoreAging(params Params, hci HCIParams, paths *gates.PathSet) (
 	return &CompositeCoreAging{nbti: NewCoreAging(params, paths), hci: hci}, nil
 }
 
-// UnagedDelay returns the slowest path's year-0 delay in seconds.
-func (c *CompositeCoreAging) UnagedDelay() float64 { return c.nbti.UnagedDelay() }
-
-// AgedDelay returns the slowest path's delay after combined NBTI + HCI
-// stress. HCI affects every element uniformly (NMOS stress is not
-// topology-weighted the way PMOS duty exposure is).
-func (c *CompositeCoreAging) AgedDelay(T, duty, years float64) float64 {
-	hciShift := c.hci.DeltaVth(T, years, duty, c.hci.RefFreq)
-	max := 0.0
-	for i := range c.nbti.paths.Paths {
-		p := &c.nbti.paths.Paths[i]
-		sum := 0.0
-		for _, e := range p.Elements {
-			effDuty := duty * e.DutyFactor * e.Cell.PMOSDutyWeight
-			nbtiShift := c.nbti.params.DeltaVth(T, years, effDuty)
-			sum += e.Cell.Delay * (1 + e.Cell.VthSensitivity*(nbtiShift+hciShift))
-		}
-		if sum > max {
-			max = sum
-		}
-	}
-	return max
-}
-
-// FreqFactor returns health under the combined mechanisms.
-func (c *CompositeCoreAging) FreqFactor(T, duty, years float64) float64 {
-	return c.UnagedDelay() / c.AgedDelay(T, duty, years)
-}
-
-// NBTIOnly returns the underlying NBTI-only estimator (the paper's model).
-func (c *CompositeCoreAging) NBTIOnly() *CoreAging { return c.nbti }
-
 // fill writes FreqFactor at every point of t's grid (see CoreAging.fill).
 func (c *CompositeCoreAging) fill(t *Table3D) { c.nbti.fillWith(t, &c.hci) }
 
 // FactorModel is anything that can fill an aging table: the NBTI-only
-// CoreAging or the composite NBTI+HCI estimator. FreqFactor is the
-// pointwise model; fill evaluates it over a whole table grid with the
-// loop-invariant work hoisted, bit for bit equal to FreqFactor at every
-// point.
+// CoreAging or the composite NBTI+HCI estimator. fill evaluates the model
+// over a whole table grid with the loop-invariant work hoisted; the tests
+// hold it bit for bit to the pointwise model, FreqFactor, at every point.
 type FactorModel interface {
-	FreqFactor(T, duty, years float64) float64
 	fill(t *Table3D)
 }
 

@@ -167,7 +167,7 @@ func TestTableMatchesPointwiseReference(t *testing.T) {
 		hci := DefaultHCIParams()
 		for _, m := range []struct {
 			name  string
-			model FactorModel
+			model pointwiseModel
 			hci   *HCIParams
 		}{{"nbti", nbti, nil}, {"nbti+hci", comp, &hci}} {
 			tab := DefaultTable(m.model)

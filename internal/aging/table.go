@@ -149,16 +149,6 @@ func (t *Table3D) FactorBound() float64 {
 	return m * (1 + 1e-12)
 }
 
-// EffectiveAge inverts the table along the age axis: it returns the age y
-// at which a core operating continuously at (T, d) would exhibit the given
-// frequency factor. This is the "current estimated position/index in the
-// 3D-aging tables" of Fig. 5 step (3).
-func (t *Table3D) EffectiveAge(T, d, factor float64) float64 {
-	var c AgeCurve
-	c.init(t, T, d)
-	return c.EffectiveAge(factor)
-}
-
 // AgeCurve is the table at one fixed (temperature, duty) point: the
 // frequency factor as a function of age alone. It brackets T and d once,
 // so a caller that reads one (T, d) point many times — an EffectiveAge
@@ -232,8 +222,10 @@ func (c *AgeCurve) At(y float64) float64 {
 	return f
 }
 
-// EffectiveAge returns the age at which the curve reaches the given
-// frequency factor (see Table3D.EffectiveAge).
+// EffectiveAge inverts the curve: it returns the age y at which a core
+// operating continuously at the curve's (T, d) would exhibit the given
+// frequency factor. This is the "current estimated position/index in the
+// 3D-aging tables" of Fig. 5 step (3).
 //
 // The factor is monotonically non-increasing in age, so a bisection
 // suffices. Degenerate cases: a factor ≥ the unaged value maps to age 0; a
@@ -303,6 +295,8 @@ func (s State) PredictFactor(tab *Table3D, T, d, dtYears float64) float64 {
 // degradation increments without re-anchoring the effective age, i.e. it
 // treats aging as if the whole history had happened at the current (T, d).
 // Used only by benchmarks to quantify the error of the naive scheme.
+//
+//lint:ignore reachability backs EXPERIMENTS.md's naive-aging ablation through the root BenchmarkAblationNaiveAging
 func (s *State) NaiveAdvance(tab *Table3D, T, d, elapsedYears, dtYears float64) {
 	if dtYears <= 0 {
 		return

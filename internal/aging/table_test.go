@@ -271,3 +271,11 @@ func TestFactorBoundCoversCurve(t *testing.T) {
 		t.Fatalf("table with a negative entry bounded by %v, want +Inf", u)
 	}
 }
+
+// EffectiveAge inverts the table along the age axis at (T, d): the
+// one-shot form of AgeCurve.EffectiveAge the tests probe points with.
+func (t *Table3D) EffectiveAge(T, d, factor float64) float64 {
+	var c AgeCurve
+	c.init(t, T, d)
+	return c.EffectiveAge(factor)
+}

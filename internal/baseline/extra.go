@@ -28,6 +28,8 @@ type Random struct {
 }
 
 // NewRandom builds the random mapper.
+//
+//lint:ignore reachability backs EXPERIMENTS.md's policy ladder through the root BenchmarkAblationPolicyLadder
 func NewRandom(seed int64) *Random { return &Random{Seed: seed} }
 
 // Name implements policy.Policy.
@@ -76,6 +78,8 @@ func (r *Random) Map(ctx *policy.Context, threads []*workload.Thread) (policy.Re
 type CoolestFirst struct{}
 
 // NewCoolestFirst builds the temperature-only mapper.
+//
+//lint:ignore reachability backs EXPERIMENTS.md's policy ladder through the root BenchmarkAblationPolicyLadder
 func NewCoolestFirst() *CoolestFirst { return &CoolestFirst{} }
 
 // Name implements policy.Policy.

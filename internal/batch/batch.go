@@ -170,13 +170,6 @@ func (b *Batcher[T, R]) dispatch(ctx context.Context, batch []Item[T, R]) error 
 	}
 }
 
-// Pending reports the current un-flushed item count (for tests/metrics).
-func (b *Batcher[T, R]) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending)
-}
-
 // Close flushes any pending partial batch, waits for all in-flight
 // flushes to finish, and fails subsequent Submits with ErrClosed.
 // Idempotent.

@@ -215,3 +215,10 @@ func TestConcurrentSubmit(t *testing.T) {
 		t.Fatalf("%d items pending after Close", n)
 	}
 }
+
+// Pending reports the current un-flushed item count (for tests/metrics).
+func (b *Batcher[T, R]) Pending() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}

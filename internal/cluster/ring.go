@@ -90,18 +90,6 @@ func (r *Ring) SetEnabled(peer string, up bool) {
 	}
 }
 
-// Members returns every configured peer, enabled or not, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.enabled))
-	for p := range r.enabled {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // EnabledCount returns how many peers are currently up.
 func (r *Ring) EnabledCount() int {
 	r.mu.RLock()

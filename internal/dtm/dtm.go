@@ -118,18 +118,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	return &Manager{cfg: cfg, throttled: make(map[int]bool), cooldown: make(map[*workload.Thread]int)}, nil
 }
 
-// Config returns the policy configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Stats returns the accumulated accounting.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// ResetStats clears the accounting (e.g. at epoch boundaries when per-epoch
-// counts are wanted).
-func (m *Manager) ResetStats() { m.stats = Stats{} }
-
-// Throttled reports whether the thread on core i is currently throttled.
-func (m *Manager) Throttled(i int) bool { return m.throttled[i] }
 
 // FrequencyFactor returns the multiplier to apply to the thread's required
 // frequency on core i (1 when unthrottled).

@@ -285,3 +285,10 @@ func TestConfigRejectsBadLadderAndCooldown(t *testing.T) {
 		t.Error("descending ladder accepted")
 	}
 }
+
+// ResetStats clears the accounting (e.g. at epoch boundaries when per-epoch
+// counts are wanted).
+func (m *Manager) ResetStats() { m.stats = Stats{} }
+
+// Throttled reports whether the thread on core i is currently throttled.
+func (m *Manager) Throttled(i int) bool { return m.throttled[i] }

@@ -21,6 +21,8 @@ type Levels []float64
 
 // Uniform builds a ladder of `steps` evenly spaced levels over
 // [min, max].
+//
+//lint:ignore reachability the internal/core and internal/sim tests build their frequency ladders with it
 func Uniform(min, max float64, steps int) (Levels, error) {
 	if steps < 2 || min <= 0 || max <= min {
 		return nil, fmt.Errorf("dvfs: invalid ladder spec [%v, %v] × %d", min, max, steps)

@@ -8,7 +8,9 @@
 // polynomial time complexity" — which is exactly why Hayat is a heuristic.
 // This package exists to validate the heuristic: on instances small enough
 // to enumerate, Hayat's solutions can be compared against the true
-// optimum (see the optimality-gap tests and benchmarks).
+// optimum (the optimality-gap tests behind EXPERIMENTS.md's "< 1 %"
+// claim). No command runs the solver, so the package consists of tests
+// only.
 //
 // The solver performs depth-first enumeration over thread→core
 // assignments with feasibility pruning; the search is capped by

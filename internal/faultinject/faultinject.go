@@ -266,12 +266,13 @@ var Default = NewRegistry(1)
 func Hit(name string) error { return Default.Hit(name) }
 
 // Arm arms a failpoint on the Default registry.
+//
+//lint:ignore reachability internal/service's tests arm failpoints programmatically
 func Arm(name, spec string) error { return Default.Arm(name, spec) }
 
-// Disarm disarms a failpoint on the Default registry.
-func Disarm(name string) { Default.Disarm(name) }
-
 // DisarmAll disarms every failpoint on the Default registry.
+//
+//lint:ignore reachability internal/service's tests disarm their failpoints with it
 func DisarmAll() { Default.DisarmAll() }
 
 // ArmSpecs arms a "name=spec,…" list on the Default registry.

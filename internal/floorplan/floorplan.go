@@ -1,17 +1,14 @@
 // Package floorplan models the physical layout of the manycore chip: a
 // regular grid of homogeneous cores with fixed dimensions, the neighbour
-// topology used by the thermal model, and Dark Core Maps (DCMs) — the
-// per-core power-state maps that decide which cores stay power-gated.
+// topology used by the thermal model, and the dark-silicon budget that
+// bounds how many cores a Dark Core Map (DCM) may power on.
 //
 // The paper's setup is an 8×8 grid of Alpha-21264-style cores of
 // 1.70 mm × 1.75 mm each (22 nm scaled to 11 nm per ITRS factors); those
 // are the package defaults.
 package floorplan
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Default geometry from the paper's experimental setup (Fig. 2 caption).
 const (
@@ -63,21 +60,13 @@ func (f *Floorplan) Position(i int) (row, col int) {
 	return i / f.Cols, i % f.Cols
 }
 
-// Center returns the physical centre coordinates (metres) of core i,
-// with the chip's top-left corner at the origin.
-func (f *Floorplan) Center(i int) (x, y float64) {
-	row, col := f.Position(i)
-	return (float64(col) + 0.5) * f.CoreWidth, (float64(row) + 0.5) * f.CoreHeight
-}
-
 // CoreArea returns the area of a single core in m².
 func (f *Floorplan) CoreArea() float64 { return f.CoreWidth * f.CoreHeight }
 
-// ChipArea returns the total core-array area in m².
-func (f *Floorplan) ChipArea() float64 { return f.CoreArea() * float64(f.N()) }
-
 // Neighbors appends to dst the indices of the cores sharing an edge with
 // core i (4-neighbourhood) and returns the extended slice.
+//
+//lint:ignore reachability internal/thermal's tests walk the grid with it to assemble their reference networks
 func (f *Floorplan) Neighbors(dst []int, i int) []int {
 	row, col := f.Position(i)
 	if row > 0 {
@@ -103,12 +92,12 @@ func (f *Floorplan) ManhattanDistance(a, b int) int {
 	return abs(ra-rb) + abs(ca-cb)
 }
 
-// EuclideanDistance returns the physical centre-to-centre distance in
-// metres between cores a and b.
-func (f *Floorplan) EuclideanDistance(a, b int) float64 {
-	xa, ya := f.Center(a)
-	xb, yb := f.Center(b)
-	return math.Hypot(xa-xb, ya-yb)
+// MaxOnCores returns the dark-silicon budget: the largest number of
+// cores out of n that may be powered on while at least darkFraction of
+// them stay dark, ⌊n·(1 − darkFraction)⌋, but never fewer than one, so
+// a tiny grid at a high dark fraction still runs a thread.
+func MaxOnCores(n int, darkFraction float64) int {
+	return max(1, int(float64(n)*(1-darkFraction)))
 }
 
 func abs(x int) int {

@@ -2,7 +2,6 @@ package floorplan
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -18,9 +17,6 @@ func TestDefaultMatchesPaperSetup(t *testing.T) {
 	// Core area 1.70×1.75 mm² = 2.975 mm².
 	if a := f.CoreArea(); math.Abs(a-2.975e-6) > 1e-12 {
 		t.Fatalf("CoreArea = %v", a)
-	}
-	if a := f.ChipArea(); math.Abs(a-64*2.975e-6) > 1e-10 {
-		t.Fatalf("ChipArea = %v", a)
 	}
 }
 
@@ -86,53 +82,8 @@ func TestDistances(t *testing.T) {
 	if d := f.ManhattanDistance(a, b); d != 5 {
 		t.Fatalf("Manhattan = %d, want 5", d)
 	}
-	want := math.Hypot(3*f.CoreWidth, 2*f.CoreHeight)
-	if d := f.EuclideanDistance(a, b); math.Abs(d-want) > 1e-12 {
-		t.Fatalf("Euclidean = %v, want %v", d, want)
-	}
-	if d := f.EuclideanDistance(a, a); d != 0 {
-		t.Fatalf("self distance = %v", d)
-	}
-}
-
-func TestCenterWithinChip(t *testing.T) {
-	f := Default()
-	w := float64(f.Cols) * f.CoreWidth
-	h := float64(f.Rows) * f.CoreHeight
-	for i := 0; i < f.N(); i++ {
-		x, y := f.Center(i)
-		if x <= 0 || x >= w || y <= 0 || y >= h {
-			t.Fatalf("core %d centre (%v,%v) outside chip %v×%v", i, x, y, w, h)
-		}
-	}
-}
-
-func TestDCMCounts(t *testing.T) {
-	d := NewDCM(8)
-	d[0], d[3], d[5] = true, true, true
-	if d.CountOn() != 3 || d.CountDark() != 5 {
-		t.Fatalf("CountOn/Dark = %d/%d", d.CountOn(), d.CountDark())
-	}
-	if frac := d.DarkFraction(); math.Abs(frac-5.0/8.0) > 1e-15 {
-		t.Fatalf("DarkFraction = %v", frac)
-	}
-	on := d.OnCores(nil)
-	if len(on) != 3 || on[0] != 0 || on[1] != 3 || on[2] != 5 {
-		t.Fatalf("OnCores = %v", on)
-	}
-	dark := d.DarkCores(nil)
-	if len(dark) != 5 {
-		t.Fatalf("DarkCores = %v", dark)
-	}
-}
-
-func TestDCMCloneIndependent(t *testing.T) {
-	d := NewDCM(4)
-	d[1] = true
-	c := d.Clone()
-	c[2] = true
-	if d[2] {
-		t.Fatal("Clone shares storage")
+	if d := f.ManhattanDistance(a, a); d != 0 {
+		t.Fatalf("self distance = %d", d)
 	}
 }
 
@@ -146,131 +97,10 @@ func TestMaxOnCores(t *testing.T) {
 	if got := MaxOnCores(64, 0); got != 64 {
 		t.Fatalf("MaxOnCores(64, 0) = %d, want 64", got)
 	}
-}
-
-func TestContiguousDCM(t *testing.T) {
-	f := Default()
-	d := ContiguousDCM(f, 32)
-	if d.CountOn() != 32 {
-		t.Fatalf("CountOn = %d", d.CountOn())
-	}
-	// First 32 row-major cores on, rest dark.
-	for i := 0; i < 32; i++ {
-		if !d[i] {
-			t.Fatalf("core %d should be on", i)
-		}
-	}
-	for i := 32; i < 64; i++ {
-		if d[i] {
-			t.Fatalf("core %d should be dark", i)
-		}
-	}
-}
-
-func TestCheckerboardDCMHalf(t *testing.T) {
-	f := Default()
-	d := CheckerboardDCM(f, 32)
-	if d.CountOn() != 32 {
-		t.Fatalf("CountOn = %d, want 32", d.CountOn())
-	}
-	// Exact checkerboard: no two on-cores adjacent.
-	for i := 0; i < f.N(); i++ {
-		if !d[i] {
-			continue
-		}
-		for _, j := range f.Neighbors(nil, i) {
-			if d[j] {
-				t.Fatalf("cores %d and %d both on and adjacent", i, j)
-			}
-		}
-	}
-}
-
-func TestCheckerboardDCMOverflowsToSecondParity(t *testing.T) {
-	f := Default()
-	d := CheckerboardDCM(f, 48) // 25% dark needs both parities
-	if d.CountOn() != 48 {
-		t.Fatalf("CountOn = %d, want 48", d.CountOn())
-	}
-}
-
-func TestSpreadDCMRespectsCount(t *testing.T) {
-	f := Default()
-	for _, nOn := range []int{1, 8, 32, 48, 64} {
-		d := SpreadDCM(f, nOn, nil)
-		if d.CountOn() != nOn {
-			t.Fatalf("SpreadDCM(%d) powered %d cores", nOn, d.CountOn())
-		}
-	}
-}
-
-func TestSpreadDCMPrefersEarlyPreferenceOrder(t *testing.T) {
-	f := Default()
-	pref := make([]int, f.N())
-	for i := range pref {
-		pref[i] = f.N() - 1 - i // reversed: prefer high indices
-	}
-	d := SpreadDCM(f, 1, pref)
-	if !d[f.N()-1] {
-		t.Fatal("single-core spread should pick the most-preferred core")
-	}
-}
-
-func TestSpreadDCMSpacingBeatsContiguous(t *testing.T) {
-	f := Default()
-	spread := SpreadDCM(f, 32, nil)
-	cont := ContiguousDCM(f, 32)
-	// Average nearest-neighbour distance among on-cores must be strictly
-	// larger for the spread map.
-	avgNN := func(d DCM) float64 {
-		on := d.OnCores(nil)
-		sum := 0.0
-		for _, i := range on {
-			min := 1 << 30
-			for _, j := range on {
-				if i == j {
-					continue
-				}
-				if dd := f.ManhattanDistance(i, j); dd < min {
-					min = dd
-				}
-			}
-			sum += float64(min)
-		}
-		return sum / float64(len(on))
-	}
-	if avgNN(spread) <= avgNN(cont) {
-		t.Fatalf("spread NN distance %v not better than contiguous %v", avgNN(spread), avgNN(cont))
-	}
-}
-
-func TestDCMRender(t *testing.T) {
-	f := New(2, 2)
-	d := NewDCM(f.N())
-	d[0], d[3] = true, true
-	got := d.Render(2, 2)
-	want := "#.\n.#\n"
-	if got != want {
-		t.Fatalf("Render = %q, want %q", got, want)
-	}
-	if d.String() != want {
-		t.Fatalf("String = %q, want %q", d.String(), want)
-	}
-}
-
-// Property: any DCM satisfies CountOn + CountDark == N.
-func TestDCMCountInvariant(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(128)
-		d := NewDCM(n)
-		for i := range d {
-			d[i] = rng.Intn(2) == 0
-		}
-		return d.CountOn()+d.CountDark() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	// The budget never drops below one core: 1×1 at 75 % dark would
+	// floor to zero.
+	if got := MaxOnCores(1, 0.75); got != 1 {
+		t.Fatalf("MaxOnCores(1, 0.75) = %d, want 1", got)
 	}
 }
 

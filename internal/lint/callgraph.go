@@ -99,15 +99,6 @@ func origin(f *types.Func) *types.Func {
 	return f
 }
 
-// Node returns the graph node for fn, or nil.
-func (g *CallGraph) Node(fn *types.Func) *CallNode {
-	return g.nodes[origin(fn)]
-}
-
-// Nodes returns every node in the graph (iteration order unspecified;
-// callers that emit diagnostics must sort by position, which Run does).
-func (g *CallGraph) Nodes() map[*types.Func]*CallNode { return g.nodes }
-
 // resolveEdges walks node's body — closures included — and records every
 // module function it could run.
 func (g *CallGraph) resolveEdges(node *CallNode) {
@@ -123,12 +114,17 @@ func (g *CallGraph) resolveEdges(node *CallNode) {
 			node.Callees = append(node.Callees, f)
 		}
 	}
-	ast.Inspect(node.Decl, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			// Reference edge: any mention of a declared function counts
-			// (direct calls are a subset of mentions).
-			if f, ok := p.Info.Uses[n].(*types.Func); ok {
+	g.mentions(p, node.Decl, add)
+}
+
+// mentions calls add for every function n mentions. Any mention of a
+// declared function counts as a reference edge (direct calls are a
+// subset of mentions); a mention of an interface method fans out to its
+// module implementers.
+func (g *CallGraph) mentions(p *Package, n ast.Node, add func(*types.Func)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if f, ok := p.Info.Uses[id].(*types.Func); ok {
 				if abstractInterfaceMethod(f) {
 					for _, impl := range g.resolveInterface(f) {
 						add(impl)

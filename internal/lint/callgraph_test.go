@@ -150,3 +150,12 @@ func Drive(s step) { s.Apply() }
 		}
 	}
 }
+
+// Node returns the graph node for fn, or nil.
+func (g *CallGraph) Node(fn *types.Func) *CallNode {
+	return g.nodes[origin(fn)]
+}
+
+// Nodes returns every node in the graph (iteration order unspecified;
+// callers that emit diagnostics must sort by position, which Run does).
+func (g *CallGraph) Nodes() map[*types.Func]*CallNode { return g.nodes }

@@ -6,12 +6,13 @@ import (
 )
 
 // checkCheckedSolve reserves the raw solver entry points for
-// internal/numeric itself. After the NaN/Inf hardening PR, every solver
-// has a *Checked twin (SolveChecked, SteadyStateChecked) that rejects
-// non-finite inputs and results; calling the raw variant from anywhere
-// else reopens the hole where a poisoned power vector ages a chip with
-// NaN temperatures. Deliberate raw fast paths (e.g. thermal's internal
-// dispatch, which its own Checked wrappers guard) carry a
+// internal/numeric itself. The thermal model's production solves exist
+// only as checked entry points (SteadyStateChecked, StepChecked) that
+// reject non-finite inputs and results; a raw Solve or SteadyState added
+// back outside internal/numeric would reopen the hole where a poisoned
+// power vector ages a chip with NaN temperatures. The reachability rule
+// cannot catch such a twin once a production path calls it; this rule
+// can. A deliberate raw fast path guarded by its caller carries a
 // //lint:ignore checked-solve justification.
 func checkCheckedSolve(p *Package, r *Reporter) {
 	if p.PathContains("internal/numeric") {

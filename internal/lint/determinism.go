@@ -24,9 +24,13 @@ import (
 //   - internal/thermal:  exported *Solve*/*SteadyState* (solves)
 //   - the module root:   exported Run*/Resume* (RunLifetime*,
 //     RunPopulation*, ResumeLifetime*)
+//   - package-level var initialisers of the simulation library, and the
+//     functions they mention: they run at package initialisation, and
+//     the values they compute feed every run
 //
-// and flags, inside any reachable function, the nondeterminism sources
-// that could make two runs of the same Config diverge:
+// and flags, inside any reachable function or such initialiser, the
+// nondeterminism sources that could make two runs of the same Config
+// diverge:
 //
 //   - time.Now / time.Since / time.Until (wall clock)
 //   - package-level math/rand and math/rand/v2 draws (process-global,
@@ -59,6 +63,21 @@ import (
 func checkDeterminism(pkgs []*Package, r *Reporter) {
 	g := BuildCallGraph(pkgs)
 	entries := determinismEntries(g)
+	initEntries := make(map[*types.Func]bool)
+	for _, p := range pkgs {
+		if !determinismScoped(p) {
+			continue
+		}
+		forEachVarInit(p, func(e ast.Expr) {
+			scanNondeterminismSources(p, e, func(pos token.Pos, msg string) {
+				r.Reportf(pos, "%s (in a package-level initialiser)", msg)
+			})
+			g.mentions(p, e, func(f *types.Func) {
+				initEntries[f] = true
+				entries = append(entries, f)
+			})
+		})
+	}
 	reached := g.Reachable(entries)
 
 	// Deterministic iteration: sort reachable functions by position.
@@ -76,7 +95,10 @@ func checkDeterminism(pkgs []*Package, r *Reporter) {
 		}
 		entry := reached[fn]
 		via := ""
-		if entry != fn {
+		switch {
+		case initEntries[entry]:
+			via = fmt.Sprintf(" (run at package initialisation through %s)", entry.FullName())
+		case entry != fn:
 			via = fmt.Sprintf(" (on the result path from %s)", entry.FullName())
 		}
 		scanNondeterminismSources(node.Pkg, node.Decl, func(pos token.Pos, msg string) {
@@ -160,10 +182,10 @@ func moduleRootPackage(p *Package) bool {
 		!strings.Contains(p.ImportPath, "/internal/")
 }
 
-// scanNondeterminismSources walks one function declaration (closures
-// included — they run on the declarer's result path) and reports every
-// nondeterminism source.
-func scanNondeterminismSources(p *Package, decl *ast.FuncDecl, report func(token.Pos, string)) {
+// scanNondeterminismSources walks one function declaration or
+// package-level initialiser (closures included — they run on the
+// declarer's result path) and reports every nondeterminism source.
+func scanNondeterminismSources(p *Package, decl ast.Node, report func(token.Pos, string)) {
 	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -230,7 +252,7 @@ func nondetCall(info *types.Info, call *ast.CallExpr) string {
 // launders the order taint (approximation: the sort call's position
 // relative to the loop is not checked; a sort before the loop would
 // fool it, but that shape has no reason to exist).
-func checkMapRangeOrder(p *Package, decl *ast.FuncDecl, rng *ast.RangeStmt, report func(token.Pos, string)) {
+func checkMapRangeOrder(p *Package, decl ast.Node, rng *ast.RangeStmt, report func(token.Pos, string)) {
 	t := p.Info.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -344,7 +366,7 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 
 // sortedInFunc reports whether decl contains a sort call whose argument
 // has obj as its base — the sanitizer for collect-then-sort.
-func sortedInFunc(info *types.Info, decl *ast.FuncDecl, obj types.Object) bool {
+func sortedInFunc(info *types.Info, decl ast.Node, obj types.Object) bool {
 	if obj == nil {
 		return false
 	}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -96,5 +97,24 @@ func forEachFunc(p *Package, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
 			}
 			return true
 		})
+	}
+}
+
+// forEachVarInit calls fn for every initialiser expression of a
+// package-level var declaration: code that runs at package
+// initialisation, outside every function body.
+func forEachVarInit(p *Package, fn func(ast.Expr)) {
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, v := range spec.(*ast.ValueSpec).Values {
+					fn(v)
+				}
+			}
+		}
 	}
 }

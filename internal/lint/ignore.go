@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"strconv"
 	"strings"
@@ -46,15 +47,10 @@ func collectSuppressions(p *Package, known map[string]bool) (suppressionSet, []D
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//")
+				fields, ok := ignoreDirective(c)
 				if !ok {
-					continue // /* */ comments do not carry directives
-				}
-				text, ok = strings.CutPrefix(strings.TrimSpace(text), ignorePrefix)
-				if !ok || (text != "" && text[0] != ' ' && text[0] != '\t') {
 					continue
 				}
-				fields := strings.Fields(text)
 				if len(fields) == 0 {
 					report(c.Pos(), "//lint:ignore needs a rule name and a reason")
 					continue
@@ -77,4 +73,19 @@ func collectSuppressions(p *Package, known map[string]bool) (suppressionSet, []D
 		}
 	}
 	return set, diags
+}
+
+// ignoreDirective splits a //lint:ignore comment into its rule name and
+// reason words; ok is false for any other comment. /* */ comments do
+// not carry directives.
+func ignoreDirective(c *ast.Comment) (fields []string, ok bool) {
+	text, ok := strings.CutPrefix(c.Text, "//")
+	if !ok {
+		return nil, false
+	}
+	text, ok = strings.CutPrefix(strings.TrimSpace(text), ignorePrefix)
+	if !ok || (text != "" && text[0] != ' ' && text[0] != '\t') {
+		return nil, false
+	}
+	return strings.Fields(text), true
 }

@@ -16,10 +16,15 @@
 //	mutex-discipline   no return between Lock and a non-deferred Unlock
 //	determinism        no wall clock, global rand, map-order leak, racy
 //	                   select or host-environment read on any path
-//	                   reachable from a result-producing entry point
-//	                   (module-wide taint over the call graph)
+//	                   reachable from a result-producing entry point or a
+//	                   package-level initialiser (module-wide taint over
+//	                   the call graph)
 //	key-completeness   exported Config fields excluded from the canonical
 //	                   cache key (json:"-") must be allow-listed
+//	reachability       every library function is reached from a command,
+//	                   an init, a package-level initialiser, the exported
+//	                   hayat API or a stdlib interface, or carries a
+//	                   directive naming the tests that keep it
 //
 // The analyzer is stdlib-only (go/ast, go/parser, go/types, go/importer):
 // module packages are parsed and type-checked from source, imports
@@ -76,6 +81,7 @@ func Rules() []Rule {
 		{Name: "mutex-discipline", Doc: "no return between Lock and its Unlock unless the unlock is deferred", Check: checkMutexDiscipline},
 		{Name: "determinism", Doc: "no nondeterminism source (wall clock, global rand, map-order leak, racy select, host env) reachable from a result-producing entry point", CheckModule: checkDeterminism},
 		{Name: "key-completeness", Doc: "exported Config fields excluded from the canonical cache key (json:\"-\") must carry a justified allow-list suppression", CheckModule: checkKeyCompleteness},
+		{Name: "reachability", Doc: "every library function is reached from a command, an init, a package-level initialiser, the exported hayat API or a stdlib interface, or says which tests keep it", CheckModule: checkReachability},
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // marked by a trailing `// want "regexp"` comment) and negative (clean)
 // cases. The suppress package is asserted explicitly in
 // TestSuppressionAndUnknownRule instead of via want comments, because
-// its subject is the suppression machinery itself.
+// its subject is the suppression machinery itself. The reach packages
+// are checked together by TestReachability: reachability is measured
+// from a command, and a library alone has none.
 
 var (
 	fixtureOnce sync.Once
@@ -85,41 +87,80 @@ func parseWants(t *testing.T, p *Package) []*want {
 	return wants
 }
 
+// checkWants runs every rule over pkgs together and requires each want
+// comment in them to be matched by a diagnostic on its line, and every
+// diagnostic to match a want.
+func checkWants(t *testing.T, pkgs []*Package) {
+	t.Helper()
+	var wants []*want
+	for _, p := range pkgs {
+		if len(p.TypeErrs) > 0 {
+			t.Fatalf("fixture %s has type errors: %v", p.ImportPath, p.TypeErrs)
+		}
+		wants = append(wants, parseWants(t, p)...)
+	}
+	for _, d := range Run(pkgs, Rules()) {
+		text := "[" + d.Rule + "] " + d.Msg
+		found := false
+		for _, w := range wants {
+			if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(text) {
+				w.matched = true
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
+		}
+	}
+}
+
 // TestGolden checks every rule against its fixture package: each want
 // comment must be matched by a diagnostic on its line, and no diagnostic
 // may appear without a want.
 func TestGolden(t *testing.T) {
 	for _, p := range fixturePackages(t) {
-		if strings.HasSuffix(p.ImportPath, "/suppress") {
+		if strings.HasSuffix(p.ImportPath, "/suppress") || strings.Contains(p.ImportPath, "/reach/") {
 			continue
 		}
 		p := p
 		t.Run(strings.TrimPrefix(p.ImportPath, "example.com/fixture/"), func(t *testing.T) {
-			if len(p.TypeErrs) > 0 {
-				t.Fatalf("fixture has type errors: %v", p.TypeErrs)
-			}
-			wants := parseWants(t, p)
-			diags := Run([]*Package{p}, Rules())
-			for _, d := range diags {
-				text := "[" + d.Rule + "] " + d.Msg
-				found := false
-				for _, w := range wants {
-					if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(text) {
-						w.matched = true
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("unexpected diagnostic: %s", d)
-				}
-			}
-			for _, w := range wants {
-				if !w.matched {
-					t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
-				}
-			}
+			checkWants(t, []*Package{p})
 		})
+	}
+}
+
+// TestReachability runs the rules over the reach command and library
+// together: the library's one unreached function is reported, and its
+// String, sort.Interface, Error and Unwrap methods, its initialiser's
+// constructor, its kept function with that function's callee, and its
+// method reached only through a module interface are not. The library
+// alone has no main package to measure from, so there the rule is
+// silent.
+func TestReachability(t *testing.T) {
+	var reach []*Package
+	var lib *Package
+	for _, p := range fixturePackages(t) {
+		if strings.Contains(p.ImportPath, "/reach/") {
+			reach = append(reach, p)
+		}
+		if strings.HasSuffix(p.ImportPath, "/reach/lib") {
+			lib = p
+		}
+	}
+	if len(reach) != 2 || lib == nil {
+		t.Fatalf("want the reach/cmd and reach/lib fixture packages, got %d", len(reach))
+	}
+	checkWants(t, reach)
+	for _, d := range Run([]*Package{lib}, Rules()) {
+		if d.Rule == "reachability" {
+			t.Errorf("reachability reported without a main package loaded: %s", d)
+		}
 	}
 }
 
@@ -183,12 +224,12 @@ func TestSuppressionAndUnknownRule(t *testing.T) {
 	}
 }
 
-// TestRuleNamesAndDocs keeps the registry consistent: eight uniquely
+// TestRuleNamesAndDocs keeps the registry consistent: nine uniquely
 // named rules, all documented, each with exactly one check kind.
 func TestRuleNamesAndDocs(t *testing.T) {
 	rules := Rules()
-	if len(rules) != 8 {
-		t.Fatalf("got %d rules, want 8", len(rules))
+	if len(rules) != 9 {
+		t.Fatalf("got %d rules, want 9", len(rules))
 	}
 	seen := map[string]bool{}
 	for _, r := range rules {

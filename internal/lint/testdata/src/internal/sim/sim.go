@@ -244,3 +244,22 @@ type Config struct {
 
 // useConfig keeps the unexported field referenced.
 func useConfig(c Config) bool { return c.hidden }
+
+// --- package-level initialisers ---------------------------------------
+
+// startStamp is computed at package initialisation: no function body
+// holds the clock read, yet every run that reads the value inherits it.
+var startStamp = time.Now().UnixNano() // want `time.Now reads the wall clock.*in a package-level initialiser`
+
+// RunStamped reads the initialiser's value on the result path.
+func (e *Engine) RunStamped() int64 { return startStamp }
+
+// bootKnob is set by a helper that package initialisation runs.
+var bootKnob = knobFromEnv()
+
+func knobFromEnv() string {
+	return os.Getenv("HAYAT_BOOT") // want `os.Getenv reads the host environment.*run at package initialisation through.*knobFromEnv`
+}
+
+// RunBootKnob reads the helper's value on the result path.
+func (e *Engine) RunBootKnob() string { return bootKnob }

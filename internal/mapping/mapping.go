@@ -11,7 +11,6 @@ package mapping
 import (
 	"fmt"
 
-	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/workload"
 )
 
@@ -69,6 +68,8 @@ func (a *Assignment) Assign(t *workload.Thread, i int) error {
 }
 
 // Unassign removes thread t from the mapping (no-op if unmapped).
+//
+//lint:ignore reachability the internal/dtm tests and internal/exact's backtracking solver release cores with it
 func (a *Assignment) Unassign(t *workload.Thread) {
 	if c, ok := a.coreOf[t]; ok {
 		a.threadOf[c] = nil
@@ -118,18 +119,10 @@ func (a *Assignment) Clone() *Assignment {
 	return c
 }
 
-// DCM derives the Dark Core Map: a core is powered on exactly when it has
-// a thread.
-func (a *Assignment) DCM() floorplan.DCM {
-	d := floorplan.NewDCM(len(a.threadOf))
-	for i, t := range a.threadOf {
-		d[i] = t != nil
-	}
-	return d
-}
-
 // Validate checks the structural invariants (one thread per core, inverse
 // map consistency).
+//
+//lint:ignore reachability the baseline, core and exact tests check every policy's mapping with it
 func (a *Assignment) Validate() error {
 	seen := make(map[*workload.Thread]int)
 	for i, t := range a.threadOf {

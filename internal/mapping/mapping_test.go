@@ -119,15 +119,15 @@ func TestDCMReflectsAssignment(t *testing.T) {
 	a := New(4)
 	_ = a.Assign(ths[0], 0)
 	_ = a.Assign(ths[1], 3)
-	d := a.DCM()
+	// The Dark Core Map is exactly the set of cores with a thread.
 	want := []bool{true, false, false, true}
 	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("DCM[%d] = %v, want %v", i, d[i], want[i])
+		if on := a.ThreadOn(i) != nil; on != want[i] {
+			t.Fatalf("core %d powered = %v, want %v", i, on, want[i])
 		}
 	}
-	if d.CountOn() != 2 {
-		t.Fatalf("CountOn = %d", d.CountOn())
+	if a.NumAssigned() != 2 {
+		t.Fatalf("NumAssigned = %d", a.NumAssigned())
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"github.com/kit-ces/hayat/internal/sim"
-	"github.com/kit-ces/hayat/internal/stats"
 )
 
 // Summary aggregates one policy's results across a chip population at one
@@ -50,20 +49,6 @@ type Summary struct {
 	PerChipTempOverAmb   []float64
 	PerChipChipFMaxAging []float64
 	PerChipAvgFMaxAging  []float64
-}
-
-// DTMStats describes the per-chip DTM-event distribution. It errors on
-// non-finite samples (which would indicate a corrupted Result).
-func (s Summary) DTMStats() (stats.Description, error) { return stats.Describe(s.PerChipDTM) }
-
-// TempStats describes the per-chip temperature-over-ambient distribution.
-// It errors on non-finite samples.
-func (s Summary) TempStats() (stats.Description, error) { return stats.Describe(s.PerChipTempOverAmb) }
-
-// AvgFMaxAgingCI returns a bootstrap 95 % confidence interval for the
-// mean per-chip average-fmax aging (Hz), deterministic in the population.
-func (s Summary) AvgFMaxAgingCI() (stats.Interval, error) {
-	return stats.BootstrapMeanCI(s.PerChipAvgFMaxAging, 0.95, 2000, 1)
 }
 
 // Summarize aggregates results (one per chip, same policy and dark

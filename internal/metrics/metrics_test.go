@@ -188,25 +188,12 @@ func TestPerChipDistributions(t *testing.T) {
 	if len(s.PerChipDTM) != 2 || s.PerChipDTM[0] != 4 || s.PerChipDTM[1] != 8 {
 		t.Fatalf("per-chip DTM = %v", s.PerChipDTM)
 	}
-	d, err := s.DTMStats()
-	if err != nil {
-		t.Fatal(err)
+	// Each per-chip series averages to the population mean beside it.
+	mean := func(v []float64) float64 { return (v[0] + v[1]) / 2 }
+	if len(s.PerChipTempOverAmb) != 2 || mean(s.PerChipTempOverAmb) != 20 || s.MeanTempOverAmbient != 20 {
+		t.Fatalf("per-chip temperature over ambient = %v, mean %v", s.PerChipTempOverAmb, s.MeanTempOverAmbient)
 	}
-	if d.N != 2 || d.Mean != 6 {
-		t.Fatalf("DTM stats = %+v", d)
-	}
-	ts, err := s.TempStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Mean != 20 {
-		t.Fatalf("temp stats = %+v", ts)
-	}
-	ci, err := s.AvgFMaxAgingCI()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lo > s.AvgFMaxAgingRate || ci.Hi < s.AvgFMaxAgingRate {
-		t.Fatalf("mean %v outside CI %+v", s.AvgFMaxAgingRate, ci)
+	if len(s.PerChipAvgFMaxAging) != 2 || math.Abs(mean(s.PerChipAvgFMaxAging)-s.AvgFMaxAgingRate) > 1e-6 {
+		t.Fatalf("per-chip avg-fmax aging = %v, mean %v", s.PerChipAvgFMaxAging, s.AvgFMaxAgingRate)
 	}
 }

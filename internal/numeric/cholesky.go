@@ -45,12 +45,6 @@ func FactorCholesky(a *Matrix) (*Cholesky, error) {
 	return &Cholesky{n: n, l: l}, nil
 }
 
-// N returns the dimension of the factored matrix.
-func (c *Cholesky) N() int { return c.n }
-
-// L returns the lower-triangular factor (a view; do not modify).
-func (c *Cholesky) L() *Matrix { return c.l }
-
 // MulVec computes dst = L·z, colouring the white noise vector z.
 // dst and z must have length N and must not alias. It returns dst.
 func (c *Cholesky) MulVec(dst, z []float64) []float64 {
@@ -70,6 +64,8 @@ func (c *Cholesky) MulVec(dst, z []float64) []float64 {
 
 // Solve solves A·x = b using the factorisation (forward then back
 // substitution). dst may alias b. It returns dst.
+//
+//lint:ignore reachability thermal's tests solve their reference networks directly with it
 func (c *Cholesky) Solve(dst, b []float64) []float64 {
 	n := c.n
 	if len(b) != n || len(dst) != n {

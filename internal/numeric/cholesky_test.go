@@ -132,3 +132,9 @@ func TestCholeskyColouredNoiseCovariance(t *testing.T) {
 		t.Fatalf("empirical covariance deviates: ‖A − Ĉ‖∞ = %v (scale %v)", d, maxA)
 	}
 }
+
+// N returns the dimension of the factored matrix.
+func (c *Cholesky) N() int { return c.n }
+
+// L returns the lower-triangular factor (a view; do not modify).
+func (c *Cholesky) L() *Matrix { return c.l }

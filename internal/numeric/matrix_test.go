@@ -9,6 +9,90 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// NewMatrixFrom builds a matrix from a slice of rows. All rows must have the
+// same length. The data is copied.
+func NewMatrixFrom(rows [][]float64) *Matrix {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("numeric: empty matrix literal")
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("numeric: ragged matrix literal")
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// Clone returns a deep copy of m.
+func (m *Matrix) Clone() *Matrix {
+	c := NewMatrix(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
+// Mul returns the matrix product a·b.
+func Mul(a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows {
+		panic("numeric: Mul dimension mismatch")
+	}
+	c := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+	return c
+}
+
+// Transpose returns mᵀ.
+func (m *Matrix) Transpose() *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// MaxAbsDiff returns the maximum absolute element-wise difference between a
+// and b, which must have identical shape.
+func MaxAbsDiff(a, b *Matrix) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("numeric: MaxAbsDiff shape mismatch")
+	}
+	// Seed from the first element, not a 0.0 sentinel: the zero seed is
+	// only correct because the diffs are absolute values, and the pattern
+	// invites copy-paste bugs into signed reductions (GridModel.reduceTiles
+	// had one, DESIGN.md §15). Seeding from the data is correct either way.
+	max := math.Abs(a.Data[0] - b.Data[0])
+	for i := 1; i < len(a.Data); i++ {
+		if d := math.Abs(a.Data[i] - b.Data[i]); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
 func TestNewMatrixFromAndAt(t *testing.T) {
 	m := NewMatrixFrom([][]float64{{1, 2, 3}, {4, 5, 6}})
 	if m.Rows != 2 || m.Cols != 3 {

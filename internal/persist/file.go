@@ -8,11 +8,9 @@ import (
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
-// Failpoints on the framed-file seams (the store's durable tier).
-const (
-	fpFrameWrite = "persist.frame-write"
-	fpFrameRead  = "persist.frame-read"
-)
+// fpFrameWrite is the failpoint on the framed-file write seam (the
+// store's durable tier).
+const fpFrameWrite = "persist.frame-write"
 
 // WriteFramedFile atomically replaces path with a CRC-framed copy of
 // payload: temp file in the same directory, write, fsync, rename — the
@@ -42,22 +40,4 @@ func WriteFramedFile(path string, payload []byte) error {
 		return fmt.Errorf("persist: framed write %s: %w", base, err)
 	}
 	return nil
-}
-
-// ReadFramedFile reads and CRC-validates a framed file written by
-// WriteFramedFile. Missing files surface os.IsNotExist errors; corrupt
-// frames wrap ErrCorruptFrame.
-func ReadFramedFile(path string) ([]byte, error) {
-	if err := faultinject.Hit(fpFrameRead); err != nil {
-		return nil, fmt.Errorf("persist: framed read %s: %w", filepath.Base(path), err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := DecodeFrame(raw)
-	if err != nil {
-		return nil, fmt.Errorf("persist: framed read %s: %w", filepath.Base(path), err)
-	}
-	return payload, nil
 }

@@ -1,28 +1,9 @@
 package persist
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
-
-// FuzzLoadChip feeds arbitrary bytes to the chip decoder: it must reject
-// or accept cleanly, never panic, and anything accepted must re-validate.
-func FuzzLoadChip(f *testing.F) {
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1,"rows":1,"cols":1,"fmax0_hz":[1e9],"leak_factor":[1],"mean_theta":[1]}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"version":1,"rows":-3}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := LoadChip(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := rec.Validate(); err != nil {
-			t.Fatalf("accepted record fails Validate: %v", err)
-		}
-	})
-}
 
 // FuzzLoadResult likewise for lifetime results.
 func FuzzLoadResult(f *testing.F) {

@@ -1,6 +1,7 @@
-// Package persist serialises chips and lifetime-simulation results to
-// JSON so experiment campaigns can be archived, diffed and post-processed
-// outside the simulator (cmd/hayatsim -json, cmd/chipgen -json).
+// Package persist serialises lifetime-simulation results and population
+// outcomes to JSON so experiment campaigns can be archived, diffed and
+// post-processed outside the simulator (the hayat results' WriteJSON,
+// cmd/hayatsim -json).
 package persist
 
 import (
@@ -10,76 +11,11 @@ import (
 
 	"github.com/kit-ces/hayat/internal/metrics"
 	"github.com/kit-ces/hayat/internal/sim"
-	"github.com/kit-ces/hayat/internal/variation"
 )
 
 // FormatVersion is embedded in every artefact so future readers can
 // detect incompatible layouts.
 const FormatVersion = 1
-
-// ChipRecord is the serialisable description of one manufactured die.
-type ChipRecord struct {
-	Version    int       `json:"version"`
-	Seed       int64     `json:"seed"`
-	Rows       int       `json:"rows"`
-	Cols       int       `json:"cols"`
-	FMax0      []float64 `json:"fmax0_hz"`
-	LeakFactor []float64 `json:"leak_factor"`
-	MeanTheta  []float64 `json:"mean_theta"`
-	// Spread is (max−min)/max of FMax0, stored for quick inspection.
-	Spread float64 `json:"frequency_spread"`
-}
-
-// NewChipRecord captures a chip.
-func NewChipRecord(c *variation.Chip) ChipRecord {
-	return ChipRecord{
-		Version:    FormatVersion,
-		Seed:       c.Seed,
-		Rows:       c.Floorplan.Rows,
-		Cols:       c.Floorplan.Cols,
-		FMax0:      append([]float64(nil), c.FMax0...),
-		LeakFactor: append([]float64(nil), c.LeakFactor...),
-		MeanTheta:  append([]float64(nil), c.MeanTheta...),
-		Spread:     c.FrequencySpread(),
-	}
-}
-
-// SaveChip writes the chip as indented JSON.
-func SaveChip(w io.Writer, c *variation.Chip) error {
-	return writeJSON(w, NewChipRecord(c))
-}
-
-// LoadChip reads a chip record and validates its structure.
-func LoadChip(r io.Reader) (ChipRecord, error) {
-	var rec ChipRecord
-	if err := json.NewDecoder(r).Decode(&rec); err != nil {
-		return ChipRecord{}, fmt.Errorf("persist: decoding chip: %w", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return ChipRecord{}, err
-	}
-	return rec, nil
-}
-
-// Validate checks structural consistency.
-func (r ChipRecord) Validate() error {
-	if r.Version != FormatVersion {
-		return fmt.Errorf("persist: chip record version %d, want %d", r.Version, FormatVersion)
-	}
-	n := r.Rows * r.Cols
-	if r.Rows <= 0 || r.Cols <= 0 {
-		return fmt.Errorf("persist: invalid grid %d×%d", r.Rows, r.Cols)
-	}
-	if len(r.FMax0) != n || len(r.LeakFactor) != n || len(r.MeanTheta) != n {
-		return fmt.Errorf("persist: chip arrays inconsistent with %d cores", n)
-	}
-	for i, f := range r.FMax0 {
-		if f <= 0 {
-			return fmt.Errorf("persist: core %d has non-positive frequency", i)
-		}
-	}
-	return nil
-}
 
 // EpochRecord mirrors sim.EpochRecord with JSON tags.
 type EpochRecord struct {
@@ -226,40 +162,6 @@ func NewPopulationRecord(baseSeed int64, raw []*sim.Result, sum metrics.Summary)
 // SavePopulation writes the population record as indented JSON.
 func SavePopulation(w io.Writer, rec PopulationRecord) error {
 	return writeJSON(w, rec)
-}
-
-// LoadPopulation reads a population record and validates it.
-func LoadPopulation(r io.Reader) (PopulationRecord, error) {
-	var rec PopulationRecord
-	if err := json.NewDecoder(r).Decode(&rec); err != nil {
-		return PopulationRecord{}, fmt.Errorf("persist: decoding population: %w", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return PopulationRecord{}, err
-	}
-	return rec, nil
-}
-
-// Validate checks structural consistency.
-func (r PopulationRecord) Validate() error {
-	if r.Version != FormatVersion {
-		return fmt.Errorf("persist: population record version %d, want %d", r.Version, FormatVersion)
-	}
-	if r.Policy == "" {
-		return fmt.Errorf("persist: population record without policy name")
-	}
-	if r.Chips <= 0 || len(r.Results) != r.Chips {
-		return fmt.Errorf("persist: population record has %d results for %d chips", len(r.Results), r.Chips)
-	}
-	if len(r.Years) != len(r.AvgFMaxSeries) || len(r.Years) < 2 {
-		return fmt.Errorf("persist: population series inconsistent (%d years, %d values)", len(r.Years), len(r.AvgFMaxSeries))
-	}
-	for i, res := range r.Results {
-		if err := res.Validate(); err != nil {
-			return fmt.Errorf("persist: population chip %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 func writeJSON(w io.Writer, v any) error {

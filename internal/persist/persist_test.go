@@ -2,75 +2,12 @@ package persist
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"github.com/kit-ces/hayat/internal/baseline"
-	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/sim"
 	"github.com/kit-ces/hayat/internal/testutil"
-	"github.com/kit-ces/hayat/internal/variation"
 )
-
-func testChip(t *testing.T) *variation.Chip {
-	t.Helper()
-	gen, err := variation.NewGenerator(variation.DefaultModel(), floorplan.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen.Chip(7)
-}
-
-func TestChipRoundTrip(t *testing.T) {
-	chip := testChip(t)
-	var buf bytes.Buffer
-	if err := SaveChip(&buf, chip); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := LoadChip(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Seed != 7 || rec.Rows != 8 || rec.Cols != 8 {
-		t.Fatalf("meta wrong: %+v", rec)
-	}
-	for i := range chip.FMax0 {
-		if rec.FMax0[i] != chip.FMax0[i] || rec.LeakFactor[i] != chip.LeakFactor[i] {
-			t.Fatalf("array mismatch at core %d", i)
-		}
-	}
-	if rec.Spread != chip.FrequencySpread() {
-		t.Fatalf("spread %v vs %v", rec.Spread, chip.FrequencySpread())
-	}
-}
-
-func TestChipValidation(t *testing.T) {
-	chip := testChip(t)
-	rec := NewChipRecord(chip)
-	cases := []func(*ChipRecord){
-		func(r *ChipRecord) { r.Version = 99 },
-		func(r *ChipRecord) { r.Rows = 0 },
-		func(r *ChipRecord) { r.FMax0 = r.FMax0[:10] },
-		func(r *ChipRecord) { r.FMax0[3] = -1 },
-	}
-	for i, mut := range cases {
-		bad := rec
-		bad.FMax0 = append([]float64(nil), rec.FMax0...)
-		mut(&bad)
-		if err := bad.Validate(); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-}
-
-func TestLoadChipRejectsGarbage(t *testing.T) {
-	if _, err := LoadChip(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadChip(strings.NewReader(`{"version":1,"rows":0}`)); err == nil {
-		t.Fatal("invalid record accepted")
-	}
-}
 
 func testResult(t *testing.T) *sim.Result {
 	t.Helper()

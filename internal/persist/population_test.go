@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -76,4 +79,39 @@ func TestLoadPopulationRejectsGarbage(t *testing.T) {
 	if _, err := LoadPopulation(strings.NewReader(`{"version":1}`)); err == nil {
 		t.Fatal("empty record should fail validation")
 	}
+}
+
+// LoadPopulation reads a population record and validates it: the
+// round-trip reference for SavePopulation.
+func LoadPopulation(r io.Reader) (PopulationRecord, error) {
+	var rec PopulationRecord
+	if err := json.NewDecoder(r).Decode(&rec); err != nil {
+		return PopulationRecord{}, fmt.Errorf("persist: decoding population: %w", err)
+	}
+	if err := rec.Validate(); err != nil {
+		return PopulationRecord{}, err
+	}
+	return rec, nil
+}
+
+// Validate checks the structural consistency a reader may rely on.
+func (r PopulationRecord) Validate() error {
+	if r.Version != FormatVersion {
+		return fmt.Errorf("persist: population record version %d, want %d", r.Version, FormatVersion)
+	}
+	if r.Policy == "" {
+		return fmt.Errorf("persist: population record without policy name")
+	}
+	if r.Chips <= 0 || len(r.Results) != r.Chips {
+		return fmt.Errorf("persist: population record has %d results for %d chips", len(r.Results), r.Chips)
+	}
+	if len(r.Years) != len(r.AvgFMaxSeries) || len(r.Years) < 2 {
+		return fmt.Errorf("persist: population series inconsistent (%d years, %d values)", len(r.Years), len(r.AvgFMaxSeries))
+	}
+	for i, res := range r.Results {
+		if err := res.Validate(); err != nil {
+			return fmt.Errorf("persist: population chip %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -118,23 +118,3 @@ func (m Model) DynamicPower(f, activity float64) float64 {
 	}
 	return m.MaxDynamicPower * (f / m.NominalFreq) * activity
 }
-
-// CorePower returns the total power of one core: dynamic (zero when idle
-// or dark) plus leakage. A dark core ignores f/activity.
-func (m Model) CorePower(f, activity, leakFactor, T float64, on bool) float64 {
-	if !on {
-		return m.GatedLeakage
-	}
-	return m.DynamicPower(f, activity) + m.CoreLeakage(leakFactor, T, true)
-}
-
-// ChipPower sums CorePower over all cores. freqs, activities and
-// leakFactors are per-core (a dark core's entries are ignored), temps is
-// the per-core temperature vector and on the power-state map.
-func (m Model) ChipPower(freqs, activities, leakFactors, temps []float64, on []bool) float64 {
-	total := 0.0
-	for i := range on {
-		total += m.CorePower(freqs[i], activities[i], leakFactors[i], temps[i], on[i])
-	}
-	return total
-}

@@ -261,14 +261,6 @@ func (a *admission) popLocked() *Job {
 	return j
 }
 
-// retryAfter estimates how long a rejected client should wait before
-// retrying, from the observed drain rate.
-func (a *admission) retryAfter(pending int) time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.retryAfterLocked(pending)
-}
-
 // retryAfterLocked projects the time to drain `pending` queue slots at the
 // observed dequeue rate, clamped to [1s, 5m]. Before any job has been
 // dequeued there is no rate to project from; a flat 5s stands in.

@@ -190,3 +190,11 @@ func TestJobExpiry(t *testing.T) {
 		t.Fatal("future deadlines reported expired")
 	}
 }
+
+// retryAfter estimates how long a rejected client should wait before
+// retrying, from the observed drain rate.
+func (a *admission) retryAfter(pending int) time.Duration {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.retryAfterLocked(pending)
+}

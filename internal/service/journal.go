@@ -184,14 +184,10 @@ func openJournal(path string) (*journal, []journalEntry, int, error) {
 	return j, pending, corrupt, nil
 }
 
-// submitted durably records an accepted job before the submit is
-// acknowledged: the record is framed, appended and fsynced.
-func (j *journal) submitted(id, key string, req request) error {
-	return j.submittedWith(id, key, req, "", time.Time{}, time.Time{})
-}
-
-// submittedWith is submitted carrying the job's admission metadata so a
-// restart restores its client identity and deadlines.
+// submittedWith durably records an accepted job before the submit is
+// acknowledged — the record is framed, appended and fsynced — carrying
+// the job's admission metadata so a restart restores its client identity
+// and deadlines.
 func (j *journal) submittedWith(id, key string, req request, client string, deadline, queueDeadline time.Time) error {
 	if j == nil {
 		return nil

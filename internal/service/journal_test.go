@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
@@ -177,4 +178,10 @@ func TestJournalCompactionDirSyncFailure(t *testing.T) {
 	if corrupt != 0 || len(pending) != 1 || pending[0].ID != "job-000001" {
 		t.Fatalf("post-failure replay: pending %+v, corrupt %d", pending, corrupt)
 	}
+}
+
+// submitted durably records an accepted job before the submit is
+// acknowledged: the record is framed, appended and fsynced.
+func (j *journal) submitted(id, key string, req request) error {
+	return j.submittedWith(id, key, req, "", time.Time{}, time.Time{})
 }

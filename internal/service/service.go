@@ -671,27 +671,17 @@ func (s *Server) Pressure() bool { return s.adm.pressure() }
 // ArtifactStats snapshots the shared artifact cache.
 func (s *Server) ArtifactStats() hayat.ArtifactStats { return s.arts.Stats() }
 
-// SubmitLifetime schedules (or coalesces, or answers from cache) a
-// single-chip lifetime simulation and returns the job's status.
-func (s *Server) SubmitLifetime(cfg hayat.Config, seed int64, policy string) (JobStatus, error) {
-	return s.SubmitLifetimeWith(cfg, seed, policy, SubmitOpts{})
-}
-
-// SubmitLifetimeWith is SubmitLifetime with admission options: a client
-// identity for fair scheduling, a deadline/queue-TTL, and degraded-mode
-// opt-in.
+// SubmitLifetimeWith schedules (or coalesces, or answers from cache) a
+// single-chip lifetime simulation and returns the job's status. The
+// options carry a client identity for fair scheduling, a
+// deadline/queue-TTL, and degraded-mode opt-in.
 func (s *Server) SubmitLifetimeWith(cfg hayat.Config, seed int64, policy string, o SubmitOpts) (JobStatus, error) {
 	return s.submit(request{Kind: KindLifetime, Config: cfg, Policy: policy, Seed: seed, Chips: 1}, o)
 }
 
-// SubmitPopulation schedules a population fan-out over seeds
-// baseSeed…baseSeed+chips−1 with per-seed progress reporting.
-func (s *Server) SubmitPopulation(cfg hayat.Config, baseSeed int64, chips int, policy string) (JobStatus, error) {
-	return s.SubmitPopulationWith(cfg, baseSeed, chips, policy, SubmitOpts{})
-}
-
-// SubmitPopulationWith is SubmitPopulation with admission options.
-// Population jobs never degrade — a sampled analytic estimate is not a
+// SubmitPopulationWith schedules a population fan-out over seeds
+// baseSeed…baseSeed+chips−1 with per-seed progress reporting, under the
+// given admission options. Population jobs never degrade — a sampled analytic estimate is not a
 // population statistic — so DegradedOK is ignored.
 func (s *Server) SubmitPopulationWith(cfg hayat.Config, baseSeed int64, chips int, policy string, o SubmitOpts) (JobStatus, error) {
 	return s.submit(request{Kind: KindPopulation, Config: cfg, Policy: policy, Seed: baseSeed, Chips: chips}, o)

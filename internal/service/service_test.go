@@ -399,3 +399,15 @@ func TestRequestKeyNormalisation(t *testing.T) {
 		t.Fatal("different kinds must not collide")
 	}
 }
+
+// SubmitLifetime schedules (or coalesces, or answers from cache) a
+// single-chip lifetime simulation and returns the job's status.
+func (s *Server) SubmitLifetime(cfg hayat.Config, seed int64, policy string) (JobStatus, error) {
+	return s.SubmitLifetimeWith(cfg, seed, policy, SubmitOpts{})
+}
+
+// SubmitPopulation schedules a population fan-out over seeds
+// baseSeed…baseSeed+chips−1 with per-seed progress reporting.
+func (s *Server) SubmitPopulation(cfg hayat.Config, baseSeed int64, chips int, policy string) (JobStatus, error) {
+	return s.SubmitPopulationWith(cfg, baseSeed, chips, policy, SubmitOpts{})
+}

@@ -23,6 +23,7 @@ import (
 	"github.com/kit-ces/hayat/internal/dtm"
 	"github.com/kit-ces/hayat/internal/dvfs"
 	"github.com/kit-ces/hayat/internal/faultinject"
+	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/mapping"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/power"
@@ -392,7 +393,7 @@ func (e *Engine) runRange(ctx context.Context, st *runState, from, to int) error
 	if horizon == 0 {
 		horizon = cfg.EpochYears
 	}
-	maxOn := MaxOnCores(n, cfg.DarkFraction)
+	maxOn := floorplan.MaxOnCores(n, cfg.DarkFraction)
 	health, fmax, temps := st.health, st.fmax, st.temps
 	lastUsed, prevOn := st.lastUsed, st.prevOn
 	mix := st.mix
@@ -772,16 +773,6 @@ func (e *Engine) operatingFreq(th *workload.Thread, i int, fmax, temps []float64
 		}
 	}
 	return base
-}
-
-// MaxOnCores is the dark-silicon budget: how many of n cores may be
-// powered at once at the given dark fraction (at least one).
-func MaxOnCores(n int, darkFraction float64) int {
-	on := int(float64(n) * (1 - darkFraction))
-	if on < 1 {
-		on = 1
-	}
-	return on
 }
 
 func healthStats(h []aging.State) (avg, min float64) {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,13 +43,7 @@ func OpenDisk(dir string) (*Disk, error) {
 	return &Disk{dir: dir}, nil
 }
 
-// Get implements Store.
-func (s *Disk) Get(ctx context.Context, key string) ([]byte, bool) { return s.get(key) }
-
-// Put implements Store.
-func (s *Disk) Put(ctx context.Context, key string, data []byte) error { return s.put(key, data) }
-
-// Keys implements Store: every valid key with an entry file, sorted.
+// Keys lists every valid key with an entry file, sorted.
 func (s *Disk) Keys() []string {
 	if s == nil {
 		return nil

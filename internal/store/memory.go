@@ -2,7 +2,6 @@ package store
 
 import (
 	"container/list"
-	"context"
 	"sort"
 	"sync"
 )
@@ -30,25 +29,11 @@ type memEntry struct {
 	data []byte
 }
 
-// NewMemory returns an empty, unbounded in-memory tier.
-func NewMemory() *Memory { return newMemory(0) }
-
 func newMemory(limit int) *Memory {
 	return &Memory{m: make(map[string]*list.Element), limit: limit}
 }
 
-// Get implements Store.
-func (s *Memory) Get(ctx context.Context, key string) ([]byte, bool) {
-	return s.get(key)
-}
-
-// Put implements Store.
-func (s *Memory) Put(ctx context.Context, key string, data []byte) error {
-	s.put(key, data)
-	return nil
-}
-
-// Keys implements Store, sorted for deterministic sweeps.
+// Keys lists the held keys, sorted for deterministic sweeps.
 func (s *Memory) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

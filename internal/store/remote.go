@@ -20,7 +20,7 @@ type Transport interface {
 	PeerUp(peer string) bool
 }
 
-// Remote is the Store view of one peer's replica surface: reads are
+// Remote is one peer's replica surface: reads are
 // hedged-fetch building blocks, writes are replica pushes. Both
 // evaluate the store failpoints so drills can fault any individual
 // peer interaction.
@@ -29,14 +29,8 @@ type Remote struct {
 	T    Transport
 }
 
-// Get implements Store.
-func (r *Remote) Get(ctx context.Context, key string) ([]byte, bool) {
-	data, ok, err := r.fetch(ctx, key)
-	return data, ok && err == nil
-}
-
-// fetch is Get keeping the error, for callers that distinguish a clean
-// miss from a failed peer.
+// fetch reads key from the peer. A clean miss returns ok false and a
+// nil error; a failed peer returns the error.
 func (r *Remote) fetch(ctx context.Context, key string) ([]byte, bool, error) {
 	if err := faultinject.Hit(FPReadReplica); err != nil {
 		return nil, false, fmt.Errorf("store: replica read %s: %w", r.Peer, err)
@@ -48,7 +42,7 @@ func (r *Remote) fetch(ctx context.Context, key string) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
-// Put implements Store.
+// Put pushes data to the peer as a replica of key.
 func (r *Remote) Put(ctx context.Context, key string, data []byte) error {
 	if err := faultinject.Hit(FPReplicate); err != nil {
 		return fmt.Errorf("store: replicating to %s: %w", r.Peer, err)
@@ -58,7 +52,3 @@ func (r *Remote) Put(ctx context.Context, key string, data []byte) error {
 	}
 	return nil
 }
-
-// Keys implements Store. A peer's key set is not enumerable over the
-// replica protocol; sweeps walk local keys instead.
-func (r *Remote) Keys() []string { return nil }

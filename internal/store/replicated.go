@@ -95,14 +95,6 @@ type Replicated struct {
 	done      chan struct{}
 }
 
-// Compile-time interface checks for every tier.
-var (
-	_ Store = (*Memory)(nil)
-	_ Store = (*Disk)(nil)
-	_ Store = (*Remote)(nil)
-	_ Store = (*Replicated)(nil)
-)
-
 // NewReplicated composes the local tiers; Configure attaches the
 // cluster before Start. A nil mem gets a fresh memory tier, bounded to
 // MemoryCapacity entries when disk is non-nil: the disk tier then holds
@@ -129,21 +121,6 @@ func (r *Replicated) Configure(o Options) {
 	}
 }
 
-// Get implements Store: local tiers first, then a hedged replica fetch.
-func (r *Replicated) Get(ctx context.Context, key string) ([]byte, bool) {
-	if data, ok := r.GetLocal(key); ok {
-		return data, true
-	}
-	return r.FetchReplica(ctx, key)
-}
-
-// Put implements Store: durable local write, then replica fan-out.
-func (r *Replicated) Put(ctx context.Context, key string, data []byte) error {
-	err := r.PutLocal(key, data)
-	r.Replicate(ctx, key, data)
-	return err
-}
-
 // GetLocal reads the local tiers only (safe under the service mutex —
 // never blocks on a peer), promoting disk hits into memory.
 func (r *Replicated) GetLocal(key string) ([]byte, bool) {
@@ -158,6 +135,8 @@ func (r *Replicated) GetLocal(key string) ([]byte, bool) {
 }
 
 // MemoryLen reports how many results the memory tier holds.
+//
+//lint:ignore reachability internal/service's resident-result tests bound the memory tier with it
 func (r *Replicated) MemoryLen() int { return r.mem.len() }
 
 // PutLocal writes the local tiers only: memory always succeeds; a disk
@@ -169,7 +148,7 @@ func (r *Replicated) PutLocal(key string, data []byte) error {
 	return r.disk.put(key, data)
 }
 
-// Keys implements Store: the union of the local tiers, sorted.
+// Keys lists the union of the local tiers' keys, sorted.
 func (r *Replicated) Keys() []string {
 	seen := make(map[string]bool)
 	keys := r.mem.Keys()

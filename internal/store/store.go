@@ -1,7 +1,6 @@
-// Package store is the pluggable content-addressed result tier behind
-// hayatd's cache: one Store interface with memory, disk and remote-peer
-// implementations, composed by Replicated into a self-healing replicated
-// store. Every key is a lowercase-hex request hash and every value is the
+// Package store is the content-addressed result tier behind hayatd's
+// cache: a memory tier, a disk tier and remote peers, composed by
+// Replicated into a self-healing replicated store. Every key is a lowercase-hex request hash and every value is the
 // canonical result bytes that hash-addressed key identifies, so a copy
 // fetched from any node is byte-identical to a local recomputation — the
 // property that makes replication, read-repair and hedged reads safe.
@@ -12,10 +11,7 @@
 // serving; a corrupt or truncated copy is quarantined, never returned.
 package store
 
-import (
-	"context"
-	"strings"
-)
+import "strings"
 
 // Failpoint names on the store's durable and remote seams (armed via
 // HAYAT_FAILPOINTS / -failpoints). FPCacheRead/FPCacheWrite keep their
@@ -28,17 +24,6 @@ const (
 	FPCacheRead   = "service.cache-read"  // local disk-tier reads
 	FPCacheWrite  = "service.cache-write" // local disk-tier writes
 )
-
-// Store is one tier of the content-addressed result store. Get returns
-// the exact bytes previously Put under key (misses are not errors); Put
-// is idempotent — the same key always maps to the same bytes, so
-// overwriting is harmless. Keys enumerates the locally known keys (nil
-// when the tier cannot enumerate, e.g. a remote peer).
-type Store interface {
-	Get(ctx context.Context, key string) ([]byte, bool)
-	Put(ctx context.Context, key string, data []byte) error
-	Keys() []string
-}
 
 // VerifyFn checks candidate bytes for key against an external authority
 // (the service wires the Merkle audit log here). A nil error accepts the

@@ -158,16 +158,13 @@ func TestValidKey(t *testing.T) {
 }
 
 func TestMemoryTier(t *testing.T) {
-	m := NewMemory()
-	ctx := context.Background()
-	if _, ok := m.Get(ctx, testKey(1)); ok {
+	m := newMemory(0)
+	if _, ok := m.get(testKey(1)); ok {
 		t.Fatal("empty tier reported a hit")
 	}
-	if err := m.Put(ctx, testKey(1), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if data, ok := m.Get(ctx, testKey(1)); !ok || string(data) != "a" {
-		t.Fatalf("Get = %q, %v", data, ok)
+	m.put(testKey(1), []byte("a"))
+	if data, ok := m.get(testKey(1)); !ok || string(data) != "a" {
+		t.Fatalf("get = %q, %v", data, ok)
 	}
 	m.put(testKey(3), []byte("c"))
 	if keys := m.Keys(); len(keys) != 2 || keys[0] != testKey(1) || keys[1] != testKey(3) {

@@ -31,6 +31,8 @@ type Fixture struct {
 // NewFixture wires the default models for the given chip seed. Heavy
 // shared pieces (thermal model, aging table) are rebuilt per call; tests
 // that need many chips should reuse one fixture's Table and Thermal.
+//
+//lint:ignore reachability shared by the core, baseline, sim and persist tests
 func NewFixture(t testing.TB, chipSeed int64) *Fixture {
 	t.Helper()
 	fp := floorplan.Default()
@@ -57,6 +59,8 @@ func NewFixture(t testing.TB, chipSeed int64) *Fixture {
 
 // Context builds a fresh unaged policy context with the given dark-silicon
 // fraction.
+//
+//lint:ignore reachability shared by the core, baseline, sim and persist tests
 func (f *Fixture) Context(darkFraction float64) *policy.Context {
 	n := f.FP.N()
 	health := make([]aging.State, n)
@@ -83,6 +87,8 @@ func (f *Fixture) Context(darkFraction float64) *policy.Context {
 }
 
 // Threads generates a deterministic workload mix and returns its threads.
+//
+//lint:ignore reachability shared by the core, baseline, sim and persist tests
 func Threads(t testing.TB, seed int64, maxThreads, apps int) []*workload.Thread {
 	t.Helper()
 	mix, err := workload.GenerateMix(workload.MixConfig{MaxThreads: maxThreads, Apps: apps}, seed)

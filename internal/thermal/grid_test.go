@@ -58,7 +58,7 @@ func TestGridSubdiv1MatchesBlockModel(t *testing.T) {
 				for i := range power {
 					power[i] = 8 * rng.Float64()
 				}
-				want := block.SteadyState(power, nil)
+				want := mustSteady(t, block, power, nil)
 				grid.InvalidateWarmStart()
 				avg, max := grid.SteadyState(power, nil)
 				for i := range want {
@@ -85,7 +85,7 @@ func TestGridSubdiv2CloseToBlockModel(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		power[i] = 6
 	}
-	want := block.SteadyState(power, nil)
+	want := mustSteady(t, block, power, nil)
 	avg, max := grid.SteadyState(power, nil)
 	for i := range want {
 		if math.Abs(avg[i]-want[i]) > 2.0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/kit-ces/hayat/internal/floorplan"
-	"github.com/kit-ces/hayat/internal/numeric"
 )
 
 // GridModel is the sub-core-resolution variant of the compact model —
@@ -15,11 +14,11 @@ import (
 // configurable density profile, which lets the model resolve intra-core
 // hot spots that the block model averages away.
 //
-// The block model (Model) remains the engine's workhorse — a 64-core
+// The block model (Model) is the engine's one thermal model — a 64-core
 // grid at SubDiv=2 has 384 nodes and, unlike the block model, does not
-// split into independent modes — but GridModel validates the block
-// model's accuracy (see the block-vs-grid consistency tests) and serves
-// floorplans that need intra-core detail.
+// split into independent modes. GridModel is a test oracle: it validates
+// the block model's accuracy (the block-vs-grid consistency tests behind
+// EXPERIMENTS.md's "< 2 K" claim), so it lives in the package's tests.
 //
 // The network is symmetric positive definite and ≥ 95 % zeros already at
 // 8×8/SubDiv=2, so it has one solver: Jacobi-preconditioned conjugate
@@ -41,8 +40,8 @@ type GridModel struct {
 
 	// tri keeps the assembled conductance pattern (for diagnostics and
 	// re-assembly); cg solves it.
-	tri   *numeric.Triplets
-	cg    *numeric.CGSolver
+	tri   *Triplets
+	cg    *CGSolver
 	gAmb  []float64
 	capac []float64
 
@@ -112,7 +111,7 @@ func NewGrid(fp *floorplan.Floorplan, cfg Config, subdiv int, density []float64)
 		}
 	}
 
-	m.tri = numeric.NewTriplets(m.nNodes)
+	m.tri = NewTriplets(m.nNodes)
 	m.gAmb = make([]float64, m.nNodes)
 	m.capac = make([]float64, m.nNodes)
 	m.rhsBuf = make([]float64, m.nNodes)
@@ -210,7 +209,7 @@ func NewGrid(fp *floorplan.Floorplan, cfg Config, subdiv int, density []float64)
 	// A relative residual of 1e-12 holds every grid solve within 1e-9 K of
 	// a direct solve (TestGridMatchesDirectSolve,
 	// TestGridSubdiv1MatchesBlockModel); 1e-10 does not.
-	cg, err := numeric.NewCGSolver(m.tri.ToCSR(), 1e-12, 20*m.nNodes)
+	cg, err := NewCGSolver(m.tri.ToCSR(), 1e-12, 20*m.nNodes)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: grid solver: %w", err)
 	}
@@ -235,28 +234,11 @@ func (m *GridModel) NumTiles() int { return m.nTiles }
 
 // solve runs CG into sol (a scratch arena, len nNodes).
 func (m *GridModel) solve(sol, rhs []float64) {
-	//lint:ignore checked-solve deliberate unchecked fast path; guarded callers use SteadyStateChecked
 	if _, ok := m.cg.Solve(sol, rhs); !ok {
 		// The conductance matrix is SPD and well conditioned; failure
 		// here indicates a programming error, not a numerical edge.
 		panic("thermal: CG did not converge on the grid steady-state system")
 	}
-}
-
-// solveChecked is solve with a non-finite guard, mirroring
-// (*Model).SteadyStateChecked.
-func (m *GridModel) solveChecked(sol, rhs []float64) error {
-	if !numeric.AllFinite(rhs) {
-		return fmt.Errorf("thermal: grid steady-state solve: %w", numeric.ErrNonFinite)
-	}
-	//lint:ignore checked-solve CG has no Checked variant; rhs and sol are AllFinite-guarded on both sides of this call
-	if _, ok := m.cg.Solve(sol, rhs); !ok {
-		return fmt.Errorf("thermal: CG did not converge on the grid steady-state system")
-	}
-	if !numeric.AllFinite(sol) {
-		return fmt.Errorf("thermal: grid steady-state solve: %w", numeric.ErrNonFinite)
-	}
-	return nil
 }
 
 // SteadyState solves the static network for per-core powers (distributed
@@ -272,23 +254,6 @@ func (m *GridModel) SteadyState(corePower []float64, tileTemps []float64) (coreA
 	rhs := m.assembleRHS(corePower)
 	m.solve(m.solBuf, rhs)
 	return m.reduceTiles(m.solBuf, tileTemps)
-}
-
-// SteadyStateChecked is SteadyState returning an error instead of
-// letting non-finite temperatures escape, mirroring
-// (*Model).SteadyStateChecked: a NaN/Inf power vector or a degenerate
-// solve yields numeric.ErrNonFinite (wrapped). The returned slices are
-// reused scratch, as in SteadyState.
-func (m *GridModel) SteadyStateChecked(corePower []float64, tileTemps []float64) (coreAvg, coreMax []float64, err error) {
-	if len(corePower) != m.nCores {
-		panic("thermal: grid SteadyState power vector length mismatch")
-	}
-	rhs := m.assembleRHS(corePower)
-	if err := m.solveChecked(m.solBuf, rhs); err != nil {
-		return nil, nil, err
-	}
-	coreAvg, coreMax = m.reduceTiles(m.solBuf, tileTemps)
-	return coreAvg, coreMax, nil
 }
 
 // assembleRHS fills the shared RHS buffer with ambient inflow plus the

@@ -17,8 +17,8 @@ const (
 // stack holds the per-core conductances and capacitances that every core
 // of a Model shares. The floorplan is a uniform grid of identical cores
 // and New gives every layer uniform parameters, so these few numbers
-// define the whole network: New assembles tri from them, and the modal
-// operators are derived from them too.
+// define the whole network: the modal operators are derived from them,
+// and the tests assemble the node-by-node network from them too.
 type stack struct {
 	// gDieSpr and gSprSink are the vertical conductances inside one core's
 	// stack; gSinkAmb is its sink's convection to ambient. All in W/K.

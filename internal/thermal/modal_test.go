@@ -12,15 +12,14 @@ import (
 )
 
 // stepMatrix assembles the implicit-Euler step matrix C/Δt + G from the
-// node-by-node network definition (tri, capac), independently of the
-// modal operators.
-func (m *Model) stepMatrix(dt float64) *numeric.Triplets {
-	step := numeric.NewTriplets(m.nNodes)
-	for _, e := range m.tri.Entries() {
+// node-by-node network definition, independently of the modal operators.
+func (nw network) stepMatrix(dt float64) *Triplets {
+	step := NewTriplets(len(nw.capac))
+	for _, e := range nw.tri.Entries() {
 		step.Add(e.I, e.J, e.V)
 	}
-	for i := 0; i < m.nNodes; i++ {
-		step.Add(i, i, m.capac[i]/dt)
+	for i, c := range nw.capac {
+		step.Add(i, i, c/dt)
 	}
 	return step
 }
@@ -34,6 +33,7 @@ func (m *Model) stepMatrix(dt float64) *numeric.Triplets {
 type cholReference struct {
 	m          *Model
 	dt         float64
+	capac      []float64
 	g, step    *numeric.Cholesky
 	over, rhs  []float64
 	nodes, die []float64 // over in absolute temperatures
@@ -41,17 +41,18 @@ type cholReference struct {
 
 func newCholReference(t *testing.T, m *Model, dt float64) *cholReference {
 	t.Helper()
-	g, err := numeric.FactorCholesky(m.tri.ToDense())
+	nw := m.network()
+	g, err := numeric.FactorCholesky(nw.tri.ToDense())
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := numeric.FactorCholesky(m.stepMatrix(dt).ToDense())
+	step, err := numeric.FactorCholesky(nw.stepMatrix(dt).ToDense())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]float64, m.nNodes)
-	return &cholReference{m: m, dt: dt, g: g, step: step,
-		over: make([]float64, m.nNodes), rhs: make([]float64, m.nNodes),
+	nodes := make([]float64, m.NumNodes())
+	return &cholReference{m: m, dt: dt, capac: nw.capac, g: g, step: step,
+		over: make([]float64, m.NumNodes()), rhs: make([]float64, m.NumNodes()),
 		nodes: nodes, die: nodes[:m.nCores]}
 }
 
@@ -63,7 +64,7 @@ func (r *cholReference) steady(t *testing.T, power []float64) {
 
 func (r *cholReference) stepOnce(t *testing.T, power []float64) {
 	for i := range r.rhs {
-		r.rhs[i] = r.m.capac[i] / r.dt * r.over[i]
+		r.rhs[i] = r.capac[i] / r.dt * r.over[i]
 	}
 	r.solve(t, r.step, power)
 }
@@ -168,7 +169,7 @@ func TestSetSteadyStateMatchesModel(t *testing.T) {
 		power[i] = float64(i%5) + 0.5
 	}
 	nodes := make([]float64, m.NumNodes())
-	m.SteadyState(power, nodes)
+	mustSteady(t, m, power, nodes)
 	tr, err := m.NewTransient(0.02)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +178,7 @@ func TestSetSteadyStateMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(tr.State(), nodes); d > 1e-12 {
-		t.Fatalf("SetSteadyState differs from SteadyState by %.3g K", d)
+		t.Fatalf("SetSteadyState differs from SteadyStateChecked by %.3g K", d)
 	}
 	power[2] = math.NaN()
 	if err := tr.SetSteadyState(power); !errors.Is(err, numeric.ErrNonFinite) {

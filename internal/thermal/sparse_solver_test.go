@@ -1,10 +1,12 @@
-package numeric
+package thermal
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/kit-ces/hayat/internal/numeric"
 )
 
 // randomSparseSPD builds a sparse diagonally-dominant SPD matrix shaped
@@ -98,7 +100,7 @@ func TestCGSolverMatchesCholesky(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	chol, err := FactorCholesky(tr.ToDense())
+	chol, err := numeric.FactorCholesky(tr.ToDense())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestCGResidualProperty(t *testing.T) {
 		for i := range r {
 			r[i] -= b[i]
 		}
-		return Norm2(r) <= 1e-8*Norm2(b)+1e-12
+		return norm2(r) <= 1e-8*norm2(b)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -1,17 +1,21 @@
-package numeric
+package thermal
 
 import (
 	"fmt"
 	"math"
 	"sort"
+
+	"github.com/kit-ces/hayat/internal/numeric"
 )
 
-// This file provides a compressed-sparse-row matrix and a preconditioned
-// conjugate-gradient solver. The sub-core thermal grid networks
-// (thermal.GridModel) are symmetric positive-definite and extremely
-// sparse (≤ ~7 non-zeros per row), so CG with a Jacobi preconditioner
-// scales the grid solver to manycore floorplans (32×32 cores and beyond)
-// where a dense factorisation would be prohibitive in time and memory.
+// This file provides the tests' sparse linear algebra: a triplet
+// accumulator, a compressed-sparse-row matrix and a preconditioned
+// conjugate-gradient solver. The block model's node-by-node network and
+// the sub-core grid networks (GridModel) are symmetric positive-definite
+// and extremely sparse (≤ ~7 non-zeros per row), so CG with a Jacobi
+// preconditioner scales the grid oracle to manycore floorplans (32×32
+// cores and beyond) where a dense factorisation would be prohibitive in
+// time and memory.
 
 // Triplets accumulates (i, j, value) entries before CSR assembly.
 // Duplicate coordinates are summed.
@@ -67,8 +71,8 @@ func (t *Triplets) ToCSR() *CSR {
 }
 
 // ToDense assembles a dense matrix (for small systems / testing).
-func (t *Triplets) ToDense() *Matrix {
-	m := NewMatrix(t.n, t.n)
+func (t *Triplets) ToDense() *numeric.Matrix {
+	m := numeric.NewMatrix(t.n, t.n)
 	for key, v := range t.vals {
 		m.Set(key[0], key[1], v)
 	}
@@ -175,7 +179,7 @@ func (s *CGSolver) Solve(dst, b []float64) ([]float64, bool) {
 	if len(dst) != n || len(b) != n {
 		panic("numeric: CGSolver.Solve dimension mismatch")
 	}
-	normB := Norm2(b)
+	normB := norm2(b)
 	if normB == 0 {
 		for i := range s.x {
 			s.x[i] = 0
@@ -193,16 +197,16 @@ func (s *CGSolver) Solve(dst, b []float64) ([]float64, bool) {
 		s.z[i] = s.invDiag[i] * s.r[i]
 	}
 	copy(s.p, s.z)
-	rz := Dot(s.r, s.z)
+	rz := dot(s.r, s.z)
 	converged := false
 	it := 0
 	for ; it < s.maxIter; it++ {
-		if Norm2(s.r) <= s.tol*normB {
+		if norm2(s.r) <= s.tol*normB {
 			converged = true
 			break
 		}
 		s.a.MulVec(s.ap, s.p)
-		pap := Dot(s.p, s.ap)
+		pap := dot(s.p, s.ap)
 		if pap <= 0 || math.IsNaN(pap) {
 			break // not SPD or breakdown
 		}
@@ -214,20 +218,30 @@ func (s *CGSolver) Solve(dst, b []float64) ([]float64, bool) {
 		for i := range s.z {
 			s.z[i] = s.invDiag[i] * s.r[i]
 		}
-		rzNew := Dot(s.r, s.z)
+		rzNew := dot(s.r, s.z)
 		beta := rzNew / rz
 		rz = rzNew
 		for i := range s.p {
 			s.p[i] = s.z[i] + beta*s.p[i]
 		}
 	}
-	if !converged && Norm2(s.r) <= s.tol*normB {
+	if !converged && norm2(s.r) <= s.tol*normB {
 		converged = true
 	}
 	s.LastIterations = it
 	copy(dst, s.x)
 	return dst, converged
 }
+
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
 // Entry is one accumulated (I, J, V) coordinate of a Triplets.
 type Entry struct {

@@ -10,16 +10,20 @@
 //
 // The block model (Model) has one solver for every floorplan, an exact
 // modal solve in the 2-D DCT-II basis of the core grid (DESIGN.md §18).
-// It serves two entry points:
+// It serves two entry points, both checked against non-finite values:
 //
-//   - SteadyState: G·T = P + G_amb·T_amb, used to learn the die response
-//     of the online predictor (DieResponse).
+//   - SteadyStateChecked: G·T = P + G_amb·T_amb, used to learn the die
+//     response of the online predictor (DieResponse).
 //   - Transient: unconditionally stable implicit-Euler stepping of
-//     C·dT/dt = P − G·T, used for the fine-grained intra-epoch simulation
-//     of Fig. 4; each window starts from its steady state.
+//     C·dT/dt = P − G·T (StepChecked), used for the fine-grained
+//     intra-epoch simulation of Fig. 4; each window starts from its
+//     steady state.
 //
-// GridModel, HotSpot's sub-core grid mode, has one solver too:
-// Jacobi-preconditioned conjugate gradients over its sparse network.
+// The package's tests keep two independent definitions of the network to
+// check the modal solves against: the block network assembled node by
+// node, and GridModel, HotSpot's sub-core grid mode, solved by
+// Jacobi-preconditioned conjugate gradients (EXPERIMENTS.md's "< 2 K"
+// block-vs-grid check).
 //
 // The network is linear, so superposition holds exactly — the property the
 // online thermal predictor (internal/thermpredict, [27]) exploits.
@@ -89,19 +93,8 @@ type Model struct {
 	cfg Config
 
 	nCores int
-	nNodes int // 3 · nCores: die, spreader, sink
 
-	// tri holds the conductance matrix (including the ambient
-	// conductances on the diagonal) in assembly form:
-	// (G·T)_i = Σ_j g_ij (T_i − T_j) + gAmb_i (T_i − T_amb).
-	// The solves never read it or capac: they are the independent
-	// definition of the network that the tests check the modal solve
-	// against.
-	tri   *numeric.Triplets
-	gAmb  []float64
-	capac []float64
-
-	// stack holds the shared per-core parameters tri is assembled from,
+	// stack holds the shared per-core parameters that define the network,
 	// and basis the DCT that diagonalises every layer's lateral coupling.
 	// steady[k] is mode k's steady-state response to unit die power,
 	// (M₃ + Λ_k)⁻¹·e_die, per layer.
@@ -110,8 +103,9 @@ type Model struct {
 	steady [][numLayers]float64
 
 	// mu guards scratch, the steady-state solve's working memory.
-	// SteadyState is safe for concurrent use, but its one non-test caller
-	// is DieResponse, which runs once per model, so callers never queue.
+	// SteadyStateChecked is safe for concurrent use, but its one non-test
+	// caller is DieResponse, which runs once per model, so callers never
+	// queue.
 	mu      sync.Mutex
 	scratch modalField
 
@@ -131,11 +125,8 @@ func (o *once[T]) get(build func() (T, error)) (T, error) {
 	return o.val, o.err
 }
 
-// node returns the node index of core's node in layer l.
-func (m *Model) node(l, core int) int { return l*m.nCores + core }
-
-// New assembles the network and its modal operators. It returns an error
-// if the configuration is unphysical.
+// New builds the network's modal operators. It returns an error if the
+// configuration is unphysical.
 func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	for name, l := range map[string]Layer{"die": cfg.Die, "spreader": cfg.Spreader, "sink": cfg.Sink} {
 		if l.Conductivity <= 0 || l.Thickness <= 0 || l.VolumetricHeat <= 0 || l.AreaScale <= 0 {
@@ -154,51 +145,13 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	n := fp.N()
 	m := &Model{
 		fp: fp, cfg: cfg,
-		nCores: n, nNodes: 3 * n,
-		gAmb:    make([]float64, 3*n),
-		capac:   make([]float64, 3*n),
+		nCores:  n,
 		stack:   newStack(fp, cfg),
 		basis:   newBasis(fp.Rows, fp.Cols),
 		steady:  make([][numLayers]float64, n),
 		scratch: newModalField(n),
 	}
-	m.tri = numeric.NewTriplets(m.nNodes)
-	addCoupling := func(a, b int, g float64) {
-		m.tri.Add(a, a, g)
-		m.tri.Add(b, b, g)
-		m.tri.Add(a, b, -g)
-		m.tri.Add(b, a, -g)
-	}
 	s := &m.stack
-	for c := 0; c < n; c++ {
-		// Vertical path per core, and the sink's convection to ambient.
-		addCoupling(m.node(layerDie, c), m.node(layerSpreader, c), s.gDieSpr)
-		addCoupling(m.node(layerSpreader, c), m.node(layerSink, c), s.gSprSink)
-		m.gAmb[m.node(layerSink, c)] = s.gSinkAmb
-		// Lateral couplings inside each layer between 4-neighbours, each
-		// pair once.
-		for _, nb := range fp.Neighbors(nil, c) {
-			if nb <= c {
-				continue
-			}
-			horizontal := c/fp.Cols == nb/fp.Cols
-			for l := 0; l < numLayers; l++ {
-				g := s.gV[l]
-				if horizontal {
-					g = s.gH[l]
-				}
-				addCoupling(m.node(l, c), m.node(l, nb), g)
-			}
-		}
-		for l := 0; l < numLayers; l++ {
-			m.capac[m.node(l, c)] = s.capac[l]
-		}
-	}
-	// Fold ambient conductances into the diagonal.
-	for i := 0; i < m.nNodes; i++ {
-		m.tri.Add(i, i, m.gAmb[i])
-	}
-
 	// The steady state needs no capacitance term; mode 0 (λ = 0) stays
 	// nonsingular through the sink's ambient conductance.
 	for k := range m.steady {
@@ -241,37 +194,19 @@ func (m *Model) publishSteady(nodeTemps []float64) []float64 {
 // Floorplan returns the floorplan the model was built on.
 func (m *Model) Floorplan() *floorplan.Floorplan { return m.fp }
 
-// Config returns the physical configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Ambient returns the ambient temperature in Kelvin.
 func (m *Model) Ambient() float64 { return m.cfg.Ambient }
 
-// NumNodes returns the total RC node count (3 per core).
-func (m *Model) NumNodes() int { return m.nNodes }
-
-// SteadyState solves the static network for the given per-core power
-// vector (Watts into each die node) and returns the per-core die
-// temperatures in Kelvin. When nodeTemps is non-nil (length NumNodes)
-// the full node state is written into it, the returned per-core slice is
-// a view of it, and the solve is allocation-free; with nil nodeTemps a
-// fresh per-core slice is returned. Safe for concurrent use.
-func (m *Model) SteadyState(corePower []float64, nodeTemps []float64) []float64 {
-	if len(corePower) != m.nCores {
-		panic("thermal: SteadyState power vector length mismatch")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.steadyModes(&m.scratch, corePower)
-	return m.publishSteady(nodeTemps)
-}
-
-// SteadyStateChecked is SteadyState returning an error instead of letting
-// non-finite temperatures escape: a NaN/Inf power vector or a degenerate
-// solve yields numeric.ErrNonFinite (wrapped) so the caller can fail the
-// run before the values reach the aging model.
-// Like SteadyState it is allocation-free when nodeTemps is provided (the
-// returned per-core slice is then a view of nodeTemps).
+// SteadyStateChecked solves the static network for the given per-core
+// power vector (Watts into each die node) and returns the per-core die
+// temperatures in Kelvin. When nodeTemps is non-nil (3 nodes per core:
+// die, spreader, sink layers in turn) the full node state is written into
+// it, the returned per-core slice is a view of it, and the solve is
+// allocation-free; with nil nodeTemps a fresh per-core slice is returned.
+// A NaN/Inf power vector or a degenerate solve yields
+// numeric.ErrNonFinite (wrapped) instead of temperatures, so the caller
+// can fail the run before the values reach the aging model. Safe for
+// concurrent use.
 func (m *Model) SteadyStateChecked(corePower []float64, nodeTemps []float64) ([]float64, error) {
 	if len(corePower) != m.nCores {
 		panic("thermal: SteadyState power vector length mismatch")
@@ -315,19 +250,6 @@ func (m *Model) DieResponse() (*numeric.Matrix, error) {
 	})
 }
 
-// HeatOutflow returns the total heat flowing to ambient (Watts) for a full
-// node-temperature state — equal to the injected power in steady state
-// (energy conservation).
-func (m *Model) HeatOutflow(nodeTemps []float64) float64 {
-	q := 0.0
-	for i, g := range m.gAmb {
-		if g != 0 {
-			q += g * (nodeTemps[i] - m.cfg.Ambient)
-		}
-	}
-	return q
-}
-
 // Transient is an implicit-Euler integrator over the network with a fixed
 // time step, (C/Δt + G)·T⁺ = C/Δt·T + P + G_amb·T_amb. It keeps its state
 // in modal coordinates and steps every mode independently; only the die
@@ -335,13 +257,11 @@ func (m *Model) HeatOutflow(nodeTemps []float64) float64 {
 // leakage feedback read it. A Transient owns all of its buffers and is
 // not safe for concurrent use.
 type Transient struct {
-	m  *Model
-	dt float64
+	m *Model
 	// ops[k] advances mode k by one step.
 	ops   []modeStep
 	field modalField
 	die   []float64 // die-node temperatures in K, refreshed every step
-	nodes []float64 // State's buffer
 }
 
 // modeStep is one mode's implicit-Euler update θ̂⁺ = b·θ̂ + p·P̂, with
@@ -373,31 +293,10 @@ func (m *Model) NewTransient(dt float64) (*Transient, error) {
 		}
 	}
 	return &Transient{
-		m: m, dt: dt, ops: ops,
+		m: m, ops: ops,
 		field: newModalField(m.nCores),
 		die:   numeric.Fill(make([]float64, m.nCores), m.cfg.Ambient),
-		nodes: make([]float64, m.nNodes),
 	}, nil
-}
-
-// Dt returns the integrator's time step in seconds.
-func (tr *Transient) Dt() float64 { return tr.dt }
-
-// SetState overwrites the full node state (length NumNodes).
-func (tr *Transient) SetState(nodeTemps []float64) {
-	m := tr.m
-	if len(nodeTemps) != m.nNodes {
-		panic("thermal: SetState length mismatch")
-	}
-	n, f := m.nCores, &tr.field
-	for l := 0; l < numLayers; l++ {
-		over := f.pHat // free between steps
-		for i := range over {
-			over[i] = nodeTemps[l*n+i] - m.cfg.Ambient
-		}
-		m.basis.forward(f.layer(l), over, f.tmp)
-	}
-	copy(tr.die, nodeTemps[:n])
 }
 
 // SetSteadyState sets the state to the steady state of corePower, solved
@@ -420,18 +319,6 @@ func (tr *Transient) SetSteadyState(corePower []float64) error {
 	return nil
 }
 
-// State returns the current full node state. It is converted from modal
-// coordinates on every call into a buffer the integrator owns: a view,
-// valid until the next State call; copy before mutating.
-func (tr *Transient) State() []float64 {
-	m, n := tr.m, tr.m.nCores
-	copy(tr.nodes, tr.die)
-	for l := layerSpreader; l < numLayers; l++ {
-		m.basis.inverse(tr.nodes[l*n:(l+1)*n], tr.field.layer(l), tr.field.tmp, m.cfg.Ambient)
-	}
-	return tr.nodes
-}
-
 // CoreTemps copies the current die temperatures into dst (length nCores,
 // allocated when nil) and returns it.
 func (tr *Transient) CoreTemps(dst []float64) []float64 {
@@ -442,19 +329,12 @@ func (tr *Transient) CoreTemps(dst []float64) []float64 {
 	return dst
 }
 
-// Step advances one time step with the given per-core power vector
-// (constant across the step).
-func (tr *Transient) Step(corePower []float64) {
-	if len(corePower) != tr.m.nCores {
-		panic("thermal: Step power vector length mismatch")
-	}
-	tr.step(corePower)
-}
-
-// StepChecked is Step returning an error when the step was fed (or
-// produces) non-finite temperatures, so a poisoned power vector aborts the
-// window instead of aging the chip with NaN temperatures. On error the
-// integrator state is unreliable and the run should be abandoned.
+// StepChecked advances one time step with the given per-core power
+// vector (constant across the step). It returns an error when the step
+// was fed (or produces) non-finite temperatures, so a poisoned power
+// vector aborts the window instead of aging the chip with NaN
+// temperatures. On error the integrator state is unreliable and the run
+// should be abandoned.
 func (tr *Transient) StepChecked(corePower []float64) error {
 	if len(corePower) != tr.m.nCores {
 		panic("thermal: Step power vector length mismatch")

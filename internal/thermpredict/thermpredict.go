@@ -69,9 +69,6 @@ func Learn(tm *thermal.Model, pm power.Model, chip *variation.Chip) (*Predictor,
 	return &Predictor{tm: tm, pm: pm, chip: chip, resp: resp, LeakageIterations: 3}, nil
 }
 
-// ResponseAt returns the learned rise (K/W) of core i per Watt at core j.
-func (p *Predictor) ResponseAt(i, j int) float64 { return p.resp.At(i, j) }
-
 // Ambient returns the ambient temperature of the underlying model.
 func (p *Predictor) Ambient() float64 { return p.tm.Ambient() }
 
@@ -143,17 +140,4 @@ func (p *Predictor) DeltaPredict(dst, base []float64, j int, addPower float64) [
 // leakage it dissipated while dark.
 func (p *Predictor) CandidatePower(j int, pdyn, T float64) float64 {
 	return pdyn + p.pm.CoreLeakage(p.chip.LeakFactor[j], T, true) - p.pm.CoreLeakage(0, T, false)
-}
-
-// AffectedCores appends to dst the cores whose predicted temperature moves
-// by at least threshold Kelvin when addPower Watts lands on core j — the
-// "might only be required for cores that are affected" pruning of
-// Algorithm 1 line 8.
-func (p *Predictor) AffectedCores(dst []int, j int, addPower, threshold float64) []int {
-	for i := 0; i < p.resp.Rows; i++ {
-		if p.resp.At(i, j)*addPower >= threshold {
-			dst = append(dst, i)
-		}
-	}
-	return dst
 }

@@ -112,7 +112,10 @@ func TestPredictMatchesThermalModelWithLeakageLoop(t *testing.T) {
 		for i := range total {
 			total[i] = pdyn[i] + fx.pm.CoreLeakage(fx.chip.LeakFactor[i], ref[i], on[i])
 		}
-		ref = fx.tm.SteadyState(total, nil)
+		var err error
+		if ref, err = fx.tm.SteadyStateChecked(total, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range pred {
 		if math.Abs(pred[i]-ref[i]) > 0.5 {
@@ -250,4 +253,20 @@ func TestPredictLeakageCorrectionMatters(t *testing.T) {
 	if hotter < n/2 {
 		t.Fatalf("leakage correction raised only %d/%d cores", hotter, n)
 	}
+}
+
+// ResponseAt returns the learned rise (K/W) of core i per Watt at core j.
+func (p *Predictor) ResponseAt(i, j int) float64 { return p.resp.At(i, j) }
+
+// AffectedCores appends to dst the cores whose predicted temperature moves
+// by at least threshold Kelvin when addPower Watts lands on core j — the
+// "might only be required for cores that are affected" pruning of
+// Algorithm 1 line 8.
+func (p *Predictor) AffectedCores(dst []int, j int, addPower, threshold float64) []int {
+	for i := 0; i < p.resp.Rows; i++ {
+		if p.resp.At(i, j)*addPower >= threshold {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }

@@ -178,9 +178,6 @@ func NewGenerator(m Model, fp *floorplan.Floorplan) (*Generator, error) {
 	return g, nil
 }
 
-// GridShape returns the lattice dimensions.
-func (g *Generator) GridShape() (rows, cols int) { return g.gridRows, g.gridCols }
-
 // Chip draws one die using the given seed. The same (model, floorplan,
 // seed) triple always produces the identical chip.
 func (g *Generator) Chip(seed int64) *Chip {
@@ -268,19 +265,4 @@ func (c *Chip) FrequencySpread() float64 {
 		return 0
 	}
 	return (max - min) / max
-}
-
-// FastestCores returns the core indices sorted by descending FMax0.
-func (c *Chip) FastestCores() []int {
-	idx := make([]int, len(c.FMax0))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort: N = 64, called rarely.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && c.FMax0[idx[j]] > c.FMax0[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
 }

@@ -240,3 +240,21 @@ func TestZeroSigmaUniformChip(t *testing.T) {
 		t.Fatalf("spread = %v, want ≈0", c.FrequencySpread())
 	}
 }
+
+// GridShape returns the lattice dimensions.
+func (g *Generator) GridShape() (rows, cols int) { return g.gridRows, g.gridCols }
+
+// FastestCores returns the core indices sorted by descending FMax0.
+func (c *Chip) FastestCores() []int {
+	idx := make([]int, len(c.FMax0))
+	for i := range idx {
+		idx[i] = i
+	}
+	// Insertion sort: N = 64, called rarely.
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && c.FMax0[idx[j]] > c.FMax0[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	return idx
+}

@@ -237,6 +237,8 @@ func FewestThreads(ps []Profile) int {
 }
 
 // ProfileByName looks a profile up in the Parsec set.
+//
+//lint:ignore reachability the workload, policy, mapping, dtm and exact tests look up Parsec profiles by name
 func ProfileByName(name string) (Profile, bool) {
 	for _, p := range Parsec() {
 		if p.Name == name {
