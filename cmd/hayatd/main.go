@@ -10,7 +10,7 @@
 //	       [-data DIR] [-drain 30s] [-journal FILE] [-checkpoints DIR]
 //	       [-checkpoint-every N] [-failpoints SPECS] [-max-client-rps R]
 //	       [-default-deadline D] [-shed-start F] [-pprof-addr ADDR]
-//	       [-batch-max N] [-batch-wait D] [-audit FILE]
+//	       [-audit FILE]
 //	       [-self URL -peers URL,URL,...] [-probe-interval D] [-steal-after D]
 //	       [-replicas N] [-anti-entropy-interval D]
 //
@@ -34,12 +34,11 @@
 // (under their original IDs) after a crash; with -checkpoints, recovered
 // jobs resume from their last persisted checkpoint instead of restarting.
 //
-// POST /v1/batch coalesces up to -batch-max submissions (flushing after
-// -batch-wait at the latest) into one admission pass and one journal
-// fsync. Every terminal result is recorded in a per-segment Merkle tree
-// and GET /v1/jobs/{id}/proof serves its inclusion proof; with -audit the
-// tree is persisted and rebuilt on restart, without it proofs only cover
-// results produced since startup.
+// POST /v1/batch admits up to 1024 submissions in one pass and journals
+// the accepted ones with one fsync. Every terminal result is recorded in
+// a per-segment Merkle tree and GET /v1/jobs/{id}/proof serves its
+// inclusion proof; with -audit the tree is persisted and rebuilt on
+// restart, without it proofs only cover results produced since startup.
 // -failpoints (or the HAYAT_FAILPOINTS environment variable) arms fault
 // injection for crash drills, e.g.
 // "service.cache-read=prob(0.1),sim.thermal-solve=fail(3)".
@@ -86,8 +85,6 @@ func main() {
 		maxRPS     = flag.Float64("max-client-rps", 0, "per-client token-bucket rate limit on work-creating submits (0: unlimited)")
 		defaultDL  = flag.Duration("default-deadline", 0, "deadline applied to jobs that submit without one (0: unbounded)")
 		shedStart  = flag.Float64("shed-start", 0.75, "queue-occupancy fraction where cost-aware shedding begins")
-		batchMax   = flag.Int("batch-max", 256, "max items per coalesced batch flush (POST /v1/batch)")
-		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "max added latency before a partial batch flushes")
 		audit      = flag.String("audit", "", "persisted Merkle audit log for result provenance (empty: memory only)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs for cluster mode (empty: single node)")
 		self       = flag.String("self", "", "this node's own base URL as peers reach it (required with -peers)")
@@ -125,8 +122,6 @@ func main() {
 		MaxClientRPS:        *maxRPS,
 		DefaultDeadline:     *defaultDL,
 		ShedStart:           *shedStart,
-		BatchMaxItems:       *batchMax,
-		BatchMaxWait:        *batchWait,
 		AuditPath:           *audit,
 		Replicas:            *replicas,
 		AntiEntropyInterval: *antiEvery,

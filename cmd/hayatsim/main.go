@@ -55,14 +55,9 @@ func parseCores(spec string) ([]int, error) {
 }
 
 func run(policyName string, seed int64, dark, years, epoch float64, maps bool, jsonPath, tracePath, traceCores, checkpointPath string, checkpointAt int, resumePath string) error {
-	var pol hayat.Policy
-	switch strings.ToLower(policyName) {
-	case "hayat":
-		pol = hayat.PolicyHayat
-	case "vaa":
-		pol = hayat.PolicyVAA
-	default:
-		return fmt.Errorf("unknown policy %q (want hayat or vaa)", policyName)
+	pol, err := hayat.ParsePolicy(policyName)
+	if err != nil {
+		return err
 	}
 
 	cfg := hayat.DefaultConfig()

@@ -5,8 +5,8 @@
 // extension Hayat buys over the variability-agnostic baseline — purely
 // from the JSON the service returns. It then repeats one request to show
 // the content-addressed cache answering without re-simulating, submits a
-// seed sweep through POST /v1/batch (one coalesced admission pass and
-// journal write for the whole sweep), and closes by fetching each result's
+// seed sweep through POST /v1/batch (one admission pass and one journal
+// write for the whole request), and closes by fetching each result's
 // Merkle inclusion proof and verifying it client-side — including that a
 // single flipped result byte is rejected.
 package main

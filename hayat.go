@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"github.com/kit-ces/hayat/internal/aging"
@@ -36,6 +37,7 @@ import (
 	"github.com/kit-ces/hayat/internal/dvfs"
 	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/gates"
+	"github.com/kit-ces/hayat/internal/persist"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/power"
 	"github.com/kit-ces/hayat/internal/report"
@@ -402,18 +404,17 @@ func (c *Chip) RunLifetimeCheckpointed(p Policy, uptoEpoch int, w io.Writer) err
 }
 
 // RunLifetimeCheckpointedFile is RunLifetimeCheckpointed writing the
-// checkpoint atomically (temp file + rename), so an interrupted write can
-// never leave a torn checkpoint at path.
+// checkpoint atomically (temp file in path's directory, fsync, rename),
+// so an interrupted write can never leave a torn checkpoint at path.
 func (c *Chip) RunLifetimeCheckpointedFile(p Policy, uptoEpoch int, path string) error {
-	eng, err := c.newEngine(p)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.RunLifetimeCheckpointed(p, uptoEpoch, &buf); err != nil {
 		return err
 	}
-	cp, err := eng.RunCheckpoint(uptoEpoch)
-	if err != nil {
-		return err
+	if err := persist.WriteFileAtomic(path, buf.Bytes(), ""); err != nil {
+		return fmt.Errorf("hayat: writing checkpoint: %w", err)
 	}
-	return sim.WriteCheckpointFile(path, cp)
+	return nil
 }
 
 // ResumeLifetime continues a checkpointed run (same chip seed, policy and
@@ -436,19 +437,12 @@ func (c *Chip) ResumeLifetime(p Policy, r io.Reader) (*LifetimeResult, error) {
 
 // ResumeLifetimeFile is ResumeLifetime reading the checkpoint from path.
 func (c *Chip) ResumeLifetimeFile(p Policy, path string) (*LifetimeResult, error) {
-	eng, err := c.newEngine(p)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hayat: opening checkpoint: %w", err)
 	}
-	cp, err := sim.ReadCheckpointFile(path)
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Resume(cp)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(res), nil
+	defer f.Close()
+	return c.ResumeLifetime(p, f)
 }
 
 // CheckpointSink receives serialised engine checkpoints during a

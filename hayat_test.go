@@ -2,6 +2,8 @@ package hayat
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -310,6 +312,57 @@ func TestCheckpointedLifetimePublicAPI(t *testing.T) {
 	// Wrong policy on resume is rejected.
 	if _, err := chip.ResumeLifetime(PolicyVAA, strings.NewReader(buf.String())); err == nil {
 		t.Fatal("cross-policy resume accepted")
+	}
+}
+
+// The checkpoint file is published atomically: no temp file is left
+// beside it, an overwrite renames over the old file, and a write into a
+// missing directory fails.
+func TestWriteCheckpointFileAtomic(t *testing.T) {
+	cfg := fastConfig()
+	cfg.RemixEpochs = 2
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip, err := sys.NewChip(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	if err := chip.RunLifetimeCheckpointedFile(PolicyHayat, 2, path); err != nil {
+		t.Fatal(err)
+	}
+	// No temp droppings next to the published file.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
+		t.Fatalf("directory not clean after atomic write: %v", entries)
+	}
+	full, err := chip.RunLifetime(PolicyHayat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := chip.ResumeLifetimeFile(PolicyHayat, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed.Epochs) != len(full.Epochs) || resumed.Epochs[len(full.Epochs)-1] != full.Epochs[len(full.Epochs)-1] {
+		t.Fatal("resuming from the checkpoint file diverged from the one-shot run")
+	}
+	// Overwrite must also be atomic (rename over the existing file).
+	if err := chip.RunLifetimeCheckpointedFile(PolicyHayat, 2, path); err != nil {
+		t.Fatalf("atomic overwrite failed: %v", err)
+	}
+	// Writing into a missing directory fails without leaving anything.
+	if err := chip.RunLifetimeCheckpointedFile(PolicyHayat, 2, filepath.Join(dir, "no-such-dir", "x.ckpt")); err == nil {
+		t.Fatal("write into missing directory succeeded")
+	}
+	if _, err := chip.ResumeLifetimeFile(PolicyHayat, filepath.Join(dir, "missing.ckpt")); err == nil {
+		t.Fatal("reading a missing checkpoint succeeded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"time"
@@ -54,6 +55,29 @@ func (p Backoff) Delay(n int, jitter *Jitter) time.Duration {
 		d = float64(p.MaxDelay)
 	}
 	return time.Duration(d)
+}
+
+// Retry calls fn until it succeeds, fails with an error retryable
+// rejects, or p.MaxAttempts calls have failed, sleeping p's schedule
+// between calls; the last error is returned. onRetry (optional) observes
+// each failure about to be retried, before its sleep. A context that ends
+// during a sleep ends the loop with the context's error.
+func Retry(ctx context.Context, p Backoff, jitter *Jitter, retryable func(error) bool, onRetry func(attempt int, err error), fn func() error) error {
+	p = p.WithDefaults()
+	for attempt := 1; ; attempt++ {
+		err := fn()
+		if err == nil || !retryable(err) || attempt >= p.MaxAttempts {
+			return err
+		}
+		if onRetry != nil {
+			onRetry(attempt, err)
+		}
+		select {
+		case <-time.After(p.Delay(attempt, jitter)):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // Jitter is a seeded jitter source for Delay. It is mutex-guarded: one

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/merkle"
 	"github.com/kit-ces/hayat/internal/store"
@@ -87,12 +88,12 @@ func (e *statusError) Is(target error) bool { return target == ErrPeerStatus }
 
 // retryable classifies an error for the per-peer retry loop: transport
 // errors and transient statuses are retried (with backoff); BusyError,
-// 4xx, decode failures, and context cancellation are not.
+// 4xx, decode failures, an open breaker and context cancellation are not.
 func retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, circuit.ErrOpen) {
 		return false
 	}
 	var be *BusyError

@@ -40,8 +40,7 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	JitterSeed int64
-	Logf       func(format string, args ...any)
+	Logf func(format string, args ...any)
 }
 
 // PeerSnapshot is one remote peer's externally visible health, served on
@@ -128,7 +127,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:        cfg,
 		ring:       NewRing(append([]string{cfg.Self}, remote...), cfg.Vnodes),
 		client:     NewClient(cfg.AttemptTimeout),
-		jitter:     circuit.NewJitter(cfg.JitterSeed),
+		jitter:     circuit.NewJitter(1), // fixed seed: retry schedules repeat run to run
 		logf:       logf,
 		peers:      make(map[string]*peerState, len(remote)),
 		firstSweep: make(chan struct{}),
@@ -258,33 +257,21 @@ func (r *Router) breaker(peer string) *circuit.Breaker {
 }
 
 // withRetry runs one logical peer operation through the peer's breaker
-// and the backoff schedule. BusyError counts as a SUCCESS for the breaker
-// (a peer saying 429 is alive and talking) and is returned immediately so
-// the caller can pass the origin's Retry-After through.
+// and the backoff schedule. An open breaker fails at once with
+// circuit.ErrOpen. BusyError counts as a SUCCESS for the breaker (a peer
+// saying 429 is alive and talking) and is returned immediately so the
+// caller can pass the origin's Retry-After through.
 func (r *Router) withRetry(ctx context.Context, peer string, fn func(context.Context) error) error {
 	brk := r.breaker(peer)
-	pol := r.cfg.Retry
-	var err error
-	for attempt := 1; ; attempt++ {
+	return circuit.Retry(ctx, r.cfg.Retry, r.jitter, retryable, nil, func() error {
 		if !brk.Allow() {
 			return fmt.Errorf("cluster: peer %s: %w", peer, circuit.ErrOpen)
 		}
-		err = fn(ctx)
+		err := fn(ctx)
 		var be *BusyError
-		if errors.As(err, &be) {
-			brk.Report(true)
-			return err
-		}
-		brk.Report(err == nil)
-		if err == nil || !retryable(err) || attempt >= pol.MaxAttempts {
-			return err
-		}
-		select {
-		case <-time.After(pol.Delay(attempt, r.jitter)):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+		brk.Report(err == nil || errors.As(err, &be))
+		return err
+	})
 }
 
 // ForwardSubmit forwards a single-job submit body to peer, with retries

@@ -53,7 +53,7 @@ import (
 // custom encoders (and non-canonical re-encoding outside encoding/json).
 //
 // Reporting is scoped to the simulation library. The serving layers
-// (internal/service, cluster, store, batch, merkle, circuit, metrics)
+// (internal/service, cluster, store, merkle, circuit, metrics)
 // are deliberately nondeterministic in their scheduling — timestamps,
 // backoff jitter, hedged fetches — and are guarded by the runtime
 // determinism suites and the replicated store's leaf-conflict check
@@ -121,7 +121,6 @@ var determinismExcluded = []string{
 	"internal/service",
 	"internal/cluster",
 	"internal/store",
-	"internal/batch",
 	"internal/merkle",
 	"internal/circuit",
 	"internal/metrics",

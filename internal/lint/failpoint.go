@@ -5,7 +5,7 @@ import (
 )
 
 // checkFailpointCoverage enforces failure-injection coverage for durable
-// and peer I/O: inside internal/service, internal/persist, internal/batch,
+// and peer I/O: inside internal/service, internal/persist,
 // internal/merkle, internal/cluster and internal/store, any function that
 // calls os.WriteFile, os.Rename, (*os.File).Sync, performs a disk-cache
 // read (os.ReadFile, os.Open), or issues a peer HTTP request
@@ -16,7 +16,7 @@ import (
 // cannot see.
 func checkFailpointCoverage(p *Package, r *Reporter) {
 	if !p.PathContains("internal/service") && !p.PathContains("internal/persist") &&
-		!p.PathContains("internal/batch") && !p.PathContains("internal/merkle") &&
+		!p.PathContains("internal/merkle") &&
 		!p.PathContains("internal/cluster") && !p.PathContains("internal/store") {
 		return
 	}

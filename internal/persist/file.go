@@ -12,20 +12,22 @@ import (
 // store's durable tier).
 const fpFrameWrite = "persist.frame-write"
 
-// WriteFramedFile atomically replaces path with a CRC-framed copy of
-// payload: temp file in the same directory, write, fsync, rename — the
-// same discipline as the journal, so a crash leaves either the old
-// entry or the new one, never a torn frame.
-func WriteFramedFile(path string, payload []byte) error {
-	if err := faultinject.Hit(fpFrameWrite); err != nil {
-		return fmt.Errorf("persist: framed write %s: %w", filepath.Base(path), err)
+// WriteFileAtomic replaces path with data: temp file in path's own
+// directory, write, fsync, rename, so a crash leaves either the old file
+// or the new one, never a torn one. The temp file never leaves that
+// directory, so a bare filename stays in the working directory and the
+// rename never crosses filesystems. failpoint names the caller's
+// fault-injection seam, evaluated before anything touches the disk ("":
+// none, since an empty name can never be armed).
+func WriteFileAtomic(path string, data []byte, failpoint string) error {
+	if err := faultinject.Hit(failpoint); err != nil {
+		return err
 	}
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("persist: framed write %s: %w", base, err)
+		return err
 	}
-	_, err = tmp.Write(EncodeFrame(payload))
+	_, err = tmp.Write(data)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -37,7 +39,15 @@ func WriteFramedFile(path string, payload []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("persist: framed write %s: %w", base, err)
+	}
+	return err
+}
+
+// WriteFramedFile atomically replaces path with a CRC-framed copy of
+// payload (WriteFileAtomic, the same discipline as the journal).
+func WriteFramedFile(path string, payload []byte) error {
+	if err := WriteFileAtomic(path, EncodeFrame(payload), fpFrameWrite); err != nil {
+		return fmt.Errorf("persist: framed write %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }

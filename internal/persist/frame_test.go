@@ -109,3 +109,25 @@ func TestQuarantine(t *testing.T) {
 		t.Fatal("quarantining a missing file succeeded")
 	}
 }
+
+// A framed write to a bare filename keeps its temp file in the working
+// directory: it neither needs $TMPDIR nor renames across filesystems.
+func TestWriteFramedFileBareName(t *testing.T) {
+	t.Chdir(t.TempDir())
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	payload := []byte(`{"result":"bare"}`)
+	if err := WriteFramedFile("k.json", payload); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("k.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("decoded %q, want %q", got, payload)
+	}
+}

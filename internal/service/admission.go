@@ -65,19 +65,17 @@ func estimateCost(req request) float64 {
 	return cells * years * chips
 }
 
-// clientQueue is one client's FIFO plus its token bucket and
-// round-robin credit.
+// clientQueue is one client's FIFO plus its token bucket.
 type clientQueue struct {
 	name   string
 	jobs   []*Job
 	tokens float64
 	last   time.Time
-	credit int
 }
 
 // admission is the fair-admission scheduler that replaces the single FIFO
-// channel: per-client queues drained weighted-round-robin by the worker
-// pool, per-client token buckets, a cost-aware shedding policy and a
+// channel: per-client queues drained round-robin by the worker pool,
+// per-client token buckets, a cost-aware shedding policy and a
 // drain-rate estimator for Retry-After hints.
 //
 // Lock ordering: admission.mu is a leaf lock — it is acquired with
@@ -88,7 +86,6 @@ type admission struct {
 	shedStart float64 // occupancy fraction where cost shedding begins
 	rps       float64 // per-client token refill rate (0: unlimited)
 	burst     float64
-	weights   map[string]int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -105,7 +102,7 @@ type admission struct {
 
 const drainWindow = 64 // dequeue timestamps kept for the drain-rate estimate
 
-func newAdmission(capacity int, shedStart, rps float64, weights map[string]int) *admission {
+func newAdmission(capacity int, shedStart, rps float64) *admission {
 	if shedStart <= 0 || shedStart > 1 {
 		shedStart = 0.75
 	}
@@ -114,19 +111,11 @@ func newAdmission(capacity int, shedStart, rps float64, weights map[string]int) 
 		shedStart: shedStart,
 		rps:       rps,
 		burst:     math.Max(1, 2*rps),
-		weights:   weights,
 		clients:   make(map[string]*clientQueue),
 		pops:      make([]time.Time, drainWindow),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
-}
-
-func (a *admission) weight(client string) int {
-	if w, ok := a.weights[client]; ok && w > 0 {
-		return w
-	}
-	return 1
 }
 
 func (a *admission) client(name string) *clientQueue {
@@ -216,8 +205,8 @@ func (a *admission) enqueue(j *Job, force bool) error {
 	return nil
 }
 
-// pop blocks until a job is available (returned weighted-round-robin
-// across clients) or the queue is closed and empty. Expiry is the
+// pop blocks until a job is available (returned round-robin across
+// clients) or the queue is closed and empty. Expiry is the
 // caller's business: pop hands out whatever was queued, the server
 // decides whether it still deserves a worker.
 func (a *admission) pop() (*Job, bool) {
@@ -239,18 +228,13 @@ func (a *admission) popLocked() *Job {
 		a.rr = 0
 	}
 	cq := a.clients[a.order[a.rr]]
-	if cq.credit <= 0 {
-		cq.credit = a.weight(cq.name)
-	}
 	j := cq.jobs[0]
 	cq.jobs[0] = nil
 	cq.jobs = cq.jobs[1:]
 	a.total--
-	cq.credit--
 	if len(cq.jobs) == 0 {
-		cq.credit = 0
 		a.order = append(a.order[:a.rr], a.order[a.rr+1:]...)
-	} else if cq.credit <= 0 {
+	} else {
 		a.rr++
 	}
 	a.pops[a.popHead] = time.Now()

@@ -11,7 +11,7 @@ func testJob(client string, cost float64) *Job {
 }
 
 func TestWRRAlternatesClients(t *testing.T) {
-	a := newAdmission(16, 0.99, 0, nil)
+	a := newAdmission(16, 0.99, 0)
 	for i := 0; i < 3; i++ {
 		if err := a.enqueue(testJob("x", 1), false); err != nil {
 			t.Fatal(err)
@@ -28,8 +28,8 @@ func TestWRRAlternatesClients(t *testing.T) {
 		}
 		order = append(order, j.client)
 	}
-	// Equal weights: no client may be served twice in a row while the
-	// other still has queued work.
+	// No client may be served twice in a row while the other still has
+	// queued work.
 	for i := 1; i < len(order)-1; i++ {
 		if order[i] == order[i-1] {
 			t.Fatalf("client %q served twice in a row at %d: %v", order[i], i, order)
@@ -37,30 +37,8 @@ func TestWRRAlternatesClients(t *testing.T) {
 	}
 }
 
-func TestWRRWeights(t *testing.T) {
-	a := newAdmission(16, 0.99, 0, map[string]int{"heavy": 2})
-	for i := 0; i < 4; i++ {
-		a.enqueue(testJob("heavy", 1), false)
-	}
-	for i := 0; i < 2; i++ {
-		a.enqueue(testJob("light", 1), false)
-	}
-	var got []string
-	for i := 0; i < 6; i++ {
-		j, _ := a.pop()
-		got = append(got, j.client)
-	}
-	// heavy (weight 2) drains twice per light turn.
-	want := []string{"heavy", "heavy", "light", "heavy", "heavy", "light"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("weighted order %v, want %v", got, want)
-		}
-	}
-}
-
 func TestShedRejectsExpensiveUnderPressure(t *testing.T) {
-	a := newAdmission(4, 0.5, 0, nil)
+	a := newAdmission(4, 0.5, 0)
 	a.enqueue(testJob("a", 1), false)
 	a.enqueue(testJob("b", 1), false) // total 2 of 4 → pressure band
 	if !a.pressure() {
@@ -85,7 +63,7 @@ func TestShedRejectsExpensiveUnderPressure(t *testing.T) {
 }
 
 func TestForceEnqueueBypassesChecks(t *testing.T) {
-	a := newAdmission(1, 0.5, 0, nil)
+	a := newAdmission(1, 0.5, 0)
 	a.enqueue(testJob("a", 1), false)
 	if err := a.enqueue(testJob("b", 100), true); err != nil {
 		t.Fatalf("forced enqueue failed: %v", err)
@@ -100,7 +78,7 @@ func TestForceEnqueueBypassesChecks(t *testing.T) {
 }
 
 func TestTokenBucket(t *testing.T) {
-	a := newAdmission(16, 0.75, 1, nil) // 1 rps, burst 2
+	a := newAdmission(16, 0.75, 1) // 1 rps, burst 2
 	if err := a.reserve("c"); err != nil {
 		t.Fatalf("first reserve: %v", err)
 	}
@@ -120,7 +98,7 @@ func TestTokenBucket(t *testing.T) {
 }
 
 func TestPopBlocksUntilCloseDrains(t *testing.T) {
-	a := newAdmission(4, 0.75, 0, nil)
+	a := newAdmission(4, 0.75, 0)
 	a.enqueue(testJob("a", 1), false)
 	done := make(chan bool, 2)
 	go func() {
@@ -144,7 +122,7 @@ func TestPopBlocksUntilCloseDrains(t *testing.T) {
 }
 
 func TestRetryAfterFallback(t *testing.T) {
-	a := newAdmission(4, 0.75, 0, nil)
+	a := newAdmission(4, 0.75, 0)
 	if got := a.retryAfter(1); got != 5*time.Second {
 		t.Fatalf("retryAfter with no drain history = %v, want 5s fallback", got)
 	}

@@ -240,50 +240,76 @@ func TestProofSurvivesRestart(t *testing.T) {
 }
 
 // A lost (truncated) audit log self-heals: serving the result from the
-// cache re-records its leaf, so the proof comes back.
+// cache re-records its leaf, so the proof comes back — whether the cache
+// hit answers a single submit or a batch item.
 func TestAuditSelfHealsAfterLoss(t *testing.T) {
-	base := t.TempDir()
-	opts := Options{
-		Workers:   2,
-		DataDir:   filepath.Join(base, "data"),
-		AuditPath: filepath.Join(base, "audit.log"),
+	hitSingle := func(t *testing.T, s *Server) (JobStatus, []byte) {
+		st, err := s.SubmitLifetime(tinyCfg(), 7, "hayat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, st.Result
 	}
-	s1 := newTestServer(t, opts)
-	st, err := s1.SubmitLifetime(tinyCfg(), 7, "hayat")
-	if err != nil {
-		t.Fatal(err)
+	hitBatch := func(t *testing.T, s *Server) (JobStatus, []byte) {
+		res, err := s.SubmitBatch([]BatchItem{tinyItem(7)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Job == nil {
+			t.Fatalf("batch item not admitted: %+v", res[0])
+		}
+		data, err := s.Result(res[0].Job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *res[0].Job, data
 	}
-	st = waitDone(t, s1, st.ID)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	for name, hit := range map[string]func(*testing.T, *Server) (JobStatus, []byte){
+		"single": hitSingle,
+		"batch":  hitBatch,
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := t.TempDir()
+			opts := Options{
+				Workers:   2,
+				DataDir:   filepath.Join(base, "data"),
+				AuditPath: filepath.Join(base, "audit.log"),
+			}
+			s1 := newTestServer(t, opts)
+			st, err := s1.SubmitLifetime(tinyCfg(), 7, "hayat")
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, s1, st.ID)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s1.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	// Simulate the crash that loses the (unsealed, unsynced) audit tail.
-	if err := os.Truncate(opts.AuditPath, 0); err != nil {
-		t.Fatal(err)
-	}
+			// Simulate the crash that loses the (unsealed, unsynced) audit tail.
+			if err := os.Truncate(opts.AuditPath, 0); err != nil {
+				t.Fatal(err)
+			}
 
-	s2 := newTestServer(t, opts)
-	if stats := s2.AuditStats(); stats.Leaves != 0 {
-		t.Fatalf("audit leaves %d after loss, want 0", stats.Leaves)
-	}
-	hit, err := s2.SubmitLifetime(tinyCfg(), 7, "hayat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Cached {
-		t.Fatalf("expected cache hit, got %+v", hit)
-	}
-	pr, err := s2.Proof(hit.ID)
-	if err != nil {
-		t.Fatalf("proof after self-heal: %v", err)
-	}
-	if err := verifyProof(t, pr, hit.Result); err != nil {
-		t.Fatal(err)
-	}
-	if stats := s2.AuditStats(); stats.Leaves != 1 {
-		t.Fatalf("audit leaves %d after self-heal, want 1", stats.Leaves)
+			s2 := newTestServer(t, opts)
+			if stats := s2.AuditStats(); stats.Leaves != 0 {
+				t.Fatalf("audit leaves %d after loss, want 0", stats.Leaves)
+			}
+			st, data := hit(t, s2)
+			if !st.Cached {
+				t.Fatalf("expected cache hit, got %+v", st)
+			}
+			pr, err := s2.Proof(st.ID)
+			if err != nil {
+				t.Fatalf("proof after self-heal: %v", err)
+			}
+			if err := verifyProof(t, pr, data); err != nil {
+				t.Fatal(err)
+			}
+			if stats := s2.AuditStats(); stats.Leaves != 1 {
+				t.Fatalf("audit leaves %d after self-heal, want 1", stats.Leaves)
+			}
+		})
 	}
 }

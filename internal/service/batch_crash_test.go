@@ -19,8 +19,8 @@ import (
 
 // TestBatchCrashHelper is not a test: it is the child process of
 // TestBatchCrashRecovery — a journalled, audited server whose failpoints
-// are armed from HAYAT_FAILPOINTS, so the parent can stall a batch flush
-// and SIGKILL it mid-write.
+// are armed from HAYAT_FAILPOINTS, so the parent can stall a batch's
+// journal write and SIGKILL it mid-write.
 func TestBatchCrashHelper(t *testing.T) {
 	base := os.Getenv("HAYAT_BATCH_CRASH_BASE")
 	if os.Getenv("HAYAT_BATCH_CRASH_HELPER") != "1" || base == "" {
@@ -31,15 +31,10 @@ func TestBatchCrashHelper(t *testing.T) {
 		os.Exit(1)
 	}
 	s, err := New(Options{
-		Workers:       2,
-		DataDir:       filepath.Join(base, "data"),
-		JournalPath:   filepath.Join(base, "jobs.journal"),
-		AuditPath:     filepath.Join(base, "audit.log"),
-		BatchMaxItems: 4,
-		// Long enough that a request's items always meet in one flush,
-		// even under the race detector: the drill relies on batch A
-		// being journalled, and its jobs started, in a single flush.
-		BatchMaxWait: 200 * time.Millisecond,
+		Workers:     2,
+		DataDir:     filepath.Join(base, "data"),
+		JournalPath: filepath.Join(base, "jobs.journal"),
+		AuditPath:   filepath.Join(base, "audit.log"),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
@@ -108,7 +103,7 @@ func postBatch(addr string, items []BatchItem) (BatchResponse, error) {
 }
 
 // The batch crash drill: SIGKILL the daemon while a second batch is
-// stalled mid-flush (before its single journal write lands). On restart,
+// stalled before its single journal write lands. On restart,
 // every item of the ACKNOWLEDGED batch must be recovered under its
 // original job ID with a result byte-identical to an uninterrupted run
 // and a verifying inclusion proof; the unacknowledged batch must be
@@ -118,15 +113,15 @@ func TestBatchCrashRecovery(t *testing.T) {
 		t.Skip("multi-process crash drill")
 	}
 	base := t.TempDir()
-	// service.batch-flush sleeps 5s between taking the journal lock and
-	// writing, giving the parent a wide window to SIGKILL mid-flush.
+	// service.journal-append sleeps 5s between taking the journal lock
+	// and writing, giving the parent a wide window to SIGKILL mid-write.
 	// sim.thermal-solve slows every epoch so batch A's jobs are still
 	// running at the kill, however fast or loaded the host: journal
 	// replay drops jobs that finished, and those would be unknown by ID
 	// after restart. A 1-year job has 4 epochs, so each job outlasts the
 	// 1.5 s before the kill by itself; 50 ms per epoch was not enough
 	// under the race detector on a loaded machine.
-	cmd, addr := startBatchCrashHelper(t, base, "service.batch-flush=sleep(5s),sim.thermal-solve=sleep(1s)")
+	cmd, addr := startBatchCrashHelper(t, base, "service.journal-append=sleep(5s),sim.thermal-solve=sleep(1s)")
 	killed := false
 	defer func() {
 		if !killed {
@@ -135,8 +130,8 @@ func TestBatchCrashRecovery(t *testing.T) {
 		}
 	}()
 
-	// Batch A: acknowledged before the kill. Its own flush also rides the
-	// sleep — the POST returns only after Write+Sync succeeded.
+	// Batch A: acknowledged before the kill. Its own journal write also
+	// rides the sleep — the POST returns only after Write+Sync succeeded.
 	seedsA := []int64{1, 2, 3, 4}
 	itemsA := make([]BatchItem, len(seedsA))
 	for i, seed := range seedsA {
@@ -154,9 +149,9 @@ func TestBatchCrashRecovery(t *testing.T) {
 		ids[i] = r.Job.ID
 	}
 
-	// Batch B: fired into the stalled flush and never acknowledged.
+	// Batch B: fired into the stalled write and never acknowledged.
 	go postBatch(addr, []BatchItem{tinyItem(101), tinyItem(102)}) //nolint:errcheck
-	time.Sleep(1500 * time.Millisecond)                           // inside batch B's 5s flush sleep
+	time.Sleep(1500 * time.Millisecond)                           // inside batch B's 5s write sleep
 	if err := cmd.Process.Kill(); err != nil {                    // SIGKILL, no drain
 		t.Fatal(err)
 	}
@@ -215,16 +210,16 @@ func TestBatchCrashRecovery(t *testing.T) {
 	}
 
 	// The unacknowledged batch died before its journal write: its work is
-	// gone, and the abandoned flush left no torn lines behind.
+	// gone, and the abandoned write left no torn lines behind.
 	var met MetricsSnapshot
 	if err := getJSON(t, "http://"+addr2+"/metrics", &met); err != nil {
 		t.Fatal(err)
 	}
 	if met.Reliability.JournalCorrupt != 0 {
-		t.Fatalf("journal_corrupt %d after mid-flush kill, want 0", met.Reliability.JournalCorrupt)
+		t.Fatalf("journal_corrupt %d after mid-write kill, want 0", met.Reliability.JournalCorrupt)
 	}
 	if met.Merkle.Corrupt != 0 {
-		t.Fatalf("merkle corrupt %d after mid-flush kill, want 0", met.Merkle.Corrupt)
+		t.Fatalf("merkle corrupt %d after mid-write kill, want 0", met.Merkle.Corrupt)
 	}
 	// Resubmitting batch B's items proves they never ran: both come back
 	// as fresh 202s, not cache hits.

@@ -1,19 +1,14 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
-
-	"github.com/kit-ces/hayat"
-	"github.com/kit-ces/hayat/internal/batch"
 )
 
 // maxBatchItems bounds one POST /v1/batch request; larger batches should
-// be split by the client (the server re-batches internally anyway).
+// be split by the client.
 const maxBatchItems = 1024
 
 // BatchItem is one submission inside POST /v1/batch. It mirrors the
@@ -61,17 +56,10 @@ type BatchResponse struct {
 	Rejected int               `json:"rejected"`
 }
 
-// batchSubmission is one validated item travelling through the batcher.
-type batchSubmission struct {
-	req  request
-	key  string
-	opts SubmitOpts
-}
-
 // batchSubmissionFromItem validates one batch item into its canonical
 // submission without touching any server state — it is pure, so the
 // decode fuzzer can drive it directly.
-func batchSubmissionFromItem(it BatchItem) (batchSubmission, error) {
+func batchSubmissionFromItem(it BatchItem) (submission, error) {
 	kind := it.Kind
 	if kind == "" {
 		kind = KindLifetime
@@ -80,45 +68,34 @@ func batchSubmissionFromItem(it BatchItem) (batchSubmission, error) {
 	switch kind {
 	case KindLifetime:
 		if it.Chips > 1 {
-			return batchSubmission{}, fmt.Errorf("chips is a population field (got %d for a lifetime item)", it.Chips)
+			return submission{}, fmt.Errorf("chips is a population field (got %d for a lifetime item)", it.Chips)
 		}
 	case KindChip:
 		if it.Chips > 1 {
-			return batchSubmission{}, fmt.Errorf("chip items are single-chip (got chips=%d)", it.Chips)
+			return submission{}, fmt.Errorf("chip items are single-chip (got chips=%d)", it.Chips)
 		}
 	case KindPopulation:
 		chips = it.Chips
 	default:
-		return batchSubmission{}, fmt.Errorf("unknown kind %q", it.Kind)
-	}
-	pol, err := hayat.ParsePolicy(it.Policy)
-	if err != nil {
-		return batchSubmission{}, err
+		return submission{}, fmt.Errorf("unknown kind %q", it.Kind)
 	}
 	cfg, err := decodeConfig(it.Config)
 	if err != nil {
-		return batchSubmission{}, err
+		return submission{}, err
 	}
-	req := request{Kind: kind, Config: NormalizeConfig(cfg), Policy: pol.String(), Seed: it.Seed, Chips: chips}
-	if err := validateRequest(req); err != nil {
-		return batchSubmission{}, err
-	}
-	return batchSubmission{
-		req: req,
-		key: req.key(),
-		opts: SubmitOpts{
-			Client:   it.Client,
-			Deadline: time.Duration(it.DeadlineMS) * time.Millisecond,
-			QueueTTL: time.Duration(it.QueueTTLMS) * time.Millisecond,
-		},
-	}, nil
+	return newSubmission(request{Kind: kind, Config: cfg, Policy: it.Policy, Seed: it.Seed, Chips: chips}, SubmitOpts{
+		Client:   it.Client,
+		Deadline: time.Duration(it.DeadlineMS) * time.Millisecond,
+		QueueTTL: time.Duration(it.QueueTTLMS) * time.Millisecond,
+	})
 }
 
-// SubmitBatch pushes every valid item through the batcher (invalid ones
-// are answered inline with a 400 result) and waits for all per-item
-// outcomes. The batcher coalesces concurrent callers, so N items cost
-// one admission pass and one journal fsync per flush, not N.
-func (s *Server) SubmitBatch(ctx context.Context, items []BatchItem) ([]BatchItemResult, error) {
+// SubmitBatch admits every valid item in one pass under the server mutex,
+// through the same steps as a single submit, and journals the accepted
+// jobs with one write and one fsync. Invalid items are answered with a
+// 400 result; no item fails its neighbours. Rate limiting is charged once
+// per client per request: a batch is one work-creating request.
+func (s *Server) SubmitBatch(items []BatchItem) ([]BatchItemResult, error) {
 	if len(items) == 0 {
 		return nil, errors.New("service: batch has no items")
 	}
@@ -126,127 +103,78 @@ func (s *Server) SubmitBatch(ctx context.Context, items []BatchItem) ([]BatchIte
 		return nil, fmt.Errorf("service: batch of %d items exceeds the %d-item limit", len(items), maxBatchItems)
 	}
 	results := make([]BatchItemResult, len(items))
-	chans := make([]<-chan BatchItemResult, len(items))
+	subs := make([]submission, len(items))
+	valid := 0
 	for i, it := range items {
 		sub, err := batchSubmissionFromItem(it)
 		if err != nil {
-			results[i] = BatchItemResult{Index: i, Status: http.StatusBadRequest, Error: err.Error()}
+			results[i] = itemResult(i, JobStatus{}, err)
 			continue
 		}
-		ch, serr := s.bat.Submit(ctx, sub)
-		if serr != nil {
-			if errors.Is(serr, batch.ErrClosed) {
-				results[i] = BatchItemResult{Index: i, Status: http.StatusServiceUnavailable,
-					Error: ErrDraining.Error(), RetryAfterS: drainingRetryAfter}
-				continue
+		subs[i] = sub
+		valid++
+	}
+	if valid == 0 {
+		return results, nil
+	}
+
+	passStart := time.Now()
+	s.met.BatchFlushes.Add(1)
+	s.met.BatchItems.Add(int64(valid))
+	s.met.BatchSizes.Observe(valid)
+	type hit struct {
+		key  string
+		data []byte
+	}
+	var (
+		accepted []*Job
+		hits     []hit                    // cache hits: audit leaves to re-record after unlocking
+		charged  = make(map[string]error) // client → its one token charge
+	)
+	s.mu.Lock()
+	for i, sub := range subs {
+		if results[i].Status != 0 {
+			continue
+		}
+		j, data, err := s.settleLocked(sub)
+		if data != nil {
+			hits = append(hits, hit{sub.key, data})
+		}
+		if j == nil && err == nil {
+			client := sub.opts.clientName()
+			rerr, seen := charged[client]
+			if !seen {
+				rerr = s.adm.reserve(client)
+				charged[client] = rerr
 			}
-			// The caller's context died while backpressured; items already
-			// handed to the batcher still flush, but this caller is gone.
-			return nil, serr
+			if err = rerr; err != nil {
+				s.met.RateLimited.Add(1)
+			} else if j, err = s.enqueueLocked(sub); err == nil {
+				accepted = append(accepted, j)
+			}
 		}
-		chans[i] = ch
+		var st JobStatus
+		if j != nil {
+			st = s.statusLocked(j, false)
+		}
+		results[i] = itemResult(i, st, err)
 	}
-	for i, ch := range chans {
-		if ch == nil {
-			continue
-		}
-		select {
-		case r := <-ch:
-			r.Index = i
-			results[i] = r
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	s.journalAcceptedLocked(accepted)
+	s.mu.Unlock()
+	for _, h := range hits {
+		s.auditResult(h.key, h.data)
 	}
+	s.met.BatchFlush.Observe(time.Since(passStart))
 	return results, nil
 }
 
-// flushBatch is the batcher's flush function: ONE pass under the server
-// mutex admits (or rejects) every item, then ONE journal append+fsync
-// makes all accepted jobs durable together. Per-item failures never fail
-// the batch: each item gets its own result, rejections carrying the same
-// drain-rate Retry-After the single-submit path computes.
-//
-// Rate limiting is charged once per client per flush — a batch is one
-// work-creating request per client, which is exactly the economy batching
-// sells; per-client fairness still holds across flushes.
-func (s *Server) flushBatch(items []batch.Item[batchSubmission, BatchItemResult]) {
-	flushStart := time.Now()
-	s.met.BatchFlushes.Add(1)
-	s.met.BatchItems.Add(int64(len(items)))
-	s.met.BatchSizes.Observe(len(items))
-
-	results := make([]BatchItemResult, len(items))
-	var recs []journalRecord
-	reserved := make(map[string]error)
-
-	s.mu.Lock()
-	for i, it := range items {
-		sub := it.Value
-		if j, ok := s.inflight[sub.key]; ok {
-			s.met.Coalesced.Add(1)
-			st := s.statusLocked(j, false)
-			results[i] = BatchItemResult{Accepted: true, Status: http.StatusAccepted, Job: &st}
-			continue
-		}
-		if _, ok := s.store.get(sub.key); ok {
-			s.met.CacheHits.Add(1)
-			j := s.newJobLocked(sub.req, sub.key, sub.opts)
-			now := time.Now()
-			j.state, j.cached = JobDone, true
-			j.started, j.finish = now, now
-			close(j.done)
-			s.rememberFinishedLocked(j)
-			st := s.statusLocked(j, false)
-			results[i] = BatchItemResult{Accepted: true, Status: http.StatusOK, Job: &st}
-			continue
-		}
-		if s.draining {
-			results[i] = BatchItemResult{Status: http.StatusServiceUnavailable,
-				Error: ErrDraining.Error(), RetryAfterS: drainingRetryAfter}
-			continue
-		}
-		client := sub.opts.clientName()
-		rerr, seen := reserved[client]
-		if !seen {
-			rerr = s.adm.reserve(client)
-			reserved[client] = rerr
-		}
-		if rerr != nil {
-			s.met.RateLimited.Add(1)
-			results[i] = BatchItemResult{Status: http.StatusTooManyRequests,
-				Error: rerr.Error(), RetryAfterS: RetryAfterSeconds(rerr, 5)}
-			continue
-		}
-		s.met.CacheMisses.Add(1)
-		j := s.newJobLocked(sub.req, sub.key, sub.opts)
-		if err := s.adm.enqueue(j, false); err != nil {
-			delete(s.jobs, j.id)
-			if errors.Is(err, ErrShedLoad) {
-				s.met.JobsShed.Add(1)
-			}
-			results[i] = BatchItemResult{Status: http.StatusTooManyRequests,
-				Error: err.Error(), RetryAfterS: RetryAfterSeconds(err, 5)}
-			continue
-		}
-		s.inflight[sub.key] = j
-		s.met.JobsQueued.Add(1)
-		recs = append(recs, submitRecord(j.id, sub.key, sub.req, j.client, j.deadline, j.queueDeadline))
-		st := s.statusLocked(j, false)
-		results[i] = BatchItemResult{Accepted: true, Status: http.StatusAccepted, Job: &st}
+// itemResult is one batch item's outcome: the job it reached, or the
+// status and Retry-After the same submission gets from the single-job
+// endpoint.
+func itemResult(index int, st JobStatus, err error) BatchItemResult {
+	if err != nil {
+		code, retry := admitStatus(err)
+		return BatchItemResult{Index: index, Status: code, Error: err.Error(), RetryAfterS: retry}
 	}
-	// The whole flush's write-ahead records land in one append+fsync; as
-	// with single submits, an append failure degrades durability only.
-	if err := s.jnl.submitBatch(recs); err != nil {
-		s.met.JournalAppendErrors.Add(1)
-		s.logf("service: %v", err)
-	} else if s.jnl != nil && len(recs) > 1 {
-		s.met.FsyncsSaved.Add(int64(len(recs) - 1))
-	}
-	s.mu.Unlock()
-
-	s.met.BatchFlush.Observe(time.Since(flushStart))
-	for i, it := range items {
-		it.Done <- results[i]
-	}
+	return BatchItemResult{Index: index, Accepted: true, Status: submitCode(st), Job: &st}
 }

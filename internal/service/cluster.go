@@ -82,7 +82,6 @@ func newRouter(opts Options, logf func(string, ...any)) (*cluster.Router, error)
 		Retry:            opts.Retry,
 		BreakerThreshold: opts.BreakerThreshold,
 		BreakerCooldown:  opts.BreakerCooldown,
-		JitterSeed:       opts.JitterSeed,
 		Logf:             logf,
 	})
 }
@@ -110,21 +109,13 @@ func (s *Server) forwardBody(req request, o SubmitOpts) ([]byte, error) {
 	return json.Marshal(fwd)
 }
 
-// maybeForward checks key ownership and, when a healthy remote peer owns
-// it, forwards the submit there. Returns handled=true with the terminal
-// decision (a local tracking job, or a passthrough BusyError); handled=
-// false means "execute locally" — the owner is this node, the ring is
-// fully down, or the forward failed after retries (content-addressed
-// results make local execution always correct, only less cache-efficient).
-func (s *Server) maybeForward(req request, key string, o SubmitOpts) (JobStatus, bool, error) {
-	if s.router == nil || o.NoForward || o.DegradedOK || req.Kind != KindLifetime {
-		return JobStatus{}, false, nil
-	}
-	owner, local := s.router.Owner(key)
-	if local {
-		return JobStatus{}, false, nil
-	}
-	body, err := s.forwardBody(req, o)
+// forward sends a lifetime submit to owner, the healthy remote peer that
+// owns its key. handled=true carries the decision: a local tracking job,
+// or the owner's BusyError passed through. handled=false means the
+// forward failed after retries and the caller executes locally (content-
+// addressed results make that always correct, only less cache-efficient).
+func (s *Server) forward(sub submission, owner string) (JobStatus, bool, error) {
+	body, err := s.forwardBody(sub.req, sub.opts)
 	if err != nil {
 		return JobStatus{}, false, nil
 	}
@@ -142,12 +133,12 @@ func (s *Server) maybeForward(req request, key string, o SubmitOpts) (JobStatus,
 			return JobStatus{}, true, be
 		}
 		s.met.ForwardFailures.Add(1)
-		s.logf("service: forwarding %s to %s failed (%v); executing locally", key[:12], owner, err)
+		s.logf("service: forwarding %s to %s failed (%v); executing locally", sub.key[:12], owner, err)
 		return JobStatus{}, false, nil
 	}
 
 	s.mu.Lock()
-	if j, ok := s.inflight[key]; ok {
+	if j, ok := s.inflight[sub.key]; ok {
 		// Raced with an identical submit while forwarding; the remote
 		// submit coalesced on the owner too, so nothing is lost.
 		s.met.Coalesced.Add(1)
@@ -155,16 +146,13 @@ func (s *Server) maybeForward(req request, key string, o SubmitOpts) (JobStatus,
 		s.mu.Unlock()
 		return st, true, nil
 	}
-	j := s.newJobLocked(req, key, o)
+	j := s.submitJobLocked(sub)
 	j.remotePeer, j.remoteID = owner, env.ID
-	s.inflight[key] = j
+	s.inflight[sub.key] = j
 	s.met.JobsQueued.Add(1)
 	// Journalled like any accepted job: after a crash the tracking job is
 	// recovered WITHOUT its peer binding and simply runs locally.
-	if jerr := s.jnl.submittedWith(j.id, key, req, j.client, j.deadline, j.queueDeadline); jerr != nil {
-		s.met.JournalAppendErrors.Add(1)
-		s.logf("service: %v", jerr)
-	}
+	s.journalAcceptedLocked([]*Job{j})
 	// Tracking jobs bypass the worker pool: they only poll the owner and
 	// fetch bytes, so they must not occupy a simulation slot.
 	s.wg.Add(1)

@@ -26,8 +26,8 @@ type LifetimeRequest struct {
 	Seed   int64           `json:"seed"`
 	Policy string          `json:"policy"`
 	Wait   bool            `json:"wait,omitempty"`
-	// Client is the fairness identity for rate limiting and weighted
-	// round-robin scheduling (empty: "default").
+	// Client is the fairness identity for rate limiting and round-robin
+	// scheduling (empty: "default").
 	Client string `json:"client,omitempty"`
 	// DeadlineMS bounds queue wait plus simulation in milliseconds; a job
 	// past its deadline is evicted (queued) or cancelled (running).
@@ -63,7 +63,7 @@ type errorBody struct {
 //
 //	POST   /v1/lifetime        submit a single-chip lifetime job
 //	POST   /v1/population      submit a population fan-out job
-//	POST   /v1/batch           submit many jobs in one coalesced pass
+//	POST   /v1/batch           submit many jobs in one admission pass
 //	GET    /v1/jobs/{id}        poll status / fetch result
 //	GET    /v1/jobs/{id}/result canonical result bytes (what the proof covers)
 //	GET    /v1/jobs/{id}/proof  Merkle inclusion proof for the result
@@ -158,35 +158,48 @@ func (s *Server) handlePopulation(w http.ResponseWriter, r *http.Request) {
 // client should give a replacement instance time to come up.
 const drainingRetryAfter = 10 // seconds
 
-// respondSubmit renders a submit outcome: 400 for invalid requests, 503 +
-// Retry-After while draining (the server is going away — retry against
-// its successor), 429 + Retry-After for per-client rate limiting and for
-// load shedding (queue full or cost-shed: the server is alive but wants
-// this client to back off), 200 for a cache hit or finished wait, and 202
-// for an accepted asynchronous job.
-func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, st JobStatus, err error, wait bool) {
+// admitStatus maps a submit error to its HTTP status and Retry-After
+// seconds (0: none), for single submits and batch items alike: 400 for
+// invalid requests, 503 while draining (the server is going away — retry
+// against its successor), 429 for per-client rate limiting and for load
+// shedding (queue full or cost-shed: the server is alive but wants this
+// client to back off). A cluster owner's BusyError passes through
+// verbatim, so the client backs off exactly as if it had reached the
+// owner directly.
+func admitStatus(err error) (code, retryAfter int) {
 	var busy *cluster.BusyError
 	switch {
-	case err == nil:
 	case errors.As(err, &busy):
-		// The key's owner is shedding load: its backpressure (and its
-		// Retry-After) pass through verbatim — the client backs off exactly
-		// as if it had reached the owner directly.
-		if busy.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(busy.RetryAfter.Seconds())))
-		}
-		writeError(w, busy.Status, err)
-		return
+		return busy.Status, int(busy.RetryAfter.Seconds())
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", strconv.Itoa(drainingRetryAfter))
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		return http.StatusServiceUnavailable, drainingRetryAfter
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShedLoad), errors.Is(err, ErrRateLimited):
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(err, 5)))
-		writeError(w, http.StatusTooManyRequests, err)
-		return
+		return http.StatusTooManyRequests, RetryAfterSeconds(err, 5)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		return http.StatusBadRequest, 0
+	}
+}
+
+// submitCode is an admitted submit's status: 200 once its job is
+// terminal (a cache hit or a finished wait), 202 while it is queued or
+// running.
+func submitCode(st JobStatus) int {
+	if st.State.Terminal() {
+		return http.StatusOK
+	}
+	return http.StatusAccepted
+}
+
+// respondSubmit renders a submit outcome: an error with admitStatus's
+// code and Retry-After, else the job's status, after waiting for it to
+// turn terminal when wait is set.
+func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, st JobStatus, err error, wait bool) {
+	if err != nil {
+		code, retry := admitStatus(err)
+		if retry > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(retry))
+		}
+		writeError(w, code, err)
 		return
 	}
 	if wait && !st.State.Terminal() {
@@ -199,11 +212,7 @@ func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, st JobSta
 		}
 		st = waited
 	}
-	code := http.StatusAccepted
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	writeJSON(w, submitCode(st), st)
 }
 
 // maxBatchBody bounds a batch request body: up to maxBatchItems items,
@@ -228,7 +237,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d items exceeds the %d-item limit", len(req.Items), maxBatchItems))
 		return
 	}
-	results, err := s.SubmitBatch(r.Context(), req.Items)
+	results, err := s.SubmitBatch(req.Items)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

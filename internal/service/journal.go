@@ -26,9 +26,6 @@ const (
 	fpJournalCompact = "service.journal-compact"
 	fpJournalDirSync = "service.journal-dirsync"
 	fpJournalClose   = "service.journal-close"
-	// fpBatchFlush sits on the batched submit path's single write+fsync;
-	// its hit count is the proof that a whole batch cost one durable append.
-	fpBatchFlush = "service.batch-flush"
 )
 
 // Journal operations. A job's life in the journal is one opSubmit record
@@ -41,6 +38,9 @@ const (
 	opFailed    = "failed"
 	opCancelled = "cancelled"
 )
+
+// terminalOp is the journal operation recording a job's terminal state.
+var terminalOp = map[JobState]string{JobDone: opDone, JobFailed: opFailed, JobCancelled: opCancelled}
 
 // journalCompactEvery triggers a rewrite once this many terminal records
 // have accumulated, bounding file growth under steady job churn.
@@ -64,7 +64,8 @@ type journalRecord struct {
 	At         time.Time `json:"at"`
 }
 
-// journalEntry is a job reconstructed from the journal at startup.
+// journalEntry is what a job is built from (newJobLocked): a job
+// reconstructed from the journal at startup, or a new submit's.
 type journalEntry struct {
 	ID            string
 	Key           string
@@ -184,38 +185,38 @@ func openJournal(path string) (*journal, []journalEntry, int, error) {
 	return j, pending, corrupt, nil
 }
 
-// submittedWith durably records an accepted job before the submit is
-// acknowledged — the record is framed, appended and fsynced — carrying
-// the job's admission metadata so a restart restores its client identity
-// and deadlines.
-func (j *journal) submittedWith(id, key string, req request, client string, deadline, queueDeadline time.Time) error {
-	if j == nil {
-		return nil
-	}
-	return j.append(submitRecord(id, key, req, client, deadline, queueDeadline), true)
-}
-
-// submitRecord builds the durable submit record for one accepted job.
-func submitRecord(id, key string, req request, client string, deadline, queueDeadline time.Time) journalRecord {
+// submitRecord is the durable submit record of an accepted job: with
+// its admission metadata, so a restart restores its client identity and
+// deadlines.
+func submitRecord(j *Job) journalRecord {
+	req := j.req
 	return journalRecord{
 		Op:         opSubmit,
-		ID:         id,
-		Key:        key,
+		ID:         j.id,
+		Key:        j.key,
 		Engine:     hayat.EngineVersion,
 		Req:        &req,
-		Client:     client,
-		DeadlineMS: timeToMS(deadline),
-		QueueTTLMS: timeToMS(queueDeadline),
+		Client:     j.client,
+		DeadlineMS: timeToMS(j.deadline),
+		QueueTTLMS: timeToMS(j.queueDeadline),
 		At:         time.Now().UTC(),
 	}
 }
 
-// submitBatch durably records a whole batch of accepted jobs with ONE
-// write and ONE fsync — the journal half of the batched-submit bargain.
-// All records land or none are acknowledged; a mid-write crash leaves at
-// worst a torn trailing line, which replay skips.
-func (j *journal) submitBatch(recs []journalRecord) error {
-	if j == nil || len(recs) == 0 {
+// terminal records a job leaving the pending set.
+func (j *journal) terminal(op, id string) error {
+	return j.append([]journalRecord{{Op: op, ID: id, At: time.Now().UTC()}}, false)
+}
+
+// append frames recs and writes them with one write and, when sync is
+// set, one fsync. Submit records are synced before their submit is
+// acknowledged, so all of one request's records land or none are
+// acknowledged; a mid-write crash leaves at worst a torn trailing line,
+// which replay skips. Terminal records are not synced: if one is lost
+// to a crash the job is merely re-run (and typically answered from the
+// result cache).
+func (j *journal) append(recs []journalRecord, sync bool) error {
+	if j == nil {
 		return nil
 	}
 	var buf bytes.Buffer
@@ -226,6 +227,7 @@ func (j *journal) submitBatch(recs []journalRecord) error {
 		}
 		framed, err := persist.EncodeFrameLine(payload)
 		if err != nil {
+			// json.Marshal output never contains a raw newline.
 			return fmt.Errorf("service: journal record: %w", err)
 		}
 		buf.Write(framed)
@@ -237,52 +239,10 @@ func (j *journal) submitBatch(recs []journalRecord) error {
 	if j.f == nil {
 		return fmt.Errorf("service: journal is closed")
 	}
-	if ferr := faultinject.Hit(fpBatchFlush); ferr != nil {
-		return fmt.Errorf("service: journal batch append: %w", ferr)
-	}
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("service: journal batch append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("service: journal batch sync: %w", err)
-	}
-	for _, rec := range recs {
-		j.live[rec.ID] = rec
-	}
-	return nil
-}
-
-// terminal records a job leaving the pending set. It is not fsynced — if
-// the record is lost to a crash the job is merely re-run (and typically
-// answered from the result cache).
-func (j *journal) terminal(op, id string) error {
-	if j == nil {
-		return nil
-	}
-	return j.append(journalRecord{Op: op, ID: id, At: time.Now().UTC()}, false)
-}
-
-func (j *journal) append(rec journalRecord, sync bool) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: journal record: %w", err)
-	}
-	framed, err := persist.EncodeFrameLine(payload)
-	if err != nil {
-		// json.Marshal output never contains a raw newline.
-		return fmt.Errorf("service: journal record: %w", err)
-	}
-	line := append(framed, '\n')
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("service: journal is closed")
-	}
 	if ferr := faultinject.Hit(fpJournalAppend); ferr != nil {
 		return fmt.Errorf("service: journal append: %w", ferr)
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
 	}
 	if sync {
@@ -290,72 +250,59 @@ func (j *journal) append(rec journalRecord, sync bool) error {
 			return fmt.Errorf("service: journal sync: %w", err)
 		}
 	}
-	switch rec.Op {
-	case opSubmit:
-		j.live[rec.ID] = rec
-	case opDone, opFailed, opCancelled:
+	compact := false
+	for _, rec := range recs {
+		if rec.Op == opSubmit {
+			j.live[rec.ID] = rec
+			continue
+		}
 		if _, ok := j.live[rec.ID]; ok {
 			delete(j.live, rec.ID)
 			j.dead++
 		}
-		if j.dead >= journalCompactEvery {
-			return j.compactLocked()
-		}
+		compact = j.dead >= journalCompactEvery
+	}
+	if compact {
+		return j.compactLocked()
 	}
 	return nil
 }
 
-// compactLocked rewrites the journal with only live submit records, via a
-// temp file renamed into place. Callers hold j.mu (or own j exclusively,
-// as openJournal does).
+// compactLocked rewrites the journal with only live submit records, via
+// persist.WriteFileAtomic, then reopens it for appending. A failed
+// rewrite leaves the old file in place and open. Callers hold j.mu (or
+// own j exclusively, as openJournal does).
 func (j *journal) compactLocked() error {
-	if ferr := faultinject.Hit(fpJournalCompact); ferr != nil {
-		return fmt.Errorf("service: journal compact: %w", ferr)
-	}
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("service: journal compact: %w", err)
-	}
 	// Deterministic record order keeps compaction reproducible.
 	ids := make([]string, 0, len(j.live))
 	for id := range j.live {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	var buf bytes.Buffer
 	for _, id := range ids {
-		payload, merr := json.Marshal(j.live[id])
-		if merr == nil {
-			var framed []byte
-			if framed, merr = persist.EncodeFrameLine(payload); merr == nil {
-				_, merr = tmp.Write(append(framed, '\n'))
-			}
+		payload, err := json.Marshal(j.live[id])
+		if err != nil {
+			return fmt.Errorf("service: journal compact: %w", err)
 		}
-		if merr != nil {
-			err = merr
-			break
+		framed, err := persist.EncodeFrameLine(payload)
+		if err != nil {
+			return fmt.Errorf("service: journal compact: %w", err)
 		}
+		buf.Write(framed)
+		buf.WriteByte('\n')
 	}
-	if err == nil {
-		err = tmp.Sync()
+	if err := persist.WriteFileAtomic(j.path, buf.Bytes(), fpJournalCompact); err != nil {
+		return fmt.Errorf("service: journal compact: %w", err)
 	}
-	if cerr := tmp.Close(); err == nil && cerr != nil {
-		err = cerr
+	if j.f != nil {
+		j.f.Close() // the replaced file
+		j.f = nil
 	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), j.path)
-	}
-	if err == nil {
-		// Rename alone only updates the directory in memory: until the
-		// directory entry itself is fsynced, a power loss can resurrect
-		// the pre-compaction file — or leave no journal at all.
-		err = syncDir(filepath.Dir(j.path))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	// Rename alone only updates the directory in memory: until the
+	// directory entry itself is fsynced, a power loss can resurrect the
+	// pre-compaction file — or leave no journal at all.
+	if err := syncDir(filepath.Dir(j.path)); err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
 	}
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
@@ -183,5 +182,5 @@ func TestJournalCompactionDirSyncFailure(t *testing.T) {
 // submitted durably records an accepted job before the submit is
 // acknowledged: the record is framed, appended and fsynced.
 func (j *journal) submitted(id, key string, req request) error {
-	return j.submittedWith(id, key, req, "", time.Time{}, time.Time{})
+	return j.append([]journalRecord{submitRecord(&Job{id: id, key: key, req: req})}, true)
 }

@@ -52,7 +52,7 @@ func lifetimeBody(seed int64, client string, extra string) string {
 // plus a fourth client's expensive population work, against a small
 // worker pool. It asserts that (a) excess submits are rejected with 429 +
 // Retry-After while accepted work completes, (b) every client makes
-// progress (no starvation under weighted round-robin), (c) jobs whose
+// progress (no starvation under round-robin), (c) jobs whose
 // queue TTL expires are evicted without ever executing, and (d) the
 // server drains cleanly afterwards.
 func TestOverloadDrill(t *testing.T) {

@@ -16,7 +16,7 @@ func TestRetryTransientOnlyRetriesInjectedErrors(t *testing.T) {
 
 	// Transient failures are retried until they stop.
 	calls := 0
-	err := retryTransient(context.Background(), pol, nil, nil, func() error {
+	err := circuit.Retry(context.Background(), pol, nil, isTransient, nil, func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("flaky: %w", faultinject.ErrInjected)
@@ -30,7 +30,7 @@ func TestRetryTransientOnlyRetriesInjectedErrors(t *testing.T) {
 	// Permanent errors fail immediately.
 	calls = 0
 	boom := errors.New("boom")
-	err = retryTransient(context.Background(), pol, nil, nil, func() error {
+	err = circuit.Retry(context.Background(), pol, nil, isTransient, nil, func() error {
 		calls++
 		return boom
 	})
@@ -41,7 +41,7 @@ func TestRetryTransientOnlyRetriesInjectedErrors(t *testing.T) {
 	// The budget is bounded: MaxAttempts total tries, then the last error.
 	calls = 0
 	retries := 0
-	err = retryTransient(context.Background(), pol, circuit.NewJitter(1), func(int, error) { retries++ }, func() error {
+	err = circuit.Retry(context.Background(), pol, circuit.NewJitter(1), isTransient, func(int, error) { retries++ }, func() error {
 		calls++
 		return fmt.Errorf("always down: %w", faultinject.ErrInjected)
 	})
@@ -51,7 +51,7 @@ func TestRetryTransientOnlyRetriesInjectedErrors(t *testing.T) {
 
 	// Cancellation is never retried.
 	calls = 0
-	err = retryTransient(context.Background(), pol, nil, nil, func() error {
+	err = circuit.Retry(context.Background(), pol, nil, isTransient, nil, func() error {
 		calls++
 		return context.Canceled
 	})

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
-	"github.com/kit-ces/hayat/internal/batch"
 	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/cluster"
 	"github.com/kit-ces/hayat/internal/faultinject"
@@ -259,9 +258,6 @@ type Options struct {
 	// QueueDepth bounds the number of jobs waiting for a worker
 	// (default 64); submits beyond it fail with ErrQueueFull.
 	QueueDepth int
-	// MaxRecords bounds retained finished-job records (default 256);
-	// the oldest are evicted first. Cached results are unaffected.
-	MaxRecords int
 	// DataDir, when set, persists results as CRC-framed <key>.json for
 	// reuse across restarts; corrupt entries are quarantined on read.
 	DataDir string
@@ -286,8 +282,6 @@ type Options struct {
 	// how long they stay open before a half-open probe (default 5s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// JitterSeed seeds the deterministic retry-backoff jitter (default 1).
-	JitterSeed int64
 	// MaxClientRPS rate-limits work-creating submits per client with a
 	// token bucket refilled at this rate (burst 2×). Zero disables rate
 	// limiting. Coalesced and cache-hit submits are free.
@@ -298,16 +292,6 @@ type Options struct {
 	// ShedStart is the queue-occupancy fraction at which cost-aware
 	// shedding (and degraded-mode answering) begins (default 0.75).
 	ShedStart float64
-	// ClientWeights biases the weighted-round-robin dequeue; clients not
-	// listed get weight 1.
-	ClientWeights map[string]int
-	// BatchMaxItems is the batched-submit flush size: POST /v1/batch items
-	// coalesce until a flush holds this many (default 256), each flush
-	// costing one admission pass and one journal fsync.
-	BatchMaxItems int
-	// BatchMaxWait bounds how long a partial batch waits for company
-	// before flushing anyway (default 2ms).
-	BatchMaxWait time.Duration
 	// AuditPath, when set, persists the Merkle audit log (one CRC-framed
 	// line per terminal result) so inclusion proofs survive restarts.
 	// Unset, the audit tree is memory-only: proofs still work but start
@@ -329,10 +313,6 @@ type Options struct {
 	// that detects under-replication and divergence and repairs both
 	// (default store.DefaultAntiEntropyInterval).
 	AntiEntropyInterval time.Duration
-	// Artifacts optionally shares platform artifacts (Cholesky factors,
-	// thermal models, predictors, aging tables) with other components; by
-	// default the server creates its own cache.
-	Artifacts *hayat.ArtifactCache
 	// Logf receives operational log lines (default: discarded).
 	Logf func(format string, args ...any)
 }
@@ -350,7 +330,6 @@ type Server struct {
 	audit    *merkle.Log     // always set; memory-only without AuditPath
 	router   *cluster.Router // nil in single-node mode
 	ready    atomic.Bool     // journal replayed + worker pool up
-	bat      *batch.Batcher[batchSubmission, BatchItemResult]
 	cacheBrk *circuit.Breaker
 	ckptBrk  *circuit.Breaker
 	jitter   *circuit.Jitter
@@ -378,6 +357,10 @@ type sysEntry struct {
 	err  error
 }
 
+// maxRecords bounds the retained finished-job records; the oldest are
+// evicted first. Cached results are unaffected.
+const maxRecords = 256
+
 // New starts a server with its worker pool running.
 func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
@@ -386,16 +369,9 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.MaxRecords <= 0 {
-		opts.MaxRecords = 256
-	}
 	store, err := newResultStore(opts.DataDir)
 	if err != nil {
 		return nil, err
-	}
-	arts := opts.Artifacts
-	if arts == nil {
-		arts = hayat.NewArtifactCache()
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -405,9 +381,6 @@ func New(opts Options) (*Server, error) {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: creating checkpoint dir: %w", err)
 		}
-	}
-	if opts.JitterSeed == 0 {
-		opts.JitterSeed = 1
 	}
 
 	var (
@@ -431,7 +404,7 @@ func New(opts Options) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:     opts,
-		arts:     arts,
+		arts:     hayat.NewArtifactCache(),
 		store:    store,
 		start:    time.Now(),
 		logf:     logf,
@@ -439,12 +412,12 @@ func New(opts Options) (*Server, error) {
 		audit:    audit,
 		cacheBrk: circuit.New("disk-cache", opts.BreakerThreshold, opts.BreakerCooldown),
 		ckptBrk:  circuit.New("checkpoint", opts.BreakerThreshold, opts.BreakerCooldown),
-		jitter:   circuit.NewJitter(opts.JitterSeed),
+		jitter:   circuit.NewJitter(1), // fixed seed: retry schedules repeat run to run
 		baseCtx:  ctx,
 		stopAll:  cancel,
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
-		adm:      newAdmission(opts.QueueDepth, opts.ShedStart, opts.MaxClientRPS, opts.ClientWeights),
+		adm:      newAdmission(opts.QueueDepth, opts.ShedStart, opts.MaxClientRPS),
 		systems:  make(map[string]*sysEntry),
 	}
 	store.brk = s.cacheBrk
@@ -461,7 +434,6 @@ func New(opts Options) (*Server, error) {
 	if auditCorrupt > 0 {
 		s.logf("service: audit replay skipped %d corrupt line(s)", auditCorrupt)
 	}
-	s.bat = batch.New(batch.Options{MaxItems: opts.BatchMaxItems, MaxWait: opts.BatchMaxWait}, s.flushBatch)
 	router, err := newRouter(opts, logf)
 	if err != nil {
 		cancel()
@@ -584,35 +556,12 @@ func (s *Server) recover(pending []journalEntry) {
 			s.recordTerminal(opCancelled, e.ID)
 			continue
 		}
-		client := e.Client
-		if client == "" {
-			client = defaultClient
-		}
-		j := &Job{
-			id:            e.ID,
-			key:           e.Key,
-			req:           e.Req,
-			state:         JobQueued,
-			created:       time.Now(),
-			done:          make(chan struct{}),
-			client:        client,
-			cost:          estimateCost(e.Req),
-			deadline:      e.Deadline,
-			queueDeadline: e.QueueDeadline,
-		}
-		if e.Req.Kind == KindPopulation {
-			j.totalChips.raise(int64(e.Req.Chips))
-		}
-		s.jobs[j.id] = j
+		j := s.newJobLocked(e)
 		if data, ok := s.store.get(e.Key); ok {
 			// The result was published before the crash; only the
 			// journal's terminal record was lost.
-			now := time.Now()
-			j.state, j.cached = JobDone, true
-			j.started, j.finish = now, now
-			close(j.done)
-			s.rememberFinishedLocked(j)
-			s.recordTerminal(opDone, e.ID)
+			j.cached = true
+			s.finishLocked(j, JobDone, "", true)
 			s.met.CacheHits.Add(1)
 			s.auditResult(e.Key, data)
 			continue
@@ -687,59 +636,63 @@ func (s *Server) SubmitPopulationWith(cfg hayat.Config, baseSeed int64, chips in
 	return s.submit(request{Kind: KindPopulation, Config: cfg, Policy: policy, Seed: baseSeed, Chips: chips}, o)
 }
 
-func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
-	admitStart := time.Now()
-	defer func() { s.met.Admission.Observe(time.Since(admitStart)) }()
+// submission is one validated submit in canonical form: the request,
+// its content-addressed key and the admission options that travel with
+// it. Single submits and batch items alike reach admission as one.
+type submission struct {
+	req  request
+	key  string
+	opts SubmitOpts
+}
 
+// newSubmission canonicalises and validates a request. The cache key
+// deliberately excludes the admission options (client, deadlines): the
+// same work coalesces and cache-hits regardless of who asks or how
+// patient they are.
+func newSubmission(req request, o SubmitOpts) (submission, error) {
 	pol, err := hayat.ParsePolicy(req.Policy)
 	if err != nil {
-		return JobStatus{}, err
+		return submission{}, err
 	}
 	req.Policy = pol.String() // canonical spelling for the cache key
 	req.Config = NormalizeConfig(req.Config)
 	if err := validateRequest(req); err != nil {
+		return submission{}, err
+	}
+	return submission{req: req, key: req.key(), opts: o}, nil
+}
+
+func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
+	admitStart := time.Now()
+	defer func() { s.met.Admission.Observe(time.Since(admitStart)) }()
+
+	sub, err := newSubmission(req, o)
+	if err != nil {
 		return JobStatus{}, err
 	}
-	// The cache key deliberately excludes the admission metadata (client,
-	// deadlines): the same work coalesces and cache-hits regardless of who
-	// asks or how patient they are.
-	key := req.key()
-
 	s.mu.Lock()
-	if j, ok := s.inflight[key]; ok {
-		s.met.Coalesced.Add(1)
-		st := s.statusLocked(j, false)
+	if j, data, err := s.settleLocked(sub); j != nil || err != nil {
+		var st JobStatus
+		if j != nil {
+			st = s.statusLocked(j, false)
+		}
 		s.mu.Unlock()
-		return st, nil
-	}
-	if data, ok := s.store.get(key); ok {
-		s.met.CacheHits.Add(1)
-		j := s.newJobLocked(req, key, o)
-		now := time.Now()
-		j.state, j.cached = JobDone, true
-		j.started, j.finish = now, now
-		close(j.done)
-		s.rememberFinishedLocked(j)
-		// Attach the bytes just read rather than looking them up again.
-		st := s.statusLocked(j, false)
-		st.Result = json.RawMessage(data)
-		s.mu.Unlock()
-		// Self-healing: if this result's audit leaf was lost to a crash,
-		// serving it from the cache re-records it (idempotent otherwise).
-		s.auditResult(key, data)
-		return st, nil
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return JobStatus{}, ErrDraining
+		if data != nil {
+			// Attach the bytes just read rather than looking them up
+			// again. Self-healing: if this result's audit leaf was lost
+			// to a crash, serving it re-records it (idempotent otherwise).
+			st.Result = json.RawMessage(data)
+			s.auditResult(sub.key, data)
+		}
+		return st, err
 	}
 	// Cluster mode: a key owned by a healthy remote peer forwards there
 	// (one hop — forwarded submits carry a loop-breaking header). Forwards
 	// are never rate-limited locally; the owner charges its own limiter.
 	if s.router != nil && !o.NoForward && !o.DegradedOK && req.Kind == KindLifetime {
-		if _, local := s.router.Owner(key); !local {
+		if owner, local := s.router.Owner(sub.key); !local {
 			s.mu.Unlock()
-			if st, handled, ferr := s.maybeForward(req, key, o); handled {
+			if st, handled, ferr := s.forward(sub, owner); handled {
 				return st, ferr
 			}
 			// The forward failed after retries: degrade to local execution.
@@ -760,35 +713,83 @@ func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
 	degradedOK := o.DegradedOK && req.Kind == KindLifetime
 	if degradedOK && (s.adm.pressure() || s.cacheBrk.IsOpen()) {
 		s.mu.Unlock()
-		return s.serveDegraded(req, key, pol, o)
+		return s.serveDegraded(sub)
 	}
+	j, err := s.enqueueLocked(sub)
+	if err != nil {
+		s.mu.Unlock()
+		if degradedOK && (errors.Is(err, ErrShedLoad) || errors.Is(err, ErrQueueFull)) {
+			// Raced into saturation between the pressure check and the
+			// enqueue: a degraded answer still beats a rejection.
+			return s.serveDegraded(sub)
+		}
+		return JobStatus{}, err
+	}
+	s.journalAcceptedLocked([]*Job{j})
+	st := s.statusLocked(j, false)
+	s.mu.Unlock()
+	return st, nil
+}
+
+// settleLocked answers a submission that needs no new work. It coalesces
+// onto the key's queued or running job, or answers from the local store
+// with a terminal cached job, returning the bytes so the caller can
+// re-record their audit leaf after unlocking. While draining, anything
+// else fails with ErrDraining. A nil job and error mean the submission
+// needs a new job.
+func (s *Server) settleLocked(sub submission) (*Job, []byte, error) {
+	if j, ok := s.inflight[sub.key]; ok {
+		s.met.Coalesced.Add(1)
+		return j, nil, nil
+	}
+	if data, ok := s.store.get(sub.key); ok {
+		s.met.CacheHits.Add(1)
+		j := s.submitJobLocked(sub)
+		j.cached = true
+		s.finishLocked(j, JobDone, "", false)
+		return j, data, nil
+	}
+	if s.draining {
+		return nil, nil, ErrDraining
+	}
+	return nil, nil, nil
+}
+
+// enqueueLocked queues a new job for sub, or returns the admission
+// error (queue full, load shed, draining) and leaves no job behind.
+func (s *Server) enqueueLocked(sub submission) (*Job, error) {
 	s.met.CacheMisses.Add(1)
-	j := s.newJobLocked(req, key, o)
+	j := s.submitJobLocked(sub)
 	if err := s.adm.enqueue(j, false); err != nil {
 		delete(s.jobs, j.id)
 		if errors.Is(err, ErrShedLoad) {
 			s.met.JobsShed.Add(1)
 		}
-		s.mu.Unlock()
-		if degradedOK && (errors.Is(err, ErrShedLoad) || errors.Is(err, ErrQueueFull)) {
-			// Raced into saturation between the pressure check and the
-			// enqueue: a degraded answer still beats a rejection.
-			return s.serveDegraded(req, key, pol, o)
-		}
-		return JobStatus{}, err
+		return nil, err
 	}
-	s.inflight[key] = j
+	s.inflight[sub.key] = j
 	s.met.JobsQueued.Add(1)
-	// Write-ahead: the job is durably journalled (fsync) before the
-	// submit is acknowledged, so an accepted job survives a crash. An
-	// append failure degrades durability, not availability.
-	if err := s.jnl.submittedWith(j.id, key, req, j.client, j.deadline, j.queueDeadline); err != nil {
+	return j, nil
+}
+
+// journalAcceptedLocked is the write-ahead half of admission: the jobs
+// one request accepted are journalled with one write and one fsync
+// before the request is answered, so an accepted job survives a crash.
+// An append failure degrades durability, not availability.
+func (s *Server) journalAcceptedLocked(jobs []*Job) {
+	if s.jnl == nil || len(jobs) == 0 {
+		return
+	}
+	recs := make([]journalRecord, len(jobs))
+	for i, j := range jobs {
+		recs[i] = submitRecord(j)
+	}
+	if err := s.jnl.append(recs, true); err != nil {
 		s.met.JournalAppendErrors.Add(1)
 		s.logf("service: %v", err)
+		return
 	}
-	st := s.statusLocked(j, false)
-	s.mu.Unlock()
-	return st, nil
+	s.met.FsyncsSaved.Add(int64(len(recs) - 1))
 }
 
 // serveDegraded answers a lifetime submit with the fast analytic estimate
@@ -796,12 +797,16 @@ func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
 // of queueing a full simulation. The answer is recorded as an immediately
 // terminal job marked degraded; it is never cached or journalled — a
 // retry under normal load must run the real simulation.
-func (s *Server) serveDegraded(req request, key string, pol hayat.Policy, o SubmitOpts) (JobStatus, error) {
-	sys, err := s.system(req.Config)
+func (s *Server) serveDegraded(sub submission) (JobStatus, error) {
+	pol, err := hayat.ParsePolicy(sub.req.Policy)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	chip, err := sys.NewChip(req.Seed)
+	sys, err := s.system(sub.req.Config)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	chip, err := sys.NewChip(sub.req.Seed)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -815,51 +820,85 @@ func (s *Server) serveDegraded(req request, key string, pol hayat.Policy, o Subm
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.newJobLocked(req, key, o)
-	now := time.Now()
-	j.state, j.result, j.degraded = JobDone, data, true
-	j.started, j.finish = now, now
-	close(j.done)
-	s.rememberFinishedLocked(j)
+	j := s.submitJobLocked(sub)
+	j.result, j.degraded = data, true
+	s.finishLocked(j, JobDone, "", false)
 	s.met.JobsDegraded.Add(1)
 	s.logf("service: %s answered degraded (load shed or cache breaker open)", j.id)
 	return s.statusLocked(j, true), nil
 }
 
-func (s *Server) newJobLocked(req request, key string, o SubmitOpts) *Job {
-	s.nextID++
+// newJobLocked is the one job constructor: it registers a queued job for
+// e. Journal recovery passes the journalled entry with its ID and
+// absolute deadlines; submits come through submitJobLocked.
+func (s *Server) newJobLocked(e journalEntry) *Job {
+	client := e.Client
+	if client == "" {
+		client = defaultClient
+	}
 	j := &Job{
-		id:      fmt.Sprintf("job-%06d", s.nextID),
-		key:     key,
-		req:     req,
-		state:   JobQueued,
-		created: time.Now(),
-		done:    make(chan struct{}),
-		client:  o.clientName(),
-		cost:    estimateCost(req),
+		id:            e.ID,
+		key:           e.Key,
+		req:           e.Req,
+		state:         JobQueued,
+		created:       time.Now(),
+		done:          make(chan struct{}),
+		client:        client,
+		cost:          estimateCost(e.Req),
+		deadline:      e.Deadline,
+		queueDeadline: e.QueueDeadline,
 	}
-	dl := o.Deadline
-	if dl <= 0 {
-		dl = s.opts.DefaultDeadline
-	}
-	if dl > 0 {
-		j.deadline = j.created.Add(dl)
-	}
-	if o.QueueTTL > 0 {
-		j.queueDeadline = j.created.Add(o.QueueTTL)
-	}
-	if req.Kind == KindPopulation {
-		j.totalChips.raise(int64(req.Chips))
+	if e.Req.Kind == KindPopulation {
+		j.totalChips.raise(int64(e.Req.Chips))
 	}
 	s.jobs[j.id] = j
 	return j
 }
 
+// submitJobLocked registers a submitted job under the next ID, its
+// deadline (the submit's own, else Options.DefaultDeadline) and queue
+// TTL counted from now.
+func (s *Server) submitJobLocked(sub submission) *Job {
+	s.nextID++
+	e := journalEntry{ID: fmt.Sprintf("job-%06d", s.nextID), Key: sub.key, Req: sub.req, Client: sub.opts.Client}
+	now := time.Now()
+	dl := sub.opts.Deadline
+	if dl <= 0 {
+		dl = s.opts.DefaultDeadline
+	}
+	if dl > 0 {
+		e.Deadline = now.Add(dl)
+	}
+	if sub.opts.QueueTTL > 0 {
+		e.QueueDeadline = now.Add(sub.opts.QueueTTL)
+	}
+	return s.newJobLocked(e)
+}
+
+// finishLocked turns j terminal: its state, error and finish time are
+// set, its key is freed for new work, waiters wake and the record joins
+// the eviction queue. journal writes the terminal record, for jobs whose
+// submit the journal holds; cache-hit and degraded answers never had one.
+func (s *Server) finishLocked(j *Job, state JobState, errMsg string, journal bool) {
+	j.state, j.errMsg, j.finish = state, errMsg, time.Now()
+	if state == JobDone && j.started.IsZero() {
+		j.started = j.finish // answered without running
+	}
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
+	}
+	close(j.done)
+	s.rememberFinishedLocked(j)
+	if journal {
+		s.recordTerminal(terminalOp[state], j.id)
+	}
+}
+
 // rememberFinishedLocked appends a terminal job to the eviction queue and
-// drops the oldest records beyond Options.MaxRecords.
+// drops the oldest records beyond maxRecords.
 func (s *Server) rememberFinishedLocked(j *Job) {
 	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.opts.MaxRecords {
+	for len(s.finished) > maxRecords {
 		victim := s.finished[0]
 		s.finished = s.finished[1:]
 		delete(s.jobs, victim)
@@ -968,14 +1007,8 @@ func (s *Server) Cancel(id string) error {
 	}
 	switch j.state {
 	case JobQueued:
-		j.state = JobCancelled
-		j.errMsg = "cancelled while queued"
-		j.finish = time.Now()
-		delete(s.inflight, j.key)
-		close(j.done)
+		s.finishLocked(j, JobCancelled, "cancelled while queued", true)
 		s.met.JobsCancelled.Add(1)
-		s.rememberFinishedLocked(j)
-		s.recordTerminal(opCancelled, j.id)
 		s.mu.Unlock()
 		return nil
 	case JobRunning:
@@ -1002,9 +1035,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.adm.close()
 	}
 	s.mu.Unlock()
-	// Flush and stop the batcher first: its pending items are answered
-	// (as draining rejections) and no flush can race the journal close.
-	s.bat.Close()
 
 	done := make(chan struct{})
 	//lint:ignore goroutine-hygiene joined via the done channel: both select arms below wait for it before returning
@@ -1129,13 +1159,7 @@ func (s *Server) runJob(j *Job) {
 	if reason, exp := j.expired(now); exp {
 		// Lazy eviction: an expired job is retired at pop time and never
 		// reaches the engine.
-		j.state = JobCancelled
-		j.errMsg = reason
-		j.finish = now
-		delete(s.inflight, j.key)
-		close(j.done)
-		s.rememberFinishedLocked(j)
-		s.recordTerminal(opCancelled, j.id)
+		s.finishLocked(j, JobCancelled, reason, true)
 		s.met.JobsEvicted.Add(1)
 		s.met.JobsCancelled.Add(1)
 		s.mu.Unlock()
@@ -1181,30 +1205,19 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	s.mu.Lock()
-	j.finish = time.Now()
 	j.cancelRun = nil
-	var op string
 	switch {
 	case err == nil:
-		j.state = JobDone
 		j.result = unstored
 		s.met.JobsDone.Add(1)
-		op = opDone
+		s.finishLocked(j, JobDone, "", true)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = JobCancelled
-		j.errMsg = err.Error()
 		s.met.JobsCancelled.Add(1)
-		op = opCancelled
+		s.finishLocked(j, JobCancelled, err.Error(), true)
 	default:
-		j.state = JobFailed
-		j.errMsg = err.Error()
 		s.met.JobsFailed.Add(1)
-		op = opFailed
+		s.finishLocked(j, JobFailed, err.Error(), true)
 	}
-	delete(s.inflight, j.key)
-	close(j.done)
-	s.rememberFinishedLocked(j)
-	s.recordTerminal(op, j.id)
 	s.mu.Unlock()
 	s.met.JobsRunning.Add(-1)
 	if err == nil {
@@ -1340,7 +1353,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 // withRetries runs fn under the server's retry policy, counting retries
 // and exhausted budgets.
 func (s *Server) withRetries(ctx context.Context, jobID string, fn func() error) error {
-	err := retryTransient(ctx, s.opts.Retry, s.jitter, func(attempt int, rerr error) {
+	err := circuit.Retry(ctx, s.opts.Retry, s.jitter, isTransient, func(attempt int, rerr error) {
 		s.met.Retries.Add(1)
 		s.logf("service: %s transient failure (attempt %d): %v; backing off", jobID, attempt, rerr)
 	}, fn)
@@ -1398,7 +1411,7 @@ func (s *Server) runLifetime(ctx context.Context, j *Job, chip *hayat.Chip, pol 
 func (s *Server) checkpointSink(path string) hayat.CheckpointSink {
 	return func(nextEpoch int, data []byte) error {
 		err := s.ckptBrk.Do(func() error {
-			return atomicWrite(path, data)
+			return persist.WriteFileAtomic(path, data, fpCheckpointWrite)
 		})
 		if err != nil {
 			s.met.CheckpointWriteErrors.Add(1)
@@ -1483,7 +1496,7 @@ func (c *chipStore) Load(seed int64) ([]byte, bool) {
 
 func (c *chipStore) Save(seed int64, data []byte) error {
 	err := c.s.ckptBrk.Do(func() error {
-		return atomicWrite(c.path(seed), persist.EncodeFrame(data))
+		return persist.WriteFileAtomic(c.path(seed), persist.EncodeFrame(data), fpCheckpointWrite)
 	})
 	if err != nil {
 		c.s.met.CheckpointWriteErrors.Add(1)
@@ -1492,38 +1505,6 @@ func (c *chipStore) Save(seed int64, data []byte) error {
 	}
 	c.s.met.CheckpointWrites.Add(1)
 	return nil
-}
-
-// atomicWrite publishes data at path via temp file + fsync + rename so a
-// crash can never leave a torn file behind. The checkpoint-write
-// failpoint sits here so every caller's temp/sync/rename seam is
-// faultable through one arming.
-func atomicWrite(path string, data []byte) error {
-	if ferr := faultinject.Hit(fpCheckpointWrite); ferr != nil {
-		return ferr
-	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
 }
 
 // system returns the (cached) System for a canonical config. The

@@ -34,12 +34,10 @@ func newSubmitBenchServer(b *testing.B, batchSize int) *httptest.Server {
 	}
 	b.Cleanup(faultinject.DisarmAll)
 	s, err := New(Options{
-		Workers:       1,
-		QueueDepth:    b.N*batchSize + 64, // every submission must be admitted
-		JournalPath:   filepath.Join(b.TempDir(), "jobs.journal"),
-		BatchMaxItems: batchSize,
-		BatchMaxWait:  time.Minute, // only the size trigger may flush
-		Retry:         circuit.Backoff{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour},
+		Workers:     1,
+		QueueDepth:  b.N*batchSize + 64, // every submission must be admitted
+		JournalPath: filepath.Join(b.TempDir(), "jobs.journal"),
+		Retry:       circuit.Backoff{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -53,8 +51,8 @@ func newSubmitBenchServer(b *testing.B, batchSize int) *httptest.Server {
 // BenchmarkSubmitThroughput measures the client-visible cost of getting
 // 256 jobs accepted. mode=single performs 256 individual POST /v1/lifetime
 // requests (one admission pass and one journal fsync each); mode=batch256
-// submits the same 256 items in one POST /v1/batch (one coalesced
-// admission pass, one fsync). The committed baseline (BENCH_PR6.json)
+// submits the same 256 items in one POST /v1/batch (one admission pass,
+// one fsync). The committed baseline (BENCH_PR6.json)
 // records the batch speedup as speedups_vs_single.
 func BenchmarkSubmitThroughput(b *testing.B) {
 	const batchSize = 256

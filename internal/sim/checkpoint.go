@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"github.com/kit-ces/hayat/internal/dtm"
 )
@@ -246,45 +244,4 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
 	}
 	return &cp, nil
-}
-
-// WriteCheckpointFile persists the checkpoint atomically: the JSON is
-// written to a temporary file in the target directory and renamed into
-// place, so a crash mid-write can never leave a torn checkpoint where a
-// reader expects a valid one.
-func WriteCheckpointFile(path string, cp *Checkpoint) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("sim: checkpoint temp file: %w", err)
-	}
-	err = WriteCheckpoint(tmp, cp)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("sim: writing checkpoint: %w", cerr)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: publishing checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ReadCheckpointFile reads a checkpoint written by WriteCheckpointFile.
-func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sim: opening checkpoint: %w", err)
-	}
-	defer f.Close()
-	return ReadCheckpoint(f)
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -254,46 +252,5 @@ func TestRunCheckpointedCadenceAndResume(t *testing.T) {
 		if again.FinalHealth[i] != full.FinalHealth[i] {
 			t.Fatalf("second-generation resume diverged at core %d", i)
 		}
-	}
-}
-
-func TestWriteCheckpointFileAtomic(t *testing.T) {
-	cfg := shortConfig()
-	cfg.RemixEpochs = 2
-	e := newEngine(t, cfg, vaaPolicy(t), 23)
-	cp, err := e.RunCheckpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	if err := WriteCheckpointFile(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	// No temp droppings next to the published file.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
-		t.Fatalf("directory not clean after atomic write: %v", entries)
-	}
-	got, err := ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NextEpoch != cp.NextEpoch || got.ChipSeed != cp.ChipSeed || len(got.Records) != len(cp.Records) {
-		t.Fatalf("file round trip mangled checkpoint: %+v", got)
-	}
-	// Overwrite must also be atomic (rename over the existing file).
-	if err := WriteCheckpointFile(path, cp); err != nil {
-		t.Fatalf("atomic overwrite failed: %v", err)
-	}
-	// Writing into a missing directory fails without leaving anything.
-	if err := WriteCheckpointFile(filepath.Join(dir, "no-such-dir", "x.ckpt"), cp); err == nil {
-		t.Fatal("write into missing directory succeeded")
-	}
-	if _, err := ReadCheckpointFile(filepath.Join(dir, "missing.ckpt")); err == nil {
-		t.Fatal("reading a missing checkpoint succeeded")
 	}
 }
