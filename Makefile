@@ -1,10 +1,11 @@
 # Developer entry points. CI (.github/workflows/ci.yml) calls the test,
-# race, fuzz-smoke, lint-selftest, drill and bench-submit targets, so each
-# of those commands, the fuzz-target list included, is written only here.
+# race, fuzz-smoke, lint-selftest, drill, bench-submit and bench-overhead
+# targets, so each of those commands, the fuzz-target list included, is
+# written only here.
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit drill-cluster drill-replication
+.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead drill-cluster drill-replication
 
 build:
 	$(GO) build ./...
@@ -105,3 +106,12 @@ bench-submit:
 	$(GO) test ./internal/service -run '^$$' -bench 'BenchmarkSubmitThroughput' \
 		-benchtime $(SUBMIT_BENCHTIME) | $(GO) run ./cmd/benchjson > BENCH_PR6.json
 	@cat BENCH_PR6.json
+
+# Section VI overhead (EXPERIMENTS.md E10): one health estimate, one
+# thermal prediction, one whole-mix decision and one application-arrival
+# decision on chip 1's 32-thread mix. These root benchmarks are E10's
+# only source.
+OVERHEAD_BENCHTIME ?= 1s
+bench-overhead:
+	$(GO) test -run '^$$' -bench 'EstimateNextHealth|PredictTemperature|WorstCaseDecision|ArrivalDecision' \
+		-benchtime $(OVERHEAD_BENCHTIME) .

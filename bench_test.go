@@ -9,9 +9,10 @@
 package hayat_test
 
 import (
-	"sync"
+	"context"
 	"testing"
 
+	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/aging"
 	"github.com/kit-ces/hayat/internal/baseline"
 	"github.com/kit-ces/hayat/internal/core"
@@ -20,32 +21,16 @@ import (
 	"github.com/kit-ces/hayat/internal/gates"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/sim"
+	"github.com/kit-ces/hayat/internal/testutil"
 	"github.com/kit-ces/hayat/internal/thermal"
 	"github.com/kit-ces/hayat/internal/thermpredict"
+	"github.com/kit-ces/hayat/internal/variation"
 	"github.com/kit-ces/hayat/internal/workload"
 )
 
-var (
-	platformOnce sync.Once
-	platform     *experiments.Platform
-	benchKits    []*experiments.ChipKit
-)
-
-func benchPlatform(b *testing.B) (*experiments.Platform, []*experiments.ChipKit) {
-	b.Helper()
-	platformOnce.Do(func() {
-		p, err := experiments.NewPlatform()
-		if err != nil {
-			panic(err)
-		}
-		kits, err := p.Kits(1, 2)
-		if err != nil {
-			panic(err)
-		}
-		platform, benchKits = p, kits
-	})
-	return platform, benchKits
-}
+// benchCache shares chip artifacts across the figure benchmarks, as
+// cmd/experiments shares them across one campaign.
+var benchCache = hayat.NewArtifactCache()
 
 // E1 — Fig. 1(b): delay increase vs years for the temperature family.
 func BenchmarkFig1b(b *testing.B) {
@@ -59,9 +44,8 @@ func BenchmarkFig1b(b *testing.B) {
 
 // E2/E3 — Fig. 2: DCM analysis maps and the Fig. 2(o) table.
 func BenchmarkFig2Maps(b *testing.B) {
-	p, _ := benchPlatform(b)
 	for i := 0; i < b.N; i++ {
-		chips, err := p.Fig2([]int64{1, 2}, 2)
+		chips, err := experiments.Fig2(benchCache, []int64{1, 2}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,10 +56,9 @@ func BenchmarkFig2Maps(b *testing.B) {
 // runPair executes a reduced Hayat/VAA pair and reports the ratio metrics
 // of Figs. 7–10.
 func runPair(b *testing.B, dark float64) {
-	p, kits := benchPlatform(b)
 	var last experiments.PairSummary
 	for i := 0; i < b.N; i++ {
-		ps, err := p.RunPair(kits, dark, 2)
+		ps, err := experiments.RunPair(benchCache, 1, 2, dark, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,9 +86,8 @@ func BenchmarkFig10AvgFmax(b *testing.B) { runPair(b, 0.25) }
 
 // E9 — Fig. 11: average frequency over the lifetime + lifetime extension.
 func BenchmarkFig11Lifetime(b *testing.B) {
-	p, kits := benchPlatform(b)
 	for i := 0; i < b.N; i++ {
-		ps, err := p.RunPair(kits, 0.50, 3)
+		ps, err := experiments.RunPair(benchCache, 1, 2, 0.50, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,23 +99,16 @@ func BenchmarkFig11Lifetime(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E10 — Section VI overhead: the run-time primitives.
 
-func overheadContext(b *testing.B) (*policy.Context, *experiments.ChipKit) {
+// overheadContext is chip 1's unaged policy context at 50 % dark, with
+// every core at 330 K.
+func overheadContext(b *testing.B) (*policy.Context, *testutil.Fixture) {
 	b.Helper()
-	p, kits := benchPlatform(b)
-	kit := kits[0]
-	n := p.FP.N()
-	ctx := &policy.Context{
-		Chip: kit.Chip, Predictor: kit.Pred, AgingTable: kit.Table, PowerModel: p.PM,
-		TSafe: 368.15, MaxOnCores: n / 2, HorizonYears: 0.25,
-		Health: make([]aging.State, n),
-		FMax:   append([]float64(nil), kit.Chip.FMax0...),
-		Temps:  make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		ctx.Health[i] = aging.NewState()
+	fix := testutil.NewFixture(b, 1)
+	ctx := fix.Context(0.50)
+	for i := range ctx.Temps {
 		ctx.Temps[i] = 330
 	}
-	return ctx, kit
+	return ctx, fix
 }
 
 // BenchmarkEstimateNextHealth measures one health-table estimate (paper:
@@ -149,7 +124,7 @@ func BenchmarkEstimateNextHealth(b *testing.B) {
 // BenchmarkPredictTemperature measures one full chip thermal prediction
 // (paper: ≈25 µs).
 func BenchmarkPredictTemperature(b *testing.B) {
-	_, kit := overheadContext(b)
+	fix := testutil.NewFixture(b, 1)
 	n := 64
 	pdyn := make([]float64, n)
 	on := make([]bool, n)
@@ -159,7 +134,7 @@ func BenchmarkPredictTemperature(b *testing.B) {
 	dst, total := make([]float64, n), make([]float64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kit.Pred.Predict(dst, total, pdyn, on)
+		fix.Predictor.Predict(dst, total, pdyn, on)
 	}
 }
 
@@ -207,7 +182,7 @@ func BenchmarkAblationNaiveAging(b *testing.B) {
 // ablationRun runs a reduced Hayat lifetime with a modified config and
 // reports the end-of-life average frequency.
 func ablationRun(b *testing.B, mutate func(*core.Config)) {
-	p, kits := benchPlatform(b)
+	fix := testutil.NewFixture(b, 1)
 	cfg := sim.DefaultConfig()
 	cfg.Years = 2
 	cfg.WindowSeconds = 2.0
@@ -218,12 +193,13 @@ func ablationRun(b *testing.B, mutate func(*core.Config)) {
 		b.Fatal(err)
 	}
 	var avgF float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := sim.New(cfg, pol, kits[0].Chip, p.TM, p.PM, kits[0].Pred, kits[0].Table)
+		eng, err := sim.New(cfg, pol, fix.Chip, fix.Thermal, fix.Power, fix.Predictor, fix.Table)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := eng.Run()
+		res, err := eng.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,15 +258,16 @@ func BenchmarkAblationFullPredict(b *testing.B) {
 // contiguous, checkerboard and Hayat-spread DCM shapes at equal power —
 // the physical basis of Fig. 2.
 func BenchmarkAblationDCMPolicies(b *testing.B) {
-	p, _ := benchPlatform(b)
-	n := p.FP.N()
+	fix := testutil.NewFixture(b, 1)
+	n := fix.FP.N()
+	b.ResetTimer()
 	var contiguous, checker float64
 	for i := 0; i < b.N; i++ {
 		power := make([]float64, n)
 		for c := 0; c < 32; c++ {
 			power[c] = 6
 		}
-		contiguous = maxOf(mustSteady(b, p.TM, power))
+		contiguous = maxOf(mustSteady(b, fix.Thermal, power))
 
 		power = make([]float64, n)
 		for c := 0; c < n; c++ {
@@ -298,7 +275,7 @@ func BenchmarkAblationDCMPolicies(b *testing.B) {
 				power[c] = 6
 			}
 		}
-		checker = maxOf(mustSteady(b, p.TM, power))
+		checker = maxOf(mustSteady(b, fix.Thermal, power))
 	}
 	b.ReportMetric(contiguous, "contiguous-peakK")
 	b.ReportMetric(checker, "checker-peakK")
@@ -327,8 +304,7 @@ func maxOf(v []float64) float64 {
 // NBTI-only model against the NBTI+HCI composite (the aging-physics
 // extension), holding everything else fixed.
 func BenchmarkAblationHCI(b *testing.B) {
-	p, kits := benchPlatform(b)
-	kit := kits[0]
+	fix := testutil.NewFixture(b, 1)
 	composite, err := aging.NewCompositeCoreAging(aging.DefaultParams(), aging.DefaultHCIParams(),
 		gates.Generate(gates.DefaultGenerateConfig(), 1))
 	if err != nil {
@@ -343,20 +319,21 @@ func BenchmarkAblationHCI(b *testing.B) {
 		b.Fatal(err)
 	}
 	var nbtiF, hciF float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engN, err := sim.New(cfg, pol, kit.Chip, p.TM, p.PM, kit.Pred, kit.Table)
+		engN, err := sim.New(cfg, pol, fix.Chip, fix.Thermal, fix.Power, fix.Predictor, fix.Table)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resN, err := engN.Run()
+		resN, err := engN.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		engH, err := sim.New(cfg, pol, kit.Chip, p.TM, p.PM, kit.Pred, compositeTable)
+		engH, err := sim.New(cfg, pol, fix.Chip, fix.Thermal, fix.Power, fix.Predictor, compositeTable)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resH, err := engH.Run()
+		resH, err := engH.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,14 +350,14 @@ func BenchmarkAblationHCI(b *testing.B) {
 // BenchmarkThermalSteadyState measures one steady-state solve on the
 // paper's 8×8 network.
 func BenchmarkThermalSteadyState(b *testing.B) {
-	p, _ := benchPlatform(b)
+	fix := testutil.NewFixture(b, 1)
 	power := make([]float64, 64)
 	for i := range power {
 		power[i] = 5
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustSteady(b, p.TM, power)
+		mustSteady(b, fix.Thermal, power)
 	}
 }
 
@@ -405,8 +382,8 @@ func BenchmarkThermalSteadyStateLarge(b *testing.B) {
 // BenchmarkThermalTransientStep measures one implicit-Euler step (the
 // inner loop of every epoch window).
 func BenchmarkThermalTransientStep(b *testing.B) {
-	p, _ := benchPlatform(b)
-	tr, err := p.TM.NewTransient(0.02)
+	fix := testutil.NewFixture(b, 1)
+	tr, err := fix.Thermal.NewTransient(0.02)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,10 +402,13 @@ func BenchmarkThermalTransientStep(b *testing.B) {
 // BenchmarkVariationChip measures drawing one die from the correlated
 // process-variation model (Cholesky colouring + per-core derivation).
 func BenchmarkVariationChip(b *testing.B) {
-	p, _ := benchPlatform(b)
+	gen, err := variation.NewGenerator(variation.DefaultModel(), floorplan.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Gen.Chip(int64(i + 1))
+		gen.Chip(int64(i + 1))
 	}
 }
 
@@ -445,10 +425,10 @@ func BenchmarkAgingTableBuild(b *testing.B) {
 // BenchmarkPredictorLearn measures the offline thermal-profile learning
 // (64 steady-state probes).
 func BenchmarkPredictorLearn(b *testing.B) {
-	p, kits := benchPlatform(b)
+	fix := testutil.NewFixture(b, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := thermpredict.Learn(p.TM, p.PM, kits[0].Chip); err != nil {
+		if _, err := thermpredict.Learn(fix.Thermal, fix.Power, fix.Chip); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -486,7 +466,7 @@ func BenchmarkArrivalDecision(b *testing.B) {
 // max-throughput) → Hayat (aging + variation + DCM), reporting the
 // end-of-run average frequency of each on the same chip.
 func BenchmarkAblationPolicyLadder(b *testing.B) {
-	p, kits := benchPlatform(b)
+	fix := testutil.NewFixture(b, 1)
 	cfg := sim.DefaultConfig()
 	cfg.Years = 2
 	cfg.WindowSeconds = 2.0
@@ -501,13 +481,14 @@ func BenchmarkAblationPolicyLadder(b *testing.B) {
 		pols = append(pols, h)
 	}
 	finals := make(map[string]float64)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pol := range pols {
-			eng, err := sim.New(cfg, pol, kits[0].Chip, p.TM, p.PM, kits[0].Pred, kits[0].Table)
+			eng, err := sim.New(cfg, pol, fix.Chip, fix.Thermal, fix.Power, fix.Predictor, fix.Table)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := eng.Run()
+			res, err := eng.RunContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,8 +7,9 @@
 //	experiments -fig 7 -chips 10
 //	experiments -fig 1b
 //
-// Figures: 1b, 2, 2o, 7-10 (one population run prints Figs. 7–10
-// together), 11, 11maps, overhead, all.
+// Figures: 1a, 1b, 2, 2o, 7-10 (one population run prints Figs. 7–10
+// together), 11, 11maps, guardband, bins, all. Section VI's overhead
+// numbers come from the root benchmarks (make bench-overhead).
 package main
 
 import (
@@ -17,8 +18,8 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/experiments"
-	"github.com/kit-ces/hayat/internal/sim"
 )
 
 // svgDir, when non-empty, receives SVG renderings of every figure.
@@ -37,7 +38,7 @@ func writeSVG(name, content string) {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1a, 1b, 2, 2o, 7-10, 11, 11maps, guardband, bins, overhead, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1a, 1b, 2, 2o, 7-10, 11, 11maps, guardband, bins, all")
 	chips := flag.Int("chips", 25, "population size for Figs. 7-11")
 	years := flag.Float64("years", 10, "simulated lifetime in years")
 	baseSeed := flag.Int64("seed", 1, "base chip seed")
@@ -58,34 +59,32 @@ func main() {
 }
 
 func run(fig string, chips int, years float64, baseSeed int64) error {
-	p, err := experiments.NewPlatform()
-	if err != nil {
-		return err
-	}
+	// One cache for the whole campaign: every figure and dark fraction
+	// reuses a chip's predictor and aging table while the population
+	// fits the cache's per-chip capacity.
+	cache := hayat.NewArtifactCache()
 	switch fig {
 	case "1a":
 		return fig1a()
 	case "1b":
 		return fig1b()
 	case "2", "2o":
-		return fig2(p, baseSeed, years, fig == "2")
+		return fig2(cache, baseSeed, years, fig == "2")
 	case "7", "8", "9", "10", "7-10":
-		_, err := pairs(p, baseSeed, chips, years, true)
+		_, err := pairs(cache, baseSeed, chips, years, true)
 		return err
 	case "11":
-		ps, err := pairs(p, baseSeed, chips, years, false)
+		ps, err := pairs(cache, baseSeed, chips, years, false)
 		if err != nil {
 			return err
 		}
 		return fig11(ps, years)
 	case "11maps":
-		return fig11maps(p, baseSeed, years)
-	case "overhead":
-		return overhead(p, baseSeed)
+		return fig11maps(cache, baseSeed, years)
 	case "guardband":
-		return guardband(p, baseSeed, chips, years)
+		return guardband(cache, baseSeed, chips, years)
 	case "bins":
-		return bins(p, baseSeed, chips, years)
+		return bins(cache, baseSeed, chips, years)
 	case "all":
 		if err := fig1a(); err != nil {
 			return err
@@ -93,26 +92,23 @@ func run(fig string, chips int, years float64, baseSeed int64) error {
 		if err := fig1b(); err != nil {
 			return err
 		}
-		if err := fig2(p, baseSeed, years, true); err != nil {
+		if err := fig2(cache, baseSeed, years, true); err != nil {
 			return err
 		}
-		ps, err := pairs(p, baseSeed, chips, years, true)
+		ps, err := pairs(cache, baseSeed, chips, years, true)
 		if err != nil {
 			return err
 		}
 		if err := fig11(ps, years); err != nil {
 			return err
 		}
-		if err := fig11maps(p, baseSeed, years); err != nil {
+		if err := fig11maps(cache, baseSeed, years); err != nil {
 			return err
 		}
-		if err := guardband(p, baseSeed, chips, years); err != nil {
+		if err := guardband(cache, baseSeed, chips, years); err != nil {
 			return err
 		}
-		if err := bins(p, baseSeed, chips, years); err != nil {
-			return err
-		}
-		return overhead(p, baseSeed)
+		return bins(cache, baseSeed, chips, years)
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}
@@ -157,21 +153,20 @@ func fig1b() error {
 	return nil
 }
 
-func fig2(p *experiments.Platform, baseSeed int64, years float64, withMaps bool) error {
+func fig2(cache *hayat.ArtifactCache, baseSeed int64, years float64, withMaps bool) error {
 	fmt.Println("=== Fig. 2: DCM aging & thermal analysis (two chips, 50% dark) ===")
-	res, err := p.Fig2([]int64{baseSeed, baseSeed + 1}, years)
+	res, err := experiments.Fig2(cache, []int64{baseSeed, baseSeed + 1}, years)
 	if err != nil {
 		return err
 	}
 	if withMaps {
 		for _, c := range res {
-			fmt.Println(p.RenderFig2Maps(c))
+			fmt.Println(experiments.RenderFig2Maps(c))
 		}
 	}
 	for i, c := range res {
-		writeSVG(fmt.Sprintf("fig2_temp_%d.svg", i), p.SVGFig2Temps(c))
-		writeSVG(fmt.Sprintf("fig2_freq10_%d.svg", i),
-			p.SVGFreqMap(fmt.Sprintf("chip-%d %s: fmax @ year 10 [GHz]", c.ChipSeed, c.DCMName), c.FreqYr10))
+		writeSVG(fmt.Sprintf("fig2_temp_%d.svg", i), experiments.SVGFig2Temps(c))
+		writeSVG(fmt.Sprintf("fig2_freq10_%d.svg", i), experiments.SVGFig2Freq10(c))
 	}
 	fmt.Println("Fig. 2(o) table:")
 	fmt.Print(experiments.Fig2oTable(res))
@@ -179,14 +174,10 @@ func fig2(p *experiments.Platform, baseSeed int64, years float64, withMaps bool)
 	return nil
 }
 
-func pairs(p *experiments.Platform, baseSeed int64, chips int, years float64, render bool) ([]experiments.PairSummary, error) {
-	kits, err := p.Kits(baseSeed, chips)
-	if err != nil {
-		return nil, err
-	}
+func pairs(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64, render bool) ([]experiments.PairSummary, error) {
 	var out []experiments.PairSummary
 	for _, dark := range []float64{0.25, 0.50} {
-		ps, err := p.RunPair(kits, dark, years)
+		ps, err := experiments.RunPair(cache, baseSeed, chips, dark, years)
 		if err != nil {
 			return nil, err
 		}
@@ -215,19 +206,19 @@ func fig11(ps []experiments.PairSummary, years float64) error {
 	return nil
 }
 
-func fig11maps(p *experiments.Platform, baseSeed int64, years float64) error {
+func fig11maps(cache *hayat.ArtifactCache, baseSeed int64, years float64) error {
 	fmt.Println("=== Fig. 11 (left): aged frequency maps after the lifetime ===")
-	cfg := sim.DefaultConfig()
-	cfg.Years = years
-	cfg.WindowSeconds = 2.0
-	kit, err := p.Kit(baseSeed)
-	if err != nil {
-		return err
-	}
 	for _, dark := range []float64{0.25, 0.50} {
-		cfg.DarkFraction = dark
-		for _, pol := range []string{"VAA", "Hayat"} {
-			res, err := p.RunOne(kit, pol, cfg)
+		sys, err := hayat.NewSystemWith(experiments.Config(dark, years), cache)
+		if err != nil {
+			return err
+		}
+		chip, err := sys.NewChip(baseSeed)
+		if err != nil {
+			return err
+		}
+		for _, pol := range []hayat.Policy{hayat.PolicyVAA, hayat.PolicyHayat} {
+			res, err := chip.RunLifetime(pol)
 			if err != nil {
 				return err
 			}
@@ -236,31 +227,19 @@ func fig11maps(p *experiments.Platform, baseSeed int64, years float64) error {
 				ghz[i] = f / 1e9
 			}
 			fmt.Printf("%s @ %d%% dark, year %.0f [GHz]:\n", pol, int(dark*100), years)
-			for r := 0; r < p.FP.Rows; r++ {
-				for c := 0; c < p.FP.Cols; c++ {
-					if c > 0 {
-						fmt.Print(" ")
-					}
-					fmt.Printf("%4.2f", ghz[r*p.FP.Cols+c])
-				}
-				fmt.Println()
-			}
+			fmt.Print(sys.RenderNumericMap(ghz, "%4.2f"))
 			fmt.Println()
 		}
 	}
 	return nil
 }
 
-func guardband(p *experiments.Platform, baseSeed int64, chips int, years float64) error {
+func guardband(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64) error {
 	fmt.Println("=== Guardband analysis: design-time reserve vs run-time management ===")
 	if chips > 5 {
 		chips = 5 // per-chip table; a handful illustrates the point
 	}
-	kits, err := p.Kits(baseSeed, chips)
-	if err != nil {
-		return err
-	}
-	_, table, err := p.Guardband(kits, years)
+	_, table, err := experiments.Guardband(cache, baseSeed, chips, years)
 	if err != nil {
 		return err
 	}
@@ -269,32 +248,15 @@ func guardband(p *experiments.Platform, baseSeed int64, chips int, years float64
 	return nil
 }
 
-func bins(p *experiments.Platform, baseSeed int64, chips int, years float64) error {
+func bins(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64) error {
 	fmt.Println("=== Speed-grade binning: premium-core survival ===")
 	if chips > 5 {
 		chips = 5
 	}
-	kits, err := p.Kits(baseSeed, chips)
-	if err != nil {
-		return err
-	}
-	out, err := p.BinShift(kits, years)
+	out, err := experiments.BinShift(cache, baseSeed, chips, years)
 	if err != nil {
 		return err
 	}
 	fmt.Print(out)
-	return nil
-}
-
-func overhead(p *experiments.Platform, baseSeed int64) error {
-	fmt.Println("=== Section VI overhead ===")
-	r, err := p.Overhead(baseSeed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("estimateNextHealth: %v per call (paper: ≈10 µs)\n", r.EstimateNextHealth)
-	fmt.Printf("predictTemperature: %v per call (paper: ≈25 µs)\n", r.PredictTemperature)
-	fmt.Printf("application-arrival decision: %v (paper worst case: ≈1.6 ms)\n", r.ArrivalDecision)
-	fmt.Printf("full epoch remap: %v\n", r.FullMapDecision)
 	return nil
 }

@@ -17,8 +17,8 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/experiments"
-	"github.com/kit-ces/hayat/internal/sim"
 )
 
 func main() {
@@ -59,14 +59,9 @@ func run(chips int, years float64, seed int64, darkSpec string, sweepTurbo bool)
 	if err != nil {
 		return err
 	}
-	p, err := experiments.NewPlatform()
-	if err != nil {
-		return err
-	}
-	kits, err := p.Kits(seed, chips)
-	if err != nil {
-		return err
-	}
+	// Every configuration reuses a chip's predictor and aging table while
+	// the population fits the cache's per-chip capacity.
+	cache := hayat.NewArtifactCache()
 	turboModes := []bool{false}
 	if sweepTurbo {
 		turboModes = append(turboModes, true)
@@ -75,38 +70,38 @@ func run(chips int, years float64, seed int64, darkSpec string, sweepTurbo bool)
 	fmt.Println("policy\tdark\tturbo\tdtm_events\tavg_f_end_ghz\tmax_f_end_ghz\tt_avg_k\tt_peak_k\tavg_gips\tmin_health")
 	for _, dark := range darks {
 		for _, tb := range turboModes {
-			for _, polName := range []string{"VAA", "Hayat"} {
-				cfg := sim.DefaultConfig()
-				cfg.DarkFraction = dark
-				cfg.Years = years
-				cfg.WindowSeconds = 2.0
-				cfg.TurboBoost = tb
-				cfg.TurboMarginK = 15
-
+			cfg := experiments.Config(dark, years)
+			cfg.TurboBoost = tb
+			cfg.TurboMarginK = 15
+			sys, err := hayat.NewSystemWith(cfg, cache)
+			if err != nil {
+				return err
+			}
+			for _, pol := range []hayat.Policy{hayat.PolicyVAA, hayat.PolicyHayat} {
+				pop, err := sys.RunPopulation(seed, chips, pol)
+				if err != nil {
+					return err
+				}
 				var dtm int
 				var avgF, maxF, tAvg, tPeak, gips, minHealth float64
 				minHealth = 1
-				for _, kit := range kits {
-					res, err := p.RunOne(kit, polName, cfg)
-					if err != nil {
-						return err
-					}
-					last := res.Records[len(res.Records)-1]
-					dtm += res.TotalDTM.Events()
+				for _, res := range pop.Results {
+					last := res.Epochs[len(res.Epochs)-1]
+					dtm += res.DTMEvents()
 					avgF += last.AvgFMax
 					maxF += last.MaxFMax
 					tPeak += last.PeakTemp
 					if last.MinHealth < minHealth {
 						minHealth = last.MinHealth
 					}
-					for _, rec := range res.Records {
-						tAvg += rec.AvgTemp / float64(len(res.Records))
-						gips += rec.AvgIPS / float64(len(res.Records))
+					for _, ep := range res.Epochs {
+						tAvg += ep.AvgTemp / float64(len(res.Epochs))
+						gips += ep.AvgIPS / float64(len(res.Epochs))
 					}
 				}
-				n := float64(len(kits))
+				n := float64(chips)
 				fmt.Printf("%s\t%.3f\t%v\t%d\t%.3f\t%.3f\t%.2f\t%.2f\t%.2f\t%.4f\n",
-					polName, dark, tb, dtm,
+					pol, dark, tb, dtm,
 					avgF/n/1e9, maxF/n/1e9, tAvg/n, tPeak/n, gips/n/1e9, minHealth)
 			}
 		}

@@ -1,11 +1,9 @@
 // Noisy sensors: the paper assumes ideal aging sensors / health monitors
 // [9, 10]. This example exercises the robustness extension: the policy
 // sees per-core maximum frequencies corrupted by multiplicative Gaussian
-// noise, and the engine counts how often a thread ends up on a core whose
-// TRUE aged frequency cannot satisfy its requirement.
-//
-// It uses the internal simulation engine directly (the knob is an
-// extension, not part of the paper-replication public API).
+// noise (hayat.Config.SensorNoiseSigma), and the engine counts how often
+// a thread ends up on a core whose TRUE aged frequency cannot satisfy
+// its requirement (hayat.Epoch.Violations).
 package main
 
 import (
@@ -13,9 +11,8 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/kit-ces/hayat/internal/core"
+	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/experiments"
-	"github.com/kit-ces/hayat/internal/sim"
 )
 
 func main() {
@@ -23,40 +20,32 @@ func main() {
 	years := flag.Float64("years", 5, "simulated lifetime")
 	flag.Parse()
 
-	p, err := experiments.NewPlatform()
-	if err != nil {
-		log.Fatal(err)
-	}
-	kit, err := p.Kit(*seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pol, err := core.New(core.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The chip is built once and shared by every noise level.
+	cache := hayat.NewArtifactCache()
 
 	fmt.Printf("%10s %12s %12s %14s %12s\n",
 		"noise σ", "violations", "unmapped", "avgF@end[GHz]", "minHealth")
 	for _, sigma := range []float64{0, 0.02, 0.05, 0.10, 0.20} {
-		cfg := sim.DefaultConfig()
-		cfg.Years = *years
-		cfg.WindowSeconds = 2.0
+		cfg := experiments.Config(0.50, *years)
 		cfg.SensorNoiseSigma = sigma
-		eng, err := sim.New(cfg, pol, kit.Chip, p.TM, p.PM, kit.Pred, kit.Table)
+		sys, err := hayat.NewSystemWith(cfg, cache)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.Run()
+		chip, err := sys.NewChip(*seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := chip.RunLifetime(hayat.PolicyHayat)
 		if err != nil {
 			log.Fatal(err)
 		}
 		violations, unmapped := 0, 0
-		for _, rec := range res.Records {
-			violations += rec.Violations
-			unmapped += rec.Unmapped
+		for _, ep := range res.Epochs {
+			violations += ep.Violations
+			unmapped += ep.Unmapped
 		}
-		last := res.Records[len(res.Records)-1]
+		last := res.Epochs[len(res.Epochs)-1]
 		fmt.Printf("%10.2f %12d %12d %14.3f %12.4f\n",
 			sigma, violations, unmapped, last.AvgFMax/1e9, last.MinHealth)
 	}

@@ -327,6 +327,13 @@ func (c *Chip) LeakageFactors() []float64 {
 	return append([]float64(nil), c.chip.LeakFactor...)
 }
 
+// AgingFactor returns the chip's offline 3D aging-table lookup: the
+// remaining fraction of a core's year-0 frequency after `years` at
+// temperature tempK (Kelvin) and duty cycle duty.
+func (c *Chip) AgingFactor(tempK, duty, years float64) float64 {
+	return c.tab.Lookup(tempK, duty, years)
+}
+
 // FrequencySpread returns (f_max − f_min)/f_max across cores — the
 // paper's ~30–35 % core-to-core variation figure.
 func (c *Chip) FrequencySpread() float64 { return c.chip.FrequencySpread() }
@@ -346,7 +353,10 @@ type Epoch struct {
 	DTMEvents    int
 	Mapped       int
 	Unmapped     int
-	AvgIPS       float64
+	// Violations counts threads mapped, under noisy sensor readings, to
+	// cores whose true aged frequency cannot meet their requirement.
+	Violations int
+	AvgIPS     float64
 }
 
 // LifetimeResult is one chip's simulated lifetime under one policy.
@@ -359,6 +369,9 @@ type LifetimeResult struct {
 	InitialFMax []float64
 	FinalFMax   []float64
 	FinalHealth []float64
+	// FinalTemps is the last window's time-averaged per-core temperature
+	// in Kelvin.
+	FinalTemps []float64
 	// DTMMigrations + DTMThrottles = total DTM events.
 	DTMMigrations, DTMThrottles int
 
@@ -576,6 +589,7 @@ func wrapResult(res *sim.Result) *LifetimeResult {
 		InitialFMax:   append([]float64(nil), res.InitialFMax...),
 		FinalFMax:     append([]float64(nil), res.FinalFMax...),
 		FinalHealth:   append([]float64(nil), res.FinalHealth...),
+		FinalTemps:    append([]float64(nil), res.FinalTemps...),
 		DTMMigrations: res.TotalDTM.Migrations,
 		DTMThrottles:  res.TotalDTM.Throttles,
 		res:           res,
@@ -594,6 +608,7 @@ func wrapResult(res *sim.Result) *LifetimeResult {
 			DTMEvents:    rec.DTMEvents,
 			Mapped:       rec.Mapped,
 			Unmapped:     rec.Unmapped,
+			Violations:   rec.Violations,
 			AvgIPS:       rec.AvgIPS,
 		})
 	}

@@ -279,6 +279,8 @@ func (s *State) Advance(tab *Table3D, T, d, dtYears float64) {
 // PredictFactor returns the health the state would have after advancing by
 // dtYears at (T, d) — the read-only version of Advance used by
 // estimateNextHealth in Algorithm 1.
+//
+//lint:ignore reachability backs EXPERIMENTS.md's E10 through core.EstimateNextHealth and the root BenchmarkEstimateNextHealth; the aging and exact tests use it
 func (s State) PredictFactor(tab *Table3D, T, d, dtYears float64) float64 {
 	if dtYears <= 0 {
 		return s.Factor

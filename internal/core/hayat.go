@@ -302,6 +302,8 @@ func (h *Hayat) Map(ctx *policy.Context, threads []*workload.Thread) (policy.Res
 // several minutes after the previous decision"), whose cost Section VI
 // quotes as ≈1.6 ms worst case. The existing assignment is cloned, not
 // mutated.
+//
+//lint:ignore reachability backs EXPERIMENTS.md's E10 arrival decision through the root BenchmarkArrivalDecision; the core tests pin it
 func (h *Hayat) MapIncremental(ctx *policy.Context, existing *mapping.Assignment, newThreads []*workload.Thread) (policy.Result, error) {
 	return h.place(ctx, existing, newThreads)
 }
@@ -538,6 +540,8 @@ var _ policy.Policy = (*Hayat)(nil)
 
 // EstimateNextHealth is the overhead-benchmark entry point of Section VI:
 // one health estimate for one core at predicted temperature T and duty d.
+//
+//lint:ignore reachability backs EXPERIMENTS.md's E10 through the root BenchmarkEstimateNextHealth; TestEstimateNextHealth pins it
 func EstimateNextHealth(ctx *policy.Context, core int, T, d float64) float64 {
 	return ctx.Health[core].PredictFactor(ctx.AgingTable, T, d, ctx.HorizonYears)
 }

@@ -1,9 +1,55 @@
 package experiments
 
 import (
+	"math"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/kit-ces/hayat"
 )
+
+// testCache shares chip artifacts across the tests, as cmd/experiments
+// shares them across one campaign.
+var testCache = hayat.NewArtifactCache()
+
+// EXPERIMENTS.md's numbers are only reproducible under the configuration
+// its header states, so the header must name Config's discretisation and
+// the library default it departs from.
+func TestCampaignConfigMatchesExperimentsDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(\d+(?:\.\d+)?)-ms thermal steps, (\d+(?:\.\d+)?)-s windows and (\d+)-month aging epochs`).FindSubmatch(doc)
+	d := regexp.MustCompile(`library's default window is (\d+(?:\.\d+)?) s`).FindSubmatch(doc)
+	if m == nil || d == nil {
+		t.Fatal("EXPERIMENTS.md's header does not state the campaign's step, window and epoch lengths and the library's default window")
+	}
+	num := func(b []byte) float64 {
+		v, err := strconv.ParseFloat(string(b), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	cfg := Config(0.50, 10)
+	for _, c := range []struct {
+		what         string
+		stated, code float64
+	}{
+		{"step [ms]", num(m[1]), cfg.StepSeconds * 1000},
+		{"window [s]", num(m[2]), cfg.WindowSeconds},
+		{"epoch [months]", num(m[3]), cfg.EpochYears * 12},
+		{"library default window [s]", num(d[1]), hayat.DefaultConfig().WindowSeconds},
+	} {
+		if math.Abs(c.stated-c.code) > 1e-9 {
+			t.Errorf("%s: EXPERIMENTS.md states %v, the code uses %v", c.what, c.stated, c.code)
+		}
+	}
+}
 
 func TestFig1bShape(t *testing.T) {
 	series, tsv := Fig1b(1, 10)
@@ -32,35 +78,8 @@ func TestFig1bShape(t *testing.T) {
 	}
 }
 
-func TestPlatformKitAndPolicies(t *testing.T) {
-	p, err := NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kits, err := p.Kits(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kits) != 2 || kits[0].Chip.Seed != 1 || kits[1].Chip.Seed != 2 {
-		t.Fatal("kit seeding wrong")
-	}
-	if _, err := NewPolicy("Hayat"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPolicy("VAA"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPolicy("nope"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 func TestFig2AnalysisShort(t *testing.T) {
-	p, err := NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chips, err := p.Fig2([]int64{1}, 1 /* year, keeps the test fast */)
+	chips, err := Fig2(testCache, []int64{1}, 1 /* year, keeps the test fast */)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,22 +98,14 @@ func TestFig2AnalysisShort(t *testing.T) {
 	if !strings.Contains(table, "DCM-1") || !strings.Contains(table, "DCM-2") {
 		t.Fatalf("table missing DCM rows:\n%s", table)
 	}
-	maps := p.RenderFig2Maps(chips[0])
+	maps := RenderFig2Maps(chips[0])
 	if !strings.Contains(maps, "year 10") || !strings.Contains(maps, "heat map") {
 		t.Fatalf("maps rendering incomplete:\n%s", maps)
 	}
 }
 
 func TestRunPairSmall(t *testing.T) {
-	p, err := NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kits, err := p.Kits(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := p.RunPair(kits, 0.50, 2)
+	ps, err := RunPair(testCache, 1, 2, 0.50, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +131,6 @@ func TestRunPairSmall(t *testing.T) {
 	}
 }
 
-func TestOverheadRuns(t *testing.T) {
-	p, err := NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Overhead(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.EstimateNextHealth <= 0 || r.PredictTemperature <= 0 || r.FullMapDecision <= 0 {
-		t.Fatalf("non-positive timings: %+v", r)
-	}
-	// Sanity: the full decision costs more than a single primitive.
-	if r.FullMapDecision < r.PredictTemperature {
-		t.Fatalf("full decision (%v) cheaper than one prediction (%v)", r.FullMapDecision, r.PredictTemperature)
-	}
-}
-
 func TestSVGHelpers(t *testing.T) {
 	if svg := SVGFig1b(1, 5); !strings.Contains(svg, "</svg>") || !strings.Contains(svg, "140") {
 		t.Fatal("Fig. 1(b) SVG malformed")
@@ -152,15 +145,7 @@ func TestSVGHelpers(t *testing.T) {
 	if _, tsv, err := Fig1a(340); err != nil || !strings.Contains(tsv, "dVth_mV") {
 		t.Fatalf("Fig1a TSV malformed: %v", err)
 	}
-	p, err := NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kits, err := p.Kits(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := p.RunPair(kits, 0.5, 1)
+	ps, err := RunPair(testCache, 1, 1, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,28 +155,20 @@ func TestSVGHelpers(t *testing.T) {
 	if svg := SVGFig11(ps); !strings.Contains(svg, "Hayat") || !strings.Contains(svg, "VAA") {
 		t.Fatal("Fig. 11 SVG malformed")
 	}
-	chips, err := p.Fig2([]int64{1}, 1)
+	chips, err := Fig2(testCache, []int64{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svg := p.SVGFig2Temps(chips[0]); !strings.Contains(svg, "steady-state") {
+	if svg := SVGFig2Temps(chips[0]); !strings.Contains(svg, "steady-state") {
 		t.Fatal("Fig. 2 temp SVG malformed")
 	}
-	if svg := p.SVGFreqMap("f", chips[0].FreqYr0); !strings.Contains(svg, "</svg>") {
+	if svg := SVGFig2Freq10(chips[0]); !strings.Contains(svg, "</svg>") || !strings.Contains(svg, "year 10") {
 		t.Fatal("freq map SVG malformed")
 	}
 }
 
 func TestGuardbandAnalysis(t *testing.T) {
-	p, err := NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kits, err := p.Kits(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, table, err := p.Guardband(kits, 2)
+	rows, table, err := Guardband(testCache, 1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +194,7 @@ func TestGuardbandAnalysis(t *testing.T) {
 }
 
 func TestBinShift(t *testing.T) {
-	p, err := NewPlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kits, err := p.Kits(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.BinShift(kits, 2)
+	out, err := BinShift(testCache, 1, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

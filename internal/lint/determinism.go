@@ -52,14 +52,16 @@ import (
 // bytes feed content hashes, and map fields invite order-dependent
 // custom encoders (and non-canonical re-encoding outside encoding/json).
 //
-// Reporting is scoped to the simulation library. The serving layers
-// (internal/service, cluster, store, merkle, circuit, metrics)
-// are deliberately nondeterministic in their scheduling — timestamps,
-// backoff jitter, hedged fetches — and are guarded by the runtime
-// determinism suites and the replicated store's leaf-conflict check
-// instead; internal/faultinject is test-only injection. Edges through
-// those packages still exist in the graph, only their diagnostics are
-// dropped.
+// Reporting is scoped to the simulation library, which includes the
+// population summary (internal/metrics, whose aggregates are part of
+// every population Result) and the figure harness (internal/experiments,
+// internal/report). The serving layers (internal/service, cluster,
+// store, merkle, circuit) are deliberately nondeterministic in their
+// scheduling — timestamps, backoff jitter, hedged fetches — and are
+// guarded by the runtime determinism suites and the replicated store's
+// leaf-conflict check instead; internal/faultinject is test-only
+// injection. Edges through those packages still exist in the graph, only
+// their diagnostics are dropped.
 func checkDeterminism(pkgs []*Package, r *Reporter) {
 	g := BuildCallGraph(pkgs)
 	entries := determinismEntries(g)
@@ -123,12 +125,9 @@ var determinismExcluded = []string{
 	"internal/store",
 	"internal/merkle",
 	"internal/circuit",
-	"internal/metrics",
 	"internal/faultinject",
 	"internal/lint",
 	"internal/testutil",
-	"internal/report",
-	"internal/experiments",
 }
 
 func determinismScoped(p *Package) bool {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/kit-ces/hayat/internal/baseline"
@@ -23,7 +24,7 @@ func testResult(t *testing.T) *sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -486,11 +486,8 @@ func (s *Server) submitChipBatch(ctx context.Context, j *Job, st *clusterPopStor
 	for _, res := range env.Results {
 		seed := chunk[res.Index]
 		if res.Accepted && res.Job != nil {
+			// A peer's cache hit arrives done; its first poll fetches it.
 			s.met.ChipsForwarded.Add(1)
-			if res.Job.State == "done" {
-				// Cache hit on the peer: fetch right away via the normal
-				// poll path (the first poll sees it terminal).
-			}
 			pending[res.Job.ID] = seed
 			continue
 		}

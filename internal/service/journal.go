@@ -270,7 +270,8 @@ func (j *journal) append(recs []journalRecord, sync bool) error {
 
 // compactLocked rewrites the journal with only live submit records, via
 // persist.WriteFileAtomic, then reopens it for appending. A failed
-// rewrite leaves the old file in place and open. Callers hold j.mu (or
+// rewrite leaves the old file in place and open; a failed directory
+// fsync is returned with the new file already open. Callers hold j.mu (or
 // own j exclusively, as openJournal does).
 func (j *journal) compactLocked() error {
 	// Deterministic record order keeps compaction reproducible.
@@ -295,22 +296,23 @@ func (j *journal) compactLocked() error {
 	if err := persist.WriteFileAtomic(j.path, buf.Bytes(), fpJournalCompact); err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
 	}
+	// Switch to the renamed file before the directory fsync, so a failed
+	// fsync leaves the journal appendable. Only a failed reopen closes it.
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if j.f != nil {
 		j.f.Close() // the replaced file
-		j.f = nil
 	}
+	j.f = f // nil when the reopen failed: the journal is closed
+	if err != nil {
+		return fmt.Errorf("service: journal reopen: %w", err)
+	}
+	j.dead = 0
 	// Rename alone only updates the directory in memory: until the
 	// directory entry itself is fsynced, a power loss can resurrect the
 	// pre-compaction file — or leave no journal at all.
 	if err := syncDir(filepath.Dir(j.path)); err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
 	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: journal reopen: %w", err)
-	}
-	j.f = f
-	j.dead = 0
 	return nil
 }
 

@@ -179,6 +179,52 @@ func TestJournalCompactionDirSyncFailure(t *testing.T) {
 	}
 }
 
+// A compaction whose directory fsync fails has already renamed the new
+// file into place, so the journal must keep appending to it: a submit
+// accepted after the failure is journalled and replays as pending.
+func TestJournalAppendsAfterFailedCompactionDirSync(t *testing.T) {
+	defer faultinject.DisarmAll()
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	j, _, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := testRequest(1)
+	for i := 0; i < journalCompactEvery-1; i++ {
+		id := fmt.Sprintf("job-%06d", i+1)
+		if err := j.submitted(id, req.key(), req); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.terminal(opDone, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := faultinject.ArmSpecs(fpJournalDirSync + "=fail(1)"); err != nil {
+		t.Fatal(err)
+	}
+	last := fmt.Sprintf("job-%06d", journalCompactEvery)
+	if err := j.submitted(last, req.key(), req); err != nil {
+		t.Fatal(err)
+	}
+	// This terminal record triggers the compaction the failpoint fails.
+	if err := j.terminal(opDone, last); err == nil || !strings.Contains(err.Error(), "dir sync") {
+		t.Fatalf("compaction error %v, want the injected dir-sync failure", err)
+	}
+	if err := j.submitted("job-999999", req.key(), req); err != nil {
+		t.Fatalf("submit after a failed compaction dir sync: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, pending, corrupt, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupt != 0 || len(pending) != 1 || pending[0].ID != "job-999999" {
+		t.Fatalf("replay after the failed dir sync: pending %+v, corrupt %d", pending, corrupt)
+	}
+}
+
 // submitted durably records an accepted job before the submit is
 // acknowledged: the record is framed, appended and fsynced.
 func (j *journal) submitted(id, key string, req request) error {

@@ -15,7 +15,7 @@ func TestCheckpointResumeMatchesOneShot(t *testing.T) {
 	cfg.RemixEpochs = 2  // boundaries at 0 and 2
 	mkEngine := func() *Engine { return newEngine(t, cfg, hayatPolicy(t), 17) }
 
-	full, err := mkEngine().Run()
+	full, err := mkEngine().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRunCheckpointedCadenceAndResume(t *testing.T) {
 	cfg.RemixEpochs = 2            // boundaries at 2, 4, 6
 	mkEngine := func() *Engine { return newEngine(t, cfg, hayatPolicy(t), 21) }
 
-	full, err := mkEngine().Run()
+	full, err := mkEngine().RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

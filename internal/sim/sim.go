@@ -363,17 +363,11 @@ func (e *Engine) Epochs() int {
 	return int(e.cfg.Years/e.cfg.EpochYears + 0.5)
 }
 
-// Run simulates the full lifetime and returns the result.
-func (e *Engine) Run() (*Result, error) {
-	//lint:ignore ctxfirst compatibility wrapper: context-free callers get the uncancellable root by design
-	return e.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation: the context is checked
-// at every epoch boundary, so a cancelled run stops before the next
-// epoch's transient window starts. The returned error wraps ctx.Err() and
-// names the epoch reached (a checkpoint at the preceding remix boundary
-// makes such a run resumable, see Checkpoint).
+// RunContext simulates the full lifetime and returns the result. The
+// context is checked at every epoch boundary, so a cancelled run stops
+// before the next epoch's transient window starts. The returned error
+// wraps ctx.Err() and names the epoch reached (a checkpoint at the
+// preceding remix boundary makes such a run resumable, see Checkpoint).
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	st, err := e.newRunState()
 	if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestNewRejectsNilDeps(t *testing.T) {
 func TestRunLifecycleBothPolicies(t *testing.T) {
 	for _, pol := range []policy.Policy{hayatPolicy(t), vaaPolicy(t)} {
 		e := newEngine(t, shortConfig(), pol, 1)
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -133,7 +134,7 @@ func TestRunLifecycleBothPolicies(t *testing.T) {
 
 func TestHealthMonotoneAndBounded(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 2)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestHealthMonotoneAndBounded(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	run := func() *Result {
 		e := newEngine(t, shortConfig(), hayatPolicy(t), 3)
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestDarkSiliconBudgetHeld(t *testing.T) {
 	cfg := shortConfig()
 	cfg.DarkFraction = 0.50
 	e := newEngine(t, cfg, vaaPolicy(t), 4)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestDarkSiliconBudgetHeld(t *testing.T) {
 
 func TestAvgFMaxAtInterpolation(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 5)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestAvgFMaxAtInterpolation(t *testing.T) {
 
 func TestDTMAccounting(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 6)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestRemixChangesWorkload(t *testing.T) {
 	cfg := shortConfig()
 	cfg.RemixEpochs = 1 // new mix each epoch
 	e := newEngine(t, cfg, vaaPolicy(t), 7)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestMalleabilityShrinksUnplaceableApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e2.Run()
+	res, err := e2.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +303,14 @@ func TestMalleabilityDisabled(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Malleable = false
 	e := newEngine(t, cfg, vaaPolicy(t), 9)
-	if _, err := e.Run(); err != nil {
+	if _, err := e.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSensorNoiseZeroMeansNoViolations(t *testing.T) {
 	e := newEngine(t, shortConfig(), hayatPolicy(t), 10)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestSensorNoiseRunsAndStaysDeterministic(t *testing.T) {
 	cfg.SensorNoiseSigma = 0.10
 	run := func() *Result {
 		e := newEngine(t, cfg, hayatPolicy(t), 11)
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +364,7 @@ func TestMigrationStallReducesThroughput(t *testing.T) {
 
 	run := func(cfg Config) (*Result, int) {
 		e := newEngine(t, cfg, vaaPolicy(t), 12)
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +405,7 @@ func TestTraceSinkReceivesSamples(t *testing.T) {
 	if err := e.SetTrace(sink, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	if _, err := e.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Err() != nil {
@@ -445,7 +446,7 @@ func TestTraceOutOfRangeCore(t *testing.T) {
 	if err := e.SetTrace(sink, 25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	if _, err := e.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Err() == nil {
@@ -461,7 +462,7 @@ func TestDVFSLadderQuantisesFrequencies(t *testing.T) {
 	}
 	cfg.FreqLevels = ladder
 	e := newEngine(t, cfg, hayatPolicy(t), 14)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func TestDVFSLadderQuantisesFrequencies(t *testing.T) {
 	// in the same throughput regime as continuous DVFS.
 	cont := shortConfig()
 	e2 := newEngine(t, cont, hayatPolicy(t), 14)
-	res2, err := e2.Run()
+	res2, err := e2.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +502,7 @@ func TestTurboBoostTradesAgingForThroughput(t *testing.T) {
 	turbo.TurboMarginK = 15
 	run := func(cfg Config) *Result {
 		e := newEngine(t, cfg, hayatPolicy(t), 15)
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,7 +551,7 @@ func TestEpochLengthConsistency(t *testing.T) {
 		cfg.WindowSeconds = 1.0
 		cfg.RemixEpochs = 0 // single mix so both runs see identical work
 		e := newEngine(t, cfg, vaaPolicy(t), 16)
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,7 +568,7 @@ func TestEpochLengthConsistency(t *testing.T) {
 
 func TestThermalSwingRecorded(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 20)
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type Fixture struct {
 // shared pieces (thermal model, aging table) are rebuilt per call; tests
 // that need many chips should reuse one fixture's Table and Thermal.
 //
-//lint:ignore reachability shared by the core, baseline, sim and persist tests
+//lint:ignore reachability shared by the core, baseline, sim and persist tests and the root benchmarks
 func NewFixture(t testing.TB, chipSeed int64) *Fixture {
 	t.Helper()
 	fp := floorplan.Default()
@@ -60,7 +60,7 @@ func NewFixture(t testing.TB, chipSeed int64) *Fixture {
 // Context builds a fresh unaged policy context with the given dark-silicon
 // fraction.
 //
-//lint:ignore reachability shared by the core, baseline, sim and persist tests
+//lint:ignore reachability shared by the core, baseline, sim and persist tests and the root benchmarks
 func (f *Fixture) Context(darkFraction float64) *policy.Context {
 	n := f.FP.N()
 	health := make([]aging.State, n)

@@ -187,8 +187,8 @@ feed:
 	return pr, nil
 }
 
-// loadChipResult restores a persisted chip result, rejecting blobs whose
-// seed or policy disagree (a stale store never corrupts the population).
+// loadChipResult restores a persisted chip result, rejecting blobs that
+// fail decodeChipBlob (a stale store never corrupts the population).
 func loadChipResult(store ChipResultStore, seed int64, p Policy) (*LifetimeResult, bool) {
 	if store == nil {
 		return nil, false
@@ -197,14 +197,11 @@ func loadChipResult(store ChipResultStore, seed int64, p Policy) (*LifetimeResul
 	if !ok {
 		return nil, false
 	}
-	var res sim.Result
-	if err := json.Unmarshal(data, &res); err != nil {
+	res, err := decodeChipBlob(data, seed, p.String())
+	if err != nil {
 		return nil, false
 	}
-	if res.ChipSeed != seed || res.Policy != p.String() || len(res.Records) == 0 {
-		return nil, false
-	}
-	return wrapResult(&res), true
+	return wrapResult(res), true
 }
 
 // saveChipResult persists a finished chip result; failures are dropped
@@ -238,20 +235,27 @@ func (r *LifetimeResult) ChipJSON() ([]byte, error) {
 // population run applies, exported so a node can vet bytes fetched from
 // a peer before trusting them.
 func ValidateChipJSON(data []byte, seed int64, policy string) error {
+	_, err := decodeChipBlob(data, seed, policy)
+	return err
+}
+
+// decodeChipBlob decodes a chip blob and applies the acceptance rule: it
+// must be for this seed and policy and carry epoch records.
+func decodeChipBlob(data []byte, seed int64, policy string) (*sim.Result, error) {
 	var res sim.Result
 	if err := json.Unmarshal(data, &res); err != nil {
-		return fmt.Errorf("hayat: chip blob: %w", err)
+		return nil, fmt.Errorf("hayat: chip blob: %w", err)
 	}
 	if res.ChipSeed != seed {
-		return fmt.Errorf("hayat: chip blob is for seed %d, want %d", res.ChipSeed, seed)
+		return nil, fmt.Errorf("hayat: chip blob is for seed %d, want %d", res.ChipSeed, seed)
 	}
 	if res.Policy != policy {
-		return fmt.Errorf("hayat: chip blob is for policy %q, want %q", res.Policy, policy)
+		return nil, fmt.Errorf("hayat: chip blob is for policy %q, want %q", res.Policy, policy)
 	}
 	if len(res.Records) == 0 {
-		return fmt.Errorf("hayat: chip blob has no epoch records")
+		return nil, fmt.Errorf("hayat: chip blob has no epoch records")
 	}
-	return nil
+	return &res, nil
 }
 
 // Comparison holds Hayat-vs-baseline ratios; values below 1 favour Hayat

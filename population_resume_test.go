@@ -123,6 +123,12 @@ func TestRunPopulationResumableRejectsStaleBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.blobs[201] = []byte("not json at all")
+	// The rule a node applies to a peer's bytes rejects them too.
+	for seed, blob := range store.blobs {
+		if err := ValidateChipJSON(blob, seed, PolicyHayat.String()); err == nil {
+			t.Errorf("ValidateChipJSON accepted the stale blob for seed %d", seed)
+		}
+	}
 
 	ref, err := sys.RunPopulationContext(ctx, 200, 2, PolicyHayat)
 	if err != nil {
