@@ -79,6 +79,7 @@ fuzz-smoke:
 	fuzz ./internal/merkle    FuzzParseHash; \
 	fuzz ./internal/aging     FuzzTableLookup; \
 	fuzz ./internal/aging     FuzzStateAdvance; \
+	fuzz ./internal/thermal   FuzzModalTransforms; \
 	fuzz ./internal/core      FuzzPickCandidate
 
 fmt:

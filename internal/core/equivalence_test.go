@@ -113,12 +113,15 @@ func sameResult(got, want policy.Result) string {
 
 // TestPlaceMatchesReference checks that the pruned candidate loop picks
 // exactly what the eager reference (referencePlace) picks, for full
-// remaps and incremental placements.
+// remaps and incremental placements. The incremental placements start
+// from the full remap's assignment, so they seed place's spread
+// distances from powered cores; the test fails if none did.
 func TestPlaceMatchesReference(t *testing.T) {
 	cases := 40
 	if testing.Short() {
 		cases = 10
 	}
+	seededInc := 0
 	for _, seed := range []int64{11, 12} {
 		fx := testutil.NewFixture(t, seed)
 		rng := rand.New(rand.NewSource(seed))
@@ -147,6 +150,9 @@ func TestPlaceMatchesReference(t *testing.T) {
 			if d := sameResult(got, want); d != "" {
 				t.Fatalf("chip %d case %d (%s) Map: %s", seed, k, c.desc, d)
 			}
+			if want.Assignment.NumAssigned() > 0 && len(c.arrivals) > 0 {
+				seededInc++
+			}
 			gotInc, err := h.MapIncremental(&ctx, want.Assignment, c.arrivals)
 			if err != nil {
 				t.Fatal(err)
@@ -156,6 +162,10 @@ func TestPlaceMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	if seededInc == 0 {
+		t.Fatal("no MapIncremental call started from a non-empty assignment")
+	}
+	t.Logf("%d MapIncremental calls started from a non-empty assignment", seededInc)
 }
 
 // slotsFromBytes builds a candidate slot set for the pick tests: few

@@ -267,6 +267,10 @@ type placeScratch struct {
 	total []float64 // the predictor's total-power scratch
 	on    []bool
 	tNext []float64 // predicted-temperature scratch
+	// near[c] is the Manhattan distance from core c to the nearest
+	// powered core, capped at SpreadCap: the spread term's distance,
+	// kept up to date as place powers cores.
+	near  []int
 	unmap []*workload.Thread
 }
 
@@ -286,9 +290,32 @@ func (h *Hayat) scratchFor(ctx *policy.Context, n int) *placeScratch {
 		total: make([]float64, n),
 		on:    make([]bool, n),
 		tNext: make([]float64, n),
+		near:  make([]int, n),
 	}
 	ctx.Scratch = s
 	return s
+}
+
+// seedNear sets near[c] to the distance from core c to the nearest core
+// in on, capped at SpreadCap.
+func (h *Hayat) seedNear(ctx *policy.Context, near []int, on []bool) {
+	for c := range near {
+		near[c] = h.cfg.SpreadCap
+	}
+	for i, powered := range on {
+		if powered {
+			h.updateNear(ctx, near, i)
+		}
+	}
+}
+
+// updateNear lowers near to account for core i being powered: O(n).
+func (h *Hayat) updateNear(ctx *policy.Context, near []int, i int) {
+	for c := range near {
+		if d := ctx.Chip.Floorplan.ManhattanDistance(c, i); d < near[c] {
+			near[c] = d
+		}
+	}
 }
 
 // Map implements Algorithm 1 for a full remap (epoch boundary).
@@ -360,6 +387,10 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 	}
 	base := ctx.Predictor.Predict(s.base, s.total, pdyn, on)
 	s.base = base
+	near := s.near
+	if h.cfg.SpreadWeight > 0 {
+		h.seedNear(ctx, near, on)
+	}
 
 	// The per-core effective age and next health at the base temperature
 	// feed only the tie-break's chip-average next health, so they are
@@ -439,26 +470,12 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 			if on[cand] || ctx.FMax[cand] < reqF {
 				continue
 			}
+			// Eq. 4 admission: every core must stay below T_safe. Admit
+			// walks the candidate's predicted field once and stops at
+			// the first core above T_safe.
 			addPower := ctx.Predictor.CandidatePower(cand, dynP, base[cand])
-			ctx.Predictor.DeltaPredict(tNext, base, cand, addPower)
-
-			// Eq. 4 admission: every core must stay below T_safe.
-			// Temperatures are absolute Kelvin (always positive), so the
-			// zero seed cannot win the max — but seed from the first
-			// element anyway; zero-sentinel reductions are exactly the
-			// bug class PR10 fixed in reduceTiles.
-			tMax := tNext[0]
-			violates := false
-			for i := 0; i < n; i++ {
-				if tNext[i] > tMax {
-					tMax = tNext[i]
-				}
-				if tNext[i] > ctx.TSafe {
-					violates = true
-					break
-				}
-			}
-			if violates {
+			tCand, tMax, ok := ctx.Predictor.Admit(base, cand, addPower, ctx.TSafe)
+			if !ok {
 				continue
 			}
 
@@ -471,21 +488,12 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 			}
 			spread := 0.0
 			if h.cfg.SpreadWeight > 0 {
-				dist := h.cfg.SpreadCap
+				dist := near[cand]
 				if numAssigned == 0 {
 					// No anchor yet: seed the DCM at the coolest region.
 					dist = h.cfg.SpreadCap
 					if ctx.Temps[cand] > ctx.TSafe-2*(ctx.TSafe-ctx.Predictor.Ambient())/3 {
 						dist = 0
-					}
-				} else {
-					for i := 0; i < n; i++ {
-						if !on[i] {
-							continue
-						}
-						if d := ctx.Chip.Floorplan.ManhattanDistance(cand, i); d < dist {
-							dist = d
-						}
 					}
 				}
 				spread = h.cfg.SpreadWeight * float64(dist)
@@ -495,7 +503,7 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				core: cand, wFreq: wFreq, spread: spread, dfGHz: dfGHz,
 				incumbent: ctx.PrevOn != nil && ctx.PrevOn[cand],
 				hNow:      ctx.Health[cand].Factor,
-				tCand:     tNext[cand], tMaxNext: tMax,
+				tCand:     tCand, tMaxNext: tMax,
 			})
 			c := &cands[len(cands)-1]
 			c.ub = h.weight(c, beta, hBound)
@@ -516,6 +524,9 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 		pdyn[best] = dynP
 		on[best] = true
 		duty[best] = tDuty
+		if h.cfg.SpreadWeight > 0 {
+			h.updateNear(ctx, near, best)
+		}
 		// Full re-prediction re-synchronises the leakage correction; the
 		// aging cache no longer matches the base temperatures.
 		base = ctx.Predictor.Predict(base, s.total, pdyn, on)

@@ -45,20 +45,51 @@ func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // MulVec computes dst = m · x. dst must have length m.Rows and x length
-// m.Cols; dst and x must not alias. It returns dst for chaining.
+// m.Cols; dst and x must not alias. It returns dst for chaining. Each
+// dst[i] is summed in ascending column order (DotRows).
 func (m *Matrix) MulVec(dst, x []float64) []float64 {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("numeric: MulVec dimension mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
+	DotRows(dst, 1, x, m.Data)
 	return dst
+}
+
+// DotRows sets out[j*stride] = 0 + a[0]·b_j[0] + a[1]·b_j[1] + … for
+// every row b_j of b, which holds rows of len(a) > 0 values. Each sum is
+// taken in ascending index and rounded after every product and every
+// add, exactly as a one-accumulator loop would, so the result is the
+// naive loop's bit for bit. Four rows run at once, each in its own
+// accumulator: that breaks the single add-latency chain without
+// reordering any sum (DESIGN.md §19). float64(x*y) rounds each product
+// before its add, so no architecture fuses the two into one FMA.
+func DotRows(out []float64, stride int, a, b []float64) {
+	K := len(a)
+	rows := len(b) / K
+	j := 0
+	for ; j+4 <= rows; j += 4 {
+		// Reslicing to K lets the compiler drop the bounds checks.
+		b0 := b[j*K:][:K]
+		b1 := b[(j+1)*K:][:K]
+		b2 := b[(j+2)*K:][:K]
+		b3 := b[(j+3)*K:][:K]
+		var s0, s1, s2, s3 float64
+		for k, v := range a {
+			s0 += float64(v * b0[k])
+			s1 += float64(v * b1[k])
+			s2 += float64(v * b2[k])
+			s3 += float64(v * b3[k])
+		}
+		out[j*stride], out[(j+1)*stride], out[(j+2)*stride], out[(j+3)*stride] = s0, s1, s2, s3
+	}
+	for ; j < rows; j++ {
+		bj := b[j*K:][:K]
+		s := 0.0
+		for k, v := range a {
+			s += float64(v * bj[k])
+		}
+		out[j*stride] = s
+	}
 }
 
 // ErrNotSPD is returned by Cholesky when the input is not symmetric

@@ -79,28 +79,43 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// LeakageTempFactor returns the leakage multiplier at temperature T (K)
+// Leakage evaluates one Model's subthreshold leakage. It copies the
+// Model and computes the model's reference term exp(−Vth/(n·V_T(TRef)))
+// once, so an evaluation pays one Exp where two would recompute that
+// constant. Build it with Model.Leakage once the Model's fields are
+// final; later edits to the Model do not reach a Leakage built before
+// them.
+type Leakage struct {
+	m      Model
+	refExp float64 // exp(−Vth/(n·V_T(TRef)))
+}
+
+// Leakage returns the model's leakage evaluator.
+func (m Model) Leakage() Leakage {
+	vtRef := variation.BoltzmannOverQ * m.TRef
+	return Leakage{m: m, refExp: math.Exp(-m.VthNominal / (m.SubthresholdN * vtRef))}
+}
+
+// TempFactor returns the leakage multiplier at temperature T (K)
 // relative to TRef: exp(−Vth/(n·V_T(T))) / exp(−Vth/(n·V_T(TRef))).
 // It is 1 at TRef and strictly increasing in T.
-func (m Model) LeakageTempFactor(T float64) float64 {
+func (l *Leakage) TempFactor(T float64) float64 {
 	if T <= 0 {
 		return 0
 	}
 	vt := variation.BoltzmannOverQ * T
-	vtRef := variation.BoltzmannOverQ * m.TRef
-	return math.Exp(-m.VthNominal/(m.SubthresholdN*vt)) /
-		math.Exp(-m.VthNominal/(m.SubthresholdN*vtRef))
+	return math.Exp(-l.m.VthNominal/(l.m.SubthresholdN*vt)) / l.refExp
 }
 
-// CoreLeakage returns the leakage power in Watts of one core at
-// temperature T. leakFactor is the per-core variation multiplier
+// Core returns the leakage power in Watts of one core at temperature T.
+// leakFactor is the per-core variation multiplier
 // (variation.Chip.LeakFactor); on is the core's power state — dark cores
 // dissipate only GatedLeakage.
-func (m Model) CoreLeakage(leakFactor, T float64, on bool) float64 {
+func (l *Leakage) Core(leakFactor, T float64, on bool) float64 {
 	if !on {
-		return m.GatedLeakage
+		return l.m.GatedLeakage
 	}
-	return m.NominalLeakage * leakFactor * m.LeakageTempFactor(T)
+	return l.m.NominalLeakage * leakFactor * l.TempFactor(T)
 }
 
 // DynamicPower returns the dynamic power in Watts of a thread running at

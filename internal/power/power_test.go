@@ -32,24 +32,25 @@ func TestValidateRejectsBadModels(t *testing.T) {
 
 func TestLeakageTempFactorAnchors(t *testing.T) {
 	m := DefaultModel()
-	if f := m.LeakageTempFactor(m.TRef); math.Abs(f-1) > 1e-12 {
+	l := m.Leakage()
+	if f := l.TempFactor(m.TRef); math.Abs(f-1) > 1e-12 {
 		t.Fatalf("factor at TRef = %v, want 1", f)
 	}
 	// 45 °C → 95 °C should raise leakage substantially (roughly 2–3×).
-	f95 := m.LeakageTempFactor(368.15)
+	f95 := l.TempFactor(368.15)
 	if f95 < 1.8 || f95 > 4.0 {
 		t.Fatalf("factor at 95 °C = %v, want ≈2–3", f95)
 	}
-	if m.LeakageTempFactor(0) != 0 {
+	if l.TempFactor(0) != 0 {
 		t.Fatal("non-positive temperature should give 0")
 	}
 }
 
 func TestLeakageTempFactorMonotone(t *testing.T) {
-	m := DefaultModel()
+	l := DefaultModel().Leakage()
 	prev := 0.0
 	for T := 300.0; T <= 420; T += 5 {
-		f := m.LeakageTempFactor(T)
+		f := l.TempFactor(T)
 		if f <= prev {
 			t.Fatalf("leakage factor not increasing at T=%v", T)
 		}
@@ -59,13 +60,14 @@ func TestLeakageTempFactorMonotone(t *testing.T) {
 
 func TestCoreLeakage(t *testing.T) {
 	m := DefaultModel()
-	if got := m.CoreLeakage(1.0, m.TRef, true); math.Abs(got-1.18) > 1e-9 {
+	l := m.Leakage()
+	if got := l.Core(1.0, m.TRef, true); math.Abs(got-1.18) > 1e-9 {
 		t.Fatalf("nominal core leakage = %v, want 1.18", got)
 	}
-	if got := m.CoreLeakage(2.0, m.TRef, true); math.Abs(got-2.36) > 1e-9 {
+	if got := l.Core(2.0, m.TRef, true); math.Abs(got-2.36) > 1e-9 {
 		t.Fatalf("leaky core = %v, want 2.36", got)
 	}
-	if got := m.CoreLeakage(5.0, 400, false); got != 0.019 {
+	if got := l.Core(5.0, 400, false); got != 0.019 {
 		t.Fatalf("dark core leakage = %v, want 0.019 regardless of factor/T", got)
 	}
 }
@@ -145,7 +147,8 @@ func (m Model) CorePower(f, activity, leakFactor, T float64, on bool) float64 {
 	if !on {
 		return m.GatedLeakage
 	}
-	return m.DynamicPower(f, activity) + m.CoreLeakage(leakFactor, T, true)
+	l := m.Leakage()
+	return m.DynamicPower(f, activity) + l.Core(leakFactor, T, true)
 }
 
 // ChipPower sums CorePower over all cores. freqs, activities and

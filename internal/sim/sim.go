@@ -262,6 +262,7 @@ type Engine struct {
 	chip *variation.Chip
 	tm   *thermal.Model
 	pm   power.Model
+	leak power.Leakage // pm's leakage, its reference term computed once
 	pred *thermpredict.Predictor
 	tab  *aging.Table3D
 
@@ -285,7 +286,7 @@ func New(cfg Config, pol policy.Policy, chip *variation.Chip, tm *thermal.Model,
 	if chip.Floorplan.N() != tm.Floorplan().N() {
 		return nil, fmt.Errorf("sim: chip and thermal model disagree on core count")
 	}
-	return &Engine{cfg: cfg, pol: pol, chip: chip, tm: tm, pm: pm, pred: pred, tab: tab}, nil
+	return &Engine{cfg: cfg, pol: pol, chip: chip, tm: tm, pm: pm, leak: pm.Leakage(), pred: pred, tab: tab}, nil
 }
 
 // runState is the engine's resumable state between epochs.
@@ -643,7 +644,9 @@ func (e *Engine) runWindow(epoch int, st *runState, asg *mapping.Assignment, mix
 			ws.avgTempPC[i] += cur[i]
 			tempSum += cur[i]
 			if th := asg.ThreadOn(i); th != nil {
-				if stall[th] > 0 {
+				// stall is empty except after a DTM migration; the length
+				// test skips the map lookup on every other step.
+				if len(stall) > 0 && stall[th] > 0 {
 					continue // migration stall: no instructions retire
 				}
 				ph := th.Phase()
@@ -704,11 +707,11 @@ func (e *Engine) corePowers(pdyn, total []float64, asg *mapping.Assignment, dtmM
 		ph := th.Phase()
 		f := e.operatingFreq(th, i, fmax, temps) * dtmMgr.FrequencyFactor(i)
 		activity := ph.Activity
-		if stall != nil && stall[th] > 0 {
+		if len(stall) > 0 && stall[th] > 0 {
 			activity *= 0.5 // cache/state refill burns power without retiring work
 		}
 		pdyn[i] = e.pm.DynamicPower(f, activity)
-		total[i] = pdyn[i] + e.pm.CoreLeakage(e.chip.LeakFactor[i], temps[i], true)
+		total[i] = pdyn[i] + e.leak.Core(e.chip.LeakFactor[i], temps[i], true)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"github.com/kit-ces/hayat/internal/floorplan"
+	"github.com/kit-ces/hayat/internal/numeric"
 )
 
 // Layer indices of the three-layer stack, in node order.
@@ -71,11 +72,13 @@ func (s *stack) modeInverse(x, lam [numLayers]float64) [numLayers][numLayers]flo
 	v := x[layerSpreader] + lam[layerSpreader]      // spreader excess
 	w := x[layerSink] + lam[layerSink] + s.gSinkAmb // sink excess, ambient included
 	a, c, e := g1+u, g1+g2+v, g2+w                  // the diagonal
-	c11 := (g1+v)*e + g2*w                          // c·e − g2²
-	c33 := g1*(g2+v) + u*c                          // a·c − g1²
+	c11 := float64((g1+v)*e) + float64(g2*w)        // c·e − g2²
+	c33 := float64(g1*(g2+v)) + float64(u*c)        // a·c − g1²
 	c22 := a * e
 	c12, c13, c23 := g1*e, g1*g2, a*g2 // off-diagonal cofactors
-	inv := 1 / (u*c11 + g1*(v*e+g2*w)) // 1/det
+	// 1/det. float64(x*y) rounds the product before the add, so no
+	// architecture fuses the two into one FMA (DESIGN.md §19).
+	inv := 1 / (float64(u*c11) + float64(g1*(float64(v*e)+float64(g2*w))))
 	return [numLayers][numLayers]float64{
 		{c11 * inv, c12 * inv, c13 * inv},
 		{c12 * inv, c22 * inv, c23 * inv},
@@ -87,22 +90,25 @@ func (s *stack) modeInverse(x, lam [numLayers]float64) [numLayers][numLayers]flo
 // phi[j*m+k] is basis vector k at node j, and mu[k] = 2 − 2cos(πk/m) is
 // its eigenvalue under the free-boundary path Laplacian on m nodes (the
 // matrix with 1, 2, …, 2, 1 on the diagonal and −1 beside it), which the
-// basis diagonalises exactly.
+// basis diagonalises exactly. phiT is phi's transpose, element for
+// element, so the transforms read either orientation row by row.
 type dct struct {
-	m   int
-	phi []float64
-	mu  []float64
+	m    int
+	phi  []float64
+	phiT []float64
+	mu   []float64
 }
 
 func newDCT(m int) dct {
-	d := dct{m: m, phi: make([]float64, m*m), mu: make([]float64, m)}
+	d := dct{m: m, phi: make([]float64, m*m), phiT: make([]float64, m*m), mu: make([]float64, m)}
 	for k := 0; k < m; k++ {
 		scale := math.Sqrt(2 / float64(m))
 		if k == 0 {
 			scale = math.Sqrt(1 / float64(m))
 		}
 		for j := 0; j < m; j++ {
-			d.phi[j*m+k] = scale * math.Cos(math.Pi*float64(k*(2*j+1))/float64(2*m))
+			v := scale * math.Cos(math.Pi*float64(k*(2*j+1))/float64(2*m))
+			d.phi[j*m+k], d.phiT[k*m+j] = v, v
 		}
 		// 4·sin²(πk/2m) is 2 − 2cos(πk/m) without the cancellation at
 		// small k.
@@ -127,51 +133,35 @@ func newBasis(rows, cols int) basis {
 // tmp as scratch. All three slices have length Rows·Cols.
 func (b *basis) forward(dst, x, tmp []float64) {
 	R, C := b.rows.m, b.cols.m
-	pr, pc := b.rows.phi, b.cols.phi
-	for r := 0; r < R; r++ { // tmp = x·Φ_C
-		tr := tmp[r*C : (r+1)*C]
-		clear(tr)
-		for c, v := range x[r*C : (r+1)*C] {
-			for q, f := range pc[c*C : (c+1)*C] {
-				tr[q] += v * f
-			}
-		}
+	// tmp = (x·Φ_C)ᵀ, stored transposed so the second product reads its
+	// columns as rows.
+	for r := 0; r < R; r++ {
+		numeric.DotRows(tmp[r:], R, x[r*C:(r+1)*C], b.cols.phiT)
 	}
 	for p := 0; p < R; p++ { // dst = Φ_Rᵀ·tmp
-		dp := dst[p*C : (p+1)*C]
-		clear(dp)
-		for r := 0; r < R; r++ {
-			f := pr[r*R+p]
-			for q, v := range tmp[r*C : (r+1)*C] {
-				dp[q] += f * v
-			}
-		}
+		numeric.DotRows(dst[p*C:], 1, b.rows.phiT[p*R:(p+1)*R], tmp)
 	}
 }
 
 // inverse writes the field x = Φ_R·x̂·Φ_Cᵀ + offset into dst, using tmp
-// as scratch. All three slices have length Rows·Cols.
+// as scratch. All three slices have length Rows·Cols; dst must not alias
+// xh.
 func (b *basis) inverse(dst, xh, tmp []float64, offset float64) {
 	R, C := b.rows.m, b.cols.m
-	pr, pc := b.rows.phi, b.cols.phi
-	for r := 0; r < R; r++ { // tmp = Φ_R·x̂
-		tr := tmp[r*C : (r+1)*C]
-		clear(tr)
-		for p, f := range pr[r*R : (r+1)*R] {
-			for q, v := range xh[p*C : (p+1)*C] {
-				tr[q] += f * v
-			}
+	// dst = x̂ᵀ first, so the first product reads x̂'s columns as rows.
+	for p := 0; p < R; p++ {
+		for q, v := range xh[p*C : (p+1)*C] {
+			dst[q*R+p] = v
 		}
 	}
+	for r := 0; r < R; r++ { // tmp = Φ_R·x̂
+		numeric.DotRows(tmp[r*C:], 1, b.rows.phi[r*R:(r+1)*R], dst)
+	}
 	for r := 0; r < R; r++ { // dst = tmp·Φ_Cᵀ + offset
-		tr := tmp[r*C : (r+1)*C]
-		for c := 0; c < C; c++ {
-			sum := 0.0
-			for q, f := range pc[c*C : (c+1)*C] {
-				sum += tr[q] * f
-			}
-			dst[r*C+c] = sum + offset
-		}
+		numeric.DotRows(dst[r*C:], 1, tmp[r*C:(r+1)*C], b.cols.phi)
+	}
+	for i := range dst {
+		dst[i] += offset
 	}
 }
 
@@ -181,7 +171,7 @@ func (b *basis) lambda(s *stack, k int) [numLayers]float64 {
 	p, q := k/b.cols.m, k%b.cols.m
 	var lam [numLayers]float64
 	for l := range lam {
-		lam[l] = s.gV[l]*b.rows.mu[p] + s.gH[l]*b.cols.mu[q]
+		lam[l] = float64(s.gV[l]*b.rows.mu[p]) + float64(s.gH[l]*b.cols.mu[q])
 	}
 	return lam
 }

@@ -109,9 +109,13 @@ type Model struct {
 	mu      sync.Mutex
 	scratch modalField
 
-	// response is the die response matrix, built on first use.
-	response once[*numeric.Matrix]
+	// response is the die response matrix and its transpose, built
+	// together on first use.
+	response once[dieResponse]
 }
+
+// dieResponse is the die response matrix R and its transpose.
+type dieResponse struct{ r, rT *numeric.Matrix }
 
 // once is a value computed on first use and shared afterwards.
 type once[T any] struct {
@@ -225,29 +229,35 @@ func (m *Model) SteadyStateChecked(corePower []float64, nodeTemps []float64) ([]
 }
 
 // DieResponse returns the learned thermal profile of the network: entry
-// (i, j) is the steady-state temperature rise of core i's die, in K/W, per
-// Watt injected at core j's die. It probes SteadyStateChecked with unit
-// power at every core on first use; the matrix depends on nothing but the
-// network, so every caller shares the one result and must not modify it.
-func (m *Model) DieResponse() (*numeric.Matrix, error) {
-	return m.response.get(func() (*numeric.Matrix, error) {
+// (i, j) of r is the steady-state temperature rise of core i's die, in
+// K/W, per Watt injected at core j's die. rT is r's transpose, copied
+// element by element: r is symmetric only up to rounding, so row j of rT
+// holds column j of r bit for bit, which lets a caller read one core's
+// response contiguously. It probes SteadyStateChecked with unit power at
+// every core on first use; both matrices depend on nothing but the
+// network, so every caller shares the one pair and must not modify it.
+func (m *Model) DieResponse() (r, rT *numeric.Matrix, err error) {
+	resp, err := m.response.get(func() (dieResponse, error) {
 		n := m.nCores
-		resp := numeric.NewMatrix(n, n)
+		r := numeric.NewMatrix(n, n)
+		rT := numeric.NewMatrix(n, n)
 		probe := make([]float64, n)
 		amb := m.Ambient()
 		for j := 0; j < n; j++ {
 			probe[j] = 1
 			temps, err := m.SteadyStateChecked(probe, nil)
 			if err != nil {
-				return nil, fmt.Errorf("thermal: probing core %d: %w", j, err)
+				return dieResponse{}, fmt.Errorf("thermal: probing core %d: %w", j, err)
 			}
 			for i := 0; i < n; i++ {
-				resp.Set(i, j, temps[i]-amb)
+				r.Set(i, j, temps[i]-amb)
+				rT.Set(j, i, r.At(i, j))
 			}
 			probe[j] = 0
 		}
-		return resp, nil
+		return dieResponse{r: r, rT: rT}, nil
 	})
+	return resp.r, resp.rT, err
 }
 
 // Transient is an implicit-Euler integrator over the network with a fixed
@@ -358,9 +368,9 @@ func (tr *Transient) step(corePower []float64) {
 	for k := range tr.ops {
 		o := &tr.ops[k]
 		d, s, h, p := die[k], spr[k], sink[k], f.pHat[k]
-		die[k] = o.b[0][0]*d + o.b[0][1]*s + o.b[0][2]*h + o.p[0]*p
-		spr[k] = o.b[1][0]*d + o.b[1][1]*s + o.b[1][2]*h + o.p[1]*p
-		sink[k] = o.b[2][0]*d + o.b[2][1]*s + o.b[2][2]*h + o.p[2]*p
+		die[k] = float64(o.b[0][0]*d) + float64(o.b[0][1]*s) + float64(o.b[0][2]*h) + float64(o.p[0]*p)
+		spr[k] = float64(o.b[1][0]*d) + float64(o.b[1][1]*s) + float64(o.b[1][2]*h) + float64(o.p[1]*p)
+		sink[k] = float64(o.b[2][0]*d) + float64(o.b[2][1]*s) + float64(o.b[2][2]*h) + float64(o.p[2]*p)
 	}
 	m.basis.inverse(tr.die, die, f.tmp, m.cfg.Ambient)
 }

@@ -15,10 +15,16 @@
 //     temperature-dependent leakage (leakage raises temperature, which
 //     raises leakage).
 //
-// Prediction is a 64×64 matrix–vector product plus two correction sweeps —
-// microseconds, which is what makes per-candidate evaluation inside
-// Algorithm 1 feasible at run time (the paper reports ≈25 µs for
-// predictTemperature).
+// Prediction costs four 64×64 matrix–vector products, the
+// ambient-leakage start plus three correction sweeps: microseconds, which
+// is what makes per-candidate evaluation inside Algorithm 1 feasible at
+// run time (the paper reports ≈25 µs for predictTemperature). A
+// candidate's admission costs one 64-entry pass over a row of the
+// transposed response.
+//
+// Every product that feeds a sum here is written float64(x*y), which
+// rounds it before the add, so no architecture fuses the two into one
+// FMA and the predictions are the same bytes everywhere (DESIGN.md §19).
 package thermpredict
 
 import (
@@ -30,21 +36,27 @@ import (
 	"github.com/kit-ces/hayat/internal/variation"
 )
 
+// leakageIterations is the number of fixed-point sweeps Predict applies
+// for the temperature-dependent leakage correction after its
+// ambient-leakage start.
+const leakageIterations = 3
+
 // Predictor holds the learned spatial thermal profiles for one chip.
 type Predictor struct {
 	tm   *thermal.Model
-	pm   power.Model
+	leak power.Leakage
 	chip *variation.Chip
 
 	// resp is the learned response matrix: resp[i][j] is the steady-state
-	// temperature rise of core i per Watt injected at core j. It belongs
-	// to the thermal model (DieResponse) and is shared read-only by every
+	// temperature rise of core i per Watt injected at core j; respT is its
+	// transpose, so one core's response reads as a row. Both belong to
+	// the thermal model (DieResponse) and are shared read-only by every
 	// predictor on that model.
-	resp *numeric.Matrix
+	resp, respT *numeric.Matrix
 
-	// LeakageIterations is the number of fixed-point sweeps applied for
-	// the temperature-dependent leakage correction (default 2).
-	LeakageIterations int
+	// leakAmb[i] is core i's leakage when powered at ambient, the input of
+	// Predict's first sweep: a constant of the chip, computed in Learn.
+	leakAmb []float64
 }
 
 // Learn performs the offline step: it takes the thermal model's response
@@ -62,11 +74,18 @@ func Learn(tm *thermal.Model, pm power.Model, chip *variation.Chip) (*Predictor,
 	if len(chip.FMax0) != n {
 		return nil, fmt.Errorf("thermpredict: chip has %d cores, floorplan %d", len(chip.FMax0), n)
 	}
-	resp, err := tm.DieResponse()
+	resp, respT, err := tm.DieResponse()
 	if err != nil {
 		return nil, fmt.Errorf("thermpredict: %w", err)
 	}
-	return &Predictor{tm: tm, pm: pm, chip: chip, resp: resp, LeakageIterations: 3}, nil
+	p := &Predictor{
+		tm: tm, leak: pm.Leakage(), chip: chip,
+		resp: resp, respT: respT, leakAmb: make([]float64, n),
+	}
+	for i := range p.leakAmb {
+		p.leakAmb[i] = p.leak.Core(chip.LeakFactor[i], tm.Ambient(), true)
+	}
+	return p, nil
 }
 
 // Ambient returns the ambient temperature of the underlying model.
@@ -93,16 +112,20 @@ func (p *Predictor) Predict(dst, total, pdyn []float64, on []bool) []float64 {
 	amb := p.tm.Ambient()
 	// Initial guess: ambient-temperature leakage.
 	for i := range total {
-		total[i] = pdyn[i] + p.pm.CoreLeakage(p.chip.LeakFactor[i], amb, on[i])
+		if on[i] {
+			total[i] = pdyn[i] + p.leakAmb[i]
+		} else {
+			total[i] = pdyn[i] + p.leak.Core(0, amb, false)
+		}
 	}
 	p.resp.MulVec(dst, total)
 	for i := range dst {
 		dst[i] += amb
 	}
 	// Fixed-point leakage correction sweeps.
-	for it := 0; it < p.LeakageIterations; it++ {
+	for it := 0; it < leakageIterations; it++ {
 		for i := range total {
-			total[i] = pdyn[i] + p.pm.CoreLeakage(p.chip.LeakFactor[i], dst[i], on[i])
+			total[i] = pdyn[i] + float64(p.leak.Core(p.chip.LeakFactor[i], dst[i], on[i]))
 		}
 		p.resp.MulVec(dst, total)
 		for i := range dst {
@@ -128,10 +151,37 @@ func (p *Predictor) DeltaPredict(dst, base []float64, j int, addPower float64) [
 	if dst == nil {
 		dst = make([]float64, n)
 	}
+	row := p.respT.Row(j)
 	for i := 0; i < n; i++ {
-		dst[i] = base[i] + p.resp.At(i, j)*addPower
+		dst[i] = base[i] + float64(row[i]*addPower)
 	}
 	return dst
+}
+
+// Admit is Algorithm 1's admission test (Eq. 4) for a candidate at core
+// j, fused with DeltaPredict: it walks the field DeltaPredict(base, j,
+// addPower) would return, core by core in ascending order, without
+// writing it. It returns ok = false at the first core above tSafe.
+// Otherwise tj is core j's predicted temperature and peak the field's
+// maximum, seeded from core 0; both are bit for bit what DeltaPredict's
+// field holds.
+func (p *Predictor) Admit(base []float64, j int, addPower, tSafe float64) (tj, peak float64, ok bool) {
+	n := p.resp.Rows
+	if len(base) != n {
+		panic("thermpredict: Admit length mismatch")
+	}
+	row := p.respT.Row(j)[:n]
+	peak = base[0] + float64(row[0]*addPower)
+	for i, b := range base {
+		t := b + float64(row[i]*addPower)
+		if t > peak {
+			peak = t
+		}
+		if t > tSafe {
+			return 0, 0, false
+		}
+	}
+	return base[j] + float64(row[j]*addPower), peak, true
 }
 
 // CandidatePower estimates the total power change of waking dark core j
@@ -139,5 +189,5 @@ func (p *Predictor) DeltaPredict(dst, base []float64, j int, addPower float64) [
 // on it: the dynamic power plus the core's leakage at T, minus the gated
 // leakage it dissipated while dark.
 func (p *Predictor) CandidatePower(j int, pdyn, T float64) float64 {
-	return pdyn + p.pm.CoreLeakage(p.chip.LeakFactor[j], T, true) - p.pm.CoreLeakage(0, T, false)
+	return pdyn + float64(p.leak.Core(p.chip.LeakFactor[j], T, true)) - p.leak.Core(0, T, false)
 }

@@ -21,7 +21,12 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	fp := floorplan.Default()
+	return newGridFixture(t, floorplan.Default())
+}
+
+// newGridFixture learns chip 1's predictor on floorplan fp.
+func newGridFixture(t *testing.T, fp *floorplan.Floorplan) *fixture {
+	t.Helper()
 	tm, err := thermal.New(fp, thermal.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +113,10 @@ func TestPredictMatchesThermalModelWithLeakageLoop(t *testing.T) {
 		ref[i] = fx.tm.Ambient()
 	}
 	total := make([]float64, n)
+	leak := fx.pm.Leakage()
 	for it := 0; it < 20; it++ {
 		for i := range total {
-			total[i] = pdyn[i] + fx.pm.CoreLeakage(fx.chip.LeakFactor[i], ref[i], on[i])
+			total[i] = pdyn[i] + leak.Core(fx.chip.LeakFactor[i], ref[i], on[i])
 		}
 		var err error
 		if ref, err = fx.tm.SteadyStateChecked(total, nil); err != nil {
@@ -237,12 +243,18 @@ func TestPredictLeakageCorrectionMatters(t *testing.T) {
 		on[i] = true
 	}
 	corrected := fx.pred.Predict(nil, nil, pdyn, on)
-	// Toggle the iteration count in place: Predictor now embeds a
-	// sync.Pool, so the value must not be copied.
-	saved := fx.pred.LeakageIterations
-	fx.pred.LeakageIterations = 0
-	uncorrected := fx.pred.Predict(nil, nil, pdyn, on)
-	fx.pred.LeakageIterations = saved
+	// The uncorrected profile superposes the response to the dynamic
+	// power plus every core's leakage at ambient, straight from the
+	// response matrix.
+	amb := fx.tm.Ambient()
+	leak := fx.pm.Leakage()
+	uncorrected := make([]float64, n)
+	for i := range uncorrected {
+		uncorrected[i] = amb
+		for j := 0; j < n; j++ {
+			uncorrected[i] += fx.pred.ResponseAt(i, j) * (pdyn[j] + leak.Core(fx.chip.LeakFactor[j], amb, on[j]))
+		}
+	}
 	// The correction must raise temperatures (leakage grows with T).
 	hotter := 0
 	for i := range corrected {
