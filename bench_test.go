@@ -199,7 +199,7 @@ func ablationRun(b *testing.B, mutate func(*core.Config)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := eng.RunContext(context.Background())
+		res, err := eng.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func BenchmarkAblationHCI(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		resN, err := engN.RunContext(context.Background())
+		resN, err := engN.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func BenchmarkAblationHCI(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		resH, err := engH.RunContext(context.Background())
+		resH, err := engH.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -488,7 +488,7 @@ func BenchmarkAblationPolicyLadder(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := eng.RunContext(context.Background())
+			res, err := eng.Run(context.Background(), nil, 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,6 +7,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,6 +16,7 @@ import (
 	"strings"
 
 	"github.com/kit-ces/hayat"
+	"github.com/kit-ces/hayat/internal/persist"
 )
 
 func main() {
@@ -27,7 +30,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a fine-grained temperature/power trace (TSV) to this file")
 	traceCores := flag.String("tracecores", "0", "comma-separated core indices to trace")
 	checkpointPath := flag.String("checkpoint", "", "write a checkpoint to this file after -checkpoint-at epochs and exit")
-	checkpointAt := flag.Int("checkpoint-at", 0, "epoch (a remix boundary) at which to checkpoint")
+	checkpointAt := flag.Int("checkpoint-at", 0, "epoch at which to checkpoint: a remix boundary above 0 and below the lifetime's epoch count")
 	resumePath := flag.String("resume", "", "resume a checkpointed run from this file")
 	flag.Parse()
 
@@ -75,19 +78,18 @@ func run(policyName string, seed int64, dark, years, epoch float64, maps bool, j
 	fmt.Printf("chip seed %d: frequency spread %.1f%%, %d cores, %s policy, %.0f%% dark\n",
 		seed, chip.FrequencySpread()*100, sys.Cores(), pol, dark*100)
 
+	ctx := context.Background()
 	if checkpointPath != "" {
-		// Written atomically (temp file + rename) so an interrupted run
-		// never leaves a torn checkpoint behind.
-		if err := chip.RunLifetimeCheckpointedFile(pol, checkpointAt, checkpointPath); err != nil {
-			return err
-		}
-		fmt.Printf("checkpoint after %d epochs written to %s\n", checkpointAt, checkpointPath)
-		return nil
+		return writeCheckpoint(ctx, chip, pol, checkpointAt, cfg.RemixEpochs, checkpointPath)
 	}
 
 	var res *hayat.LifetimeResult
 	if resumePath != "" {
-		res, err = chip.ResumeLifetimeFile(pol, resumePath)
+		from, err := os.ReadFile(resumePath)
+		if err != nil {
+			return fmt.Errorf("reading checkpoint: %w", err)
+		}
+		res, err = chip.RunLifetimeWithCheckpoints(ctx, pol, from, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -102,14 +104,14 @@ func run(policyName string, seed int64, dark, years, epoch float64, maps bool, j
 			return err
 		}
 		defer f.Close()
-		res, err = chip.RunLifetimeTraced(pol, f, cores, 5)
+		res, err = chip.RunLifetimeTraced(ctx, pol, f, cores, 5)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s\n", tracePath)
 	} else {
 		var err error
-		res, err = chip.RunLifetime(pol)
+		res, err = chip.RunLifetimeContext(ctx, pol)
 		if err != nil {
 			return err
 		}
@@ -150,4 +152,38 @@ func run(policyName string, seed int64, dark, years, epoch float64, maps bool, j
 		fmt.Printf("\nhealth heat map (dark = healthy):\n%s", sys.RenderHeatMap(res.FinalHealth, 0, 0))
 	}
 	return nil
+}
+
+// errCheckpointWritten stops a -checkpoint run once its checkpoint is on
+// disk; writeCheckpoint reports it as success.
+var errCheckpointWritten = errors.New("checkpoint written")
+
+// writeCheckpoint runs the first n epochs, writes the checkpoint there to
+// path and stops. The file is written atomically (temp file, fsync,
+// rename), so an interrupted run never leaves a torn checkpoint behind.
+// The sink first fires at the first remix boundary at or after n, so n
+// must be that boundary, and 0 < n < the lifetime's epoch count: a
+// checkpoint before any work or after all of it splits nothing.
+func writeCheckpoint(ctx context.Context, chip *hayat.Chip, pol hayat.Policy, n, remixEpochs int, path string) error {
+	if n <= 0 {
+		return fmt.Errorf("-checkpoint-at %d: want an epoch above 0", n)
+	}
+	res, err := chip.RunLifetimeWithCheckpoints(ctx, pol, nil, n, func(next int, data []byte) error {
+		if next != n {
+			return fmt.Errorf("checkpoint epoch %d is not a remix boundary (RemixEpochs=%d)", n, remixEpochs)
+		}
+		if err := persist.WriteFileAtomic(path, data, ""); err != nil {
+			return fmt.Errorf("writing checkpoint: %w", err)
+		}
+		return errCheckpointWritten
+	})
+	switch {
+	case errors.Is(err, errCheckpointWritten):
+		fmt.Printf("checkpoint after %d epochs written to %s\n", n, path)
+		return nil
+	case err != nil:
+		return err
+	default:
+		return fmt.Errorf("-checkpoint-at %d: want an epoch below the lifetime's %d", n, len(res.Epochs))
+	}
 }

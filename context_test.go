@@ -78,7 +78,7 @@ func TestRunPopulationContextCancelledUpfront(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys.RunPopulationContext(ctx, 1, 4, PolicyHayat); !errors.Is(err, context.Canceled) {
+	if _, err := sys.RunPopulationContext(ctx, 1, 4, PolicyHayat, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -94,10 +94,10 @@ func TestRunPopulationAbortsOnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completed atomic.Int64
-	_, err = sys.RunPopulationProgress(ctx, 1, chips, PolicyHayat, func(done, total int) {
+	_, err = sys.RunPopulationContext(ctx, 1, chips, PolicyHayat, func(done, total int) {
 		completed.Store(int64(done))
 		cancel()
-	})
+	}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -113,13 +113,13 @@ func TestRunPopulationProgressReporting(t *testing.T) {
 	}
 	const chips = 3
 	var calls, last atomic.Int64
-	pr, err := sys.RunPopulationProgress(context.Background(), 1, chips, PolicyVAA, func(done, total int) {
+	pr, err := sys.RunPopulationContext(context.Background(), 1, chips, PolicyVAA, func(done, total int) {
 		calls.Add(1)
 		last.Store(int64(done))
 		if total != chips {
 			t.Errorf("progress total = %d, want %d", total, chips)
 		}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

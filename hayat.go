@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"github.com/kit-ces/hayat/internal/aging"
@@ -37,7 +36,6 @@ import (
 	"github.com/kit-ces/hayat/internal/dvfs"
 	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/gates"
-	"github.com/kit-ces/hayat/internal/persist"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/power"
 	"github.com/kit-ces/hayat/internal/report"
@@ -398,104 +396,36 @@ func (c *Chip) RunLifetime(p Policy) (*LifetimeResult, error) {
 // stops the simulation work before the next epoch's transient window. The
 // returned error wraps ctx.Err() and names the epoch reached.
 func (c *Chip) RunLifetimeContext(ctx context.Context, p Policy) (*LifetimeResult, error) {
-	return c.runLifetime(ctx, p, nil, nil, 0)
-}
-
-// RunLifetimeCheckpointed runs the first uptoEpoch epochs, writes a JSON
-// checkpoint to w, and stops. Resume with ResumeLifetime. uptoEpoch must
-// be a workload-remix boundary (multiple of the remix interval).
-func (c *Chip) RunLifetimeCheckpointed(p Policy, uptoEpoch int, w io.Writer) error {
-	eng, err := c.newEngine(p)
-	if err != nil {
-		return err
-	}
-	cp, err := eng.RunCheckpoint(uptoEpoch)
-	if err != nil {
-		return err
-	}
-	return sim.WriteCheckpoint(w, cp)
-}
-
-// RunLifetimeCheckpointedFile is RunLifetimeCheckpointed writing the
-// checkpoint atomically (temp file in path's directory, fsync, rename),
-// so an interrupted write can never leave a torn checkpoint at path.
-func (c *Chip) RunLifetimeCheckpointedFile(p Policy, uptoEpoch int, path string) error {
-	var buf bytes.Buffer
-	if err := c.RunLifetimeCheckpointed(p, uptoEpoch, &buf); err != nil {
-		return err
-	}
-	if err := persist.WriteFileAtomic(path, buf.Bytes(), ""); err != nil {
-		return fmt.Errorf("hayat: writing checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ResumeLifetime continues a checkpointed run (same chip seed, policy and
-// configuration) to the end of the lifetime.
-func (c *Chip) ResumeLifetime(p Policy, r io.Reader) (*LifetimeResult, error) {
-	eng, err := c.newEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := sim.ReadCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Resume(cp)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(res), nil
-}
-
-// ResumeLifetimeFile is ResumeLifetime reading the checkpoint from path.
-func (c *Chip) ResumeLifetimeFile(p Policy, path string) (*LifetimeResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("hayat: opening checkpoint: %w", err)
-	}
-	defer f.Close()
-	return c.ResumeLifetime(p, f)
+	return c.RunLifetimeWithCheckpoints(ctx, p, nil, 0, nil)
 }
 
 // CheckpointSink receives serialised engine checkpoints during a
 // checkpointed lifetime run: nextEpoch is the first epoch not yet
-// simulated, checkpoint the JSON blob ResumeLifetimeWithCheckpoints
-// accepts. Returning an error aborts the run; sinks that persist
-// best-effort should log and return nil.
+// simulated, checkpoint the JSON blob RunLifetimeWithCheckpoints resumes
+// from. Returning an error aborts the run; sinks that persist best-effort
+// should log and return nil.
 type CheckpointSink func(nextEpoch int, checkpoint []byte) error
 
-// RunLifetimeWithCheckpoints is RunLifetimeContext with periodic
-// checkpointing: sink is invoked at every workload-remix boundary that is
-// a multiple of everyEpochs (everyEpochs ≤ the remix interval means every
-// boundary). On configurations without remix boundaries it degrades to a
-// plain run.
-func (c *Chip) RunLifetimeWithCheckpoints(ctx context.Context, p Policy, everyEpochs int, sink CheckpointSink) (*LifetimeResult, error) {
+// RunLifetimeWithCheckpoints is RunLifetimeContext with checkpoints in and
+// out. A nil from starts at epoch 0; otherwise the run continues from that
+// serialised checkpoint (same chip seed, policy and configuration), and
+// the completed result is identical to an uninterrupted run's. A non-nil
+// sink is invoked at every workload-remix boundary that is a multiple of
+// everyEpochs (everyEpochs ≤ the remix interval means every boundary; a
+// larger cadence rounds up to a multiple of it). On configurations without
+// remix boundaries the sink is never called.
+func (c *Chip) RunLifetimeWithCheckpoints(ctx context.Context, p Policy, from []byte, everyEpochs int, sink CheckpointSink) (*LifetimeResult, error) {
 	eng, err := c.newEngine(p)
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.RunContextCheckpointed(ctx, everyEpochs, wrapSink(sink))
-	if err != nil {
-		return nil, err
+	var cp *sim.Checkpoint
+	if from != nil {
+		if cp, err = sim.ReadCheckpoint(bytes.NewReader(from)); err != nil {
+			return nil, err
+		}
 	}
-	return wrapResult(res), nil
-}
-
-// ResumeLifetimeWithCheckpoints continues from a serialised checkpoint
-// (same chip seed, policy and configuration) with the same periodic
-// checkpointing as RunLifetimeWithCheckpoints. The completed result is
-// identical to an uninterrupted run's.
-func (c *Chip) ResumeLifetimeWithCheckpoints(ctx context.Context, p Policy, checkpoint []byte, everyEpochs int, sink CheckpointSink) (*LifetimeResult, error) {
-	eng, err := c.newEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := sim.ReadCheckpoint(bytes.NewReader(checkpoint))
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.ResumeContextCheckpointed(ctx, cp, everyEpochs, wrapSink(sink))
+	res, err := eng.Run(ctx, cp, everyEpochs, wrapSink(sink))
 	if err != nil {
 		return nil, err
 	}
@@ -537,35 +467,25 @@ func (c *Chip) newEngine(p Policy) (*sim.Engine, error) {
 	return eng, nil
 }
 
-// RunLifetimeTraced is RunLifetime with a fine-grained trace: when trace
-// is non-nil, per-step temperatures and powers of the selected cores (all
-// cores when cores is nil) are written as TSV every `everySteps` transient
+// RunLifetimeTraced is RunLifetimeContext with a fine-grained trace: the
+// per-step temperatures and powers of the selected cores (all cores when
+// cores is nil) are written to trace as TSV every `everySteps` transient
 // steps.
-func (c *Chip) RunLifetimeTraced(p Policy, trace io.Writer, cores []int, everySteps int) (*LifetimeResult, error) {
-	//lint:ignore ctxfirst compatibility wrapper: context-free callers get the uncancellable root by design
-	return c.runLifetime(context.Background(), p, trace, cores, everySteps)
-}
-
-// runLifetime wires an engine, attaches the optional trace sink and runs
-// the lifetime under ctx.
-func (c *Chip) runLifetime(ctx context.Context, p Policy, trace io.Writer, cores []int, everySteps int) (*LifetimeResult, error) {
+func (c *Chip) RunLifetimeTraced(ctx context.Context, p Policy, trace io.Writer, cores []int, everySteps int) (*LifetimeResult, error) {
 	eng, err := c.newEngine(p)
 	if err != nil {
 		return nil, err
 	}
-	var sink *sim.TSVTrace
-	if trace != nil {
-		sink = sim.NewTSVTrace(trace, cores)
-		if err := eng.SetTrace(sink, everySteps); err != nil {
-			return nil, err
-		}
-	}
-	res, err := eng.RunContext(ctx)
-	if err != nil {
+	sink := sim.NewTSVTrace(trace, cores)
+	if err := eng.SetTrace(sink, everySteps); err != nil {
 		return nil, err
 	}
-	if sink != nil && sink.Err() != nil {
-		return nil, sink.Err()
+	res, err := eng.Run(ctx, nil, 0, nil)
+	if err == nil {
+		err = sink.Err()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return wrapResult(res), nil
 }

@@ -1,9 +1,10 @@
 package hayat
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -278,6 +279,29 @@ func TestFreqLadderPublicAPI(t *testing.T) {
 	}
 }
 
+// errStop ends a run once checkpointAt holds its checkpoint.
+var errStop = errors.New("checkpoint taken")
+
+// checkpointAt runs the chip's first n epochs under p and returns the
+// serialised checkpoint there. A sink that stops the run at its first call
+// does it, as hayatsim's -checkpoint does: that call comes at the first
+// remix boundary at or after n, which must be n itself.
+func checkpointAt(t *testing.T, chip *Chip, p Policy, n int) []byte {
+	t.Helper()
+	var cp []byte
+	_, err := chip.RunLifetimeWithCheckpoints(context.Background(), p, nil, n, func(next int, data []byte) error {
+		if next != n {
+			return fmt.Errorf("first checkpoint at epoch %d, want %d", next, n)
+		}
+		cp = data
+		return errStop
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("checkpoint at epoch %d: %v", n, err)
+	}
+	return cp
+}
+
 func TestCheckpointedLifetimePublicAPI(t *testing.T) {
 	cfg := fastConfig()
 	cfg.RemixEpochs = 2
@@ -293,11 +317,9 @@ func TestCheckpointedLifetimePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := chip.RunLifetimeCheckpointed(PolicyHayat, 2, &buf); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := chip.ResumeLifetime(PolicyHayat, strings.NewReader(buf.String()))
+	cp := checkpointAt(t, chip, PolicyHayat, 2)
+	ctx := context.Background()
+	resumed, err := chip.RunLifetimeWithCheckpoints(ctx, PolicyHayat, cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,60 +331,13 @@ func TestCheckpointedLifetimePublicAPI(t *testing.T) {
 			t.Fatalf("epoch %d differs after resume", i)
 		}
 	}
-	// Wrong policy on resume is rejected.
-	if _, err := chip.ResumeLifetime(PolicyVAA, strings.NewReader(buf.String())); err == nil {
+	// Wrong policy on resume is rejected, and so is a blob that is no
+	// checkpoint at all.
+	if _, err := chip.RunLifetimeWithCheckpoints(ctx, PolicyVAA, cp, 0, nil); err == nil {
 		t.Fatal("cross-policy resume accepted")
 	}
-}
-
-// The checkpoint file is published atomically: no temp file is left
-// beside it, an overwrite renames over the old file, and a write into a
-// missing directory fails.
-func TestWriteCheckpointFileAtomic(t *testing.T) {
-	cfg := fastConfig()
-	cfg.RemixEpochs = 2
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip, err := sys.NewChip(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	if err := chip.RunLifetimeCheckpointedFile(PolicyHayat, 2, path); err != nil {
-		t.Fatal(err)
-	}
-	// No temp droppings next to the published file.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
-		t.Fatalf("directory not clean after atomic write: %v", entries)
-	}
-	full, err := chip.RunLifetime(PolicyHayat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := chip.ResumeLifetimeFile(PolicyHayat, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed.Epochs) != len(full.Epochs) || resumed.Epochs[len(full.Epochs)-1] != full.Epochs[len(full.Epochs)-1] {
-		t.Fatal("resuming from the checkpoint file diverged from the one-shot run")
-	}
-	// Overwrite must also be atomic (rename over the existing file).
-	if err := chip.RunLifetimeCheckpointedFile(PolicyHayat, 2, path); err != nil {
-		t.Fatalf("atomic overwrite failed: %v", err)
-	}
-	// Writing into a missing directory fails without leaving anything.
-	if err := chip.RunLifetimeCheckpointedFile(PolicyHayat, 2, filepath.Join(dir, "no-such-dir", "x.ckpt")); err == nil {
-		t.Fatal("write into missing directory succeeded")
-	}
-	if _, err := chip.ResumeLifetimeFile(PolicyHayat, filepath.Join(dir, "missing.ckpt")); err == nil {
-		t.Fatal("reading a missing checkpoint succeeded")
+	if _, err := chip.RunLifetimeWithCheckpoints(ctx, PolicyHayat, []byte("nope"), 0, nil); err == nil {
+		t.Fatal("garbage checkpoint accepted")
 	}
 }
 

@@ -19,11 +19,13 @@ import (
 // graph, interface dispatch included) from the result-producing entry
 // points:
 //
-//   - internal/sim:      exported Run*/Resume* (engine runs and resumes)
+//   - internal/sim:      exported Run*/Resume* ((*Engine).Run, which
+//     runs fresh and resumed lifetimes)
 //   - internal/core:     every exported function (policy steps)
 //   - internal/thermal:  exported *Solve*/*SteadyState* (solves)
-//   - the module root:   exported Run*/Resume* (RunLifetime*,
-//     RunPopulation*, ResumeLifetime*)
+//   - the module root:   exported Run*/Resume* (RunLifetime,
+//     RunLifetimeContext, RunLifetimeWithCheckpoints, RunLifetimeTraced,
+//     RunPopulation, RunPopulationContext)
 //   - package-level var initialisers of the simulation library, and the
 //     functions they mention: they run at package initialisation, and
 //     the values they compute feed every run

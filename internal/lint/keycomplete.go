@@ -6,7 +6,8 @@ import (
 )
 
 // checkKeyCompleteness guards the canonical cache key against silent
-// incompleteness. The service's configKey is sha256(json.Marshal(cfg)):
+// incompleteness. The service's request key is sha256 over the
+// json.Marshal of the request, whose Config is the whole hayat.Config:
 // every exported field of hayat.Config — and of sim.Config, whose bytes
 // land in checkpoints — therefore enters the key automatically UNLESS it
 // carries a `json:"-"` tag. A field that changes simulation output but
@@ -24,8 +25,8 @@ import (
 //	LogEvery int `json:"-"`
 //
 // Known approximation: the rule checks the marshalling contract, not
-// configKey's implementation, so it holds only while configKey hashes
-// the whole marshalled config.
+// the key's implementation, so it holds only while the request key
+// hashes the whole marshalled config.
 func checkKeyCompleteness(pkgs []*Package, r *Reporter) {
 	for _, p := range pkgs {
 		if !moduleRootPackage(p) && !p.PathContains("internal/sim") {

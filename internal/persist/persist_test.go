@@ -24,7 +24,7 @@ func testResult(t *testing.T) *sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.RunContext(context.Background())
+	res, err := eng.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,8 +155,10 @@ func TestCrashRestartRecovery(t *testing.T) {
 			t.Fatal("no checkpoint at epoch ≥ 8 before deadline")
 		}
 		if data, err := os.ReadFile(ckptFile); err == nil {
-			if ep, ok := checkpointEpoch(data); ok && ep > preKillEpoch {
-				preKillEpoch = ep
+			if payload, err := persist.DecodeFrame(data); err == nil {
+				if ep, ok := checkpointEpoch(payload); ok && ep > preKillEpoch {
+					preKillEpoch = ep
+				}
 			}
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -16,7 +16,7 @@ import (
 )
 
 // assertNothingBuilt checks that the server has neither run a simulation
-// nor built a System: the oversized requests must be refused before the
+// nor built a platform: the oversized requests must be refused before the
 // variation generator factors their covariance.
 func assertNothingBuilt(t *testing.T, s *Server, ts *httptest.Server) {
 	t.Helper()
@@ -27,11 +27,8 @@ func assertNothingBuilt(t *testing.T, s *Server, ts *httptest.Server) {
 	if met.SimRuns != 0 {
 		t.Errorf("/metrics sim_runs = %d, want 0", met.SimRuns)
 	}
-	s.mu.Lock()
-	built := len(s.systems)
-	s.mu.Unlock()
-	if built != 0 {
-		t.Errorf("%d System(s) built for rejected requests", built)
+	if built := s.arts.Stats().Platforms; built != 0 {
+		t.Errorf("%d platform(s) built for rejected requests", built)
 	}
 }
 

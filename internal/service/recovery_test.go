@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,6 +19,7 @@ import (
 	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
+	"github.com/kit-ces/hayat/internal/sim"
 )
 
 // ckptCfg is tinyCfg with a remix boundary every 2 epochs, giving the
@@ -137,32 +140,50 @@ func TestRecoveredJobServedFromCache(t *testing.T) {
 	}
 }
 
-// A recovered job with a persisted checkpoint must resume from it — not
-// epoch zero — and still produce byte-identical output.
-func TestRecoveredJobResumesFromCheckpoint(t *testing.T) {
+// checkpointBlob runs the first n epochs of chip seed's Hayat lifetime on
+// cfg and returns the bare JSON checkpoint there. A sink that stops the
+// run at its first call does it, as hayatsim's -checkpoint does: that call
+// comes at the first remix boundary at or after n, which must be n itself.
+func checkpointBlob(t *testing.T, cfg hayat.Config, seed int64, n int) []byte {
+	t.Helper()
+	sys, err := hayat.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip, err := sys.NewChip(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("checkpoint taken")
+	var cp []byte
+	_, err = chip.RunLifetimeWithCheckpoints(context.Background(), hayat.PolicyHayat, nil, n, func(next int, data []byte) error {
+		if next != n {
+			return fmt.Errorf("first checkpoint at epoch %d, want %d", next, n)
+		}
+		cp = data
+		return stop
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("checkpoint at epoch %d: %v", n, err)
+	}
+	return cp
+}
+
+// recoverFromCheckpoint plants ckpt as the checkpoint of a Hayat lifetime
+// job for seed on cfg that a dead process journalled but never finished,
+// starts a server on that state and waits for the recovered job to
+// finish. It returns the server, the job's status and the checkpoint path.
+func recoverFromCheckpoint(t *testing.T, cfg hayat.Config, seed int64, ckpt []byte) (*Server, JobStatus, string) {
+	t.Helper()
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "jobs.journal")
 	ckptDir := filepath.Join(dir, "ckpt")
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cfg := ckptCfg()
-	req := request{Kind: KindLifetime, Config: NormalizeConfig(cfg), Policy: "Hayat", Seed: 7, Chips: 1}
-
-	// Fabricate the dead process's checkpoint at epoch 2 of 4.
-	sys, err := hayat.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip, err := sys.NewChip(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cp bytes.Buffer
-	if err := chip.RunLifetimeCheckpointed(hayat.PolicyHayat, 2, &cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(ckptDir, req.key()+".ckpt"), cp.Bytes(), 0o644); err != nil {
+	req := request{Kind: KindLifetime, Config: NormalizeConfig(cfg), Policy: "Hayat", Seed: seed, Chips: 1}
+	path := filepath.Join(ckptDir, req.key()+".ckpt")
+	if err := os.WriteFile(path, ckpt, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j, _, _, err := openJournal(journalPath)
@@ -179,8 +200,18 @@ func TestRecoveredJobResumesFromCheckpoint(t *testing.T) {
 	s := newTestServer(t, Options{JournalPath: journalPath, CheckpointDir: ckptDir})
 	st := waitDone(t, s, "job-000001")
 	if st.State != JobDone {
-		t.Fatalf("resumed job state %s (%s)", st.State, st.Error)
+		t.Fatalf("recovered job state %s (%s)", st.State, st.Error)
 	}
+	return s, st, path
+}
+
+// A recovered job with a persisted checkpoint must resume from it — not
+// epoch zero — and still produce byte-identical output.
+func TestRecoveredJobResumesFromCheckpoint(t *testing.T) {
+	cfg := ckptCfg()
+	// The dead process's checkpoint at epoch 2 of 4, framed as hayatd
+	// writes it.
+	s, st, path := recoverFromCheckpoint(t, cfg, 7, persist.EncodeFrame(checkpointBlob(t, cfg, 7, 2)))
 	if got := s.Metrics().CheckpointResumes.Value(); got != 1 {
 		t.Fatalf("checkpoint resumes %d, want 1", got)
 	}
@@ -191,8 +222,52 @@ func TestRecoveredJobResumesFromCheckpoint(t *testing.T) {
 		t.Fatal("resumed result differs from an uninterrupted run")
 	}
 	// The finished job's checkpoint was cleaned up.
-	if _, err := os.Stat(filepath.Join(ckptDir, req.key()+".ckpt")); !os.IsNotExist(err) {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint not cleaned up after completion: %v", err)
+	}
+}
+
+// A checkpoint altered on disk must never be resumed: the run's bytes
+// would be cached, served and Merkle-audited as canonical. An unframed
+// checkpoint whose core health was lowered but stays inside (0, 1] passes
+// every structural check, and a framed one with a flipped payload byte
+// fails only its CRC. Both are quarantined, and the job restarts at epoch
+// 0 and serves the uninterrupted run's bytes.
+func TestRecoveredJobRejectsAlteredCheckpoint(t *testing.T) {
+	cfg := ckptCfg()
+	blob := checkpointBlob(t, cfg, 7, 2)
+	cp, err := sim.ReadCheckpoint(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Health[0] *= 0.99
+	var altered bytes.Buffer
+	if err := sim.WriteCheckpoint(&altered, cp); err != nil {
+		t.Fatal(err)
+	}
+	flipped := persist.EncodeFrame(blob)
+	flipped[len(flipped)-len(blob)/2] ^= 0x01
+	want := referenceResult(t, cfg, 7)
+
+	for name, planted := range map[string][]byte{
+		"bare JSON, altered health": altered.Bytes(),
+		"framed, flipped byte":      flipped,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, st, path := recoverFromCheckpoint(t, cfg, 7, planted)
+			if got := s.Metrics().CheckpointResumes.Value(); got != 0 {
+				t.Errorf("altered checkpoint resumed %d times", got)
+			}
+			if got := s.Metrics().Quarantined.Value(); got != 1 {
+				t.Errorf("quarantined %d files, want 1", got)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Errorf("altered checkpoint not quarantined: %v", err)
+			}
+			if !bytes.Equal(st.Result, want) {
+				t.Error("result differs from an uninterrupted run")
+			}
+		})
 	}
 }
 
@@ -228,19 +303,7 @@ func TestRecoverReKeysLegacyJournalEntry(t *testing.T) {
 	if err := store.put(legacyKey, referenceResult(t, cfg, 6)); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := hayat.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip, err := sys.NewChip(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cp bytes.Buffer
-	if err := chip.RunLifetimeCheckpointed(hayat.PolicyHayat, 2, &cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(ckptDir, legacyKey+".ckpt"), cp.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(ckptDir, legacyKey+".ckpt"), checkpointBlob(t, cfg, 5, 2), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -322,7 +385,7 @@ func TestRecoveredPopulationJobReusesChipResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &capturingStore{blobs: make(map[int64][]byte)}
-	ref, err := sys.RunPopulationResumable(t.Context(), 50, chips, hayat.PolicyHayat, nil, cap)
+	ref, err := sys.RunPopulationContext(context.Background(), 50, chips, hayat.PolicyHayat, nil, cap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -152,18 +153,6 @@ func NormalizeConfig(cfg hayat.Config) hayat.Config {
 		cfg.FreqLadderGHz = nil
 	}
 	return cfg
-}
-
-// configKey hashes a canonical config alone (the System-cache key). It
-// carries no engine version: the System cache lives in one process, which
-// runs one engine.
-func configKey(cfg hayat.Config) string {
-	blob, err := json.Marshal(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("service: marshalling config: %v", err))
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
 }
 
 // Job is one scheduled simulation. Mutable fields are guarded by the
@@ -345,16 +334,8 @@ type Server struct {
 	finished []string        // finished job IDs, oldest first
 	draining bool
 	nextID   int64
-	systems  map[string]*sysEntry
 
 	wg sync.WaitGroup
-}
-
-// sysEntry builds a System once per canonical config (singleflight).
-type sysEntry struct {
-	once sync.Once
-	sys  *hayat.System
-	err  error
 }
 
 // maxRecords bounds the retained finished-job records; the oldest are
@@ -418,7 +399,6 @@ func New(opts Options) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 		adm:      newAdmission(opts.QueueDepth, opts.ShedStart, opts.MaxClientRPS),
-		systems:  make(map[string]*sysEntry),
 	}
 	store.brk = s.cacheBrk
 	store.onQuarantine = func() {
@@ -802,7 +782,7 @@ func (s *Server) serveDegraded(sub submission) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	sys, err := s.system(sub.req.Config)
+	sys, err := hayat.NewSystemWith(sub.req.Config, s.arts)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -1262,10 +1242,13 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		return nil, err
 	}
 	setupStart := time.Now()
-	sys, err := s.system(j.req.Config)
+	sys, err := hayat.NewSystemWith(j.req.Config, s.arts)
 	if err != nil {
 		return nil, err
 	}
+	// The epoch-stage observer times execution and never influences
+	// results, so it is set on the job's System, outside the key.
+	sys.SetStageObserver(s.met.ObserveStage)
 
 	var buf bytes.Buffer
 	switch j.req.Kind {
@@ -1328,7 +1311,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		var pr *hayat.PopulationResult
 		err = s.withRetries(ctx, j.id, func() error {
 			var rerr error
-			pr, rerr = sys.RunPopulationResumable(ctx, j.req.Seed, j.req.Chips, pol,
+			pr, rerr = sys.RunPopulationContext(ctx, j.req.Seed, j.req.Chips, pol,
 				func(done, total int) { j.doneChips.raise(int64(done)) },
 				store)
 			return rerr
@@ -1366,59 +1349,49 @@ func (s *Server) withRetries(ctx context.Context, jobID string, fn func() error)
 // runLifetime runs one chip's lifetime with checkpointing when a
 // checkpoint directory is configured: an existing checkpoint for the
 // job's key resumes the run; checkpoints keep being persisted at the
-// configured cadence. A stale or corrupt checkpoint falls back to a
-// fresh run from epoch zero.
+// configured cadence. A missing, unreadable, corrupt or stale checkpoint
+// falls back to a fresh run from epoch zero.
 func (s *Server) runLifetime(ctx context.Context, j *Job, chip *hayat.Chip, pol hayat.Policy) (*hayat.LifetimeResult, error) {
 	if s.opts.CheckpointDir == "" {
 		return chip.RunLifetimeContext(ctx, pol)
 	}
 	path := s.ckptPath(j.key)
 	sink := s.checkpointSink(path)
-	var data []byte
-	if ferr := faultinject.Hit(fpCheckpointRead); ferr == nil {
-		data, _ = os.ReadFile(path)
-	} else {
-		// An unreadable checkpoint degrades to a fresh run, exactly like
-		// a missing one; resuming from a file we could not read would be
-		// worse than recomputing.
-		s.logf("service: %s checkpoint read faulted (%v), restarting from epoch 0", j.id, ferr)
+	from, err := s.readArtifact(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.logf("service: %s checkpoint unreadable (%v), restarting from epoch 0", j.id, err)
 	}
-	if len(data) > 0 {
-		res, rerr := chip.ResumeLifetimeWithCheckpoints(ctx, pol, data, s.opts.CheckpointEvery, sink)
-		if rerr == nil {
-			s.met.CheckpointResumes.Add(1)
-			if ep, ok := checkpointEpoch(data); ok {
-				s.met.LastResumeEpoch.Store(int64(ep))
-			}
-			s.logf("service: %s resumed from checkpoint %s", j.id, filepath.Base(path))
-			return res, nil
-		}
-		// Transient (injected) failures and cancellations must reach the
-		// retry layer / caller; only a genuinely unusable checkpoint is
-		// discarded in favour of a fresh run.
-		if isTransient(rerr) || ctx.Err() != nil {
-			return nil, rerr
-		}
-		s.logf("service: %s checkpoint unusable (%v), restarting from epoch 0", j.id, rerr)
+	res, err := chip.RunLifetimeWithCheckpoints(ctx, pol, from, s.opts.CheckpointEvery, sink)
+	if from == nil {
+		return res, err
 	}
-	return chip.RunLifetimeWithCheckpoints(ctx, pol, s.opts.CheckpointEvery, sink)
+	if err == nil {
+		s.met.CheckpointResumes.Add(1)
+		if ep, ok := checkpointEpoch(from); ok {
+			s.met.LastResumeEpoch.Store(int64(ep))
+		}
+		s.logf("service: %s resumed from checkpoint %s", j.id, filepath.Base(path))
+		return res, nil
+	}
+	// Transient (injected) failures and cancellations must reach the
+	// retry layer / caller; only a genuinely unusable checkpoint is
+	// discarded in favour of a fresh run.
+	if isTransient(err) || ctx.Err() != nil {
+		return nil, err
+	}
+	s.logf("service: %s checkpoint unusable (%v), restarting from epoch 0", j.id, err)
+	return chip.RunLifetimeWithCheckpoints(ctx, pol, nil, s.opts.CheckpointEvery, sink)
 }
 
-// checkpointSink persists checkpoints best-effort through the checkpoint
-// breaker: a failed (or breaker-rejected) write is logged and counted but
-// never aborts the simulation — the run just retries at the next cadence
-// point with a fresher checkpoint.
+// checkpointSink persists checkpoints best-effort: a failed (or
+// breaker-rejected) write is logged and counted but never aborts the
+// simulation — the run just retries at the next cadence point with a
+// fresher checkpoint.
 func (s *Server) checkpointSink(path string) hayat.CheckpointSink {
 	return func(nextEpoch int, data []byte) error {
-		err := s.ckptBrk.Do(func() error {
-			return persist.WriteFileAtomic(path, data, fpCheckpointWrite)
-		})
-		if err != nil {
-			s.met.CheckpointWriteErrors.Add(1)
+		if err := s.writeArtifact(path, data); err != nil {
 			s.logf("service: checkpoint at epoch %d: %v (simulation continues)", nextEpoch, err)
-			return nil
 		}
-		s.met.CheckpointWrites.Add(1)
 		return nil
 	}
 }
@@ -1432,6 +1405,44 @@ func checkpointEpoch(data []byte) (int, bool) {
 		return 0, false
 	}
 	return peek.NextEpoch, true
+}
+
+// readArtifact reads a checkpoint-directory file — a lifetime checkpoint
+// or a population chip result — and returns its payload. Both are
+// CRC-framed, so a value altered on disk is never resumed or reused: a
+// file that fails its frame check is quarantined (and counted) and reads
+// as an error, like a missing file or a faulted read.
+func (s *Server) readArtifact(path string) ([]byte, error) {
+	if err := faultinject.Hit(fpCheckpointRead); err != nil {
+		return nil, err
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := persist.DecodeFrame(raw)
+	if err != nil {
+		if _, qerr := persist.Quarantine(path); qerr == nil {
+			s.met.Quarantined.Add(1)
+		}
+		return nil, err
+	}
+	return payload, nil
+}
+
+// writeArtifact persists payload CRC-framed and atomically through the
+// checkpoint breaker, counting the write or its failure. Callers treat a
+// failure as best-effort: the simulation goes on without the file.
+func (s *Server) writeArtifact(path string, payload []byte) error {
+	err := s.ckptBrk.Do(func() error {
+		return persist.WriteFileAtomic(path, persist.EncodeFrame(payload), fpCheckpointWrite)
+	})
+	if err != nil {
+		s.met.CheckpointWriteErrors.Add(1)
+		return err
+	}
+	s.met.CheckpointWrites.Add(1)
+	return nil
 }
 
 // ckptPath is the job key's checkpoint file.
@@ -1476,55 +1487,17 @@ func (c *chipStore) path(seed int64) string {
 }
 
 func (c *chipStore) Load(seed int64) ([]byte, bool) {
-	if ferr := faultinject.Hit(fpCheckpointRead); ferr != nil {
-		return nil, false // faulted read == cache miss: recompute the chip
-	}
-	raw, err := os.ReadFile(c.path(seed))
+	data, err := c.s.readArtifact(c.path(seed))
 	if err != nil {
-		return nil, false
-	}
-	payload, err := persist.DecodeFrame(raw)
-	if err != nil {
-		if _, qerr := persist.Quarantine(c.path(seed)); qerr == nil {
-			c.s.met.Quarantined.Add(1)
-		}
-		return nil, false
+		return nil, false // a miss: recompute the chip
 	}
 	c.s.met.ChipResultsReused.Add(1)
-	return payload, true
+	return data, true
 }
 
 func (c *chipStore) Save(seed int64, data []byte) error {
-	err := c.s.ckptBrk.Do(func() error {
-		return persist.WriteFileAtomic(c.path(seed), persist.EncodeFrame(data), fpCheckpointWrite)
-	})
-	if err != nil {
-		c.s.met.CheckpointWriteErrors.Add(1)
+	if err := c.s.writeArtifact(c.path(seed), data); err != nil {
 		c.s.logf("service: persisting chip %d result: %v", seed, err)
-		return nil // best-effort: the population run must not fail for this
 	}
-	c.s.met.CheckpointWrites.Add(1)
-	return nil
-}
-
-// system returns the (cached) System for a canonical config. The
-// epoch-stage metrics observer is applied here, after the key is
-// computed: it is an execution property that does not influence results,
-// so it must never differentiate cache entries.
-func (s *Server) system(cfg hayat.Config) (*hayat.System, error) {
-	key := configKey(cfg)
-	s.mu.Lock()
-	e, ok := s.systems[key]
-	if !ok {
-		e = &sysEntry{}
-		s.systems[key] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		e.sys, e.err = hayat.NewSystemWith(cfg, s.arts)
-		if e.err == nil {
-			e.sys.SetStageObserver(s.met.ObserveStage)
-		}
-	})
-	return e.sys, e.err
+	return nil // best-effort: the population run must not fail for this
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -132,102 +131,10 @@ func (e *Engine) restore(cp *Checkpoint) (*runState, error) {
 	return st, nil
 }
 
-// RunCheckpoint runs epochs [0, uptoEpoch) and captures the state.
-// uptoEpoch must be a remix boundary (see Checkpoint).
-func (e *Engine) RunCheckpoint(uptoEpoch int) (*Checkpoint, error) {
-	st, err := e.newRunState()
-	if err != nil {
-		return nil, err
-	}
-	if uptoEpoch < 0 || uptoEpoch > e.Epochs() {
-		return nil, fmt.Errorf("sim: uptoEpoch %d outside [0,%d]", uptoEpoch, e.Epochs())
-	}
-	//lint:ignore ctxfirst compatibility wrapper: context-free callers get the uncancellable root by design
-	if err := e.runRange(context.Background(), st, 0, uptoEpoch); err != nil {
-		return nil, err
-	}
-	return e.snapshot(st, uptoEpoch)
-}
-
-// Resume continues a checkpointed run to the end of the lifetime and
-// returns the complete result (including the checkpointed epochs).
-func (e *Engine) Resume(cp *Checkpoint) (*Result, error) {
-	//lint:ignore ctxfirst compatibility wrapper: context-free callers get the uncancellable root by design
-	return e.ResumeContext(context.Background(), cp)
-}
-
-// ResumeContext is Resume with cooperative cancellation at epoch
-// boundaries (see RunContext).
-func (e *Engine) ResumeContext(ctx context.Context, cp *Checkpoint) (*Result, error) {
-	return e.ResumeContextCheckpointed(ctx, cp, 0, nil)
-}
-
-// CheckpointSink receives periodic checkpoints during a run. A non-nil
-// error aborts the run; sinks that persist best-effort should swallow
-// their own failures and return nil.
+// CheckpointSink receives periodic checkpoints during a run (see Run). A
+// non-nil error aborts the run; sinks that persist best-effort should
+// swallow their own failures and return nil.
 type CheckpointSink func(cp *Checkpoint) error
-
-// RunContextCheckpointed is RunContext with periodic checkpointing: sink
-// is invoked at every workload-remix boundary that is a multiple of
-// `every` epochs (every ≤ RemixEpochs means every remix boundary). With a
-// nil sink, or on configurations without remix boundaries
-// (RemixEpochs = 0), it degrades to RunContext.
-func (e *Engine) RunContextCheckpointed(ctx context.Context, every int, sink CheckpointSink) (*Result, error) {
-	st, err := e.newRunState()
-	if err != nil {
-		return nil, err
-	}
-	return e.runCheckpointed(ctx, st, 0, every, sink)
-}
-
-// ResumeContextCheckpointed continues a checkpointed run with the same
-// periodic checkpointing as RunContextCheckpointed, so a run interrupted
-// repeatedly keeps moving forward from its most recent boundary.
-func (e *Engine) ResumeContextCheckpointed(ctx context.Context, cp *Checkpoint, every int, sink CheckpointSink) (*Result, error) {
-	st, err := e.restore(cp)
-	if err != nil {
-		return nil, err
-	}
-	return e.runCheckpointed(ctx, st, cp.NextEpoch, every, sink)
-}
-
-// runCheckpointed executes epochs [from, Epochs) in checkpoint-cadence
-// chunks, invoking sink between chunks.
-func (e *Engine) runCheckpointed(ctx context.Context, st *runState, from, every int, sink CheckpointSink) (*Result, error) {
-	total := e.Epochs()
-	if sink == nil || e.cfg.RemixEpochs <= 0 {
-		if err := e.runRange(ctx, st, from, total); err != nil {
-			return nil, err
-		}
-		return e.packageResult(st), nil
-	}
-	stride := e.cfg.RemixEpochs
-	if every > stride {
-		// Round the cadence up to a multiple of the remix interval:
-		// checkpoints are only valid on remix boundaries.
-		stride = (every + e.cfg.RemixEpochs - 1) / e.cfg.RemixEpochs * e.cfg.RemixEpochs
-	}
-	for at := from; at < total; {
-		next := at - at%stride + stride
-		if next > total {
-			next = total
-		}
-		if err := e.runRange(ctx, st, at, next); err != nil {
-			return nil, err
-		}
-		at = next
-		if at < total && at%e.cfg.RemixEpochs == 0 {
-			cp, err := e.snapshot(st, at)
-			if err != nil {
-				return nil, err
-			}
-			if err := sink(cp); err != nil {
-				return nil, fmt.Errorf("sim: checkpoint sink at epoch %d: %w", at, err)
-			}
-		}
-	}
-	return e.packageResult(st), nil
-}
 
 // WriteCheckpoint serialises the checkpoint as indented JSON.
 func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
@@ -237,7 +144,7 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 }
 
 // ReadCheckpoint deserialises a checkpoint (structural validation happens
-// at Resume, against the engine).
+// when Run restores it, against the engine).
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {

@@ -3,29 +3,54 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 )
 
-// Checkpoint + Resume must reproduce the one-shot run exactly when no DTM
+// errStop ends a run once checkpointAt holds its checkpoint.
+var errStop = errors.New("checkpoint taken")
+
+// checkpointAt runs e's first n epochs and returns the checkpoint there.
+// A sink that stops the run at its first call does it, as hayatsim's
+// -checkpoint does: that call comes at the first remix boundary at or
+// after n, which must be n itself.
+func checkpointAt(t testing.TB, e *Engine, n int) *Checkpoint {
+	t.Helper()
+	var cp *Checkpoint
+	_, err := e.Run(context.Background(), nil, n, func(c *Checkpoint) error {
+		cp = c
+		return errStop
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("checkpoint at epoch %d: run ended with %v", n, err)
+	}
+	if cp.NextEpoch != n {
+		t.Fatalf("checkpoint at epoch %d, want %d", cp.NextEpoch, n)
+	}
+	return cp
+}
+
+// resume runs e from cp to the end of the lifetime.
+func resume(e *Engine, cp *Checkpoint) (*Result, error) {
+	return e.Run(context.Background(), cp, 0, nil)
+}
+
+// Checkpoint + resume must reproduce the one-shot run exactly when no DTM
 // transients straddle the boundary (50 % dark stays cool, so none do).
 func TestCheckpointResumeMatchesOneShot(t *testing.T) {
 	cfg := shortConfig() // 4 epochs, RemixEpochs 4 → boundary only at 0/4
 	cfg.RemixEpochs = 2  // boundaries at 0 and 2
 	mkEngine := func() *Engine { return newEngine(t, cfg, hayatPolicy(t), 17) }
 
-	full, err := mkEngine().RunContext(context.Background())
+	full, err := mkEngine().Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e2 := mkEngine()
-	cp, err := e2.RunCheckpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.NextEpoch != 2 || len(cp.Records) != 2 {
+	cp := checkpointAt(t, mkEngine(), 2)
+	if len(cp.Records) != 2 {
 		t.Fatalf("checkpoint meta: %+v", cp)
 	}
 	// Serialise through JSON to prove the round trip.
@@ -37,7 +62,7 @@ func TestCheckpointResumeMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := mkEngine().Resume(cp2)
+	resumed, err := resume(mkEngine(), cp2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,43 +89,42 @@ func TestCheckpointValidation(t *testing.T) {
 	cfg := shortConfig()
 	cfg.RemixEpochs = 2
 	e := newEngine(t, cfg, hayatPolicy(t), 18)
-	cp, err := e.RunCheckpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := checkpointAt(t, e, 2)
 
 	// Wrong chip.
 	other := newEngine(t, cfg, hayatPolicy(t), 19)
-	if _, err := other.Resume(cp); err == nil {
+	if _, err := resume(other, cp); err == nil {
 		t.Error("checkpoint accepted by a different chip")
 	}
 	// Wrong policy.
 	vaa := newEngine(t, cfg, vaaPolicy(t), 18)
-	if _, err := vaa.Resume(cp); err == nil {
+	if _, err := resume(vaa, cp); err == nil {
 		t.Error("checkpoint accepted by a different policy")
 	}
 	// Off-boundary epoch.
 	bad := *cp
 	bad.NextEpoch = 3
 	bad.Records = append(bad.Records, EpochRecord{})
-	if _, err := e.Resume(&bad); err == nil {
+	if _, err := resume(e, &bad); err == nil {
 		t.Error("off-boundary checkpoint accepted")
 	}
 	// Corrupt health.
 	bad2 := *cp
 	bad2.Health = append([]float64(nil), cp.Health...)
 	bad2.Health[0] = -1
-	if _, err := e.Resume(&bad2); err == nil {
+	if _, err := resume(e, &bad2); err == nil {
 		t.Error("corrupt health accepted")
 	}
 	// Record/epoch mismatch.
 	bad3 := *cp
 	bad3.Records = cp.Records[:1]
-	if _, err := e.Resume(&bad3); err == nil {
+	if _, err := resume(e, &bad3); err == nil {
 		t.Error("record mismatch accepted")
 	}
-	// RunCheckpoint range check.
-	if _, err := e.RunCheckpoint(99); err == nil {
+	// Epoch past the end of the lifetime.
+	bad4 := *cp
+	bad4.NextEpoch = e.Epochs() + 2
+	if _, err := resume(e, &bad4); err == nil {
 		t.Error("out-of-range checkpoint epoch accepted")
 	}
 }
@@ -112,10 +136,7 @@ func TestCheckpointRejectsOtherEngine(t *testing.T) {
 	cfg := shortConfig()
 	cfg.RemixEpochs = 2
 	e := newEngine(t, cfg, hayatPolicy(t), 18)
-	cp, err := e.RunCheckpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := checkpointAt(t, e, 2)
 	if cp.Engine != EngineVersion {
 		t.Fatalf("checkpoint records engine %d, want %d", cp.Engine, EngineVersion)
 	}
@@ -135,33 +156,51 @@ func TestCheckpointRejectsOtherEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Resume(old); err == nil || !strings.Contains(err.Error(), "engine version") {
-			t.Errorf("%s checkpoint: Resume err = %v, want an engine-version rejection", name, err)
+		if _, err := resume(e, old); err == nil || !strings.Contains(err.Error(), "engine version") {
+			t.Errorf("%s checkpoint: resume err = %v, want an engine-version rejection", name, err)
 		}
 	}
-	if _, err := e.Resume(cp); err != nil {
+	if _, err := resume(e, cp); err != nil {
 		t.Fatalf("current checkpoint rejected: %v", err)
 	}
 }
 
+// Without remix boundaries (RemixEpochs 0) the mix's phase state cannot
+// be rebuilt: the sink is never called, the run equals a plain one, and a
+// mid-run checkpoint does not resume.
 func TestCheckpointUnsupportedWithoutRemix(t *testing.T) {
 	cfg := shortConfig()
 	cfg.RemixEpochs = 0
 	e := newEngine(t, cfg, vaaPolicy(t), 18)
-	if _, err := e.RunCheckpoint(2); err == nil {
-		t.Fatal("mid-run checkpoint without remix boundaries accepted")
-	}
-	// Epoch 0 is fine (trivial checkpoint).
-	cp, err := e.RunCheckpoint(0)
+	plain, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Resume(cp)
+	calls := 0
+	res, err := e.Run(context.Background(), nil, 1, func(*Checkpoint) error {
+		calls++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Fatalf("sink called %d times without remix boundaries", calls)
 	}
 	if len(res.Records) != e.Epochs() {
 		t.Fatalf("%d records", len(res.Records))
+	}
+	for i := range plain.Records {
+		if res.Records[i] != plain.Records[i] {
+			t.Fatalf("epoch %d differs from the plain run", i)
+		}
+	}
+
+	withRemix := cfg
+	withRemix.RemixEpochs = 2
+	cp := checkpointAt(t, newEngine(t, withRemix, vaaPolicy(t), 18), 2)
+	if _, err := resume(e, cp); err == nil {
+		t.Fatal("mid-run checkpoint accepted without remix boundaries")
 	}
 }
 
@@ -180,13 +219,13 @@ func TestRunCheckpointedCadenceAndResume(t *testing.T) {
 	cfg.RemixEpochs = 2            // boundaries at 2, 4, 6
 	mkEngine := func() *Engine { return newEngine(t, cfg, hayatPolicy(t), 21) }
 
-	full, err := mkEngine().RunContext(context.Background())
+	full, err := mkEngine().Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var cps []*Checkpoint
-	res, err := mkEngine().RunContextCheckpointed(context.Background(), 0, func(cp *Checkpoint) error {
+	res, err := mkEngine().Run(context.Background(), nil, 0, func(cp *Checkpoint) error {
 		cps = append(cps, cp)
 		return nil
 	})
@@ -212,7 +251,7 @@ func TestRunCheckpointedCadenceAndResume(t *testing.T) {
 
 	// every=3 rounds up to a multiple of RemixEpochs (4): only epoch 4.
 	count := 0
-	if _, err := mkEngine().RunContextCheckpointed(context.Background(), 3, func(*Checkpoint) error {
+	if _, err := mkEngine().Run(context.Background(), nil, 3, func(*Checkpoint) error {
 		count++
 		return nil
 	}); err != nil {
@@ -225,7 +264,7 @@ func TestRunCheckpointedCadenceAndResume(t *testing.T) {
 	// Resume from the middle checkpoint, with further checkpointing, and
 	// require the exact one-shot result including carried DTM totals.
 	var lateCps []*Checkpoint
-	resumed, err := mkEngine().ResumeContextCheckpointed(context.Background(), cps[1], 0, func(cp *Checkpoint) error {
+	resumed, err := mkEngine().Run(context.Background(), cps[1], 0, func(cp *Checkpoint) error {
 		lateCps = append(lateCps, cp)
 		return nil
 	})
@@ -244,7 +283,7 @@ func TestRunCheckpointedCadenceAndResume(t *testing.T) {
 		t.Fatalf("resumed DTM totals %+v, want %+v", resumed.TotalDTM, full.TotalDTM)
 	}
 	// The mid-resume checkpoint must itself resume to the same end state.
-	again, err := mkEngine().Resume(lateCps[0])
+	again, err := resume(mkEngine(), lateCps[0])
 	if err != nil {
 		t.Fatal(err)
 	}

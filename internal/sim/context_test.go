@@ -30,7 +30,7 @@ func (c *countingCtx) Err() error {
 
 func TestRunContextCompletesWithBackground(t *testing.T) {
 	e := newEngine(t, shortConfig(), hayatPolicy(t), 1)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	e := newEngine(t, shortConfig(), hayatPolicy(t), 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.RunContext(ctx)
+	_, err := e.Run(ctx, nil, 0, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -57,7 +57,7 @@ func TestRunContextStopsAtEpochBoundary(t *testing.T) {
 	// Allow exactly two epoch-boundary checks: epochs 0 and 1 run, the
 	// check entering epoch 2 observes the cancellation.
 	ctx := &countingCtx{Context: context.Background(), allow: 2}
-	_, err := e.RunContext(ctx)
+	_, err := e.Run(ctx, nil, 0, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -70,17 +70,14 @@ func TestResumeContextCancelled(t *testing.T) {
 	cfg := shortConfig() // 4 epochs, RemixEpochs=4 → boundary at 0 only; use 8
 	cfg.Years = 2        // 8 epochs with remix boundary at 4
 	e := newEngine(t, cfg, hayatPolicy(t), 1)
-	cp, err := e.RunCheckpoint(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := checkpointAt(t, e, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.ResumeContext(ctx, cp); !errors.Is(err, context.Canceled) {
+	if _, err := e.Run(ctx, cp, 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// And an unconstrained resume still completes.
-	res, err := e.ResumeContext(context.Background(), cp)
+	res, err := e.Run(context.Background(), cp, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

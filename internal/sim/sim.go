@@ -71,7 +71,8 @@ type Config struct {
 	MixSeed int64
 	// RemixEpochs > 0 draws a fresh mix every that-many epochs ("the next
 	// epoch starts considering the same set of workloads (or potentially
-	// a different one)"). Zero keeps one mix for the whole lifetime.
+	// a different one)"). Zero keeps one mix for the whole lifetime;
+	// negative values are invalid.
 	RemixEpochs int
 	// IncumbencyEpochs is how many epochs back a core counts as part of
 	// the recent DCM for the policy's PrevOn signal. Mix sizes oscillate
@@ -171,6 +172,9 @@ func (c Config) Validate() error {
 	}
 	if c.MixApps <= 0 {
 		return fmt.Errorf("sim: MixApps must be positive")
+	}
+	if c.RemixEpochs < 0 {
+		return fmt.Errorf("sim: negative RemixEpochs")
 	}
 	if c.IncumbencyEpochs < 0 {
 		return fmt.Errorf("sim: negative IncumbencyEpochs")
@@ -364,18 +368,62 @@ func (e *Engine) Epochs() int {
 	return int(e.cfg.Years/e.cfg.EpochYears + 0.5)
 }
 
-// RunContext simulates the full lifetime and returns the result. The
-// context is checked at every epoch boundary, so a cancelled run stops
-// before the next epoch's transient window starts. The returned error
-// wraps ctx.Err() and names the epoch reached (a checkpoint at the
-// preceding remix boundary makes such a run resumable, see Checkpoint).
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	st, err := e.newRunState()
+// Run simulates the lifetime and returns the result. A nil from starts
+// at epoch 0; otherwise the run continues from that checkpoint (same chip
+// seed, policy and engine version) and the result includes the epochs it
+// carries, so a resumed run equals the uninterrupted one.
+//
+// With a non-nil sink, sink receives a checkpoint at every workload-remix
+// boundary that is a multiple of `every` epochs: every ≤ RemixEpochs means
+// every boundary, and a larger every rounds up to a multiple of
+// RemixEpochs, since checkpoints are only valid on remix boundaries. A nil
+// sink, or a configuration without remix boundaries (RemixEpochs = 0),
+// gives a plain run.
+//
+// The context is checked at every epoch boundary, so a cancelled run
+// stops before the next epoch's transient window starts. The returned
+// error wraps ctx.Err() and names the epoch reached.
+func (e *Engine) Run(ctx context.Context, from *Checkpoint, every int, sink CheckpointSink) (*Result, error) {
+	var (
+		st  *runState
+		at  int
+		err error
+	)
+	if from == nil {
+		st, err = e.newRunState()
+	} else {
+		st, err = e.restore(from)
+		at = from.NextEpoch
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := e.runRange(ctx, st, 0, e.Epochs()); err != nil {
-		return nil, err
+	total := e.Epochs()
+	if sink == nil || e.cfg.RemixEpochs == 0 {
+		if err := e.runRange(ctx, st, at, total); err != nil {
+			return nil, err
+		}
+		return e.packageResult(st), nil
+	}
+	stride := e.cfg.RemixEpochs
+	if every > stride {
+		stride = (every + e.cfg.RemixEpochs - 1) / e.cfg.RemixEpochs * e.cfg.RemixEpochs
+	}
+	for at < total {
+		next := min(at-at%stride+stride, total)
+		if err := e.runRange(ctx, st, at, next); err != nil {
+			return nil, err
+		}
+		at = next
+		if at < total && at%e.cfg.RemixEpochs == 0 {
+			cp, err := e.snapshot(st, at)
+			if err != nil {
+				return nil, err
+			}
+			if err := sink(cp); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint sink at epoch %d: %w", at, err)
+			}
+		}
 	}
 	return e.packageResult(st), nil
 }

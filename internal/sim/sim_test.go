@@ -68,6 +68,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.DTMEverySteps = 0 },
 		func(c *Config) { c.DTM = dtm.Config{} },
 		func(c *Config) { c.MixApps = 0 },
+		func(c *Config) { c.RemixEpochs = -1 },
 		// NaN passes every ordered range check; infinities overflow the
 		// epoch and step counts.
 		func(c *Config) { c.DarkFraction = math.NaN() },
@@ -102,7 +103,7 @@ func TestNewRejectsNilDeps(t *testing.T) {
 func TestRunLifecycleBothPolicies(t *testing.T) {
 	for _, pol := range []policy.Policy{hayatPolicy(t), vaaPolicy(t)} {
 		e := newEngine(t, shortConfig(), pol, 1)
-		res, err := e.RunContext(context.Background())
+		res, err := e.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -134,7 +135,7 @@ func TestRunLifecycleBothPolicies(t *testing.T) {
 
 func TestHealthMonotoneAndBounded(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 2)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestHealthMonotoneAndBounded(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	run := func() *Result {
 		e := newEngine(t, shortConfig(), hayatPolicy(t), 3)
-		res, err := e.RunContext(context.Background())
+		res, err := e.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestDarkSiliconBudgetHeld(t *testing.T) {
 	cfg := shortConfig()
 	cfg.DarkFraction = 0.50
 	e := newEngine(t, cfg, vaaPolicy(t), 4)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestDarkSiliconBudgetHeld(t *testing.T) {
 
 func TestAvgFMaxAtInterpolation(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 5)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestAvgFMaxAtInterpolation(t *testing.T) {
 
 func TestDTMAccounting(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 6)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestRemixChangesWorkload(t *testing.T) {
 	cfg := shortConfig()
 	cfg.RemixEpochs = 1 // new mix each epoch
 	e := newEngine(t, cfg, vaaPolicy(t), 7)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestMalleabilityShrinksUnplaceableApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e2.RunContext(context.Background())
+	res, err := e2.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +304,14 @@ func TestMalleabilityDisabled(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Malleable = false
 	e := newEngine(t, cfg, vaaPolicy(t), 9)
-	if _, err := e.RunContext(context.Background()); err != nil {
+	if _, err := e.Run(context.Background(), nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSensorNoiseZeroMeansNoViolations(t *testing.T) {
 	e := newEngine(t, shortConfig(), hayatPolicy(t), 10)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestSensorNoiseRunsAndStaysDeterministic(t *testing.T) {
 	cfg.SensorNoiseSigma = 0.10
 	run := func() *Result {
 		e := newEngine(t, cfg, hayatPolicy(t), 11)
-		res, err := e.RunContext(context.Background())
+		res, err := e.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +365,7 @@ func TestMigrationStallReducesThroughput(t *testing.T) {
 
 	run := func(cfg Config) (*Result, int) {
 		e := newEngine(t, cfg, vaaPolicy(t), 12)
-		res, err := e.RunContext(context.Background())
+		res, err := e.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +406,7 @@ func TestTraceSinkReceivesSamples(t *testing.T) {
 	if err := e.SetTrace(sink, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunContext(context.Background()); err != nil {
+	if _, err := e.Run(context.Background(), nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Err() != nil {
@@ -446,7 +447,7 @@ func TestTraceOutOfRangeCore(t *testing.T) {
 	if err := e.SetTrace(sink, 25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunContext(context.Background()); err != nil {
+	if _, err := e.Run(context.Background(), nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Err() == nil {
@@ -462,7 +463,7 @@ func TestDVFSLadderQuantisesFrequencies(t *testing.T) {
 	}
 	cfg.FreqLevels = ladder
 	e := newEngine(t, cfg, hayatPolicy(t), 14)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +473,7 @@ func TestDVFSLadderQuantisesFrequencies(t *testing.T) {
 	// in the same throughput regime as continuous DVFS.
 	cont := shortConfig()
 	e2 := newEngine(t, cont, hayatPolicy(t), 14)
-	res2, err := e2.RunContext(context.Background())
+	res2, err := e2.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +503,7 @@ func TestTurboBoostTradesAgingForThroughput(t *testing.T) {
 	turbo.TurboMarginK = 15
 	run := func(cfg Config) *Result {
 		e := newEngine(t, cfg, hayatPolicy(t), 15)
-		res, err := e.RunContext(context.Background())
+		res, err := e.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +552,7 @@ func TestEpochLengthConsistency(t *testing.T) {
 		cfg.WindowSeconds = 1.0
 		cfg.RemixEpochs = 0 // single mix so both runs see identical work
 		e := newEngine(t, cfg, vaaPolicy(t), 16)
-		res, err := e.RunContext(context.Background())
+		res, err := e.Run(context.Background(), nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -568,7 +569,7 @@ func TestEpochLengthConsistency(t *testing.T) {
 
 func TestThermalSwingRecorded(t *testing.T) {
 	e := newEngine(t, shortConfig(), vaaPolicy(t), 20)
-	res, err := e.RunContext(context.Background())
+	res, err := e.Run(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,26 +48,7 @@ type PopulationResult struct {
 // results are collected in seed order.
 func (s *System) RunPopulation(baseSeed int64, chips int, p Policy) (*PopulationResult, error) {
 	//lint:ignore ctxfirst compatibility wrapper: context-free callers get the uncancellable root by design
-	return s.RunPopulationContext(context.Background(), baseSeed, chips, p)
-}
-
-// RunPopulationContext is RunPopulation with cooperative cancellation:
-// every chip's lifetime run checks the context at epoch boundaries, and
-// the first error (or cancellation) aborts the chips still queued or
-// simulating instead of letting the rest of the population run to
-// completion. The returned error is the first one observed; on
-// cancellation it wraps ctx.Err().
-func (s *System) RunPopulationContext(ctx context.Context, baseSeed int64, chips int, p Policy) (*PopulationResult, error) {
-	return s.RunPopulationProgress(ctx, baseSeed, chips, p, nil)
-}
-
-// RunPopulationProgress is RunPopulationContext with per-chip progress
-// reporting: after each chip's lifetime completes, progress is called
-// with the number of finished chips and the population size. It may be
-// called concurrently from worker goroutines; the done count is
-// monotonically increasing across calls. A nil progress is allowed.
-func (s *System) RunPopulationProgress(ctx context.Context, baseSeed int64, chips int, p Policy, progress func(done, total int)) (*PopulationResult, error) {
-	return s.RunPopulationResumable(ctx, baseSeed, chips, p, progress, nil)
+	return s.RunPopulationContext(context.Background(), baseSeed, chips, p, nil, nil)
 }
 
 // ChipResultStore persists per-chip lifetime results so an interrupted
@@ -83,10 +64,20 @@ type ChipResultStore interface {
 	Save(seed int64, data []byte) error
 }
 
-// RunPopulationResumable is RunPopulationProgress with an optional
-// ChipResultStore: chips whose results the store already holds are
-// restored instead of simulated. A nil store disables persistence.
-func (s *System) RunPopulationResumable(ctx context.Context, baseSeed int64, chips int, p Policy, progress func(done, total int), store ChipResultStore) (*PopulationResult, error) {
+// RunPopulationContext is RunPopulation with cooperative cancellation,
+// progress reporting and resumption:
+//
+//   - every chip's lifetime run checks the context at epoch boundaries,
+//     and the first error (or cancellation) aborts the chips still queued
+//     or simulating. The returned error is the first one observed; on
+//     cancellation it wraps ctx.Err().
+//   - a non-nil progress is called after each chip completes with the
+//     number of finished chips and the population size. It may be called
+//     concurrently from worker goroutines; the done count is monotonically
+//     increasing across calls.
+//   - chips whose results a non-nil store already holds are restored
+//     instead of simulated, and each simulated chip is saved to it.
+func (s *System) RunPopulationContext(ctx context.Context, baseSeed int64, chips int, p Policy, progress func(done, total int), store ChipResultStore) (*PopulationResult, error) {
 	if chips <= 0 {
 		return nil, fmt.Errorf("hayat: population size must be positive, got %d", chips)
 	}

@@ -45,7 +45,7 @@ func TestRunPopulationResumable(t *testing.T) {
 	const chips = 4
 	ctx := context.Background()
 
-	ref, err := sys.RunPopulationContext(ctx, 100, chips, PolicyHayat)
+	ref, err := sys.RunPopulationContext(ctx, 100, chips, PolicyHayat, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRunPopulationResumable(t *testing.T) {
 
 	// First resumable run populates the store.
 	store := newMemChipStore()
-	pr, err := sys.RunPopulationResumable(ctx, 100, chips, PolicyHayat, nil, store)
+	pr, err := sys.RunPopulationContext(ctx, 100, chips, PolicyHayat, nil, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunPopulationResumable(t *testing.T) {
 		doneMu sync.Mutex
 		done   int
 	)
-	pr2, err := sys.RunPopulationResumable(ctx, 100, chips, PolicyHayat,
+	pr2, err := sys.RunPopulationContext(ctx, 100, chips, PolicyHayat,
 		func(d, total int) {
 			doneMu.Lock()
 			defer doneMu.Unlock()
@@ -119,7 +119,7 @@ func TestRunPopulationResumableRejectsStaleBlobs(t *testing.T) {
 	// Fill a store under VAA, then run Hayat against it: every blob has
 	// the wrong policy and must be ignored.
 	store := newMemChipStore()
-	if _, err := sys.RunPopulationResumable(ctx, 200, 2, PolicyVAA, nil, store); err != nil {
+	if _, err := sys.RunPopulationContext(ctx, 200, 2, PolicyVAA, nil, store); err != nil {
 		t.Fatal(err)
 	}
 	store.blobs[201] = []byte("not json at all")
@@ -130,11 +130,11 @@ func TestRunPopulationResumableRejectsStaleBlobs(t *testing.T) {
 		}
 	}
 
-	ref, err := sys.RunPopulationContext(ctx, 200, 2, PolicyHayat)
+	ref, err := sys.RunPopulationContext(ctx, 200, 2, PolicyHayat, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := sys.RunPopulationResumable(ctx, 200, 2, PolicyHayat, nil, store)
+	pr, err := sys.RunPopulationContext(ctx, 200, 2, PolicyHayat, nil, store)
 	if err != nil {
 		t.Fatal(err)
 	}
