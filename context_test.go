@@ -47,6 +47,25 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// Validate checks the aging-model name alone: hayatd runs it on every
+// submit and batch item, so it must not build a gate-path set or a model.
+func TestConfigValidateAgingModelName(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, name := range []string{"", "nbti", "nbti+hci"} {
+		cfg.AgingModel = name
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("aging model %q: %v", name, err)
+		}
+	}
+	cfg.AgingModel = "magic"
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("unknown aging model passed validation")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = DefaultConfig().Validate() }); allocs > 20 {
+		t.Fatalf("Validate allocates %.0f times per call, want at most 20", allocs)
+	}
+}
+
 func TestRunLifetimeContextCancelled(t *testing.T) {
 	sys, err := NewSystem(tinyConfig())
 	if err != nil {

@@ -151,16 +151,30 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) agingModel(seed int64) (aging.FactorModel, error) {
-	paths := gates.Generate(gates.DefaultGenerateConfig(), seed)
+// withHCI resolves the aging-model name: "" and "nbti" age by NBTI
+// alone, "nbti+hci" adds hot-carrier injection. It is the one list of
+// model names; Validate checks a name here without building a model.
+func (c Config) withHCI() (bool, error) {
 	switch c.AgingModel {
 	case "", "nbti":
-		return aging.NewCoreAging(aging.DefaultParams(), paths), nil
+		return false, nil
 	case "nbti+hci":
-		return aging.NewCompositeCoreAging(aging.DefaultParams(), aging.DefaultHCIParams(), paths)
+		return true, nil
 	default:
-		return nil, fmt.Errorf("hayat: unknown aging model %q", c.AgingModel)
+		return false, fmt.Errorf("hayat: unknown aging model %q", c.AgingModel)
 	}
+}
+
+func (c Config) agingModel(seed int64) (aging.FactorModel, error) {
+	hci, err := c.withHCI()
+	if err != nil {
+		return nil, err
+	}
+	paths := gates.Generate(gates.DefaultGenerateConfig(), seed)
+	if hci {
+		return aging.NewCompositeCoreAging(aging.DefaultParams(), aging.DefaultHCIParams(), paths)
+	}
+	return aging.NewCoreAging(aging.DefaultParams(), paths), nil
 }
 
 func (c Config) dutyMode() (policy.DutyMode, error) {
@@ -210,7 +224,7 @@ func (c Config) Validate() error {
 	if _, err := c.dutyMode(); err != nil {
 		return err
 	}
-	if _, err := c.agingModel(0); err != nil {
+	if _, err := c.withHCI(); err != nil {
 		return err
 	}
 	if err := c.simConfig().Validate(); err != nil {

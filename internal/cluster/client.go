@@ -18,19 +18,14 @@ import (
 )
 
 // Failpoints (armed via HAYAT_FAILPOINTS / -failpoints). cluster.forward
-// fires on every forwarded request a peer client sends, so arming it
-// exercises retry exhaustion, breaker trips, and local fallback;
-// cluster.health-probe fires in the prober's probe path so health-driven
-// eviction can be forced without killing a process.
+// fires on every request the Router sends a peer other than a probe, so
+// arming it exercises retry exhaustion, breaker trips, and local
+// fallback; cluster.health-probe fires in the prober's probe path so
+// health-driven eviction can be forced without killing a process.
 const (
 	fpForward     = "cluster.forward"
 	fpHealthProbe = "cluster.health-probe"
 )
-
-// ForwardedHeader marks a request as peer-forwarded. A node receiving it
-// must execute locally and never re-forward, so divergent ring views
-// (during eviction/recovery windows) cannot produce forwarding loops.
-const ForwardedHeader = "X-Hayat-Forwarded"
 
 // LeafHeader carries a replica entry's hex Merkle leaf hash on
 // /v1/store responses, so StoreStat can compare copies across nodes
@@ -227,37 +222,15 @@ func DecodeProbe(data []byte) (ProbeEnvelope, error) {
 	return e, nil
 }
 
-// Client is the HTTP client one node uses to talk to its peers. One
-// shared transport, explicit per-attempt timeouts, and the forwarded
-// header on every mutating call.
-type Client struct {
-	hc             *http.Client
-	attemptTimeout time.Duration
-}
-
-// NewClient builds a peer client. attemptTimeout bounds every single
-// request (default 10s); retries across attempts are the Router's job.
-func NewClient(attemptTimeout time.Duration) *Client {
-	if attemptTimeout <= 0 {
-		attemptTimeout = 10 * time.Second
+// do issues one attempt of a request to peer's path, under failpoint fp,
+// with the per-attempt timeout, and reads the reply body under maxResp. Every peer request goes through here, so
+// fault drills can sever peer links without touching the network.
+func (r *Router) do(ctx context.Context, fp, method, peer, path string, body []byte, maxResp int64) (reply, error) {
+	url := peer + path
+	if err := faultinject.Hit(fp); err != nil {
+		return reply{}, fmt.Errorf("cluster: %s %s: %w", method, url, err)
 	}
-	return &Client{
-		// A dedicated client (never http.DefaultClient): the overall
-		// Timeout is a hard backstop above the per-attempt context in
-		// case a peer streams a response forever.
-		hc:             &http.Client{Timeout: 5 * time.Minute},
-		attemptTimeout: attemptTimeout,
-	}
-}
-
-// do issues one attempt. Every forwarded request evaluates the
-// cluster.forward failpoint so fault drills can sever peer links without
-// touching the network.
-func (c *Client) do(ctx context.Context, method, url string, body []byte, maxResp int64) (int, http.Header, []byte, error) {
-	if err := faultinject.Hit(fpForward); err != nil {
-		return 0, nil, nil, fmt.Errorf("cluster: forward to %s: %w", url, err)
-	}
-	actx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -265,110 +238,122 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, maxRes
 	}
 	req, err := http.NewRequestWithContext(actx, method, url, rd)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("cluster: building %s %s: %w", method, url, err)
+		return reply{}, fmt.Errorf("cluster: building %s %s: %w", method, url, err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set(ForwardedHeader, "1")
-	resp, err := c.hc.Do(req)
+	resp, err := r.hc.Do(req)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("cluster: %s %s: %w", method, url, err)
+		return reply{}, fmt.Errorf("cluster: %s %s: %w", method, url, err)
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxResp+1))
 	if err != nil {
-		return resp.StatusCode, resp.Header, nil, fmt.Errorf("cluster: reading %s %s: %w", method, url, err)
+		return reply{}, fmt.Errorf("cluster: reading %s %s: %w", method, url, err)
 	}
 	if int64(len(payload)) > maxResp {
-		return resp.StatusCode, resp.Header, nil, &decodeError{fmt.Errorf("response over %d bytes", maxResp)}
+		return reply{}, &decodeError{fmt.Errorf("response over %d bytes", maxResp)}
 	}
-	return resp.StatusCode, resp.Header, payload, nil
+	return reply{peer: peer, code: resp.StatusCode, hdr: resp.Header, body: payload}, nil
 }
 
-// busyFrom builds the BusyError for a 429/503 reply, preserving the
-// origin peer's Retry-After.
-func busyFrom(peer string, status int, hdr http.Header) *BusyError {
-	be := &BusyError{Peer: peer, Status: status}
-	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil && ra >= 0 {
+// reply is one peer HTTP response, its body read under a size cap.
+type reply struct {
+	peer string
+	code int
+	hdr  http.Header
+	body []byte
+}
+
+// busy reports a 429 or 503 reply as the peer's BusyError, preserving
+// its Retry-After; any other status it does not handle is a statusError.
+func (rp reply) busy() error {
+	if rp.code != http.StatusTooManyRequests && rp.code != http.StatusServiceUnavailable {
+		return rp.unexpected()
+	}
+	be := &BusyError{Peer: rp.peer, Status: rp.code}
+	if ra, err := strconv.Atoi(rp.hdr.Get("Retry-After")); err == nil && ra >= 0 {
 		be.RetryAfter = time.Duration(ra) * time.Second
 	}
 	return be
 }
 
-// Submit forwards a single lifetime-class submit body to peer's
-// POST /v1/lifetime and returns the accepted job envelope. 429/503 come
-// back as *BusyError with the origin's Retry-After.
-func (c *Client) Submit(ctx context.Context, peer string, body []byte) (JobEnvelope, error) {
-	code, hdr, payload, err := c.do(ctx, http.MethodPost, peer+"/v1/lifetime", body, maxEnvelopeBytes)
-	if err != nil {
-		return JobEnvelope{}, err
-	}
-	switch code {
-	case http.StatusAccepted, http.StatusOK:
-		return DecodeJobEnvelope(payload)
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return JobEnvelope{}, busyFrom(peer, code, hdr)
+// unexpected reports a status the caller does not handle.
+func (rp reply) unexpected() error {
+	return &statusError{peer: rp.peer, code: rp.code, body: truncate(rp.body, 200)}
+}
+
+// Err is a batch item's rejection as an error, nil when it was accepted:
+// a 429 or 503 is the peer's BusyError with the item's Retry-After, as
+// the same status on the whole request would be.
+func (e BatchItemEnvelope) Err(peer string) error {
+	switch {
+	case e.Accepted:
+		return nil
+	case e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable:
+		return &BusyError{Peer: peer, Status: e.Status, RetryAfter: time.Duration(max(e.RetryAfterS, 0)) * time.Second}
 	default:
-		return JobEnvelope{}, &statusError{peer: peer, code: code, body: truncate(payload, 200)}
+		return &statusError{peer: peer, code: e.Status, body: e.Error}
 	}
 }
 
-// SubmitBatch forwards a pre-encoded batch request (POST /v1/batch) and
-// returns the decoded per-item results. items is the request item count,
-// used to validate the response shape.
-func (c *Client) SubmitBatch(ctx context.Context, peer string, body []byte, items int) (BatchEnvelope, error) {
-	code, hdr, payload, err := c.do(ctx, http.MethodPost, peer+"/v1/batch", body, maxEnvelopeBytes)
-	if err != nil {
-		return BatchEnvelope{}, err
-	}
-	switch code {
-	case http.StatusOK:
-		return DecodeBatchEnvelope(payload, items)
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return BatchEnvelope{}, busyFrom(peer, code, hdr)
-	default:
-		return BatchEnvelope{}, &statusError{peer: peer, code: code, body: truncate(payload, 200)}
-	}
+// SubmitBatch posts a pre-encoded batch request (POST /v1/batch) to peer
+// and returns the decoded per-item results; items is the request's item
+// count, used to validate the reply's shape. A 429 or 503 comes back as
+// *BusyError with the peer's Retry-After.
+func (r *Router) SubmitBatch(ctx context.Context, peer string, body []byte, items int) (BatchEnvelope, error) {
+	var env BatchEnvelope
+	err := r.withRetry(ctx, peer, http.MethodPost, "/v1/batch", body, maxEnvelopeBytes, func(rp reply) (err error) {
+		if rp.code != http.StatusOK {
+			return rp.busy()
+		}
+		env, err = DecodeBatchEnvelope(rp.body, items)
+		return err
+	})
+	return env, err
 }
 
-// Job fetches a forwarded job's status envelope.
-func (c *Client) Job(ctx context.Context, peer, id string) (JobEnvelope, error) {
-	code, _, payload, err := c.do(ctx, http.MethodGet, peer+"/v1/jobs/"+id, nil, maxEnvelopeBytes)
-	if err != nil {
-		return JobEnvelope{}, err
-	}
-	if code != http.StatusOK {
-		return JobEnvelope{}, &statusError{peer: peer, code: code, body: truncate(payload, 200)}
-	}
-	return DecodeJobEnvelope(payload)
+// Job fetches the status envelope of job id on peer.
+func (r *Router) Job(ctx context.Context, peer, id string) (JobEnvelope, error) {
+	var env JobEnvelope
+	err := r.withRetry(ctx, peer, http.MethodGet, "/v1/jobs/"+id, nil, maxEnvelopeBytes, func(rp reply) (err error) {
+		if rp.code != http.StatusOK {
+			return rp.unexpected()
+		}
+		env, err = DecodeJobEnvelope(rp.body)
+		return err
+	})
+	return env, err
 }
 
 // Result fetches a done job's canonical result bytes (the exact bytes the
 // peer's audit leaf covers — identical to what local execution under the
 // same key would produce).
-func (c *Client) Result(ctx context.Context, peer, id string) ([]byte, error) {
-	code, _, payload, err := c.do(ctx, http.MethodGet, peer+"/v1/jobs/"+id+"/result", nil, maxResultBytes)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, &statusError{peer: peer, code: code, body: truncate(payload, 200)}
-	}
-	if len(payload) == 0 {
-		return nil, &decodeError{errors.New("empty result body")}
-	}
-	return payload, nil
+func (r *Router) Result(ctx context.Context, peer, id string) ([]byte, error) {
+	var data []byte
+	err := r.withRetry(ctx, peer, http.MethodGet, "/v1/jobs/"+id+"/result", nil, maxResultBytes, func(rp reply) error {
+		switch {
+		case rp.code != http.StatusOK:
+			return rp.unexpected()
+		case len(rp.body) == 0:
+			return &decodeError{errors.New("empty result body")}
+		}
+		data = rp.body
+		return nil
+	})
+	return data, err
 }
 
-// Cancel best-effort cancels a forwarded job on its peer.
-func (c *Client) Cancel(ctx context.Context, peer, id string) error {
-	code, _, payload, err := c.do(ctx, http.MethodDelete, peer+"/v1/jobs/"+id, nil, maxEnvelopeBytes)
+// Cancel best-effort cancels job id on peer in a single attempt: it is
+// advisory, since a remote job nobody cancels only warms the peer's cache.
+func (r *Router) Cancel(ctx context.Context, peer, id string) error {
+	rp, err := r.do(ctx, fpForward, http.MethodDelete, peer, "/v1/jobs/"+id, nil, maxEnvelopeBytes)
 	if err != nil {
 		return err
 	}
-	if code != http.StatusOK && code != http.StatusConflict && code != http.StatusNotFound {
-		return &statusError{peer: peer, code: code, body: truncate(payload, 200)}
+	if rp.code != http.StatusOK && rp.code != http.StatusConflict && rp.code != http.StatusNotFound {
+		return rp.unexpected()
 	}
 	return nil
 }
@@ -377,107 +362,83 @@ func (c *Client) Cancel(ctx context.Context, peer, id string) error {
 // and returns the envelope-verified payload. ok=false with a nil error
 // is a clean miss (the peer answered 404); a mis-keyed or corrupt
 // envelope is a decodeError, never served.
-func (c *Client) StoreGet(ctx context.Context, peer, key string) ([]byte, bool, error) {
-	code, _, payload, err := c.do(ctx, http.MethodGet, peer+"/v1/store/"+key, nil, maxResultBytes)
-	if err != nil {
-		return nil, false, err
-	}
-	switch code {
-	case http.StatusOK:
-		ekey, data, derr := store.DecodeEnvelope(payload)
-		if derr != nil {
-			return nil, false, &decodeError{derr}
+func (r *Router) StoreGet(ctx context.Context, peer, key string) (data []byte, ok bool, err error) {
+	err = r.withRetry(ctx, peer, http.MethodGet, "/v1/store/"+key, nil, maxResultBytes, func(rp reply) error {
+		switch rp.code {
+		case http.StatusNotFound:
+			return nil
+		case http.StatusOK:
+			ekey, payload, derr := store.DecodeEnvelope(rp.body)
+			if derr != nil {
+				return &decodeError{derr}
+			}
+			if ekey != key {
+				return &decodeError{fmt.Errorf("envelope keyed %s, want %s", ekey, key)}
+			}
+			data, ok = payload, true
+			return nil
+		default:
+			return rp.unexpected()
 		}
-		if ekey != key {
-			return nil, false, &decodeError{fmt.Errorf("envelope keyed %s, want %s", ekey, key)}
-		}
-		return data, true, nil
-	case http.StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, &statusError{peer: peer, code: code, body: truncate(payload, 200)}
-	}
+	})
+	return data, ok, err
 }
 
 // StorePut pushes key's canonical bytes to peer (PUT /v1/store/{key}),
 // envelope-wrapped. A 409 means the peer's own audit disagrees with
 // these bytes — a determinism fork, surfaced as a non-retryable
 // statusError.
-func (c *Client) StorePut(ctx context.Context, peer, key string, data []byte) error {
-	code, hdr, payload, err := c.do(ctx, http.MethodPut, peer+"/v1/store/"+key, store.EncodeEnvelope(key, data), maxEnvelopeBytes)
-	if err != nil {
-		return err
-	}
-	switch code {
-	case http.StatusNoContent, http.StatusOK:
-		return nil
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return busyFrom(peer, code, hdr)
-	default:
-		return &statusError{peer: peer, code: code, body: truncate(payload, 200)}
-	}
+func (r *Router) StorePut(ctx context.Context, peer, key string, data []byte) error {
+	return r.withRetry(ctx, peer, http.MethodPut, "/v1/store/"+key, store.EncodeEnvelope(key, data), maxEnvelopeBytes, func(rp reply) error {
+		if rp.code == http.StatusNoContent || rp.code == http.StatusOK {
+			return nil
+		}
+		return rp.busy()
+	})
 }
 
 // StoreStat asks peer for its leaf hash of key (HEAD /v1/store/{key},
 // reading the LeafHeader) without moving the payload. ok=false with a
 // nil error is a clean miss.
-func (c *Client) StoreStat(ctx context.Context, peer, key string) (leaf string, ok bool, err error) {
-	code, hdr, payload, err := c.do(ctx, http.MethodHead, peer+"/v1/store/"+key, nil, maxEnvelopeBytes)
-	if err != nil {
-		return "", false, err
-	}
-	switch code {
-	case http.StatusOK:
-		leaf = hdr.Get(LeafHeader)
-		if _, perr := merkle.ParseHash(leaf); perr != nil {
-			return "", false, &decodeError{fmt.Errorf("bad %s header %q: %w", LeafHeader, leaf, perr)}
+func (r *Router) StoreStat(ctx context.Context, peer, key string) (leaf string, ok bool, err error) {
+	err = r.withRetry(ctx, peer, http.MethodHead, "/v1/store/"+key, nil, maxEnvelopeBytes, func(rp reply) error {
+		switch rp.code {
+		case http.StatusNotFound:
+			return nil
+		case http.StatusOK:
+			got := rp.hdr.Get(LeafHeader)
+			if _, perr := merkle.ParseHash(got); perr != nil {
+				return &decodeError{fmt.Errorf("bad %s header %q: %w", LeafHeader, got, perr)}
+			}
+			leaf, ok = got, true
+			return nil
+		default:
+			return rp.unexpected()
 		}
-		return leaf, true, nil
-	case http.StatusNotFound:
-		return "", false, nil
-	default:
-		return "", false, &statusError{peer: peer, code: code, body: truncate(payload, 200)}
-	}
+	})
+	return leaf, ok, err
 }
 
-// Probe checks a peer's readiness (GET /readyz). It returns ready=false
-// with a nil error for a well-formed "not ready" reply (a draining peer
-// is healthy HTTP-wise but must still be evicted) and an error for
-// transport failures or malformed bodies.
-func (c *Client) Probe(ctx context.Context, peer string) (ProbeEnvelope, error) {
-	if err := faultinject.Hit(fpHealthProbe); err != nil {
-		return ProbeEnvelope{}, fmt.Errorf("cluster: probe %s: %w", peer, err)
-	}
-	actx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, peer+"/readyz", nil)
+// probe checks a peer's readiness (GET /readyz) in a single attempt. It
+// returns ready=false with a nil error for a well-formed "not ready"
+// reply (a draining peer is healthy HTTP-wise but must still be evicted)
+// and an error for transport failures or malformed bodies.
+func (r *Router) probe(ctx context.Context, peer string) (ProbeEnvelope, error) {
+	rp, err := r.do(ctx, fpHealthProbe, http.MethodGet, peer, "/readyz", nil, maxProbeBytes)
 	if err != nil {
-		return ProbeEnvelope{}, fmt.Errorf("cluster: building probe for %s: %w", peer, err)
+		return ProbeEnvelope{}, err
 	}
-	resp, err := c.hc.Do(req)
+	if rp.code != http.StatusOK && rp.code != http.StatusServiceUnavailable {
+		return ProbeEnvelope{}, rp.unexpected()
+	}
+	env, err := DecodeProbe(rp.body)
 	if err != nil {
-		return ProbeEnvelope{}, fmt.Errorf("cluster: probe %s: %w", peer, err)
+		return ProbeEnvelope{}, err
 	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxProbeBytes+1))
-	if err != nil {
-		return ProbeEnvelope{}, fmt.Errorf("cluster: reading probe from %s: %w", peer, err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusServiceUnavailable:
-		env, derr := DecodeProbe(payload)
-		if derr != nil {
-			return ProbeEnvelope{}, derr
-		}
-		// Trust the status line over the body: a 503 is not ready no
-		// matter what the body claims.
-		if resp.StatusCode != http.StatusOK {
-			env.Ready = false
-		}
-		return env, nil
-	default:
-		return ProbeEnvelope{}, &statusError{peer: peer, code: resp.StatusCode, body: truncate(payload, 200)}
-	}
+	// Trust the status line over the body: a 503 is not ready no matter
+	// what the body claims.
+	env.Ready = env.Ready && rp.code == http.StatusOK
+	return env, nil
 }
 
 func truncate(b []byte, n int) string {

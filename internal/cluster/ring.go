@@ -1,9 +1,9 @@
 // Package cluster turns N hayatd peers into one sharded service: a
 // consistent-hash ring routes each job to the peer that owns its
 // content-addressed cache key, a health prober evicts dead or draining
-// peers from the ring, and a peer client forwards work with per-attempt
-// timeouts, capped exponential backoff with jitter, and per-peer circuit
-// breakers (internal/circuit). The package is deliberately mechanism-only:
+// peers from the ring, and the router sends work to peers with
+// per-attempt timeouts, capped exponential backoff with jitter, and
+// per-peer circuit breakers (internal/circuit). The package is deliberately mechanism-only:
 // WHEN to forward, steal, or degrade to local execution is decided by
 // internal/service, which layers it over the single-node engine.
 //
@@ -21,10 +21,14 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is the number of virtual nodes per peer on the ring.
-// 64 vnodes keeps the max/mean key imbalance under ~15% for small
-// clusters while the ring stays tiny (N×64 entries).
-const DefaultVnodes = 64
+// vnodes is the number of virtual nodes per peer on the ring. 64 vnodes
+// keeps the max/mean key imbalance under ~15% for small clusters while
+// the ring stays tiny (N×64 entries).
+const vnodes = 64
+
+// loadFactor is Assign's bounded-load constant (the classic 1.25): no
+// peer is assigned more than loadFactor times its even share of keys.
+const loadFactor = 1.25
 
 // ringHash maps an arbitrary label (a vnode name or a cache key) onto the
 // ring's 64-bit circle. SHA-256 keeps vnode spread independent of peer
@@ -41,25 +45,21 @@ func ringHash(s string) uint64 {
 // recovered peer gets exactly its old keys back.
 type Ring struct {
 	mu      sync.RWMutex
-	vnodes  int
 	enabled map[string]bool
 	hashes  []uint64 // sorted vnode positions
 	owners  []string // owners[i] owns hashes[i]
 }
 
-// NewRing builds a ring over peers (self included) with n virtual nodes
-// per peer (n <= 0 selects DefaultVnodes). All peers start enabled.
-func NewRing(peers []string, n int) *Ring {
-	if n <= 0 {
-		n = DefaultVnodes
-	}
-	r := &Ring{vnodes: n, enabled: make(map[string]bool, len(peers))}
+// NewRing builds a ring over peers (self included) with vnodes virtual
+// nodes per peer. All peers start enabled.
+func NewRing(peers []string) *Ring {
+	r := &Ring{enabled: make(map[string]bool, len(peers))}
 	for _, p := range peers {
 		if p == "" || r.enabled[p] {
 			continue
 		}
 		r.enabled[p] = true
-		for i := 0; i < n; i++ {
+		for i := 0; i < vnodes; i++ {
 			r.hashes = append(r.hashes, ringHash(fmt.Sprintf("%s#%d", p, i)))
 			r.owners = append(r.owners, p)
 		}
@@ -164,17 +164,13 @@ func (r *Ring) Successors(key string, n int) []string {
 
 // Assign distributes keys across the enabled peers with bounded load: each
 // key goes to the first enabled peer clockwise from its position whose
-// assignment is still under ceil(len(keys)/enabled × factor). The bound
-// stops one hot arc of the ring from swamping a single peer during
-// population fan-out; factor <= 1 defaults to 1.25 (the classic
-// bounded-load constant). The result maps peer → indices into keys, in
-// input order; ok is false (and the map empty) when no peer is enabled.
-func (r *Ring) Assign(keys []string, factor float64) (map[string][]int, bool) {
+// assignment is still under len(keys)/enabled × loadFactor (+1). The
+// bound stops one hot arc of the ring from swamping a single peer during
+// population fan-out. The result maps peer → indices into keys, in input
+// order; ok is false (and the map empty) when no peer is enabled.
+func (r *Ring) Assign(keys []string) (map[string][]int, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if factor <= 1 {
-		factor = 1.25
-	}
 	enabled := 0
 	for _, up := range r.enabled {
 		if up {
@@ -184,7 +180,7 @@ func (r *Ring) Assign(keys []string, factor float64) (map[string][]int, bool) {
 	if enabled == 0 || len(r.hashes) == 0 {
 		return map[string][]int{}, false
 	}
-	cap_ := int(float64(len(keys))*factor/float64(enabled)) + 1
+	cap_ := int(float64(len(keys))*loadFactor/float64(enabled)) + 1
 	out := make(map[string][]int, enabled)
 	for i, key := range keys {
 		h := ringHash(key)
@@ -208,7 +204,7 @@ func (r *Ring) Assign(keys []string, factor float64) (map[string][]int, bool) {
 		}
 		if !assigned {
 			// Every enabled peer is at capacity (can't happen with
-			// factor > 1, kept as a safety net): ideal owner takes it.
+			// loadFactor > 1, kept as a safety net): ideal owner takes it.
 			out[first] = append(out[first], i)
 		}
 	}

@@ -17,7 +17,7 @@ func testKeys(n int) []string {
 // owner is stable. Re-enabling restores the exact original mapping.
 func TestRingRebalanceMovesOnlyEvictedKeys(t *testing.T) {
 	peers := []string{"http://a", "http://b", "http://c"}
-	r := NewRing(peers, 0)
+	r := NewRing(peers)
 	keys := testKeys(500)
 
 	before := make(map[string]string, len(keys))
@@ -59,7 +59,7 @@ func TestRingRebalanceMovesOnlyEvictedKeys(t *testing.T) {
 
 func TestRingSpread(t *testing.T) {
 	peers := []string{"http://a", "http://b", "http://c", "http://d"}
-	r := NewRing(peers, 0)
+	r := NewRing(peers)
 	counts := map[string]int{}
 	for _, k := range testKeys(4000) {
 		p, _ := r.Owner(k)
@@ -73,13 +73,13 @@ func TestRingSpread(t *testing.T) {
 }
 
 func TestRingAllDown(t *testing.T) {
-	r := NewRing([]string{"http://a", "http://b"}, 0)
+	r := NewRing([]string{"http://a", "http://b"})
 	r.SetEnabled("http://a", false)
 	r.SetEnabled("http://b", false)
 	if _, ok := r.Owner("k"); ok {
 		t.Fatal("fully-disabled ring still returned an owner")
 	}
-	if _, ok := r.Assign(testKeys(10), 0); ok {
+	if _, ok := r.Assign(testKeys(10)); ok {
 		t.Fatal("fully-disabled ring still assigned keys")
 	}
 }
@@ -88,10 +88,10 @@ func TestRingAllDown(t *testing.T) {
 // share is under the cap, and a disabled peer gets nothing.
 func TestRingAssignBoundedLoad(t *testing.T) {
 	peers := []string{"http://a", "http://b", "http://c"}
-	r := NewRing(peers, 0)
+	r := NewRing(peers)
 	keys := testKeys(300)
 
-	asg, ok := r.Assign(keys, 1.25)
+	asg, ok := r.Assign(keys)
 	if !ok {
 		t.Fatal("assign failed")
 	}
@@ -107,7 +107,7 @@ func TestRingAssignBoundedLoad(t *testing.T) {
 	if len(seen) != len(keys) {
 		t.Fatalf("%d/%d keys assigned", len(seen), len(keys))
 	}
-	cap_ := int(float64(len(keys))*1.25/3) + 1
+	cap_ := int(float64(len(keys))*loadFactor/3) + 1
 	for p, idxs := range asg {
 		if len(idxs) > cap_ {
 			t.Fatalf("peer %s got %d keys, cap %d", p, len(idxs), cap_)
@@ -115,7 +115,7 @@ func TestRingAssignBoundedLoad(t *testing.T) {
 	}
 
 	r.SetEnabled("http://c", false)
-	asg, _ = r.Assign(keys, 1.25)
+	asg, _ = r.Assign(keys)
 	if len(asg["http://c"]) != 0 {
 		t.Fatal("disabled peer still got chips")
 	}
@@ -129,8 +129,8 @@ func TestRingAssignBoundedLoad(t *testing.T) {
 }
 
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	b := NewRing([]string{"http://c", "http://a", "http://b"}, 0) // order-independent
+	a := NewRing([]string{"http://a", "http://b", "http://c"})
+	b := NewRing([]string{"http://c", "http://a", "http://b"}) // order-independent
 	for _, k := range testKeys(100) {
 		pa, _ := a.Owner(k)
 		pb, _ := b.Owner(k)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -19,21 +20,13 @@ type Config struct {
 	Self  string
 	Peers []string // remote peers (Self is added to the ring automatically)
 
-	Vnodes int // virtual nodes per peer (default DefaultVnodes)
+	// ProbeInterval (default 1s) is how often each remote peer's /readyz
+	// is checked.
+	ProbeInterval time.Duration
 
-	// Health probing: every ProbeInterval (default 1s) each remote peer's
-	// /readyz is checked. FailThreshold consecutive bad probes (default 3)
-	// evict the peer from the ring; RecoverThreshold consecutive good
-	// probes (default 2) restore it.
-	ProbeInterval    time.Duration
-	FailThreshold    int
-	RecoverThreshold int
-
-	// AttemptTimeout bounds every single peer request (default 10s).
 	// Retry is the cross-attempt backoff schedule, the one hayatd uses
 	// for its own retries.
-	AttemptTimeout time.Duration
-	Retry          circuit.Backoff
+	Retry circuit.Backoff
 
 	// Per-peer circuit breakers (same defaults as the service's disk
 	// breakers: 5 consecutive failures, 5s cooldown).
@@ -42,6 +35,16 @@ type Config struct {
 
 	Logf func(format string, args ...any)
 }
+
+// Peer-client timing and probe thresholds. Every peer request attempt
+// is bounded by attemptTimeout; retries across attempts follow
+// Config.Retry. failThreshold consecutive bad probes evict a peer from
+// the ring; recoverThreshold consecutive good probes restore it.
+const (
+	attemptTimeout   = 10 * time.Second
+	failThreshold    = 3
+	recoverThreshold = 2
+)
 
 // PeerSnapshot is one remote peer's externally visible health, served on
 // GET /metrics under cluster.peers.
@@ -66,13 +69,13 @@ type peerState struct {
 	brk        *circuit.Breaker
 }
 
-// Router owns the ring, the peer client, per-peer breakers, and the
+// Router owns the ring, the peer HTTP client, per-peer breakers, and the
 // health prober: the one object the service layer talks to for all
-// cluster mechanics.
+// cluster mechanics. It makes every peer request itself (client.go).
 type Router struct {
 	cfg    Config
 	ring   *Ring
-	client *Client
+	hc     *http.Client
 	jitter *circuit.Jitter
 	logf   func(string, ...any)
 
@@ -112,21 +115,18 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.RecoverThreshold <= 0 {
-		cfg.RecoverThreshold = 2
-	}
 	cfg.Retry = cfg.Retry.WithDefaults()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	r := &Router{
-		cfg:        cfg,
-		ring:       NewRing(append([]string{cfg.Self}, remote...), cfg.Vnodes),
-		client:     NewClient(cfg.AttemptTimeout),
+		cfg:  cfg,
+		ring: NewRing(append([]string{cfg.Self}, remote...)),
+		// A dedicated client (never http.DefaultClient): the overall
+		// Timeout is a hard backstop above the per-attempt context in
+		// case a peer streams a response forever.
+		hc:         &http.Client{Timeout: 5 * time.Minute},
 		jitter:     circuit.NewJitter(1), // fixed seed: retry schedules repeat run to run
 		logf:       logf,
 		peers:      make(map[string]*peerState, len(remote)),
@@ -134,7 +134,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	for _, p := range remote {
 		r.peers[p] = &peerState{
-			up:  true, // optimistic: forwards try immediately, probes correct within FailThreshold sweeps
+			up:  true, // optimistic: forwards try immediately, probes correct within failThreshold sweeps
 			brk: circuit.New("peer:"+p, cfg.BreakerThreshold, cfg.BreakerCooldown),
 		}
 	}
@@ -207,7 +207,7 @@ func (r *Router) OwnerExcluding(key string, skip map[string]bool) (peer string, 
 // AssignKeys shards keys across every up node (self included) with
 // bounded load; see Ring.Assign.
 func (r *Router) AssignKeys(keys []string) map[string][]int {
-	out, _ := r.ring.Assign(keys, 0)
+	out, _ := r.ring.Assign(keys)
 	return out
 }
 
@@ -256,119 +256,35 @@ func (r *Router) breaker(peer string) *circuit.Breaker {
 	return circuit.New("peer:"+peer, r.cfg.BreakerThreshold, r.cfg.BreakerCooldown)
 }
 
-// withRetry runs one logical peer operation through the peer's breaker
-// and the backoff schedule. An open breaker fails at once with
-// circuit.ErrOpen. BusyError counts as a SUCCESS for the breaker (a peer
-// saying 429 is alive and talking) and is returned immediately so the
-// caller can pass the origin's Retry-After through.
-func (r *Router) withRetry(ctx context.Context, peer string, fn func(context.Context) error) error {
+// withRetry runs one logical peer request — method on peer's path, with
+// body — through the peer's breaker and the backoff schedule, handing
+// each attempt's reply to handle, whose error decides whether to retry.
+// An open breaker fails at once with circuit.ErrOpen. BusyError counts
+// as a SUCCESS for the breaker (a peer saying 429 is alive and talking)
+// and is returned immediately so the caller can pass the origin's
+// Retry-After through.
+func (r *Router) withRetry(ctx context.Context, peer, method, path string, body []byte, maxResp int64, handle func(reply) error) error {
 	brk := r.breaker(peer)
 	return circuit.Retry(ctx, r.cfg.Retry, r.jitter, retryable, nil, func() error {
 		if !brk.Allow() {
 			return fmt.Errorf("cluster: peer %s: %w", peer, circuit.ErrOpen)
 		}
-		err := fn(ctx)
+		rp, err := r.do(ctx, fpForward, method, peer, path, body, maxResp)
+		if err == nil {
+			err = handle(rp)
+		}
 		var be *BusyError
 		brk.Report(err == nil || errors.As(err, &be))
 		return err
 	})
 }
 
-// ForwardSubmit forwards a single-job submit body to peer, with retries
-// and breaker gating.
-func (r *Router) ForwardSubmit(ctx context.Context, peer string, body []byte) (JobEnvelope, error) {
-	var env JobEnvelope
-	err := r.withRetry(ctx, peer, func(ctx context.Context) error {
-		var e error
-		env, e = r.client.Submit(ctx, peer, body)
-		return e
-	})
-	return env, err
-}
-
-// ForwardBatch forwards a pre-encoded batch body to peer.
-func (r *Router) ForwardBatch(ctx context.Context, peer string, body []byte, items int) (BatchEnvelope, error) {
-	var env BatchEnvelope
-	err := r.withRetry(ctx, peer, func(ctx context.Context) error {
-		var e error
-		env, e = r.client.SubmitBatch(ctx, peer, body, items)
-		return e
-	})
-	return env, err
-}
-
-// PollJob fetches a forwarded job's status from peer.
-func (r *Router) PollJob(ctx context.Context, peer, id string) (JobEnvelope, error) {
-	var env JobEnvelope
-	err := r.withRetry(ctx, peer, func(ctx context.Context) error {
-		var e error
-		env, e = r.client.Job(ctx, peer, id)
-		return e
-	})
-	return env, err
-}
-
-// FetchResult fetches a done job's canonical bytes from peer.
-func (r *Router) FetchResult(ctx context.Context, peer, id string) ([]byte, error) {
-	var data []byte
-	err := r.withRetry(ctx, peer, func(ctx context.Context) error {
-		var e error
-		data, e = r.client.Result(ctx, peer, id)
-		return e
-	})
-	return data, err
-}
-
-// CancelJob best-effort cancels a forwarded job (single attempt — it is
-// advisory; an orphaned remote job only warms the peer's cache).
-func (r *Router) CancelJob(ctx context.Context, peer, id string) error {
-	return r.client.Cancel(ctx, peer, id)
-}
-
 // ReplicaSet returns key's replica set: the n distinct ring members
 // clockwise from key's position, owner first, ignoring health (see
 // Ring.Successors). Together with StoreGet/StorePut/StoreStat/PeerUp
-// this makes the Router the store package's Transport.
+// (client.go) this makes the Router the store package's Transport.
 func (r *Router) ReplicaSet(key string, n int) []string {
 	return r.ring.Successors(key, n)
-}
-
-// StoreGet fetches key's replica payload from peer with retries and
-// breaker gating. ok=false with a nil error is a clean miss.
-func (r *Router) StoreGet(ctx context.Context, peer, key string) ([]byte, bool, error) {
-	var (
-		data []byte
-		ok   bool
-	)
-	err := r.withRetry(ctx, peer, func(ctx context.Context) error {
-		var e error
-		data, ok, e = r.client.StoreGet(ctx, peer, key)
-		return e
-	})
-	return data, ok, err
-}
-
-// StorePut pushes key's canonical bytes to peer with retries and
-// breaker gating.
-func (r *Router) StorePut(ctx context.Context, peer, key string, data []byte) error {
-	return r.withRetry(ctx, peer, func(ctx context.Context) error {
-		return r.client.StorePut(ctx, peer, key, data)
-	})
-}
-
-// StoreStat fetches peer's leaf hash for key with retries and breaker
-// gating.
-func (r *Router) StoreStat(ctx context.Context, peer, key string) (string, bool, error) {
-	var (
-		leaf string
-		ok   bool
-	)
-	err := r.withRetry(ctx, peer, func(ctx context.Context) error {
-		var e error
-		leaf, ok, e = r.client.StoreStat(ctx, peer, key)
-		return e
-	})
-	return leaf, ok, err
 }
 
 // probeLoop sweeps every remote peer's /readyz until ctx is cancelled.
@@ -395,7 +311,7 @@ func (r *Router) sweep(ctx context.Context) {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			env, err := r.client.Probe(ctx, peer)
+			env, err := r.probe(ctx, peer)
 			r.record(peer, err == nil && env.Ready)
 		}(peer)
 	}
@@ -416,7 +332,7 @@ func (r *Router) record(peer string, ok bool) {
 	if ok {
 		st.consecOK++
 		st.consecFail = 0
-		if !st.up && st.consecOK >= r.cfg.RecoverThreshold {
+		if !st.up && st.consecOK >= recoverThreshold {
 			st.up = true
 			st.recoveries++
 			flip = "up"
@@ -425,7 +341,7 @@ func (r *Router) record(peer string, ok bool) {
 		st.failures++
 		st.consecFail++
 		st.consecOK = 0
-		if st.up && st.consecFail >= r.cfg.FailThreshold {
+		if st.up && st.consecFail >= failThreshold {
 			st.up = false
 			st.evictions++
 			flip = "down"

@@ -49,7 +49,7 @@ func TestRouterBreakerGatesForwarding(t *testing.T) {
 
 	// First forward: 3 attempts (500 is transient), all fail → breaker
 	// reaches its threshold mid-loop and the retry loop short-circuits.
-	_, err := r.ForwardSubmit(ctx, srv.URL, []byte(`{}`))
+	_, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1)
 	if err == nil {
 		t.Fatal("forward to 500-peer succeeded")
 	}
@@ -59,7 +59,7 @@ func TestRouterBreakerGatesForwarding(t *testing.T) {
 	}
 
 	// Breaker is now open: no further network traffic.
-	_, err = r.ForwardSubmit(ctx, srv.URL, []byte(`{}`))
+	_, err = r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1)
 	if !errors.Is(err, circuit.ErrOpen) {
 		t.Fatalf("open breaker returned %v", err)
 	}
@@ -85,7 +85,7 @@ func TestRouterBusyPassthrough(t *testing.T) {
 	defer srv.Close()
 
 	r := newTestRouter(t, []string{srv.URL}, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	_, err := r.ForwardSubmit(context.Background(), srv.URL, []byte(`{}`))
+	_, err := r.SubmitBatch(context.Background(), srv.URL, []byte(`{}`), 1)
 	var be *BusyError
 	if !errors.As(err, &be) {
 		t.Fatalf("want BusyError, got %v", err)
@@ -101,8 +101,8 @@ func TestRouterBusyPassthrough(t *testing.T) {
 	}
 }
 
-// The prober evicts a peer after FailThreshold bad probes and restores it
-// after RecoverThreshold good ones; ring ownership follows.
+// The prober evicts a peer after failThreshold bad probes and restores it
+// after recoverThreshold good ones; ring ownership follows.
 func TestProberEvictsAndRecovers(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
@@ -118,11 +118,7 @@ func TestProberEvictsAndRecovers(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	r := newTestRouter(t, []string{srv.URL}, Config{
-		ProbeInterval:    5 * time.Millisecond,
-		FailThreshold:    2,
-		RecoverThreshold: 2,
-	})
+	r := newTestRouter(t, []string{srv.URL}, Config{ProbeInterval: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r.Start(ctx)
@@ -180,10 +176,7 @@ func TestProberEvictsDrainingPeer(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	r := newTestRouter(t, []string{srv.URL}, Config{
-		ProbeInterval: 5 * time.Millisecond,
-		FailThreshold: 2,
-	})
+	r := newTestRouter(t, []string{srv.URL}, Config{ProbeInterval: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r.Start(ctx)

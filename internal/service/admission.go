@@ -93,6 +93,7 @@ type admission struct {
 	order   []string // clients with queued work, round-robin order
 	rr      int      // index into order of the next client to serve
 	total   int      // queued jobs across all clients
+	tracked int      // tracking jobs off the queue; each may come back
 	closed  bool
 
 	pops    []time.Time // timestamps of recent dequeues (drain-rate window)
@@ -206,8 +207,8 @@ func (a *admission) enqueue(j *Job, force bool) error {
 }
 
 // pop blocks until a job is available (returned round-robin across
-// clients) or the queue is closed and empty. Expiry is the
-// caller's business: pop hands out whatever was queued, the server
+// clients) or the queue is closed and empty with no job tracked. Expiry
+// is the caller's business: pop hands out whatever was queued, the server
 // decides whether it still deserves a worker.
 func (a *admission) pop() (*Job, bool) {
 	a.mu.Lock()
@@ -216,7 +217,7 @@ func (a *admission) pop() (*Job, bool) {
 		if a.total > 0 {
 			return a.popLocked(), true
 		}
-		if a.closed {
+		if a.closed && a.tracked == 0 {
 			return nil, false
 		}
 		a.cond.Wait()
@@ -287,6 +288,16 @@ func (a *admission) depths() map[string]int {
 		return nil
 	}
 	return out
+}
+
+// track counts a forwarded job's tracking in (+1) or out (-1). Workers
+// outlive close while any job is tracked: its owner may still fail and
+// hand it back to the queue for a worker.
+func (a *admission) track(delta int) {
+	a.mu.Lock()
+	a.tracked += delta
+	a.mu.Unlock()
+	a.cond.Broadcast()
 }
 
 // close stops admission: enqueue rejects (ErrDraining) and pop returns

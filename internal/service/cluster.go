@@ -17,8 +17,9 @@ import (
 // which must still produce byte-identical population results.
 const fpClusterSteal = "cluster.steal"
 
-// ClusterOptions wires a node into a hayatd cluster. Zero Peers means
-// single-node mode: no ring, no prober, no forwarding.
+// ClusterOptions wires a node into a hayatd cluster; its fields are
+// hayatd's cluster flags. Zero Peers means single-node mode: no ring, no
+// prober, no forwarding.
 type ClusterOptions struct {
 	// Self is this node's own base URL as peers reach it
 	// (e.g. "http://10.0.0.1:8080"); required when Peers is set.
@@ -27,32 +28,16 @@ type ClusterOptions struct {
 	Peers []string
 	// ProbeInterval is the /readyz health-probe cadence (default 1s).
 	ProbeInterval time.Duration
-	// AttemptTimeout bounds each single peer request (default 10s).
-	AttemptTimeout time.Duration
-	// PollInterval is how often a forwarded job's status is polled on its
-	// owner (default 100ms).
-	PollInterval time.Duration
 	// StealAfter is the slow-peer backstop for population fan-out: a chip
 	// whose remote result has not arrived after this long is stolen back
 	// and simulated locally (default 60s; negative disables).
 	StealAfter time.Duration
-	// FailThreshold consecutive failed probes evict a peer from the ring
-	// (default 3); RecoverThreshold consecutive good probes restore it
-	// (default 2).
-	FailThreshold    int
-	RecoverThreshold int
-	// Vnodes is the virtual-node count per peer (default cluster.DefaultVnodes).
-	Vnodes int
 }
+
+// pollInterval is how often a remote job's status is polled on its peer.
+const pollInterval = 100 * time.Millisecond
 
 func (c ClusterOptions) enabled() bool { return len(c.Peers) > 0 }
-
-func (c ClusterOptions) pollInterval() time.Duration {
-	if c.PollInterval <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.PollInterval
-}
 
 func (c ClusterOptions) stealAfter() time.Duration {
 	switch {
@@ -74,11 +59,7 @@ func newRouter(opts Options, logf func(string, ...any)) (*cluster.Router, error)
 	return cluster.New(cluster.Config{
 		Self:             opts.Cluster.Self,
 		Peers:            opts.Cluster.Peers,
-		Vnodes:           opts.Cluster.Vnodes,
 		ProbeInterval:    opts.Cluster.ProbeInterval,
-		FailThreshold:    opts.Cluster.FailThreshold,
-		RecoverThreshold: opts.Cluster.RecoverThreshold,
-		AttemptTimeout:   opts.Cluster.AttemptTimeout,
 		Retry:            opts.Retry,
 		BreakerThreshold: opts.BreakerThreshold,
 		BreakerCooldown:  opts.BreakerCooldown,
@@ -86,43 +67,55 @@ func newRouter(opts Options, logf func(string, ...any)) (*cluster.Router, error)
 	})
 }
 
-// forwardBody builds the submit body a forwarded lifetime job carries to
-// its owner: the canonical config plus the admission metadata that should
-// travel with the work (client identity, remaining deadline).
-func (s *Server) forwardBody(req request, o SubmitOpts) ([]byte, error) {
-	cfg, err := json.Marshal(req.Config)
-	if err != nil {
-		return nil, err
-	}
-	fwd := LifetimeRequest{
-		Config: cfg,
-		Seed:   req.Seed,
-		Policy: req.Policy,
-		Client: o.Client,
-	}
-	if o.Deadline > 0 {
-		fwd.DeadlineMS = o.Deadline.Milliseconds()
-	}
-	if o.QueueTTL > 0 {
-		fwd.QueueTTLMS = o.QueueTTL.Milliseconds()
-	}
-	return json.Marshal(fwd)
+// remoteItem is one request run on a peer through its batch API: a
+// forwarded lifetime, awaited by its tracking job, or a population chip,
+// awaited by its peer's fetcher and by the population worker that needs
+// it. resolve publishes the item's validated bytes, or nil for "run it
+// here", exactly once.
+type remoteItem struct {
+	req      request
+	key      string
+	client   string
+	deadline time.Time     // zero: none
+	queueTTL time.Duration // zero: none
+	id       string        // the job ID of the peer that accepted it
+
+	once sync.Once
+	done chan struct{}
+	data []byte
+}
+
+func newRemoteItem(req request, key, client string, deadline time.Time) *remoteItem {
+	return &remoteItem{req: req, key: key, client: client, deadline: deadline, done: make(chan struct{})}
+}
+
+func (it *remoteItem) resolve(data []byte) {
+	it.once.Do(func() {
+		it.data = data
+		close(it.done)
+	})
 }
 
 // forward sends a lifetime submit to owner, the healthy remote peer that
-// owns its key. handled=true carries the decision: a local tracking job,
-// or the owner's BusyError passed through. handled=false means the
-// forward failed after retries and the caller executes locally (content-
+// owns its key, as a one-item batch. handled=true carries the decision: a
+// local tracking job, or the owner's BusyError passed through — for a
+// 429/503 on the request and on the item alike. handled=false means the
+// forward failed otherwise and the caller executes locally (content-
 // addressed results make that always correct, only less cache-efficient).
 func (s *Server) forward(sub submission, owner string) (JobStatus, bool, error) {
-	body, err := s.forwardBody(sub.req, sub.opts)
-	if err != nil {
-		return JobStatus{}, false, nil
+	var deadline time.Time
+	if sub.opts.Deadline > 0 {
+		deadline = time.Now().Add(sub.opts.Deadline)
 	}
+	it := newRemoteItem(sub.req, sub.key, sub.opts.Client, deadline)
+	it.queueTTL = sub.opts.QueueTTL
 	s.met.ForwardAttempts.Add(1)
 	start := time.Now()
-	env, err := s.router.ForwardSubmit(s.baseCtx, owner, body)
+	results, err := s.submitRemote(s.baseCtx, owner, []*remoteItem{it})
 	s.met.ForwardLatency.Observe(time.Since(start))
+	if err == nil {
+		err = results[0].Err(owner)
+	}
 	if err != nil {
 		var be *cluster.BusyError
 		if errors.As(err, &be) {
@@ -136,6 +129,7 @@ func (s *Server) forward(sub submission, owner string) (JobStatus, bool, error) 
 		s.logf("service: forwarding %s to %s failed (%v); executing locally", sub.key[:12], owner, err)
 		return JobStatus{}, false, nil
 	}
+	it.id = results[0].Job.ID
 
 	s.mu.Lock()
 	if j, ok := s.inflight[sub.key]; ok {
@@ -147,17 +141,20 @@ func (s *Server) forward(sub submission, owner string) (JobStatus, bool, error) 
 		return st, true, nil
 	}
 	j := s.submitJobLocked(sub)
-	j.remotePeer, j.remoteID = owner, env.ID
+	j.remotePeer, j.remote = owner, it
 	s.inflight[sub.key] = j
 	s.met.JobsQueued.Add(1)
 	// Journalled like any accepted job: after a crash the tracking job is
 	// recovered WITHOUT its peer binding and simply runs locally.
 	s.journalAcceptedLocked([]*Job{j})
 	// Tracking jobs bypass the worker pool: they only poll the owner and
-	// fetch bytes, so they must not occupy a simulation slot.
+	// fetch bytes, so they must not occupy a simulation slot. One whose
+	// owner fails goes back to the queue for a worker (requeueLocal).
+	s.adm.track(1)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		defer s.adm.track(-1)
 		s.runJob(j)
 	}()
 	st := s.statusLocked(j, false)
@@ -166,78 +163,224 @@ func (s *Server) forward(sub submission, owner string) (JobStatus, bool, error) 
 	return st, true, nil
 }
 
-// executeForwarded drives a forwarded job to completion on its owner:
-// poll until terminal, fetch and validate the canonical bytes. On owner
-// failure it re-routes ONCE to the key's next owner, then degrades to
-// local execution (ok=false). The returned bytes are exactly what local
-// execution would have produced — same key, same canonical encoding.
-func (s *Server) executeForwarded(ctx context.Context, j *Job) (data []byte, err error, ok bool) {
-	peer, id := j.remotePeer, j.remoteID
-	rerouted := false
-	poll := s.opts.Cluster.pollInterval()
-	for {
-		env, perr := s.router.PollJob(ctx, peer, id)
-		if perr == nil {
-			switch env.State {
-			case "done":
-				fetchStart := time.Now()
-				bytes, ferr := s.router.FetchResult(ctx, peer, id)
-				if ferr == nil && s.remoteResultValid(j, bytes) {
-					s.met.RemoteFetch.Observe(time.Since(fetchStart))
-					return bytes, nil, true
-				}
-				s.logf("service: %s result fetch from %s unusable (%v); re-routing", j.id, peer, ferr)
-				// fall through to the re-route/degrade path below
-			case "failed":
-				// A deterministic simulation failure will reproduce locally;
-				// an environmental one (peer's disk, peer draining) will
-				// not. Local execution disambiguates — correctness first.
-				s.logf("service: %s failed on %s (%s); executing locally", j.id, peer, env.Error)
-				return nil, nil, false
-			case "cancelled":
-				s.logf("service: %s cancelled on %s; executing locally", j.id, peer)
-				return nil, nil, false
-			default: // queued / running
-				select {
-				case <-time.After(poll):
-				case <-ctx.Done():
-					s.cancelRemote(peer, id)
-					return nil, ctx.Err(), true
-				}
+// awaitForwarded awaits a tracking job's result on its owner. It returns
+// the validated bytes, or nil when neither the owner nor the one re-route
+// a peer-level failure earns delivered them.
+func (s *Server) awaitForwarded(ctx context.Context, j *Job) []byte {
+	s.reroute(ctx, j.remotePeer, s.await(ctx, j.remotePeer, []*remoteItem{j.remote}))
+	j.remote.resolve(nil)
+	return j.remote.data
+}
+
+// requeueLocal hands a tracking job whose owner failed back to the
+// admission queue with its peer binding cleared, so a worker slot runs
+// it: -workers bounds simulations, and tracking goroutines never
+// simulate. The job was admitted and journalled already, so the enqueue
+// is forced, as journal recovery forces it. It reports false when ctx
+// has ended: the job was cancelled meanwhile and stays with its caller.
+func (s *Server) requeueLocal(ctx context.Context, j *Job) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ctx.Err() != nil {
+		return false
+	}
+	j.state, j.started, j.cancelRun = JobQueued, time.Time{}, nil
+	j.remotePeer, j.remote = "", nil
+	s.met.JobsRunning.Add(-1)
+	s.met.ForwardFallbackLocal.Add(1)
+	s.adm.enqueue(j, true)
+	s.logf("service: %s executing locally after remote failure", j.id)
+	return true
+}
+
+// chipBatchLimit bounds one batch request to a peer (well under the
+// peer's maxBatchItems so population fan-out can never be rejected for
+// size).
+const chipBatchLimit = 256
+
+// submitRemote posts items to peer as one POST /v1/batch and returns the
+// peer's per-item results. The items are one job's — a forwarded
+// lifetime or a population's chips — so they share its config.
+func (s *Server) submitRemote(ctx context.Context, peer string, items []*remoteItem) ([]cluster.BatchItemEnvelope, error) {
+	cfg, err := json.Marshal(items[0].req.Config)
+	if err != nil {
+		return nil, err
+	}
+	batch := BatchRequest{Items: make([]BatchItem, len(items))}
+	for i, it := range items {
+		b := &batch.Items[i]
+		*b = BatchItem{Kind: it.req.Kind, Config: cfg, Seed: it.req.Seed, Policy: it.req.Policy,
+			Client: it.client, QueueTTLMS: it.queueTTL.Milliseconds()}
+		if !it.deadline.IsZero() {
+			// The peer reads a deadline ≤ 0 as none: one that has passed
+			// goes out as 1 ms, which expires there at once.
+			b.DeadlineMS = max(time.Until(it.deadline).Milliseconds(), 1)
+		}
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		return nil, err
+	}
+	env, err := s.router.SubmitBatch(ctx, peer, body, len(items))
+	return env.Results, err
+}
+
+// dispatch submits items to peer, at most chipBatchLimit per request,
+// and awaits each request's accepted jobs before sending the next. A
+// rejected item resolves nil: a per-item 429 is backpressure, honoured
+// by doing that work here. It returns the items a peer-level failure
+// left unresolved.
+func (s *Server) dispatch(ctx context.Context, peer string, items []*remoteItem) []*remoteItem {
+	for start := 0; start < len(items); start += chipBatchLimit {
+		chunk := items[start:min(start+chipBatchLimit, len(items))]
+		results, err := s.submitRemote(ctx, peer, chunk)
+		if err != nil {
+			s.logf("service: batch of %d item(s) to %s failed (%v)", len(chunk), peer, err)
+			// The peer is failing; don't hammer it with the next chunk.
+			return items[start:]
+		}
+		var accepted []*remoteItem
+		for _, res := range results {
+			it := chunk[res.Index]
+			if !res.Accepted {
+				it.resolve(nil)
 				continue
 			}
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			s.cancelRemote(peer, id)
-			return nil, cerr, true
-		}
-		// The owner is unreachable (or served garbage). Re-route once to
-		// the next owner on the ring, then give up and run locally.
-		if !rerouted {
-			next, local := s.router.OwnerExcluding(j.key, map[string]bool{peer: true})
-			if !local && next != peer {
-				if body, berr := s.forwardBody(j.req, SubmitOpts{Client: j.client, Deadline: time.Until(j.deadline)}); berr == nil {
-					if env2, ferr := s.router.ForwardSubmit(ctx, next, body); ferr == nil {
-						s.logf("service: %s re-routed %s → %s", j.id, peer, next)
-						peer, id = next, env2.ID
-						rerouted = true
-						s.met.Reroutes.Add(1)
-						continue
-					}
-				}
+			// A peer's cache hit arrives done; its first poll fetches it.
+			it.id = res.Job.ID
+			accepted = append(accepted, it)
+			if it.req.Kind == KindChip {
+				s.met.ChipsForwarded.Add(1)
 			}
 		}
-		return nil, nil, false
+		if failed := s.await(ctx, peer, accepted); len(failed) > 0 {
+			return append(failed, items[start+len(chunk):]...)
+		}
+	}
+	return nil
+}
+
+// await waits for the jobs peer accepted for items. It polls each until
+// terminal: a done job's bytes are fetched and resolve its item once
+// remoteResultValid accepts them, and any other end resolves the item
+// nil, to run here. A poll or fetch error is a peer-level failure, and
+// await returns the items still unresolved. When ctx ends first, every
+// job still pending gets one best-effort DELETE on the peer.
+func (s *Server) await(ctx context.Context, peer string, pending []*remoteItem) []*remoteItem {
+	for len(pending) > 0 {
+		var running []*remoteItem
+		for i, it := range pending {
+			terminal, err := s.settle(ctx, peer, it)
+			if err != nil {
+				rest := append(running, pending[i:]...)
+				if ctx.Err() != nil {
+					s.cancelRemote(peer, rest)
+					return nil
+				}
+				s.logf("service: polling %d job(s) on %s failed (%v)", len(rest), peer, err)
+				return rest
+			}
+			if !terminal {
+				running = append(running, it)
+			}
+		}
+		pending = running
+		if len(pending) == 0 {
+			break
+		}
+		select {
+		case <-time.After(pollInterval):
+		case <-ctx.Done():
+			s.cancelRemote(peer, pending)
+			return nil
+		}
+	}
+	return nil
+}
+
+// settle polls one item's job on peer and, once it is terminal, resolves
+// the item: with the job's result when it is done and its bytes pass
+// remoteResultValid, else nil. An error is a peer-level failure.
+func (s *Server) settle(ctx context.Context, peer string, it *remoteItem) (terminal bool, err error) {
+	env, err := s.router.Job(ctx, peer, it.id)
+	if err != nil || !env.Terminal() {
+		return false, err
+	}
+	if env.State != "done" {
+		// A deterministic failure will reproduce here; an environmental
+		// one (the peer's disk, the peer draining) will not. Running it
+		// here tells them apart.
+		s.logf("service: %s job %s on %s ended %s (%s); running it here", it.req.Kind, it.id, peer, env.State, env.Error)
+		it.resolve(nil)
+		return true, nil
+	}
+	start := time.Now()
+	data, err := s.router.Result(ctx, peer, it.id)
+	if err != nil {
+		return false, err
+	}
+	if !remoteResultValid(it.req, data) {
+		s.logf("service: %s job %s from %s failed validation; running it here", it.req.Kind, it.id, peer)
+		it.resolve(nil)
+		return true, nil
+	}
+	s.met.RemoteFetch.Observe(time.Since(start))
+	if it.req.Kind == KindChip {
+		s.met.ChipsFetched.Add(1)
+	}
+	it.resolve(data)
+	return true, nil
+}
+
+// reroute sends the items a failed peer left to their keys' next owners
+// on the ring, grouped by owner, once: an item that fails again, or
+// whose next owner is this node, stays unresolved and runs here.
+func (s *Server) reroute(ctx context.Context, failed string, items []*remoteItem) {
+	if len(items) == 0 || ctx.Err() != nil {
+		return
+	}
+	skip := map[string]bool{failed: true}
+	byPeer := make(map[string][]*remoteItem)
+	for _, it := range items {
+		if next, local := s.router.OwnerExcluding(it.key, skip); !local {
+			byPeer[next] = append(byPeer[next], it)
+		}
+	}
+	var wg sync.WaitGroup
+	for peer, share := range byPeer {
+		s.met.Reroutes.Add(1)
+		s.logf("service: re-routing %d item(s) %s → %s", len(share), failed, peer)
+		wg.Add(1)
+		go func(peer string, share []*remoteItem) {
+			defer wg.Done()
+			s.dispatch(ctx, peer, share)
+		}(peer, share)
+	}
+	wg.Wait()
+}
+
+// cancelRemote best-effort cancels jobs on peer that nobody waits for any
+// more — the caller went away, or the population finished without them —
+// so the peer stops burning epochs on them. One 2 s deadline covers all
+// of them, so a hung peer cannot hold the caller up for longer.
+func (s *Server) cancelRemote(peer string, items []*remoteItem) {
+	cctx, cancel := context.WithTimeout(context.WithoutCancel(s.baseCtx), 2*time.Second)
+	defer cancel()
+	for _, it := range items {
+		if err := s.router.Cancel(cctx, peer, it.id); err != nil {
+			s.logf("service: cancelling %d job(s) on %s: %v", len(items), peer, err)
+			return
+		}
 	}
 }
 
-// remoteResultValid vets bytes fetched from a peer before trusting them
-// as this job's result: they must decode as the right kind of payload for
-// the job's seed and policy.
-func (s *Server) remoteResultValid(j *Job, data []byte) bool {
-	switch j.req.Kind {
+// remoteResultValid vets bytes fetched from another node before trusting
+// them as req's result: they must decode as the right kind of payload
+// for its seed and policy.
+func remoteResultValid(req request, data []byte) bool {
+	switch req.Kind {
 	case KindChip:
-		return hayat.ValidateChipJSON(data, j.req.Seed, j.req.Policy) == nil
+		return hayat.ValidateChipJSON(data, req.Seed, req.Policy) == nil
 	case KindLifetime:
 		var peek struct {
 			Policy   string `json:"policy"`
@@ -246,20 +389,9 @@ func (s *Server) remoteResultValid(j *Job, data []byte) bool {
 		if jerr := json.Unmarshal(data, &peek); jerr != nil {
 			return false
 		}
-		return peek.Policy == j.req.Policy && peek.ChipSeed == j.req.Seed
+		return peek.Policy == req.Policy && peek.ChipSeed == req.Seed
 	default:
 		return false
-	}
-}
-
-// cancelRemote best-effort cancels an orphaned forwarded job (the local
-// caller is gone; the peer may as well stop burning epochs — though if it
-// finishes anyway, the result only warms its cache).
-func (s *Server) cancelRemote(peer, id string) {
-	cctx, cancel := context.WithTimeout(s.baseCtx, 2*time.Second)
-	defer cancel()
-	if err := s.router.CancelJob(cctx, peer, id); err != nil {
-		s.logf("service: cancelling forwarded job %s on %s: %v", id, peer, err)
 	}
 }
 
@@ -268,21 +400,6 @@ func (s *Server) cancelRemote(peer, id string) {
 func chipKey(popReq request, seed int64) (request, string) {
 	req := request{Kind: KindChip, Config: popReq.Config, Policy: popReq.Policy, Seed: seed, Chips: 1}
 	return req, req.key()
-}
-
-// remoteChip is one chip owned by a remote peer: resolve publishes its
-// bytes (or nil for "steal me") exactly once.
-type remoteChip struct {
-	once sync.Once
-	done chan struct{}
-	data []byte
-}
-
-func (rc *remoteChip) resolve(data []byte) {
-	rc.once.Do(func() {
-		rc.data = data
-		close(rc.done)
-	})
 }
 
 // clusterPopStore adapts cluster chip fan-out to hayat.ChipResultStore:
@@ -295,13 +412,16 @@ type clusterPopStore struct {
 	s          *Server
 	ctx        context.Context
 	inner      hayat.ChipResultStore // may be nil (no checkpoint dir)
-	remote     map[int64]*remoteChip // immutable after construction
+	remote     map[int64]*remoteItem // immutable after construction
 	stealAfter time.Duration
 }
 
+// Load serves a remote chip's fetched bytes. A miss on a remote chip is
+// a steal, counted once here: its fetcher resolved it nil, the steal
+// backstop fired, or the cluster.steal failpoint did.
 func (st *clusterPopStore) Load(seed int64) ([]byte, bool) {
-	rc := st.remote[seed]
-	if rc == nil {
+	it := st.remote[seed]
+	if it == nil {
 		return st.innerLoad(seed)
 	}
 	// A previous run (or a sibling worker's Save) may already have the
@@ -309,29 +429,25 @@ func (st *clusterPopStore) Load(seed int64) ([]byte, bool) {
 	if data, ok := st.innerLoad(seed); ok {
 		return data, true
 	}
-	if ferr := faultinject.Hit(fpClusterSteal); ferr != nil {
-		st.s.met.ChipsStolen.Add(1)
-		return nil, false
-	}
-	var steal <-chan time.Time
-	if st.stealAfter > 0 {
-		tm := time.NewTimer(st.stealAfter)
-		defer tm.Stop()
-		steal = tm.C
-	}
-	select {
-	case <-rc.done:
-		if rc.data != nil {
-			return rc.data, true
+	if faultinject.Hit(fpClusterSteal) == nil {
+		var steal <-chan time.Time
+		if st.stealAfter > 0 {
+			tm := time.NewTimer(st.stealAfter)
+			defer tm.Stop()
+			steal = tm.C
 		}
-		st.s.met.ChipsStolen.Add(1)
-		return nil, false
-	case <-st.ctx.Done():
-		return nil, false
-	case <-steal:
-		st.s.met.ChipsStolen.Add(1)
-		return nil, false
+		select {
+		case <-it.done:
+			if it.data != nil {
+				return it.data, true
+			}
+		case <-steal:
+		case <-st.ctx.Done():
+			return nil, false
+		}
 	}
+	st.s.met.ChipsStolen.Add(1)
+	return nil, false
 }
 
 func (st *clusterPopStore) innerLoad(seed int64) ([]byte, bool) {
@@ -351,39 +467,30 @@ func (st *clusterPopStore) Save(seed int64, data []byte) error {
 // newClusterPopStore shards a population job's chips across the ring and
 // starts one fetcher per remote peer. It returns (nil, nil) when every
 // chip is local (no peers up, or the ring routed everything here).
-// cleanup cancels and joins the fetchers; call it after the population
-// run returns.
+// cleanup cancels and joins the fetchers, which cancels on its peer every
+// chip job still pending; call it after the population run returns.
 func (s *Server) newClusterPopStore(ctx context.Context, j *Job, inner hayat.ChipResultStore) (*clusterPopStore, func()) {
-	chips := j.req.Chips
-	keys := make([]string, chips)
-	seeds := make([]int64, chips)
-	for i := 0; i < chips; i++ {
-		seeds[i] = j.req.Seed + int64(i)
-		_, keys[i] = chipKey(j.req, seeds[i])
+	reqs := make([]request, j.req.Chips)
+	keys := make([]string, j.req.Chips)
+	for i := range keys {
+		reqs[i], keys[i] = chipKey(j.req, j.req.Seed+int64(i))
 	}
-	assignment := s.router.AssignKeys(keys)
-
 	st := &clusterPopStore{
 		s:          s,
 		inner:      inner,
-		remote:     make(map[int64]*remoteChip),
+		remote:     make(map[int64]*remoteItem),
 		stealAfter: s.opts.Cluster.stealAfter(),
 	}
-	type peerWork struct {
-		peer  string
-		seeds []int64
-	}
-	var work []peerWork
-	for peer, idxs := range assignment {
+	work := make(map[string][]*remoteItem)
+	for peer, idxs := range s.router.AssignKeys(keys) {
 		if peer == s.router.Self() {
 			continue
 		}
-		pw := peerWork{peer: peer}
 		for _, i := range idxs {
-			pw.seeds = append(pw.seeds, seeds[i])
-			st.remote[seeds[i]] = &remoteChip{done: make(chan struct{})}
+			it := newRemoteItem(reqs[i], keys[i], j.client, j.deadline)
+			work[peer] = append(work[peer], it)
+			st.remote[reqs[i].Seed] = it
 		}
-		work = append(work, pw)
 	}
 	if len(work) == 0 {
 		return nil, nil
@@ -392,193 +499,24 @@ func (s *Server) newClusterPopStore(ctx context.Context, j *Job, inner hayat.Chi
 	fctx, cancel := context.WithCancel(ctx)
 	st.ctx = fctx
 	var wg sync.WaitGroup
-	for _, pw := range work {
+	for peer, share := range work {
 		wg.Add(1)
-		go func(pw peerWork) {
+		go func(peer string, share []*remoteItem) {
 			defer wg.Done()
-			s.fetchChips(fctx, j, st, pw.peer, pw.seeds, true)
-		}(pw)
+			// What a peer-level failure leaves is re-routed once; any chip
+			// still unresolved then runs here. Chips are never lost, only
+			// recomputed.
+			s.reroute(fctx, peer, s.dispatch(fctx, peer, share))
+			for _, it := range share {
+				it.resolve(nil)
+			}
+		}(peer, share)
 	}
-	s.logf("service: %s fanned %d/%d chips out to %d peer(s)", j.id, len(st.remote), chips, len(work))
+	s.logf("service: %s fanned %d/%d chips out to %d peer(s)", j.id, len(st.remote), j.req.Chips, len(work))
 	return st, func() {
 		cancel()
 		wg.Wait()
 	}
-}
-
-// chipBatchLimit bounds one forwarded chip batch (well under the peer's
-// maxBatchItems so population fan-out can never be rejected for size).
-const chipBatchLimit = 256
-
-// fetchChips submits one peer's chip share through its batch API, polls
-// the jobs to terminal, fetches and validates each chip's bytes, and
-// resolves them into the store. Any failure path resolves the affected
-// seeds: a per-item rejection steals that chip locally, a peer-level
-// failure re-routes the remainder to their next owners (once), and
-// whatever is left resolves nil so a population worker picks it up —
-// chips are never lost, only recomputed.
-func (s *Server) fetchChips(ctx context.Context, j *Job, st *clusterPopStore, peer string, seeds []int64, mayReroute bool) {
-	unresolved := make(map[int64]bool, len(seeds))
-	for _, seed := range seeds {
-		unresolved[seed] = true
-	}
-	failed := []int64(nil) // seeds needing re-route after a peer failure
-	defer func() {
-		if mayReroute && len(failed) > 0 {
-			s.rerouteChips(ctx, j, st, peer, failed)
-			for _, seed := range failed {
-				delete(unresolved, seed)
-			}
-		}
-		for seed := range unresolved {
-			st.remote[seed].resolve(nil) // steal: simulate locally
-		}
-	}()
-
-	for start := 0; start < len(seeds); start += chipBatchLimit {
-		chunk := seeds[start:min(start+chipBatchLimit, len(seeds))]
-		pending, err := s.submitChipBatch(ctx, j, st, peer, chunk)
-		if err != nil {
-			s.logf("service: %s chip batch to %s failed (%v)", j.id, peer, err)
-			failed = append(failed, chunk...)
-			// The peer is failing; don't hammer it with the next chunk.
-			failed = append(failed, seeds[start+len(chunk):]...)
-			return
-		}
-		if perr := s.pollChips(ctx, j, st, peer, pending, unresolved); perr != nil {
-			s.logf("service: %s polling chips on %s failed (%v)", j.id, peer, perr)
-			for _, seed := range pending {
-				if unresolved[seed] {
-					failed = append(failed, seed)
-				}
-			}
-			failed = append(failed, seeds[start+len(chunk):]...)
-			return
-		}
-	}
-}
-
-// submitChipBatch forwards one chunk of chip jobs to peer and returns the
-// accepted jobID → seed map. Per-item rejections (the peer shedding load)
-// resolve immediately to local steals — per-chip 429s are backpressure,
-// and the steal honours it by taking the work back.
-func (s *Server) submitChipBatch(ctx context.Context, j *Job, st *clusterPopStore, peer string, chunk []int64) (map[string]int64, error) {
-	cfg, err := json.Marshal(j.req.Config)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]BatchItem, len(chunk))
-	for i, seed := range chunk {
-		items[i] = BatchItem{Kind: KindChip, Config: cfg, Seed: seed, Policy: j.req.Policy, Client: j.client}
-		if !j.deadline.IsZero() {
-			items[i].DeadlineMS = time.Until(j.deadline).Milliseconds()
-		}
-	}
-	body, err := json.Marshal(BatchRequest{Items: items})
-	if err != nil {
-		return nil, err
-	}
-	env, err := s.router.ForwardBatch(ctx, peer, body, len(items))
-	if err != nil {
-		return nil, err
-	}
-	pending := make(map[string]int64)
-	for _, res := range env.Results {
-		seed := chunk[res.Index]
-		if res.Accepted && res.Job != nil {
-			// A peer's cache hit arrives done; its first poll fetches it.
-			s.met.ChipsForwarded.Add(1)
-			pending[res.Job.ID] = seed
-			continue
-		}
-		// Rejected (429/503/400): steal this chip locally, now.
-		st.remote[seed].resolve(nil)
-		s.met.ChipsStolen.Add(1)
-	}
-	return pending, nil
-}
-
-// pollChips drives forwarded chip jobs to terminal and resolves their
-// bytes. A transport-level polling failure aborts (the caller re-routes
-// what is left); a per-job failure just steals that chip.
-func (s *Server) pollChips(ctx context.Context, j *Job, st *clusterPopStore, peer string, pending map[string]int64, unresolved map[int64]bool) error {
-	poll := s.opts.Cluster.pollInterval()
-	for len(pending) > 0 {
-		for id, seed := range pending {
-			env, err := s.router.PollJob(ctx, peer, id)
-			if err != nil {
-				return err
-			}
-			if !env.Terminal() {
-				continue
-			}
-			delete(pending, id)
-			if env.State != "done" {
-				st.remote[seed].resolve(nil)
-				s.met.ChipsStolen.Add(1)
-				delete(unresolved, seed)
-				continue
-			}
-			fetchStart := time.Now()
-			data, ferr := s.router.FetchResult(ctx, peer, id)
-			if ferr != nil {
-				return ferr
-			}
-			if verr := hayat.ValidateChipJSON(data, seed, j.req.Policy); verr != nil {
-				s.logf("service: %s chip %d from %s invalid (%v); stealing", j.id, seed, peer, verr)
-				st.remote[seed].resolve(nil)
-				s.met.ChipsStolen.Add(1)
-				delete(unresolved, seed)
-				continue
-			}
-			s.met.RemoteFetch.Observe(time.Since(fetchStart))
-			s.met.ChipsFetched.Add(1)
-			st.remote[seed].resolve(data)
-			delete(unresolved, seed)
-		}
-		if len(pending) == 0 {
-			return nil
-		}
-		select {
-		case <-time.After(poll):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
-// rerouteChips re-routes a failed peer's unfinished chips to their next
-// owners on the ring (one hop, no further re-routing) and steals locally
-// whatever lands back on this node.
-func (s *Server) rerouteChips(ctx context.Context, j *Job, st *clusterPopStore, failedPeer string, seeds []int64) {
-	skip := map[string]bool{failedPeer: true}
-	byPeer := make(map[string][]int64)
-	stolen := 0
-	for _, seed := range seeds {
-		_, key := chipKey(j.req, seed)
-		next, local := s.router.OwnerExcluding(key, skip)
-		if local || next == failedPeer {
-			st.remote[seed].resolve(nil)
-			stolen++
-			continue
-		}
-		byPeer[next] = append(byPeer[next], seed)
-	}
-	if stolen > 0 {
-		s.met.ChipsStolen.Add(int64(stolen))
-	}
-	var wg sync.WaitGroup
-	for peer, share := range byPeer {
-		s.met.Reroutes.Add(1)
-		s.logf("service: %s re-routing %d chip(s) %s → %s", j.id, len(share), failedPeer, peer)
-		wg.Add(1)
-		go func(peer string, share []int64) {
-			defer wg.Done()
-			s.fetchChips(ctx, j, st, peer, share, false)
-		}(peer, share)
-	}
-	wg.Wait()
 }
 
 // ReadyStatus is the body of GET /readyz (also what the cluster health

@@ -41,14 +41,10 @@ func TestClusterNodeHelper(t *testing.T) {
 		Workers: 2,
 		Retry:   circuit.Backoff{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 		Cluster: ClusterOptions{
-			Self:             self,
-			Peers:            strings.Split(os.Getenv("HAYAT_CLUSTER_PEERS"), ","),
-			ProbeInterval:    100 * time.Millisecond,
-			FailThreshold:    2,
-			RecoverThreshold: 2,
-			PollInterval:     25 * time.Millisecond,
-			StealAfter:       3 * time.Second,
-			AttemptTimeout:   5 * time.Second,
+			Self:          self,
+			Peers:         strings.Split(os.Getenv("HAYAT_CLUSTER_PEERS"), ","),
+			ProbeInterval: 100 * time.Millisecond,
+			StealAfter:    3 * time.Second,
 		},
 	})
 	if err != nil {
@@ -114,7 +110,7 @@ func TestClusterKillPeerDrill(t *testing.T) {
 	// bounded-load assignment the coordinator will run, not plain
 	// ownership, because bounded load can spill a hot arc's chips.
 	const chips = 6
-	ring := cluster.NewRing(urls, 0)
+	ring := cluster.NewRing(urls)
 	victim, coordinator := urls[2], urls[0]
 	base, remote := int64(-1), 0
 	for b := int64(0); b < 10_000 && base < 0; b++ {
@@ -123,7 +119,7 @@ func TestClusterKillPeerDrill(t *testing.T) {
 		for i := 0; i < chips; i++ {
 			_, keys[i] = chipKey(popReq, b+int64(i))
 		}
-		assign, ok := ring.Assign(keys, 0)
+		assign, ok := ring.Assign(keys)
 		if ok && len(assign[victim]) > 0 {
 			base, remote = b, chips-len(assign[coordinator])
 		}

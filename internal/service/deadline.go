@@ -21,10 +21,6 @@ type SubmitOpts struct {
 	// (marked "degraded": true) instead of a rejection when the service is
 	// shedding load or its disk cache is broken.
 	DegradedOK bool
-	// NoForward pins the job to this node in cluster mode. Set on submits
-	// that arrived with the cluster forwarding header (loop prevention
-	// under divergent ring views) and internally after a failed forward.
-	NoForward bool
 }
 
 func (o SubmitOpts) clientName() string {

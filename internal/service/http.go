@@ -129,9 +129,6 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 		Deadline:   time.Duration(req.DeadlineMS) * time.Millisecond,
 		QueueTTL:   time.Duration(req.QueueTTLMS) * time.Millisecond,
 		DegradedOK: req.DegradedOK,
-		// A submit that already hopped once never hops again: divergent
-		// ring views must not bounce a job between peers.
-		NoForward: r.Header.Get(cluster.ForwardedHeader) != "",
 	})
 	s.respondSubmit(w, r, st, err, req.Wait)
 }

@@ -45,14 +45,10 @@ func TestReplicationNodeHelper(t *testing.T) {
 		AntiEntropyInterval: 500 * time.Millisecond,
 		Retry:               circuit.Backoff{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 		Cluster: ClusterOptions{
-			Self:             self,
-			Peers:            strings.Split(os.Getenv("HAYAT_REPL_PEERS"), ","),
-			ProbeInterval:    100 * time.Millisecond,
-			FailThreshold:    2,
-			RecoverThreshold: 2,
-			PollInterval:     25 * time.Millisecond,
-			StealAfter:       3 * time.Second,
-			AttemptTimeout:   5 * time.Second,
+			Self:          self,
+			Peers:         strings.Split(os.Getenv("HAYAT_REPL_PEERS"), ","),
+			ProbeInterval: 100 * time.Millisecond,
+			StealAfter:    3 * time.Second,
 		},
 	})
 	if err != nil {
@@ -117,7 +113,7 @@ func TestReplicationKillOwnerDrill(t *testing.T) {
 	// Pick two seeds whose keys both live on [victim, B] — the same
 	// replica-set assignment the nodes will compute (Successors ignores
 	// health, so this holds before and after the kill).
-	ring := cluster.NewRing(urls, 0)
+	ring := cluster.NewRing(urls)
 	cfg := NormalizeConfig(replCfg())
 	keyFor := func(seed int64) string {
 		return request{Kind: KindLifetime, Config: cfg, Policy: "Hayat", Seed: seed, Chips: 1}.key()

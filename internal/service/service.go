@@ -187,11 +187,11 @@ type Job struct {
 	totalChips atomicMax
 
 	// Cluster forwarding: when set, this job is a local tracking shell
-	// for work executing on remotePeer under remoteID. Cleared state is
-	// the normal (local-execution) case; a recovered job always runs
-	// locally (the peer binding is deliberately not journalled).
+	// for work executing on remotePeer as remote. Cleared state is the
+	// normal (local-execution) case; a recovered job always runs locally
+	// (the peer binding is deliberately not journalled).
 	remotePeer string
-	remoteID   string
+	remote     *remoteItem
 
 	cancelRun context.CancelFunc
 	done      chan struct{}
@@ -605,7 +605,7 @@ func (s *Server) ArtifactStats() hayat.ArtifactStats { return s.arts.Stats() }
 // options carry a client identity for fair scheduling, a
 // deadline/queue-TTL, and degraded-mode opt-in.
 func (s *Server) SubmitLifetimeWith(cfg hayat.Config, seed int64, policy string, o SubmitOpts) (JobStatus, error) {
-	return s.submit(request{Kind: KindLifetime, Config: cfg, Policy: policy, Seed: seed, Chips: 1}, o)
+	return s.submit(request{Kind: KindLifetime, Config: cfg, Policy: policy, Seed: seed, Chips: 1}, o, true)
 }
 
 // SubmitPopulationWith schedules a population fan-out over seeds
@@ -613,7 +613,7 @@ func (s *Server) SubmitLifetimeWith(cfg hayat.Config, seed int64, policy string,
 // given admission options. Population jobs never degrade — a sampled analytic estimate is not a
 // population statistic — so DegradedOK is ignored.
 func (s *Server) SubmitPopulationWith(cfg hayat.Config, baseSeed int64, chips int, policy string, o SubmitOpts) (JobStatus, error) {
-	return s.submit(request{Kind: KindPopulation, Config: cfg, Policy: policy, Seed: baseSeed, Chips: chips}, o)
+	return s.submit(request{Kind: KindPopulation, Config: cfg, Policy: policy, Seed: baseSeed, Chips: chips}, o, true)
 }
 
 // submission is one validated submit in canonical form: the request,
@@ -642,7 +642,10 @@ func newSubmission(req request, o SubmitOpts) (submission, error) {
 	return submission{req: req, key: req.key(), opts: o}, nil
 }
 
-func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
+// submit admits one single submit. In cluster mode a lifetime whose key
+// a remote peer owns is forwarded there when mayForward is set; a failed
+// forward submits again with it cleared, to run here.
+func (s *Server) submit(req request, o SubmitOpts, mayForward bool) (JobStatus, error) {
 	admitStart := time.Now()
 	defer func() { s.met.Admission.Observe(time.Since(admitStart)) }()
 
@@ -666,10 +669,11 @@ func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
 		}
 		return st, err
 	}
-	// Cluster mode: a key owned by a healthy remote peer forwards there
-	// (one hop — forwarded submits carry a loop-breaking header). Forwards
-	// are never rate-limited locally; the owner charges its own limiter.
-	if s.router != nil && !o.NoForward && !o.DegradedOK && req.Kind == KindLifetime {
+	// Cluster mode: a key owned by a healthy remote peer forwards there as
+	// a one-item batch, which the owner never forwards again, so a job
+	// makes one hop even under divergent ring views. Forwards are never
+	// rate-limited locally; the owner charges its own limiter.
+	if mayForward && s.router != nil && !o.DegradedOK && req.Kind == KindLifetime {
 		if owner, local := s.router.Owner(sub.key); !local {
 			s.mu.Unlock()
 			if st, handled, ferr := s.forward(sub, owner); handled {
@@ -679,8 +683,7 @@ func (s *Server) submit(req request, o SubmitOpts) (JobStatus, error) {
 			// Content-addressed results make this always correct — the only
 			// cost is a cache entry living on the "wrong" node.
 			s.met.ForwardFallbackLocal.Add(1)
-			o.NoForward = true
-			return s.submit(req, o)
+			return s.submit(req, o, false)
 		}
 	}
 	// Only work-creating submits consume rate-limit tokens; coalesced and
@@ -1164,7 +1167,24 @@ func (s *Server) runJob(j *Job) {
 	s.met.JobsRunning.Add(1)
 	s.met.QueueWait.Observe(j.started.Sub(j.created))
 
-	data, err := s.execute(runCtx, j)
+	var (
+		data      []byte
+		err       error
+		simulated bool
+	)
+	if j.remote != nil {
+		// A tracking job: its owner runs it. When the owner (and the one
+		// re-route) fails, a worker slot runs it here instead.
+		if data = s.awaitForwarded(runCtx, j); data == nil {
+			if s.requeueLocal(runCtx, j) {
+				return
+			}
+			err = runCtx.Err()
+		}
+	} else if data = s.replicaCopy(runCtx, j); data == nil {
+		data, err = s.execute(runCtx, j)
+		simulated = true
+	}
 	var unstored []byte // the result, if no durable tier took it
 	if err == nil {
 		// Publish to the cache before the job turns terminal so an
@@ -1200,13 +1220,31 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.mu.Unlock()
 	s.met.JobsRunning.Add(-1)
-	if err == nil {
-		// Replicas get their copies now, after clients can already read
-		// the answer.
-		s.replicateResult(j.key, data)
-	} else {
+	switch {
+	case err != nil:
 		s.logf("service: %s %s: %v", j.req.Kind, j.id, err)
+	case simulated:
+		// Replicas get their copies now, after clients can already read
+		// the answer. Bytes fetched from the owner or a replica came from
+		// a node that holds them already and replicated them itself.
+		s.replicateResult(j.key, data)
 	}
+}
+
+// replicaCopy returns a Merkle-verifying copy of j's result that one of
+// the key's replicas holds, or nil. Before recomputing, a hedged fetch is
+// far cheaper than a simulation. Population results are skipped — their
+// payloads lack the per-seed shape remoteResultValid can vet.
+func (s *Server) replicaCopy(ctx context.Context, j *Job) []byte {
+	if j.req.Kind == KindPopulation || ctx.Err() != nil {
+		return nil
+	}
+	data, ok := s.store.FetchReplica(ctx, j.key)
+	if !ok || !remoteResultValid(j.req, data) {
+		return nil
+	}
+	s.logf("service: %s served from replica copy of %s", j.id, j.key[:12])
+	return data
 }
 
 // execute runs the simulation for one job under its context. Transient
@@ -1217,25 +1255,6 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		// Already cancelled (typically a shutdown draining a deep queue):
 		// don't spend seconds building a chip only to throw it away.
 		return nil, err
-	}
-	if j.remotePeer != "" && s.router != nil {
-		data, ferr, handled := s.executeForwarded(ctx, j)
-		if handled {
-			return data, ferr
-		}
-		// The owner (and its one re-route) is gone: run the job here.
-		s.met.ForwardFallbackLocal.Add(1)
-		s.logf("service: %s executing locally after remote failure", j.id)
-	}
-	// Before recomputing, try the key's replicas: if any holds a
-	// Merkle-verifying copy of this exact result, a hedged fetch is far
-	// cheaper than a simulation. Population results are skipped — their
-	// payloads lack the per-seed shape remoteResultValid can vet.
-	if j.req.Kind != KindPopulation {
-		if data, ok := s.store.FetchReplica(ctx, j.key); ok && s.remoteResultValid(j, data) {
-			s.logf("service: %s served from replica copy of %s", j.id, j.key[:12])
-			return data, nil
-		}
 	}
 	pol, err := hayat.ParsePolicy(j.req.Policy)
 	if err != nil {

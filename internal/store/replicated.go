@@ -10,13 +10,26 @@ import (
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
-// Default remote-operation timing. FetchTimeout bounds one whole hedged
-// read or replica push; HedgeDelay is how long the first replica gets
-// to answer alone before the next one joins the race.
+// Remote-operation timing. fetchTimeout bounds one whole hedged read,
+// replica push or sweep stat; hedgeDelay is how long the first replica
+// gets to answer alone before the next one joins the race.
 const (
-	DefaultFetchTimeout = 5 * time.Second
-	DefaultHedgeDelay   = 50 * time.Millisecond
+	fetchTimeout = 5 * time.Second
+	hedgeDelay   = 50 * time.Millisecond
 )
+
+// Transport moves envelopes between peers. internal/cluster's Router
+// implements it (per-peer breakers, retries, health); tests substitute
+// fakes. StoreGet returns the envelope-verified payload (ok=false, nil
+// error on a clean miss); StorePut pushes canonical bytes; StoreStat
+// returns the peer's hex leaf hash for key without the payload; PeerUp
+// reports prober health so the store never hammers a known-dead peer.
+type Transport interface {
+	StoreGet(ctx context.Context, peer, key string) (data []byte, ok bool, err error)
+	StorePut(ctx context.Context, peer, key string, data []byte) error
+	StoreStat(ctx context.Context, peer, key string) (leaf string, ok bool, err error)
+	PeerUp(peer string) bool
+}
 
 // Obs receives store events; nil fields are ignored. The service wires
 // these to /metrics counters.
@@ -66,9 +79,6 @@ type Options struct {
 	Verify VerifyFn
 	// Obs receives store events.
 	Obs Obs
-	// FetchTimeout and HedgeDelay override the defaults above.
-	FetchTimeout time.Duration
-	HedgeDelay   time.Duration
 	// Logf receives operational notices (nil: discarded).
 	Logf func(format string, args ...any)
 }
@@ -172,7 +182,7 @@ func (r *Replicated) Quarantine(key string) {
 }
 
 // FetchReplica is the hedged read: it races GETs against the key's
-// healthy replicas, starting them HedgeDelay apart, serves the first
+// healthy replicas, starting them hedgeDelay apart, serves the first
 // verifying answer, and cancels the losers' in-flight requests on
 // return. A fetched copy read-repairs the local tiers.
 func (r *Replicated) FetchReplica(ctx context.Context, key string) ([]byte, bool) {
@@ -188,7 +198,7 @@ func (r *Replicated) FetchReplica(ctx context.Context, key string) ([]byte, bool
 	if len(peers) == 0 {
 		return nil, false
 	}
-	fctx, cancel := context.WithTimeout(ctx, r.fetchTimeout())
+	fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel() // losers still in flight are cancelled here
 
 	results := make(chan []byte, len(peers)) // buffered: losers never block after we return
@@ -196,22 +206,10 @@ func (r *Replicated) FetchReplica(ctx context.Context, key string) ([]byte, bool
 	launch := func() {
 		peer := peers[launched]
 		launched++
-		go func() {
-			rem := &Remote{Peer: peer, T: r.o.Transport}
-			data, ok, err := rem.fetch(fctx, key)
-			if err != nil || !ok {
-				results <- nil
-				return
-			}
-			if r.o.Verify != nil && r.o.Verify(key, data) != nil {
-				results <- nil // divergent from our audit: never serve it
-				return
-			}
-			results <- data
-		}()
+		go func() { results <- r.fetchCopy(fctx, peer, key) }()
 	}
 	launch()
-	hedge := time.NewTimer(r.hedgeDelay())
+	hedge := time.NewTimer(hedgeDelay)
 	defer hedge.Stop()
 	answered := 0
 	for {
@@ -234,7 +232,7 @@ func (r *Replicated) FetchReplica(ctx context.Context, key string) ([]byte, bool
 		case <-hedge.C:
 			if launched < len(peers) {
 				launch()
-				hedge.Reset(r.hedgeDelay())
+				hedge.Reset(hedgeDelay)
 			}
 		case <-fctx.Done():
 			fireN(r.o.Obs.HedgedLoss, launched)
@@ -301,12 +299,30 @@ func (r *Replicated) clearDebt(key, peer string) {
 	}
 }
 
+// fetchCopy reads one replica's copy of key for a hedged read: nil when
+// the peer fails, misses, or holds bytes our audit rejects.
+func (r *Replicated) fetchCopy(ctx context.Context, peer, key string) []byte {
+	if faultinject.Hit(FPReadReplica) != nil {
+		return nil
+	}
+	data, ok, err := r.o.Transport.StoreGet(ctx, peer, key)
+	if err != nil || !ok {
+		return nil
+	}
+	if r.o.Verify != nil && r.o.Verify(key, data) != nil {
+		return nil // divergent from our audit: never serve it
+	}
+	return data
+}
+
 // pushCopy sends one bounded replica PUT.
 func (r *Replicated) pushCopy(ctx context.Context, peer, key string, data []byte) error {
-	cctx, cancel := context.WithTimeout(ctx, r.fetchTimeout())
+	if err := faultinject.Hit(FPReplicate); err != nil {
+		return err
+	}
+	cctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
-	rem := &Remote{Peer: peer, T: r.o.Transport}
-	return rem.Put(cctx, key, data)
+	return r.o.Transport.StorePut(cctx, peer, key, data)
 }
 
 // statPeer asks one peer for its leaf hash of key.
@@ -314,7 +330,7 @@ func (r *Replicated) statPeer(ctx context.Context, peer, key string) (string, bo
 	if err := faultinject.Hit(FPReadReplica); err != nil {
 		return "", false, err
 	}
-	cctx, cancel := context.WithTimeout(ctx, r.fetchTimeout())
+	cctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	return r.o.Transport.StoreStat(cctx, peer, key)
 }
@@ -344,20 +360,6 @@ func (r *Replicated) copies() int {
 		return r.o.Copies
 	}
 	return 1
-}
-
-func (r *Replicated) fetchTimeout() time.Duration {
-	if r.o.FetchTimeout > 0 {
-		return r.o.FetchTimeout
-	}
-	return DefaultFetchTimeout
-}
-
-func (r *Replicated) hedgeDelay() time.Duration {
-	if r.o.HedgeDelay > 0 {
-		return r.o.HedgeDelay
-	}
-	return DefaultHedgeDelay
 }
 
 func (r *Replicated) logf(format string, args ...any) {

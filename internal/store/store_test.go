@@ -473,7 +473,6 @@ func TestHedgedFetch(t *testing.T) {
 		ReplicaSet: ring2(self, peerB, peerC),
 		Transport:  ft,
 		Obs:        c.obs(),
-		HedgeDelay: time.Millisecond,
 	})
 	ctx := context.Background()
 	data := []byte(`{"h":1}`)
@@ -537,7 +536,6 @@ func TestSweepQuarantinesDivergentLocal(t *testing.T) {
 			}
 			return nil
 		},
-		HedgeDelay: time.Millisecond,
 	})
 	// Seed a divergent local copy directly into memory (disk.Verify would
 	// refuse to serve it, which is the point of pushing Verify down).
