@@ -77,6 +77,7 @@ fuzz-smoke:
 	fuzz ./internal/store     FuzzDecodeStoreEnvelope; \
 	fuzz ./internal/merkle    FuzzVerifyProof; \
 	fuzz ./internal/merkle    FuzzParseHash; \
+	fuzz ./internal/merkle    FuzzAuditReplay; \
 	fuzz ./internal/aging     FuzzTableLookup; \
 	fuzz ./internal/aging     FuzzStateAdvance; \
 	fuzz ./internal/thermal   FuzzModalTransforms; \

@@ -45,7 +45,11 @@ func BenchmarkFig1b(b *testing.B) {
 // E2/E3 — Fig. 2: DCM analysis maps and the Fig. 2(o) table.
 func BenchmarkFig2Maps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		chips, err := experiments.Fig2(benchCache, []int64{1, 2}, 2)
+		ps, err := experiments.RunPair(benchCache, 1, 2, 0.50, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chips, err := experiments.Fig2(ps, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

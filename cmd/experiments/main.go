@@ -1,5 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation. Each figure is selectable; "all" runs the whole campaign.
+// evaluation. Each figure is selectable; "all" runs the whole campaign,
+// each lifetime once: its two Hayat/VAA population pairs (25 % and 50 %
+// dark) run first, and every population figure is derived from them.
 //
 // Usage:
 //
@@ -59,59 +61,100 @@ func main() {
 }
 
 func run(fig string, chips int, years float64, baseSeed int64) error {
-	// One cache for the whole campaign: every figure and dark fraction
-	// reuses a chip's predictor and aging table while the population
-	// fits the cache's per-chip capacity.
-	cache := hayat.NewArtifactCache()
+	c := &campaign{cache: hayat.NewArtifactCache(), baseSeed: baseSeed, years: years}
 	switch fig {
 	case "1a":
 		return fig1a()
 	case "1b":
 		return fig1b()
 	case "2", "2o":
-		return fig2(cache, baseSeed, years, fig == "2")
+		return c.fig2(fig == "2")
 	case "7", "8", "9", "10", "7-10":
-		_, err := pairs(cache, baseSeed, chips, years, true)
-		return err
-	case "11":
-		ps, err := pairs(cache, baseSeed, chips, years, false)
+		ps, err := c.campaignPairs(chips)
 		if err != nil {
 			return err
 		}
-		return fig11(ps, years)
+		renderPairs(ps, true)
+		return nil
+	case "11":
+		ps, err := c.campaignPairs(chips)
+		if err != nil {
+			return err
+		}
+		renderPairs(ps, false)
+		fig11(ps, years)
+		return nil
 	case "11maps":
-		return fig11maps(cache, baseSeed, years)
+		return c.fig11maps()
 	case "guardband":
-		return guardband(cache, baseSeed, chips, years)
+		return c.guardband(chips)
 	case "bins":
-		return bins(cache, baseSeed, chips, years)
+		return c.bins(chips)
 	case "all":
+		// The two campaign pairs run first and once; every figure below
+		// reads its lifetimes from them, printing in the standalone order.
+		ps, err := c.campaignPairs(chips)
+		if err != nil {
+			return err
+		}
 		if err := fig1a(); err != nil {
 			return err
 		}
 		if err := fig1b(); err != nil {
 			return err
 		}
-		if err := fig2(cache, baseSeed, years, true); err != nil {
+		if err := c.fig2(true); err != nil {
 			return err
 		}
-		ps, err := pairs(cache, baseSeed, chips, years, true)
-		if err != nil {
+		renderPairs(ps, true)
+		fig11(ps, years)
+		if err := c.fig11maps(); err != nil {
 			return err
 		}
-		if err := fig11(ps, years); err != nil {
+		if err := c.guardband(chips); err != nil {
 			return err
 		}
-		if err := fig11maps(cache, baseSeed, years); err != nil {
-			return err
-		}
-		if err := guardband(cache, baseSeed, chips, years); err != nil {
-			return err
-		}
-		return bins(cache, baseSeed, chips, years)
+		return c.bins(chips)
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}
+}
+
+// campaign runs the Hayat/VAA population pairs every population figure
+// is derived from. One artifact cache serves the whole campaign, so every
+// figure and dark fraction reuses a chip's predictor and aging table
+// while the population fits the cache's per-chip capacity.
+type campaign struct {
+	cache    *hayat.ArtifactCache
+	baseSeed int64
+	years    float64
+	pairs    map[float64]experiments.PairSummary // by dark fraction
+}
+
+// campaignPairs runs the pairs at 25 % and 50 % dark over chips chips and
+// keeps them for the figures that follow.
+func (c *campaign) campaignPairs(chips int) ([]experiments.PairSummary, error) {
+	c.pairs = make(map[float64]experiments.PairSummary)
+	var out []experiments.PairSummary
+	for _, dark := range []float64{0.25, 0.50} {
+		ps, err := experiments.RunPair(c.cache, c.baseSeed, chips, dark, c.years)
+		if err != nil {
+			return nil, err
+		}
+		c.pairs[dark] = ps
+		out = append(out, ps)
+	}
+	return out, nil
+}
+
+// pair returns a pair at dark holding at least chips chips: a campaign
+// pair when one is that large, else a pair of exactly chips chips run
+// for the figure alone.
+func (c *campaign) pair(dark float64, chips int) (experiments.PairSummary, error) {
+	if ps, ok := c.pairs[dark]; ok && ps.Hayat.Chips >= chips {
+		return ps, nil
+	}
+	return experiments.RunPair(c.cache, c.baseSeed, chips, dark, c.years)
 }
 
 func fig1a() error {
@@ -153,20 +196,24 @@ func fig1b() error {
 	return nil
 }
 
-func fig2(cache *hayat.ArtifactCache, baseSeed int64, years float64, withMaps bool) error {
+func (c *campaign) fig2(withMaps bool) error {
 	fmt.Println("=== Fig. 2: DCM aging & thermal analysis (two chips, 50% dark) ===")
-	res, err := experiments.Fig2(cache, []int64{baseSeed, baseSeed + 1}, years)
+	ps, err := c.pair(0.50, 2)
+	if err != nil {
+		return err
+	}
+	res, err := experiments.Fig2(ps, 2)
 	if err != nil {
 		return err
 	}
 	if withMaps {
-		for _, c := range res {
-			fmt.Println(experiments.RenderFig2Maps(c))
+		for _, fc := range res {
+			fmt.Println(experiments.RenderFig2Maps(fc))
 		}
 	}
-	for i, c := range res {
-		writeSVG(fmt.Sprintf("fig2_temp_%d.svg", i), experiments.SVGFig2Temps(c))
-		writeSVG(fmt.Sprintf("fig2_freq10_%d.svg", i), experiments.SVGFig2Freq10(c))
+	for i, fc := range res {
+		writeSVG(fmt.Sprintf("fig2_temp_%d.svg", i), experiments.SVGFig2Temps(fc))
+		writeSVG(fmt.Sprintf("fig2_freq10_%d.svg", i), experiments.SVGFig2Freq10(fc))
 	}
 	fmt.Println("Fig. 2(o) table:")
 	fmt.Print(experiments.Fig2oTable(res))
@@ -174,26 +221,21 @@ func fig2(cache *hayat.ArtifactCache, baseSeed int64, years float64, withMaps bo
 	return nil
 }
 
-func pairs(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64, render bool) ([]experiments.PairSummary, error) {
-	var out []experiments.PairSummary
-	for _, dark := range []float64{0.25, 0.50} {
-		ps, err := experiments.RunPair(cache, baseSeed, chips, dark, years)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps)
+// renderPairs prints the Figs. 7–10 bars of each pair when render is set
+// and writes its Figs. 7–10 and Fig. 11 SVGs.
+func renderPairs(pairs []experiments.PairSummary, render bool) {
+	for _, ps := range pairs {
 		if render {
-			fmt.Printf("=== Figs. 7–10 (%d chips, %.0f years) ===\n", chips, years)
+			fmt.Printf("=== Figs. 7–10 (%d chips, %.0f years) ===\n", ps.Hayat.Chips, ps.Years)
 			fmt.Print(experiments.RenderBars(ps))
 			fmt.Println()
 		}
-		writeSVG(fmt.Sprintf("fig7to10_dark%d.svg", int(dark*100)), experiments.SVGFigBars(ps))
-		writeSVG(fmt.Sprintf("fig11_dark%d.svg", int(dark*100)), experiments.SVGFig11(ps))
+		writeSVG(fmt.Sprintf("fig7to10_dark%d.svg", int(ps.Dark*100)), experiments.SVGFigBars(ps))
+		writeSVG(fmt.Sprintf("fig11_dark%d.svg", int(ps.Dark*100)), experiments.SVGFig11(ps))
 	}
-	return out, nil
 }
 
-func fig11(ps []experiments.PairSummary, years float64) error {
+func fig11(ps []experiments.PairSummary, years float64) {
 	fmt.Println("=== Fig. 11 (right): average frequency over the lifetime ===")
 	fmt.Print(experiments.Fig11Series(ps))
 	fmt.Println("=== Fig. 11: lifetime extension vs required lifetime ===")
@@ -203,30 +245,26 @@ func fig11(ps []experiments.PairSummary, years float64) error {
 	}
 	fmt.Print(experiments.Fig11Lifetimes(ps, req))
 	fmt.Println()
-	return nil
 }
 
-func fig11maps(cache *hayat.ArtifactCache, baseSeed int64, years float64) error {
+func (c *campaign) fig11maps() error {
 	fmt.Println("=== Fig. 11 (left): aged frequency maps after the lifetime ===")
 	for _, dark := range []float64{0.25, 0.50} {
-		sys, err := hayat.NewSystemWith(experiments.Config(dark, years), cache)
+		ps, err := c.pair(dark, 1)
 		if err != nil {
 			return err
 		}
-		chip, err := sys.NewChip(baseSeed)
+		sys, err := hayat.NewSystemWith(experiments.Config(dark, c.years), c.cache)
 		if err != nil {
 			return err
 		}
-		for _, pol := range []hayat.Policy{hayat.PolicyVAA, hayat.PolicyHayat} {
-			res, err := chip.RunLifetime(pol)
-			if err != nil {
-				return err
-			}
+		for _, pop := range []*hayat.PopulationResult{ps.VAA, ps.Hayat} {
+			res := pop.Results[0]
 			ghz := make([]float64, len(res.FinalFMax))
 			for i, f := range res.FinalFMax {
 				ghz[i] = f / 1e9
 			}
-			fmt.Printf("%s @ %d%% dark, year %.0f [GHz]:\n", pol, int(dark*100), years)
+			fmt.Printf("%s @ %d%% dark, year %.0f [GHz]:\n", pop.Policy, int(dark*100), c.years)
 			fmt.Print(sys.RenderNumericMap(ghz, "%4.2f"))
 			fmt.Println()
 		}
@@ -234,12 +272,17 @@ func fig11maps(cache *hayat.ArtifactCache, baseSeed int64, years float64) error 
 	return nil
 }
 
-func guardband(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64) error {
+// shown is how many chips the per-chip guardband and binning reports
+// show: a handful illustrates the point.
+func shown(chips int) int { return min(chips, 5) }
+
+func (c *campaign) guardband(chips int) error {
 	fmt.Println("=== Guardband analysis: design-time reserve vs run-time management ===")
-	if chips > 5 {
-		chips = 5 // per-chip table; a handful illustrates the point
+	ps, err := c.pair(0.50, shown(chips))
+	if err != nil {
+		return err
 	}
-	_, table, err := experiments.Guardband(cache, baseSeed, chips, years)
+	_, table, err := experiments.Guardband(c.cache, ps, shown(chips))
 	if err != nil {
 		return err
 	}
@@ -248,12 +291,13 @@ func guardband(cache *hayat.ArtifactCache, baseSeed int64, chips int, years floa
 	return nil
 }
 
-func bins(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64) error {
+func (c *campaign) bins(chips int) error {
 	fmt.Println("=== Speed-grade binning: premium-core survival ===")
-	if chips > 5 {
-		chips = 5
+	ps, err := c.pair(0.50, shown(chips))
+	if err != nil {
+		return err
 	}
-	out, err := experiments.BinShift(cache, baseSeed, chips, years)
+	out, err := experiments.BinShift(ps, shown(chips))
 	if err != nil {
 		return err
 	}

@@ -43,8 +43,10 @@
 // injection for crash drills, e.g.
 // "service.cache-read=prob(0.1),sim.thermal-solve=fail(3)".
 //
-// Each simulation runs on one goroutine; -workers bounds how many run at
-// once. -pprof-addr serves net/http/pprof on a separate listener (keep it
+// Each lifetime runs on one goroutine. -workers bounds how many jobs run
+// at once, not how many lifetimes: a population job runs up to
+// GOMAXPROCS of its chips at once inside its one worker slot.
+// -pprof-addr serves net/http/pprof on a separate listener (keep it
 // private — bind to localhost).
 //
 // On SIGINT/SIGTERM the daemon stops accepting work, drains in-flight

@@ -8,7 +8,7 @@ import (
 )
 
 // Backoff bounds how transient failures are retried: exponential backoff
-// from BaseDelay, multiplied by Multiplier per attempt, capped at
+// from BaseDelay, doubled per attempt, capped at
 // MaxDelay, with up to half a step of deterministic jitter so coordinated
 // retries spread out. hayatd's disk, checkpoint and simulation retries
 // and the cluster's peer forwards share this one schedule. Zero values
@@ -17,7 +17,6 @@ type Backoff struct {
 	MaxAttempts int           // total tries including the first (default 4)
 	BaseDelay   time.Duration // first backoff (default 50ms)
 	MaxDelay    time.Duration // backoff ceiling (default 2s)
-	Multiplier  float64       // backoff growth factor (default 2)
 }
 
 // WithDefaults returns p with every unset field at its default.
@@ -31,9 +30,6 @@ func (p Backoff) WithDefaults() Backoff {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
 	return p
 }
 
@@ -42,7 +38,7 @@ func (p Backoff) WithDefaults() Backoff {
 func (p Backoff) Delay(n int, jitter *Jitter) time.Duration {
 	d := float64(p.BaseDelay)
 	for i := 1; i < n; i++ {
-		d *= p.Multiplier
+		d *= 2
 		if d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break

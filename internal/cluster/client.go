@@ -302,9 +302,25 @@ func (e BatchItemEnvelope) Err(peer string) error {
 // and returns the decoded per-item results; items is the request's item
 // count, used to validate the reply's shape. A 429 or 503 comes back as
 // *BusyError with the peer's Retry-After.
+//
+// The peer may admit the items even if ctx ends while the request is in
+// flight, and only its reply names the jobs the caller must then cancel.
+// So the attempt in flight outlives ctx by up to AbandonGrace, and no
+// retry follows it.
 func (r *Router) SubmitBatch(ctx context.Context, peer string, body []byte, items int) (BatchEnvelope, error) {
+	actx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	defer context.AfterFunc(ctx, func() {
+		grace := time.NewTimer(AbandonGrace)
+		defer grace.Stop()
+		select {
+		case <-grace.C:
+			cancel()
+		case <-actx.Done():
+		}
+	})()
 	var env BatchEnvelope
-	err := r.withRetry(ctx, peer, http.MethodPost, "/v1/batch", body, maxEnvelopeBytes, func(rp reply) (err error) {
+	err := r.withRetry(ctx, actx, peer, http.MethodPost, "/v1/batch", body, maxEnvelopeBytes, func(rp reply) (err error) {
 		if rp.code != http.StatusOK {
 			return rp.busy()
 		}
@@ -317,7 +333,7 @@ func (r *Router) SubmitBatch(ctx context.Context, peer string, body []byte, item
 // Job fetches the status envelope of job id on peer.
 func (r *Router) Job(ctx context.Context, peer, id string) (JobEnvelope, error) {
 	var env JobEnvelope
-	err := r.withRetry(ctx, peer, http.MethodGet, "/v1/jobs/"+id, nil, maxEnvelopeBytes, func(rp reply) (err error) {
+	err := r.withRetry(ctx, ctx, peer, http.MethodGet, "/v1/jobs/"+id, nil, maxEnvelopeBytes, func(rp reply) (err error) {
 		if rp.code != http.StatusOK {
 			return rp.unexpected()
 		}
@@ -332,7 +348,7 @@ func (r *Router) Job(ctx context.Context, peer, id string) (JobEnvelope, error) 
 // same key would produce).
 func (r *Router) Result(ctx context.Context, peer, id string) ([]byte, error) {
 	var data []byte
-	err := r.withRetry(ctx, peer, http.MethodGet, "/v1/jobs/"+id+"/result", nil, maxResultBytes, func(rp reply) error {
+	err := r.withRetry(ctx, ctx, peer, http.MethodGet, "/v1/jobs/"+id+"/result", nil, maxResultBytes, func(rp reply) error {
 		switch {
 		case rp.code != http.StatusOK:
 			return rp.unexpected()
@@ -363,7 +379,7 @@ func (r *Router) Cancel(ctx context.Context, peer, id string) error {
 // is a clean miss (the peer answered 404); a mis-keyed or corrupt
 // envelope is a decodeError, never served.
 func (r *Router) StoreGet(ctx context.Context, peer, key string) (data []byte, ok bool, err error) {
-	err = r.withRetry(ctx, peer, http.MethodGet, "/v1/store/"+key, nil, maxResultBytes, func(rp reply) error {
+	err = r.withRetry(ctx, ctx, peer, http.MethodGet, "/v1/store/"+key, nil, maxResultBytes, func(rp reply) error {
 		switch rp.code {
 		case http.StatusNotFound:
 			return nil
@@ -389,7 +405,7 @@ func (r *Router) StoreGet(ctx context.Context, peer, key string) (data []byte, o
 // these bytes — a determinism fork, surfaced as a non-retryable
 // statusError.
 func (r *Router) StorePut(ctx context.Context, peer, key string, data []byte) error {
-	return r.withRetry(ctx, peer, http.MethodPut, "/v1/store/"+key, store.EncodeEnvelope(key, data), maxEnvelopeBytes, func(rp reply) error {
+	return r.withRetry(ctx, ctx, peer, http.MethodPut, "/v1/store/"+key, store.EncodeEnvelope(key, data), maxEnvelopeBytes, func(rp reply) error {
 		if rp.code == http.StatusNoContent || rp.code == http.StatusOK {
 			return nil
 		}
@@ -401,7 +417,7 @@ func (r *Router) StorePut(ctx context.Context, peer, key string, data []byte) er
 // reading the LeafHeader) without moving the payload. ok=false with a
 // nil error is a clean miss.
 func (r *Router) StoreStat(ctx context.Context, peer, key string) (leaf string, ok bool, err error) {
-	err = r.withRetry(ctx, peer, http.MethodHead, "/v1/store/"+key, nil, maxEnvelopeBytes, func(rp reply) error {
+	err = r.withRetry(ctx, ctx, peer, http.MethodHead, "/v1/store/"+key, nil, maxEnvelopeBytes, func(rp reply) error {
 		switch rp.code {
 		case http.StatusNotFound:
 			return nil

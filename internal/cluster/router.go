@@ -46,6 +46,11 @@ const (
 	recoverThreshold = 2
 )
 
+// AbandonGrace bounds what a caller still spends on a peer after it has
+// stopped waiting: the reply to a batch already in flight (SubmitBatch),
+// and the cancels of the jobs nobody awaits any more.
+const AbandonGrace = 2 * time.Second
+
 // PeerSnapshot is one remote peer's externally visible health, served on
 // GET /metrics under cluster.peers.
 type PeerSnapshot struct {
@@ -259,17 +264,20 @@ func (r *Router) breaker(peer string) *circuit.Breaker {
 // withRetry runs one logical peer request — method on peer's path, with
 // body — through the peer's breaker and the backoff schedule, handing
 // each attempt's reply to handle, whose error decides whether to retry.
+// Attempts run under actx and the backoff between them under ctx, so an
+// actx detached from ctx keeps the attempt in flight after ctx ends, but
+// no retry follows it.
 // An open breaker fails at once with circuit.ErrOpen. BusyError counts
 // as a SUCCESS for the breaker (a peer saying 429 is alive and talking)
 // and is returned immediately so the caller can pass the origin's
 // Retry-After through.
-func (r *Router) withRetry(ctx context.Context, peer, method, path string, body []byte, maxResp int64, handle func(reply) error) error {
+func (r *Router) withRetry(ctx, actx context.Context, peer, method, path string, body []byte, maxResp int64, handle func(reply) error) error {
 	brk := r.breaker(peer)
 	return circuit.Retry(ctx, r.cfg.Retry, r.jitter, retryable, nil, func() error {
 		if !brk.Allow() {
 			return fmt.Errorf("cluster: peer %s: %w", peer, circuit.ErrOpen)
 		}
-		rp, err := r.do(ctx, fpForward, method, peer, path, body, maxResp)
+		rp, err := r.do(actx, fpForward, method, peer, path, body, maxResp)
 		if err == nil {
 			err = handle(rp)
 		}

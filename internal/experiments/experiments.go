@@ -74,40 +74,32 @@ type Fig2Chip struct {
 	MaxT, AvgT                   float64
 }
 
-// Fig2 runs the two-chips × two-DCMs analysis of Fig. 2 at 50 % dark
-// silicon. DCM-1 (contiguous) is produced by the VAA mapper, DCM-2
+// Fig2 is the two-DCMs analysis of Fig. 2 for the first chips of a
+// population pair (the paper shows two chips at 50 % dark silicon).
+// DCM-1 (contiguous) is produced by the VAA mapper, DCM-2
 // (variation/temperature-optimised) by Hayat.
-func Fig2(cache *hayat.ArtifactCache, seeds []int64, years float64) ([]Fig2Chip, error) {
-	cfg := Config(0.50, years)
-	sys, err := hayat.NewSystemWith(cfg, cache)
-	if err != nil {
+func Fig2(ps PairSummary, chips int) ([]Fig2Chip, error) {
+	if err := ps.holds(chips); err != nil {
 		return nil, err
 	}
+	cfg := Config(ps.Dark, ps.Years)
 	var out []Fig2Chip
-	for _, seed := range seeds {
-		chip, err := sys.NewChip(seed)
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < chips; i++ {
 		for _, pol := range []struct {
-			p   hayat.Policy
+			res *hayat.LifetimeResult
 			dcm string
 		}{
-			{hayat.PolicyVAA, "contiguous (DCM-1)"},
-			{hayat.PolicyHayat, "optimised (DCM-2)"},
+			{ps.VAA.Results[i], "contiguous (DCM-1)"},
+			{ps.Hayat.Results[i], "optimised (DCM-2)"},
 		} {
-			res, err := chip.RunLifetime(pol.p)
-			if err != nil {
-				return nil, err
-			}
 			fc := Fig2Chip{
-				ChipSeed:   seed,
+				ChipSeed:   pol.res.ChipSeed,
 				DCMName:    pol.dcm,
 				Rows:       cfg.Rows,
 				Cols:       cfg.Cols,
-				FreqYr0:    res.InitialFMax,
-				FreqYr10:   res.FinalFMax,
-				TempSteady: res.FinalTemps,
+				FreqYr0:    pol.res.InitialFMax,
+				FreqYr10:   pol.res.FinalFMax,
+				TempSteady: pol.res.FinalTemps,
 			}
 			fc.MaxF0, fc.AvgF0 = maxAvg(fc.FreqYr0)
 			fc.MaxF10, fc.AvgF10 = maxAvg(fc.FreqYr10)
@@ -152,11 +144,21 @@ func RenderFig2Maps(c Fig2Chip) string {
 // ---------------------------------------------------------------------------
 // E4–E7 — Figs. 7–10: populations at 25 % and 50 % dark silicon.
 
-// PairSummary is the Hayat/VAA population pair at one dark fraction.
+// PairSummary is the Hayat/VAA population pair at one dark fraction,
+// simulated under Config(Dark, Years). Every population figure of the
+// campaign is derived from such pairs.
 type PairSummary struct {
-	Dark       float64
-	Hayat, VAA *hayat.PopulationResult
-	Comparison hayat.Comparison
+	Dark, Years float64
+	Hayat, VAA  *hayat.PopulationResult
+	Comparison  hayat.Comparison
+}
+
+// holds reports an error unless the pair holds at least chips chips.
+func (ps PairSummary) holds(chips int) error {
+	if chips > ps.Hayat.Chips {
+		return fmt.Errorf("experiments: %d-chip pair at %d%% dark, want %d chips", ps.Hayat.Chips, int(ps.Dark*100), chips)
+	}
+	return nil
 }
 
 // RunPair runs both policies over chips baseSeed, baseSeed+1, … at one
@@ -178,7 +180,7 @@ func RunPair(cache *hayat.ArtifactCache, baseSeed int64, chips int, dark, years 
 	if err != nil {
 		return PairSummary{}, err
 	}
-	return PairSummary{Dark: dark, Hayat: h, VAA: v, Comparison: c}, nil
+	return PairSummary{Dark: dark, Years: years, Hayat: h, VAA: v, Comparison: c}, nil
 }
 
 // RenderBars renders the Figs. 7–10 normalised bar chart for one pair.
@@ -398,33 +400,29 @@ type GuardbandRow struct {
 	Hayat, VAA float64
 }
 
-// Guardband runs both policies over chips baseSeed, baseSeed+1, … and
-// returns per-chip rows plus a rendered table.
-func Guardband(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64) ([]GuardbandRow, string, error) {
-	cfg := Config(0.50, years)
+// Guardband returns per-chip rows for the first chips of a population
+// pair, plus a rendered table. Each chip is built again, through cache,
+// for its static term.
+func Guardband(cache *hayat.ArtifactCache, ps PairSummary, chips int) ([]GuardbandRow, string, error) {
+	if err := ps.holds(chips); err != nil {
+		return nil, "", err
+	}
+	cfg := Config(ps.Dark, ps.Years)
 	sys, err := hayat.NewSystemWith(cfg, cache)
-	if err != nil {
-		return nil, "", err
-	}
-	h, err := sys.RunPopulation(baseSeed, chips, hayat.PolicyHayat)
-	if err != nil {
-		return nil, "", err
-	}
-	v, err := sys.RunPopulation(baseSeed, chips, hayat.PolicyVAA)
 	if err != nil {
 		return nil, "", err
 	}
 	var rows []GuardbandRow
 	for i := 0; i < chips; i++ {
-		chip, err := sys.NewChip(baseSeed + int64(i))
+		chip, err := sys.NewChip(ps.Hayat.Results[i].ChipSeed)
 		if err != nil {
 			return nil, "", err
 		}
 		rows = append(rows, GuardbandRow{
 			ChipSeed: chip.Seed(),
-			Static:   1 - chip.AgingFactor(cfg.TSafe, 1.0, years),
-			Hayat:    worstDegradation(h.Results[i]),
-			VAA:      worstDegradation(v.Results[i]),
+			Static:   1 - chip.AgingFactor(cfg.TSafe, 1.0, ps.Years),
+			Hayat:    worstDegradation(ps.Hayat.Results[i]),
+			VAA:      worstDegradation(ps.VAA.Results[i]),
 		})
 	}
 	header := []string{"chip", "static guardband", "worst under VAA", "worst under Hayat", "recovered vs static"}
@@ -463,22 +461,17 @@ func worstDegradation(res *hayat.LifetimeResult) float64 {
 // Speed-grade binning (the cherry-picking [26] view): how many premium
 // cores survive the lifetime under each policy.
 
-// BinShift runs both policies over chips baseSeed, baseSeed+1, … and
-// returns the rendered grade-shift report.
-func BinShift(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float64) (string, error) {
-	bins := binning.Default()
-	sys, err := hayat.NewSystemWith(Config(0.50, years), cache)
-	if err != nil {
+// BinShift returns the rendered grade-shift report of the first chips
+// of a population pair.
+func BinShift(ps PairSummary, chips int) (string, error) {
+	if err := ps.holds(chips); err != nil {
 		return "", err
 	}
+	bins := binning.Default()
 	var out strings.Builder
-	for _, p := range []hayat.Policy{hayat.PolicyVAA, hayat.PolicyHayat} {
-		pop, err := sys.RunPopulation(baseSeed, chips, p)
-		if err != nil {
-			return "", err
-		}
+	for _, pop := range []*hayat.PopulationResult{ps.VAA, ps.Hayat} {
 		var before, after []float64
-		for _, res := range pop.Results {
+		for _, res := range pop.Results[:chips] {
 			before = append(before, res.InitialFMax...)
 			after = append(after, res.FinalFMax...)
 		}
@@ -488,7 +481,7 @@ func BinShift(cache *hayat.ArtifactCache, baseSeed int64, chips int, years float
 		}
 		out.WriteString(bins.Render(
 			fmt.Sprintf("%s: core speed grades, year 0 → year %.0f (%d chips, %d cores)",
-				p, years, chips, len(before)), shift))
+				pop.Policy, ps.Years, chips, len(before)), shift))
 		out.WriteByte('\n')
 	}
 	return out.String(), nil

@@ -79,7 +79,11 @@ func TestFig1bShape(t *testing.T) {
 }
 
 func TestFig2AnalysisShort(t *testing.T) {
-	chips, err := Fig2(testCache, []int64{1}, 1 /* year, keeps the test fast */)
+	ps, err := RunPair(testCache, 1, 1, 0.50, 1 /* year, keeps the test fast */)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chips, err := Fig2(ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestSVGHelpers(t *testing.T) {
 	if svg := SVGFig11(ps); !strings.Contains(svg, "Hayat") || !strings.Contains(svg, "VAA") {
 		t.Fatal("Fig. 11 SVG malformed")
 	}
-	chips, err := Fig2(testCache, []int64{1}, 1)
+	chips, err := Fig2(ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,11 @@ func TestSVGHelpers(t *testing.T) {
 }
 
 func TestGuardbandAnalysis(t *testing.T) {
-	rows, table, err := Guardband(testCache, 1, 2, 2)
+	ps, err := RunPair(testCache, 1, 2, 0.50, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, table, err := Guardband(testCache, ps, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +202,11 @@ func TestGuardbandAnalysis(t *testing.T) {
 }
 
 func TestBinShift(t *testing.T) {
-	out, err := BinShift(testCache, 1, 1, 2)
+	ps, err := RunPair(testCache, 1, 1, 0.50, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := BinShift(ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +214,9 @@ func TestBinShift(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+	// A figure never reads past the chips its pair simulated.
+	if _, err := BinShift(ps, 2); err == nil {
+		t.Fatal("BinShift read 2 chips from a 1-chip pair")
 	}
 }

@@ -1,16 +1,10 @@
 package merkle
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
-	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 )
 
@@ -19,6 +13,10 @@ const (
 	fpPersist = "merkle.persist"
 	fpReplay  = "merkle.replay"
 )
+
+// logFailpoints maps the audit log's seams onto its persist.Log: every
+// append and the final fsync share merkle.persist.
+var logFailpoints = persist.LogFailpoints{Replay: fpReplay, Append: fpPersist, Close: fpPersist}
 
 // DefaultSegmentLeaves is how many leaves a segment holds before it is
 // sealed and a fresh tree starts. Proofs stay shallow (≤ 8 siblings) and
@@ -49,7 +47,7 @@ type logRecord struct {
 // job lands on the existing leaf. With an empty path the log is
 // memory-only (trees still work, nothing survives a restart).
 //
-// Durability model: records are appended as CRC-framed lines and fsynced
+// Durability model: records are appended to a persist.Log and fsynced
 // when a segment seals (and on Close). A record lost to a crash is
 // re-appended the next time its result is served from the cache, so the
 // tree self-heals; replay skips corrupt or out-of-sequence lines and
@@ -59,9 +57,8 @@ type Log struct {
 	segLeaves int
 	segs      []*Tree
 	refs      map[string]Ref
-	f         *os.File // nil: memory-only
-	path      string
-	sealed    int // segments already fsynced shut
+	file      *persist.Log[logRecord] // nil: memory-only
+	sealed    int                     // segments already fsynced shut
 }
 
 // OpenLog replays (or creates) the audit log at path, returning the log
@@ -71,49 +68,15 @@ func OpenLog(path string, segLeaves int) (*Log, int, error) {
 	if segLeaves <= 0 {
 		segLeaves = DefaultSegmentLeaves
 	}
-	l := &Log{segLeaves: segLeaves, refs: make(map[string]Ref), path: path}
+	l := &Log{segLeaves: segLeaves, refs: make(map[string]Ref)}
 	if path == "" {
 		return l, 0, nil
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, 0, fmt.Errorf("merkle: creating audit dir: %w", err)
-		}
-	}
-	if ferr := faultinject.Hit(fpReplay); ferr != nil {
-		return nil, 0, fmt.Errorf("merkle: audit replay: %w", ferr)
-	}
-	corrupt := 0
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			payload, err := persist.DecodeFrameLine(line)
-			if err != nil {
-				corrupt++
-				continue
-			}
-			var rec logRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				corrupt++
-				continue
-			}
-			if !l.replayLocked(rec) {
-				corrupt++
-			}
-		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return nil, 0, fmt.Errorf("merkle: reading audit log: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	file, corrupt, err := persist.OpenLog(path, logFailpoints, l.replayLocked)
 	if err != nil {
 		return nil, 0, fmt.Errorf("merkle: opening audit log: %w", err)
 	}
-	l.f = f
+	l.file = file
 	l.sealed = len(l.segs)
 	if open := l.openSegLocked(); open != nil && open.Len() < l.segLeaves {
 		// The trailing segment is still open; everything before it is
@@ -191,37 +154,21 @@ func (l *Log) Append(key string, leaf Hash) (Ref, bool, error) {
 	}, sealing); err != nil {
 		return ref, true, err
 	}
-	if sealing && l.f != nil {
+	if sealing && l.file != nil {
 		l.sealed = ref.Segment + 1
 	}
 	return ref, true, nil
 }
 
-// persistLocked appends one framed record line, fsyncing when the write
-// seals a segment (a sealed root must survive a crash; open-segment
-// records are re-derived from the result cache if lost).
+// persistLocked appends one record, fsyncing when the write seals a
+// segment (a sealed root must survive a crash; open-segment records are
+// re-derived from the result cache if lost).
 func (l *Log) persistLocked(rec logRecord, seal bool) error {
-	if l.f == nil {
+	if l.file == nil {
 		return nil
 	}
-	if ferr := faultinject.Hit(fpPersist); ferr != nil {
-		return fmt.Errorf("merkle: audit append: %w", ferr)
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("merkle: audit record: %w", err)
-	}
-	framed, err := persist.EncodeFrameLine(payload)
-	if err != nil {
-		return fmt.Errorf("merkle: audit record: %w", err)
-	}
-	if _, err := l.f.Write(append(framed, '\n')); err != nil {
+	if err := l.file.Append(seal, rec); err != nil {
 		return fmt.Errorf("merkle: audit append: %w", err)
-	}
-	if seal {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("merkle: audit sync: %w", err)
-		}
 	}
 	return nil
 }
@@ -283,17 +230,11 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.file == nil {
 		return nil
 	}
-	err := faultinject.Hit(fpPersist)
-	if err == nil {
-		err = l.f.Sync()
-	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
+	err := l.file.Close()
+	l.file = nil
 	if err != nil {
 		return fmt.Errorf("merkle: closing audit log: %w", err)
 	}

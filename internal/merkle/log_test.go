@@ -165,6 +165,39 @@ func TestLogReplaySkipsCorruptLines(t *testing.T) {
 	}
 }
 
+// The audit log's on-disk bytes are pinned: a leaf appended under a key
+// is written as exactly this line, and replays at the same ref.
+func TestLogRecordLineGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.log")
+	l, _, err := OpenLog(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := "0123456789abcdef"
+	if _, _, err := l.Append(k, LeafHash([]byte("result"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = `hayatf1 2fa5123c {"seg":0,"idx":0,"key":"0123456789abcdef","leaf":"eb80672daa243a812b9b62d4daa75ccaf17d0cbf00216c6b32ab46068e6803da"}` + "\n"
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("audit log bytes\n%s\nwant\n%s", got, want)
+	}
+	l2, corrupt, err := OpenLog(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if leaf, ok := l2.Leaf(k); corrupt != 0 || !ok || leaf != LeafHash([]byte("result")) {
+		t.Fatalf("golden line replayed as leaf %x (ok %v), corrupt %d", leaf, ok, corrupt)
+	}
+}
+
 // A memory-only log (empty path) works but persists nothing.
 func TestLogMemoryOnly(t *testing.T) {
 	l, _, err := OpenLog("", 0)

@@ -8,10 +8,6 @@ import (
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
-// fpFrameWrite is the failpoint on the framed-file write seam (the
-// store's durable tier).
-const fpFrameWrite = "persist.frame-write"
-
 // WriteFileAtomic replaces path with data: temp file in path's own
 // directory, write, fsync, rename, so a crash leaves either the old file
 // or the new one, never a torn one. The temp file never leaves that
@@ -43,11 +39,36 @@ func WriteFileAtomic(path string, data []byte, failpoint string) error {
 	return err
 }
 
-// WriteFramedFile atomically replaces path with a CRC-framed copy of
-// payload (WriteFileAtomic, the same discipline as the journal).
-func WriteFramedFile(path string, payload []byte) error {
-	if err := WriteFileAtomic(path, EncodeFrame(payload), fpFrameWrite); err != nil {
-		return fmt.Errorf("persist: framed write %s: %w", filepath.Base(path), err)
+// WriteFramed atomically replaces path with a CRC-framed copy of payload
+// (WriteFileAtomic of EncodeFrame(payload)) under the caller's failpoint.
+func WriteFramed(path string, payload []byte, failpoint string) error {
+	return WriteFileAtomic(path, EncodeFrame(payload), failpoint)
+}
+
+// ReadFramed reads the CRC-framed file at path and returns its payload.
+// failpoint names the caller's fault-injection seam, evaluated before
+// the read. accept, when non-nil, is a further check of the decoded
+// payload. A file that fails its frame or accept is quarantined
+// (Quarantine): the error then wraps ErrCorruptFrame, and quarantined
+// reports whether the rename succeeded. A missing file's error satisfies
+// errors.Is(err, fs.ErrNotExist).
+func ReadFramed(path, failpoint string, accept func(payload []byte) error) (payload []byte, quarantined bool, err error) {
+	if err := faultinject.Hit(failpoint); err != nil {
+		return nil, false, err
 	}
-	return nil
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false, err
+	}
+	payload, err = DecodeFrame(raw)
+	if err == nil && accept != nil {
+		if aerr := accept(payload); aerr != nil {
+			err = fmt.Errorf("%w: %w", ErrCorruptFrame, aerr)
+		}
+	}
+	if err != nil {
+		_, qerr := Quarantine(path)
+		return nil, qerr == nil, err
+	}
+	return payload, false, nil
 }

@@ -22,7 +22,8 @@ const fpQuarantine = "persist.quarantine"
 //
 //	hayatf1 <crc32c hex8> <payload length>\n<payload>
 //
-// Line frames (journal records) keep the payload on the same line:
+// Line frames (journal and audit-log records) keep the payload on the
+// same line:
 //
 //	hayatf1 <crc32c hex8> <payload>
 //
@@ -33,7 +34,8 @@ const fpQuarantine = "persist.quarantine"
 const FrameMagic = "hayatf1"
 
 // ErrCorruptFrame is wrapped by every framing decode failure (bad magic,
-// short header, CRC mismatch, truncated payload).
+// short header, CRC mismatch, truncated payload), and by ReadFramed when
+// its accept check rejects a payload.
 var ErrCorruptFrame = errors.New("persist: corrupt frame")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

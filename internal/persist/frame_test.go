@@ -116,7 +116,7 @@ func TestWriteFramedFileBareName(t *testing.T) {
 	t.Chdir(t.TempDir())
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 	payload := []byte(`{"result":"bare"}`)
-	if err := WriteFramedFile("k.json", payload); err != nil {
+	if err := WriteFramed("k.json", payload, ""); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile("k.json")

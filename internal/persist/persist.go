@@ -1,7 +1,11 @@
 // Package persist serialises lifetime-simulation results and population
 // outcomes to JSON so experiment campaigns can be archived, diffed and
 // post-processed outside the simulator (the hayat results' WriteJSON,
-// cmd/hayatsim -json).
+// cmd/hayatsim -json). It is also hayatd's one durable-file layer: the
+// only package that knows the CRC-framed format (frame.go) and its
+// durability steps — atomic replace, fsync, directory fsync, line replay
+// and quarantine — for the job journal and the audit log (Log) and for
+// result files and checkpoints (WriteFramed, ReadFramed).
 package persist
 
 import (

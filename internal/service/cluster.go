@@ -174,10 +174,10 @@ func (s *Server) awaitForwarded(ctx context.Context, j *Job) []byte {
 
 // requeueLocal hands a tracking job whose owner failed back to the
 // admission queue with its peer binding cleared, so a worker slot runs
-// it: -workers bounds simulations, and tracking goroutines never
-// simulate. The job was admitted and journalled already, so the enqueue
-// is forced, as journal recovery forces it. It reports false when ctx
-// has ended: the job was cancelled meanwhile and stays with its caller.
+// it: tracking goroutines never simulate. The job was admitted and
+// journalled already, so the enqueue is forced, as journal recovery
+// forces it. It reports false when ctx has ended: the job was cancelled
+// meanwhile and stays with its caller.
 func (s *Server) requeueLocal(ctx context.Context, j *Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,9 +229,10 @@ func (s *Server) submitRemote(ctx context.Context, peer string, items []*remoteI
 // and awaits each request's accepted jobs before sending the next. A
 // rejected item resolves nil: a per-item 429 is backpressure, honoured
 // by doing that work here. It returns the items a peer-level failure
-// left unresolved.
+// left unresolved. When ctx ends, no further request goes out, and the
+// jobs a request in flight gets accepted are cancelled on the peer.
 func (s *Server) dispatch(ctx context.Context, peer string, items []*remoteItem) []*remoteItem {
-	for start := 0; start < len(items); start += chipBatchLimit {
+	for start := 0; start < len(items) && ctx.Err() == nil; start += chipBatchLimit {
 		chunk := items[start:min(start+chipBatchLimit, len(items))]
 		results, err := s.submitRemote(ctx, peer, chunk)
 		if err != nil {
@@ -252,6 +253,12 @@ func (s *Server) dispatch(ctx context.Context, peer string, items []*remoteItem)
 			if it.req.Kind == KindChip {
 				s.met.ChipsForwarded.Add(1)
 			}
+		}
+		if ctx.Err() != nil {
+			// The reply came after the waiter left: nobody will await
+			// these jobs (SubmitBatch kept the request alive for this).
+			s.cancelRemote(peer, accepted)
+			return nil
 		}
 		if failed := s.await(ctx, peer, accepted); len(failed) > 0 {
 			return append(failed, items[start+len(chunk):]...)
@@ -361,10 +368,11 @@ func (s *Server) reroute(ctx context.Context, failed string, items []*remoteItem
 
 // cancelRemote best-effort cancels jobs on peer that nobody waits for any
 // more — the caller went away, or the population finished without them —
-// so the peer stops burning epochs on them. One 2 s deadline covers all
-// of them, so a hung peer cannot hold the caller up for longer.
+// so the peer stops burning epochs on them. One cluster.AbandonGrace
+// deadline covers all of them, so a hung peer cannot hold the caller up
+// for longer.
 func (s *Server) cancelRemote(peer string, items []*remoteItem) {
-	cctx, cancel := context.WithTimeout(context.WithoutCancel(s.baseCtx), 2*time.Second)
+	cctx, cancel := context.WithTimeout(context.WithoutCancel(s.baseCtx), cluster.AbandonGrace)
 	defer cancel()
 	for _, it := range items {
 		if err := s.router.Cancel(cctx, peer, it.id); err != nil {

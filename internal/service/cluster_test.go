@@ -283,10 +283,14 @@ func TestClusterPopulationFanout(t *testing.T) {
 // state(items accepted so far) — an empty state fails the poll with 502,
 // a peer dying mid-job — and serves a done job's result from results,
 // keyed by the item's seed. Every other request answers 404 and is
-// recorded in other.
+// recorded in other. With hold set (under mu), a batch signals its
+// arrival on held and waits, without the stub's lock, for hold to close
+// before it is admitted.
 type stubPeer struct {
 	*httptest.Server
 	state func(accepted int) JobState
+	hold  chan struct{}
+	held  chan struct{}
 
 	mu      sync.Mutex
 	items   []BatchItem
@@ -304,6 +308,16 @@ func newStubPeer(t *testing.T, state func(accepted int) JobState) *stubPeer {
 }
 
 func (sp *stubPeer) serve(w http.ResponseWriter, r *http.Request) {
+	sp.mu.Lock()
+	hold, held := sp.hold, sp.held
+	sp.mu.Unlock()
+	if hold != nil && r.URL.Path == "/v1/batch" {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-hold
+	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
@@ -591,6 +605,50 @@ func TestClusterCancelledPopulationCancelsRemoteChips(t *testing.T) {
 		t.Fatalf("population state %s, want cancelled", final.State)
 	}
 	if _, deletes, _ := stub.snapshot(); deletes != remote {
+		t.Fatalf("peer got %d DELETEs, want one per accepted chip job (%d)", deletes, remote)
+	}
+}
+
+// A population cancelled while its POST /v1/batch is in flight still
+// reads the peer's reply, and cancels every chip job the peer accepted:
+// one DELETE each, instead of chips that run to completion for nobody.
+func TestClusterCancelDuringBatchPostCancelsAcceptedChips(t *testing.T) {
+	stub := newStubPeer(t, func(int) JobState { return JobRunning }) // never finishes
+	hold := make(chan struct{})
+	stub.mu.Lock()
+	stub.hold, stub.held = hold, make(chan struct{}, 1)
+	stub.mu.Unlock()
+	ln := listen(t)
+	a := startClusterNode(t, ln, []string{stub.URL}, nil)
+
+	const chips = 8
+	base, remote := baseSeedWithRemoteChips(t, a, stub.URL, tinyCfg(), chips, 4)
+	st, err := a.SubmitPopulation(tinyCfg(), base, chips, "hayat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stub.held:
+	case <-time.After(10 * time.Second):
+		close(hold)
+		t.Fatal("the population's batch never reached the peer")
+	}
+	if err := a.Cancel(st.ID); err != nil {
+		close(hold)
+		t.Fatal(err)
+	}
+	// The peer admits every item a moment after the cancel, well inside
+	// the cluster.AbandonGrace the coordinator gives the reply.
+	time.Sleep(100 * time.Millisecond)
+	close(hold)
+	if final := waitDone(t, a, st.ID); final.State != JobCancelled {
+		t.Fatalf("population state %s, want cancelled", final.State)
+	}
+	items, deletes, _ := stub.snapshot()
+	if len(items) != remote {
+		t.Fatalf("peer accepted %d chip jobs, want %d", len(items), remote)
+	}
+	if deletes != remote {
 		t.Fatalf("peer got %d DELETEs, want one per accepted chip job (%d)", deletes, remote)
 	}
 }

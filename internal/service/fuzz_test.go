@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/kit-ces/hayat/internal/persist"
+	"github.com/kit-ces/hayat/internal/store"
 )
 
 // FuzzJournalReplay replays arbitrary bytes as a journal file: openJournal
@@ -70,7 +71,7 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if !validKey(sub.key) {
+			if !store.ValidKey(sub.key) {
 				t.Fatalf("item %d accepted with malformed cache key %q", i, sub.key)
 			}
 			if sub.req.Chips < 1 {
@@ -101,7 +102,7 @@ func FuzzDecodeConfig(f *testing.F) {
 			return
 		}
 		req := request{Kind: KindLifetime, Config: cfg, Policy: "Hayat", Seed: 1, Chips: 1}
-		if key := req.key(); !validKey(key) {
+		if key := req.key(); !store.ValidKey(key) {
 			t.Fatalf("validated config produced malformed cache key %q", key)
 		}
 	})

@@ -313,7 +313,7 @@ const maxStorePutBody = 256 << 20
 // so HEAD doubles as the anti-entropy stat probe.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !store.ValidKey(key) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: not a result key"))
 		return
 	}
@@ -356,7 +356,7 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if envKey != key || !validKey(key) {
+	if envKey != key || !store.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: envelope key %s does not match path", envKey))
 		return
 	}
@@ -364,8 +364,8 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	if err := s.store.put(key, payload); err != nil {
-		s.logf("service: %v", err)
+	if err := s.store.PutLocal(key, payload); err != nil {
+		s.logf("service: persisting result %s: %v", key, err)
 	}
 	// Replicas audit the copies they hold so they can serve inclusion
 	// proofs (and verify future reads) even if the owner never returns.

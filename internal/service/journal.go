@@ -1,25 +1,17 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/kit-ces/hayat"
-	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 )
 
-// Journal failpoints: every durable-I/O seam of the write-ahead log is
-// individually faultable so the crash tests can exercise a torn replay,
-// a failed append, a compaction that dies mid-rename, and a final sync
-// that never lands.
+// Journal failpoints, one per durable-I/O seam (journalFailpoints).
 const (
 	fpJournalReplay  = "service.journal-replay"
 	fpJournalAppend  = "service.journal-append"
@@ -92,15 +84,25 @@ func timeToMS(t time.Time) int64 {
 	return t.UnixMilli()
 }
 
-// journal is hayatd's write-ahead job log: an append-only JSONL file whose
-// lines are CRC32C-framed (persist.EncodeFrameLine), fsynced on submit so
-// an acknowledged job survives a crash. Replay tolerates torn or corrupt
-// trailing lines by skipping them; compaction rewrites the file via
-// temp + rename so it too is crash-safe.
+// journalFailpoints are the journal's durable-I/O seams, each
+// individually faultable so the crash tests can exercise a torn replay,
+// a failed append, a compaction that dies mid-rename, and a final sync
+// that never lands.
+var journalFailpoints = persist.LogFailpoints{
+	Replay:  fpJournalReplay,
+	Append:  fpJournalAppend,
+	Rewrite: fpJournalCompact,
+	DirSync: fpJournalDirSync,
+	Close:   fpJournalClose,
+}
+
+// journal is hayatd's write-ahead job log: a persist.Log of
+// journalRecords, fsynced on submit so an acknowledged job survives a
+// crash. Replay tolerates torn or corrupt lines by skipping them;
+// compaction rewrites the file atomically so it too is crash-safe.
 type journal struct {
 	mu   sync.Mutex
-	f    *os.File
-	path string
+	log  *persist.Log[journalRecord]
 	live map[string]journalRecord // job ID → its submit record
 	dead int                      // terminal records since last compaction
 }
@@ -110,55 +112,29 @@ type journal struct {
 // previous process in submit order, and the number of corrupt lines
 // skipped during replay.
 func openJournal(path string) (*journal, []journalEntry, int, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, 0, fmt.Errorf("service: creating journal dir: %w", err)
-		}
-	}
-	j := &journal{path: path, live: make(map[string]journalRecord)}
-
-	if ferr := faultinject.Hit(fpJournalReplay); ferr != nil {
-		return nil, nil, 0, fmt.Errorf("service: journal replay: %w", ferr)
-	}
-	corrupt := 0
+	j := &journal{live: make(map[string]journalRecord)}
 	var order []string // submit order of live IDs
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
+	log, corrupt, err := persist.OpenLog(path, journalFailpoints, func(rec journalRecord) bool {
+		switch rec.Op {
+		case opSubmit:
+			if rec.Req == nil || rec.ID == "" {
+				return false
 			}
-			payload, err := persist.DecodeFrameLine(line)
-			if err != nil {
-				corrupt++
-				continue
+			if _, ok := j.live[rec.ID]; !ok {
+				order = append(order, rec.ID)
 			}
-			var rec journalRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				corrupt++
-				continue
-			}
-			switch rec.Op {
-			case opSubmit:
-				if rec.Req == nil || rec.ID == "" {
-					corrupt++
-					continue
-				}
-				if _, ok := j.live[rec.ID]; !ok {
-					order = append(order, rec.ID)
-				}
-				j.live[rec.ID] = rec
-			case opDone, opFailed, opCancelled:
-				delete(j.live, rec.ID)
-			default:
-				corrupt++
-			}
+			j.live[rec.ID] = rec
+		case opDone, opFailed, opCancelled:
+			delete(j.live, rec.ID)
+		default:
+			return false
 		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return nil, nil, 0, fmt.Errorf("service: reading journal: %w", err)
+		return true
+	})
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("service: opening journal: %w", err)
 	}
+	j.log = log
 
 	var pending []journalEntry
 	for _, id := range order {
@@ -180,6 +156,7 @@ func openJournal(path string) (*journal, []journalEntry, int, error) {
 	// Start from a compacted file: only live submits survive the rewrite,
 	// so a crash loop cannot grow the journal without bound.
 	if err := j.compactLocked(); err != nil {
+		j.log.Close()
 		return nil, nil, 0, err
 	}
 	return j, pending, corrupt, nil
@@ -208,47 +185,20 @@ func (j *journal) terminal(op, id string) error {
 	return j.append([]journalRecord{{Op: op, ID: id, At: time.Now().UTC()}}, false)
 }
 
-// append frames recs and writes them with one write and, when sync is
-// set, one fsync. Submit records are synced before their submit is
-// acknowledged, so all of one request's records land or none are
-// acknowledged; a mid-write crash leaves at worst a torn trailing line,
-// which replay skips. Terminal records are not synced: if one is lost
-// to a crash the job is merely re-run (and typically answered from the
-// result cache).
+// append writes recs with one write and, when sync is set, one fsync.
+// Submit records are synced before their submit is acknowledged, so all
+// of one request's records land or none are acknowledged; a mid-write
+// crash leaves at worst a torn trailing line, which replay skips.
+// Terminal records are not synced: if one is lost to a crash the job is
+// merely re-run (and typically answered from the result cache).
 func (j *journal) append(recs []journalRecord, sync bool) error {
 	if j == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("service: journal record: %w", err)
-		}
-		framed, err := persist.EncodeFrameLine(payload)
-		if err != nil {
-			// json.Marshal output never contains a raw newline.
-			return fmt.Errorf("service: journal record: %w", err)
-		}
-		buf.Write(framed)
-		buf.WriteByte('\n')
-	}
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("service: journal is closed")
-	}
-	if ferr := faultinject.Hit(fpJournalAppend); ferr != nil {
-		return fmt.Errorf("service: journal append: %w", ferr)
-	}
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
+	if err := j.log.Append(sync, recs...); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
-	}
-	if sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("service: journal sync: %w", err)
-		}
 	}
 	compact := false
 	for _, rec := range recs {
@@ -268,11 +218,11 @@ func (j *journal) append(recs []journalRecord, sync bool) error {
 	return nil
 }
 
-// compactLocked rewrites the journal with only live submit records, via
-// persist.WriteFileAtomic, then reopens it for appending. A failed
-// rewrite leaves the old file in place and open; a failed directory
-// fsync is returned with the new file already open. Callers hold j.mu (or
-// own j exclusively, as openJournal does).
+// compactLocked rewrites the journal with only live submit records
+// (persist.Log.Rewrite). A failed rewrite leaves the old file in place
+// and open, and the next terminal record retries it; a failed directory
+// fsync is returned with the new file already open. Callers hold j.mu
+// (or own j exclusively, as openJournal does).
 func (j *journal) compactLocked() error {
 	// Deterministic record order keeps compaction reproducible.
 	ids := make([]string, 0, len(j.live))
@@ -280,59 +230,16 @@ func (j *journal) compactLocked() error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	var buf bytes.Buffer
-	for _, id := range ids {
-		payload, err := json.Marshal(j.live[id])
-		if err != nil {
-			return fmt.Errorf("service: journal compact: %w", err)
-		}
-		framed, err := persist.EncodeFrameLine(payload)
-		if err != nil {
-			return fmt.Errorf("service: journal compact: %w", err)
-		}
-		buf.Write(framed)
-		buf.WriteByte('\n')
+	recs := make([]journalRecord, len(ids))
+	for i, id := range ids {
+		recs[i] = j.live[id]
 	}
-	if err := persist.WriteFileAtomic(j.path, buf.Bytes(), fpJournalCompact); err != nil {
+	err := j.log.Rewrite(recs)
+	if err == nil || errors.Is(err, persist.ErrUnsynced) {
+		j.dead = 0
+	}
+	if err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
-	}
-	// Switch to the renamed file before the directory fsync, so a failed
-	// fsync leaves the journal appendable. Only a failed reopen closes it.
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if j.f != nil {
-		j.f.Close() // the replaced file
-	}
-	j.f = f // nil when the reopen failed: the journal is closed
-	if err != nil {
-		return fmt.Errorf("service: journal reopen: %w", err)
-	}
-	j.dead = 0
-	// Rename alone only updates the directory in memory: until the
-	// directory entry itself is fsynced, a power loss can resurrect the
-	// pre-compaction file — or leave no journal at all.
-	if err := syncDir(filepath.Dir(j.path)); err != nil {
-		return fmt.Errorf("service: journal compact: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable. Some
-// filesystems reject fsync on directories; those errors are still
-// surfaced — the caller decides whether durability is best-effort.
-func syncDir(dir string) error {
-	if ferr := faultinject.Hit(fpJournalDirSync); ferr != nil {
-		return fmt.Errorf("service: journal dir sync: %w", ferr)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("service: journal dir sync: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("service: journal dir sync: %w", err)
 	}
 	return nil
 }
@@ -344,16 +251,5 @@ func (j *journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := faultinject.Hit(fpJournalClose)
-	if err == nil {
-		err = j.f.Sync()
-	}
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
+	return j.log.Close()
 }

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
@@ -222,6 +224,56 @@ func TestJournalAppendsAfterFailedCompactionDirSync(t *testing.T) {
 	}
 	if corrupt != 0 || len(pending) != 1 || pending[0].ID != "job-999999" {
 		t.Fatalf("replay after the failed dir sync: pending %+v, corrupt %d", pending, corrupt)
+	}
+}
+
+// The journal's on-disk bytes are pinned: a submit record with a fixed
+// At is framed and appended as exactly this line, and replays intact.
+func TestJournalSubmitLineGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	j, _, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := request{Kind: KindLifetime, Config: hayat.Config{Rows: 4, Cols: 4, DarkFraction: 0.5, Years: 1}, Policy: "Hayat", Seed: 7, Chips: 1}
+	rec := journalRecord{
+		Op:         opSubmit,
+		ID:         "job-000007",
+		Key:        strings.Repeat("ab", 32),
+		Engine:     2,
+		Req:        &req,
+		Client:     "ci",
+		DeadlineMS: 1767323045000,
+		QueueTTLMS: 1767322745000,
+		At:         time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
+	}
+	if err := j.append([]journalRecord{rec}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = `hayatf1 d0a3f01e {"op":"submit","id":"job-000007",` +
+		`"key":"abababababababababababababababababababababababababababababababab","engine":2,` +
+		`"req":{"Kind":"lifetime","Config":{"Rows":4,"Cols":4,"DarkFraction":0.5,"Years":1,` +
+		`"EpochYears":0,"WindowSeconds":0,"StepSeconds":0,"MixApps":0,"MixSeed":0,"RemixEpochs":0,` +
+		`"TSafe":0,"DutyMode":"","AgingModel":"","FreqLadderGHz":null,"TurboBoost":false,` +
+		`"TurboMarginK":0,"SensorNoiseSigma":0,"MigrationStallSeconds":0},` +
+		`"Policy":"Hayat","Seed":7,"Chips":1},"client":"ci","deadline_ms":1767323045000,` +
+		`"queue_ttl_ms":1767322745000,"at":"2026-01-02T03:04:05Z"}` + "\n"
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("journal bytes\n%s\nwant\n%s", got, want)
+	}
+	_, pending, corrupt, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupt != 0 || len(pending) != 1 || pending[0].ID != rec.ID || pending[0].Req.key() != req.key() || pending[0].Client != "ci" {
+		t.Fatalf("golden line replayed as %+v, corrupt %d", pending, corrupt)
 	}
 }
 

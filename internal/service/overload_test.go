@@ -318,7 +318,7 @@ func TestDegradedMode(t *testing.T) {
 	}
 	// Degraded answers are never cached: once load clears, the same
 	// request must run the real simulation (cache misses only).
-	if _, ok := s.store.get(st.Key); ok {
+	if _, ok := s.store.GetLocal(st.Key); ok {
 		t.Error("degraded estimate leaked into the result cache")
 	}
 }

@@ -20,7 +20,19 @@ import (
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 	"github.com/kit-ces/hayat/internal/sim"
+	"github.com/kit-ces/hayat/internal/store"
 )
+
+// openStore opens a bare result store on dir, built as New builds it but
+// with the disk tier unguarded, and returns its disk tier too.
+func openStore(t *testing.T, dir string) (*store.Replicated, *store.Disk) {
+	t.Helper()
+	disk, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.NewReplicated(nil, disk), disk
+}
 
 // ckptCfg is tinyCfg with a remix boundary every 2 epochs, giving the
 // 4-epoch run a mid-run checkpoint point.
@@ -105,12 +117,9 @@ func TestRecoveredJobServedFromCache(t *testing.T) {
 
 	// The previous process published the result but crashed before the
 	// journal's terminal record landed.
-	store, err := newResultStore(dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs, _ := openStore(t, dataDir)
 	want := referenceResult(t, tinyCfg(), 6)
-	if err := store.put(req.key(), want); err != nil {
+	if err := rs.PutLocal(req.key(), want); err != nil {
 		t.Fatal(err)
 	}
 	j, _, _, err := openJournal(journalPath)
@@ -296,11 +305,8 @@ func TestRecoverReKeysLegacyJournalEntry(t *testing.T) {
 	}
 
 	// The old engine's result and a checkpoint under the old key.
-	store, err := newResultStore(dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.put(legacyKey, referenceResult(t, cfg, 6)); err != nil {
+	rs, _ := openStore(t, dataDir)
+	if err := rs.PutLocal(legacyKey, referenceResult(t, cfg, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(ckptDir, legacyKey+".ckpt"), checkpointBlob(t, cfg, 5, 2), 0o644); err != nil {
@@ -345,7 +351,7 @@ func TestRecoverReKeysLegacyJournalEntry(t *testing.T) {
 	if got := met.CheckpointResumes.Value(); got != 0 {
 		t.Fatalf("old engine's checkpoint resumed %d times", got)
 	}
-	if data, ok := s.store.get(req.key()); !ok || !bytes.Equal(data, st.Result) {
+	if data, ok := s.store.GetLocal(req.key()); !ok || !bytes.Equal(data, st.Result) {
 		t.Fatal("result not stored under the running engine's key")
 	}
 }
@@ -549,24 +555,19 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // frame, quarantined as *.corrupt, and treated as a miss.
 func TestCacheCorruptEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	store, err := newResultStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	quarantined := 0
-	store.onQuarantine = func() { quarantined++ }
+	count := func() { quarantined++ }
+	rs, disk := openStore(t, dir)
+	disk.OnQuarantine = count
 
 	key := strings.Repeat("ab", 32)
 	payload := []byte(`{"policy":"Hayat","records":[1,2,3]}`)
-	if err := store.put(key, payload); err != nil {
+	if err := rs.PutLocal(key, payload); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh store (cold memory tier) reads the framed file back intact.
-	cold, err := newResultStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := cold.get(key)
+	cold, _ := openStore(t, dir)
+	got, ok := cold.GetLocal(key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("disk round trip: ok=%v got=%q", ok, got)
 	}
@@ -581,12 +582,9 @@ func TestCacheCorruptEntryQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := newResultStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store2.onQuarantine = func() { quarantined++ }
-	if _, ok := store2.get(key); ok {
+	store2, disk2 := openStore(t, dir)
+	disk2.OnQuarantine = count
+	if _, ok := store2.GetLocal(key); ok {
 		t.Fatal("bit-flipped cache entry was served")
 	}
 	if quarantined != 1 {
@@ -600,7 +598,7 @@ func TestCacheCorruptEntryQuarantined(t *testing.T) {
 	}
 
 	// A truncated entry (torn write survived somehow) is also quarantined.
-	if err := store2.put(key, payload); err != nil {
+	if err := store2.PutLocal(key, payload); err != nil {
 		t.Fatal(err)
 	}
 	raw, err = os.ReadFile(path)
@@ -610,11 +608,8 @@ func TestCacheCorruptEntryQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store3, err := newResultStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := store3.get(key); ok {
+	store3, disk3 := openStore(t, dir)
+	if _, ok := store3.GetLocal(key); ok {
 		t.Fatal("truncated cache entry was served")
 	}
 
@@ -625,8 +620,8 @@ func TestCacheCorruptEntryQuarantined(t *testing.T) {
 	if err := os.WriteFile(unframedPath, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store3.onQuarantine = func() { quarantined++ }
-	if _, ok := store3.get(unframedKey); ok {
+	disk3.OnQuarantine = count
+	if _, ok := store3.GetLocal(unframedKey); ok {
 		t.Fatal("unframed cache entry was served")
 	}
 	if quarantined != 2 {

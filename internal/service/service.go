@@ -310,7 +310,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	arts  *hayat.ArtifactCache
-	store *resultStore
+	store *store.Replicated
 	met   Metrics
 	start time.Time
 	logf  func(string, ...any)
@@ -350,9 +350,9 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	store, err := newResultStore(opts.DataDir)
+	disk, err := store.OpenDisk(opts.DataDir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("service: creating data dir: %w", err)
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -386,7 +386,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts,
 		arts:     hayat.NewArtifactCache(),
-		store:    store,
+		store:    store.NewReplicated(nil, disk),
 		start:    time.Now(),
 		logf:     logf,
 		jnl:      jnl,
@@ -400,10 +400,12 @@ func New(opts Options) (*Server, error) {
 		inflight: make(map[string]*Job),
 		adm:      newAdmission(opts.QueueDepth, opts.ShedStart, opts.MaxClientRPS),
 	}
-	store.brk = s.cacheBrk
-	store.onQuarantine = func() {
-		s.met.Quarantined.Add(1)
-		s.met.StoreQuarantines.Add(1)
+	if disk != nil {
+		disk.Guard = s.cacheBrk.Do
+		disk.OnQuarantine = func() {
+			s.met.Quarantined.Add(1)
+			s.met.StoreQuarantines.Add(1)
+		}
 	}
 	s.met.JournalCorrupt.Add(int64(corrupt))
 	if corrupt > 0 {
@@ -537,7 +539,7 @@ func (s *Server) recover(pending []journalEntry) {
 			continue
 		}
 		j := s.newJobLocked(e)
-		if data, ok := s.store.get(e.Key); ok {
+		if data, ok := s.store.GetLocal(e.Key); ok {
 			// The result was published before the crash; only the
 			// journal's terminal record was lost.
 			j.cached = true
@@ -725,7 +727,7 @@ func (s *Server) settleLocked(sub submission) (*Job, []byte, error) {
 		s.met.Coalesced.Add(1)
 		return j, nil, nil
 	}
-	if data, ok := s.store.get(sub.key); ok {
+	if data, ok := s.store.GetLocal(sub.key); ok {
 		s.met.CacheHits.Add(1)
 		j := s.submitJobLocked(sub)
 		j.cached = true
@@ -937,7 +939,7 @@ func (s *Server) resultLocked(j *Job) ([]byte, bool) {
 	if j.result != nil {
 		return j.result, true
 	}
-	return s.store.get(j.key)
+	return s.store.GetLocal(j.key)
 }
 
 // Result returns a done job's canonical result bytes — the exact bytes
@@ -1189,8 +1191,8 @@ func (s *Server) runJob(j *Job) {
 	if err == nil {
 		// Publish to the cache before the job turns terminal so an
 		// identical request arriving right after completion hits it.
-		if perr := s.store.put(j.key, data); perr != nil {
-			s.logf("service: %v", perr)
+		if perr := s.store.PutLocal(j.key, data); perr != nil {
+			s.logf("service: persisting result %s: %v", j.key, perr)
 			unstored = data
 		} else {
 			// The result is durable in the store, so the recovery
@@ -1432,21 +1434,11 @@ func checkpointEpoch(data []byte) (int, bool) {
 // file that fails its frame check is quarantined (and counted) and reads
 // as an error, like a missing file or a faulted read.
 func (s *Server) readArtifact(path string) ([]byte, error) {
-	if err := faultinject.Hit(fpCheckpointRead); err != nil {
-		return nil, err
+	payload, quarantined, err := persist.ReadFramed(path, fpCheckpointRead, nil)
+	if quarantined {
+		s.met.Quarantined.Add(1)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := persist.DecodeFrame(raw)
-	if err != nil {
-		if _, qerr := persist.Quarantine(path); qerr == nil {
-			s.met.Quarantined.Add(1)
-		}
-		return nil, err
-	}
-	return payload, nil
+	return payload, err
 }
 
 // writeArtifact persists payload CRC-framed and atomically through the
@@ -1454,7 +1446,7 @@ func (s *Server) readArtifact(path string) ([]byte, error) {
 // failure as best-effort: the simulation goes on without the file.
 func (s *Server) writeArtifact(path string, payload []byte) error {
 	err := s.ckptBrk.Do(func() error {
-		return persist.WriteFileAtomic(path, persist.EncodeFrame(payload), fpCheckpointWrite)
+		return persist.WriteFramed(path, payload, fpCheckpointWrite)
 	})
 	if err != nil {
 		s.met.CheckpointWriteErrors.Add(1)
@@ -1472,7 +1464,7 @@ func (s *Server) ckptPath(key string) string {
 // cleanupArtifacts removes a finished job's checkpoint and per-chip
 // result files (best-effort).
 func (s *Server) cleanupArtifacts(key string) {
-	if s.opts.CheckpointDir == "" || !validKey(key) {
+	if s.opts.CheckpointDir == "" || !store.ValidKey(key) {
 		return
 	}
 	os.Remove(s.ckptPath(key))

@@ -20,7 +20,7 @@ func TestStoreWarmupQuarantinesCorruptEntry(t *testing.T) {
 	goodKey := strings.Repeat("ab", 32)
 	badKey := strings.Repeat("cd", 32)
 	good := []byte(`{"mttf_years":4.5}`)
-	if err := persist.WriteFramedFile(filepath.Join(dir, goodKey+".json"), good); err != nil {
+	if err := persist.WriteFramed(filepath.Join(dir, goodKey+".json"), good, ""); err != nil {
 		t.Fatal(err)
 	}
 	frame := persist.EncodeFrame([]byte(`{"mttf_years":9.9}`))
@@ -65,10 +65,10 @@ func TestStoreWarmupQuarantinesCorruptEntry(t *testing.T) {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
 	// The corrupt key reads as a miss; the valid neighbour still serves.
-	if _, ok := s.store.get(badKey); ok {
+	if _, ok := s.store.GetLocal(badKey); ok {
 		t.Fatal("quarantined entry still readable")
 	}
-	if data, ok := s.store.get(goodKey); !ok || !bytes.Equal(data, good) {
+	if data, ok := s.store.GetLocal(goodKey); !ok || !bytes.Equal(data, good) {
 		t.Fatalf("valid entry lost during warm-up (ok=%v)", ok)
 	}
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,17 +71,11 @@ func (s *Disk) get(key string) ([]byte, bool) {
 	}
 	var data []byte
 	err := s.guard(func() error {
-		if err := faultinject.Hit(FPCacheRead); err != nil {
+		payload, err := s.read(key, FPCacheRead)
+		if err != nil && !errors.Is(err, persist.ErrCorruptFrame) && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("store: cache read: %w", err)
 		}
-		raw, err := os.ReadFile(s.path(key))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return fmt.Errorf("store: reading cache entry: %w", err)
-		}
-		data = s.decodeEntry(key, raw)
+		data = payload
 		return nil
 	})
 	if err != nil || data == nil {
@@ -93,32 +89,28 @@ func (s *Disk) put(key string, data []byte) error {
 		return nil
 	}
 	return s.guard(func() error {
-		if err := faultinject.Hit(FPCacheWrite); err != nil {
+		if err := persist.WriteFramed(s.path(key), data, FPCacheWrite); err != nil {
 			return fmt.Errorf("store: cache write: %w", err)
-		}
-		if err := persist.WriteFramedFile(s.path(key), data); err != nil {
-			return fmt.Errorf("store: persisting cache entry: %w", err)
 		}
 		return nil
 	})
 }
 
-// decodeEntry unwraps one on-disk entry. Corruption (a bad or missing
-// frame, Verify rejection) quarantines the file and reads as a miss,
-// never as an error — bit rot must not trip the breaker or be served.
-func (s *Disk) decodeEntry(key string, raw []byte) []byte {
-	payload, err := persist.DecodeFrame(raw)
-	if err != nil {
-		s.quarantine(key)
-		return nil
-	}
+// read reads key's entry under failpoint (persist.ReadFramed).
+// Corruption (a bad or missing frame, Verify rejection) quarantines the
+// file and returns an error wrapping persist.ErrCorruptFrame, which
+// callers read as a miss, never as an I/O failure — bit rot must not
+// trip the breaker or be served.
+func (s *Disk) read(key, failpoint string) ([]byte, error) {
+	var verify func([]byte) error
 	if s.Verify != nil {
-		if err := s.Verify(key, payload); err != nil {
-			s.quarantine(key)
-			return nil
-		}
+		verify = func(payload []byte) error { return s.Verify(key, payload) }
 	}
-	return payload
+	payload, quarantined, err := persist.ReadFramed(s.path(key), failpoint, verify)
+	if quarantined && s.OnQuarantine != nil {
+		s.OnQuarantine()
+	}
+	return payload, err
 }
 
 // ValidateAll CRC-checks every local entry (the /readyz warm-up scan),
@@ -132,12 +124,13 @@ func (s *Disk) ValidateAll() (checked, quarantined int, err error) {
 		return 0, 0, fmt.Errorf("store: warm-up scan: %w", ferr)
 	}
 	for _, key := range s.Keys() {
-		raw, rerr := os.ReadFile(s.path(key))
-		if rerr != nil {
+		_, rerr := s.read(key, "")
+		corrupt := errors.Is(rerr, persist.ErrCorruptFrame)
+		if rerr != nil && !corrupt {
 			continue // raced with quarantine/removal; nothing to validate
 		}
 		checked++
-		if s.decodeEntry(key, raw) == nil {
+		if corrupt {
 			quarantined++
 		}
 	}
@@ -150,10 +143,6 @@ func (s *Disk) Quarantine(key string) {
 	if s == nil || !ValidKey(key) {
 		return
 	}
-	s.quarantine(key)
-}
-
-func (s *Disk) quarantine(key string) {
 	// The callback fires only when the rename succeeded: a quarantine
 	// that itself failed (read-only dir) left the file in place.
 	if _, err := persist.Quarantine(s.path(key)); err == nil && s.OnQuarantine != nil {
