@@ -1,11 +1,11 @@
 # Developer entry points. CI (.github/workflows/ci.yml) calls the test,
-# race, fuzz-smoke, lint-selftest, drill, bench-submit and bench-overhead
-# targets, so each of those commands, the fuzz-target list included, is
-# written only here.
+# race, fuzz-smoke, lint-selftest, drill, bench-submit, bench-overhead and
+# bench-setup targets, so each of those commands, the fuzz-target list
+# included, is written only here.
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead drill-cluster drill-replication
+.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup drill-cluster drill-replication
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,7 @@ fuzz-smoke:
 	fuzz ./internal/merkle    FuzzAuditReplay; \
 	fuzz ./internal/aging     FuzzTableLookup; \
 	fuzz ./internal/aging     FuzzStateAdvance; \
+	fuzz ./internal/aging     FuzzAgingTableFill; \
 	fuzz ./internal/thermal   FuzzModalTransforms; \
 	fuzz ./internal/core      FuzzPickCandidate
 
@@ -117,3 +118,11 @@ OVERHEAD_BENCHTIME ?= 1s
 bench-overhead:
 	$(GO) test -run '^$$' -bench 'EstimateNextHealth|PredictTemperature|WorstCaseDecision|ArrivalDecision' \
 		-benchtime $(OVERHEAD_BENCHTIME) .
+
+# Chip set-up (ROADMAP item 8): one fresh chip on a warm artifact cache
+# at 8×8 and 16×16 (BenchmarkNewChip), and the aging-table build that
+# used to take most of it (BenchmarkAgingTableBuild).
+SETUP_BENCHTIME ?= 1s
+bench-setup:
+	$(GO) test -run '^$$' -bench '^Benchmark(NewChip|AgingTableBuild)$$' \
+		-benchtime $(SETUP_BENCHTIME) .

@@ -10,6 +10,7 @@ package hayat_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/kit-ces/hayat"
@@ -423,6 +424,34 @@ func BenchmarkAgingTableBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		aging.DefaultTable(ca)
+	}
+}
+
+// BenchmarkNewChip measures one fresh chip's set-up on a warm
+// ArtifactCache, the span a service-fresh request pays: the platform is
+// built before the timer starts, and every iteration asks for a chip
+// seed the cache has not seen, so it draws the die, learns the thermal
+// predictor and builds the aging table. ROADMAP item 8's cost model reads
+// the 8×8 and 16×16 figures.
+func BenchmarkNewChip(b *testing.B) {
+	for _, n := range []int{8, 16} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			cfg := hayat.DefaultConfig()
+			cfg.Rows, cfg.Cols = n, n
+			sys, err := hayat.NewSystemWith(cfg, hayat.NewArtifactCache())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.NewChip(0); err != nil { // warms the platform
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.NewChip(int64(i + 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

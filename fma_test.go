@@ -18,6 +18,8 @@ import (
 // it may, so the same inputs would give other bytes there. An explicit
 // conversion forbids the fusion.
 var roundedFiles = []string{
+	"internal/aging/aging.go",
+	"internal/aging/table.go",
 	"internal/numeric/matrix.go",
 	"internal/thermal/modal.go",
 	"internal/thermal/thermal.go",

@@ -2,6 +2,7 @@ package aging
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -172,4 +173,37 @@ func TestFreqFactorMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The table fill's path bound (DESIGN.md §20) factors each stressed
+// element's duty term, (d·DutyFactor·PMOSDutyWeight)^e, into d^e times
+// (DutyFactor·PMOSDutyWeight)^e, and its margin allows the two to differ
+// by a relative 2^-38 once math.Pow and both roundings of each product
+// are counted. This checks that allowance over the proven input range:
+// duty points, factors and weights in [2^-64, 2^64] with an effective
+// duty of at most 1, and exponents in [0, boundMaxExp].
+func TestFactoredDutyTermWithinBoundMargin(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	scaled := func() float64 { return math.Ldexp(1+rng.Float64(), rng.Intn(128)-64) }
+	worst := 0.0
+	for i := 0; i < 200000; i++ {
+		d, df, w := scaled(), scaled(), scaled()
+		if i%2 == 0 { // the realistic range: all three in (0, 1]
+			d, df, w = rng.Float64(), rng.Float64(), rng.Float64()
+		}
+		effDuty := d * df * w
+		if !(effDuty > 0 && effDuty <= 1 && inBoundRange(d) && inBoundRange(df) && inBoundRange(w)) {
+			continue
+		}
+		exp := []float64{0, 1.0 / 6, 0.25, 1, boundMaxExp, boundMaxExp * rng.Float64()}[i%6]
+		exact := math.Pow(effDuty, exp)
+		factored := math.Pow(d, exp) * math.Pow(df*w, exp)
+		if rel := math.Abs(factored/exact - 1); rel > worst {
+			worst = rel
+		}
+	}
+	if worst > 0x1p-38 {
+		t.Fatalf("factored duty term differs from the exact one by a relative %g, above the 2^-38 the bound allows", worst)
+	}
+	t.Logf("largest relative difference %g (2^%.1f)", worst, math.Log2(worst))
 }

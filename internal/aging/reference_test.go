@@ -148,43 +148,37 @@ func TestDeltaVthMatchesReference(t *testing.T) {
 	}
 }
 
-// Every entry of a built table — and the pointwise FreqFactor — must be
-// bit for bit the pre-hoisting pointwise evaluation, for both aging
-// models, several path sets and two constant sets. FreqFactor is checked
-// at every fifth point to keep the test quick; the table at every point.
-func TestTableMatchesPointwiseReference(t *testing.T) {
-	for _, seed := range []int64{1, 2, 11} {
-		params := DefaultParams()
-		if seed == 11 {
-			params = otherParams()
-		}
-		paths := gates.Generate(gates.DefaultGenerateConfig(), seed)
-		nbti := NewCoreAging(params, paths)
-		comp, err := NewCompositeCoreAging(params, DefaultHCIParams(), paths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hci := DefaultHCIParams()
-		for _, m := range []struct {
-			name  string
-			model pointwiseModel
-			hci   *HCIParams
-		}{{"nbti", nbti, nil}, {"nbti+hci", comp, &hci}} {
-			tab := DefaultTable(m.model)
-			point := 0
-			for ti, T := range tab.Temps {
-				for di, d := range tab.Duties {
-					for yi, y := range tab.Years {
-						want := refFreqFactor(nbti, m.hci, T, d, y)
-						if got := tab.At(ti, di, yi); !bitsEqual(got, want) {
-							t.Fatalf("seed %d %s table(%v,%v,%v) = %v, reference %v", seed, m.name, T, d, y, got, want)
-						}
-						if point++; point%5 != 0 {
-							continue
-						}
-						if got := m.model.FreqFactor(T, d, y); !bitsEqual(got, want) {
-							t.Fatalf("seed %d %s FreqFactor(%v,%v,%v) = %v, reference %v", seed, m.name, T, d, y, got, want)
-						}
+// checkTableMatchesReference fails t unless every entry of the table
+// each aging model builds over paths is bit for bit the pointwise
+// reference, refFreqFactor; the model's own FreqFactor is checked at
+// every fifth point to keep the check quick.
+func checkTableMatchesReference(t *testing.T, params Params, paths *gates.PathSet) {
+	t.Helper()
+	nbti := NewCoreAging(params, paths)
+	hci := DefaultHCIParams()
+	comp, err := NewCompositeCoreAging(params, hci, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name  string
+		model pointwiseModel
+		hci   *HCIParams
+	}{{"nbti", nbti, nil}, {"nbti+hci", comp, &hci}} {
+		tab := DefaultTable(m.model)
+		point := 0
+		for ti, T := range tab.Temps {
+			for di, d := range tab.Duties {
+				for yi, y := range tab.Years {
+					want := refFreqFactor(nbti, m.hci, T, d, y)
+					if got := tab.At(ti, di, yi); !bitsEqual(got, want) {
+						t.Fatalf("%s table(%v,%v,%v) = %v, reference %v", m.name, T, d, y, got, want)
+					}
+					if point++; point%5 != 0 {
+						continue
+					}
+					if got := m.model.FreqFactor(T, d, y); !bitsEqual(got, want) {
+						t.Fatalf("%s FreqFactor(%v,%v,%v) = %v, reference %v", m.name, T, d, y, got, want)
 					}
 				}
 			}

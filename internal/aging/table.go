@@ -216,7 +216,7 @@ func (c *AgeCurve) At(y float64) float64 {
 			if wy == 0 {
 				continue
 			}
-			f += c.w[k] * wy * c.t.Factor[c.base[k]+yi+dy]
+			f += float64(c.w[k] * wy * c.t.Factor[c.base[k]+yi+dy])
 		}
 	}
 	return f
@@ -248,7 +248,7 @@ func (c *AgeCurve) EffectiveAge(factor float64) float64 {
 			hi = mid
 		}
 	}
-	return 0.5 * (lo + hi)
+	return float64(0.5 * (lo + hi))
 }
 
 // State is the per-core aging state carried across epochs: the current

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -11,10 +10,6 @@ import (
 
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
-
-// maxLogLine caps one replayed log line. Replay stops at the first line
-// longer than this, as at the end of the file.
-const maxLogLine = 16 << 20
 
 // errLogClosed is returned by an Append to a closed Log.
 var errLogClosed = errors.New("persist: log is closed")
@@ -50,7 +45,9 @@ type Log[T any] struct {
 // file reads as empty) and opens it for appending, creating it if
 // absent. replay receives each decoded record in file order. A line
 // whose frame or JSON fails, or that replay rejects, is skipped and
-// counted in the returned corrupt count; empty lines are ignored.
+// counted in the returned corrupt count; empty lines are ignored. Every
+// line is read whatever its length, so no record after a long line is
+// lost.
 func OpenLog[T any](path string, fp LogFailpoints, replay func(T) bool) (*Log[T], int, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -65,10 +62,10 @@ func OpenLog[T any](path string, fp LogFailpoints, replay func(T) bool) (*Log[T]
 		return nil, 0, fmt.Errorf("persist: reading %s: %w", path, err)
 	}
 	corrupt := 0
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), maxLogLine)
-	for sc.Scan() {
-		line := sc.Bytes()
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		line = bytes.TrimSuffix(line, []byte{'\r'}) // a CRLF line decodes too
 		if len(line) == 0 {
 			continue
 		}
