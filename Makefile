@@ -119,10 +119,11 @@ bench-overhead:
 	$(GO) test -run '^$$' -bench 'EstimateNextHealth|PredictTemperature|WorstCaseDecision|ArrivalDecision' \
 		-benchtime $(OVERHEAD_BENCHTIME) .
 
-# Chip set-up (ROADMAP item 8): one fresh chip on a warm artifact cache
-# at 8×8 and 16×16 (BenchmarkNewChip), and the aging-table build that
-# used to take most of it (BenchmarkAgingTableBuild).
+# Set-up (ROADMAP item 8) at 8×8 and 16×16: one platform on a fresh
+# artifact cache, the cache's only miss (BenchmarkNewSystem), one fresh
+# chip on a warm cache (BenchmarkNewChip), and the aging-table build that
+# used to take most of a chip (BenchmarkAgingTableBuild).
 SETUP_BENCHTIME ?= 1s
 bench-setup:
-	$(GO) test -run '^$$' -bench '^Benchmark(NewChip|AgingTableBuild)$$' \
+	$(GO) test -run '^$$' -bench '^Benchmark(NewSystem|NewChip|AgingTableBuild)$$' \
 		-benchtime $(SETUP_BENCHTIME) .

@@ -2,53 +2,44 @@ package hayat
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"github.com/kit-ces/hayat/internal/aging"
 	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/thermal"
-	"github.com/kit-ces/hayat/internal/thermpredict"
 	"github.com/kit-ces/hayat/internal/variation"
 )
 
-// ArtifactCache shares the expensive per-platform and per-chip artifacts
-// across Systems and Chips: the thermal model with its modal operators
-// and response matrix, and the variation field's Cholesky factor (keyed by
-// grid size), the learned thermal predictor (keyed by grid size and chip
-// seed) and the offline 3D aging table (keyed by aging model and chip
-// seed). All cached artifacts are immutable after construction and safe
-// for concurrent use; identical concurrent requests coalesce onto one
+// ArtifactCache shares the expensive per-platform artifacts across
+// Systems on the same grid: the floorplan, the thermal model with its
+// modal operators and response matrix, and the variation generator with
+// its Cholesky factor. All are immutable after construction and safe for
+// concurrent use; concurrent requests for one grid coalesce onto one
 // build (singleflight). A nil *ArtifactCache is valid and disables
 // sharing.
 //
-// Per-chip entries are kept for the chipCapacity most recently used keys
-// of each kind; a long-running service that sees a new chip seed per
-// request would otherwise hold every chip it ever built.
+// A chip's own artifacts, its learned predictor and its aging table, are
+// not cached: System.NewChip builds both in about a millisecond.
 type ArtifactCache struct {
-	mu        sync.Mutex
-	platforms lruMap[gridKey, *platform]
-	preds     lruMap[predKey, *thermpredict.Predictor]
-	tabs      lruMap[tabKey, *aging.Table3D]
-
-	hits, misses atomic.Int64
+	mu           sync.Mutex
+	platforms    map[gridKey]*platformEntry
+	order        []gridKey // least recently used first
+	hits, misses int64
 }
 
-// chipCapacity bounds the predictors and the aging tables the cache
-// keeps, each: 32 covers the paper's 25-chip populations. Platforms are
-// per grid size, not per chip, and are not bounded.
-const chipCapacity = 32
+// platformCapacity bounds the platforms the cache keeps to the most
+// recently used grids. Every in-tree caller uses one grid per cache; 4
+// caps hayatd's worst case near 4 × 150 MB (a 32×32 platform), where an
+// unbounded cache would keep one platform per grid shape it admitted.
+const platformCapacity = 4
 
 // NewArtifactCache returns an empty cache. The zero value is also ready
 // to use.
 func NewArtifactCache() *ArtifactCache { return &ArtifactCache{} }
 
 // ArtifactStats counts cache outcomes: a hit is a lookup that found an
-// existing (possibly still-building) entry, a miss triggered a build.
+// existing (possibly still-building) platform, a miss triggered a build.
 type ArtifactStats struct {
 	Hits, Misses int64
 	Platforms    int
-	Predictors   int
-	AgingTables  int
 }
 
 // Stats snapshots the cache counters.
@@ -58,26 +49,10 @@ func (c *ArtifactCache) Stats() ArtifactStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return ArtifactStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Platforms:   len(c.platforms.m),
-		Predictors:  len(c.preds.m),
-		AgingTables: len(c.tabs.m),
-	}
+	return ArtifactStats{Hits: c.hits, Misses: c.misses, Platforms: len(c.platforms)}
 }
 
 type gridKey struct{ rows, cols int }
-
-type predKey struct {
-	rows, cols int
-	seed       int64
-}
-
-type tabKey struct {
-	model string
-	seed  int64
-}
 
 // platform bundles the chip-independent models a System is built from.
 type platform struct {
@@ -86,66 +61,12 @@ type platform struct {
 	gen *variation.Generator
 }
 
-// cacheEntry is a singleflight slot: the first caller builds under the
+// platformEntry is a singleflight slot: the first caller builds under the
 // sync.Once, later callers block on it and share the outcome.
-type cacheEntry[T any] struct {
+type platformEntry struct {
 	once sync.Once
-	val  T
+	pf   *platform
 	err  error
-}
-
-func (e *cacheEntry[T]) get(build func() (T, error)) (T, error) {
-	e.once.Do(func() { e.val, e.err = build() })
-	return e.val, e.err
-}
-
-// lruMap maps keys to cache entries, optionally bounded to the most
-// recently used keys.
-type lruMap[K comparable, T any] struct {
-	m     map[K]*cacheEntry[T]
-	order []K // least recently used first; tracked only when bounded
-}
-
-// touch marks key as the most recently used and, with a positive limit,
-// evicts the least recently used key once the map outgrows it. A caller
-// still holding an evicted entry keeps using it; only the next lookup
-// rebuilds.
-func (l *lruMap[K, T]) touch(key K, limit int) {
-	if limit <= 0 {
-		return
-	}
-	for i, k := range l.order {
-		if k == key {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-	l.order = append(l.order, key)
-	if len(l.order) > limit {
-		delete(l.m, l.order[0])
-		l.order = append(l.order[:0], l.order[1:]...)
-	}
-}
-
-// lookup returns the entry for key in l, creating map and entry when
-// absent, keeps l within limit keys (0: unbounded) and bumps the hit/miss
-// counters. Callers must not hold c.mu.
-func lookup[K comparable, T any](c *ArtifactCache, l *lruMap[K, T], key K, limit int) *cacheEntry[T] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l.m == nil {
-		l.m = make(map[K]*cacheEntry[T])
-	}
-	e, ok := l.m[key]
-	if !ok {
-		e = &cacheEntry[T]{}
-		l.m[key] = e
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-	l.touch(key, limit)
-	return e
 }
 
 // buildPlatform assembles the chip-independent models for a grid.
@@ -170,31 +91,39 @@ func (c *ArtifactCache) platform(rows, cols int) (*platform, error) {
 	if c == nil {
 		return buildPlatform(rows, cols)
 	}
-	e := lookup(c, &c.platforms, gridKey{rows, cols}, 0)
-	return e.get(func() (*platform, error) { return buildPlatform(rows, cols) })
+	e := c.entry(gridKey{rows, cols})
+	e.once.Do(func() { e.pf, e.err = buildPlatform(rows, cols) })
+	return e.pf, e.err
 }
 
-// predictor returns the learned thermal predictor for (grid, seed).
-func (c *ArtifactCache) predictor(s *System, chip *variation.Chip) (*thermpredict.Predictor, error) {
-	build := func() (*thermpredict.Predictor, error) {
-		return thermpredict.Learn(s.tm, s.pm, chip)
+// entry returns the slot for key, creating it on a miss, marks key as the
+// most recently used and evicts the least recently used key once the
+// cache outgrows platformCapacity. A caller still holding an evicted slot
+// keeps using it; only the next lookup rebuilds.
+func (c *ArtifactCache) entry(key gridKey) *platformEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.platforms[key]
+	if ok {
+		c.hits++
+		for i, k := range c.order {
+			if k == key {
+				c.order = append(c.order[:i], c.order[i+1:]...)
+				break
+			}
+		}
+	} else {
+		c.misses++
+		if c.platforms == nil {
+			c.platforms = make(map[gridKey]*platformEntry)
+		}
+		e = &platformEntry{}
+		c.platforms[key] = e
 	}
-	if c == nil {
-		return build()
+	c.order = append(c.order, key)
+	if len(c.order) > platformCapacity {
+		delete(c.platforms, c.order[0])
+		c.order = append(c.order[:0], c.order[1:]...)
 	}
-	e := lookup(c, &c.preds, predKey{s.fp.Rows, s.fp.Cols, chip.Seed}, chipCapacity)
-	return e.get(build)
-}
-
-// table returns the offline 3D aging table for (aging model, seed).
-func (c *ArtifactCache) table(model string, seed int64, ca aging.FactorModel) (*aging.Table3D, error) {
-	build := func() (*aging.Table3D, error) { return aging.DefaultTable(ca), nil }
-	if c == nil {
-		return build()
-	}
-	if model == "" {
-		model = "nbti"
-	}
-	e := lookup(c, &c.tabs, tabKey{model, seed}, chipCapacity)
-	return e.get(build)
+	return e
 }

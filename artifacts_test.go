@@ -1,58 +1,70 @@
 package hayat
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
-// The cache keeps per-chip artifacts only for the chipCapacity most
-// recently used chips: a service that sees a new chip seed per request
-// must not hold every chip it ever built.
-func TestArtifactCacheBoundsPerChipEntries(t *testing.T) {
+// The cache keeps platforms only for the platformCapacity most recently
+// used grids: hayatd admits every grid shape up to MaxCores, and must not
+// hold a platform for each one it has ever served.
+func TestArtifactCacheBoundsPlatforms(t *testing.T) {
 	cache := NewArtifactCache()
-	sys, err := NewSystemWith(tinyConfig(), cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := sys.NewChip(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed < 4*chipCapacity; seed++ {
-		if _, err := sys.NewChip(seed); err != nil {
+	system := func(cols int) *System {
+		t.Helper()
+		cfg := tinyConfig()
+		cfg.Rows, cfg.Cols = 1, cols
+		sys, err := NewSystemWith(cfg, cache)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if seed%8 == 0 {
-			// Keep chip 0 recently used: it must survive the churn.
-			if _, err := sys.NewChip(0); err != nil {
-				t.Fatal(err)
-			}
+		return sys
+	}
+	hot := system(4)
+	for cols := 5; cols < 5+3*platformCapacity; cols++ {
+		system(cols)
+		// Keep 1×4 recently used: it must survive the churn.
+		if system(4).tm != hot.tm {
+			t.Fatalf("after grid 1×%d the recently used 1×4 platform was rebuilt", cols)
 		}
-		if st := cache.Stats(); st.Predictors > chipCapacity || st.AgingTables > chipCapacity {
-			t.Fatalf("after %d chips the cache holds %d predictors and %d aging tables, capacity %d",
-				seed+1, st.Predictors, st.AgingTables, chipCapacity)
+		if st := cache.Stats(); st.Platforms > platformCapacity {
+			t.Fatalf("after grid 1×%d the cache holds %d platforms, capacity %d", cols, st.Platforms, platformCapacity)
 		}
 	}
 
-	// Reusing a chip still held is a hit on both artifacts and hands back
-	// the very same objects.
+	// The least recently used grids were evicted: asking for one again
+	// rebuilds it, once.
 	before := cache.Stats()
-	again, err := sys.NewChip(0)
-	if err != nil {
-		t.Fatal(err)
+	system(5)
+	if after := cache.Stats(); after.Misses != before.Misses+1 || after.Hits != before.Hits {
+		t.Fatalf("evicted grid: stats %+v → %+v, want one miss and no hit", before, after)
 	}
-	after := cache.Stats()
-	if after.Hits != before.Hits+2 || after.Misses != before.Misses {
-		t.Fatalf("reusing a held chip: stats %+v → %+v, want two hits and no miss", before, after)
-	}
-	if again.pred != hot.pred || again.tab != hot.tab {
-		t.Fatal("a held chip's artifacts were rebuilt")
-	}
+}
 
-	// The least recently used chips were evicted: asking for one again
-	// rebuilds it.
-	before = after
-	if _, err := sys.NewChip(1); err != nil {
-		t.Fatal(err)
+// Systems built concurrently on one grid coalesce onto one platform
+// build and share its thermal model.
+func TestArtifactCacheCoalescesConcurrentBuilds(t *testing.T) {
+	cache := NewArtifactCache()
+	systems := make([]*System, 8)
+	errs := make([]error, len(systems))
+	var wg sync.WaitGroup
+	for i := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			systems[i], errs[i] = NewSystemWith(tinyConfig(), cache)
+		}()
 	}
-	if after := cache.Stats(); after.Misses != before.Misses+2 {
-		t.Fatalf("evicted chip: stats %+v → %+v, want two misses", before, after)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if systems[i].tm != systems[0].tm {
+			t.Fatalf("system %d has its own thermal model", i)
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != int64(len(systems)-1) || st.Platforms != 1 {
+		t.Fatalf("stats %+v, want one miss, %d hits and one platform", st, len(systems)-1)
 	}
 }

@@ -427,12 +427,32 @@ func BenchmarkAgingTableBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSystem measures one platform build, the only miss an
+// ArtifactCache still has: every iteration asks a fresh cache for the
+// grid, so it builds the floorplan, the thermal model and the variation
+// generator with its Cholesky factor. It is what a grid evicted from the
+// cache costs to come back, less the thermal model's response matrix,
+// which the grid's first chip builds. ROADMAP item 8's cost model reads
+// the 8×8 and 16×16 figures.
+func BenchmarkNewSystem(b *testing.B) {
+	for _, n := range []int{8, 16} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			cfg := hayat.DefaultConfig()
+			cfg.Rows, cfg.Cols = n, n
+			for i := 0; i < b.N; i++ {
+				if _, err := hayat.NewSystemWith(cfg, hayat.NewArtifactCache()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNewChip measures one fresh chip's set-up on a warm
 // ArtifactCache, the span a service-fresh request pays: the platform is
-// built before the timer starts, and every iteration asks for a chip
-// seed the cache has not seen, so it draws the die, learns the thermal
-// predictor and builds the aging table. ROADMAP item 8's cost model reads
-// the 8×8 and 16×16 figures.
+// built before the timer starts, and every iteration draws a new die,
+// learns its thermal predictor and builds its aging table. ROADMAP item
+// 8's cost model reads the 8×8 and 16×16 figures.
 func BenchmarkNewChip(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
@@ -456,7 +476,9 @@ func BenchmarkNewChip(b *testing.B) {
 }
 
 // BenchmarkPredictorLearn measures the offline thermal-profile learning
-// (64 steady-state probes).
+// for one chip: its 64 ambient leakage values. The response matrix it
+// reads belongs to the thermal model, which built it in the fixture's own
+// Learn, before the timer starts.
 func BenchmarkPredictorLearn(b *testing.B) {
 	fix := testutil.NewFixture(b, 1)
 	b.ResetTimer()

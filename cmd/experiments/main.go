@@ -122,8 +122,8 @@ func run(fig string, chips int, years float64, baseSeed int64) error {
 
 // campaign runs the Hayat/VAA population pairs every population figure
 // is derived from. One artifact cache serves the whole campaign, so every
-// figure and dark fraction reuses a chip's predictor and aging table
-// while the population fits the cache's per-chip capacity.
+// figure and dark fraction shares the grid's platform; each chip builds
+// its own predictor and aging table.
 type campaign struct {
 	cache    *hayat.ArtifactCache
 	baseSeed int64

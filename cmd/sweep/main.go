@@ -59,8 +59,8 @@ func run(chips int, years float64, seed int64, darkSpec string, sweepTurbo bool)
 	if err != nil {
 		return err
 	}
-	// Every configuration reuses a chip's predictor and aging table while
-	// the population fits the cache's per-chip capacity.
+	// Every configuration shares the grid's platform; each chip builds
+	// its own predictor and aging table.
 	cache := hayat.NewArtifactCache()
 	turboModes := []bool{false}
 	if sweepTurbo {

@@ -171,19 +171,9 @@ func TestArtifactCacheSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chipB, err := sysB.NewChip(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chipA.pred != chipB.pred {
-		t.Fatal("same (grid, seed) should share the learned predictor")
-	}
-	if chipA.tab != chipB.tab {
-		t.Fatal("same (model, seed) should share the 3D aging table")
-	}
 	st := cache.Stats()
-	if st.Platforms != 1 || st.Predictors != 1 || st.AgingTables != 1 {
-		t.Fatalf("cache entries = %+v, want one of each", st)
+	if st.Platforms != 1 {
+		t.Fatalf("cache entries = %+v, want one platform", st)
 	}
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("cache counters not moving: %+v", st)

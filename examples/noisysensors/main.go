@@ -20,7 +20,8 @@ func main() {
 	years := flag.Float64("years", 5, "simulated lifetime")
 	flag.Parse()
 
-	// The chip is built once and shared by every noise level.
+	// The platform is built once and shared by every noise level; each
+	// level draws the same chip from it.
 	cache := hayat.NewArtifactCache()
 
 	fmt.Printf("%10s %12s %12s %14s %12s\n",

@@ -242,12 +242,11 @@ func (c Config) Validate() error {
 // System is the simulated platform: floorplan, thermal stack, power model
 // and variation generator. One System can stamp out many chips.
 type System struct {
-	cfg  Config
-	fp   *floorplan.Floorplan
-	tm   *thermal.Model
-	pm   power.Model
-	gen  *variation.Generator
-	arts *ArtifactCache
+	cfg Config
+	fp  *floorplan.Floorplan
+	tm  *thermal.Model
+	pm  power.Model
+	gen *variation.Generator
 
 	stageObs sim.StageObserver
 }
@@ -267,13 +266,12 @@ func NewSystem(cfg Config) (*System, error) {
 
 // NewSystemWith is NewSystem with a shared artifact cache: the thermal
 // model (with its modal operators) and the variation generator (with its
-// Cholesky factor) are reused across Systems on the same grid, and chips
-// stamped from this System share their learned predictors and 3D aging
-// tables through the cache as well. A nil cache disables sharing. All
-// Systems passing the same cache must use the default platform models
-// (they do: thermal config, core dimensions and the variation model are
-// fixed by this package), since cache keys only carry grid size, seed and
-// aging model.
+// Cholesky factor) are reused across Systems on the same grid. Chips are
+// not shared: each NewChip learns its own predictor and builds its own
+// aging table. A nil cache disables sharing. All Systems passing the same
+// cache must use the default platform models (they do: thermal config,
+// core dimensions and the variation model are fixed by this package),
+// since cache keys only carry the grid size.
 func NewSystemWith(cfg Config, cache *ArtifactCache) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -282,7 +280,7 @@ func NewSystemWith(cfg Config, cache *ArtifactCache) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, fp: pf.fp, tm: pf.tm, pm: power.DefaultModel(), gen: pf.gen, arts: cache}, nil
+	return &System{cfg: cfg, fp: pf.fp, tm: pf.tm, pm: power.DefaultModel(), gen: pf.gen}, nil
 }
 
 // Config returns the system configuration.
@@ -300,7 +298,6 @@ type Chip struct {
 	sys  *System
 	chip *variation.Chip
 	pred *thermpredict.Predictor
-	ca   aging.FactorModel
 	tab  *aging.Table3D
 }
 
@@ -310,7 +307,7 @@ type Chip struct {
 // aging physics follow Config.AgingModel.
 func (s *System) NewChip(seed int64) (*Chip, error) {
 	chip := s.gen.Chip(seed)
-	pred, err := s.arts.predictor(s, chip)
+	pred, err := thermpredict.Learn(s.tm, s.pm, chip)
 	if err != nil {
 		return nil, err
 	}
@@ -318,11 +315,7 @@ func (s *System) NewChip(seed int64) (*Chip, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab, err := s.arts.table(s.cfg.AgingModel, seed, ca)
-	if err != nil {
-		return nil, err
-	}
-	return &Chip{sys: s, chip: chip, pred: pred, ca: ca, tab: tab}, nil
+	return &Chip{sys: s, chip: chip, pred: pred, tab: aging.DefaultTable(ca)}, nil
 }
 
 // Seed returns the chip's manufacturing seed.

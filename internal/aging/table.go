@@ -3,7 +3,6 @@ package aging
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Table3D is the offline-generated 3D aging table of Fig. 5 step (1): a
@@ -52,12 +51,12 @@ func BuildTable(ca FactorModel, temps, duties, years []float64) (*Table3D, error
 		if len(axis) < 2 {
 			return nil, fmt.Errorf("aging: axis %s needs ≥2 points", name)
 		}
-		if !sort.Float64sAreSorted(axis) {
-			return nil, fmt.Errorf("aging: axis %s must be increasing", name)
-		}
-		for i := 1; i < len(axis); i++ {
-			if axis[i] == axis[i-1] {
-				return nil, fmt.Errorf("aging: axis %s has duplicate point %v", name, axis[i])
+		for i, v := range axis {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("aging: axis %s has non-finite point %v", name, v)
+			}
+			if i > 0 && v <= axis[i-1] {
+				return nil, fmt.Errorf("aging: axis %s must be strictly increasing, but %v follows %v", name, v, axis[i-1])
 			}
 		}
 	}

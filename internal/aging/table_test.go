@@ -35,6 +35,17 @@ func TestBuildTableValidation(t *testing.T) {
 	if _, err := BuildTable(ca, temps, duties, years); err == nil {
 		t.Error("expected error for duplicate years")
 	}
+	// Non-finite points, which an order check alone lets through.
+	_, duties, years = good()
+	for _, temps := range [][]float64{
+		{math.NaN(), 300, 400},
+		{math.Inf(-1), 300, 400},
+		{300, 400, math.Inf(1)},
+	} {
+		if _, err := BuildTable(ca, temps, duties, years); err == nil {
+			t.Errorf("expected error for temps %v", temps)
+		}
+	}
 }
 
 func TestLookupExactAtGridPoints(t *testing.T) {

@@ -401,8 +401,8 @@ type GuardbandRow struct {
 }
 
 // Guardband returns per-chip rows for the first chips of a population
-// pair, plus a rendered table. Each chip is built again, through cache,
-// for its static term.
+// pair, plus a rendered table. Each chip is built again, on the platform
+// cache holds, for its static term.
 func Guardband(cache *hayat.ArtifactCache, ps PairSummary, chips int) ([]GuardbandRow, string, error) {
 	if err := ps.holds(chips); err != nil {
 		return nil, "", err

@@ -11,8 +11,8 @@ import (
 	"github.com/kit-ces/hayat"
 )
 
-// testCache shares chip artifacts across the tests, as cmd/experiments
-// shares them across one campaign.
+// testCache shares the platform across the tests, as cmd/experiments
+// shares it across one campaign.
 var testCache = hayat.NewArtifactCache()
 
 // EXPERIMENTS.md's numbers are only reproducible under the configuration

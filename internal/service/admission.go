@@ -49,6 +49,10 @@ func RetryAfterSeconds(err error, def int) int {
 // defaultClient is the fairness identity of submits that carry none.
 const defaultClient = "default"
 
+// maxClientName bounds a client name in bytes: admission keys its
+// per-client state by the name.
+const maxClientName = 128
+
 // estimateCost scores a request's expected compute: grid size × simulated
 // years × population count. The absolute scale is arbitrary — shedding
 // only compares costs against each other.
@@ -235,6 +239,12 @@ func (a *admission) popLocked() *Job {
 	a.total--
 	if len(cq.jobs) == 0 {
 		a.order = append(a.order[:a.rr], a.order[a.rr+1:]...)
+		// Without rate limiting an idle client's entry holds nothing, and
+		// keeping it would keep every name ever seen. With rate limiting
+		// it holds the client's token bucket and stays.
+		if a.rps <= 0 {
+			delete(a.clients, cq.name)
+		}
 	} else {
 		a.rr++
 	}

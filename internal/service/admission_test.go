@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -74,6 +75,35 @@ func TestForceEnqueueBypassesChecks(t *testing.T) {
 	}
 	if err := a.enqueue(testJob("d", 1), true); err != nil {
 		t.Fatalf("forced enqueue after close (recovery) failed: %v", err)
+	}
+}
+
+// Without rate limiting, a client whose queue empties leaves no entry
+// behind, so distinct client names do not accumulate. With it, the entry
+// is the client's token bucket and stays.
+func TestIdleClientEntries(t *testing.T) {
+	for _, c := range []struct {
+		rps  float64
+		want int
+	}{{0, 0}, {100, 5}} {
+		a := newAdmission(16, 0.99, c.rps)
+		for i := 0; i < 5; i++ {
+			name := fmt.Sprintf("client-%d", i)
+			if err := a.reserve(name); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.enqueue(testJob(name, 1), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			if _, ok := a.pop(); !ok {
+				t.Fatal("pop returned closed")
+			}
+		}
+		if got := len(a.clients); got != c.want {
+			t.Errorf("rps %v: %d client entries after every queue emptied, want %d", c.rps, got, c.want)
+		}
 	}
 }
 

@@ -395,12 +395,10 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.met.Snapshot()
-	as := s.ArtifactStats()
+	as := s.arts.Stats()
 	snap.Artifacts.Hits = as.Hits
 	snap.Artifacts.Misses = as.Misses
 	snap.Artifacts.Platforms = as.Platforms
-	snap.Artifacts.Predictors = as.Predictors
-	snap.Artifacts.AgingTables = as.AgingTables
 	snap.Admission.Pressure = s.Pressure()
 	snap.Admission.ClientDepths = s.ClientDepths()
 	ast := s.AuditStats()

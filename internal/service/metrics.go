@@ -277,11 +277,9 @@ type MetricsSnapshot struct {
 		Misses int64 `json:"misses"`
 	} `json:"cache"`
 	Artifacts struct {
-		Hits        int64 `json:"hits"`
-		Misses      int64 `json:"misses"`
-		Platforms   int   `json:"platforms"`
-		Predictors  int   `json:"predictors"`
-		AgingTables int   `json:"aging_tables"`
+		Hits      int64 `json:"hits"`
+		Misses    int64 `json:"misses"`
+		Platforms int   `json:"platforms"`
 	} `json:"artifacts"`
 	Reliability struct {
 		Retries               int64 `json:"retries"`

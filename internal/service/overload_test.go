@@ -265,6 +265,56 @@ func TestRateLimit429(t *testing.T) {
 	}
 }
 
+// Distinct clients whose jobs have all finished leave no admission state
+// behind, whatever their names; a name longer than the bound is refused
+// with 400 on the single and the batch path, before any admission state
+// is made for it.
+func TestClientStateBounded(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	for i := 0; i < 5; i++ {
+		name := fmt.Sprintf("%0*d", maxClientName, i) // the longest name allowed
+		resp, st, msg := postJSON(t, ts, "/v1/lifetime", lifetimeBody(int64(i+1), name, `"wait":true`))
+		if resp.StatusCode != http.StatusOK || st.State != JobDone {
+			t.Fatalf("client %d: HTTP %d, state %s (%s)", i, resp.StatusCode, st.State, msg)
+		}
+	}
+	entries := func() int {
+		s.adm.mu.Lock()
+		defer s.adm.mu.Unlock()
+		return len(s.adm.clients)
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("5 finished clients left %d admission entries, want 0", n)
+	}
+
+	long := strings.Repeat("c", maxClientName+1)
+	if resp, _, msg := postJSON(t, ts, "/v1/lifetime", lifetimeBody(9, long, "")); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "client name") {
+		t.Errorf("%d-byte client name: HTTP %d (%q), want 400 naming the client", len(long), resp.StatusCode, msg)
+	}
+	body := `{"items":[{"config":{"Rows":4,"Cols":4,"Years":1,"WindowSeconds":1,"MixApps":2},"seed":9,"policy":"hayat","client":"` + long + `"}]}`
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var br BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 1 || br.Results[0].Status != http.StatusBadRequest {
+		t.Errorf("batch item with a %d-byte client name: %+v, want 400", len(long), br)
+	}
+	if got := s.met.SimRuns.Value(); got != 5 {
+		t.Errorf("sim runs %d, want 5: a refused name ran", got)
+	}
+	if n := entries(); n != 0 {
+		t.Errorf("refused names left %d admission entries, want 0", n)
+	}
+}
+
 // TestDegradedMode verifies the degraded path: under queue pressure a
 // lifetime submit with degraded_ok gets an immediate terminal answer
 // flagged "degraded": true, carrying the analytic estimate, and the real

@@ -599,9 +599,6 @@ func (s *Server) ClientDepths() map[string]int { return s.adm.depths() }
 // answers arm).
 func (s *Server) Pressure() bool { return s.adm.pressure() }
 
-// ArtifactStats snapshots the shared artifact cache.
-func (s *Server) ArtifactStats() hayat.ArtifactStats { return s.arts.Stats() }
-
 // SubmitLifetimeWith schedules (or coalesces, or answers from cache) a
 // single-chip lifetime simulation and returns the job's status. The
 // options carry a client identity for fair scheduling, a
@@ -627,11 +624,14 @@ type submission struct {
 	opts SubmitOpts
 }
 
-// newSubmission canonicalises and validates a request. The cache key
-// deliberately excludes the admission options (client, deadlines): the
-// same work coalesces and cache-hits regardless of who asks or how
-// patient they are.
+// newSubmission canonicalises and validates a request and bounds its
+// client name. The cache key deliberately excludes the admission options
+// (client, deadlines): the same work coalesces and cache-hits regardless
+// of who asks or how patient they are.
 func newSubmission(req request, o SubmitOpts) (submission, error) {
+	if len(o.Client) > maxClientName {
+		return submission{}, fmt.Errorf("service: a %d-byte client name exceeds the %d-byte limit", len(o.Client), maxClientName)
+	}
 	pol, err := hayat.ParsePolicy(req.Policy)
 	if err != nil {
 		return submission{}, err
