@@ -1,11 +1,11 @@
 # Developer entry points. CI (.github/workflows/ci.yml) calls the test,
-# race, fuzz-smoke, lint-selftest, drill, bench-submit, bench-overhead and
-# bench-setup targets, so each of those commands, the fuzz-target list
-# included, is written only here.
+# race, fuzz-smoke, lint-selftest, drill, bench-submit, bench-overhead,
+# bench-setup and bench-overload targets, so each of those commands, the
+# fuzz-target list included, is written only here.
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup drill-cluster drill-replication
+.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup bench-overload drill-cluster drill-replication
 
 build:
 	$(GO) build ./...
@@ -127,3 +127,13 @@ SETUP_BENCHTIME ?= 1s
 bench-setup:
 	$(GO) test -run '^$$' -bench '^Benchmark(NewSystem|NewChip|AgingTableBuild)$$' \
 		-benchtime $(SETUP_BENCHTIME) .
+
+# Overload (DESIGN.md §8): two workers offered far more 8×8 lifetimes
+# than they can run, at queue depths 16 and 64; goodput, p50/p99 latency
+# of admitted jobs and the fewest jobs any client finished. One iteration
+# is a 3-s fill and a 10-s window, so the default benchtime runs each
+# depth once.
+OVERLOAD_BENCHTIME ?= 1s
+bench-overload:
+	$(GO) test ./internal/service -run '^$$' -bench '^BenchmarkOverloadMix$$' \
+		-benchtime $(OVERLOAD_BENCHTIME)

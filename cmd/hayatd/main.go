@@ -8,11 +8,16 @@
 //
 //	hayatd [-addr :8080] [-workers N] [-queue N]
 //	       [-data DIR] [-drain 30s] [-journal FILE] [-checkpoints DIR]
-//	       [-checkpoint-every N] [-failpoints SPECS] [-max-client-rps R]
-//	       [-default-deadline D] [-shed-start F] [-pprof-addr ADDR]
-//	       [-audit FILE]
+//	       [-checkpoint-every N] [-failpoints SPECS]
+//	       [-default-deadline D] [-pprof-addr ADDR] [-audit FILE]
 //	       [-self URL -peers URL,URL,...] [-probe-interval D] [-steal-after D]
 //	       [-replicas N] [-anti-entropy-interval D]
+//
+// -queue bounds the jobs waiting for a worker. A submit that needs new
+// work while the queue is full gets 429 with a Retry-After projected from
+// the queue's drain rate; queued jobs are dequeued round-robin across the
+// clients that submitted them. -queue is the one overload setting: a
+// shorter queue cuts the latency of admitted jobs.
 //
 // With -peers (comma-separated base URLs of the OTHER nodes) and -self
 // (this node's own base URL as peers reach it), the daemon joins a hayatd
@@ -84,9 +89,7 @@ func main() {
 		ckptDir    = flag.String("checkpoints", "", "directory for job checkpoints (empty: recovered jobs restart)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in epochs (0: every workload-remix boundary)")
 		failpoints = flag.String("failpoints", "", "arm failpoints, e.g. service.cache-read=prob(0.1) (also HAYAT_FAILPOINTS)")
-		maxRPS     = flag.Float64("max-client-rps", 0, "per-client token-bucket rate limit on work-creating submits (0: unlimited)")
 		defaultDL  = flag.Duration("default-deadline", 0, "deadline applied to jobs that submit without one (0: unbounded)")
-		shedStart  = flag.Float64("shed-start", 0.75, "queue-occupancy fraction where cost-aware shedding begins")
 		audit      = flag.String("audit", "", "persisted Merkle audit log for result provenance (empty: memory only)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs for cluster mode (empty: single node)")
 		self       = flag.String("self", "", "this node's own base URL as peers reach it (required with -peers)")
@@ -121,9 +124,7 @@ func main() {
 		JournalPath:         *journal,
 		CheckpointDir:       *ckptDir,
 		CheckpointEvery:     *ckptEvery,
-		MaxClientRPS:        *maxRPS,
 		DefaultDeadline:     *defaultDL,
-		ShedStart:           *shedStart,
 		AuditPath:           *audit,
 		Replicas:            *replicas,
 		AntiEntropyInterval: *antiEvery,

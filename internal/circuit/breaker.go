@@ -117,14 +117,6 @@ func (b *Breaker) Report(ok bool) {
 	}
 }
 
-// IsOpen reports whether the breaker is currently rejecting calls (open
-// and still inside its cooldown) without mutating the state machine.
-func (b *Breaker) IsOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == Open && time.Since(b.openedAt) < b.cooldown
-}
-
 // Do runs fn through the breaker: short-circuits with ErrOpen when open,
 // otherwise executes fn and feeds its outcome back.
 func (b *Breaker) Do(fn func() error) error {

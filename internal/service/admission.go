@@ -4,27 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Admission-control sentinel errors. Both map to HTTP 429 with a
-// Retry-After hint; ErrQueueFull and ErrDraining keep their PR-1 meanings.
-var (
-	// ErrShedLoad rejects a job whose estimated cost is too high for the
-	// current queue pressure (cheap work is still admitted until the queue
-	// is hard-full).
-	ErrShedLoad = errors.New("service: load shed: job too expensive under current queue pressure")
-	// ErrRateLimited rejects a submit that exceeds the client's token
-	// bucket.
-	ErrRateLimited = errors.New("service: client rate limit exceeded")
-)
-
-// AdmitError wraps an admission rejection with a Retry-After hint derived
-// from the queue's observed drain rate (or the token bucket's refill
-// time). Unwrap yields the sentinel (ErrQueueFull, ErrShedLoad,
-// ErrRateLimited) so errors.Is keeps working.
+// AdmitError wraps a queue-full rejection with a Retry-After hint derived
+// from the queue's observed drain rate. Unwrap yields ErrQueueFull so
+// errors.Is keeps working.
 type AdmitError struct {
 	Err        error
 	RetryAfter time.Duration
@@ -50,54 +36,27 @@ func RetryAfterSeconds(err error, def int) int {
 const defaultClient = "default"
 
 // maxClientName bounds a client name in bytes: admission keys its
-// per-client state by the name.
+// per-client queues by the name.
 const maxClientName = 128
 
-// estimateCost scores a request's expected compute: grid size × simulated
-// years × population count. The absolute scale is arbitrary — shedding
-// only compares costs against each other.
-func estimateCost(req request) float64 {
-	cells := float64(req.Config.Rows * req.Config.Cols)
-	years := req.Config.Years
-	if years < 0 {
-		years = 0
-	}
-	chips := float64(req.Chips)
-	if chips < 1 {
-		chips = 1
-	}
-	return cells * years * chips
-}
-
-// clientQueue is one client's FIFO plus its token bucket.
-type clientQueue struct {
-	name   string
-	jobs   []*Job
-	tokens float64
-	last   time.Time
-}
-
-// admission is the fair-admission scheduler that replaces the single FIFO
-// channel: per-client queues drained round-robin by the worker pool,
-// per-client token buckets, a cost-aware shedding policy and a
-// drain-rate estimator for Retry-After hints.
+// admission is the bounded job queue: one FIFO per client, drained
+// round-robin by the worker pool, with a drain-rate estimator for
+// Retry-After hints. A job is admitted if the queue has room, whoever
+// sends it and whatever it costs.
 //
 // Lock ordering: admission.mu is a leaf lock — it is acquired with
 // Server.mu held (submit) and alone (pop); admission never calls back
 // into the server.
 type admission struct {
-	capacity  int
-	shedStart float64 // occupancy fraction where cost shedding begins
-	rps       float64 // per-client token refill rate (0: unlimited)
-	burst     float64
+	capacity int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	clients map[string]*clientQueue
-	order   []string // clients with queued work, round-robin order
-	rr      int      // index into order of the next client to serve
-	total   int      // queued jobs across all clients
-	tracked int      // tracking jobs off the queue; each may come back
+	clients map[string][]*Job // client → its queued jobs; only non-empty queues have an entry
+	order   []string          // clients with queued work, round-robin order
+	rr      int               // index into order of the next client to serve
+	total   int               // queued jobs across all clients
+	tracked int               // tracking jobs off the queue; each may come back
 	closed  bool
 
 	pops    []time.Time // timestamps of recent dequeues (drain-rate window)
@@ -107,104 +66,34 @@ type admission struct {
 
 const drainWindow = 64 // dequeue timestamps kept for the drain-rate estimate
 
-func newAdmission(capacity int, shedStart, rps float64) *admission {
-	if shedStart <= 0 || shedStart > 1 {
-		shedStart = 0.75
-	}
+func newAdmission(capacity int) *admission {
 	a := &admission{
-		capacity:  capacity,
-		shedStart: shedStart,
-		rps:       rps,
-		burst:     math.Max(1, 2*rps),
-		clients:   make(map[string]*clientQueue),
-		pops:      make([]time.Time, drainWindow),
+		capacity: capacity,
+		clients:  make(map[string][]*Job),
+		pops:     make([]time.Time, drainWindow),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
 }
 
-func (a *admission) client(name string) *clientQueue {
-	cq, ok := a.clients[name]
-	if !ok {
-		cq = &clientQueue{name: name, tokens: a.burst, last: time.Now()}
-		a.clients[name] = cq
-	}
-	return cq
-}
-
-// reserve charges one token from the client's bucket, returning an
-// AdmitError (wrapping ErrRateLimited) with the time until the next token
-// when the bucket is empty.
-func (a *admission) reserve(client string) error {
-	if a.rps <= 0 {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cq := a.client(client)
-	now := time.Now()
-	cq.tokens = math.Min(a.burst, cq.tokens+now.Sub(cq.last).Seconds()*a.rps)
-	cq.last = now
-	if cq.tokens < 1 {
-		wait := time.Duration((1 - cq.tokens) / a.rps * float64(time.Second))
-		return &AdmitError{Err: ErrRateLimited, RetryAfter: wait}
-	}
-	cq.tokens--
-	return nil
-}
-
-// pressure reports whether occupancy has reached the shedding band — the
-// signal that also arms degraded-mode answers.
-func (a *admission) pressure() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pressureLocked()
-}
-
-func (a *admission) pressureLocked() bool {
-	return float64(a.total) >= a.shedStart*float64(a.capacity)
-}
-
-// medianCostLocked is the median estimated cost of all queued jobs
-// (0 when the queue is empty).
-func (a *admission) medianCostLocked() float64 {
-	costs := make([]float64, 0, a.total)
-	for _, cq := range a.clients {
-		for _, j := range cq.jobs {
-			costs = append(costs, j.cost)
-		}
-	}
-	if len(costs) == 0 {
-		return 0
-	}
-	sort.Float64s(costs)
-	return costs[len(costs)/2]
-}
-
-// enqueue admits j into its client's queue. With force set (journal
-// recovery) every check is bypassed — recovered jobs must all fit. The
-// cost-aware shed triggers in the pressure band: a job costlier than the
-// median of the queued work is rejected with ErrShedLoad while cheap work
-// keeps being admitted until the queue is hard-full (ErrQueueFull).
+// enqueue admits j into its client's queue, or rejects it with ErrQueueFull
+// (and a Retry-After hint) when the queue is full, or with ErrDraining once
+// closed. With force set (journal recovery) both checks are bypassed —
+// recovered jobs must all fit.
 func (a *admission) enqueue(j *Job, force bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed && !force {
 		return ErrDraining
 	}
-	if !force {
-		if a.total >= a.capacity {
-			return &AdmitError{Err: ErrQueueFull, RetryAfter: a.retryAfterLocked(1)}
-		}
-		if a.pressureLocked() && j.cost > a.medianCostLocked() {
-			return &AdmitError{Err: ErrShedLoad, RetryAfter: a.retryAfterLocked(a.total)}
-		}
+	if !force && a.total >= a.capacity {
+		return &AdmitError{Err: ErrQueueFull, RetryAfter: a.retryAfterLocked()}
 	}
-	cq := a.client(j.client)
-	if len(cq.jobs) == 0 {
-		a.order = append(a.order, cq.name)
+	q := a.clients[j.client]
+	if len(q) == 0 {
+		a.order = append(a.order, j.client)
 	}
-	cq.jobs = append(cq.jobs, j)
+	a.clients[j.client] = append(q, j)
 	a.total++
 	a.cond.Signal()
 	return nil
@@ -232,20 +121,18 @@ func (a *admission) popLocked() *Job {
 	if a.rr >= len(a.order) {
 		a.rr = 0
 	}
-	cq := a.clients[a.order[a.rr]]
-	j := cq.jobs[0]
-	cq.jobs[0] = nil
-	cq.jobs = cq.jobs[1:]
+	name := a.order[a.rr]
+	q := a.clients[name]
+	j := q[0]
+	q[0] = nil
 	a.total--
-	if len(cq.jobs) == 0 {
+	if q = q[1:]; len(q) == 0 {
+		// An idle client's entry would hold nothing, and keeping it would
+		// keep every name ever seen.
 		a.order = append(a.order[:a.rr], a.order[a.rr+1:]...)
-		// Without rate limiting an idle client's entry holds nothing, and
-		// keeping it would keep every name ever seen. With rate limiting
-		// it holds the client's token bucket and stays.
-		if a.rps <= 0 {
-			delete(a.clients, cq.name)
-		}
+		delete(a.clients, name)
 	} else {
+		a.clients[name] = q
 		a.rr++
 	}
 	a.pops[a.popHead] = time.Now()
@@ -256,10 +143,10 @@ func (a *admission) popLocked() *Job {
 	return j
 }
 
-// retryAfterLocked projects the time to drain `pending` queue slots at the
+// retryAfterLocked projects the time until the queue frees a slot at the
 // observed dequeue rate, clamped to [1s, 5m]. Before any job has been
 // dequeued there is no rate to project from; a flat 5s stands in.
-func (a *admission) retryAfterLocked(pending int) time.Duration {
+func (a *admission) retryAfterLocked() time.Duration {
 	const fallback = 5 * time.Second
 	if a.popN < 2 {
 		return fallback
@@ -271,10 +158,7 @@ func (a *admission) retryAfterLocked(pending int) time.Duration {
 		return time.Second
 	}
 	rate := float64(a.popN-1) / window.Seconds() // dequeues per second
-	if pending < 1 {
-		pending = 1
-	}
-	est := time.Duration(float64(pending) / rate * float64(time.Second))
+	est := time.Duration(float64(time.Second) / rate)
 	if est < time.Second {
 		return time.Second
 	}
@@ -284,18 +168,16 @@ func (a *admission) retryAfterLocked(pending int) time.Duration {
 	return est
 }
 
-// depths snapshots the per-client queue depths (non-empty queues only).
+// depths snapshots the per-client queue depths for /metrics.
 func (a *admission) depths() map[string]int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make(map[string]int)
-	for name, cq := range a.clients {
-		if len(cq.jobs) > 0 {
-			out[name] = len(cq.jobs)
-		}
-	}
-	if len(out) == 0 {
+	if len(a.clients) == 0 {
 		return nil
+	}
+	out := make(map[string]int, len(a.clients))
+	for name, q := range a.clients {
+		out[name] = len(q)
 	}
 	return out
 }

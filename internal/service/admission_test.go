@@ -7,17 +7,17 @@ import (
 	"time"
 )
 
-func testJob(client string, cost float64) *Job {
-	return &Job{id: "t", client: client, cost: cost, state: JobQueued, done: make(chan struct{})}
+func testJob(client string) *Job {
+	return &Job{id: "t", client: client, state: JobQueued, done: make(chan struct{})}
 }
 
 func TestWRRAlternatesClients(t *testing.T) {
-	a := newAdmission(16, 0.99, 0)
+	a := newAdmission(16)
 	for i := 0; i < 3; i++ {
-		if err := a.enqueue(testJob("x", 1), false); err != nil {
+		if err := a.enqueue(testJob("x"), false); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.enqueue(testJob("y", 1), false); err != nil {
+		if err := a.enqueue(testJob("y"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,98 +38,43 @@ func TestWRRAlternatesClients(t *testing.T) {
 	}
 }
 
-func TestShedRejectsExpensiveUnderPressure(t *testing.T) {
-	a := newAdmission(4, 0.5, 0)
-	a.enqueue(testJob("a", 1), false)
-	a.enqueue(testJob("b", 1), false) // total 2 of 4 → pressure band
-	if !a.pressure() {
-		t.Fatal("expected pressure at 2/4 with shedStart 0.5")
-	}
-	err := a.enqueue(testJob("c", 100), false)
-	if !errors.Is(err, ErrShedLoad) {
-		t.Fatalf("expensive job under pressure: err = %v, want ErrShedLoad", err)
-	}
-	var ae *AdmitError
-	if !errors.As(err, &ae) || ae.RetryAfter <= 0 {
-		t.Fatalf("shed error carries no Retry-After: %v", err)
-	}
-	// Cheap work (≤ median) still gets in until the queue is hard-full.
-	if err := a.enqueue(testJob("c", 1), false); err != nil {
-		t.Fatalf("cheap job under pressure rejected: %v", err)
-	}
-	a.enqueue(testJob("d", 1), false)
-	if err := a.enqueue(testJob("e", 1), false); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("job beyond capacity: err = %v, want ErrQueueFull", err)
-	}
-}
-
 func TestForceEnqueueBypassesChecks(t *testing.T) {
-	a := newAdmission(1, 0.5, 0)
-	a.enqueue(testJob("a", 1), false)
-	if err := a.enqueue(testJob("b", 100), true); err != nil {
+	a := newAdmission(1)
+	a.enqueue(testJob("a"), false)
+	if err := a.enqueue(testJob("b"), true); err != nil {
 		t.Fatalf("forced enqueue failed: %v", err)
 	}
 	a.close()
-	if err := a.enqueue(testJob("c", 1), false); !errors.Is(err, ErrDraining) {
+	if err := a.enqueue(testJob("c"), false); !errors.Is(err, ErrDraining) {
 		t.Fatalf("enqueue after close: err = %v, want ErrDraining", err)
 	}
-	if err := a.enqueue(testJob("d", 1), true); err != nil {
+	if err := a.enqueue(testJob("d"), true); err != nil {
 		t.Fatalf("forced enqueue after close (recovery) failed: %v", err)
 	}
 }
 
-// Without rate limiting, a client whose queue empties leaves no entry
-// behind, so distinct client names do not accumulate. With it, the entry
-// is the client's token bucket and stays.
+// A client whose queue empties leaves no entry behind, so distinct client
+// names do not accumulate.
 func TestIdleClientEntries(t *testing.T) {
-	for _, c := range []struct {
-		rps  float64
-		want int
-	}{{0, 0}, {100, 5}} {
-		a := newAdmission(16, 0.99, c.rps)
-		for i := 0; i < 5; i++ {
-			name := fmt.Sprintf("client-%d", i)
-			if err := a.reserve(name); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.enqueue(testJob(name, 1), false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 5; i++ {
-			if _, ok := a.pop(); !ok {
-				t.Fatal("pop returned closed")
-			}
-		}
-		if got := len(a.clients); got != c.want {
-			t.Errorf("rps %v: %d client entries after every queue emptied, want %d", c.rps, got, c.want)
+	a := newAdmission(16)
+	for i := 0; i < 5; i++ {
+		if err := a.enqueue(testJob(fmt.Sprintf("client-%d", i)), false); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestTokenBucket(t *testing.T) {
-	a := newAdmission(16, 0.75, 1) // 1 rps, burst 2
-	if err := a.reserve("c"); err != nil {
-		t.Fatalf("first reserve: %v", err)
+	for i := 0; i < 5; i++ {
+		if _, ok := a.pop(); !ok {
+			t.Fatal("pop returned closed")
+		}
 	}
-	if err := a.reserve("c"); err != nil {
-		t.Fatalf("second reserve (burst): %v", err)
-	}
-	err := a.reserve("c")
-	if !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("third instant reserve: err = %v, want ErrRateLimited", err)
-	}
-	if sec := RetryAfterSeconds(err, 0); sec < 1 {
-		t.Fatalf("rate-limit Retry-After = %ds, want ≥ 1", sec)
-	}
-	if err := a.reserve("other"); err != nil {
-		t.Fatalf("independent client limited: %v", err)
+	if got := len(a.clients); got != 0 {
+		t.Errorf("%d client entries after every queue emptied, want 0", got)
 	}
 }
 
 func TestPopBlocksUntilCloseDrains(t *testing.T) {
-	a := newAdmission(4, 0.75, 0)
-	a.enqueue(testJob("a", 1), false)
+	a := newAdmission(4)
+	a.enqueue(testJob("a"), false)
 	done := make(chan bool, 2)
 	go func() {
 		_, ok := a.pop()
@@ -152,30 +97,18 @@ func TestPopBlocksUntilCloseDrains(t *testing.T) {
 }
 
 func TestRetryAfterFallback(t *testing.T) {
-	a := newAdmission(4, 0.75, 0)
-	if got := a.retryAfter(1); got != 5*time.Second {
+	a := newAdmission(4)
+	if got := a.retryAfter(); got != 5*time.Second {
 		t.Fatalf("retryAfter with no drain history = %v, want 5s fallback", got)
 	}
 	for i := 0; i < 4; i++ {
-		a.enqueue(testJob("a", 1), false)
+		a.enqueue(testJob("a"), false)
 	}
 	for i := 0; i < 4; i++ {
 		a.pop()
 	}
-	if got := a.retryAfter(2); got < time.Second || got > 5*time.Minute {
+	if got := a.retryAfter(); got < time.Second || got > 5*time.Minute {
 		t.Fatalf("estimated retryAfter %v outside [1s, 5m]", got)
-	}
-}
-
-func TestEstimateCostOrdering(t *testing.T) {
-	small := request{Kind: KindLifetime, Config: tinyCfg(), Chips: 1}
-	big := request{Kind: KindPopulation, Config: tinyCfg(), Chips: 32}
-	long := request{Kind: KindLifetime, Config: slowCfg(), Chips: 1}
-	if !(estimateCost(big) > estimateCost(small)) {
-		t.Fatal("population cost not above single-chip cost")
-	}
-	if !(estimateCost(long) > estimateCost(small)) {
-		t.Fatal("10-year cost not above 1-year cost")
 	}
 }
 
@@ -201,8 +134,8 @@ func TestJobExpiry(t *testing.T) {
 
 // retryAfter estimates how long a rejected client should wait before
 // retrying, from the observed drain rate.
-func (a *admission) retryAfter(pending int) time.Duration {
+func (a *admission) retryAfter() time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.retryAfterLocked(pending)
+	return a.retryAfterLocked()
 }

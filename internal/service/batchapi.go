@@ -14,9 +14,7 @@ const maxBatchItems = 1024
 // BatchItem is one submission inside POST /v1/batch. It mirrors the
 // single-submit bodies: kind selects lifetime (default) or population,
 // seed is the chip seed (base seed for populations), chips the population
-// size. Wait and DegradedOK are deliberately absent — batch submits are
-// fire-and-poll, and degraded answers require per-item simulation that
-// would defeat the single admission pass.
+// size. Wait is deliberately absent — batch submits are fire-and-poll.
 type BatchItem struct {
 	Kind       string          `json:"kind,omitempty"`
 	Config     json.RawMessage `json:"config,omitempty"`
@@ -38,7 +36,7 @@ type BatchRequest struct {
 // per-item ("200 with mixed results"): Status carries the code the same
 // submission would have received on the single-job endpoint (202
 // accepted, 200 cache hit/coalesced onto a finished job, 400 invalid,
-// 429 shed or rate-limited with RetryAfterS, 503 draining).
+// 429 queue full with RetryAfterS, 503 draining).
 type BatchItemResult struct {
 	Index       int        `json:"index"`
 	Accepted    bool       `json:"accepted"`
@@ -93,8 +91,7 @@ func batchSubmissionFromItem(it BatchItem) (submission, error) {
 // SubmitBatch admits every valid item in one pass under the server mutex,
 // through the same steps as a single submit, and journals the accepted
 // jobs with one write and one fsync. Invalid items are answered with a
-// 400 result; no item fails its neighbours. Rate limiting is charged once
-// per client per request: a batch is one work-creating request.
+// 400 result; no item fails its neighbours.
 func (s *Server) SubmitBatch(items []BatchItem) ([]BatchItemResult, error) {
 	if len(items) == 0 {
 		return nil, errors.New("service: batch has no items")
@@ -128,8 +125,7 @@ func (s *Server) SubmitBatch(items []BatchItem) ([]BatchItemResult, error) {
 	}
 	var (
 		accepted []*Job
-		hits     []hit                    // cache hits: audit leaves to re-record after unlocking
-		charged  = make(map[string]error) // client → its one token charge
+		hits     []hit // cache hits: audit leaves to re-record after unlocking
 	)
 	s.mu.Lock()
 	for i, sub := range subs {
@@ -141,15 +137,7 @@ func (s *Server) SubmitBatch(items []BatchItem) ([]BatchItemResult, error) {
 			hits = append(hits, hit{sub.key, data})
 		}
 		if j == nil && err == nil {
-			client := sub.opts.clientName()
-			rerr, seen := charged[client]
-			if !seen {
-				rerr = s.adm.reserve(client)
-				charged[client] = rerr
-			}
-			if err = rerr; err != nil {
-				s.met.RateLimited.Add(1)
-			} else if j, err = s.enqueueLocked(sub); err == nil {
+			if j, err = s.enqueueLocked(sub); err == nil {
 				accepted = append(accepted, j)
 			}
 		}

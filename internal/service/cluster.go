@@ -119,7 +119,7 @@ func (s *Server) forward(sub submission, owner string) (JobStatus, bool, error) 
 	if err != nil {
 		var be *cluster.BusyError
 		if errors.As(err, &be) {
-			// The owner is alive and shedding load: pass its backpressure
+			// The owner is alive but refusing work: pass its backpressure
 			// through verbatim rather than absorbing the work locally —
 			// overload must stay visible to the client that caused it.
 			s.met.ForwardBusy.Add(1)

@@ -3,12 +3,11 @@ package service
 import "time"
 
 // SubmitOpts carries the admission-control metadata of a submit: who is
-// asking (fairness identity), how long the answer is useful (deadline),
-// how long the job may sit queued (TTL), and whether a degraded answer is
-// acceptable under load.
+// asking (fairness identity), how long the answer is useful (deadline)
+// and how long the job may sit queued (TTL).
 type SubmitOpts struct {
-	// Client is the fairness identity used for rate limiting and
-	// round-robin dequeue. Empty means "default".
+	// Client is the fairness identity used for round-robin dequeue.
+	// Empty means "default".
 	Client string
 	// Deadline bounds the whole job: queue wait plus simulation. When it
 	// passes, a queued job is evicted and a running job's context is
@@ -17,17 +16,6 @@ type SubmitOpts struct {
 	// QueueTTL bounds only the queue wait: a job still queued when it
 	// expires is evicted and never reaches a worker. Zero means no TTL.
 	QueueTTL time.Duration
-	// DegradedOK lets a lifetime submit accept a fast analytic estimate
-	// (marked "degraded": true) instead of a rejection when the service is
-	// shedding load or its disk cache is broken.
-	DegradedOK bool
-}
-
-func (o SubmitOpts) clientName() string {
-	if o.Client == "" {
-		return defaultClient
-	}
-	return o.Client
 }
 
 // expired reports whether the job has outlived its queue TTL or deadline

@@ -26,8 +26,8 @@ type LifetimeRequest struct {
 	Seed   int64           `json:"seed"`
 	Policy string          `json:"policy"`
 	Wait   bool            `json:"wait,omitempty"`
-	// Client is the fairness identity for rate limiting and round-robin
-	// scheduling (empty: "default").
+	// Client is the fairness identity for round-robin scheduling
+	// (empty: "default").
 	Client string `json:"client,omitempty"`
 	// DeadlineMS bounds queue wait plus simulation in milliseconds; a job
 	// past its deadline is evicted (queued) or cancelled (running).
@@ -35,14 +35,10 @@ type LifetimeRequest struct {
 	// QueueTTLMS bounds only the queue wait: an expired job never reaches
 	// a worker.
 	QueueTTLMS int64 `json:"queue_ttl_ms,omitempty"`
-	// DegradedOK accepts a fast analytic estimate (response carries
-	// "degraded": true) instead of a 429 when the service sheds load.
-	DegradedOK bool `json:"degraded_ok,omitempty"`
 }
 
 // PopulationRequest is the body of POST /v1/population. Population jobs
-// support the same admission fields except DegradedOK (a sampled analytic
-// estimate is not a population statistic).
+// support the same admission fields.
 type PopulationRequest struct {
 	Config     json.RawMessage `json:"config,omitempty"`
 	BaseSeed   int64           `json:"base_seed"`
@@ -125,10 +121,9 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.SubmitLifetimeWith(cfg, req.Seed, req.Policy, SubmitOpts{
-		Client:     req.Client,
-		Deadline:   time.Duration(req.DeadlineMS) * time.Millisecond,
-		QueueTTL:   time.Duration(req.QueueTTLMS) * time.Millisecond,
-		DegradedOK: req.DegradedOK,
+		Client:   req.Client,
+		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
+		QueueTTL: time.Duration(req.QueueTTLMS) * time.Millisecond,
 	})
 	s.respondSubmit(w, r, st, err, req.Wait)
 }
@@ -158,11 +153,10 @@ const drainingRetryAfter = 10 // seconds
 // admitStatus maps a submit error to its HTTP status and Retry-After
 // seconds (0: none), for single submits and batch items alike: 400 for
 // invalid requests, 503 while draining (the server is going away — retry
-// against its successor), 429 for per-client rate limiting and for load
-// shedding (queue full or cost-shed: the server is alive but wants this
-// client to back off). A cluster owner's BusyError passes through
-// verbatim, so the client backs off exactly as if it had reached the
-// owner directly.
+// against its successor), 429 when the queue is full (the server is alive
+// but wants this client to back off). A cluster owner's BusyError passes
+// through verbatim, so the client backs off exactly as if it had reached
+// the owner directly.
 func admitStatus(err error) (code, retryAfter int) {
 	var busy *cluster.BusyError
 	switch {
@@ -170,7 +164,7 @@ func admitStatus(err error) (code, retryAfter int) {
 		return busy.Status, int(busy.RetryAfter.Seconds())
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable, drainingRetryAfter
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShedLoad), errors.Is(err, ErrRateLimited):
+	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests, RetryAfterSeconds(err, 5)
 	default:
 		return http.StatusBadRequest, 0
@@ -399,8 +393,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap.Artifacts.Hits = as.Hits
 	snap.Artifacts.Misses = as.Misses
 	snap.Artifacts.Platforms = as.Platforms
-	snap.Admission.Pressure = s.Pressure()
-	snap.Admission.ClientDepths = s.ClientDepths()
+	snap.Admission.ClientDepths = s.adm.depths()
 	ast := s.AuditStats()
 	snap.Merkle.Segments = ast.Segments
 	snap.Merkle.SealedSegments = ast.SealedSegments

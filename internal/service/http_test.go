@@ -71,6 +71,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown policy", "/v1/lifetime", `{"seed":1,"policy":"greedy"}`},
 		{"bad config value", "/v1/lifetime", `{"config":{"Years":-1},"seed":1,"policy":"hayat"}`},
 		{"zero chips", "/v1/population", `{"base_seed":1,"chips":0,"policy":"hayat"}`},
+		{"degraded_ok is an unknown field", "/v1/lifetime", `{"seed":1,"policy":"hayat","degraded_ok":true}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))

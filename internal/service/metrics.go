@@ -187,10 +187,7 @@ type Metrics struct {
 	ChipResultsReused     Counter // population chips restored instead of re-simulated
 
 	// Admission-control outcomes.
-	JobsShed     Counter // rejected by cost-aware shedding (429)
-	JobsEvicted  Counter // expired in the queue, never executed
-	JobsDegraded Counter // answered with the fast analytic estimate
-	RateLimited  Counter // rejected by a client token bucket (429)
+	JobsEvicted Counter // expired in the queue, never executed
 
 	// Batched-submission outcomes.
 	BatchFlushes Counter       // batches flushed (one admission pass + one fsync each)
@@ -295,13 +292,9 @@ type MetricsSnapshot struct {
 		ChipResultsReused     int64 `json:"chip_results_reused"`
 	} `json:"reliability"`
 	Admission struct {
-		Shed        int64 `json:"shed"`
-		Evicted     int64 `json:"evicted"`
-		Degraded    int64 `json:"degraded"`
-		RateLimited int64 `json:"rate_limited"`
-		// Pressure and ClientDepths are filled in by the server (they are
-		// live admission state, not counters).
-		Pressure     bool           `json:"pressure"`
+		Evicted int64 `json:"evicted"`
+		// ClientDepths is filled in by the server (it is live admission
+		// state, not a counter).
 		ClientDepths map[string]int `json:"client_depths,omitempty"`
 	} `json:"admission"`
 	Batch struct {
@@ -407,10 +400,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.Merkle.Proofs = m.MerkleProofs.Value()
 	s.Merkle.ProofErrors = m.MerkleProofErrors.Value()
 	s.Merkle.Corrupt = m.MerkleCorrupt.Value()
-	s.Admission.Shed = m.JobsShed.Value()
 	s.Admission.Evicted = m.JobsEvicted.Value()
-	s.Admission.Degraded = m.JobsDegraded.Value()
-	s.Admission.RateLimited = m.RateLimited.Value()
 	s.Cluster.ForwardAttempts = m.ForwardAttempts.Value()
 	s.Cluster.Forwards = m.Forwards.Value()
 	s.Cluster.ForwardBusy = m.ForwardBusy.Value()

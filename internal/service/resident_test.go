@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/store"
 )
 
@@ -49,10 +50,10 @@ func runDistinctJobs(t *testing.T, s *Server, n int) []JobStatus {
 // a bounded number of results in memory while still serving every
 // finished job's result: more distinct jobs than the memory tier holds
 // leave it at its bound, yet every job's /result returns its original
-// bytes with a verifying proof. Results no durable tier holds — a
-// degraded estimate, a result whose disk write was skipped — stay on
-// their job records and keep serving after eviction, and a job whose
-// stored copy was quarantined answers 404 with no result in its status.
+// bytes with a verifying proof. A result no durable tier holds, because
+// its disk write was skipped, stays on its job record and keeps serving
+// after eviction, and a job whose stored copy was quarantined answers 404
+// with no result in its status.
 func TestResidentResultsBounded(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir(), BreakerThreshold: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -93,9 +94,8 @@ func TestResidentResultsBounded(t *testing.T) {
 		t.Fatalf("quarantined result: status %s (%v) carries a result", data, err)
 	}
 
-	// Open the disk-cache breaker: the next fresh result skips the disk,
-	// and degraded answers arm.
-	for !s.cacheBrk.IsOpen() {
+	// Open the disk-cache breaker: the next fresh result skips the disk.
+	for s.cacheBrk.Stats().State != circuit.Open {
 		s.cacheBrk.Report(false)
 	}
 	unstored, err := s.SubmitLifetime(tinyCfg(), 900, "vaa")
@@ -103,21 +103,12 @@ func TestResidentResultsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	unstored = waitDone(t, s, unstored.ID)
-	degraded, err := s.SubmitLifetimeWith(tinyCfg(), 901, "hayat", SubmitOpts{DegradedOK: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !degraded.Degraded || len(degraded.Result) == 0 {
-		t.Fatalf("degraded submit: degraded=%v, %d result bytes", degraded.Degraded, len(degraded.Result))
-	}
 	// Later results push the unstored one out of the memory tier.
 	for i := 0; i < store.MemoryCapacity; i++ {
 		_ = s.store.PutLocal(fmt.Sprintf("%064x", i), []byte(`{}`))
 	}
-	for _, st := range []JobStatus{unstored, degraded} {
-		if code, raw := getResult(t, ts, st.ID); code != http.StatusOK || !bytes.Equal(raw, st.Result) {
-			t.Fatalf("%s: /result HTTP %d, %d bytes, want the original %d", st.ID, code, len(raw), len(st.Result))
-		}
+	if code, raw := getResult(t, ts, unstored.ID); code != http.StatusOK || !bytes.Equal(raw, unstored.Result) {
+		t.Fatalf("unstored result: /result HTTP %d, %d bytes, want the original %d", code, len(raw), len(unstored.Result))
 	}
 }
 

@@ -169,19 +169,16 @@ type Job struct {
 	finish  time.Time
 	errMsg  string
 	// result holds a done job's bytes only when no durable tier has them:
-	// degraded estimates and results whose disk write failed. Every other
-	// done job reads its result through the local store (resultLocked),
-	// so finished records do not pin bytes the store already keeps.
+	// results whose disk write failed. Every other done job reads its
+	// result through the local store (resultLocked), so finished records
+	// do not pin bytes the store already keeps.
 	result []byte
 
-	// Admission metadata: fairness identity, estimated cost (shedding),
-	// absolute deadlines (zero when unset) and whether the answer was a
-	// degraded analytic estimate. None of these join the cache key.
+	// Admission metadata: fairness identity and absolute deadlines (zero
+	// when unset). None of these join the cache key.
 	client        string
-	cost          float64
 	deadline      time.Time
 	queueDeadline time.Time
-	degraded      bool
 
 	doneChips  atomicMax
 	totalChips atomicMax
@@ -236,7 +233,6 @@ type JobStatus struct {
 	FinishedAt *time.Time      `json:"finished_at,omitempty"`
 	Progress   *Progress       `json:"progress,omitempty"`
 	Error      string          `json:"error,omitempty"`
-	Degraded   bool            `json:"degraded,omitempty"`
 	Result     json.RawMessage `json:"result,omitempty"`
 }
 
@@ -245,7 +241,10 @@ type Options struct {
 	// Workers is the bounded worker-pool size (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker
-	// (default 64); submits beyond it fail with ErrQueueFull.
+	// (default 64). A submit that needs new work while the queue is full
+	// fails with ErrQueueFull (HTTP 429 with a drain-rate Retry-After).
+	// It is the one overload setting: a shorter queue cuts the latency of
+	// admitted jobs (DESIGN.md §8).
 	QueueDepth int
 	// DataDir, when set, persists results as CRC-framed <key>.json for
 	// reuse across restarts; corrupt entries are quarantined on read.
@@ -271,16 +270,9 @@ type Options struct {
 	// how long they stay open before a half-open probe (default 5s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxClientRPS rate-limits work-creating submits per client with a
-	// token bucket refilled at this rate (burst 2×). Zero disables rate
-	// limiting. Coalesced and cache-hit submits are free.
-	MaxClientRPS float64
 	// DefaultDeadline bounds jobs whose submit carries no deadline of its
 	// own (queue wait plus simulation). Zero means unbounded.
 	DefaultDeadline time.Duration
-	// ShedStart is the queue-occupancy fraction at which cost-aware
-	// shedding (and degraded-mode answering) begins (default 0.75).
-	ShedStart float64
 	// AuditPath, when set, persists the Merkle audit log (one CRC-framed
 	// line per terminal result) so inclusion proofs survive restarts.
 	// Unset, the audit tree is memory-only: proofs still work but start
@@ -398,7 +390,7 @@ func New(opts Options) (*Server, error) {
 		stopAll:  cancel,
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
-		adm:      newAdmission(opts.QueueDepth, opts.ShedStart, opts.MaxClientRPS),
+		adm:      newAdmission(opts.QueueDepth),
 	}
 	if disk != nil {
 		disk.Guard = s.cacheBrk.Do
@@ -548,7 +540,7 @@ func (s *Server) recover(pending []journalEntry) {
 			s.auditResult(e.Key, data)
 			continue
 		}
-		s.adm.enqueue(j, true) // force: recovered jobs bypass capacity and shedding
+		s.adm.enqueue(j, true) // force: recovered jobs bypass the capacity check
 		s.inflight[e.Key] = j
 		s.met.JobsQueued.Add(1)
 		s.met.JobsRecovered.Add(1)
@@ -591,26 +583,17 @@ func (s *Server) Failpoints() map[string]FailpointStats {
 // Metrics exposes the server's counters (also served on GET /metrics).
 func (s *Server) Metrics() *Metrics { return &s.met }
 
-// ClientDepths snapshots the per-client queue depths for /metrics.
-func (s *Server) ClientDepths() map[string]int { return s.adm.depths() }
-
-// Pressure reports whether the admission layer is inside its shedding
-// band (the point where expensive work is rejected and degraded-mode
-// answers arm).
-func (s *Server) Pressure() bool { return s.adm.pressure() }
-
 // SubmitLifetimeWith schedules (or coalesces, or answers from cache) a
 // single-chip lifetime simulation and returns the job's status. The
-// options carry a client identity for fair scheduling, a
-// deadline/queue-TTL, and degraded-mode opt-in.
+// options carry a client identity for fair scheduling and a
+// deadline/queue-TTL.
 func (s *Server) SubmitLifetimeWith(cfg hayat.Config, seed int64, policy string, o SubmitOpts) (JobStatus, error) {
 	return s.submit(request{Kind: KindLifetime, Config: cfg, Policy: policy, Seed: seed, Chips: 1}, o, true)
 }
 
 // SubmitPopulationWith schedules a population fan-out over seeds
 // baseSeed…baseSeed+chips−1 with per-seed progress reporting, under the
-// given admission options. Population jobs never degrade — a sampled analytic estimate is not a
-// population statistic — so DegradedOK is ignored.
+// given admission options.
 func (s *Server) SubmitPopulationWith(cfg hayat.Config, baseSeed int64, chips int, policy string, o SubmitOpts) (JobStatus, error) {
 	return s.submit(request{Kind: KindPopulation, Config: cfg, Policy: policy, Seed: baseSeed, Chips: chips}, o, true)
 }
@@ -673,9 +656,9 @@ func (s *Server) submit(req request, o SubmitOpts, mayForward bool) (JobStatus, 
 	}
 	// Cluster mode: a key owned by a healthy remote peer forwards there as
 	// a one-item batch, which the owner never forwards again, so a job
-	// makes one hop even under divergent ring views. Forwards are never
-	// rate-limited locally; the owner charges its own limiter.
-	if mayForward && s.router != nil && !o.DegradedOK && req.Kind == KindLifetime {
+	// makes one hop even under divergent ring views. The owner's queue
+	// admits it, not this node's.
+	if mayForward && s.router != nil && req.Kind == KindLifetime {
 		if owner, local := s.router.Owner(sub.key); !local {
 			s.mu.Unlock()
 			if st, handled, ferr := s.forward(sub, owner); handled {
@@ -688,26 +671,9 @@ func (s *Server) submit(req request, o SubmitOpts, mayForward bool) (JobStatus, 
 			return s.submit(req, o, false)
 		}
 	}
-	// Only work-creating submits consume rate-limit tokens; coalesced and
-	// cached answers above are free.
-	if err := s.adm.reserve(o.clientName()); err != nil {
-		s.met.RateLimited.Add(1)
-		s.mu.Unlock()
-		return JobStatus{}, err
-	}
-	degradedOK := o.DegradedOK && req.Kind == KindLifetime
-	if degradedOK && (s.adm.pressure() || s.cacheBrk.IsOpen()) {
-		s.mu.Unlock()
-		return s.serveDegraded(sub)
-	}
 	j, err := s.enqueueLocked(sub)
 	if err != nil {
 		s.mu.Unlock()
-		if degradedOK && (errors.Is(err, ErrShedLoad) || errors.Is(err, ErrQueueFull)) {
-			// Raced into saturation between the pressure check and the
-			// enqueue: a degraded answer still beats a rejection.
-			return s.serveDegraded(sub)
-		}
 		return JobStatus{}, err
 	}
 	s.journalAcceptedLocked([]*Job{j})
@@ -741,15 +707,12 @@ func (s *Server) settleLocked(sub submission) (*Job, []byte, error) {
 }
 
 // enqueueLocked queues a new job for sub, or returns the admission
-// error (queue full, load shed, draining) and leaves no job behind.
+// error (queue full, draining) and leaves no job behind.
 func (s *Server) enqueueLocked(sub submission) (*Job, error) {
 	s.met.CacheMisses.Add(1)
 	j := s.submitJobLocked(sub)
 	if err := s.adm.enqueue(j, false); err != nil {
 		delete(s.jobs, j.id)
-		if errors.Is(err, ErrShedLoad) {
-			s.met.JobsShed.Add(1)
-		}
 		return nil, err
 	}
 	s.inflight[sub.key] = j
@@ -777,42 +740,6 @@ func (s *Server) journalAcceptedLocked(jobs []*Job) {
 	s.met.FsyncsSaved.Add(int64(len(recs) - 1))
 }
 
-// serveDegraded answers a lifetime submit with the fast analytic estimate
-// (thermpredict steady-state temperatures through the aging table) instead
-// of queueing a full simulation. The answer is recorded as an immediately
-// terminal job marked degraded; it is never cached or journalled — a
-// retry under normal load must run the real simulation.
-func (s *Server) serveDegraded(sub submission) (JobStatus, error) {
-	pol, err := hayat.ParsePolicy(sub.req.Policy)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	sys, err := hayat.NewSystemWith(sub.req.Config, s.arts)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	chip, err := sys.NewChip(sub.req.Seed)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	est, err := chip.EstimateLifetime(pol)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	data, err := json.Marshal(est)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.submitJobLocked(sub)
-	j.result, j.degraded = data, true
-	s.finishLocked(j, JobDone, "", false)
-	s.met.JobsDegraded.Add(1)
-	s.logf("service: %s answered degraded (load shed or cache breaker open)", j.id)
-	return s.statusLocked(j, true), nil
-}
-
 // newJobLocked is the one job constructor: it registers a queued job for
 // e. Journal recovery passes the journalled entry with its ID and
 // absolute deadlines; submits come through submitJobLocked.
@@ -829,7 +756,6 @@ func (s *Server) newJobLocked(e journalEntry) *Job {
 		created:       time.Now(),
 		done:          make(chan struct{}),
 		client:        client,
-		cost:          estimateCost(e.Req),
 		deadline:      e.Deadline,
 		queueDeadline: e.QueueDeadline,
 	}
@@ -863,7 +789,7 @@ func (s *Server) submitJobLocked(sub submission) *Job {
 // finishLocked turns j terminal: its state, error and finish time are
 // set, its key is freed for new work, waiters wake and the record joins
 // the eviction queue. journal writes the terminal record, for jobs whose
-// submit the journal holds; cache-hit and degraded answers never had one.
+// submit the journal holds; cache-hit answers never had one.
 func (s *Server) finishLocked(j *Job, state JobState, errMsg string, journal bool) {
 	j.state, j.errMsg, j.finish = state, errMsg, time.Now()
 	if state == JobDone && j.started.IsZero() {
@@ -911,7 +837,6 @@ func (s *Server) statusLocked(j *Job, includeResult bool) JobStatus {
 		Cached:    j.cached,
 		CreatedAt: j.created,
 		Error:     j.errMsg,
-		Degraded:  j.degraded,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -1083,21 +1008,17 @@ func (s *Server) Proof(id string) (ProofResponse, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var (
-		key      string
-		state    JobState
-		degraded bool
+		key   string
+		state JobState
 	)
 	if ok {
-		key, state, degraded = j.key, j.state, j.degraded
+		key, state = j.key, j.state
 	}
 	s.mu.Unlock()
 	switch {
 	case !ok:
 		s.met.MerkleProofErrors.Add(1)
 		return ProofResponse{}, ErrUnknownJob
-	case degraded:
-		s.met.MerkleProofErrors.Add(1)
-		return ProofResponse{}, fmt.Errorf("service: job %s was answered degraded; degraded estimates are not audited", id)
 	case state != JobDone:
 		s.met.MerkleProofErrors.Add(1)
 		return ProofResponse{}, fmt.Errorf("service: job %s is %s; proofs exist only for done jobs", id, state)

@@ -23,28 +23,36 @@ var benchSeq atomic.Int64
 
 const benchCfgJSON = `{"Rows":4,"Cols":4,"Years":1,"WindowSeconds":1,"MixApps":2}`
 
-// newSubmitBenchServer builds a server whose lone worker is parked: every
+// newParkedServer builds a server whose lone worker is parked: every
 // spawn attempt fails injected and backs off for an hour (ctx-aware), so
-// accepted jobs stay queued and the measurement is pure admission +
-// durable journal append — compute never shadows the submit path.
+// accepted jobs stay queued and only admission decides what happens to a
+// submit — compute never shadows the submit path.
+func newParkedServer(tb testing.TB, opts Options) (*Server, *httptest.Server) {
+	tb.Helper()
+	if err := faultinject.Arm(fpJobSpawn, "always"); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(faultinject.DisarmAll)
+	opts.Workers = 1
+	opts.Retry = circuit.Backoff{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour}
+	s, err := New(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { shutdownFast(tb, s) })
+	ts := httptest.NewServer(s.Handler())
+	tb.Cleanup(ts.Close)
+	return s, ts
+}
+
+// newSubmitBenchServer is a parked server with a durable journal, so the
+// measurement is pure admission + journal append.
 func newSubmitBenchServer(b *testing.B, batchSize int) *httptest.Server {
 	b.Helper()
-	if err := faultinject.Arm(fpJobSpawn, "always"); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(faultinject.DisarmAll)
-	s, err := New(Options{
-		Workers:     1,
+	_, ts := newParkedServer(b, Options{
 		QueueDepth:  b.N*batchSize + 64, // every submission must be admitted
 		JournalPath: filepath.Join(b.TempDir(), "jobs.journal"),
-		Retry:       circuit.Backoff{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour},
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { shutdownFast(b, s) })
-	ts := httptest.NewServer(s.Handler())
-	b.Cleanup(ts.Close)
 	return ts
 }
 
