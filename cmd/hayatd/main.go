@@ -46,7 +46,9 @@
 // restart, without it proofs only cover results produced since startup.
 // -failpoints (or the HAYAT_FAILPOINTS environment variable) arms fault
 // injection for crash drills, e.g.
-// "service.cache-read=prob(0.1),sim.thermal-solve=fail(3)".
+// "service.cache-read=prob(0.1),sim.thermal-solve=sleep(50ms)", which
+// turns a tenth of the disk-cache reads into misses and stalls every
+// epoch by 50 ms.
 //
 // Each lifetime runs on one goroutine. -workers bounds how many jobs run
 // at once, not how many lifetimes: a population job runs up to

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/merkle"
 	"github.com/kit-ces/hayat/internal/store"
@@ -88,7 +87,7 @@ func retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, circuit.ErrOpen) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errOpen) {
 		return false
 	}
 	var be *BusyError

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/kit-ces/hayat/internal/circuit"
 )
 
 // Config wires a Router. Self and Peers are base URLs
@@ -24,12 +22,11 @@ type Config struct {
 	// is checked.
 	ProbeInterval time.Duration
 
-	// Retry is the cross-attempt backoff schedule, the one hayatd uses
-	// for its own retries.
-	Retry circuit.Backoff
+	// Retry is the backoff schedule across attempts of one peer request.
+	Retry Backoff
 
-	// Per-peer circuit breakers (same defaults as the service's disk
-	// breakers: 5 consecutive failures, 5s cooldown).
+	// Per-peer circuit breakers (defaults: 5 consecutive failures, 5s
+	// cooldown).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
@@ -54,13 +51,13 @@ const AbandonGrace = 2 * time.Second
 // PeerSnapshot is one remote peer's externally visible health, served on
 // GET /metrics under cluster.peers.
 type PeerSnapshot struct {
-	State               string           `json:"state"` // "up" | "down"
-	ConsecutiveFailures int              `json:"consecutive_failures"`
-	Probes              int64            `json:"probes"`
-	ProbeFailures       int64            `json:"probe_failures"`
-	Evictions           int64            `json:"evictions"`
-	Recoveries          int64            `json:"recoveries"`
-	Breaker             circuit.Snapshot `json:"breaker"`
+	State               string          `json:"state"` // "up" | "down"
+	ConsecutiveFailures int             `json:"consecutive_failures"`
+	Probes              int64           `json:"probes"`
+	ProbeFailures       int64           `json:"probe_failures"`
+	Evictions           int64           `json:"evictions"`
+	Recoveries          int64           `json:"recoveries"`
+	Breaker             BreakerSnapshot `json:"breaker"`
 }
 
 type peerState struct {
@@ -71,7 +68,7 @@ type peerState struct {
 	failures   int64
 	evictions  int64
 	recoveries int64
-	brk        *circuit.Breaker
+	brk        *breaker
 }
 
 // Router owns the ring, the peer HTTP client, per-peer breakers, and the
@@ -81,7 +78,7 @@ type Router struct {
 	cfg    Config
 	ring   *Ring
 	hc     *http.Client
-	jitter *circuit.Jitter
+	jitter *jitter
 	logf   func(string, ...any)
 
 	mu    sync.Mutex
@@ -120,7 +117,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	cfg.Retry = cfg.Retry.WithDefaults()
+	cfg.Retry = cfg.Retry.withDefaults()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -132,7 +129,7 @@ func New(cfg Config) (*Router, error) {
 		// Timeout is a hard backstop above the per-attempt context in
 		// case a peer streams a response forever.
 		hc:         &http.Client{Timeout: 5 * time.Minute},
-		jitter:     circuit.NewJitter(1), // fixed seed: retry schedules repeat run to run
+		jitter:     newJitter(1), // fixed seed: retry schedules repeat run to run
 		logf:       logf,
 		peers:      make(map[string]*peerState, len(remote)),
 		firstSweep: make(chan struct{}),
@@ -140,7 +137,7 @@ func New(cfg Config) (*Router, error) {
 	for _, p := range remote {
 		r.peers[p] = &peerState{
 			up:  true, // optimistic: forwards try immediately, probes correct within failThreshold sweeps
-			brk: circuit.New("peer:"+p, cfg.BreakerThreshold, cfg.BreakerCooldown),
+			brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		}
 	}
 	return r, nil
@@ -250,15 +247,15 @@ func (r *Router) Snapshot() map[string]PeerSnapshot {
 	return out
 }
 
-// breaker returns peer's circuit breaker (never nil; unknown peers get a
+// peerBreaker returns peer's circuit breaker (never nil; unknown peers get a
 // throwaway so calls still work in tests).
-func (r *Router) breaker(peer string) *circuit.Breaker {
+func (r *Router) peerBreaker(peer string) *breaker {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if st, ok := r.peers[peer]; ok {
 		return st.brk
 	}
-	return circuit.New("peer:"+peer, r.cfg.BreakerThreshold, r.cfg.BreakerCooldown)
+	return newBreaker(r.cfg.BreakerThreshold, r.cfg.BreakerCooldown)
 }
 
 // withRetry runs one logical peer request — method on peer's path, with
@@ -267,15 +264,15 @@ func (r *Router) breaker(peer string) *circuit.Breaker {
 // Attempts run under actx and the backoff between them under ctx, so an
 // actx detached from ctx keeps the attempt in flight after ctx ends, but
 // no retry follows it.
-// An open breaker fails at once with circuit.ErrOpen. BusyError counts
+// An open breaker fails at once with errOpen. BusyError counts
 // as a SUCCESS for the breaker (a peer saying 429 is alive and talking)
 // and is returned immediately so the caller can pass the origin's
 // Retry-After through.
 func (r *Router) withRetry(ctx, actx context.Context, peer, method, path string, body []byte, maxResp int64, handle func(reply) error) error {
-	brk := r.breaker(peer)
-	return circuit.Retry(ctx, r.cfg.Retry, r.jitter, retryable, nil, func() error {
+	brk := r.peerBreaker(peer)
+	return retry(ctx, r.cfg.Retry, r.jitter, retryable, func() error {
 		if !brk.Allow() {
-			return fmt.Errorf("cluster: peer %s: %w", peer, circuit.ErrOpen)
+			return fmt.Errorf("cluster: peer %s: %w", peer, errOpen)
 		}
 		rp, err := r.do(actx, fpForward, method, peer, path, body, maxResp)
 		if err == nil {

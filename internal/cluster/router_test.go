@@ -9,12 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/kit-ces/hayat/internal/circuit"
 )
 
-func fastRetry() circuit.Backoff {
-	return circuit.Backoff{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+func fastRetry() Backoff {
+	return Backoff{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 }
 
 func newTestRouter(t *testing.T, peers []string, cfg Config) *Router {
@@ -60,14 +58,14 @@ func TestRouterBreakerGatesForwarding(t *testing.T) {
 
 	// Breaker is now open: no further network traffic.
 	_, err = r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1)
-	if !errors.Is(err, circuit.ErrOpen) {
+	if !errors.Is(err, errOpen) {
 		t.Fatalf("open breaker returned %v", err)
 	}
 	if hits.Load() != after {
 		t.Fatalf("open breaker still hit the peer (%d → %d)", after, hits.Load())
 	}
 	snap := r.Snapshot()[srv.URL]
-	if snap.Breaker.State != circuit.Open || snap.Breaker.Trips == 0 {
+	if snap.Breaker.State != breakerOpen || snap.Breaker.Trips == 0 {
 		t.Fatalf("breaker snapshot: %+v", snap.Breaker)
 	}
 }
@@ -96,7 +94,7 @@ func TestRouterBusyPassthrough(t *testing.T) {
 	if hits.Load() != 1 {
 		t.Fatalf("busy reply retried: %d attempts", hits.Load())
 	}
-	if snap := r.Snapshot()[srv.URL]; snap.Breaker.State != circuit.Closed {
+	if snap := r.Snapshot()[srv.URL]; snap.Breaker.State != breakerClosed {
 		t.Fatalf("busy reply tripped the breaker: %+v", snap.Breaker)
 	}
 }

@@ -32,8 +32,8 @@ import (
 	"time"
 )
 
-// ErrInjected is the root cause of every injected failure; retry layers
-// classify errors as transient with errors.Is(err, ErrInjected).
+// ErrInjected is the root cause of every injected failure; callers tell
+// an injected fault apart with errors.Is(err, ErrInjected).
 var ErrInjected = errors.New("faultinject: injected fault")
 
 // EnvVar is the environment variable ArmFromEnv reads

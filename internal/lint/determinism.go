@@ -58,7 +58,7 @@ import (
 // population summary (internal/metrics, whose aggregates are part of
 // every population Result) and the figure harness (internal/experiments,
 // internal/report). The serving layers (internal/service, cluster,
-// store, merkle, circuit) are deliberately nondeterministic in their
+// store, merkle) are deliberately nondeterministic in their
 // scheduling — timestamps, backoff jitter, hedged fetches — and are
 // guarded by the runtime determinism suites and the replicated store's
 // leaf-conflict check instead; internal/faultinject is test-only
@@ -126,7 +126,6 @@ var determinismExcluded = []string{
 	"internal/cluster",
 	"internal/store",
 	"internal/merkle",
-	"internal/circuit",
 	"internal/faultinject",
 	"internal/lint",
 	"internal/testutil",

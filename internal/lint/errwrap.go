@@ -11,7 +11,8 @@ import (
 //
 //  1. fmt.Errorf that embeds an error value must use %w, not %v/%s/%q —
 //     otherwise errors.Is/As cannot see through the wrapper, which
-//     breaks the retry layer's transient-error classification.
+//     breaks error classification (the router's retries, a checkpoint
+//     resume's injected-fault check).
 //  2. Sentinel errors must be compared with errors.Is, never == or != —
 //     a wrapped faultinject.ErrInjected compares unequal to the
 //     sentinel and silently defeats the check.

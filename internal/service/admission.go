@@ -129,8 +129,7 @@ func (a *admission) popLocked() *Job {
 	if q = q[1:]; len(q) == 0 {
 		// An idle client's entry would hold nothing, and keeping it would
 		// keep every name ever seen.
-		a.order = append(a.order[:a.rr], a.order[a.rr+1:]...)
-		delete(a.clients, name)
+		a.dropClientLocked(name)
 	} else {
 		a.clients[name] = q
 		a.rr++
@@ -141,6 +140,45 @@ func (a *admission) popLocked() *Job {
 		a.popN++
 	}
 	return j
+}
+
+// remove takes a queued job out of its client's queue, freeing its slot.
+// A job a worker has already popped is absent; the worker skips it once
+// it sees the job is no longer queued.
+func (a *admission) remove(j *Job) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	q := a.clients[j.client]
+	for i, qj := range q {
+		if qj != j {
+			continue
+		}
+		a.total--
+		if len(q) == 1 {
+			a.dropClientLocked(j.client)
+			return
+		}
+		copy(q[i:], q[i+1:])
+		q[len(q)-1] = nil
+		a.clients[j.client] = q[:len(q)-1]
+		return
+	}
+}
+
+// dropClientLocked removes an emptied client's entry and its place in
+// the round-robin order, keeping rr on the client it would serve next.
+func (a *admission) dropClientLocked(name string) {
+	delete(a.clients, name)
+	for i, c := range a.order {
+		if c != name {
+			continue
+		}
+		a.order = append(a.order[:i], a.order[i+1:]...)
+		if i < a.rr {
+			a.rr--
+		}
+		return
+	}
 }
 
 // retryAfterLocked projects the time until the queue frees a slot at the

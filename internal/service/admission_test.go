@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -50,6 +51,88 @@ func TestForceEnqueueBypassesChecks(t *testing.T) {
 	}
 	if err := a.enqueue(testJob("d"), true); err != nil {
 		t.Fatalf("forced enqueue after close (recovery) failed: %v", err)
+	}
+}
+
+// Removing a queued job frees its slot at once, and a client whose queue
+// the removal empties leaves the round-robin order without costing the
+// next client its turn.
+func TestRemoveFreesSlotAndKeepsTurns(t *testing.T) {
+	a := newAdmission(4)
+	x1, x2, y1, z1 := testJob("x"), testJob("x"), testJob("y"), testJob("z")
+	for _, j := range []*Job{x1, x2, y1, z1} {
+		if err := a.enqueue(j, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j, _ := a.pop(); j != x1 {
+		t.Fatalf("first pop %q, want x's first job", j.client)
+	}
+	// y is next in turn; its only job goes, and the turn passes to z.
+	a.remove(y1)
+	a.remove(y1) // no longer queued: a no-op
+	w1 := testJob("w")
+	if err := a.enqueue(w1, false); err != nil {
+		t.Fatalf("enqueue after a removal: %v", err)
+	}
+	for _, want := range []*Job{z1, w1, x2} {
+		if j, _ := a.pop(); j != want {
+			t.Fatalf("popped %q's job, want %q's", j.client, want.client)
+		}
+	}
+	if d := a.depths(); d != nil {
+		t.Fatalf("drained queue keeps client entries: %v", d)
+	}
+}
+
+// Removals racing the workers' pops hand out no job twice and leave the
+// queue's count exact: once every job is popped or removed, the queue is
+// empty and the closed queue lets its workers go. Run with -race.
+func TestRemoveRacingPops(t *testing.T) {
+	const n = 200
+	a := newAdmission(n)
+	jobs := make([]*Job, n)
+	for i := range jobs {
+		jobs[i] = testJob(fmt.Sprintf("client-%d", i%4))
+		if err := a.enqueue(jobs[i], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	popped := make(chan *Job, n)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				j, ok := a.pop()
+				if !ok {
+					return
+				}
+				popped <- j
+			}
+		}()
+	}
+	for i := 0; i < n; i += 2 {
+		a.remove(jobs[i])
+	}
+	a.close()
+	wg.Wait()
+	close(popped)
+	seen := make(map[*Job]bool)
+	for j := range popped {
+		if seen[j] {
+			t.Fatal("a job was popped twice")
+		}
+		seen[j] = true
+	}
+	for i := 1; i < n; i += 2 {
+		if !seen[jobs[i]] {
+			t.Fatalf("job %d, never removed, was never popped", i)
+		}
+	}
+	if a.total != 0 || len(a.order) != 0 || a.depths() != nil {
+		t.Fatalf("drained queue: total %d, order %v, depths %v", a.total, a.order, a.depths())
 	}
 }
 

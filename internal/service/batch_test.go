@@ -28,30 +28,33 @@ func shutdownFast(t testing.TB, s *Server) {
 }
 
 // submitBlocker occupies the (single) worker with a slow job and waits
-// until it is actually running, so batch items stay queued. A stall on
-// every thermal window keeps the job running for seconds, however fast
-// the simulator runs; the test's end disarms it.
-func submitBlocker(t *testing.T, s *Server) JobStatus {
-	t.Helper()
+// until it is actually running, so later jobs stay queued. A 50-ms stall
+// on each of its 400 thermal windows keeps it running for 20 s, however
+// fast the simulator runs, and a shutdown stops it at the next epoch
+// boundary; the test's end disarms the stall.
+func submitBlocker(tb testing.TB, s *Server) {
+	tb.Helper()
 	if err := faultinject.ArmSpecs("sim.thermal-solve=sleep(50ms)"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(faultinject.DisarmAll)
-	st, err := s.SubmitLifetime(slowCfg(), 999, "hayat")
+	tb.Cleanup(faultinject.DisarmAll)
+	cfg := slowCfg()
+	cfg.EpochYears /= 10
+	st, err := s.SubmitLifetime(cfg, 999, "hayat")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		cur, err := s.Status(st.ID, false)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if cur.State == JobRunning {
-			return cur
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("blocker never started: %+v", cur)
+			tb.Fatalf("blocker never started: %+v", cur)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -57,13 +57,11 @@ func newRouter(opts Options, logf func(string, ...any)) (*cluster.Router, error)
 		return nil, nil
 	}
 	return cluster.New(cluster.Config{
-		Self:             opts.Cluster.Self,
-		Peers:            opts.Cluster.Peers,
-		ProbeInterval:    opts.Cluster.ProbeInterval,
-		Retry:            opts.Retry,
-		BreakerThreshold: opts.BreakerThreshold,
-		BreakerCooldown:  opts.BreakerCooldown,
-		Logf:             logf,
+		Self:          opts.Cluster.Self,
+		Peers:         opts.Cluster.Peers,
+		ProbeInterval: opts.Cluster.ProbeInterval,
+		Retry:         opts.Retry,
+		Logf:          logf,
 	})
 }
 

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
-	"github.com/kit-ces/hayat/internal/circuit"
+	"github.com/kit-ces/hayat/internal/cluster"
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
@@ -26,7 +26,7 @@ func startClusterNode(t *testing.T, ln net.Listener, peers []string, tweak func(
 	t.Helper()
 	opts := Options{
 		Workers: 2,
-		Retry:   circuit.Backoff{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		Retry:   cluster.Backoff{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 		Cluster: ClusterOptions{Self: "http://" + ln.Addr().String(), Peers: peers, ProbeInterval: 50 * time.Millisecond},
 	}
 	if tweak != nil {

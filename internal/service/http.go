@@ -13,6 +13,7 @@ import (
 
 	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/cluster"
+	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/merkle"
 	"github.com/kit-ces/hayat/internal/store"
 )
@@ -397,8 +398,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	ast := s.AuditStats()
 	snap.Merkle.Segments = ast.Segments
 	snap.Merkle.SealedSegments = ast.SealedSegments
-	snap.Breakers = s.Breakers()
-	snap.Failpoints = s.Failpoints()
+	snap.Failpoints = faultinject.Stats()
 	snap.Store.ReplicationDebt = s.store.Debt()
 	snap.Store.Warmed = s.store.Ready()
 	if s.router != nil {

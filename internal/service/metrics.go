@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/cluster"
+	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/sim"
 )
 
@@ -172,10 +172,8 @@ type Metrics struct {
 	// "identical requests ran the engine exactly once".
 	SimRuns Counter
 
-	// Reliability counters: crash recovery, retries, checkpointing and
-	// corruption handling.
-	Retries               Counter // transient failures retried with backoff
-	RetryExhausted        Counter // retry budgets that ran out
+	// Reliability counters: crash recovery, checkpointing and corruption
+	// handling.
 	JobsRecovered         Counter // jobs re-enqueued from the journal at startup
 	CheckpointWrites      Counter // checkpoints persisted
 	CheckpointWriteErrors Counter // checkpoint persists that failed (sim continued)
@@ -279,8 +277,6 @@ type MetricsSnapshot struct {
 		Platforms int   `json:"platforms"`
 	} `json:"artifacts"`
 	Reliability struct {
-		Retries               int64 `json:"retries"`
-		RetryExhausted        int64 `json:"retry_exhausted"`
 		JobsRecovered         int64 `json:"jobs_recovered"`
 		CheckpointWrites      int64 `json:"checkpoint_writes"`
 		CheckpointWriteErrors int64 `json:"checkpoint_write_errors"`
@@ -349,23 +345,15 @@ type MetricsSnapshot struct {
 		ReplicationDebt int  `json:"replication_debt"`
 		Warmed          bool `json:"warmed"`
 	} `json:"store"`
-	// Breakers and Failpoints are filled in by the server (they live
-	// outside Metrics); empty maps are elided.
-	Breakers   map[string]circuit.Snapshot `json:"breakers,omitempty"`
-	Failpoints map[string]FailpointStats   `json:"failpoints,omitempty"`
+	// Failpoints is filled in by the server from the process-wide
+	// registry; it is elided when no failpoint is armed.
+	Failpoints map[string]faultinject.PointStats `json:"failpoints,omitempty"`
 
 	SimRuns      int64                        `json:"sim_runs"`
 	StageSeconds map[string]HistogramSnapshot `json:"stage_seconds"`
 	// EpochStages breaks simulated wall-clock down by per-epoch phase
 	// (mapping / thermal / aging) across all runs.
 	EpochStages map[string]EpochStageSnapshot `json:"epoch_stages"`
-}
-
-// FailpointStats is one armed failpoint's activity, as served on /metrics.
-type FailpointStats struct {
-	Spec  string `json:"spec"`
-	Hits  int64  `json:"hits"`
-	Fires int64  `json:"fires"`
 }
 
 // Snapshot collects every counter and histogram.
@@ -379,8 +367,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.Jobs.Coalesced = m.Coalesced.Value()
 	s.Cache.Hits = m.CacheHits.Value()
 	s.Cache.Misses = m.CacheMisses.Value()
-	s.Reliability.Retries = m.Retries.Value()
-	s.Reliability.RetryExhausted = m.RetryExhausted.Value()
 	s.Reliability.JobsRecovered = m.JobsRecovered.Value()
 	s.Reliability.CheckpointWrites = m.CheckpointWrites.Value()
 	s.Reliability.CheckpointWriteErrors = m.CheckpointWriteErrors.Value()

@@ -129,12 +129,11 @@ func TestMetricsSnapshotStoreSection(t *testing.T) {
 
 func TestMetricsSnapshotReliabilitySection(t *testing.T) {
 	var m Metrics
-	m.Retries.Add(3)
 	m.JobsRecovered.Add(2)
 	m.LastResumeEpoch.Store(16)
 	m.Quarantined.Add(1)
 	s := m.Snapshot()
-	if s.Reliability.Retries != 3 || s.Reliability.JobsRecovered != 2 ||
+	if s.Reliability.JobsRecovered != 2 ||
 		s.Reliability.LastResumeEpoch != 16 || s.Reliability.Quarantined != 1 {
 		t.Fatalf("reliability snapshot: %+v", s.Reliability)
 	}

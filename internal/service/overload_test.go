@@ -219,26 +219,9 @@ func TestQueueFullReturns429(t *testing.T) {
 // submit past capacity gets 429 naming the queue, with a Retry-After.
 func TestQueueAdmitsAnyWorkWhileItHasRoom(t *testing.T) {
 	const queueDepth = 8
-	s, ts := newParkedServer(t, Options{QueueDepth: queueDepth})
-
-	// The parked worker takes the first job and holds it, so every later
-	// accepted job stays queued.
-	resp, first, _ := postJSON(t, ts, "/v1/lifetime", lifetimeBody(1, "alice", ""))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: status %d", resp.StatusCode)
-	}
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
-		st, err := s.Status(first.ID, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the worker never took %s (state %s)", first.ID, st.State)
-		}
-	}
+	// The parked worker holds its blocker, so every accepted job stays
+	// queued.
+	_, ts := newParkedServer(t, Options{QueueDepth: queueDepth})
 
 	// Cheap work from three clients fills the queue to one below capacity.
 	clients := []string{"alice", "bob", "carol"}
@@ -266,6 +249,50 @@ func TestQueueAdmitsAnyWorkWhileItHasRoom(t *testing.T) {
 	}
 	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || sec < 1 {
 		t.Errorf("429 Retry-After = %q, want integer ≥ 1", resp.Header.Get("Retry-After"))
+	}
+}
+
+// TestCancelledQueuedJobFreesItsSlot checks that cancelling a queued job
+// gives its queue slot back at once: with the worker busy and the queue
+// full, cancelling one queued job lets the next submit in, and
+// client_depths counts only live jobs.
+func TestCancelledQueuedJobFreesItsSlot(t *testing.T) {
+	_, ts := newParkedServer(t, Options{QueueDepth: 2})
+	var queued []JobStatus
+	for i, client := range []string{"alice", "bob"} {
+		resp, st, msg := postJSON(t, ts, "/v1/lifetime", lifetimeBody(int64(1+i), client, ""))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d (%s)", i, resp.StatusCode, msg)
+		}
+		queued = append(queued, st)
+	}
+	if resp, _, msg := postJSON(t, ts, "/v1/lifetime", lifetimeBody(3, "carol", "")); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit to a full queue: status %d (%s), want 429", resp.StatusCode, msg)
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued[0].ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel %s: status %d", queued[0].ID, resp.StatusCode)
+	}
+
+	resp, st, msg := postJSON(t, ts, "/v1/lifetime", lifetimeBody(3, "carol", ""))
+	if resp.StatusCode != http.StatusAccepted || st.State != JobQueued {
+		t.Fatalf("submit after a cancel: status %d, state %q (%s), want 202 queued", resp.StatusCode, st.State, msg)
+	}
+	var met MetricsSnapshot
+	if err := getJSON(t, ts.URL+"/metrics", &met); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(met.Admission.ClientDepths); got != "map[bob:1 carol:1]" {
+		t.Fatalf("client_depths %s, want map[bob:1 carol:1]", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,15 +17,14 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
-	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 	"github.com/kit-ces/hayat/internal/sim"
 	"github.com/kit-ces/hayat/internal/store"
 )
 
-// openStore opens a bare result store on dir, built as New builds it but
-// with the disk tier unguarded, and returns its disk tier too.
+// openStore opens a bare result store on dir, built as New builds it, and
+// returns its disk tier too.
 func openStore(t *testing.T, dir string) (*store.Replicated, *store.Disk) {
 	t.Helper()
 	disk, err := store.OpenDisk(dir)
@@ -434,22 +434,18 @@ func TestRecoveredPopulationJobReusesChipResults(t *testing.T) {
 	}
 }
 
-// With the disk-cache failpoints firing on every access, the breaker
-// trips open and the service keeps answering from its memory tier.
-func TestCacheFailpointTripsBreakerServiceStaysUp(t *testing.T) {
+// With the disk-cache failpoints firing on every access, every read is a
+// miss and every result write fails, and the service keeps answering:
+// repeats from its memory tier, fresh work by simulating it.
+func TestCacheFailpointsServiceStaysUp(t *testing.T) {
 	defer faultinject.DisarmAll()
 	if err := faultinject.ArmSpecs("service.cache-read=always,service.cache-write=always"); err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Options{
-		DataDir:          t.TempDir(),
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // stays open for the whole test
-	})
+	s := newTestServer(t, Options{DataDir: t.TempDir()})
 
-	// First job: the cold-cache read fails (1) and the result persist
-	// fails (2) — the breaker trips at threshold 2. The job itself must
-	// complete untouched.
+	// First job: the cold-cache read and the result persist both fail.
+	// The job itself must complete untouched.
 	st, err := s.SubmitLifetime(tinyCfg(), 11, "hayat")
 	if err != nil {
 		t.Fatal(err)
@@ -459,12 +455,9 @@ func TestCacheFailpointTripsBreakerServiceStaysUp(t *testing.T) {
 		t.Fatalf("job under cache faults: %s (%s)", st.State, st.Error)
 	}
 	want := st.Result
-	if brk := s.Breakers()["disk-cache"]; brk.State != circuit.Open || brk.Trips != 1 {
-		t.Fatalf("breaker after disk faults: %+v", brk)
-	}
 
 	// Identical requests are answered byte-identically from the memory
-	// tier while the breaker is open.
+	// tier.
 	st2, err := s.SubmitLifetime(tinyCfg(), 11, "hayat")
 	if err != nil {
 		t.Fatal(err)
@@ -474,70 +467,95 @@ func TestCacheFailpointTripsBreakerServiceStaysUp(t *testing.T) {
 		t.Fatalf("memory-tier repeat: %s", st2.State)
 	}
 
-	// A different request misses memory; the open breaker short-circuits
-	// the disk (rejections counted) and the job still completes.
+	// A different request misses memory and the disk, and the job still
+	// completes.
 	st3, err := s.SubmitLifetime(tinyCfg(), 21, "hayat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st3 = waitDone(t, s, st3.ID)
 	if st3.State != JobDone {
-		t.Fatalf("fresh job under open breaker: %s (%s)", st3.State, st3.Error)
-	}
-	brk := s.Breakers()["disk-cache"]
-	if brk.State != circuit.Open {
-		t.Fatalf("disk-cache breaker state %q, want open", brk.State)
-	}
-	if brk.Rejected < 2 {
-		t.Fatalf("breaker rejections %d, want ≥ 2 (read + write short-circuited)", brk.Rejected)
+		t.Fatalf("fresh job under disk faults: %s (%s)", st3.State, st3.Error)
 	}
 	// /metrics exposes the armed failpoints.
-	fps := s.Failpoints()
-	if fps["service.cache-read"].Fires == 0 {
-		t.Fatalf("failpoint stats missing: %+v", fps)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var met MetricsSnapshot
+	if err := getJSON(t, ts.URL+"/metrics", &met); err != nil {
+		t.Fatal(err)
+	}
+	if met.Failpoints["service.cache-read"].Fires == 0 {
+		t.Fatalf("failpoint stats missing: %+v", met.Failpoints)
 	}
 }
 
-// A transient fail(3) failpoint on the thermal-solve seam must be
-// absorbed by the retry layer: the job succeeds with no client-visible
-// error and the retries are counted.
-func TestTransientSimFailureRetriedToSuccess(t *testing.T) {
-	defer faultinject.DisarmAll()
-	if err := faultinject.ArmSpecs("sim.thermal-solve=fail(3)"); err != nil {
+// TestWriteFaultsDoNotHideStoredResults checks that failed result writes
+// never keep a stored result from being read: after a batch of fresh
+// lifetimes whose every write failed, a result already on disk is still
+// answered from it, cached and byte-identical, without a simulation.
+func TestWriteFaultsDoNotHideStoredResults(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Options{DataDir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Options{
-		Retry: circuit.Backoff{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-	})
-	st, err := s.SubmitLifetime(tinyCfg(), 12, "hayat")
+	st, err := s1.SubmitLifetime(tinyCfg(), 7, "hayat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitDone(t, s1, st.ID).Result
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	defer faultinject.DisarmAll()
+	if err := faultinject.ArmSpecs("service.cache-write=always"); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{DataDir: dir, Workers: 1})
+	const fresh = 5
+	items := make([]BatchItem, fresh)
+	for i := range items {
+		items[i] = tinyItem(int64(100 + i))
+	}
+	results, err := s.SubmitBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !r.Accepted {
+			t.Fatalf("item %d not accepted: %+v", i, r)
+		}
+		if st := waitDone(t, s, r.Job.ID); st.State != JobDone {
+			t.Fatalf("item %d: %s (%s)", i, st.State, st.Error)
+		}
+	}
+	if got := s.Metrics().SimRuns.Value(); got != fresh {
+		t.Fatalf("sim_runs %d after the batch, want %d", got, fresh)
+	}
+
+	st, err = s.SubmitLifetime(tinyCfg(), 7, "hayat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st = waitDone(t, s, st.ID)
-	if st.State != JobDone || st.Error != "" {
-		t.Fatalf("job with transient faults: %s (%q)", st.State, st.Error)
+	if st.State != JobDone || !st.Cached || !bytes.Equal(st.Result, want) {
+		t.Fatalf("stored result after failed writes: state %s, cached %v, %d bytes (want the stored %d)",
+			st.State, st.Cached, len(st.Result), len(want))
 	}
-	if got := s.Metrics().Retries.Value(); got != 3 {
-		t.Fatalf("retries %d, want 3", got)
-	}
-	if got := s.Metrics().RetryExhausted.Value(); got != 0 {
-		t.Fatalf("retry budget reported exhausted %d times", got)
-	}
-	if !bytes.Equal(st.Result, referenceResult(t, tinyCfg(), 12)) {
-		t.Fatal("retried result differs from a clean run")
+	if got := s.Metrics().SimRuns.Value(); got != fresh {
+		t.Fatalf("sim_runs %d, want %d: the stored result was simulated again", got, fresh)
 	}
 }
 
-// When transient failures outlast the retry budget the job fails with the
-// injected error and the exhaustion is counted.
-func TestRetryBudgetExhausted(t *testing.T) {
+// An injected thermal-solve fault fails the job with the injected error:
+// a simulation is deterministic in its request, so it is not run again.
+func TestInjectedSimFailureFailsJob(t *testing.T) {
 	defer faultinject.DisarmAll()
-	if err := faultinject.ArmSpecs("service.job-spawn=always"); err != nil {
+	if err := faultinject.ArmSpecs("sim.thermal-solve=always"); err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Options{
-		Retry: circuit.Backoff{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-	})
+	s := newTestServer(t, Options{})
 	st, err := s.SubmitLifetime(tinyCfg(), 13, "hayat")
 	if err != nil {
 		t.Fatal(err)
@@ -546,8 +564,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if st.State != JobFailed || !strings.Contains(st.Error, "injected fault") {
 		t.Fatalf("state %s error %q", st.State, st.Error)
 	}
-	if got := s.Metrics().RetryExhausted.Value(); got != 1 {
-		t.Fatalf("retry exhausted %d, want 1", got)
+	if got := s.Metrics().JobsFailed.Value(); got != 1 {
+		t.Fatalf("jobs failed %d, want 1", got)
 	}
 }
 
@@ -656,17 +674,13 @@ func TestSubmitSurvivesJournalFailure(t *testing.T) {
 }
 
 // Checkpoint-write failpoints must never fail the simulation: the run
-// completes, the errors are counted, and the checkpoint breaker engages.
+// completes and the errors are counted.
 func TestCheckpointWriteFailureDoesNotFailJob(t *testing.T) {
 	defer faultinject.DisarmAll()
 	if err := faultinject.ArmSpecs("service.checkpoint-write=always"); err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Options{
-		CheckpointDir:    t.TempDir(),
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-	})
+	s := newTestServer(t, Options{CheckpointDir: t.TempDir()})
 	st, err := s.SubmitLifetime(ckptCfg(), 15, "hayat")
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
-	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/cluster"
 	"github.com/kit-ces/hayat/internal/store"
 )
@@ -43,7 +42,7 @@ func TestReplicationNodeHelper(t *testing.T) {
 		DataDir:             os.Getenv("HAYAT_REPL_DATA"),
 		Replicas:            1, // replica set = owner + 1 ring successor
 		AntiEntropyInterval: 500 * time.Millisecond,
-		Retry:               circuit.Backoff{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+		Retry:               cluster.Backoff{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 		Cluster: ClusterOptions{
 			Self:          self,
 			Peers:         strings.Split(os.Getenv("HAYAT_REPL_PEERS"), ","),

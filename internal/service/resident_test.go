@@ -9,7 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"github.com/kit-ces/hayat/internal/circuit"
+	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/store"
 )
 
@@ -51,11 +51,11 @@ func runDistinctJobs(t *testing.T, s *Server, n int) []JobStatus {
 // finished job's result: more distinct jobs than the memory tier holds
 // leave it at its bound, yet every job's /result returns its original
 // bytes with a verifying proof. A result no durable tier holds, because
-// its disk write was skipped, stays on its job record and keeps serving
-// after eviction, and a job whose stored copy was quarantined answers 404
+// its disk write failed, stays on its job record and keeps serving after
+// eviction, and a job whose stored copy was quarantined answers 404
 // with no result in its status.
 func TestResidentResultsBounded(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir(), BreakerThreshold: 1})
+	s := newTestServer(t, Options{Workers: 1, DataDir: t.TempDir()})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -94,9 +94,10 @@ func TestResidentResultsBounded(t *testing.T) {
 		t.Fatalf("quarantined result: status %s (%v) carries a result", data, err)
 	}
 
-	// Open the disk-cache breaker: the next fresh result skips the disk.
-	for s.cacheBrk.Stats().State != circuit.Open {
-		s.cacheBrk.Report(false)
+	// Fail every disk write: the next fresh result never reaches the disk.
+	defer faultinject.DisarmAll()
+	if err := faultinject.ArmSpecs("service.cache-write=always"); err != nil {
+		t.Fatal(err)
 	}
 	unstored, err := s.SubmitLifetime(tinyCfg(), 900, "vaa")
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/kit-ces/hayat"
-	"github.com/kit-ces/hayat/internal/circuit"
 	"github.com/kit-ces/hayat/internal/cluster"
 	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/merkle"
@@ -32,9 +31,8 @@ import (
 	"github.com/kit-ces/hayat/internal/store"
 )
 
-// Failpoint names on the job-execution hot seams.
+// Failpoint names on the checkpoint directory's seams.
 const (
-	fpJobSpawn        = "service.job-spawn"
 	fpCheckpointWrite = "service.checkpoint-write"
 	fpCheckpointRead  = "service.checkpoint-read"
 )
@@ -262,14 +260,10 @@ type Options struct {
 	// up to the workload-remix stride. Zero checkpoints at every remix
 	// boundary. Ignored without CheckpointDir.
 	CheckpointEvery int
-	// Retry bounds transient-failure retries around chip spawn and
-	// simulation (zero values select the circuit.Backoff defaults).
-	Retry circuit.Backoff
-	// BreakerThreshold consecutive failures trip the disk-cache and
-	// checkpoint circuit breakers open (default 5); BreakerCooldown is
-	// how long they stay open before a half-open probe (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// Retry bounds the cluster router's retries of a failed peer
+	// request (zero values select the cluster.Backoff defaults). Ignored
+	// without cluster mode.
+	Retry cluster.Backoff
 	// DefaultDeadline bounds jobs whose submit carries no deadline of its
 	// own (queue wait plus simulation). Zero means unbounded.
 	DefaultDeadline time.Duration
@@ -307,13 +301,10 @@ type Server struct {
 	start time.Time
 	logf  func(string, ...any)
 
-	jnl      *journal        // nil when journalling is disabled
-	audit    *merkle.Log     // always set; memory-only without AuditPath
-	router   *cluster.Router // nil in single-node mode
-	ready    atomic.Bool     // journal replayed + worker pool up
-	cacheBrk *circuit.Breaker
-	ckptBrk  *circuit.Breaker
-	jitter   *circuit.Jitter
+	jnl    *journal        // nil when journalling is disabled
+	audit  *merkle.Log     // always set; memory-only without AuditPath
+	router *cluster.Router // nil in single-node mode
+	ready  atomic.Bool     // journal replayed + worker pool up
 
 	baseCtx context.Context
 	stopAll context.CancelFunc
@@ -383,9 +374,6 @@ func New(opts Options) (*Server, error) {
 		logf:     logf,
 		jnl:      jnl,
 		audit:    audit,
-		cacheBrk: circuit.New("disk-cache", opts.BreakerThreshold, opts.BreakerCooldown),
-		ckptBrk:  circuit.New("checkpoint", opts.BreakerThreshold, opts.BreakerCooldown),
-		jitter:   circuit.NewJitter(1), // fixed seed: retry schedules repeat run to run
 		baseCtx:  ctx,
 		stopAll:  cancel,
 		jobs:     make(map[string]*Job),
@@ -393,7 +381,6 @@ func New(opts Options) (*Server, error) {
 		adm:      newAdmission(opts.QueueDepth),
 	}
 	if disk != nil {
-		disk.Guard = s.cacheBrk.Do
 		disk.OnQuarantine = func() {
 			s.met.Quarantined.Add(1)
 			s.met.StoreQuarantines.Add(1)
@@ -556,28 +543,6 @@ func (s *Server) recordTerminal(op, id string) {
 		s.met.JournalAppendErrors.Add(1)
 		s.logf("service: %v", err)
 	}
-}
-
-// Breakers snapshots the server's circuit breakers for /metrics.
-func (s *Server) Breakers() map[string]circuit.Snapshot {
-	return map[string]circuit.Snapshot{
-		s.cacheBrk.Name(): s.cacheBrk.Stats(),
-		s.ckptBrk.Name():  s.ckptBrk.Stats(),
-	}
-}
-
-// Failpoints snapshots the armed failpoints (from the process-wide
-// registry) for /metrics.
-func (s *Server) Failpoints() map[string]FailpointStats {
-	stats := faultinject.Stats()
-	if len(stats) == 0 {
-		return nil
-	}
-	out := make(map[string]FailpointStats, len(stats))
-	for name, st := range stats {
-		out[name] = FailpointStats{Spec: st.Spec, Hits: st.Hits, Fires: st.Fires}
-	}
-	return out
 }
 
 // Metrics exposes the server's counters (also served on GET /metrics).
@@ -905,9 +870,9 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Cancel aborts a job: a queued job is marked cancelled immediately, a
-// running job has its context cancelled and stops at the next epoch
-// boundary. Cancelling a terminal job is a no-op.
+// Cancel aborts a job: a queued job is marked cancelled immediately and
+// gives up its queue slot, a running job has its context cancelled and
+// stops at the next epoch boundary. Cancelling a terminal job is a no-op.
 func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -917,6 +882,7 @@ func (s *Server) Cancel(id string) error {
 	}
 	switch j.state {
 	case JobQueued:
+		s.adm.remove(j)
 		s.finishLocked(j, JobCancelled, "cancelled while queued", true)
 		s.met.JobsCancelled.Add(1)
 		s.mu.Unlock()
@@ -1170,9 +1136,9 @@ func (s *Server) replicaCopy(ctx context.Context, j *Job) []byte {
 	return data
 }
 
-// execute runs the simulation for one job under its context. Transient
-// failures (injected faults on the spawn and thermal-solve seams) are
-// retried with exponential backoff before the job is failed.
+// execute runs the simulation for one job under its context. A
+// simulation is deterministic in its request, so a failure fails the
+// job: running it again would fail the same way.
 func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		// Already cancelled (typically a shutdown draining a deep queue):
@@ -1195,27 +1161,14 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 	var buf bytes.Buffer
 	switch j.req.Kind {
 	case KindLifetime, KindChip:
-		var chip *hayat.Chip
-		err := s.withRetries(ctx, j.id, func() error {
-			if ferr := faultinject.Hit(fpJobSpawn); ferr != nil {
-				return ferr
-			}
-			var cerr error
-			chip, cerr = sys.NewChip(j.req.Seed)
-			return cerr
-		})
+		chip, err := sys.NewChip(j.req.Seed)
 		if err != nil {
 			return nil, err
 		}
 		s.met.Setup.Observe(time.Since(setupStart))
 		simStart := time.Now()
 		s.met.SimRuns.Add(1)
-		var res *hayat.LifetimeResult
-		err = s.withRetries(ctx, j.id, func() error {
-			var rerr error
-			res, rerr = s.runLifetime(ctx, j, chip, pol)
-			return rerr
-		})
+		res, err := s.runLifetime(ctx, j, chip, pol)
 		if err != nil {
 			return nil, err
 		}
@@ -1234,9 +1187,6 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		}
 		s.met.Encode.Observe(time.Since(encStart))
 	case KindPopulation:
-		if err := s.withRetries(ctx, j.id, func() error { return faultinject.Hit(fpJobSpawn) }); err != nil {
-			return nil, err
-		}
 		s.met.Setup.Observe(time.Since(setupStart))
 		simStart := time.Now()
 		s.met.SimRuns.Add(1)
@@ -1250,14 +1200,9 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 				store = cst
 			}
 		}
-		var pr *hayat.PopulationResult
-		err = s.withRetries(ctx, j.id, func() error {
-			var rerr error
-			pr, rerr = sys.RunPopulationContext(ctx, j.req.Seed, j.req.Chips, pol,
-				func(done, total int) { j.doneChips.raise(int64(done)) },
-				store)
-			return rerr
-		})
+		pr, err := sys.RunPopulationContext(ctx, j.req.Seed, j.req.Chips, pol,
+			func(done, total int) { j.doneChips.raise(int64(done)) },
+			store)
 		if err != nil {
 			return nil, err
 		}
@@ -1273,19 +1218,6 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 	// An exact-size copy: the buffer's spare capacity would otherwise stay
 	// pinned for as long as the result is held.
 	return bytes.Clone(buf.Bytes()), nil
-}
-
-// withRetries runs fn under the server's retry policy, counting retries
-// and exhausted budgets.
-func (s *Server) withRetries(ctx context.Context, jobID string, fn func() error) error {
-	err := circuit.Retry(ctx, s.opts.Retry, s.jitter, isTransient, func(attempt int, rerr error) {
-		s.met.Retries.Add(1)
-		s.logf("service: %s transient failure (attempt %d): %v; backing off", jobID, attempt, rerr)
-	}, fn)
-	if err != nil && isTransient(err) {
-		s.met.RetryExhausted.Add(1)
-	}
-	return err
 }
 
 // runLifetime runs one chip's lifetime with checkpointing when a
@@ -1315,20 +1247,18 @@ func (s *Server) runLifetime(ctx context.Context, j *Job, chip *hayat.Chip, pol 
 		s.logf("service: %s resumed from checkpoint %s", j.id, filepath.Base(path))
 		return res, nil
 	}
-	// Transient (injected) failures and cancellations must reach the
-	// retry layer / caller; only a genuinely unusable checkpoint is
-	// discarded in favour of a fresh run.
-	if isTransient(err) || ctx.Err() != nil {
+	// Injected faults and cancellations fail the job; only a genuinely
+	// unusable checkpoint is discarded in favour of a fresh run.
+	if errors.Is(err, faultinject.ErrInjected) || ctx.Err() != nil {
 		return nil, err
 	}
 	s.logf("service: %s checkpoint unusable (%v), restarting from epoch 0", j.id, err)
 	return chip.RunLifetimeWithCheckpoints(ctx, pol, nil, s.opts.CheckpointEvery, sink)
 }
 
-// checkpointSink persists checkpoints best-effort: a failed (or
-// breaker-rejected) write is logged and counted but never aborts the
-// simulation — the run just retries at the next cadence point with a
-// fresher checkpoint.
+// checkpointSink persists checkpoints best-effort: a failed write is
+// logged and counted but never aborts the simulation — the run skips
+// that checkpoint and writes a fresher one at the next cadence point.
 func (s *Server) checkpointSink(path string) hayat.CheckpointSink {
 	return func(nextEpoch int, data []byte) error {
 		if err := s.writeArtifact(path, data); err != nil {
@@ -1362,14 +1292,11 @@ func (s *Server) readArtifact(path string) ([]byte, error) {
 	return payload, err
 }
 
-// writeArtifact persists payload CRC-framed and atomically through the
-// checkpoint breaker, counting the write or its failure. Callers treat a
-// failure as best-effort: the simulation goes on without the file.
+// writeArtifact persists payload CRC-framed and atomically, counting the
+// write or its failure. Callers treat a failure as best-effort: the
+// simulation goes on without the file.
 func (s *Server) writeArtifact(path string, payload []byte) error {
-	err := s.ckptBrk.Do(func() error {
-		return persist.WriteFramed(path, payload, fpCheckpointWrite)
-	})
-	if err != nil {
+	if err := persist.WriteFramed(path, payload, fpCheckpointWrite); err != nil {
 		s.met.CheckpointWriteErrors.Add(1)
 		return err
 	}
@@ -1407,8 +1334,8 @@ func (s *Server) chipStore(key string) hayat.ChipResultStore {
 
 // chipStore persists each completed population chip as a CRC-framed
 // <key>.chip-<seed>.json so a recovered population job skips finished
-// chips. Writes go through the checkpoint breaker; corrupt files are
-// quarantined and recomputed.
+// chips. Writes are best-effort; corrupt files are quarantined and
+// recomputed.
 type chipStore struct {
 	s   *Server
 	key string

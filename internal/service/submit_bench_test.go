@@ -11,10 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"github.com/kit-ces/hayat/internal/circuit"
-	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
 // benchSeq hands out globally unique seeds so no two submissions in a
@@ -23,23 +19,19 @@ var benchSeq atomic.Int64
 
 const benchCfgJSON = `{"Rows":4,"Cols":4,"Years":1,"WindowSeconds":1,"MixApps":2}`
 
-// newParkedServer builds a server whose lone worker is parked: every
-// spawn attempt fails injected and backs off for an hour (ctx-aware), so
-// accepted jobs stay queued and only admission decides what happens to a
-// submit — compute never shadows the submit path.
+// newParkedServer builds a server whose lone worker is parked on a
+// stalled blocker job (submitBlocker), so accepted jobs stay queued and
+// only admission decides what happens to a submit — compute never
+// shadows the submit path.
 func newParkedServer(tb testing.TB, opts Options) (*Server, *httptest.Server) {
 	tb.Helper()
-	if err := faultinject.Arm(fpJobSpawn, "always"); err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(faultinject.DisarmAll)
 	opts.Workers = 1
-	opts.Retry = circuit.Backoff{MaxAttempts: 1 << 20, BaseDelay: time.Hour, MaxDelay: time.Hour}
 	s, err := New(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { shutdownFast(tb, s) })
+	submitBlocker(tb, s)
 	ts := httptest.NewServer(s.Handler())
 	tb.Cleanup(ts.Close)
 	return s, ts

@@ -505,9 +505,9 @@ func (e *Engine) runRange(ctx context.Context, st *runState, from, to int) error
 			adaptParallelism(mix, asg, len(mres.Unmapped), maxOn, cfg.MixSeed+int64(ep))
 		}
 
-		// Fine-grained transient window. The failpoint stands in for a
-		// transient solver/sensor fault; the service's retry layer treats
-		// the injected error as retryable.
+		// The failpoint stands in for a solver fault: an injected error
+		// fails the run, and hayatd fails the job with it. Its sleep mode
+		// stalls each epoch without changing the result.
 		if ferr := faultinject.Hit("sim.thermal-solve"); ferr != nil {
 			return fmt.Errorf("sim: thermal window at epoch %d: %w", ep, ferr)
 		}

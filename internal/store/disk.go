@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,9 +21,6 @@ import (
 type Disk struct {
 	dir string
 
-	// Guard wraps every disk I/O closure; the service routes it through
-	// the cache circuit breaker. Nil runs the closure unguarded.
-	Guard func(fn func() error) error
 	// OnQuarantine is called once per quarantined entry (nil: ignored).
 	OnQuarantine func()
 	// Verify, when set, rejects decoded bytes that fail the external
@@ -65,20 +61,14 @@ func (s *Disk) Keys() []string {
 	return keys
 }
 
+// get reads key's entry. Any failure — a missing, corrupt or unreadable
+// file — is a miss.
 func (s *Disk) get(key string) ([]byte, bool) {
 	if s == nil || !ValidKey(key) {
 		return nil, false
 	}
-	var data []byte
-	err := s.guard(func() error {
-		payload, err := s.read(key, FPCacheRead)
-		if err != nil && !errors.Is(err, persist.ErrCorruptFrame) && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("store: cache read: %w", err)
-		}
-		data = payload
-		return nil
-	})
-	if err != nil || data == nil {
+	data, err := s.read(key, FPCacheRead)
+	if err != nil {
 		return nil, false
 	}
 	return data, true
@@ -88,19 +78,16 @@ func (s *Disk) put(key string, data []byte) error {
 	if s == nil || !ValidKey(key) {
 		return nil
 	}
-	return s.guard(func() error {
-		if err := persist.WriteFramed(s.path(key), data, FPCacheWrite); err != nil {
-			return fmt.Errorf("store: cache write: %w", err)
-		}
-		return nil
-	})
+	if err := persist.WriteFramed(s.path(key), data, FPCacheWrite); err != nil {
+		return fmt.Errorf("store: cache write: %w", err)
+	}
+	return nil
 }
 
 // read reads key's entry under failpoint (persist.ReadFramed).
 // Corruption (a bad or missing frame, Verify rejection) quarantines the
-// file and returns an error wrapping persist.ErrCorruptFrame, which
-// callers read as a miss, never as an I/O failure — bit rot must not
-// trip the breaker or be served.
+// file and returns an error wrapping persist.ErrCorruptFrame, so bit rot
+// is never served.
 func (s *Disk) read(key, failpoint string) ([]byte, error) {
 	var verify func([]byte) error
 	if s.Verify != nil {
@@ -148,13 +135,6 @@ func (s *Disk) Quarantine(key string) {
 	if _, err := persist.Quarantine(s.path(key)); err == nil && s.OnQuarantine != nil {
 		s.OnQuarantine()
 	}
-}
-
-func (s *Disk) guard(fn func() error) error {
-	if s.Guard == nil {
-		return fn()
-	}
-	return s.Guard(fn)
 }
 
 func (s *Disk) path(key string) string {
