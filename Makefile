@@ -101,14 +101,15 @@ drill-cluster:
 drill-replication:
 	$(GO) test -race -run '^TestReplicationKillOwnerDrill$$' -v ./internal/service
 
-# Batch-vs-single submit throughput → committed JSON baseline. A fixed
-# iteration count (not wall time) bounds how many jobs pile into the
-# parked queue; speedups_vs_single in the output is the batch win.
+# Batch-vs-single submit throughput as JSON on stdout; it writes no file.
+# A fixed iteration count (not wall time) bounds how many jobs pile into
+# the parked queue; speedups_vs_single in the output is the batch win.
+# Refreshing the committed baseline is a deliberate
+# `make -s bench-submit > BENCH_PR6.json` at the default 30x.
 SUBMIT_BENCHTIME ?= 30x
 bench-submit:
-	$(GO) test ./internal/service -run '^$$' -bench 'BenchmarkSubmitThroughput' \
-		-benchtime $(SUBMIT_BENCHTIME) | $(GO) run ./cmd/benchjson > BENCH_PR6.json
-	@cat BENCH_PR6.json
+	@$(GO) test ./internal/service -run '^$$' -bench 'BenchmarkSubmitThroughput' \
+		-benchtime $(SUBMIT_BENCHTIME) | $(GO) run ./cmd/benchjson
 
 # Section VI overhead (EXPERIMENTS.md E10): one health estimate, one
 # thermal prediction, one whole-mix decision and one application-arrival

@@ -7,59 +7,48 @@ import (
 	"time"
 )
 
-// Backoff bounds how the router retries a failed peer request:
-// exponential backoff from BaseDelay, doubled per attempt, capped at
-// MaxDelay, with up to half a step of deterministic jitter so coordinated
-// retries spread out. Zero values select defaults.
-type Backoff struct {
-	MaxAttempts int           // total tries including the first (default 4)
-	BaseDelay   time.Duration // first backoff (default 50ms)
-	MaxDelay    time.Duration // backoff ceiling (default 2s)
+// backoff bounds how a failed peer request is retried: exponential
+// backoff from baseDelay, doubled per attempt, capped at maxDelay, with
+// up to half a step of deterministic jitter so coordinated retries
+// spread out.
+type backoff struct {
+	maxAttempts int           // total tries including the first
+	baseDelay   time.Duration // first backoff
+	maxDelay    time.Duration // backoff ceiling
 }
 
-// withDefaults returns p with every unset field at its default.
-func (p Backoff) withDefaults() Backoff {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	return p
-}
+// peerRetry is the router's one retry schedule: 4 attempts, backing off
+// from 50 ms and doubling up to 2 s.
+var peerRetry = backoff{maxAttempts: 4, baseDelay: 50 * time.Millisecond, maxDelay: 2 * time.Second}
 
 // delay computes the backoff before attempt n (n ≥ 1 is the first retry).
 // A nil jitter gives the exact schedule.
-func (p Backoff) delay(n int, j *jitter) time.Duration {
-	d := float64(p.BaseDelay)
+func (p backoff) delay(n int, j *jitter) time.Duration {
+	d := float64(p.baseDelay)
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
+		if d >= float64(p.maxDelay) {
+			d = float64(p.maxDelay)
 			break
 		}
 	}
 	if j != nil {
 		d += j.draw() * d / 2
 	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	if d > float64(p.maxDelay) {
+		d = float64(p.maxDelay)
 	}
 	return time.Duration(d)
 }
 
 // retry calls fn until it succeeds, fails with an error retryable
-// rejects, or p.MaxAttempts calls have failed, sleeping p's schedule
+// rejects, or p.maxAttempts calls have failed, sleeping p's schedule
 // between calls; the last error is returned. A context that ends during
 // a sleep ends the loop with the context's error.
-func retry(ctx context.Context, p Backoff, j *jitter, retryable func(error) bool, fn func() error) error {
-	p = p.withDefaults()
+func retry(ctx context.Context, p backoff, j *jitter, retryable func(error) bool, fn func() error) error {
 	for attempt := 1; ; attempt++ {
 		err := fn()
-		if err == nil || !retryable(err) || attempt >= p.MaxAttempts {
+		if err == nil || !retryable(err) || attempt >= p.maxAttempts {
 			return err
 		}
 		select {

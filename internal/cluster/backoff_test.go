@@ -9,9 +9,9 @@ import (
 )
 
 func TestBackoffSchedule(t *testing.T) {
-	pol := Backoff{}.withDefaults()
-	if pol.MaxAttempts != 4 || pol.BaseDelay != 50*time.Millisecond {
-		t.Fatalf("defaults: %+v", pol)
+	pol := peerRetry
+	if pol.maxAttempts != 4 || pol.baseDelay != 50*time.Millisecond || pol.maxDelay != 2*time.Second {
+		t.Fatalf("router schedule: %+v", pol)
 	}
 	// Without jitter the schedule is exactly base·mult^(n-1), capped.
 	if d := pol.delay(1, nil); d != 50*time.Millisecond {
@@ -20,7 +20,7 @@ func TestBackoffSchedule(t *testing.T) {
 	if d := pol.delay(2, nil); d != 100*time.Millisecond {
 		t.Fatalf("second delay %v", d)
 	}
-	if d := pol.delay(10, nil); d != pol.MaxDelay {
+	if d := pol.delay(10, nil); d != pol.maxDelay {
 		t.Fatalf("capped delay %v", d)
 	}
 	// Jitter adds at most half a step and respects the cap.
@@ -28,7 +28,7 @@ func TestBackoffSchedule(t *testing.T) {
 	for n := 1; n < 12; n++ {
 		d := pol.delay(n, jr)
 		base := pol.delay(n, nil)
-		if d < base || d > pol.MaxDelay+pol.MaxDelay/2 {
+		if d < base || d > pol.maxDelay+pol.maxDelay/2 {
 			t.Fatalf("jittered delay %v out of range (base %v)", d, base)
 		}
 	}
@@ -39,7 +39,7 @@ func TestBackoffSchedule(t *testing.T) {
 // permanent ones fail at once, the budget is bounded, and cancellation
 // is never retried.
 func TestRetryOnlyRetriesTransientErrors(t *testing.T) {
-	pol := Backoff{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	pol := backoff{maxAttempts: 4, baseDelay: time.Millisecond, maxDelay: 2 * time.Millisecond}
 	errFlaky := errors.New("flaky")
 	transient := func(err error) bool { return errors.Is(err, errFlaky) }
 
@@ -67,7 +67,7 @@ func TestRetryOnlyRetriesTransientErrors(t *testing.T) {
 		t.Fatalf("permanent error retried: err %v calls %d", err, calls)
 	}
 
-	// The budget is bounded: MaxAttempts total tries, then the last error.
+	// The budget is bounded: maxAttempts total tries, then the last error.
 	calls = 0
 	err = retry(context.Background(), pol, newJitter(1), transient, func() error {
 		calls++

@@ -38,15 +38,15 @@ type breaker struct {
 	failures  int64
 }
 
-// newBreaker returns a closed breaker. threshold <= 0 defaults to 5
-// consecutive failures; cooldown <= 0 defaults to 5s.
+// The router's peer breakers trip after breakerThreshold consecutive
+// failures and stay open for breakerCooldown.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
+)
+
+// newBreaker returns a closed breaker.
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, state: breakerClosed}
 }
 

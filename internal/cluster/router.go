@@ -22,20 +22,12 @@ type Config struct {
 	// is checked.
 	ProbeInterval time.Duration
 
-	// Retry is the backoff schedule across attempts of one peer request.
-	Retry Backoff
-
-	// Per-peer circuit breakers (defaults: 5 consecutive failures, 5s
-	// cooldown).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	Logf func(format string, args ...any)
 }
 
 // Peer-client timing and probe thresholds. Every peer request attempt
 // is bounded by attemptTimeout; retries across attempts follow
-// Config.Retry. failThreshold consecutive bad probes evict a peer from
+// peerRetry. failThreshold consecutive bad probes evict a peer from
 // the ring; recoverThreshold consecutive good probes restore it.
 const (
 	attemptTimeout   = 10 * time.Second
@@ -117,7 +109,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -137,7 +128,7 @@ func New(cfg Config) (*Router, error) {
 	for _, p := range remote {
 		r.peers[p] = &peerState{
 			up:  true, // optimistic: forwards try immediately, probes correct within failThreshold sweeps
-			brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			brk: newBreaker(breakerThreshold, breakerCooldown),
 		}
 	}
 	return r, nil
@@ -255,7 +246,7 @@ func (r *Router) peerBreaker(peer string) *breaker {
 	if st, ok := r.peers[peer]; ok {
 		return st.brk
 	}
-	return newBreaker(r.cfg.BreakerThreshold, r.cfg.BreakerCooldown)
+	return newBreaker(breakerThreshold, breakerCooldown)
 }
 
 // withRetry runs one logical peer request — method on peer's path, with
@@ -270,7 +261,7 @@ func (r *Router) peerBreaker(peer string) *breaker {
 // Retry-After through.
 func (r *Router) withRetry(ctx, actx context.Context, peer, method, path string, body []byte, maxResp int64, handle func(reply) error) error {
 	brk := r.peerBreaker(peer)
-	return retry(ctx, r.cfg.Retry, r.jitter, retryable, func() error {
+	return retry(ctx, peerRetry, r.jitter, retryable, func() error {
 		if !brk.Allow() {
 			return fmt.Errorf("cluster: peer %s: %w", peer, errOpen)
 		}

@@ -11,17 +11,10 @@ import (
 	"time"
 )
 
-func fastRetry() Backoff {
-	return Backoff{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-}
-
 func newTestRouter(t *testing.T, peers []string, cfg Config) *Router {
 	t.Helper()
 	cfg.Self = "http://self.invalid"
 	cfg.Peers = peers
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = fastRetry()
-	}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,40 +32,47 @@ func TestRouterBreakerGatesForwarding(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	r := newTestRouter(t, []string{srv.URL}, Config{
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-	})
+	r := newTestRouter(t, []string{srv.URL}, Config{})
 	ctx := context.Background()
 
-	// First forward: 3 attempts (500 is transient), all fail → breaker
-	// reaches its threshold mid-loop and the retry loop short-circuits.
-	_, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1)
-	if err == nil {
+	// First forward: every one of peerRetry's attempts fails (500 is
+	// transient), one short of the breaker's threshold.
+	if _, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1); err == nil {
 		t.Fatal("forward to 500-peer succeeded")
 	}
-	after := hits.Load()
-	if after == 0 {
-		t.Fatal("peer never contacted")
+	if n := hits.Load(); n != int64(peerRetry.maxAttempts) {
+		t.Fatalf("first forward made %d attempts, want %d", n, peerRetry.maxAttempts)
+	}
+	if snap := r.Snapshot()[srv.URL]; snap.Breaker.State != breakerClosed {
+		t.Fatalf("breaker tripped before its threshold: %+v", snap.Breaker)
+	}
+
+	// Second forward: its first attempt is the threshold-th failure, and
+	// the breaker cuts the retry loop short.
+	if _, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1); !errors.Is(err, errOpen) {
+		t.Fatalf("second forward returned %v, want the open breaker", err)
+	}
+	if n := hits.Load(); n != breakerThreshold {
+		t.Fatalf("peer saw %d attempts, want %d", n, breakerThreshold)
 	}
 
 	// Breaker is now open: no further network traffic.
-	_, err = r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1)
+	_, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1)
 	if !errors.Is(err, errOpen) {
 		t.Fatalf("open breaker returned %v", err)
 	}
-	if hits.Load() != after {
-		t.Fatalf("open breaker still hit the peer (%d → %d)", after, hits.Load())
+	if n := hits.Load(); n != breakerThreshold {
+		t.Fatalf("open breaker still hit the peer (%d attempts)", n)
 	}
 	snap := r.Snapshot()[srv.URL]
-	if snap.Breaker.State != breakerOpen || snap.Breaker.Trips == 0 {
+	if snap.Breaker.State != breakerOpen || snap.Breaker.Trips != 1 {
 		t.Fatalf("breaker snapshot: %+v", snap.Breaker)
 	}
 }
 
 // 429/503 replies surface as BusyError with the origin's Retry-After, are
 // not retried, and do NOT trip the breaker (a peer shedding load is
-// alive).
+// alive), however many arrive in a row.
 func TestRouterBusyPassthrough(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -82,20 +82,22 @@ func TestRouterBusyPassthrough(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	r := newTestRouter(t, []string{srv.URL}, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	_, err := r.SubmitBatch(context.Background(), srv.URL, []byte(`{}`), 1)
-	var be *BusyError
-	if !errors.As(err, &be) {
-		t.Fatalf("want BusyError, got %v", err)
-	}
-	if be.Status != http.StatusTooManyRequests || be.RetryAfter != 7*time.Second {
-		t.Fatalf("busy error: %+v", be)
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("busy reply retried: %d attempts", hits.Load())
+	r := newTestRouter(t, []string{srv.URL}, Config{})
+	for i := int64(1); i <= breakerThreshold; i++ {
+		_, err := r.SubmitBatch(context.Background(), srv.URL, []byte(`{}`), 1)
+		var be *BusyError
+		if !errors.As(err, &be) {
+			t.Fatalf("reply %d: want BusyError, got %v", i, err)
+		}
+		if be.Status != http.StatusTooManyRequests || be.RetryAfter != 7*time.Second {
+			t.Fatalf("busy error: %+v", be)
+		}
+		if hits.Load() != i {
+			t.Fatalf("busy reply retried: %d attempts after %d replies", hits.Load(), i)
+		}
 	}
 	if snap := r.Snapshot()[srv.URL]; snap.Breaker.State != breakerClosed {
-		t.Fatalf("busy reply tripped the breaker: %+v", snap.Breaker)
+		t.Fatalf("busy replies tripped the breaker: %+v", snap.Breaker)
 	}
 }
 

@@ -59,7 +59,7 @@ import (
 // every population Result) and the figure harness (internal/experiments,
 // internal/report). The serving layers (internal/service, cluster,
 // store, merkle) are deliberately nondeterministic in their
-// scheduling — timestamps, backoff jitter, hedged fetches — and are
+// scheduling — timestamps, backoff jitter, replica reads — and are
 // guarded by the runtime determinism suites and the replicated store's
 // leaf-conflict check instead; internal/faultinject is test-only
 // injection. Edges through those packages still exist in the graph, only

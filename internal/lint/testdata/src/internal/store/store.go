@@ -10,7 +10,7 @@ import (
 )
 
 // readTierRaw reads a durable-tier entry with no failpoint in the
-// function: the anti-entropy and hedged-read drills cannot fault it.
+// function: the anti-entropy and replica-read drills cannot fault it.
 func readTierRaw(path string) ([]byte, error) {
 	return os.ReadFile(path) // want `os\.ReadFile without a faultinject failpoint in readTierRaw`
 }

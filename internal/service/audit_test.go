@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -165,11 +166,25 @@ func TestProofHTTPRoundTrip(t *testing.T) {
 func TestProofSurvivesRestart(t *testing.T) {
 	base := t.TempDir()
 	opts := Options{
-		Workers:            2,
-		DataDir:            filepath.Join(base, "data"),
-		JournalPath:        filepath.Join(base, "jobs.journal"),
-		AuditPath:          filepath.Join(base, "audit.log"),
-		AuditSegmentLeaves: 2, // seal a segment within the test
+		Workers:     2,
+		DataDir:     filepath.Join(base, "data"),
+		JournalPath: filepath.Join(base, "jobs.journal"),
+		AuditPath:   filepath.Join(base, "audit.log"),
+	}
+	// Placeholder leaves fill segment 0 to two short of a seal, so seed
+	// 2's leaf seals it within the test.
+	const placeholders = merkle.DefaultSegmentLeaves - 2
+	pre, _, err := merkle.OpenLog(opts.AuditPath, merkle.DefaultSegmentLeaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < placeholders; i++ {
+		if _, _, err := pre.Append(fmt.Sprintf("placeholder-%03d", i), merkle.LeafHash([]byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pre.Close(); err != nil {
+		t.Fatal(err)
 	}
 	s1, err := New(opts)
 	if err != nil {
@@ -192,10 +207,10 @@ func TestProofSurvivesRestart(t *testing.T) {
 			if perr != nil {
 				t.Fatal(perr)
 			}
-			rootSealed = pr.Root // segment 0 seals at 2 leaves
+			rootSealed = pr.Root // seed 2's leaf sealed segment 0
 		}
 	}
-	if st := s1.AuditStats(); st.Leaves != 3 || st.SealedSegments != 1 {
+	if st := s1.AuditStats(); st.Leaves != placeholders+3 || st.SealedSegments != 1 {
 		t.Fatalf("pre-restart audit stats %+v", st)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -205,7 +220,7 @@ func TestProofSurvivesRestart(t *testing.T) {
 	cancel()
 
 	s2 := newTestServer(t, opts)
-	if st := s2.AuditStats(); st.Leaves != 3 || st.Segments != 2 || st.SealedSegments != 1 {
+	if st := s2.AuditStats(); st.Leaves != placeholders+3 || st.Segments != 2 || st.SealedSegments != 1 {
 		t.Fatalf("post-restart audit stats %+v", st)
 	}
 	for seed := int64(1); seed <= 3; seed++ {

@@ -60,7 +60,6 @@ func newRouter(opts Options, logf func(string, ...any)) (*cluster.Router, error)
 		Self:          opts.Cluster.Self,
 		Peers:         opts.Cluster.Peers,
 		ProbeInterval: opts.Cluster.ProbeInterval,
-		Retry:         opts.Retry,
 		Logf:          logf,
 	})
 }
@@ -535,10 +534,8 @@ type ReadyStatus struct {
 
 // Readiness reports whether this node should receive traffic: the journal
 // has been replayed and the worker pool is up (both done before New
-// returns), the node is not draining, the result store has warmed up
-// (its local entries CRC-validated, corrupt ones quarantined), and — in
-// cluster mode — the first peer health sweep has completed so the ring
-// reflects reality. Liveness
+// returns), the node is not draining, and — in cluster mode — the first
+// peer health sweep has completed so the ring reflects reality. Liveness
 // (GET /healthz) stays true throughout: a draining node is alive but not
 // ready.
 func (s *Server) Readiness() ReadyStatus {
@@ -554,9 +551,6 @@ func (s *Server) Readiness() ReadyStatus {
 	}
 	if s.router != nil && !s.router.FirstSweepDone() {
 		reasons = append(reasons, "cluster: first peer health sweep incomplete")
-	}
-	if !s.store.Ready() {
-		reasons = append(reasons, "store: warm-up (local segment CRC validation) incomplete")
 	}
 	return ReadyStatus{Ready: len(reasons) == 0, Draining: draining, Reasons: reasons}
 }

@@ -4,21 +4,26 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/cluster"
+	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
-// drillCfg is the per-chip workload of the kill-a-peer drill: slow
-// enough (~1s/chip) that a SIGKILLed peer is holding unfinished chips,
-// fast enough that six chips finish in test time.
+// drillCfg is the per-chip workload of the kill-a-peer drill: 16 epochs
+// of a few milliseconds each, so six chips finish in test time. The
+// simulator alone can finish the victim's chips before the kill lands,
+// so the victim's helper arms drillStall: each of its chips then takes
+// at least 0.8 s, and the kill always finds them unfinished.
 func drillCfg() hayat.Config {
 	cfg := hayat.DefaultConfig()
 	cfg.Rows, cfg.Cols = 4, 4
@@ -28,17 +33,57 @@ func drillCfg() hayat.Config {
 	return cfg
 }
 
+// drillStall is the victim helper's HAYAT_FAILPOINTS spec (see drillCfg).
+const drillStall = "sim.thermal-solve=sleep(50ms)"
+
+// drillURLs reserves n loopback base URLs for a drill's helper nodes on
+// ports in [10000, 32768), below the ephemeral ranges of Linux (32768–
+// 60999 by default) and of IANA (49152–65535). An outgoing connection
+// only takes an ephemeral port, so no node's dial can take a drill port
+// between its reservation and the helper binding it, or while a killed
+// helper's port waits for its restart; a dial to a killed helper is
+// refused.
+func drillURLs(t *testing.T, n int) []string {
+	t.Helper()
+	const lowest, ephemeral = 10000, 32768
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	seen := make(map[int]bool)
+	var urls []string
+	for tries := 0; len(urls) < n; tries++ {
+		if tries == 1000 {
+			t.Fatalf("no %d free ports in [%d, %d)", n, lowest, ephemeral)
+		}
+		port := lowest + rng.Intn(ephemeral-lowest)
+		if seen[port] {
+			continue
+		}
+		seen[port] = true
+		addr := net.JoinHostPort("127.0.0.1", strconv.Itoa(port))
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			continue // bound by something else
+		}
+		ln.Close()
+		urls = append(urls, "http://"+addr)
+	}
+	return urls
+}
+
 // TestClusterNodeHelper is not a test: it is one node of the 3-node
-// drill cluster, a real hayatd-like server that runs until its parent
-// kills it or the test binary exits.
+// drill cluster, a real hayatd-like server whose failpoints are armed
+// from HAYAT_FAILPOINTS, and which runs until its parent kills it or the
+// test binary exits.
 func TestClusterNodeHelper(t *testing.T) {
 	self := os.Getenv("HAYAT_CLUSTER_SELF")
 	if os.Getenv("HAYAT_CLUSTER_HELPER") != "1" || self == "" {
 		t.Skip("cluster-drill helper; spawned by TestClusterKillPeerDrill")
 	}
+	if err := faultinject.ArmFromEnv(); err != nil {
+		fmt.Fprintln(os.Stderr, "cluster helper:", err)
+		os.Exit(1)
+	}
 	s, err := New(Options{
 		Workers: 2,
-		Retry:   cluster.Backoff{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 		Cluster: ClusterOptions{
 			Self:          self,
 			Peers:         strings.Split(os.Getenv("HAYAT_CLUSTER_PEERS"), ","),
@@ -59,8 +104,9 @@ func TestClusterNodeHelper(t *testing.T) {
 }
 
 // drillNode spawns one helper node bound to urls[i], peered with the
-// other entries of urls.
-func drillNode(t *testing.T, urls []string, i int) *exec.Cmd {
+// other entries of urls. failpoints is its HAYAT_FAILPOINTS spec ("" =
+// none).
+func drillNode(t *testing.T, urls []string, i int, failpoints string) *exec.Cmd {
 	t.Helper()
 	var peers []string
 	for j, u := range urls {
@@ -72,7 +118,8 @@ func drillNode(t *testing.T, urls []string, i int) *exec.Cmd {
 	cmd.Env = append(os.Environ(),
 		"HAYAT_CLUSTER_HELPER=1",
 		"HAYAT_CLUSTER_SELF="+urls[i],
-		"HAYAT_CLUSTER_PEERS="+strings.Join(peers, ","))
+		"HAYAT_CLUSTER_PEERS="+strings.Join(peers, ","),
+		faultinject.EnvVar+"="+failpoints)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -91,18 +138,9 @@ func TestClusterKillPeerDrill(t *testing.T) {
 		t.Skip("multi-process cluster drill")
 	}
 
-	// Pre-allocate three ports so the circular peer URLs are known
-	// before any node starts. (Close-then-reuse has a tiny race; the
-	// kernel won't hand these ports out again this quickly.)
-	urls := make([]string, 3)
-	for i := range urls {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		urls[i] = "http://" + ln.Addr().String()
-		ln.Close()
-	}
+	// Reserve three ports so the circular peer URLs are known before
+	// any node starts.
+	urls := drillURLs(t, 3)
 
 	// Pick a base seed for which the victim (node 2) is assigned at
 	// least one of the six chip keys — computed with the SAME
@@ -129,7 +167,11 @@ func TestClusterKillPeerDrill(t *testing.T) {
 
 	cmds := make([]*exec.Cmd, 3)
 	for i := range cmds {
-		cmds[i] = drillNode(t, urls, i)
+		stall := ""
+		if urls[i] == victim {
+			stall = drillStall
+		}
+		cmds[i] = drillNode(t, urls, i, stall)
 	}
 	t.Cleanup(func() {
 		for _, cmd := range cmds {

@@ -68,7 +68,7 @@ type errorBody struct {
 //	GET    /v1/store/{key}     replica read: local copy as a store envelope (HEAD: leaf hash only)
 //	PUT    /v1/store/{key}     replica write: store a peer's verified result copy
 //	GET    /healthz            liveness (pure: alive even while draining)
-//	GET    /readyz             readiness (503 until replay + workers + first peer sweep + store warm-up)
+//	GET    /readyz             readiness (503 until replay + workers + first peer sweep)
 //	GET    /metrics            counters and latency histograms
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -300,12 +300,12 @@ const maxStorePutBody = 256 << 20
 
 // handleStoreGet answers GET/HEAD /v1/store/{key}: the peer replica-read
 // surface. It serves only the LOCAL tiers (a miss here must never
-// recurse into another hedged fetch) and only bytes that verify against
-// this node's Merkle audit — a divergent local copy is quarantined and
-// reported as a miss, never served. GET bodies are raw store envelopes
-// (self-verifying: magic, key, leaf hash, length), not the indented
-// JSON the human API uses; both verbs carry the leaf hash in a header
-// so HEAD doubles as the anti-entropy stat probe.
+// recurse into another replica read) and only bytes that verify against
+// this node's Merkle audit — a divergent local copy is quarantined (the
+// store counts it) and reported as a miss, never served. GET bodies are
+// raw store envelopes (self-verifying: magic, key, leaf hash, length),
+// not the indented JSON the human API uses; both verbs carry the leaf
+// hash in a header so HEAD doubles as the anti-entropy stat probe.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !store.ValidKey(key) {
@@ -319,7 +319,6 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.verifyStored(key, data); err != nil {
 		s.store.Quarantine(key)
-		s.met.StoreQuarantines.Add(1)
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: local copy of %s quarantined: %w", key, err))
 		return
 	}
@@ -400,7 +399,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap.Merkle.SealedSegments = ast.SealedSegments
 	snap.Failpoints = faultinject.Stats()
 	snap.Store.ReplicationDebt = s.store.Debt()
-	snap.Store.Warmed = s.store.Ready()
 	if s.router != nil {
 		snap.Cluster.Enabled = true
 		snap.Cluster.Self = s.router.Self()

@@ -229,8 +229,6 @@ type Metrics struct {
 
 	// Replicated result-store outcomes (see internal/store). The debt
 	// gauge is read live from the store, not counted here.
-	StoreHedgedWins       Counter   // hedged replica fetches that supplied the served bytes
-	StoreHedgedLosses     Counter   // launched hedged attempts that lost (failed, missed, cancelled)
 	StoreReadRepairs      Counter   // local tiers or peers repaired from a verifying copy
 	StoreQuarantines      Counter   // store entries quarantined (corrupt or divergent)
 	StoreReplicaPuts      Counter   // result copies pushed to peers
@@ -330,8 +328,6 @@ type MetricsSnapshot struct {
 		Peers map[string]cluster.PeerSnapshot `json:"peers,omitempty"`
 	} `json:"cluster"`
 	Store struct {
-		HedgedWins     int64             `json:"hedged_wins"`
-		HedgedLosses   int64             `json:"hedged_losses"`
 		ReadRepairs    int64             `json:"read_repairs"`
 		Quarantines    int64             `json:"quarantines"`
 		ReplicaPuts    int64             `json:"replica_puts"`
@@ -339,11 +335,9 @@ type MetricsSnapshot struct {
 		ReplicaServes  int64             `json:"replica_serves"`
 		Sweeps         int64             `json:"sweeps"`
 		SweepSeconds   HistogramSnapshot `json:"sweep_seconds"`
-		// ReplicationDebt and Warmed are filled in by the server from the
-		// live store: copies currently owed to peers, and whether the
-		// warm-up CRC scan has finished.
-		ReplicationDebt int  `json:"replication_debt"`
-		Warmed          bool `json:"warmed"`
+		// ReplicationDebt is filled in by the server from the live store:
+		// copies currently owed to peers.
+		ReplicationDebt int `json:"replication_debt"`
 	} `json:"store"`
 	// Failpoints is filled in by the server from the process-wide
 	// registry; it is elided when no failpoint is armed.
@@ -398,8 +392,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.Cluster.ChipsStolen = m.ChipsStolen.Value()
 	s.Cluster.ForwardSeconds = m.ForwardLatency.Snapshot()
 	s.Cluster.FetchSeconds = m.RemoteFetch.Snapshot()
-	s.Store.HedgedWins = m.StoreHedgedWins.Value()
-	s.Store.HedgedLosses = m.StoreHedgedLosses.Value()
 	s.Store.ReadRepairs = m.StoreReadRepairs.Value()
 	s.Store.Quarantines = m.StoreQuarantines.Value()
 	s.Store.ReplicaPuts = m.StoreReplicaPuts.Value()

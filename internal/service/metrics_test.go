@@ -102,8 +102,6 @@ func TestCounterStore(t *testing.T) {
 
 func TestMetricsSnapshotStoreSection(t *testing.T) {
 	var m Metrics
-	m.StoreHedgedWins.Add(2)
-	m.StoreHedgedLosses.Add(3)
 	m.StoreReadRepairs.Add(4)
 	m.StoreQuarantines.Add(1)
 	m.StoreReplicaPuts.Add(7)
@@ -112,17 +110,16 @@ func TestMetricsSnapshotStoreSection(t *testing.T) {
 	m.StoreSweeps.Add(6)
 	m.StoreSweepDur.Observe(10 * time.Millisecond)
 	s := m.Snapshot()
-	if s.Store.HedgedWins != 2 || s.Store.HedgedLosses != 3 || s.Store.ReadRepairs != 4 ||
-		s.Store.Quarantines != 1 || s.Store.ReplicaPuts != 7 || s.Store.ReplicaPutErrs != 1 ||
-		s.Store.ReplicaServes != 5 || s.Store.Sweeps != 6 {
+	if s.Store.ReadRepairs != 4 || s.Store.Quarantines != 1 || s.Store.ReplicaPuts != 7 ||
+		s.Store.ReplicaPutErrs != 1 || s.Store.ReplicaServes != 5 || s.Store.Sweeps != 6 {
 		t.Fatalf("store snapshot: %+v", s.Store)
 	}
 	if s.Store.SweepSeconds.Count != 1 {
 		t.Fatalf("sweep histogram count %d, want 1", s.Store.SweepSeconds.Count)
 	}
-	// ReplicationDebt and Warmed are live server state, filled by the
-	// /metrics handler, not the snapshot.
-	if s.Store.ReplicationDebt != 0 || s.Store.Warmed {
+	// ReplicationDebt is live server state, filled by the /metrics
+	// handler, not the snapshot.
+	if s.Store.ReplicationDebt != 0 {
 		t.Fatalf("live fields must start zero: %+v", s.Store)
 	}
 }

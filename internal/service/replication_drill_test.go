@@ -42,7 +42,6 @@ func TestReplicationNodeHelper(t *testing.T) {
 		DataDir:             os.Getenv("HAYAT_REPL_DATA"),
 		Replicas:            1, // replica set = owner + 1 ring successor
 		AntiEntropyInterval: 500 * time.Millisecond,
-		Retry:               cluster.Backoff{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 		Cluster: ClusterOptions{
 			Self:          self,
 			Peers:         strings.Split(os.Getenv("HAYAT_REPL_PEERS"), ","),
@@ -98,15 +97,7 @@ func TestReplicationKillOwnerDrill(t *testing.T) {
 		t.Skip("multi-process replication drill")
 	}
 
-	urls := make([]string, 3)
-	for i := range urls {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		urls[i] = "http://" + ln.Addr().String()
-		ln.Close()
-	}
+	urls := drillURLs(t, 3)
 	nodeA, nodeB, victim := urls[0], urls[1], urls[2]
 
 	// Pick two seeds whose keys both live on [victim, B] — the same

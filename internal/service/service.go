@@ -260,10 +260,6 @@ type Options struct {
 	// up to the workload-remix stride. Zero checkpoints at every remix
 	// boundary. Ignored without CheckpointDir.
 	CheckpointEvery int
-	// Retry bounds the cluster router's retries of a failed peer
-	// request (zero values select the cluster.Backoff defaults). Ignored
-	// without cluster mode.
-	Retry cluster.Backoff
 	// DefaultDeadline bounds jobs whose submit carries no deadline of its
 	// own (queue wait plus simulation). Zero means unbounded.
 	DefaultDeadline time.Duration
@@ -272,9 +268,6 @@ type Options struct {
 	// Unset, the audit tree is memory-only: proofs still work but start
 	// afresh each boot (cache hits re-seed them).
 	AuditPath string
-	// AuditSegmentLeaves is the audit tree's segment size (default 256
-	// leaves); a sealed segment's root never changes again.
-	AuditSegmentLeaves int
 	// Cluster, when its Peers list is non-empty, joins this node to a
 	// hayatd cluster: jobs shard across peers by cache key, population
 	// chips fan out, and peer health drives ring membership. See
@@ -359,7 +352,7 @@ func New(opts Options) (*Server, error) {
 			return nil, jerr
 		}
 	}
-	audit, auditCorrupt, err := merkle.OpenLog(opts.AuditPath, opts.AuditSegmentLeaves)
+	audit, auditCorrupt, err := merkle.OpenLog(opts.AuditPath, merkle.DefaultSegmentLeaves)
 	if err != nil {
 		return nil, err
 	}
@@ -379,12 +372,6 @@ func New(opts Options) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 		adm:      newAdmission(opts.QueueDepth),
-	}
-	if disk != nil {
-		disk.OnQuarantine = func() {
-			s.met.Quarantined.Add(1)
-			s.met.StoreQuarantines.Add(1)
-		}
 	}
 	s.met.JournalCorrupt.Add(int64(corrupt))
 	if corrupt > 0 {
@@ -424,8 +411,10 @@ func (s *Server) wireStore() {
 	o := store.Options{
 		Verify: s.verifyStored,
 		Obs: store.Obs{
-			HedgedWin:     func() { s.met.StoreHedgedWins.Add(1) },
-			HedgedLoss:    func() { s.met.StoreHedgedLosses.Add(1) },
+			Quarantine: func() {
+				s.met.Quarantined.Add(1)
+				s.met.StoreQuarantines.Add(1)
+			},
 			ReadRepair:    func() { s.met.StoreReadRepairs.Add(1) },
 			ReplicaPut:    func() { s.met.StoreReplicaPuts.Add(1) },
 			ReplicaPutErr: func() { s.met.StoreReplicaPutErrors.Add(1) },
@@ -1121,9 +1110,10 @@ func (s *Server) runJob(j *Job) {
 }
 
 // replicaCopy returns a Merkle-verifying copy of j's result that one of
-// the key's replicas holds, or nil. Before recomputing, a hedged fetch is
-// far cheaper than a simulation. Population results are skipped — their
-// payloads lack the per-seed shape remoteResultValid can vet.
+// the key's replicas holds, or nil. Before recomputing, reading the
+// replicas in ring order is far cheaper than a simulation. Population
+// results are skipped — their payloads lack the per-seed shape
+// remoteResultValid can vet.
 func (s *Server) replicaCopy(ctx context.Context, j *Job) []byte {
 	if j.req.Kind == KindPopulation || ctx.Err() != nil {
 		return nil

@@ -188,6 +188,13 @@ func TestPopulationJobProgressAndResult(t *testing.T) {
 }
 
 func TestCancelRunningPopulation(t *testing.T) {
+	// A slowCfg chip runs in a few milliseconds, so it could finish
+	// before the cancel lands; a 20-ms stall on each of its 40 epochs
+	// keeps every chip running for 0.8 s.
+	if err := faultinject.ArmSpecs("sim.thermal-solve=sleep(20ms)"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.DisarmAll)
 	s := newTestServer(t, Options{})
 	st, err := s.SubmitPopulation(slowCfg(), 1, 4, "hayat")
 	if err != nil {

@@ -1,14 +1,12 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
-	"github.com/kit-ces/hayat/internal/faultinject"
 	"github.com/kit-ces/hayat/internal/persist"
 )
 
@@ -21,7 +19,8 @@ import (
 type Disk struct {
 	dir string
 
-	// OnQuarantine is called once per quarantined entry (nil: ignored).
+	// OnQuarantine is called once per entry a read quarantines (nil:
+	// ignored).
 	OnQuarantine func()
 	// Verify, when set, rejects decoded bytes that fail the external
 	// authority check (Merkle audit); rejected entries are quarantined.
@@ -100,41 +99,17 @@ func (s *Disk) read(key, failpoint string) ([]byte, error) {
 	return payload, err
 }
 
-// ValidateAll CRC-checks every local entry (the /readyz warm-up scan),
-// quarantining corrupt files, and returns how many entries were checked
-// and how many quarantined.
-func (s *Disk) ValidateAll() (checked, quarantined int, err error) {
-	if s == nil {
-		return 0, 0, nil
-	}
-	if ferr := faultinject.Hit(FPAntiEntropy); ferr != nil {
-		return 0, 0, fmt.Errorf("store: warm-up scan: %w", ferr)
-	}
-	for _, key := range s.Keys() {
-		_, rerr := s.read(key, "")
-		corrupt := errors.Is(rerr, persist.ErrCorruptFrame)
-		if rerr != nil && !corrupt {
-			continue // raced with quarantine/removal; nothing to validate
-		}
-		checked++
-		if corrupt {
-			quarantined++
-		}
-	}
-	return checked, quarantined, nil
-}
-
 // Quarantine moves key's entry aside as corrupt (used by upper tiers on
-// divergence, not only CRC failure).
+// divergence, not only CRC failure). The upper tier counts it, so
+// OnQuarantine does not fire.
 func (s *Disk) Quarantine(key string) {
 	if s == nil || !ValidKey(key) {
 		return
 	}
-	// The callback fires only when the rename succeeded: a quarantine
-	// that itself failed (read-only dir) left the file in place.
-	if _, err := persist.Quarantine(s.path(key)); err == nil && s.OnQuarantine != nil {
-		s.OnQuarantine()
-	}
+	// A rename that fails found no file (the copy was in memory only) or
+	// left one that every read still checks, so no copy that fails its
+	// checks is served either way.
+	_, _ = persist.Quarantine(s.path(key))
 }
 
 func (s *Disk) path(key string) string {

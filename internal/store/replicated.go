@@ -4,19 +4,13 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/kit-ces/hayat/internal/faultinject"
 )
 
-// Remote-operation timing. fetchTimeout bounds one whole hedged read,
-// replica push or sweep stat; hedgeDelay is how long the first replica
-// gets to answer alone before the next one joins the race.
-const (
-	fetchTimeout = 5 * time.Second
-	hedgeDelay   = 50 * time.Millisecond
-)
+// fetchTimeout bounds one whole replica read, replica push or sweep stat.
+const fetchTimeout = 5 * time.Second
 
 // Transport moves envelopes between peers. internal/cluster's Router
 // implements it (per-peer breakers, retries, health); tests substitute
@@ -34,8 +28,7 @@ type Transport interface {
 // Obs receives store events; nil fields are ignored. The service wires
 // these to /metrics counters.
 type Obs struct {
-	HedgedWin     func()              // a hedged replica fetch supplied the served bytes
-	HedgedLoss    func()              // a launched hedged attempt that did not (failed, missed, or cancelled)
+	Quarantine    func()              // a local copy was quarantined (corrupt on disk or divergent from the audit)
 	ReadRepair    func()              // a tier or peer was repaired from a verifying copy
 	ReplicaPut    func()              // a terminal-result copy pushed to a peer
 	ReplicaPutErr func()              // a replica push that failed (debt recorded)
@@ -48,18 +41,8 @@ func fire(f func()) {
 	}
 }
 
-func fireN(f func(), n int) {
-	if f == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		f()
-	}
-}
-
 // Options wires a Replicated store into a cluster. The zero value is a
-// valid single-node configuration: local tiers only, no replication,
-// warm-up still CRC-validates the disk tier.
+// valid single-node configuration: local tiers only, no replication.
 type Options struct {
 	// Self is this node's ring identity (its peer URL).
 	Self string
@@ -72,7 +55,7 @@ type Options struct {
 	// peer that owes it.
 	ReplicaSet func(key string, n int) []string
 	// Transport moves envelopes between peers; nil disables every
-	// remote path (replication, hedged reads, sweep repair).
+	// remote path (replication, replica reads, the sweep).
 	Transport Transport
 	// Verify checks bytes against the Merkle audit before they are
 	// served or pushed; nil trusts CRC/envelope checks alone.
@@ -86,7 +69,7 @@ type Options struct {
 // Replicated composes the memory and disk tiers with remote replicas
 // into the self-healing store the service mounts: local reads verify
 // before serving, terminal writes fan out to the key's replica set,
-// misses hedge-fetch from replicas, and a background sweep detects
+// misses read the replicas in ring order, and a background sweep detects
 // under-replication and divergence and repairs both. Unreachable peers
 // accrue replication debt instead of blocking writes; the sweep pays it
 // down when they return.
@@ -94,8 +77,7 @@ type Replicated struct {
 	mem  *Memory
 	disk *Disk // nil: no durable tier
 
-	o      Options
-	warmed atomic.Bool
+	o Options
 
 	mu   sync.Mutex
 	debt map[string]map[string]bool // key → peers owed a copy
@@ -122,12 +104,14 @@ func NewReplicated(mem *Memory, disk *Disk) *Replicated {
 }
 
 // Configure sets the cluster wiring. Call before Start; not safe
-// concurrently with store use. The Verify hook is pushed down into the
-// disk tier so every durable read checks the audit before serving.
+// concurrently with store use. The Verify and Quarantine hooks are
+// pushed down into the disk tier, so every durable read checks the audit
+// before serving and a copy it quarantines is counted.
 func (r *Replicated) Configure(o Options) {
 	r.o = o
 	if r.disk != nil {
 		r.disk.Verify = o.Verify
+		r.disk.OnQuarantine = o.Obs.Quarantine
 	}
 }
 
@@ -175,70 +159,33 @@ func (r *Replicated) Keys() []string {
 }
 
 // Quarantine drops key from memory and moves its disk entry aside —
-// used when a local copy turns out to diverge from the audit.
+// used when a local copy turns out to diverge from the audit. It counts
+// as one quarantine whichever tiers held the copy.
 func (r *Replicated) Quarantine(key string) {
 	r.mem.drop(key)
 	r.disk.Quarantine(key)
+	fire(r.o.Obs.Quarantine)
 }
 
-// FetchReplica is the hedged read: it races GETs against the key's
-// healthy replicas, starting them hedgeDelay apart, serves the first
-// verifying answer, and cancels the losers' in-flight requests on
-// return. A fetched copy read-repairs the local tiers.
+// FetchReplica reads key from its up replicas in ring order and serves
+// the first copy that verifies, read-repairing the local tiers with it.
+// The whole read is bounded by fetchTimeout.
 func (r *Replicated) FetchReplica(ctx context.Context, key string) ([]byte, bool) {
 	if r.o.Transport == nil || r.o.ReplicaSet == nil || !ValidKey(key) {
 		return nil, false
 	}
-	var peers []string
-	for _, p := range r.otherReplicas(key) {
-		if r.o.Transport.PeerUp(p) {
-			peers = append(peers, p)
-		}
-	}
-	if len(peers) == 0 {
-		return nil, false
-	}
 	fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
-	defer cancel() // losers still in flight are cancelled here
-
-	results := make(chan []byte, len(peers)) // buffered: losers never block after we return
-	launched := 0
-	launch := func() {
-		peer := peers[launched]
-		launched++
-		go func() { results <- r.fetchCopy(fctx, peer, key) }()
-	}
-	launch()
-	hedge := time.NewTimer(hedgeDelay)
-	defer hedge.Stop()
-	answered := 0
-	for {
-		select {
-		case data := <-results:
-			answered++
-			if data != nil {
-				fire(r.o.Obs.HedgedWin)
-				fireN(r.o.Obs.HedgedLoss, launched-1)
-				r.readRepairLocal(key, data)
-				return data, true
-			}
-			if answered == launched && launched == len(peers) {
-				fireN(r.o.Obs.HedgedLoss, launched)
-				return nil, false
-			}
-			if launched < len(peers) {
-				launch() // a failure frees the hedge early
-			}
-		case <-hedge.C:
-			if launched < len(peers) {
-				launch()
-				hedge.Reset(hedgeDelay)
-			}
-		case <-fctx.Done():
-			fireN(r.o.Obs.HedgedLoss, launched)
-			return nil, false
+	defer cancel()
+	for _, peer := range r.otherReplicas(key) {
+		if !r.o.Transport.PeerUp(peer) {
+			continue
+		}
+		if data := r.fetchCopy(fctx, peer, key); data != nil {
+			r.readRepairLocal(key, data)
+			return data, true
 		}
 	}
+	return nil, false
 }
 
 // Replicate pushes key's canonical bytes to every other member of its
@@ -299,8 +246,8 @@ func (r *Replicated) clearDebt(key, peer string) {
 	}
 }
 
-// fetchCopy reads one replica's copy of key for a hedged read: nil when
-// the peer fails, misses, or holds bytes our audit rejects.
+// fetchCopy reads one replica's copy of key: nil when the peer fails,
+// misses, or holds bytes our audit rejects.
 func (r *Replicated) fetchCopy(ctx context.Context, peer, key string) []byte {
 	if faultinject.Hit(FPReadReplica) != nil {
 		return nil

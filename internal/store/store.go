@@ -1,14 +1,16 @@
 // Package store is the content-addressed result tier behind hayatd's
 // cache: a memory tier, a disk tier and remote peers, composed by
-// Replicated into a self-healing replicated store. Every key is a lowercase-hex request hash and every value is the
-// canonical result bytes that hash-addressed key identifies, so a copy
-// fetched from any node is byte-identical to a local recomputation — the
-// property that makes replication, read-repair and hedged reads safe.
+// Replicated into a self-healing replicated store. Every key is a
+// lowercase-hex request hash and every value is the canonical result
+// bytes that hash-addressed key identifies, so a copy fetched from any
+// node is byte-identical to a local recomputation — the property that
+// makes replication, read-repair and replica reads safe.
 //
 // Integrity model: disk entries are CRC32C-framed (internal/persist) and
 // every byte that crosses a node boundary travels in an envelope carrying
-// its RFC 6962 Merkle leaf hash (internal/merkle). Reads verify before
-// serving; a corrupt or truncated copy is quarantined, never returned.
+// its RFC 6962 Merkle leaf hash (internal/merkle). A copy is checked when
+// it is read, never ahead of time: a corrupt or truncated copy is
+// quarantined on that read, never returned.
 package store
 
 import "strings"
@@ -19,8 +21,8 @@ import "strings"
 // stay valid across the extraction of this package from internal/service.
 const (
 	FPReplicate   = "store.replicate"     // every replica push (terminal-result fan-out and sweep repairs)
-	FPReadReplica = "store.read-replica"  // every replica fetch (hedged reads and sweep stats)
-	FPAntiEntropy = "store.anti-entropy"  // sweep and warm-up entry
+	FPReadReplica = "store.read-replica"  // every replica fetch (replica reads and sweep stats)
+	FPAntiEntropy = "store.anti-entropy"  // every anti-entropy sweep
 	FPCacheRead   = "service.cache-read"  // local disk-tier reads
 	FPCacheWrite  = "service.cache-write" // local disk-tier writes
 )

@@ -103,8 +103,8 @@ func (t *fakeTransport) peerData(peer, key string) ([]byte, bool) {
 
 // counters wires Obs to plain ints for assertions.
 type counters struct {
-	mu                                           sync.Mutex
-	wins, losses, repairs, puts, putErrs, sweeps int
+	mu                                          sync.Mutex
+	quarantines, repairs, puts, putErrs, sweeps int
 }
 
 func (c *counters) obs() Obs {
@@ -112,8 +112,7 @@ func (c *counters) obs() Obs {
 		return func() { c.mu.Lock(); *p++; c.mu.Unlock() }
 	}
 	return Obs{
-		HedgedWin:     inc(&c.wins),
-		HedgedLoss:    inc(&c.losses),
+		Quarantine:    inc(&c.quarantines),
 		ReadRepair:    inc(&c.repairs),
 		ReplicaPut:    inc(&c.puts),
 		ReplicaPutErr: inc(&c.putErrs),
@@ -121,10 +120,10 @@ func (c *counters) obs() Obs {
 	}
 }
 
-func (c *counters) snap() (wins, losses, repairs, puts, putErrs, sweeps int) {
+func (c *counters) snap() (quarantines, repairs, puts, putErrs, sweeps int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wins, c.losses, c.repairs, c.puts, c.putErrs, c.sweeps
+	return c.quarantines, c.repairs, c.puts, c.putErrs, c.sweeps
 }
 
 // ring2 is a fixed two-replica assignment: owner "self", replica peer.
@@ -245,36 +244,6 @@ func TestDiskTierFramedAndCorrupt(t *testing.T) {
 	}
 	if keys := nd.Keys(); keys != nil {
 		t.Fatalf("nil disk keys = %v", keys)
-	}
-}
-
-func TestDiskValidateAll(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.put(testKey(1), []byte(`{"ok":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	raw := persist.EncodeFrame([]byte(`{"ok":2}`))
-	raw[len(raw)-2] ^= 0x01
-	if err := os.WriteFile(filepath.Join(dir, testKey(2)+".json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	checked, quarantined, err := d.ValidateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if checked != 2 || quarantined != 1 {
-		t.Fatalf("ValidateAll = (%d, %d), want (2, 1)", checked, quarantined)
-	}
-	// The valid entry still reads; the corrupt one is gone.
-	if _, ok := d.get(testKey(1)); !ok {
-		t.Fatal("valid entry lost")
-	}
-	if _, ok := d.get(testKey(2)); ok {
-		t.Fatal("quarantined entry served")
 	}
 }
 
@@ -412,7 +381,7 @@ func TestReplicateAndDebt(t *testing.T) {
 	if r.Debt() != 0 {
 		t.Fatalf("debt = %d, want 0", r.Debt())
 	}
-	_, _, _, puts, _, _ := c.snap()
+	_, _, puts, _, _ := c.snap()
 	if puts != 2 {
 		t.Fatalf("replica puts = %d, want 2", puts)
 	}
@@ -438,7 +407,7 @@ func TestReplicateAndDebt(t *testing.T) {
 	if r.Debt() != 2 {
 		t.Fatalf("debt = %d, want 2", r.Debt())
 	}
-	_, _, _, _, putErrs, _ := c.snap()
+	_, _, _, putErrs, _ := c.snap()
 	if putErrs != 1 {
 		t.Fatalf("put errors = %d, want 1", putErrs)
 	}
@@ -456,12 +425,14 @@ func TestReplicateAndDebt(t *testing.T) {
 			t.Fatalf("peer C %s after sweep = %q, %v", key, got, ok)
 		}
 	}
-	_, _, _, _, _, sweeps := c.snap()
+	_, _, _, _, sweeps := c.snap()
 	if sweeps != 1 {
 		t.Fatalf("sweeps = %d, want 1", sweeps)
 	}
 }
 
+// FetchReplica walks the key's up replicas in ring order and serves the
+// first copy that verifies.
 func TestHedgedFetch(t *testing.T) {
 	const self, peerB, peerC = "http://a", "http://b", "http://c"
 	ft := newFakeTransport(peerB, peerC)
@@ -477,24 +448,23 @@ func TestHedgedFetch(t *testing.T) {
 	ctx := context.Background()
 	data := []byte(`{"h":1}`)
 
-	// Miss everywhere.
+	// Miss everywhere: both replicas were asked.
 	if _, ok := r.FetchReplica(ctx, testKey(1)); ok {
 		t.Fatal("fetch hit on empty fleet")
 	}
+	if ft.gets != 2 {
+		t.Fatalf("gets = %d on a miss, want 2", ft.gets)
+	}
 
-	// First replica errors, second holds the copy: the hedge wins and
-	// read-repairs the local tiers.
+	// First replica errors, second holds the copy: the second serves
+	// and read-repairs the local tiers.
 	ft.getErr[peerB] = errors.New("boom")
 	ft.data[peerC][testKey(1)] = data
 	got, ok := r.FetchReplica(ctx, testKey(1))
 	if !ok || string(got) != string(data) {
 		t.Fatalf("FetchReplica = %q, %v", got, ok)
 	}
-	wins, losses, repairs, _, _, _ := c.snap()
-	if wins != 1 || losses < 1 {
-		t.Fatalf("wins=%d losses=%d, want 1 and ≥1", wins, losses)
-	}
-	if repairs != 1 {
+	if _, repairs, _, _, _ := c.snap(); repairs != 1 {
 		t.Fatalf("repairs = %d, want 1", repairs)
 	}
 	if local, ok := r.GetLocal(testKey(1)); !ok || string(local) != string(data) {
@@ -512,70 +482,100 @@ func TestHedgedFetch(t *testing.T) {
 	}
 }
 
+// A locally divergent copy is quarantined once, counted once, and
+// repaired from a replica — with or without a disk tier.
 func TestSweepQuarantinesDivergentLocal(t *testing.T) {
-	const self, peerB = "http://a", "http://b"
-	dir := t.TempDir()
-	d, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := newFakeTransport(peerB)
-	good := []byte(`{"v":"good"}`)
-	ft.data[peerB][testKey(1)] = good
+	for _, withDisk := range []bool{true, false} {
+		t.Run(fmt.Sprintf("disk=%v", withDisk), func(t *testing.T) {
+			const self, peerB = "http://a", "http://b"
+			var d *Disk
+			if withDisk {
+				var err error
+				if d, err = OpenDisk(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ft := newFakeTransport(peerB)
+			good := []byte(`{"v":"good"}`)
+			ft.data[peerB][testKey(1)] = good
 
-	r := NewReplicated(nil, d)
+			var c counters
+			r := NewReplicated(nil, d)
+			r.Configure(Options{
+				Self:       self,
+				Copies:     2,
+				ReplicaSet: ring2(self, peerB),
+				Transport:  ft,
+				// The audit says only `good` verifies.
+				Verify: func(key string, data []byte) error {
+					if string(data) != string(good) {
+						return errors.New("diverges from audit")
+					}
+					return nil
+				},
+				Obs: c.obs(),
+			})
+			// Seed a divergent local copy directly into memory (disk.Verify
+			// would refuse to serve it, which is the point of pushing Verify
+			// down).
+			r.mem.put(testKey(1), []byte(`{"v":"rotten"}`))
+
+			r.Sweep(context.Background())
+
+			data, ok := r.GetLocal(testKey(1))
+			if !ok || string(data) != string(good) {
+				t.Fatalf("after sweep, local = %q, %v; want repaired %q", data, ok, good)
+			}
+			if quarantines, _, _, _, _ := c.snap(); quarantines != 1 {
+				t.Fatalf("quarantines = %d, want 1", quarantines)
+			}
+		})
+	}
+}
+
+// Start sweeps on a background goroutine that Close stops; a store
+// without a transport has nothing to sweep and starts none.
+func TestStartReadyClose(t *testing.T) {
+	const self, peerB = "http://a", "http://b"
+	var c counters
+	r := NewReplicated(nil, nil)
 	r.Configure(Options{
 		Self:       self,
 		Copies:     2,
 		ReplicaSet: ring2(self, peerB),
-		Transport:  ft,
-		// The audit says only `good` verifies.
-		Verify: func(key string, data []byte) error {
-			if string(data) != string(good) {
-				return errors.New("diverges from audit")
-			}
-			return nil
-		},
+		Transport:  newFakeTransport(peerB),
+		Obs:        c.obs(),
 	})
-	// Seed a divergent local copy directly into memory (disk.Verify would
-	// refuse to serve it, which is the point of pushing Verify down).
-	r.mem.put(testKey(1), []byte(`{"v":"rotten"}`))
-
-	r.Sweep(context.Background())
-
-	data, ok := r.GetLocal(testKey(1))
-	if !ok || string(data) != string(good) {
-		t.Fatalf("after sweep, local = %q, %v; want repaired %q", data, ok, good)
-	}
-}
-
-func TestStartReadyClose(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.put(testKey(1), []byte(`{"a":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReplicated(nil, d)
-	if r.Ready() {
-		t.Fatal("store with a durable tier ready before warm-up")
-	}
-	r.Start(context.Background(), time.Hour)
+	r.Start(context.Background(), time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
-	for !r.Ready() {
+	for {
+		if _, _, _, _, sweeps := c.snap(); sweeps > 0 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("warm-up never finished")
+			t.Fatal("started store never swept")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	r.Close()
-
-	// No durable tier: ready immediately, Close without Start is safe.
-	r2 := NewReplicated(nil, nil)
-	if !r2.Ready() {
-		t.Fatal("tierless store not ready")
+	select {
+	case <-r.done:
+	default:
+		t.Fatal("Close returned before the sweep goroutine exited")
 	}
-	r2.Close()
+
+	// No transport: no goroutine, and Close is safe.
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := NewReplicated(nil, d)
+	local.Start(context.Background(), time.Millisecond)
+	if local.done != nil {
+		t.Fatal("a store without a transport started a sweep goroutine")
+	}
+	local.Close()
+
+	// Close without Start is safe.
+	NewReplicated(nil, nil).Close()
 }

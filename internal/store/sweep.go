@@ -12,10 +12,14 @@ import (
 // DefaultAntiEntropyInterval is the background sweep cadence.
 const DefaultAntiEntropyInterval = 30 * time.Second
 
-// Start launches warm-up (CRC-validate every local segment) and the
-// periodic anti-entropy sweep on a background goroutine scoped to ctx.
-// Idempotent; Close (or ctx cancellation) stops it.
+// Start launches the periodic anti-entropy sweep on a background
+// goroutine scoped to ctx. A store without a transport has no replicas
+// to sweep, so Start leaves it without a goroutine. Idempotent; Close
+// (or ctx cancellation) stops it.
 func (r *Replicated) Start(ctx context.Context, interval time.Duration) {
+	if r.o.Transport == nil || r.o.ReplicaSet == nil {
+		return
+	}
 	r.startOnce.Do(func() {
 		if interval <= 0 {
 			interval = DefaultAntiEntropyInterval
@@ -25,7 +29,6 @@ func (r *Replicated) Start(ctx context.Context, interval time.Duration) {
 		r.done = make(chan struct{})
 		go func() {
 			defer close(r.done)
-			r.warmup()
 			ticker := time.NewTicker(interval)
 			defer ticker.Stop()
 			for {
@@ -40,13 +43,6 @@ func (r *Replicated) Start(ctx context.Context, interval time.Duration) {
 	})
 }
 
-// Ready reports whether the store can safely serve: the durable tier
-// has been CRC-validated (corrupt entries quarantined) and the sweep is
-// scheduled. A store with no durable tier is ready immediately.
-func (r *Replicated) Ready() bool {
-	return r.disk == nil || r.warmed.Load()
-}
-
 // Close stops the sweep goroutine and waits for it. Safe on a store
 // that was never started.
 func (r *Replicated) Close() {
@@ -54,21 +50,6 @@ func (r *Replicated) Close() {
 		r.cancel()
 		<-r.done
 	}
-}
-
-// warmup is the /readyz gate: every local entry is CRC-checked before
-// the node advertises itself, so a disk corrupted while the process was
-// down yields quarantines at startup, never a served bad byte (and
-// never a panic).
-func (r *Replicated) warmup() {
-	checked, quarantined, err := r.disk.ValidateAll()
-	switch {
-	case err != nil:
-		r.logf("store: warm-up scan skipped: %v", err)
-	case quarantined > 0:
-		r.logf("store: warm-up quarantined %d of %d entries", quarantined, checked)
-	}
-	r.warmed.Store(true)
 }
 
 // Sweep is one anti-entropy pass: walk every locally held key, confirm
