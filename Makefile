@@ -1,11 +1,11 @@
 # Developer entry points. CI (.github/workflows/ci.yml) calls the test,
 # race, fuzz-smoke, lint-selftest, drill, bench-submit, bench-overhead,
-# bench-setup and bench-overload targets, so each of those commands, the
-# fuzz-target list included, is written only here.
+# bench-setup, bench-overload and bench-answer targets, so each of those
+# commands, the fuzz-target list included, is written only here.
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup bench-overload drill-cluster drill-replication
+.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup bench-overload bench-answer drill-cluster drill-replication
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,7 @@ fuzz-smoke:
 	fuzz ./internal/service   FuzzJournalReplay; \
 	fuzz ./internal/service   FuzzDecodeConfig; \
 	fuzz ./internal/service   FuzzDecodeBatchRequest; \
+	fuzz ./internal/service   FuzzStatusRender; \
 	fuzz ./internal/cluster   FuzzDecodeJobEnvelope; \
 	fuzz ./internal/cluster   FuzzDecodeProbe; \
 	fuzz ./internal/cluster   FuzzDecodeBatchEnvelope; \
@@ -138,3 +139,11 @@ OVERLOAD_BENCHTIME ?= 1s
 bench-overload:
 	$(GO) test ./internal/service -run '^$$' -bench '^BenchmarkOverloadMix$$' \
 		-benchtime $(OVERLOAD_BENCHTIME)
+
+# Read path (DESIGN.md §11): one cached default 10-year lifetime answered
+# through hayatd's HTTP handler with wait, in µs and allocations per
+# answer.
+ANSWER_BENCHTIME ?= 1s
+bench-answer:
+	$(GO) test ./internal/service -run '^$$' -bench '^BenchmarkCachedAnswer$$' -benchmem \
+		-benchtime $(ANSWER_BENCHTIME)

@@ -204,7 +204,7 @@ func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, st JobSta
 		}
 		st = waited
 	}
-	writeJSON(w, submitCode(st), st)
+	writeStatus(w, submitCode(st), st)
 }
 
 // maxBatchBody bounds a batch request body: up to maxBatchItems items,
@@ -246,8 +246,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobResult serves a done job's result bytes verbatim — the exact
-// bytes its Merkle inclusion proof covers. (writeJSON re-indents nested
-// JSON, which would break client-side proof verification.)
+// bytes its Merkle inclusion proof covers. (A status re-indents its
+// result, which would break client-side proof verification.)
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	data, err := s.Result(r.PathValue("id"))
 	if err != nil {
@@ -276,7 +276,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, st)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -317,12 +317,13 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no local copy of %s", key))
 		return
 	}
-	if err := s.verifyStored(key, data); err != nil {
+	// One hash both checks the copy against the audit and heads the answer.
+	leaf := merkle.LeafHash(data)
+	if audited, ok := s.audit.Leaf(key); ok && leaf != audited {
 		s.store.Quarantine(key)
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: local copy of %s quarantined: %w", key, err))
+		writeError(w, http.StatusNotFound, fmt.Errorf("service: local copy of %s quarantined: %w", key, errDiverged(key)))
 		return
 	}
-	leaf := merkle.LeafHash(data)
 	w.Header().Set(cluster.LeafHeader, hex.EncodeToString(leaf[:]))
 	s.met.StoreReplicaServes.Add(1)
 	if r.Method == http.MethodHead {
@@ -405,6 +406,45 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap.Cluster.Peers = s.router.Snapshot()
 	}
 	writeJSON(w, http.StatusOK, snap)
+}
+
+// writeStatus answers with a job status, byte for byte as writeJSON would.
+// A status that carries a result skips encoding/json's compact and
+// indent passes over it: the envelope is encoded without the result, and
+// the result is rendered in one pass (renderIndented) and spliced in as
+// the last field, which needs JobStatus.Result to stay the last field
+// (TestStatusBodyMatchesEncoder pins it). A result the renderer refuses
+// goes to writeJSON, whose encoder then refuses it the same way.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
+	body, ok := statusBody(st)
+	if !ok {
+		writeJSON(w, code, st)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
+}
+
+// statusBody is writeJSON's body for a status that carries a result. It
+// reports false for a status without one, or one it cannot render.
+func statusBody(st JobStatus) ([]byte, bool) {
+	result := st.Result
+	if len(result) == 0 {
+		return nil, false
+	}
+	st.Result = nil
+	env, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		return nil, false
+	}
+	const field, end = ",\n  \"result\": ", "\n}\n"
+	body := make([]byte, 0, len(env)+len(field)+len(result)+len(result)/8+len(end))
+	body = append(body, env[:len(env)-len("\n}")]...)
+	body = append(body, field...)
+	body, ok := renderIndented(body, result, 1)
+	return append(body, end...), ok
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -446,14 +446,15 @@ const DefaultReplicas = 2
 // audit knows must hash to its recorded leaf. Unknown keys pass — the
 // audit may trail the cache (memory-only audit after a restart).
 func (s *Server) verifyStored(key string, data []byte) error {
-	leaf, ok := s.audit.Leaf(key)
-	if !ok {
-		return nil
-	}
-	if merkle.LeafHash(data) != leaf {
-		return fmt.Errorf("service: stored bytes for %s diverge from audit leaf", key)
+	if leaf, ok := s.audit.Leaf(key); ok && merkle.LeafHash(data) != leaf {
+		return errDiverged(key)
 	}
 	return nil
+}
+
+// errDiverged reports stored bytes that do not hash to key's audit leaf.
+func errDiverged(key string) error {
+	return fmt.Errorf("service: stored bytes for %s diverge from audit leaf", key)
 }
 
 // replicateResult fans a terminal result out to its replica set. Runs
@@ -933,9 +934,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // auditResult hashes a terminal result into the Merkle provenance tree,
 // keyed by the content-addressed request key. Idempotent — the cache
 // guarantees one result per key, so replays and cache hits land on the
-// existing leaf. A persistence failure keeps the in-memory leaf (proofs
-// still serve) and is only counted.
+// existing leaf, and a key the audit already holds is not hashed again.
+// A persistence failure keeps the in-memory leaf (proofs still serve)
+// and is only counted.
 func (s *Server) auditResult(key string, result []byte) {
+	if _, ok := s.audit.Leaf(key); ok {
+		return
+	}
 	_, added, err := s.audit.Append(key, merkle.LeafHash(result))
 	if err != nil {
 		s.met.MerkleAppendErrors.Add(1)
