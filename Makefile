@@ -1,11 +1,12 @@
 # Developer entry points. CI (.github/workflows/ci.yml) calls the test,
 # race, fuzz-smoke, lint-selftest, drill, bench-submit, bench-overhead,
-# bench-setup, bench-overload and bench-answer targets, so each of those
-# commands, the fuzz-target list included, is written only here.
+# bench-setup, bench-overload, bench-answer and bench-epoch targets, so
+# each of those commands, the fuzz-target list included, is written only
+# here.
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup bench-overload bench-answer drill-cluster drill-replication
+.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup bench-overload bench-answer bench-epoch drill-cluster drill-replication
 
 build:
 	$(GO) build ./...
@@ -82,6 +83,8 @@ fuzz-smoke:
 	fuzz ./internal/aging     FuzzTableLookup; \
 	fuzz ./internal/aging     FuzzStateAdvance; \
 	fuzz ./internal/aging     FuzzAgingTableFill; \
+	fuzz ./internal/aging     FuzzEffectiveAge; \
+	fuzz ./internal/thermpredict FuzzAdmitBound; \
 	fuzz ./internal/thermal   FuzzModalTransforms; \
 	fuzz ./internal/core      FuzzPickCandidate
 
@@ -147,3 +150,13 @@ ANSWER_BENCHTIME ?= 1s
 bench-answer:
 	$(GO) test ./internal/service -run '^$$' -bench '^BenchmarkCachedAnswer$$' -benchmem \
 		-benchtime $(ANSWER_BENCHTIME)
+
+# Epoch kernels (DESIGN.md §15, §19, §21): one steady-state epoch of the
+# default 8×8 chip under Hayat and under VAA, and one implicit-Euler
+# thermal step, each in µs, bytes and allocations per operation.
+EPOCH_BENCHTIME ?= 1s
+bench-epoch:
+	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkSingleChipEpoch(VAA)?$$' -benchmem \
+		-benchtime $(EPOCH_BENCHTIME)
+	$(GO) test . -run '^$$' -bench '^BenchmarkThermalTransientStep$$' -benchmem \
+		-benchtime $(EPOCH_BENCHTIME)

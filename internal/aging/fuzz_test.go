@@ -2,6 +2,7 @@ package aging
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -50,6 +51,98 @@ func FuzzTableLookup(f *testing.F) {
 		factor := tab.Lookup(y, T, d)
 		if age, want := tab.EffectiveAge(T, d, factor), refEffectiveAge(tab, T, d, factor); !bitsEqual(age, want) {
 			t.Fatalf("EffectiveAge(%v,%v,%v) = %v, reference %v", T, d, factor, age, want)
+		}
+	})
+}
+
+// FuzzEffectiveAge compares AgeCurve.EffectiveAge with the 60-step
+// bisection it replaced (refEffectiveAge) bit for bit, on random tables:
+// axes of two to six strictly increasing points, age axes that start
+// below, at or above zero and reach past the range its segment shortcut
+// is proven on, and entries that rise, fall, repeat or turn with age, or
+// are negative or NaN.
+// (T, d) lands on grid points, between them and beyond them; the factor
+// is read from the curve itself, lies just outside its range, equals an
+// entry, or is arbitrary.
+func FuzzEffectiveAge(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(2), uint8(1))
+	f.Add(int64(3), uint8(2))
+	f.Add(int64(4), uint8(3))
+	f.Add(int64(5), uint8(4))
+	f.Add(int64(6), uint8(8+3))
+	f.Add(int64(7), uint8(8+4))
+	f.Fuzz(func(t *testing.T, seed int64, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		axis := func(start, step float64) []float64 {
+			a := make([]float64, 2+rng.Intn(5))
+			v := start
+			for i := range a {
+				a[i] = v
+				v += step * (0.05 + rng.Float64())
+			}
+			return a
+		}
+		years := axis(0, 1+5*rng.Float64())
+		switch mode % 5 {
+		case 1:
+			years = axis(-3*rng.Float64(), 2)
+		case 2:
+			years = axis(0.5*rng.Float64(), 1e-3)
+		case 3:
+			years = axis(0x1p1022, 0x1p1021) // lo + hi overflows near the top
+		case 4:
+			years = axis(-20, 2) // every age negative: hi < lo
+		}
+		tab := &Table3D{Temps: axis(300, 20), Duties: axis(0, 0.3), Years: years}
+		tab.Factor = make([]float64, len(tab.Temps)*len(tab.Duties)*len(years))
+		for ti := range tab.Temps {
+			for di := range tab.Duties {
+				f := 1.0
+				for yi := range years {
+					switch rng.Intn(8) {
+					case 0:
+						f += 0.05 * rng.Float64() // non-monotone: health rises
+					case 1: // a flat step
+					default:
+						f -= 0.05 * rng.Float64()
+					}
+					tab.Factor[tab.index(ti, di, yi)] = f
+					if mode&8 != 0 && rng.Intn(8) == 0 {
+						tab.Factor[tab.index(ti, di, yi)] = []float64{math.NaN(), -f}[rng.Intn(2)]
+					}
+				}
+			}
+		}
+		pick := func(a []float64) float64 {
+			switch rng.Intn(3) {
+			case 0:
+				return a[rng.Intn(len(a))]
+			case 1:
+				return a[0] + (a[len(a)-1]-a[0])*rng.Float64()
+			}
+			return a[0] - 1 + (a[len(a)-1]-a[0]+2)*rng.Float64()
+		}
+		for k := 0; k < 8; k++ {
+			T, d := pick(tab.Temps), pick(tab.Duties)
+			c := tab.Curve(T, d)
+			lo, hi := c.At(0), c.At(tab.MaxYears())
+			var factor float64
+			switch rng.Intn(6) {
+			case 0, 1:
+				factor = c.At(pick(years))
+			case 2:
+				factor = math.Nextafter(math.Min(lo, hi), math.Inf(-1))
+			case 3:
+				factor = math.Nextafter(math.Max(lo, hi), math.Inf(1))
+			case 4:
+				factor = tab.Factor[rng.Intn(len(tab.Factor))]
+			default:
+				factor = 0.5 + rng.Float64()
+			}
+			if got, want := c.EffectiveAge(factor), refEffectiveAge(tab, T, d, factor); !bitsEqual(got, want) {
+				t.Fatalf("years %v, (T, d) = (%v, %v): EffectiveAge(%v) = %v, reference %v", years, T, d, factor, got, want)
+			}
 		}
 	})
 }

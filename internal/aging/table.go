@@ -205,17 +205,21 @@ func (c *AgeCurve) init(t *Table3D, T, d float64) {
 // At returns the interpolated frequency factor at age y years.
 func (c *AgeCurve) At(y float64) float64 {
 	yi, yw := bracket(c.t.Years, y)
+	return c.atSegment(yi, yw)
+}
+
+// atSegment is At for an age that bracket places in segment yi of the
+// age axis with weight yw.
+func (c *AgeCurve) atSegment(yi int, yw float64) float64 {
+	wy0 := 1 - yw
 	f := 0.0
 	for k := 0; k < c.n; k++ {
-		for dy := 0; dy < 2; dy++ {
-			wy := yw
-			if dy == 0 {
-				wy = 1 - yw
-			}
-			if wy == 0 {
-				continue
-			}
-			f += float64(c.w[k] * wy * c.t.Factor[c.base[k]+yi+dy])
+		v := c.t.Factor[c.base[k]+yi:][:2]
+		if wy0 != 0 {
+			f += float64(c.w[k] * wy0 * v[0])
+		}
+		if yw != 0 {
+			f += float64(c.w[k] * yw * v[1])
 		}
 	}
 	return f
@@ -231,6 +235,20 @@ func (c *AgeCurve) At(y float64) float64 {
 // factor below anything reachable at (T, d) maps to the table's maximum
 // age (conditions milder than the core's history cannot "un-age" it —
 // long-term NBTI aging is not reversed).
+//
+// The bisection is the 60-step one it always was, bit for bit, with two
+// shortcuts that change no value (DESIGN.md §21):
+//
+//   - Once mid equals lo or hi, the step it takes leaves [lo, hi] as it
+//     is or collapses it to the point mid, and either state maps to
+//     itself on every later step, so the loop stops there.
+//   - Once [lo, hi] lies inside one age segment (Years[s], Years[s+1]],
+//     every later mid does too, and bracket would return segment s with
+//     the weight (mid − Years[s])/(Years[s+1] − Years[s]); the loop
+//     computes that weight itself instead of searching the axis again.
+//     This needs mid to stay inside [lo, hi], which holds while lo + hi
+//     cannot overflow, so it is taken only on an age axis inside
+//     [−2^1000, 2^1000] with a positive last point.
 func (c *AgeCurve) EffectiveAge(factor float64) float64 {
 	lo, hi := 0.0, c.t.MaxYears()
 	if factor >= c.At(lo) {
@@ -239,12 +257,31 @@ func (c *AgeCurve) EffectiveAge(factor float64) float64 {
 	if factor <= c.At(hi) {
 		return hi
 	}
+	ys := c.t.Years
+	seg := -1 // the age segment holding [lo, hi]; −1 until one does
+	if !(ys[0] >= -0x1p1000 && hi > 0 && hi <= 0x1p1000) {
+		seg = -2 // the shortcut is unproven: search on every step
+	}
 	for iter := 0; iter < 60; iter++ {
-		mid := 0.5 * (lo + hi)
-		if c.At(mid) > factor {
+		mid := float64(0.5 * (lo + hi)) // rounded here: it feeds the segment weight's subtraction
+		var yi int
+		var yw float64
+		if seg >= 0 {
+			yi, yw = seg, (mid-ys[seg])/(ys[seg+1]-ys[seg])
+		} else {
+			yi, yw = bracket(ys, mid)
+		}
+		last := mid == lo || mid == hi
+		if c.atSegment(yi, yw) > factor {
 			lo = mid
 		} else {
 			hi = mid
+		}
+		if last {
+			break
+		}
+		if seg == -1 && ys[yi] < lo && hi <= ys[yi+1] {
+			seg = yi
 		}
 	}
 	return float64(0.5 * (lo + hi))

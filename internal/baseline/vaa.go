@@ -58,6 +58,15 @@ func New(cfg Config) (*VAA, error) {
 // Name implements policy.Policy.
 func (v *VAA) Name() string { return "VAA" }
 
+// vaaScratch is Map's working memory, carried across epochs in
+// policy.Context.Scratch so the steady-state decision allocates nothing
+// (DESIGN.md §15). It never influences a decision: both buffers are
+// refilled on every call.
+type vaaScratch struct {
+	order policy.DemandOrder
+	unmap []*workload.Thread
+}
+
 // Map implements the contiguous maximum-throughput mapping.
 func (v *VAA) Map(ctx *policy.Context, threads []*workload.Thread) (policy.Result, error) {
 	if err := ctx.Validate(); err != nil {
@@ -65,11 +74,23 @@ func (v *VAA) Map(ctx *policy.Context, threads []*workload.Thread) (policy.Resul
 	}
 	n := ctx.N()
 	fp := ctx.Chip.Floorplan
-	asg := mapping.New(n)
+	s, ok := ctx.Scratch.(*vaaScratch)
+	if !ok {
+		s = &vaaScratch{}
+		ctx.Scratch = s
+	}
+	var asg *mapping.Assignment
+	if ctx.ReuseAssignment != nil && ctx.ReuseAssignment.N() == n {
+		asg = ctx.ReuseAssignment
+		asg.Clear()
+	} else {
+		asg = mapping.New(n)
+	}
 
 	// Most demanding threads first (maximum-throughput admission).
-	order := append([]*workload.Thread(nil), threads...)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].MinFreq() > order[j].MinFreq() })
+	s.order.Threads = append(s.order.Threads[:0], threads...)
+	sort.Stable(&s.order)
+	order := s.order.Threads
 
 	// The demand the seed region must satisfy: the median requirement.
 	var medianFreq float64
@@ -80,38 +101,48 @@ func (v *VAA) Map(ctx *policy.Context, threads []*workload.Thread) (policy.Resul
 	// Seed selection (the hill-climbing start): the core with the densest
 	// surrounding region of cores fast enough for the typical thread.
 	seed := v.pickSeed(ctx, medianFreq)
+	seedRow, seedCol := fp.Position(seed)
 
-	var result policy.Result
+	s.unmap = s.unmap[:0]
 	for _, t := range order {
 		if asg.NumAssigned() >= ctx.MaxOnCores {
-			result.Unmapped = append(result.Unmapped, t)
+			s.unmap = append(s.unmap, t)
 			continue
 		}
 		reqF, feasible := ctx.RequiredFreq(t)
 		if !feasible {
-			result.Unmapped = append(result.Unmapped, t)
+			s.unmap = append(s.unmap, t)
 			continue
 		}
 		// Closest free eligible core to the seed; ties by higher fmax
-		// (maximum-throughput flavour).
+		// (maximum-throughput flavour). Cores are visited in index order,
+		// row by row.
 		best := -1
 		bestDist := 1 << 30
-		for c := 0; c < n; c++ {
-			if asg.ThreadOn(c) != nil || ctx.FMax[c] < reqF {
-				continue
-			}
-			d := fp.ManhattanDistance(seed, c)
-			if d < bestDist || (d == bestDist && (best < 0 || ctx.FMax[c] > ctx.FMax[best])) {
-				best, bestDist = c, d
+		for r := 0; r < fp.Rows; r++ {
+			dr := abs(r - seedRow)
+			for q := 0; q < fp.Cols; q++ {
+				c := r*fp.Cols + q
+				if asg.ThreadOn(c) != nil || ctx.FMax[c] < reqF {
+					continue
+				}
+				d := dr + abs(q-seedCol)
+				if d < bestDist || (d == bestDist && (best < 0 || ctx.FMax[c] > ctx.FMax[best])) {
+					best, bestDist = c, d
+				}
 			}
 		}
 		if best < 0 {
-			result.Unmapped = append(result.Unmapped, t)
+			s.unmap = append(s.unmap, t)
 			continue
 		}
 		if err := asg.Assign(t, best); err != nil {
 			return policy.Result{}, fmt.Errorf("vaa: %w", err)
 		}
+	}
+	var result policy.Result
+	if len(s.unmap) > 0 {
+		result.Unmapped = s.unmap
 	}
 	result.Assignment = asg
 	return result, nil
@@ -119,19 +150,24 @@ func (v *VAA) Map(ctx *policy.Context, threads []*workload.Thread) (policy.Resul
 
 // pickSeed scores every core by how many cores within SeedRadius can run a
 // thread requiring minFreq, and returns the best-scoring core (ties to the
-// lower index, matching the deterministic first-node search of [28]).
+// lower index, matching the deterministic first-node search of [28]). The
+// count visits only the diamond of cores within SeedRadius, row by row.
 func (v *VAA) pickSeed(ctx *policy.Context, minFreq float64) int {
 	fp := ctx.Chip.Floorplan
-	n := ctx.N()
+	rad := v.cfg.SeedRadius
 	best, bestScore := 0, -1
-	for c := 0; c < n; c++ {
+	for c := 0; c < ctx.N(); c++ {
 		if ctx.FMax[c] < minFreq {
 			continue
 		}
+		row, col := fp.Position(c)
 		score := 0
-		for o := 0; o < n; o++ {
-			if fp.ManhattanDistance(c, o) <= v.cfg.SeedRadius && ctx.FMax[o] >= minFreq {
-				score++
+		for r := max(0, row-rad); r <= min(fp.Rows-1, row+rad); r++ {
+			span := rad - abs(r-row)
+			for q := max(0, col-span); q <= min(fp.Cols-1, col+span); q++ {
+				if ctx.FMax[r*fp.Cols+q] >= minFreq {
+					score++
+				}
 			}
 		}
 		if score > bestScore {
@@ -139,6 +175,13 @@ func (v *VAA) pickSeed(ctx *policy.Context, minFreq float64) int {
 		}
 	}
 	return best
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 var _ policy.Policy = (*VAA)(nil)

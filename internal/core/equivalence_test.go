@@ -7,9 +7,12 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/kit-ces/hayat/internal/aging"
 	"github.com/kit-ces/hayat/internal/dvfs"
+	"github.com/kit-ces/hayat/internal/floorplan"
 	"github.com/kit-ces/hayat/internal/policy"
 	"github.com/kit-ces/hayat/internal/testutil"
+	"github.com/kit-ces/hayat/internal/variation"
 	"github.com/kit-ces/hayat/internal/workload"
 )
 
@@ -78,6 +81,33 @@ func randomCase(t *testing.T, fx *testutil.Fixture, rng *rand.Rand) equivCase {
 		}
 		ctx.FreqLevels = ladder
 		desc += " ladder"
+	}
+	if rng.Intn(3) == 0 {
+		cfg.SpreadCap = rng.Intn(10)
+		desc += fmt.Sprintf(" cap%d", cfg.SpreadCap)
+	}
+	if rng.Intn(5) == 0 {
+		// Every core unaged, equally fast and equally healthy next epoch,
+		// with no spread term: every admitted candidate ties on weight and
+		// on chip-average next health, so the lowest peak temperature
+		// decides.
+		flat := *fx.Table
+		flat.Factor = make([]float64, len(fx.Table.Factor))
+		for i := range flat.Factor {
+			flat.Factor[i] = 1
+		}
+		ctx.AgingTable = &flat
+		for i := range ctx.Health {
+			ctx.Health[i] = aging.NewState()
+			ctx.FMax[i] = 3e9
+		}
+		cfg.SpreadWeight = 0
+		desc += " flatTable"
+	}
+	if rng.Intn(3) == 0 {
+		// A T_safe some candidates exceed, so admission is contested.
+		ctx.TSafe = ctx.Predictor.Ambient() + 15 + 30*rng.Float64()
+		desc += fmt.Sprintf(" tSafe%.1f", ctx.TSafe)
 	}
 	ctx.DutyMode = policy.DutyMode(rng.Intn(3))
 	ctx.HorizonYears = []float64{0.25, 1}[rng.Intn(2)]
@@ -166,6 +196,51 @@ func TestPlaceMatchesReference(t *testing.T) {
 		t.Fatal("no MapIncremental call started from a non-empty assignment")
 	}
 	t.Logf("%d MapIncremental calls started from a non-empty assignment", seededInc)
+}
+
+// refUpdateNear is updateNear as it was before it visited only the
+// cores closer than SpreadCap, verbatim but for its name.
+func (h *Hayat) refUpdateNear(ctx *policy.Context, near []int, i int) {
+	for c := range near {
+		if d := ctx.Chip.Floorplan.ManhattanDistance(c, i); d < near[c] {
+			near[c] = d
+		}
+	}
+}
+
+// TestUpdateNearMatchesReference powers random cores one by one on grids
+// from 1×1 to 9×12 in both orientations, with SpreadCap from 0 past the
+// grid's diameter, and requires every near[c] to equal refUpdateNear's
+// after every step.
+func TestUpdateNearMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	shapes := [][2]int{{1, 1}, {1, 6}, {6, 1}, {3, 5}, {5, 3}, {8, 8}, {9, 12}, {12, 9}}
+	for trial := 0; trial < 300; trial++ {
+		shape := shapes[rng.Intn(len(shapes))]
+		fp := floorplan.New(shape[0], shape[1])
+		n := fp.N()
+		cfg := DefaultConfig()
+		cfg.SpreadCap = rng.Intn(shape[0] + shape[1] + 2)
+		h, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &policy.Context{Chip: &variation.Chip{Floorplan: fp}}
+		got, want := make([]int, n), make([]int, n)
+		for c := range got {
+			got[c], want[c] = cfg.SpreadCap, cfg.SpreadCap
+		}
+		for _, i := range rng.Perm(n)[:1+rng.Intn(n)] {
+			h.updateNear(ctx, got, i)
+			h.refUpdateNear(ctx, want, i)
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("%d×%d cap %d, core %d powered: near[%d] = %d, reference %d",
+						shape[0], shape[1], cfg.SpreadCap, i, c, got[c], want[c])
+				}
+			}
+		}
+	}
 }
 
 // slotsFromBytes builds a candidate slot set for the pick tests: few

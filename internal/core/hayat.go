@@ -28,6 +28,7 @@ import (
 
 	"github.com/kit-ces/hayat/internal/mapping"
 	"github.com/kit-ces/hayat/internal/policy"
+	"github.com/kit-ces/hayat/internal/thermpredict"
 	"github.com/kit-ces/hayat/internal/workload"
 )
 
@@ -153,11 +154,11 @@ type candidate struct {
 	incumbent            bool
 	hNow                 float64 // current health, in (0, 1]
 	tCand                float64 // the candidate's own predicted temperature
-	tMaxNext             float64 // peak predicted temperature
 	ub                   float64 // weight with the next health replaced by the table bound
 	hNext                float64 // next health; set with weight
 	weight               float64 // exact weight; set only for candidates the bound cannot rule out
 	hAvgNext             float64 // chip-average next health; set only on ties
+	tMaxNext             float64 // peak predicted temperature; set with hAvgNext
 }
 
 // weight is Eq. 9 plus the DCM-optimisation spread, the waste penalty and
@@ -188,7 +189,8 @@ func (c *candidate) below(thr float64) bool {
 //
 // Every slot carries its bound ub. weigh must set a slot's exact weight,
 // which may not exceed ub; tieHealth must return a slot's chip-average
-// next health. The slot with the highest bound is weighed first and its
+// next health and set its peak temperature. The slot with the highest
+// bound is weighed first and its
 // weight is the threshold; a slot whose bound lies below it is never
 // weighed, because its weight ≤ ub < threshold ≤ the best weight means it
 // can neither win nor tie. tieHealth runs only for slots tied at the top
@@ -239,16 +241,6 @@ func pickCandidate(cs []candidate, weigh func(*candidate), tieHealth func(*candi
 	return best, nil
 }
 
-// demandSorter orders threads most-demanding first. It is a pre-allocated
-// sort.Interface (kept in placeScratch) so the per-epoch sort allocates
-// no closure; sort.Stable produces the same stable permutation
-// sort.SliceStable did, so decisions are unchanged.
-type demandSorter struct{ ts []*workload.Thread }
-
-func (s *demandSorter) Len() int           { return len(s.ts) }
-func (s *demandSorter) Swap(i, j int)      { s.ts[i], s.ts[j] = s.ts[j], s.ts[i] }
-func (s *demandSorter) Less(i, j int) bool { return s.ts[i].MinFreq() > s.ts[j].MinFreq() }
-
 // placeScratch is place's reusable working set, carried across epochs in
 // policy.Context.Scratch so the steady-state mapping decision allocates
 // nothing. It is keyed by core count; a mismatch — first call, resized
@@ -257,7 +249,7 @@ func (s *demandSorter) Less(i, j int) bool { return s.ts[i].MinFreq() > s.ts[j].
 type placeScratch struct {
 	n int
 
-	order demandSorter
+	order policy.DemandOrder
 	cands []candidate
 	pdyn  []float64
 	duty  []float64
@@ -309,13 +301,31 @@ func (h *Hayat) seedNear(ctx *policy.Context, near []int, on []bool) {
 	}
 }
 
-// updateNear lowers near to account for core i being powered: O(n).
+// updateNear lowers near to account for core i being powered. Every
+// near[c] is at most SpreadCap, so only a core closer than SpreadCap to
+// i can be lowered: it visits that diamond, row by row, and leaves the
+// rest as they are.
 func (h *Hayat) updateNear(ctx *policy.Context, near []int, i int) {
-	for c := range near {
-		if d := ctx.Chip.Floorplan.ManhattanDistance(c, i); d < near[c] {
-			near[c] = d
+	fp := ctx.Chip.Floorplan
+	row, col := fp.Position(i)
+	rad := h.cfg.SpreadCap - 1
+	for r := max(0, row-rad); r <= min(fp.Rows-1, row+rad); r++ {
+		dr := abs(r - row)
+		span := rad - dr
+		for q := max(0, col-span); q <= min(fp.Cols-1, col+span); q++ {
+			c := r*fp.Cols + q
+			if d := dr + abs(q-col); d < near[c] {
+				near[c] = d
+			}
 		}
 	}
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // Map implements Algorithm 1 for a full remap (epoch boundary).
@@ -360,9 +370,9 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 
 	// Sort threads most-demanding first so scarce fast cores are
 	// contended for before they are hidden behind slack ones.
-	s.order.ts = append(s.order.ts[:0], threads...)
+	s.order.Threads = append(s.order.Threads[:0], threads...)
 	sort.Stable(&s.order)
-	order := s.order.ts
+	order := s.order.Threads
 
 	avgHealth := 0.0
 	for i := range ctx.Health {
@@ -387,6 +397,7 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 	}
 	base := ctx.Predictor.Predict(s.base, s.total, pdyn, on)
 	s.base = base
+	maxBase := thermpredict.Peak(base)
 	near := s.near
 	if h.cfg.SpreadWeight > 0 {
 		h.seedNear(ctx, near, on)
@@ -423,7 +434,8 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 	}
 	// tieHealth is estimateNextHealth's chip average for a tied candidate:
 	// it re-evaluates only thermally affected cores; the rest keep their
-	// baseline prediction.
+	// baseline prediction. It also sets the candidate's peak temperature,
+	// the next tie-break, from the same predicted field.
 	tieHealth := func(c *candidate) float64 {
 		if !cacheFresh {
 			refreshAgingCache()
@@ -432,6 +444,7 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 		cand := c.core
 		addPower := ctx.Predictor.CandidatePower(cand, dynP, base[cand])
 		ctx.Predictor.DeltaPredict(tNext, base, cand, addPower)
+		c.tMaxNext = thermpredict.Peak(tNext)
 		hSum := 0.0
 		for i := 0; i < n; i++ {
 			dT := tNext[i] - base[i]
@@ -448,7 +461,7 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 		return hSum / float64(n)
 	}
 
-	for _, t := range order {
+	for ti, t := range order {
 		if asg.NumAssigned() >= ctx.MaxOnCores {
 			s.unmap = append(s.unmap, t)
 			continue
@@ -471,10 +484,12 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				continue
 			}
 			// Eq. 4 admission: every core must stay below T_safe. Admit
-			// walks the candidate's predicted field once and stops at
-			// the first core above T_safe.
+			// proves it from the hottest base core and the candidate's
+			// largest response where it can, and otherwise walks the
+			// candidate's predicted field, stopping at the first core
+			// above T_safe.
 			addPower := ctx.Predictor.CandidatePower(cand, dynP, base[cand])
-			tCand, tMax, ok := ctx.Predictor.Admit(base, cand, addPower, ctx.TSafe)
+			tCand, ok := ctx.Predictor.Admit(base, maxBase, cand, addPower, ctx.TSafe)
 			if !ok {
 				continue
 			}
@@ -499,13 +514,13 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 				spread = h.cfg.SpreadWeight * float64(dist)
 			}
 
-			cands = append(cands, candidate{
-				core: cand, wFreq: wFreq, spread: spread, dfGHz: dfGHz,
-				incumbent: ctx.PrevOn != nil && ctx.PrevOn[cand],
-				hNow:      ctx.Health[cand].Factor,
-				tCand:     tCand, tMaxNext: tMax,
-			})
+			// Fill the next slot in place (cands has room for every
+			// core); pickCandidate sets the fields after ub.
+			cands = cands[:len(cands)+1]
 			c := &cands[len(cands)-1]
+			c.core, c.wFreq, c.spread, c.dfGHz = cand, wFreq, spread, dfGHz
+			c.incumbent = ctx.PrevOn != nil && ctx.PrevOn[cand]
+			c.hNow, c.tCand = ctx.Health[cand].Factor, tCand
 			c.ub = h.weight(c, beta, hBound)
 		}
 		s.cands = cands
@@ -528,8 +543,13 @@ func (h *Hayat) place(ctx *policy.Context, existing *mapping.Assignment, threads
 			h.updateNear(ctx, near, best)
 		}
 		// Full re-prediction re-synchronises the leakage correction; the
-		// aging cache no longer matches the base temperatures.
-		base = ctx.Predictor.Predict(base, s.total, pdyn, on)
+		// aging cache no longer matches the base temperatures. No later
+		// thread reads the field once the budget is spent or this was
+		// the last thread, so then it is not predicted.
+		if ti+1 < len(order) && asg.NumAssigned() < ctx.MaxOnCores {
+			base = ctx.Predictor.Predict(base, s.total, pdyn, on)
+			maxBase = thermpredict.Peak(base)
+		}
 		cacheFresh = false
 	}
 	if len(s.unmap) > 0 {

@@ -7,7 +7,8 @@ package core
 // next to the live code; the equivalence tests and FuzzPickCandidate
 // compare the live decisions against it. Since then it has lost only its
 // worker pool: the loops it chunked run serially, computing the same
-// values. Do not edit it to follow later changes — it is the reference
+// values; and its demand sorter is policy.DemandOrder, the one both
+// policies share, with the same comparison. Do not edit it to follow later changes — it is the reference
 // the pruned loop must match bit for bit.
 
 import (
@@ -53,7 +54,7 @@ func (s *refCandSorter) Less(a, b int) bool {
 type refScratch struct {
 	n int
 
-	order demandSorter
+	order policy.DemandOrder
 	cands refCandSorter
 	pdyn  []float64
 	duty  []float64
@@ -114,9 +115,9 @@ func (h *Hayat) referencePlace(ctx *policy.Context, existing *mapping.Assignment
 
 	// Sort threads most-demanding first so scarce fast cores are
 	// contended for before they are hidden behind slack ones.
-	s.order.ts = append(s.order.ts[:0], threads...)
+	s.order.Threads = append(s.order.Threads[:0], threads...)
 	sort.Stable(&s.order)
-	order := s.order.ts
+	order := s.order.Threads
 
 	avgHealth := 0.0
 	for i := range ctx.Health {

@@ -102,12 +102,31 @@ func (s *Stats) Add(other Stats) {
 type Manager struct {
 	cfg   Config
 	stats Stats
-	// throttled tracks, per core index, whether the resident thread is
-	// currently throttled.
-	throttled map[int]bool
-	// cooldown tracks, per thread, the remaining Step calls of DTM
-	// immunity after a migration.
-	cooldown map[*workload.Thread]int
+	// throttled[i] reports whether the thread resident on core i is
+	// currently throttled. Step grows it to the assignment's core count;
+	// a core beyond its length is not throttled.
+	throttled []bool
+	// cooldown lists the threads in their DTM immunity after a
+	// migration, each once, with the Step calls it has left.
+	cooldown []cooling
+	// actions is the slice Step returns, reused from call to call.
+	actions []Action
+}
+
+// cooling is one thread's remaining DTM immunity.
+type cooling struct {
+	t    *workload.Thread
+	left int
+}
+
+// coolingDown reports whether thread t is immune from DTM action.
+func (m *Manager) coolingDown(t *workload.Thread) bool {
+	for _, c := range m.cooldown {
+		if c.t == t {
+			return true
+		}
+	}
+	return false
 }
 
 // NewManager builds a manager; the config must validate.
@@ -115,7 +134,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Manager{cfg: cfg, throttled: make(map[int]bool), cooldown: make(map[*workload.Thread]int)}, nil
+	return &Manager{cfg: cfg}, nil
 }
 
 // Stats returns the accumulated accounting.
@@ -124,7 +143,7 @@ func (m *Manager) Stats() Stats { return m.stats }
 // FrequencyFactor returns the multiplier to apply to the thread's required
 // frequency on core i (1 when unthrottled).
 func (m *Manager) FrequencyFactor(i int) float64 {
-	if m.throttled[i] {
+	if i < len(m.throttled) && m.throttled[i] {
 		return m.cfg.ThrottleFactor
 	}
 	return 1
@@ -141,38 +160,45 @@ func (m *Manager) FrequencyFactor(i int) float64 {
 //
 // fmax is the per-core current (aged) maximum safe frequency. The
 // assignment is mutated in place; the performed actions are returned in
-// order.
+// order, in a slice that is valid until the next Step.
+//
+// A migration writes TSafe − 2·MigrateMargin into temps at the vacated
+// core, so the rest of this call does not pick that core again. temps is
+// the caller's slice, so the caller sees the write too (the engine's
+// live temperatures: its next step's leakage and the trace read it).
 func (m *Manager) Step(temps, fmax []float64, asg *mapping.Assignment) []Action {
 	n := asg.N()
 	if len(temps) != n || len(fmax) != n {
 		panic("dtm: Step length mismatch")
 	}
-	var actions []Action
+	if len(m.throttled) < n {
+		m.throttled = append(m.throttled, make([]bool, n-len(m.throttled))...)
+	}
+	actions := m.actions[:0]
 
 	// Advance migration cooldowns.
-	for t, left := range m.cooldown {
-		if left <= 1 {
-			delete(m.cooldown, t)
-		} else {
-			m.cooldown[t] = left - 1
+	kept := m.cooldown[:0]
+	for _, c := range m.cooldown {
+		if c.left > 1 {
+			c.left--
+			kept = append(kept, c)
 		}
 	}
+	m.cooldown = kept
 
 	// Recovery first: cores that have cooled sufficiently lose their
-	// throttle mark. Iterate by core index, not over the throttled map:
-	// the Unthrottle actions are appended to the returned (ordered)
-	// action list, so their order must not depend on map iteration.
+	// throttle mark, in core order.
 	for i := 0; i < n; i++ {
 		if !m.throttled[i] {
 			continue
 		}
 		t := asg.ThreadOn(i)
 		if t == nil {
-			delete(m.throttled, i)
+			m.throttled[i] = false
 			continue
 		}
 		if temps[i] < m.cfg.TSafe-m.cfg.MigrateMargin {
-			delete(m.throttled, i)
+			m.throttled[i] = false
 			actions = append(actions, Action{Kind: Unthrottle, Thread: t, FromCore: i})
 		}
 	}
@@ -188,7 +214,7 @@ func (m *Manager) Step(temps, fmax []float64, asg *mapping.Assignment) []Action 
 			if m.throttled[i] {
 				continue // already handled; wait for cooling
 			}
-			if _, cooling := m.cooldown[asg.ThreadOn(i)]; cooling {
+			if m.coolingDown(asg.ThreadOn(i)) {
 				continue // recently migrated; let the thermals settle
 			}
 			if hot < 0 || temps[i] > temps[hot] {
@@ -208,7 +234,8 @@ func (m *Manager) Step(temps, fmax []float64, asg *mapping.Assignment) []Action 
 			// thermally; mark nothing. The hot core is now dark.
 			m.stats.Migrations++
 			if m.cfg.CooldownSteps > 0 {
-				m.cooldown[t] = m.cfg.CooldownSteps
+				// t was picked as not cooling, so it has no entry yet.
+				m.cooldown = append(m.cooldown, cooling{t, m.cfg.CooldownSteps})
 			}
 			actions = append(actions, Action{Kind: Migrate, Thread: t, FromCore: hot, ToCore: dest})
 			// Treat the vacated core as cooling; do not revisit it this
@@ -220,6 +247,7 @@ func (m *Manager) Step(temps, fmax []float64, asg *mapping.Assignment) []Action 
 			actions = append(actions, Action{Kind: Throttle, Thread: t, FromCore: hot})
 		}
 	}
+	m.actions = actions
 	return actions
 }
 

@@ -291,4 +291,4 @@ func TestConfigRejectsBadLadderAndCooldown(t *testing.T) {
 func (m *Manager) ResetStats() { m.stats = Stats{} }
 
 // Throttled reports whether the thread on core i is currently throttled.
-func (m *Manager) Throttled(i int) bool { return m.throttled[i] }
+func (m *Manager) Throttled(i int) bool { return i < len(m.throttled) && m.throttled[i] }

@@ -86,6 +86,8 @@ func (f *Floorplan) Neighbors(dst []int, i int) []int {
 
 // ManhattanDistance returns the grid Manhattan distance between cores a
 // and b.
+//
+//lint:ignore reachability the core and baseline tests measure placements with it, and their verbatim reference copies of Hayat and VAA call it
 func (f *Floorplan) ManhattanDistance(a, b int) int {
 	ra, ca := f.Position(a)
 	rb, cb := f.Position(b)

@@ -15,7 +15,6 @@ package numeric
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -46,24 +45,81 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // MulVec computes dst = m · x. dst must have length m.Rows and x length
 // m.Cols; dst and x must not alias. It returns dst for chaining. Each
-// dst[i] is summed in ascending column order (DotRows).
+// dst[i] is summed in ascending column order (MulRows).
 func (m *Matrix) MulVec(dst, x []float64) []float64 {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("numeric: MulVec dimension mismatch")
 	}
-	DotRows(dst, 1, x, m.Data)
+	MulRows(dst, 0, 1, x, m.Data, m.Cols)
 	return dst
 }
 
-// DotRows sets out[j*stride] = 0 + a[0]·b_j[0] + a[1]·b_j[1] + … for
-// every row b_j of b, which holds rows of len(a) > 0 values. Each sum is
-// taken in ascending index and rounded after every product and every
+// MulRows sets out[i*si + j*sj] = 0 + a_i[0]·b_j[0] + a_i[1]·b_j[1] + …
+// for every row a_i of a and every row b_j of b, both of which hold rows
+// of k > 0 values: the product A·Bᵀ, written with any strides. Each sum
+// is taken in ascending index and rounded after every product and every
 // add, exactly as a one-accumulator loop would, so the result is the
-// naive loop's bit for bit. Four rows run at once, each in its own
-// accumulator: that breaks the single add-latency chain without
-// reordering any sum (DESIGN.md §19). float64(x*y) rounds each product
-// before its add, so no architecture fuses the two into one FMA.
-func DotRows(out []float64, stride int, a, b []float64) {
+// naive loop's bit for bit. Two rows of a run against four rows of b at
+// once, each of the eight sums in its own accumulator: every loaded
+// value serves two or four products, and no sum is reordered (DESIGN.md
+// §19, §21). float64(x*y) rounds each product before its add, so no
+// architecture fuses the two into one FMA.
+func MulRows(out []float64, si, sj int, a, b []float64, k int) {
+	ra := len(a) / k
+	i := 0
+	for ; i+2 <= ra; i += 2 {
+		mulRowPair(out[i*si:], si, sj, a[i*k:][:k], a[(i+1)*k:][:k], b)
+	}
+	if i < ra {
+		mulRow(out[i*si:], sj, a[i*k:][:k], b)
+	}
+}
+
+// mulRowPair is MulRows for the two rows a0 and a1 of equal length.
+func mulRowPair(out []float64, si, sj int, a0, a1, b []float64) {
+	K := len(a0)
+	a1 = a1[:K]
+	rows := len(b) / K
+	j := 0
+	for ; j+4 <= rows; j += 4 {
+		// Reslicing to K lets the compiler drop the bounds checks.
+		b0 := b[j*K:][:K]
+		b1 := b[(j+1)*K:][:K]
+		b2 := b[(j+2)*K:][:K]
+		b3 := b[(j+3)*K:][:K]
+		var s00, s01, s02, s03, s10, s11, s12, s13 float64
+		for k, x0 := range a0 {
+			x1 := a1[k]
+			y0, y1, y2, y3 := b0[k], b1[k], b2[k], b3[k]
+			s00 += float64(x0 * y0)
+			s01 += float64(x0 * y1)
+			s02 += float64(x0 * y2)
+			s03 += float64(x0 * y3)
+			s10 += float64(x1 * y0)
+			s11 += float64(x1 * y1)
+			s12 += float64(x1 * y2)
+			s13 += float64(x1 * y3)
+		}
+		o := j * sj
+		out[o], out[o+sj], out[o+2*sj], out[o+3*sj] = s00, s01, s02, s03
+		o += si
+		out[o], out[o+sj], out[o+2*sj], out[o+3*sj] = s10, s11, s12, s13
+	}
+	for ; j < rows; j++ {
+		bj := b[j*K:][:K]
+		var s0, s1 float64
+		for k, x0 := range a0 {
+			y := bj[k]
+			s0 += float64(x0 * y)
+			s1 += float64(a1[k] * y)
+		}
+		out[j*sj], out[si+j*sj] = s0, s1
+	}
+}
+
+// mulRow is MulRows for the one row a: four rows of b at once, each in
+// its own accumulator.
+func mulRow(out []float64, stride int, a, b []float64) {
 	K := len(a)
 	rows := len(b) / K
 	j := 0
@@ -105,7 +161,9 @@ var ErrNonFinite = errors.New("numeric: non-finite value encountered")
 // AllFinite reports whether every element of v is finite (no NaN, no ±Inf).
 func AllFinite(v []float64) bool {
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		// x − x is +0 for every finite x and NaN for ±Inf and NaN: one
+		// subtraction and one comparison instead of three comparisons.
+		if x-x != 0 {
 			return false
 		}
 	}

@@ -15,4 +15,13 @@ func TestAllFinite(t *testing.T) {
 	if !AllFinite(nil) {
 		t.Fatal("empty slice should be finite")
 	}
+	// The extremes of the finite range, both signs and both zeros.
+	for _, x := range []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Copysign(0, -1)} {
+		if !AllFinite([]float64{1, x}) {
+			t.Fatalf("%v reported non-finite", x)
+		}
+	}
+	if AllFinite([]float64{1, math.Inf(-1)}) || AllFinite([]float64{math.Inf(1), 1}) {
+		t.Fatal("an infinity reported finite")
+	}
 }

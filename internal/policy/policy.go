@@ -155,11 +155,25 @@ func (c *Context) ThreadDynPower(t *workload.Thread) float64 {
 	return c.PowerModel.DynamicPower(f, avgActivity)
 }
 
+// DemandOrder sorts threads most demanding first (highest required
+// frequency first). A policy keeps one in its Scratch, so the sort at
+// each decision builds no closure; sort.Stable on it gives the
+// permutation sort.SliceStable gives with the same comparison.
+type DemandOrder struct{ Threads []*workload.Thread }
+
+func (s *DemandOrder) Len() int      { return len(s.Threads) }
+func (s *DemandOrder) Swap(i, j int) { s.Threads[i], s.Threads[j] = s.Threads[j], s.Threads[i] }
+func (s *DemandOrder) Less(i, j int) bool {
+	return s.Threads[i].MinFreq() > s.Threads[j].MinFreq()
+}
+
 // Result is a mapping decision plus diagnostics.
 type Result struct {
 	Assignment *mapping.Assignment
 	// Unmapped lists threads the policy could not place (no eligible core
-	// within the dark-silicon and thermal budgets).
+	// within the dark-silicon and thermal budgets). It may live in the
+	// context's Scratch, so it is valid until the next decision on the
+	// same context.
 	Unmapped []*workload.Thread
 }
 

@@ -87,21 +87,23 @@ func benchSteadyEpoch(b *testing.B, pol policy.Policy) {
 	}
 }
 
-// TestEpochKernelSteadyStateAllocs pins the PR10 allocation contract: a
-// steady-state epoch performs (almost) no heap allocations —
-// every per-epoch buffer lives in the runState/policy scratch arenas.
-// The budget of 10 leaves headroom for incidental small allocations
-// (e.g. a DTM action slice on a thermal event) without letting a
-// per-core or per-step regression slip through (the pre-PR10 kernel
-// allocated ~985 times per epoch).
+// TestEpochKernelSteadyStateAllocs pins the PR10 allocation contract for
+// both policies: a steady-state epoch performs (almost) no heap
+// allocations — every per-epoch buffer lives in the runState/policy
+// scratch arenas. The budget of 10 leaves headroom for incidental small
+// allocations without letting a per-core or per-step regression slip
+// through (the pre-PR10 kernel allocated ~985 times per epoch, and VAA
+// 14 times before it recycled its assignment and kept its sort buffer).
 func TestEpochKernelSteadyStateAllocs(t *testing.T) {
-	e := newEngine(t, benchConfig(), hayatPolicy(t), 1)
-	st := warmState(t, e)
-	avg := testing.AllocsPerRun(10, func() {
-		resetEpochState(e, st)
-		runSteadyEpoch(t, e, st)
-	})
-	if avg > 10 {
-		t.Fatalf("steady-state epoch allocates %.1f times per run, want ≤10", avg)
+	for _, pol := range []policy.Policy{hayatPolicy(t), vaaPolicy(t)} {
+		e := newEngine(t, benchConfig(), pol, 1)
+		st := warmState(t, e)
+		avg := testing.AllocsPerRun(10, func() {
+			resetEpochState(e, st)
+			runSteadyEpoch(t, e, st)
+		})
+		if avg > 10 {
+			t.Errorf("%s: steady-state epoch allocates %.1f times per run, want ≤10", pol.Name(), avg)
+		}
 	}
 }

@@ -317,6 +317,7 @@ type runState struct {
 	ws        windowStats                  // window statistics accumulators
 	pdyn      []float64                    // per-core dynamic power
 	total     []float64                    // per-core total power
+	freq      []float64                    // per-core operating frequency (powered cores)
 	cur       []float64                    // per-core current temperatures
 	stall     map[*workload.Thread]float64 // migration-stall countdowns
 }
@@ -331,6 +332,7 @@ func (e *Engine) newRunState() (*runState, error) {
 		lastUsed: make([]int, n),
 		pdyn:     make([]float64, n),
 		total:    make([]float64, n),
+		freq:     make([]float64, n),
 		cur:      make([]float64, n),
 		stall:    make(map[*workload.Thread]float64),
 	}
@@ -654,8 +656,8 @@ func (e *Engine) runWindow(epoch int, st *runState, asg *mapping.Assignment, mix
 
 	// Start the window from the steady state of the mapping's current
 	// power, so the multi-second sink warm-up does not eat the window.
-	pdyn, total := st.pdyn, st.total
-	e.corePowers(pdyn, total, asg, dtmMgr, temps, fmax, nil)
+	pdyn, total, freq := st.pdyn, st.total, st.freq
+	e.corePowers(pdyn, total, freq, asg, dtmMgr, temps, fmax, nil)
 	if err := tr.SetSteadyState(total); err != nil {
 		return nil, err
 	}
@@ -673,7 +675,7 @@ func (e *Engine) runWindow(epoch int, st *runState, asg *mapping.Assignment, mix
 	clear(stall)
 
 	for s := 0; s < steps; s++ {
-		e.corePowers(pdyn, total, asg, dtmMgr, cur, fmax, stall)
+		e.corePowers(pdyn, total, freq, asg, dtmMgr, cur, fmax, stall)
 		if err := tr.StepChecked(total); err != nil {
 			return nil, err
 		}
@@ -699,7 +701,14 @@ func (e *Engine) runWindow(epoch int, st *runState, asg *mapping.Assignment, mix
 				}
 				ph := th.Phase()
 				ws.dutyAvg[i] += ph.Duty
-				f := e.operatingFreq(th, i, fmax, cur) * dtmMgr.FrequencyFactor(i)
+				// corePowers priced this step at freq[i]: the thread, its
+				// throttle mark and fmax are unchanged since. Only a turbo
+				// frequency depends on the temperature, which the step
+				// has just moved, so only it is evaluated again.
+				f := freq[i]
+				if cfg.TurboBoost {
+					f = e.operatingFreq(th, i, fmax, cur) * dtmMgr.FrequencyFactor(i)
+				}
 				ipsSum += ph.IPC * f
 			}
 		}
@@ -743,8 +752,9 @@ func (e *Engine) runWindow(epoch int, st *runState, asg *mapping.Assignment, mix
 
 // corePowers fills pdyn (dynamic only) and total (dynamic + leakage /
 // gated leakage) for the current assignment, thread phases and
-// temperatures.
-func (e *Engine) corePowers(pdyn, total []float64, asg *mapping.Assignment, dtmMgr *dtm.Manager, temps, fmax []float64, stall map[*workload.Thread]float64) {
+// temperatures, and freq with each powered core's operating frequency
+// (dark cores' entries are left as they were).
+func (e *Engine) corePowers(pdyn, total, freq []float64, asg *mapping.Assignment, dtmMgr *dtm.Manager, temps, fmax []float64, stall map[*workload.Thread]float64) {
 	for i := range pdyn {
 		th := asg.ThreadOn(i)
 		if th == nil {
@@ -754,6 +764,7 @@ func (e *Engine) corePowers(pdyn, total []float64, asg *mapping.Assignment, dtmM
 		}
 		ph := th.Phase()
 		f := e.operatingFreq(th, i, fmax, temps) * dtmMgr.FrequencyFactor(i)
+		freq[i] = f
 		activity := ph.Activity
 		if len(stall) > 0 && stall[th] > 0 {
 			activity *= 0.5 // cache/state refill burns power without retiring work

@@ -135,12 +135,8 @@ func (b *basis) forward(dst, x, tmp []float64) {
 	R, C := b.rows.m, b.cols.m
 	// tmp = (x·Φ_C)ᵀ, stored transposed so the second product reads its
 	// columns as rows.
-	for r := 0; r < R; r++ {
-		numeric.DotRows(tmp[r:], R, x[r*C:(r+1)*C], b.cols.phiT)
-	}
-	for p := 0; p < R; p++ { // dst = Φ_Rᵀ·tmp
-		numeric.DotRows(dst[p*C:], 1, b.rows.phiT[p*R:(p+1)*R], tmp)
-	}
+	numeric.MulRows(tmp, 1, R, x[:R*C], b.cols.phiT, C)
+	numeric.MulRows(dst, C, 1, b.rows.phiT, tmp[:R*C], R) // dst = Φ_Rᵀ·tmp
 }
 
 // inverse writes the field x = Φ_R·x̂·Φ_Cᵀ + offset into dst, using tmp
@@ -154,12 +150,8 @@ func (b *basis) inverse(dst, xh, tmp []float64, offset float64) {
 			dst[q*R+p] = v
 		}
 	}
-	for r := 0; r < R; r++ { // tmp = Φ_R·x̂
-		numeric.DotRows(tmp[r*C:], 1, b.rows.phi[r*R:(r+1)*R], dst)
-	}
-	for r := 0; r < R; r++ { // dst = tmp·Φ_Cᵀ + offset
-		numeric.DotRows(dst[r*C:], 1, tmp[r*C:(r+1)*C], b.cols.phi)
-	}
+	numeric.MulRows(tmp, C, 1, b.rows.phi, dst[:R*C], R) // tmp = Φ_R·x̂
+	numeric.MulRows(dst, C, 1, tmp[:R*C], b.cols.phi, C) // dst = tmp·Φ_Cᵀ + offset
 	for i := range dst {
 		dst[i] += offset
 	}

@@ -20,7 +20,8 @@
 // is what makes per-candidate evaluation inside Algorithm 1 feasible at
 // run time (the paper reports ≈25 µs for predictTemperature). A
 // candidate's admission costs one 64-entry pass over a row of the
-// transposed response.
+// transposed response, or nothing when a bound from that row's largest
+// entry already proves it.
 //
 // Every product that feeds a sum here is written float64(x*y), which
 // rounds it before the add, so no architecture fuses the two into one
@@ -57,6 +58,10 @@ type Predictor struct {
 	// leakAmb[i] is core i's leakage when powered at ambient, the input of
 	// Predict's first sweep: a constant of the chip, computed in Learn.
 	leakAmb []float64
+
+	// rowMax[j] is Peak(row j of respT): the largest temperature rise
+	// per Watt at core j, over every core. Admit's bound reads it.
+	rowMax []float64
 }
 
 // Learn performs the offline step: it takes the thermal model's response
@@ -78,14 +83,37 @@ func Learn(tm *thermal.Model, pm power.Model, chip *variation.Chip) (*Predictor,
 	if err != nil {
 		return nil, fmt.Errorf("thermpredict: %w", err)
 	}
-	p := &Predictor{
-		tm: tm, leak: pm.Leakage(), chip: chip,
-		resp: resp, respT: respT, leakAmb: make([]float64, n),
-	}
+	p := newPredictor(tm, pm.Leakage(), chip, resp, respT)
 	for i := range p.leakAmb {
 		p.leakAmb[i] = p.leak.Core(chip.LeakFactor[i], tm.Ambient(), true)
 	}
 	return p, nil
+}
+
+// newPredictor wires a predictor over the response resp and its
+// transpose respT, and computes rowMax; Learn fills leakAmb.
+func newPredictor(tm *thermal.Model, leak power.Leakage, chip *variation.Chip, resp, respT *numeric.Matrix) *Predictor {
+	p := &Predictor{
+		tm: tm, leak: leak, chip: chip,
+		resp: resp, respT: respT,
+		leakAmb: make([]float64, resp.Rows), rowMax: make([]float64, resp.Rows),
+	}
+	for j := range p.rowMax {
+		p.rowMax[j] = Peak(respT.Row(j))
+	}
+	return p
+}
+
+// Peak returns the largest value of field, seeded from field[0]: a NaN
+// elsewhere is passed over, and a NaN at index 0 is returned.
+func Peak(field []float64) float64 {
+	peak := field[0]
+	for _, v := range field {
+		if v > peak {
+			peak = v
+		}
+	}
+	return peak
 }
 
 // Ambient returns the ambient temperature of the underlying model.
@@ -159,29 +187,40 @@ func (p *Predictor) DeltaPredict(dst, base []float64, j int, addPower float64) [
 }
 
 // Admit is Algorithm 1's admission test (Eq. 4) for a candidate at core
-// j, fused with DeltaPredict: it walks the field DeltaPredict(base, j,
-// addPower) would return, core by core in ascending order, without
-// writing it. It returns ok = false at the first core above tSafe.
-// Otherwise tj is core j's predicted temperature and peak the field's
-// maximum, seeded from core 0; both are bit for bit what DeltaPredict's
-// field holds.
-func (p *Predictor) Admit(base []float64, j int, addPower, tSafe float64) (tj, peak float64, ok bool) {
+// j: ok reports whether every core of the field DeltaPredict(base, j,
+// addPower) would return is at or below tSafe, and tj is core j's
+// temperature in that field, bit for bit. maxBase must be Peak(base).
+//
+// When bounded admits, no core needs to be visited. Otherwise Admit walks
+// the field core by core in ascending order, without writing it, and
+// returns ok = false at the first core above tSafe.
+func (p *Predictor) Admit(base []float64, maxBase float64, j int, addPower, tSafe float64) (tj float64, ok bool) {
 	n := p.resp.Rows
 	if len(base) != n {
 		panic("thermpredict: Admit length mismatch")
 	}
 	row := p.respT.Row(j)[:n]
-	peak = base[0] + float64(row[0]*addPower)
-	for i, b := range base {
-		t := b + float64(row[i]*addPower)
-		if t > peak {
-			peak = t
-		}
-		if t > tSafe {
-			return 0, 0, false
+	if !p.bounded(maxBase, j, addPower, tSafe) {
+		for i, b := range base {
+			if b+float64(row[i]*addPower) > tSafe {
+				return 0, false
+			}
 		}
 	}
-	return base[j] + float64(row[j]*addPower), peak, true
+	return base[j] + float64(row[j]*addPower), true
+}
+
+// bounded reports whether maxBase + rowMax[j]·addPower, rounded as Admit
+// rounds each core's temperature, is at most tSafe. For addPower ≥ 0 and
+// every core i, row[i] ≤ rowMax[j] gives row[i]·addPower ≤
+// rowMax[j]·addPower, and base[i] ≤ maxBase then gives base[i] +
+// row[i]·addPower ≤ maxBase + rowMax[j]·addPower. IEEE rounding is
+// monotone, so both steps hold for the rounded values too, and every
+// core is at or below tSafe. A core whose base or response is NaN reads
+// NaN, which Admit's scan never rejects either. A negative or NaN
+// addPower, or a NaN bound, falls back to the scan.
+func (p *Predictor) bounded(maxBase float64, j int, addPower, tSafe float64) bool {
+	return addPower >= 0 && maxBase+float64(p.rowMax[j]*addPower) <= tSafe
 }
 
 // CandidatePower estimates the total power change of waking dark core j
