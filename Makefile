@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup bench-overload bench-answer bench-epoch drill-cluster drill-replication
+.PHONY: build test race lint lint-fixtures lint-selftest fuzz-smoke fmt bench-submit bench-overhead bench-setup bench-overload bench-answer bench-epoch drill-cluster drill-replication campaign
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,12 @@ fuzz-smoke:
 
 fmt:
 	gofmt -w .
+
+# The paper's full evaluation campaign (EXPERIMENTS.md): regenerates
+# experiments_output.txt and figures/, the two artifacts
+# cmd/experiments' TestCampaignMatchesPinnedArtifacts pins byte for byte.
+campaign:
+	$(GO) run ./cmd/experiments -fig all -chips 25 -years 10 -svg figures > experiments_output.txt
 
 # The kill-a-peer drill: 3 real hayatd nodes, one SIGKILLed while it
 # holds unfinished population chips, result still byte-identical with a

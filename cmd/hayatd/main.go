@@ -8,7 +8,6 @@
 //
 //	hayatd [-addr :8080] [-workers N] [-queue N]
 //	       [-data DIR] [-drain 30s] [-journal FILE] [-checkpoints DIR]
-//	       [-checkpoint-every N] [-failpoints SPECS]
 //	       [-default-deadline D] [-pprof-addr ADDR] [-audit FILE]
 //	       [-self URL -peers URL,URL,...] [-probe-interval D] [-steal-after D]
 //	       [-replicas N] [-anti-entropy-interval D]
@@ -36,16 +35,17 @@
 // copies and pays down replication debt accrued while peers were down.
 //
 // With -journal, accepted jobs are write-ahead journalled and re-enqueued
-// (under their original IDs) after a crash; with -checkpoints, recovered
-// jobs resume from their last persisted checkpoint instead of restarting.
+// (under their original IDs) after a crash; with -checkpoints, running
+// jobs checkpoint at every workload-remix boundary and recovered jobs
+// resume from their last persisted checkpoint instead of restarting.
 //
 // POST /v1/batch admits up to 1024 submissions in one pass and journals
 // the accepted ones with one fsync. Every terminal result is recorded in
 // a per-segment Merkle tree and GET /v1/jobs/{id}/proof serves its
 // inclusion proof; with -audit the tree is persisted and rebuilt on
 // restart, without it proofs only cover results produced since startup.
-// -failpoints (or the HAYAT_FAILPOINTS environment variable) arms fault
-// injection for crash drills, e.g.
+// The HAYAT_FAILPOINTS environment variable arms fault injection for
+// crash drills, e.g.
 // "service.cache-read=prob(0.1),sim.thermal-solve=sleep(50ms)", which
 // turns a tenth of the disk-cache reads into misses and stalls every
 // epoch by 50 ms.
@@ -89,8 +89,6 @@ func main() {
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown grace period")
 		journal    = flag.String("journal", "", "write-ahead job journal file (empty: no crash recovery)")
 		ckptDir    = flag.String("checkpoints", "", "directory for job checkpoints (empty: recovered jobs restart)")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in epochs (0: every workload-remix boundary)")
-		failpoints = flag.String("failpoints", "", "arm failpoints, e.g. service.cache-read=prob(0.1) (also HAYAT_FAILPOINTS)")
 		defaultDL  = flag.Duration("default-deadline", 0, "deadline applied to jobs that submit without one (0: unbounded)")
 		audit      = flag.String("audit", "", "persisted Merkle audit log for result provenance (empty: memory only)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs for cluster mode (empty: single node)")
@@ -110,11 +108,6 @@ func main() {
 	if err := faultinject.ArmFromEnv(); err != nil {
 		log.Fatalf("HAYAT_FAILPOINTS: %v", err)
 	}
-	if *failpoints != "" {
-		if err := faultinject.ArmSpecs(*failpoints); err != nil {
-			log.Fatalf("-failpoints: %v", err)
-		}
-	}
 	for _, name := range faultinject.Names() {
 		log.Printf("failpoint armed: %s", name)
 	}
@@ -125,7 +118,6 @@ func main() {
 		DataDir:             *data,
 		JournalPath:         *journal,
 		CheckpointDir:       *ckptDir,
-		CheckpointEvery:     *ckptEvery,
 		DefaultDeadline:     *defaultDL,
 		AuditPath:           *audit,
 		Replicas:            *replicas,

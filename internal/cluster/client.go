@@ -16,11 +16,11 @@ import (
 	"github.com/kit-ces/hayat/internal/store"
 )
 
-// Failpoints (armed via HAYAT_FAILPOINTS / -failpoints). cluster.forward
-// fires on every request the Router sends a peer other than a probe, so
-// arming it exercises retry exhaustion, breaker trips, and local
-// fallback; cluster.health-probe fires in the prober's probe path so
-// health-driven eviction can be forced without killing a process.
+// Failpoints (armed via HAYAT_FAILPOINTS). cluster.forward fires on
+// every request the Router sends a peer other than a probe, so arming it
+// exercises retry exhaustion and local fallback; cluster.health-probe
+// fires in the prober's probe path so health-driven eviction can be
+// forced without killing a process.
 const (
 	fpForward     = "cluster.forward"
 	fpHealthProbe = "cluster.health-probe"
@@ -82,12 +82,12 @@ func (e *statusError) Is(target error) bool { return target == ErrPeerStatus }
 
 // retryable classifies an error for the per-peer retry loop: transport
 // errors and transient statuses are retried (with backoff); BusyError,
-// 4xx, decode failures, an open breaker and context cancellation are not.
+// 4xx, decode failures and context cancellation are not.
 func retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errOpen) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	var be *BusyError

@@ -2,11 +2,10 @@
 // consistent-hash ring routes each job to the peer that owns its
 // content-addressed cache key, a health prober evicts dead or draining
 // peers from the ring, and the router sends work to peers with
-// per-attempt timeouts, capped exponential backoff with jitter, and
-// per-peer circuit breakers (backoff.go, breaker.go). The package is
-// deliberately mechanism-only: WHEN to forward, steal, or degrade to
-// local execution is decided by internal/service, which layers it over
-// the single-node engine.
+// per-attempt timeouts and capped exponential backoff with jitter
+// (backoff.go). The package is deliberately mechanism-only: WHEN to
+// forward, steal, or degrade to local execution is decided by
+// internal/service, which layers it over the single-node engine.
 //
 // Because results are content-addressed (the same request hashes to the
 // same key on every node), ownership is an efficiency contract, not a

@@ -43,13 +43,12 @@ const AbandonGrace = 2 * time.Second
 // PeerSnapshot is one remote peer's externally visible health, served on
 // GET /metrics under cluster.peers.
 type PeerSnapshot struct {
-	State               string          `json:"state"` // "up" | "down"
-	ConsecutiveFailures int             `json:"consecutive_failures"`
-	Probes              int64           `json:"probes"`
-	ProbeFailures       int64           `json:"probe_failures"`
-	Evictions           int64           `json:"evictions"`
-	Recoveries          int64           `json:"recoveries"`
-	Breaker             BreakerSnapshot `json:"breaker"`
+	State               string `json:"state"` // "up" | "down"
+	ConsecutiveFailures int    `json:"consecutive_failures"`
+	Probes              int64  `json:"probes"`
+	ProbeFailures       int64  `json:"probe_failures"`
+	Evictions           int64  `json:"evictions"`
+	Recoveries          int64  `json:"recoveries"`
 }
 
 type peerState struct {
@@ -60,12 +59,11 @@ type peerState struct {
 	failures   int64
 	evictions  int64
 	recoveries int64
-	brk        *breaker
 }
 
-// Router owns the ring, the peer HTTP client, per-peer breakers, and the
-// health prober: the one object the service layer talks to for all
-// cluster mechanics. It makes every peer request itself (client.go).
+// Router owns the ring, the peer HTTP client and the health prober: the
+// one object the service layer talks to for all cluster mechanics. It
+// makes every peer request itself (client.go).
 type Router struct {
 	cfg    Config
 	ring   *Ring
@@ -127,8 +125,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	for _, p := range remote {
 		r.peers[p] = &peerState{
-			up:  true, // optimistic: forwards try immediately, probes correct within failThreshold sweeps
-			brk: newBreaker(breakerThreshold, breakerCooldown),
+			up: true, // optimistic: forwards try immediately, probes correct within failThreshold sweeps
 		}
 	}
 	return r, nil
@@ -232,46 +229,28 @@ func (r *Router) Snapshot() map[string]PeerSnapshot {
 			ProbeFailures:       st.failures,
 			Evictions:           st.evictions,
 			Recoveries:          st.recoveries,
-			Breaker:             st.brk.Stats(),
 		}
 	}
 	return out
 }
 
-// peerBreaker returns peer's circuit breaker (never nil; unknown peers get a
-// throwaway so calls still work in tests).
-func (r *Router) peerBreaker(peer string) *breaker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.peers[peer]; ok {
-		return st.brk
-	}
-	return newBreaker(breakerThreshold, breakerCooldown)
-}
-
 // withRetry runs one logical peer request — method on peer's path, with
-// body — through the peer's breaker and the backoff schedule, handing
-// each attempt's reply to handle, whose error decides whether to retry.
+// body — through the backoff schedule, handing each attempt's reply to
+// handle, whose error decides whether to retry.
 // Attempts run under actx and the backoff between them under ctx, so an
 // actx detached from ctx keeps the attempt in flight after ctx ends, but
 // no retry follows it.
-// An open breaker fails at once with errOpen. BusyError counts
-// as a SUCCESS for the breaker (a peer saying 429 is alive and talking)
-// and is returned immediately so the caller can pass the origin's
-// Retry-After through.
+// A BusyError is returned at once so the caller can pass the origin's
+// Retry-After through. Nothing gates a request on the peer's health:
+// the prober's eviction keeps new work off a down peer, and a draining
+// peer, evicted too, still serves the jobs it accepted.
 func (r *Router) withRetry(ctx, actx context.Context, peer, method, path string, body []byte, maxResp int64, handle func(reply) error) error {
-	brk := r.peerBreaker(peer)
 	return retry(ctx, peerRetry, r.jitter, retryable, func() error {
-		if !brk.Allow() {
-			return fmt.Errorf("cluster: peer %s: %w", peer, errOpen)
-		}
 		rp, err := r.do(actx, fpForward, method, peer, path, body, maxResp)
-		if err == nil {
-			err = handle(rp)
+		if err != nil {
+			return err
 		}
-		var be *BusyError
-		brk.Report(err == nil || errors.As(err, &be))
-		return err
+		return handle(rp)
 	})
 }
 

@@ -22,9 +22,11 @@ func newTestRouter(t *testing.T, peers []string, cfg Config) *Router {
 	return r
 }
 
-// Consecutive forward failures trip the peer's breaker; once open, calls
-// short-circuit without touching the network.
-func TestRouterBreakerGatesForwarding(t *testing.T) {
+// Every request to a failing peer runs peerRetry's whole schedule: a 500
+// is transient, so each SubmitBatch makes exactly maxAttempts attempts,
+// and however many failures came before, nothing cuts a later request
+// short. Only the prober's eviction keeps work off a peer.
+func TestRouterRetriesEveryRequest(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
@@ -33,46 +35,19 @@ func TestRouterBreakerGatesForwarding(t *testing.T) {
 	defer srv.Close()
 
 	r := newTestRouter(t, []string{srv.URL}, Config{})
-	ctx := context.Background()
-
-	// First forward: every one of peerRetry's attempts fails (500 is
-	// transient), one short of the breaker's threshold.
-	if _, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1); err == nil {
-		t.Fatal("forward to 500-peer succeeded")
-	}
-	if n := hits.Load(); n != int64(peerRetry.maxAttempts) {
-		t.Fatalf("first forward made %d attempts, want %d", n, peerRetry.maxAttempts)
-	}
-	if snap := r.Snapshot()[srv.URL]; snap.Breaker.State != breakerClosed {
-		t.Fatalf("breaker tripped before its threshold: %+v", snap.Breaker)
-	}
-
-	// Second forward: its first attempt is the threshold-th failure, and
-	// the breaker cuts the retry loop short.
-	if _, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1); !errors.Is(err, errOpen) {
-		t.Fatalf("second forward returned %v, want the open breaker", err)
-	}
-	if n := hits.Load(); n != breakerThreshold {
-		t.Fatalf("peer saw %d attempts, want %d", n, breakerThreshold)
-	}
-
-	// Breaker is now open: no further network traffic.
-	_, err := r.SubmitBatch(ctx, srv.URL, []byte(`{}`), 1)
-	if !errors.Is(err, errOpen) {
-		t.Fatalf("open breaker returned %v", err)
-	}
-	if n := hits.Load(); n != breakerThreshold {
-		t.Fatalf("open breaker still hit the peer (%d attempts)", n)
-	}
-	snap := r.Snapshot()[srv.URL]
-	if snap.Breaker.State != breakerOpen || snap.Breaker.Trips != 1 {
-		t.Fatalf("breaker snapshot: %+v", snap.Breaker)
+	for i := int64(1); i <= 3; i++ {
+		_, err := r.SubmitBatch(context.Background(), srv.URL, []byte(`{}`), 1)
+		if !errors.Is(err, ErrPeerStatus) {
+			t.Fatalf("request %d: want the peer's 500, got %v", i, err)
+		}
+		if n, want := hits.Load(), i*int64(peerRetry.maxAttempts); n != want {
+			t.Fatalf("after %d requests the peer saw %d attempts, want %d", i, n, want)
+		}
 	}
 }
 
-// 429/503 replies surface as BusyError with the origin's Retry-After, are
-// not retried, and do NOT trip the breaker (a peer shedding load is
-// alive), however many arrive in a row.
+// 429/503 replies surface as BusyError with the origin's Retry-After and
+// are not retried, however many arrive in a row.
 func TestRouterBusyPassthrough(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +58,7 @@ func TestRouterBusyPassthrough(t *testing.T) {
 	defer srv.Close()
 
 	r := newTestRouter(t, []string{srv.URL}, Config{})
-	for i := int64(1); i <= breakerThreshold; i++ {
+	for i := int64(1); i <= 5; i++ {
 		_, err := r.SubmitBatch(context.Background(), srv.URL, []byte(`{}`), 1)
 		var be *BusyError
 		if !errors.As(err, &be) {
@@ -95,9 +70,6 @@ func TestRouterBusyPassthrough(t *testing.T) {
 		if hits.Load() != i {
 			t.Fatalf("busy reply retried: %d attempts after %d replies", hits.Load(), i)
 		}
-	}
-	if snap := r.Snapshot()[srv.URL]; snap.Breaker.State != breakerClosed {
-		t.Fatalf("busy replies tripped the breaker: %+v", snap.Breaker)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package faultinject provides named failpoints for exercising the
 // service's failure paths: disk faults, solver hiccups and slow I/O are
 // injected at the hot seams (cache read/write, checkpoint persist,
-// thermal solve, job spawn) instead of being simulated with mocks. A
-// failpoint is disarmed by default and costs one atomic load per hit;
-// arming happens programmatically (tests), via the HAYAT_FAILPOINTS
-// environment variable, or via cmd/hayatd's -failpoints flag.
+// thermal solve) instead of being simulated with mocks. A failpoint is
+// disarmed by default and costs one atomic load per hit; arming happens
+// programmatically (tests) or via the HAYAT_FAILPOINTS environment
+// variable.
 //
 // Trigger specs are deterministic: fail-N-times counts down, and
 // probabilistic triggers draw from a per-failpoint RNG seeded from the
@@ -276,6 +276,8 @@ func Arm(name, spec string) error { return Default.Arm(name, spec) }
 func DisarmAll() { Default.DisarmAll() }
 
 // ArmSpecs arms a "name=spec,…" list on the Default registry.
+//
+//lint:ignore reachability internal/service's tests arm failpoint specs with it
 func ArmSpecs(specs string) error { return Default.ArmSpecs(specs) }
 
 // ArmFromEnv arms the Default registry from HAYAT_FAILPOINTS.

@@ -9,13 +9,7 @@ import (
 
 	"github.com/kit-ces/hayat"
 	"github.com/kit-ces/hayat/internal/cluster"
-	"github.com/kit-ces/hayat/internal/faultinject"
 )
-
-// fpClusterSteal fires at the chip work-stealing decision: arming it
-// forces the coordinator to steal remote chips back to local execution,
-// which must still produce byte-identical population results.
-const fpClusterSteal = "cluster.steal"
 
 // ClusterOptions wires a node into a hayatd cluster; its fields are
 // hayatd's cluster flags. Zero Peers means single-node mode: no ring, no
@@ -422,8 +416,8 @@ type clusterPopStore struct {
 }
 
 // Load serves a remote chip's fetched bytes. A miss on a remote chip is
-// a steal, counted once here: its fetcher resolved it nil, the steal
-// backstop fired, or the cluster.steal failpoint did.
+// a steal, counted once here: its fetcher resolved it nil or the steal
+// backstop fired.
 func (st *clusterPopStore) Load(seed int64) ([]byte, bool) {
 	it := st.remote[seed]
 	if it == nil {
@@ -434,22 +428,20 @@ func (st *clusterPopStore) Load(seed int64) ([]byte, bool) {
 	if data, ok := st.innerLoad(seed); ok {
 		return data, true
 	}
-	if faultinject.Hit(fpClusterSteal) == nil {
-		var steal <-chan time.Time
-		if st.stealAfter > 0 {
-			tm := time.NewTimer(st.stealAfter)
-			defer tm.Stop()
-			steal = tm.C
+	var steal <-chan time.Time
+	if st.stealAfter > 0 {
+		tm := time.NewTimer(st.stealAfter)
+		defer tm.Stop()
+		steal = tm.C
+	}
+	select {
+	case <-it.done:
+		if it.data != nil {
+			return it.data, true
 		}
-		select {
-		case <-it.done:
-			if it.data != nil {
-				return it.data, true
-			}
-		case <-steal:
-		case <-st.ctx.Done():
-			return nil, false
-		}
+	case <-steal:
+	case <-st.ctx.Done():
+		return nil, false
 	}
 	st.s.met.ChipsStolen.Add(1)
 	return nil, false

@@ -324,7 +324,7 @@ type MetricsSnapshot struct {
 		ForwardSeconds       HistogramSnapshot `json:"forward_seconds"`
 		FetchSeconds         HistogramSnapshot `json:"fetch_seconds"`
 		// Peers is filled in by the server from the live router (per-peer
-		// health state, probe counts and breaker snapshots).
+		// health state and probe counts).
 		Peers map[string]cluster.PeerSnapshot `json:"peers,omitempty"`
 	} `json:"cluster"`
 	Store struct {

@@ -256,10 +256,6 @@ type Options struct {
 	// restarting from epoch zero. Population jobs persist per-chip
 	// results there as well.
 	CheckpointDir string
-	// CheckpointEvery is the checkpoint cadence in epochs; it is rounded
-	// up to the workload-remix stride. Zero checkpoints at every remix
-	// boundary. Ignored without CheckpointDir.
-	CheckpointEvery int
 	// DefaultDeadline bounds jobs whose submit carries no deadline of its
 	// own (queue wait plus simulation). Zero means unbounded.
 	DefaultDeadline time.Duration
@@ -1217,9 +1213,9 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 
 // runLifetime runs one chip's lifetime with checkpointing when a
 // checkpoint directory is configured: an existing checkpoint for the
-// job's key resumes the run; checkpoints keep being persisted at the
-// configured cadence. A missing, unreadable, corrupt or stale checkpoint
-// falls back to a fresh run from epoch zero.
+// job's key resumes the run; checkpoints keep being persisted at every
+// workload-remix boundary. A missing, unreadable, corrupt or stale
+// checkpoint falls back to a fresh run from epoch zero.
 func (s *Server) runLifetime(ctx context.Context, j *Job, chip *hayat.Chip, pol hayat.Policy) (*hayat.LifetimeResult, error) {
 	if s.opts.CheckpointDir == "" {
 		return chip.RunLifetimeContext(ctx, pol)
@@ -1230,7 +1226,7 @@ func (s *Server) runLifetime(ctx context.Context, j *Job, chip *hayat.Chip, pol 
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		s.logf("service: %s checkpoint unreadable (%v), restarting from epoch 0", j.id, err)
 	}
-	res, err := chip.RunLifetimeWithCheckpoints(ctx, pol, from, s.opts.CheckpointEvery, sink)
+	res, err := chip.RunLifetimeWithCheckpoints(ctx, pol, from, 0, sink)
 	if from == nil {
 		return res, err
 	}
@@ -1248,12 +1244,12 @@ func (s *Server) runLifetime(ctx context.Context, j *Job, chip *hayat.Chip, pol 
 		return nil, err
 	}
 	s.logf("service: %s checkpoint unusable (%v), restarting from epoch 0", j.id, err)
-	return chip.RunLifetimeWithCheckpoints(ctx, pol, nil, s.opts.CheckpointEvery, sink)
+	return chip.RunLifetimeWithCheckpoints(ctx, pol, nil, 0, sink)
 }
 
 // checkpointSink persists checkpoints best-effort: a failed write is
 // logged and counted but never aborts the simulation — the run skips
-// that checkpoint and writes a fresher one at the next cadence point.
+// that checkpoint and writes a fresher one at the next remix boundary.
 func (s *Server) checkpointSink(path string) hayat.CheckpointSink {
 	return func(nextEpoch int, data []byte) error {
 		if err := s.writeArtifact(path, data); err != nil {

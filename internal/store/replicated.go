@@ -13,11 +13,11 @@ import (
 const fetchTimeout = 5 * time.Second
 
 // Transport moves envelopes between peers. internal/cluster's Router
-// implements it (per-peer breakers, retries, health); tests substitute
-// fakes. StoreGet returns the envelope-verified payload (ok=false, nil
-// error on a clean miss); StorePut pushes canonical bytes; StoreStat
-// returns the peer's hex leaf hash for key without the payload; PeerUp
-// reports prober health so the store never hammers a known-dead peer.
+// implements it (retries, health); tests substitute fakes. StoreGet
+// returns the envelope-verified payload (ok=false, nil error on a clean
+// miss); StorePut pushes canonical bytes; StoreStat returns the peer's
+// hex leaf hash for key without the payload; PeerUp reports prober
+// health so the store never hammers a known-dead peer.
 type Transport interface {
 	StoreGet(ctx context.Context, peer, key string) (data []byte, ok bool, err error)
 	StorePut(ctx context.Context, peer, key string, data []byte) error

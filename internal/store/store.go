@@ -16,7 +16,7 @@ package store
 import "strings"
 
 // Failpoint names on the store's durable and remote seams (armed via
-// HAYAT_FAILPOINTS / -failpoints). FPCacheRead/FPCacheWrite keep their
+// HAYAT_FAILPOINTS). FPCacheRead/FPCacheWrite keep their
 // historical "service.*" names so existing crash drills and arming specs
 // stay valid across the extraction of this package from internal/service.
 const (
