@@ -86,6 +86,7 @@ fuzz-smoke:
 	fuzz ./internal/aging     FuzzEffectiveAge; \
 	fuzz ./internal/thermpredict FuzzAdmitBound; \
 	fuzz ./internal/thermal   FuzzModalTransforms; \
+	fuzz ./internal/numeric   FuzzMulMat; \
 	fuzz ./internal/core      FuzzPickCandidate
 
 fmt:
@@ -157,12 +158,17 @@ bench-answer:
 	$(GO) test ./internal/service -run '^$$' -bench '^BenchmarkCachedAnswer$$' -benchmem \
 		-benchtime $(ANSWER_BENCHTIME)
 
-# Epoch kernels (DESIGN.md §15, §19, §21): one steady-state epoch of the
-# default 8×8 chip under Hayat and under VAA, and one implicit-Euler
-# thermal step, each in µs, bytes and allocations per operation.
+# Epoch kernels (DESIGN.md §15, §19, §21, §22): one steady-state epoch of
+# the default 8×8 chip under Hayat and under VAA, one implicit-Euler
+# thermal step, each in µs, bytes and allocations per operation, and
+# numeric.MulMat's AVX2 and Go kernels (the AVX2 one where the CPU has it)
+# on one 8×8 DCT stage and on Predict's 1×64·64×64 product. CI's
+# one-iteration smoke step (EPOCH_BENCHTIME=1x) runs all four.
 EPOCH_BENCHTIME ?= 1s
 bench-epoch:
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkSingleChipEpoch(VAA)?$$' -benchmem \
 		-benchtime $(EPOCH_BENCHTIME)
 	$(GO) test . -run '^$$' -bench '^BenchmarkThermalTransientStep$$' -benchmem \
+		-benchtime $(EPOCH_BENCHTIME)
+	$(GO) test ./internal/numeric -run '^$$' -bench '^BenchmarkMulMat$$' -benchmem \
 		-benchtime $(EPOCH_BENCHTIME)

@@ -20,7 +20,9 @@ import (
 var roundedFiles = []string{
 	"internal/aging/aging.go",
 	"internal/aging/table.go",
+	"internal/numeric/cholesky.go",
 	"internal/numeric/matrix.go",
+	"internal/numeric/mulmat.go",
 	"internal/thermal/modal.go",
 	"internal/thermal/thermal.go",
 	"internal/thermpredict/thermpredict.go",
@@ -84,5 +86,49 @@ func TestRoundedFilesHaveNoFusedMultiplyAdd(t *testing.T) {
 	}
 	if fused > 0 {
 		t.Errorf("%d fused multiply-adds in files that must round every product; write each product that feeds a sum as float64(x*y)", fused)
+	}
+}
+
+// fusedAVX matches the x86 fused multiply-add mnemonics, packed and
+// scalar: VFMADD…, VFMSUB… (VFMADDSUB… and VFMSUBADD… included),
+// VFNMADD… and VFNMSUB….
+var fusedAVX = regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)`)
+
+// TestAssemblyHasNoFusedMultiplyAdd reads every *_amd64.s file of the
+// module and fails on any fused multiply-add instruction outside a
+// comment. MulMat's AVX2 kernel equals the Go kernel bit for bit only
+// because it rounds each product before its add (DESIGN.md §22); one
+// fused instruction would change bytes on AVX2 hosts alone.
+func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, "_amd64.s") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no *_amd64.s file found; MulMat's AVX2 kernel should be one")
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if m := fusedAVX.FindString(code); m != "" {
+				t.Errorf("%s:%d: fused multiply-add %s…: %s", path, i+1, m, strings.TrimSpace(line))
+			}
+		}
 	}
 }

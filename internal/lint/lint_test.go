@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -270,5 +272,27 @@ func TestRealTreeClean(t *testing.T) {
 	}
 	for _, d := range Run(pkgs, Rules()) {
 		t.Errorf("real tree violation: %s", d)
+	}
+}
+
+// TestSourceFilesHonourBuildConstraints checks that the loader keeps the
+// files go build compiles and drops test files and files whose build
+// constraint excludes them, so an architecture's declarations and their
+// fallback are never type-checked together.
+func TestSourceFilesHonourBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"kept.go":      "package p\n",
+		"ignored.go":   "//go:build ignore\n\npackage p\n",
+		"never.go":     "//go:build !" + runtime.GOARCH + "\n\npackage p\n",
+		"kept_test.go": "package p\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := sourceFiles(dir)
+	if want := []string{filepath.Join(dir, "kept.go")}; !slices.Equal(got, want) {
+		t.Fatalf("sourceFiles = %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -139,7 +140,10 @@ func Load(root string) ([]*Package, error) {
 	return out, nil
 }
 
-// sourceFiles lists the non-test .go files in dir, sorted.
+// sourceFiles lists the non-test .go files in dir that go build would
+// compile for the host (file-name suffixes such as _amd64 and //go:build
+// lines honoured, so an architecture's files never meet their fallback),
+// sorted.
 func sourceFiles(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -150,6 +154,9 @@ func sourceFiles(dir string) []string {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))

@@ -7,7 +7,10 @@ import "math"
 //
 // The process-variation model (internal/variation) uses it to colour white
 // Gaussian noise with a spatial correlation matrix: if z ~ N(0, I) then
-// L·z ~ N(0, A).
+// L·z ~ N(0, A). Every product that feeds a sum is written float64(x*y),
+// which rounds it before the add, so no architecture fuses the two into
+// one FMA and every chip's variation field is coloured to the same bytes
+// everywhere (DESIGN.md §19, §22).
 type Cholesky struct {
 	n int
 	l *Matrix
@@ -26,7 +29,7 @@ func FactorCholesky(a *Matrix) (*Cholesky, error) {
 		d := a.At(j, j)
 		lrowj := l.Row(j)
 		for k := 0; k < j; k++ {
-			d -= lrowj[k] * lrowj[k]
+			d -= float64(lrowj[k] * lrowj[k])
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotSPD
@@ -37,7 +40,7 @@ func FactorCholesky(a *Matrix) (*Cholesky, error) {
 			s := a.At(i, j)
 			lrowi := l.Row(i)
 			for k := 0; k < j; k++ {
-				s -= lrowi[k] * lrowj[k]
+				s -= float64(lrowi[k] * lrowj[k])
 			}
 			l.Set(i, j, s/d)
 		}
@@ -55,7 +58,7 @@ func (c *Cholesky) MulVec(dst, z []float64) []float64 {
 		row := c.l.Row(i)
 		s := 0.0
 		for j := 0; j <= i; j++ {
-			s += row[j] * z[j]
+			s += float64(row[j] * z[j])
 		}
 		dst[i] = s
 	}
@@ -77,7 +80,7 @@ func (c *Cholesky) Solve(dst, b []float64) []float64 {
 		row := c.l.Row(i)
 		s := b[i]
 		for j := 0; j < i; j++ {
-			s -= row[j] * y[j]
+			s -= float64(row[j] * y[j])
 		}
 		y[i] = s / row[i]
 	}
@@ -85,7 +88,7 @@ func (c *Cholesky) Solve(dst, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= c.l.At(j, i) * y[j]
+			s -= float64(c.l.At(j, i) * y[j])
 		}
 		y[i] = s / c.l.At(i, i)
 	}

@@ -53,7 +53,7 @@ func TestCholeskySolveResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := c.Solve(make([]float64, n), b)
-	ax := a.MulVec(make([]float64, n), x)
+	ax := mulVec(a, x)
 	for i := range ax {
 		if math.Abs(ax[i]-b[i]) > 1e-8 {
 			t.Fatalf("(A·x − b)[%d] = %v", i, ax[i]-b[i])
@@ -63,7 +63,7 @@ func TestCholeskySolveResidual(t *testing.T) {
 
 // Property: colouring white noise with L yields samples whose quadratic form
 // zᵀ·A⁻¹·z is consistent — concretely we verify L·(L⁻¹·b) == b via
-// MulVec/Solve inversion on random SPD matrices.
+// Solve and the matrix–vector product on random SPD matrices.
 func TestCholeskyMulVecSolveInverse(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,7 +84,7 @@ func TestCholeskyMulVecSolveInverse(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		y := c.Solve(make([]float64, n), b)
-		ay := a.MulVec(make([]float64, n), y)
+		ay := mulVec(a, y)
 		for i := range b {
 			if math.Abs(ay[i]-b[i]) > 1e-7 {
 				return false

@@ -129,11 +129,17 @@ func TestNewMatrixFromPanicsOnRagged(t *testing.T) {
 	NewMatrixFrom([][]float64{{1, 2}, {3}})
 }
 
+// mulVec returns m·x, formed by MulMat with x as a one-column matrix.
+func mulVec(m *Matrix, x []float64) []float64 {
+	dst := make([]float64, m.Rows)
+	MulMat(dst, m.Data, x, m.Cols, 1)
+	return dst
+}
+
 func TestIdentityMulVec(t *testing.T) {
 	id := Identity(4)
 	x := []float64{1, -2, 3, -4}
-	dst := make([]float64, 4)
-	id.MulVec(dst, x)
+	dst := mulVec(id, x)
 	for i := range x {
 		if dst[i] != x[i] {
 			t.Fatalf("I·x[%d] = %v, want %v", i, dst[i], x[i])
@@ -210,7 +216,8 @@ func TestMulTransposeProperty(t *testing.T) {
 	}
 }
 
-// Property: MulVec matches Mul with a one-column matrix.
+// Property: the matrix–vector product matches Mul with a one-column
+// matrix.
 func TestMulVecMatchesMul(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -226,7 +233,7 @@ func TestMulVecMatchesMul(t *testing.T) {
 		col := NewMatrix(n, 1)
 		copy(col.Data, x)
 		want := Mul(a, col)
-		got := a.MulVec(make([]float64, n), x)
+		got := mulVec(a, x)
 		for i := 0; i < n; i++ {
 			if !almostEqual(got[i], want.At(i, 0), 1e-12) {
 				return false

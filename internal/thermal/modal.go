@@ -91,7 +91,8 @@ func (s *stack) modeInverse(x, lam [numLayers]float64) [numLayers][numLayers]flo
 // its eigenvalue under the free-boundary path Laplacian on m nodes (the
 // matrix with 1, 2, …, 2, 1 on the diagonal and −1 beside it), which the
 // basis diagonalises exactly. phiT is phi's transpose, element for
-// element, so the transforms read either orientation row by row.
+// element, so every transform stage is one row-major product with Φ or
+// Φᵀ.
 type dct struct {
 	m    int
 	phi  []float64
@@ -130,28 +131,21 @@ func newBasis(rows, cols int) basis {
 }
 
 // forward writes the modal coefficients x̂ = Φ_Rᵀ·x·Φ_C into dst, using
-// tmp as scratch. All three slices have length Rows·Cols.
+// tmp as scratch. All three slices have length Rows·Cols; neither dst
+// nor x may alias tmp, but dst may alias x.
 func (b *basis) forward(dst, x, tmp []float64) {
 	R, C := b.rows.m, b.cols.m
-	// tmp = (x·Φ_C)ᵀ, stored transposed so the second product reads its
-	// columns as rows.
-	numeric.MulRows(tmp, 1, R, x[:R*C], b.cols.phiT, C)
-	numeric.MulRows(dst, C, 1, b.rows.phiT, tmp[:R*C], R) // dst = Φ_Rᵀ·tmp
+	numeric.MulMat(tmp, x, b.cols.phi, C, C)    // tmp = x·Φ_C
+	numeric.MulMat(dst, b.rows.phiT, tmp, R, C) // dst = Φ_Rᵀ·tmp
 }
 
 // inverse writes the field x = Φ_R·x̂·Φ_Cᵀ + offset into dst, using tmp
-// as scratch. All three slices have length Rows·Cols; dst must not alias
-// xh.
+// as scratch. All three slices have length Rows·Cols; neither dst nor xh
+// may alias tmp, but dst may alias xh.
 func (b *basis) inverse(dst, xh, tmp []float64, offset float64) {
 	R, C := b.rows.m, b.cols.m
-	// dst = x̂ᵀ first, so the first product reads x̂'s columns as rows.
-	for p := 0; p < R; p++ {
-		for q, v := range xh[p*C : (p+1)*C] {
-			dst[q*R+p] = v
-		}
-	}
-	numeric.MulRows(tmp, C, 1, b.rows.phi, dst[:R*C], R) // tmp = Φ_R·x̂
-	numeric.MulRows(dst, C, 1, tmp[:R*C], b.cols.phi, C) // dst = tmp·Φ_Cᵀ + offset
+	numeric.MulMat(tmp, b.rows.phi, xh, R, C)   // tmp = Φ_R·x̂
+	numeric.MulMat(dst, tmp, b.cols.phiT, C, C) // dst = tmp·Φ_Cᵀ + offset
 	for i := range dst {
 		dst[i] += offset
 	}

@@ -67,7 +67,8 @@ func TestCSRMatchesDense(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	ys := csr.MulVec(make([]float64, tr.N()), x)
-	yd := dense.MulVec(make([]float64, tr.N()), x)
+	yd := make([]float64, tr.N())
+	numeric.MulMat(yd, dense.Data, x, dense.Cols, 1)
 	for i := range ys {
 		if math.Abs(ys[i]-yd[i]) > 1e-12 {
 			t.Fatalf("CSR·x differs from dense at %d: %v vs %v", i, ys[i], yd[i])

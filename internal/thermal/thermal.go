@@ -10,7 +10,10 @@
 //
 // The block model (Model) has one solver for every floorplan, an exact
 // modal solve in the 2-D DCT-II basis of the core grid (DESIGN.md §18).
-// It serves two entry points, both checked against non-finite values:
+// Each transform between node and modal coordinates is two dense
+// products, numeric.MulMat with a 1-D basis or its transpose, whose
+// AVX2 kernel equals its Go kernel bit for bit (DESIGN.md §22). It serves
+// two entry points, both checked against non-finite values:
 //
 //   - SteadyStateChecked: G·T = P + G_amb·T_amb, used to learn the die
 //     response of the online predictor (DieResponse).

@@ -16,9 +16,11 @@
 //     raises leakage).
 //
 // Prediction costs four 64×64 matrix–vector products, the
-// ambient-leakage start plus three correction sweeps: microseconds, which
-// is what makes per-candidate evaluation inside Algorithm 1 feasible at
-// run time (the paper reports ≈25 µs for predictTemperature). A
+// ambient-leakage start plus three correction sweeps, each the 1×64 row
+// of total powers against the transposed response (numeric.MulMat, whose
+// AVX2 kernel equals its Go kernel bit for bit): microseconds, which is
+// what makes per-candidate evaluation inside Algorithm 1 feasible at run
+// time (the paper reports ≈25 µs for predictTemperature). A
 // candidate's admission costs one 64-entry pass over a row of the
 // transposed response, or nothing when a bound from that row's largest
 // entry already proves it.
@@ -50,7 +52,8 @@ type Predictor struct {
 
 	// resp is the learned response matrix: resp[i][j] is the steady-state
 	// temperature rise of core i per Watt injected at core j; respT is its
-	// transpose, so one core's response reads as a row. Both belong to
+	// transpose, so one core's response reads as a row and Predict forms
+	// R·total as the row totalᵀ times Rᵀ. Both belong to
 	// the thermal model (DieResponse) and are shared read-only by every
 	// predictor on that model.
 	resp, respT *numeric.Matrix
@@ -146,7 +149,7 @@ func (p *Predictor) Predict(dst, total, pdyn []float64, on []bool) []float64 {
 			total[i] = pdyn[i] + p.leak.Core(0, amb, false)
 		}
 	}
-	p.resp.MulVec(dst, total)
+	numeric.MulMat(dst, total, p.respT.Data, n, n) // dst = R·total, as totalᵀ·Rᵀ
 	for i := range dst {
 		dst[i] += amb
 	}
@@ -155,7 +158,7 @@ func (p *Predictor) Predict(dst, total, pdyn []float64, on []bool) []float64 {
 		for i := range total {
 			total[i] = pdyn[i] + float64(p.leak.Core(p.chip.LeakFactor[i], dst[i], on[i]))
 		}
-		p.resp.MulVec(dst, total)
+		numeric.MulMat(dst, total, p.respT.Data, n, n)
 		for i := range dst {
 			dst[i] += amb
 		}
